@@ -236,10 +236,16 @@ def cyclic_partial_sums_units(w: Block, k: int) -> np.ndarray:
     wraps, r = divmod(k, h)
     if r == 0:
         return np.full(h, wraps * tot, dtype=pre.dtype)
-    # S_k(nu) = wraps*tot + pre[(nu-1+r) mod h applied through the split]
-    head = pre[r:h + 1] - pre[0:h + 1 - r]          # nu-1 in [0, h-r]
-    tail = tot - pre[h - r + 1:h] + pre[1:r]        # nu-1 in [h-r+1, h-1]
-    return wraps * tot + np.concatenate([head, tail])
+    # S_k(nu) = wraps*tot + pre[nu-1+r] - pre[nu-1], where an index past h
+    # wraps around and adds one more tot
+    split = h + 1 - r                               # nu-1 in [0, h-r]
+    out = np.empty(h, dtype=pre.dtype)
+    np.subtract(pre[r:], pre[:split], out=out[:split])
+    np.subtract(pre[1:r], pre[split:h], out=out[split:])
+    out[split:] += tot
+    if wraps:
+        out += wraps * tot
+    return out
 
 
 def stats(w: Block) -> BlockStats:

@@ -2,8 +2,8 @@
 
 Distances between distributions are taken after the compactifying change of
 variable x -> arctan(x), so that the point at infinity is an honest atom at
-pi/2.  Masses are exact rationals; only the final arctan evaluations use
-floats.
+pi/2.  Masses are exact rationals or exact integer counts; only the arctan
+of each distinct value is a float.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
 INF = math.inf
+
+# Level breakpoints at or above this leave int64 and become Python ints.
+_INT64_SAFE = 1 << 62
 
 
 class DistError(ValueError):
@@ -192,49 +195,119 @@ class FiniteDist:
         return cls.from_json_obj(json.loads(s))
 
 
-def _merged_segments(p: FiniteDist, q: FiniteDist):
-    """Common refinement of the quantile step functions of p and q.
+def _atan(values) -> "np.ndarray":
+    """Arctan of each value; math.inf maps to pi/2."""
+    import numpy as np
+    return np.arctan(np.array([float(v) for v in values]))
 
-    Yields (length, vp, vq): a maximal interval of levels u in (0, 1] of the
-    given rational length on which both quantiles are constant.
+
+def _integer_masses(masses: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Masses as integer counts over their least common denominator."""
+    den = 1
+    for m in masses:
+        den = den * m.denominator // math.gcd(den, m.denominator)
+    return [m.numerator * (den // m.denominator) for m in masses], den
+
+
+def _transport(av, counts, n: int, dist: FiniteDist, metric: str) -> float:
+    """Arctan transport distance between a histogram and ``dist``.
+
+    The histogram has ascending arctan values ``av`` carrying integer
+    ``counts`` that sum to n.  Both quantile functions are step functions of
+    the level u in (0, 1]; their breakpoints are merged exactly as integers
+    over n*L, with L the least common denominator of the masses of ``dist``,
+    and promoted to Python ints when n*L leaves the int64 range.  Returns
+    the integral ("vasershtein", L1) or the sup ("uniform", L-infinity) of
+    the quantile gap; the comonotone coupling is optimal on the line.
     """
-    ip = iq = 0
-    ap, aq = p.masses[0], q.masses[0]
-    u = Fraction(0)
-    while True:
-        step = min(ap, aq)
-        yield step, p.values[ip], q.values[iq]
-        u += step
-        if u == 1:
-            return
-        ap -= step
-        aq -= step
-        if ap == 0:
-            ip += 1
-            ap = p.masses[ip]
-        if aq == 0:
-            iq += 1
-            aq = q.masses[iq]
+    import numpy as np
+    if metric not in ("vasershtein", "uniform"):
+        raise DistError(f"unknown transport metric {metric!r}")
+    t_counts, den = _integer_masses(dist.masses)
+    dtype = np.int64 if n * den < _INT64_SAFE else object
+    own = np.cumsum(np.asarray(counts, dtype=dtype)) * den
+    other = np.cumsum(np.asarray(t_counts, dtype=dtype)) * n
+    cuts = np.union1d(own, other)
+    gap = np.abs(av[np.searchsorted(own, cuts)] -
+                 _atan(dist.values)[np.searchsorted(other, cuts)])
+    if metric == "uniform":
+        return float(gap.max())
+    widths = np.diff(cuts, prepend=0).astype(float)
+    return float(np.dot(widths, gap)) / (n * den)
+
+
+def _dist_transport(p: FiniteDist, q: FiniteDist, metric: str) -> float:
+    counts, n = _integer_masses(p.masses)
+    return _transport(_atan(p.values), counts, n, q, metric)
 
 
 def vasershtein(p: FiniteDist, q: FiniteDist) -> float:
-    """L1 transport distance in the arctan metric.
-
-    Computed as the integral of rho between the two quantile functions over
-    the common refinement of their rational level breakpoints; the
-    comonotone coupling is optimal on the line.
-    """
-    return math.fsum(float(step) * rho(vp, vq)
-                     for step, vp, vq in _merged_segments(p, q))
+    """L1 transport distance in the arctan metric: the integral of rho
+    between the two quantile functions."""
+    return _dist_transport(p, q, "vasershtein")
 
 
 def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
-    """L-infinity transport distance in the arctan metric.
+    """L-infinity transport distance in the arctan metric: the sup over
+    levels of the quantile gap."""
+    return _dist_transport(p, q, "uniform")
 
-    Equals the sup over levels of the quantile gap, evaluated on the common
-    refinement of the level breakpoints.
+
+class SkHistogram:
+    """Exact law of the cyclic partial sums S_k over every position of a
+    list of blocks.
+
+    For each block it holds the sorted distinct values of S_k/scale with
+    their int64 counts, so every mass is an exact integer count over the
+    total number of positions.  Floats enter only through the arctan of
+    each distinct value when a transport distance is taken.
     """
-    return max(rho(vp, vq) for step, vp, vq in _merged_segments(p, q))
+
+    __slots__ = ("k", "scales", "units", "counts", "total")
+
+    def __init__(self, blocks, k: int):
+        import numpy as np
+
+        from .blocks import cyclic_partial_sums_units
+        self.k = k
+        self.scales = [w.scale for w in blocks]
+        self.units = []
+        self.counts = []
+        for w in blocks:
+            u, c = np.unique(cyclic_partial_sums_units(w, k),
+                             return_counts=True)
+            self.units.append(u)
+            self.counts.append(c)
+        self.total = sum(len(w) for w in blocks)
+
+    def distance(self, norm, dist: FiniteDist,
+                 metric: str = "vasershtein") -> float:
+        """Transport distance between the law of S_k/(k*norm) and ``dist``;
+        ``metric`` is "vasershtein" (L1) or "uniform" (L-infinity)."""
+        import numpy as np
+        vals = np.concatenate(
+            [u.astype(float) * (float(sc) / (self.k * float(norm)))
+             for u, sc in zip(self.units, self.scales)])
+        order = np.argsort(vals, kind="stable")
+        return _transport(np.arctan(vals[order]),
+                          np.concatenate(self.counts)[order], self.total,
+                          dist, metric)
+
+    def count_below(self, thresh: Value) -> int:
+        """Exact number of positions with S_k < thresh."""
+        import numpy as np
+        n = 0
+        for u, c, sc in zip(self.units, self.counts, self.scales):
+            if isinstance(sc, float):
+                i = np.searchsorted(u * sc, float(thresh))
+            else:
+                # S < thresh  <=>  units < thresh/scale, decided exactly
+                bound = Fraction(thresh) / sc
+                cut = bound.numerator // bound.denominator
+                i = np.searchsorted(u, cut, side="left"
+                                    if bound.denominator == 1 else "right")
+            n += int(c[:i].sum())
+        return n
 
 
 def cdf_dominates_below(p: FiniteDist, q: FiniteDist, r: Value) -> bool:
@@ -259,85 +332,6 @@ def array_mean_dist(blocks, c) -> "FiniteDist":
         vals.append(e / c if isinstance(e, Fraction) and
                     isinstance(c, (int, Fraction)) else float(e) / float(c))
     return FiniteDist.uniform(vals)
-
-
-def _atan_partitioned(vals, dist: FiniteDist):
-    """Arctan-transform the sample and partition it at the order-statistic
-    ranks needed by the segment boundaries of ``dist``.
-
-    Returns (arr, n, segments) with one (a, b, av) triple per atom: the
-    rational mass range (a, b] and the arctan of the atom value.
-    """
-    import numpy as np
-    arr = np.asarray(vals, dtype=float)
-    n = arr.size
-    if n == 0:
-        raise DistError("empirical sample must be nonempty")
-    arr = np.where(np.isinf(arr), math.pi / 2, np.arctan(arr))
-    segments = []
-    kth = set()
-    acc = Fraction(0)
-    for v, m in zip(dist.values, dist.masses):
-        av = math.pi / 2 if v == INF else math.atan(float(v))
-        a, b = acc, acc + m
-        an, bn = a * n, b * n
-        for r in (an.numerator // an.denominator,
-                  -((-an.numerator) // an.denominator),
-                  bn.numerator // bn.denominator - 1,
-                  bn.numerator // bn.denominator):
-            if 0 <= r < n:
-                kth.add(int(r))
-        segments.append((a, b, av))
-        acc = b
-    arr = np.partition(arr, sorted(kth))
-    return arr, n, segments
-
-
-def empirical_uniform_gap(vals, dist: FiniteDist) -> float:
-    """L-infinity transport distance between the empirical distribution of a
-    value array (uniform weights, possibly math.inf entries) and a finite
-    distribution.
-
-    The empirical quantile is constant on ((j-1)/n, j/n], so the sup of the
-    quantile gap is attained at the extreme empirical values inside each
-    atom segment of the reference distribution.
-    """
-    arr, n, segments = _atan_partitioned(vals, dist)
-    best = 0.0
-    for a, b, av in segments:
-        an, bn = a * n, b * n
-        j_lo = int(an.numerator // an.denominator)
-        j_hi = int(bn.numerator // bn.denominator) - \
-            (1 if bn.denominator == 1 else 0)
-        gap = max(abs(float(arr[j_lo]) - av), abs(float(arr[j_hi]) - av))
-        if gap > best:
-            best = gap
-    return best
-
-
-def empirical_vasershtein(vals, dist: FiniteDist) -> float:
-    """L1 transport distance between the empirical distribution of a value
-    array (uniform weights) and a finite distribution, integrated exactly
-    over the common refinement of the level breakpoints."""
-    import numpy as np
-    arr, n, segments = _atan_partitioned(vals, dist)
-    total = 0.0
-    for a, b, av in segments:
-        an, bn = a * n, b * n
-        full_lo = int(-((-an.numerator) // an.denominator))
-        full_hi = int(bn.numerator // bn.denominator)   # exclusive
-        if full_hi > full_lo:
-            total += float(np.abs(arr[full_lo:full_hi] - av).sum()) / n
-        if an.denominator != 1:
-            j = an.numerator // an.denominator
-            hi = min(Fraction(j + 1, n), b)
-            total += float(hi - a) * abs(float(arr[j]) - av)
-        if bn.denominator != 1:
-            j = bn.numerator // bn.denominator
-            if an.denominator == 1 or j != an.numerator // an.denominator:
-                lo = max(Fraction(j, n), a)
-                total += float(b - lo) * abs(float(arr[j]) - av)
-    return total
 
 
 @dataclass(frozen=True)

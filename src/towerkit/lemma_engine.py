@@ -21,10 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, BlockError, Scalar, concat_many,
-                     cyclic_partial_sums_units, is_normalized, self_concat)
-from .distributions import (FiniteDist, Splitting, empirical_uniform_gap,
-                            empirical_vasershtein)
+from .blocks import (Block, BlockError, Scalar, concat_many, is_normalized,
+                     self_concat)
+from .distributions import FiniteDist, SkHistogram, Splitting
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
@@ -129,18 +128,9 @@ class BlockArray:
     def max_value(self) -> Fraction:
         return max(self.values[s] for s in self.symbols)
 
-    def ratios(self, k: int, norm) -> np.ndarray:
-        """S_k(nu)/(k*norm) over all positions of all blocks (unordered)."""
-        out = []
-        for s in self.symbols:
-            w = self.blocks[s]
-            units = cyclic_partial_sums_units(w, k)
-            if w.is_float:
-                out.append(units * (float(w.scale) / (k * float(norm))))
-            else:
-                out.append(units.astype(float) *
-                           (float(w.scale) / (k * float(norm))))
-        return np.concatenate(out)
+    def sk_histogram(self, k: int) -> SkHistogram:
+        """Exact law of S_k over all positions of all blocks."""
+        return SkHistogram([self.blocks[s] for s in self.symbols], k)
 
 
 @dataclass(frozen=True)
@@ -240,7 +230,13 @@ class GammaTable:
 @dataclass(frozen=True)
 class ExtensionCertificate:
     """Measured evidence that an extended array stays distributed like its
-    label variable along the normalizer chain."""
+    label variable along the normalizer chain.
+
+    ``metric`` names the arctan transport distance stored in ``distances``:
+    "uniform" (L-infinity) or "vasershtein" (L1), each taken between the
+    exact histogram of S_k/(k gamma(k)), whose masses are integer position
+    counts, and the label distribution.
+    """
 
     k_grid: tuple
     distances: dict            # k -> measured transport distance
@@ -451,22 +447,20 @@ class CompoundReport:
         return [r.p_after - r.p_before for r in self.rounds]
 
 
-def _delta_k(ratios: np.ndarray) -> float:
+def _delta_k(devs: np.ndarray, counts: np.ndarray) -> float:
     """Least d with  fraction of positions deviating by more than d  <= d.
 
-    ``ratios`` holds |S_k/(k E_k) - 1| over all positions.
+    ``devs`` holds the deviations |S_k/(k E_k) - 1| and ``counts`` the
+    number of positions taking each.  With deviations in descending order,
+    d = devs[i] leaves at most the j positions before i above it, so the
+    candidate is max(devs[i], j/n); within a run of equal deviations it is
+    least at the start of the run, and d = 1 always qualifies.
     """
-    d = np.sort(ratios)[::-1]
-    n = len(d)
-    best = float(d[0])
-    for j in range(n + 1):
-        tail = float(d[j]) if j < n else 0.0
-        cand = max(tail, j / n)
-        if cand < best:
-            best = cand
-        if j / n >= best:
-            break
-    return best
+    order = np.argsort(devs, kind="stable")[::-1]
+    c = counts[order]
+    before = np.cumsum(c) - c
+    return float(min(np.maximum(devs[order], before / int(c.sum())).min(),
+                     1.0))
 
 
 def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
@@ -552,14 +546,14 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
             4096, max(base_h * 4, 64)), geo_cap=64)
     deltas = []
     for k in k_grid:
+        hist = final.sk_histogram(k)
         devs = []
-        for s in arr.symbols:
-            w = final.blocks[s]
+        for s, units, sc in zip(arr.symbols, hist.units, hist.scales):
             ek = e0[s] * (1 + rep.p_of_k(k) * (t[s] - 1))
-            units = cyclic_partial_sums_units(w, k)
-            ratio = units.astype(float) * float(w.scale) / (k * float(ek))
+            ratio = units.astype(float) * float(sc) / (k * float(ek))
             devs.append(np.abs(ratio - 1.0))
-        deltas.append(_delta_k(np.concatenate(devs)))
+        deltas.append(_delta_k(np.concatenate(devs),
+                               np.concatenate(hist.counts)))
     # enforce the nonincreasing shape by a running maximum from the right
     for i in range(len(deltas) - 2, -1, -1):
         deltas[i] = max(deltas[i], deltas[i + 1])
@@ -606,13 +600,9 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
              geo_cap: int = 256) -> ExtensionCertificate:
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
-    distances = {}
-    for k in grid:
-        vals = arr_new.ratios(k, gamma.gamma(k))
-        if metric == "uniform":
-            distances[k] = empirical_uniform_gap(vals, y)
-        else:
-            distances[k] = empirical_vasershtein(vals, y)
+    distances = {k: arr_new.sk_histogram(k).distance(gamma.gamma(k), y,
+                                                     metric)
+                 for k in grid}
     return ExtensionCertificate(tuple(grid), distances, gamma, change,
                                 float(delta), float(eps), metric)
 
@@ -780,8 +770,7 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
         q_grid.append((k, q_k))
         blend = FiniteDist.uniform(
             [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
-        vals = final.ratios(k, beta_k)
-        distances[k] = empirical_vasershtein(vals, blend)
+        distances[k] = final.sk_histogram(k).distance(beta_k, blend)
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
     bound = float(eps) + split.cost()

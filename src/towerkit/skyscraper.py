@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import Block, cyclic_partial_sums_units
-from .distributions import INF, FiniteDist, empirical_vasershtein
+from .blocks import Block
+from .distributions import INF, FiniteDist, SkHistogram, vasershtein
 from .lemma_engine import InvariantError, PreconditionError
 from .tower import TowerTrace
 
@@ -366,19 +366,12 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
-        counts = occupation_counts(it, n)
-        vals = [counts[s].astype(float) / float(rep.a_n)
-                for s in it.symbols]
-        occ_d[n] = empirical_vasershtein(np.concatenate(vals), y)
+        occ_d[n] = vasershtein(rep.normalized, y)
         m = max(1, int(round(float(rep.a_n))))
         g = it.trace.global_gamma.gamma(m)
-        ratios = []
-        for s in it.symbols:
-            w = Block(it.weights[s], 1)
-            units = cyclic_partial_sums_units(w, m)
-            ratios.append(units.astype(float) * float(it.time_unit) /
-                          (m * float(g)))
-        phi_d[n] = empirical_vasershtein(np.concatenate(ratios), z)
+        returns = SkHistogram([Block(it.weights[s], it.time_unit)
+                               for s in it.symbols], m)
+        phi_d[n] = returns.distance(g, z)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, reports, tol,

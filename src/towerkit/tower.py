@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, cyclic_partial_sums_units, is_normalized,
-                     self_concat)
-from .distributions import (INF, FiniteDist, empirical_vasershtein)
+from .blocks import Block, is_normalized, self_concat
+from .distributions import INF, FiniteDist
 from .lemma_engine import (BlockArray, ExtensionCertificate, GammaTable,
                            InvariantError, PreconditionError, SizeCapError,
                            basic_extend, choose_mu, extension_step,
@@ -346,18 +345,13 @@ class SkDistReport:
 
 def sk_distribution(trace: TowerTrace, k: int) -> SkDistReport:
     """Uniform distribution of S_k(nu) over all blocks and positions."""
-    arr = trace.final
+    hist = trace.final.sk_histogram(k)
     counts: Dict = {}
-    for s in arr.symbols:
-        w = arr.blocks[s]
-        units = cyclic_partial_sums_units(w, k)
-        uniq, cnt = np.unique(units, return_counts=True)
-        for u, c in zip(uniq, cnt):
-            v = w.scale * int(u) if not w.is_float else w.scale * float(u)
-            counts[v] = counts.get(v, 0) + int(c)
-    total = arr.height * arr.size
-    entries = tuple(sorted(counts.items()))
-    return SkDistReport(k, entries, total)
+    for uniq, cnt, sc in zip(hist.units, hist.counts, hist.scales):
+        for u, c in zip(uniq.tolist(), cnt.tolist()):
+            v = sc * u
+            counts[v] = counts.get(v, 0) + c
+    return SkDistReport(k, tuple(sorted(counts.items())), hist.total)
 
 
 # -- certification ---------------------------------------------------------
@@ -389,7 +383,9 @@ class Theorem1Report:
     """Certification summary for a tower trace."""
 
     k_grid: tuple
-    vasershtein: dict           # k -> measured L1 transport distance
+    # k -> L1 arctan transport distance between the exact histogram of
+    # S_k/b(k), whose masses are integer position counts, and the target
+    vasershtein: dict
     stage_eps_ok: bool
     lower_bound_ok: bool
     lower_bound_checks: tuple   # ((k, x, lhs, rhs, ok), ...)
@@ -428,37 +424,17 @@ def certify_theorem1(trace: TowerTrace,
     eps_ok = True
     checks = []
     lower_ok = True
-    exact = not arr.blocks[arr.symbols[0]].is_float
     for k in grid:
         g = trace.global_gamma.gamma(k)
-        units_by_sym = {s: cyclic_partial_sums_units(arr.blocks[s], k)
-                        for s in arr.symbols}
-        ratios = np.concatenate(
-            [units_by_sym[s].astype(float) *
-             (float(arr.blocks[s].scale) / (k * float(g)))
-             for s in arr.symbols])
-        vas[k] = empirical_vasershtein(ratios, y)
+        hist = arr.sk_histogram(k)
+        vas[k] = hist.distance(g, y)
         if not vas[k] <= _stage_eps_at(trace, k) + 1e-12:
             eps_ok = False
         for x in x_values:
             x = Fraction(x)
             rhs = y.cdf(Fraction(m * x))
-            lhs = Fraction(0)
-            thresh = x * k * Fraction(g)
-            for s in arr.symbols:
-                w = arr.blocks[s]
-                units = units_by_sym[s]
-                # S < thresh  <=>  units < thresh/scale, decided exactly
-                if exact:
-                    bound = thresh / Fraction(w.scale)
-                    cut = bound.numerator // bound.denominator
-                    if bound.denominator == 1:
-                        n_below = int((units < cut).sum())
-                    else:
-                        n_below = int((units <= cut).sum())
-                else:
-                    n_below = int((units * w.scale < float(thresh)).sum())
-                lhs += Fraction(n_below, arr.height * arr.size)
+            lhs = Fraction(hist.count_below(x * k * Fraction(g)),
+                           hist.total)
             ok = lhs <= rhs
             if not ok:
                 lower_ok = False

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towerkit.distributions import (INF, DistError, FiniteDist, Splitting,
-                                    SymRep, array_mean_dist,
-                                    cdf_dominates_below,
-                                    empirical_vasershtein, rho, uniform_dist,
+import numpy as np
+
+from towerkit.blocks import Block, cyclic_partial_sums_units
+from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
+                                    Splitting, SymRep, array_mean_dist,
+                                    cdf_dominates_below, rho, uniform_dist,
                                     vasershtein)
 
 
@@ -24,6 +26,125 @@ def random_dist(rng, max_atoms=4, max_den=6):
     vals = rng.sample([F(a, b) for a in range(1, 7)
                        for b in range(1, max_den + 1)], n)
     return FiniteDist(list(zip(vals, masses)))
+
+
+def merged_segments(p, q):
+    """Common refinement of the quantile step functions of p and q.
+
+    Yields (length, vp, vq): a maximal interval of levels u in (0, 1] of the
+    given rational length on which both quantiles are constant.
+    """
+    ip = iq = 0
+    ap, aq = p.masses[0], q.masses[0]
+    u = F(0)
+    while True:
+        step = min(ap, aq)
+        yield step, p.values[ip], q.values[iq]
+        u += step
+        if u == 1:
+            return
+        ap -= step
+        aq -= step
+        if ap == 0:
+            ip += 1
+            ap = p.masses[ip]
+        if aq == 0:
+            iq += 1
+            aq = q.masses[iq]
+
+
+def merge_vasershtein(p, q):
+    """Exact-merge oracle for the L1 arctan transport distance."""
+    return math.fsum(float(step) * rho(vp, vq)
+                     for step, vp, vq in merged_segments(p, q))
+
+
+def merge_uniform(p, q):
+    """Exact-merge oracle for the L-infinity arctan transport distance."""
+    return max(rho(vp, vq) for _, vp, vq in merged_segments(p, q))
+
+
+def atan_partitioned(vals, dist):
+    """Arctan-transform a per-position sample and partition it at the order
+    statistics that bound the atom segments of ``dist``."""
+    arr = np.asarray(vals, dtype=float)
+    n = arr.size
+    arr = np.where(np.isinf(arr), math.pi / 2, np.arctan(arr))
+    segments = []
+    kth = set()
+    acc = F(0)
+    for v, m in zip(dist.values, dist.masses):
+        av = math.pi / 2 if v == INF else math.atan(float(v))
+        a, b = acc, acc + m
+        an, bn = a * n, b * n
+        for r in (an.numerator // an.denominator,
+                  -((-an.numerator) // an.denominator),
+                  bn.numerator // bn.denominator - 1,
+                  bn.numerator // bn.denominator):
+            if 0 <= r < n:
+                kth.add(int(r))
+        segments.append((a, b, av))
+        acc = b
+    arr = np.partition(arr, sorted(kth))
+    return arr, n, segments
+
+
+def position_uniform_gap(vals, dist):
+    """Per-position oracle for the L-infinity distance between the
+    empirical law of ``vals`` and ``dist``."""
+    arr, n, segments = atan_partitioned(vals, dist)
+    best = 0.0
+    for a, b, av in segments:
+        an, bn = a * n, b * n
+        j_lo = int(an.numerator // an.denominator)
+        j_hi = int(bn.numerator // bn.denominator) - \
+            (1 if bn.denominator == 1 else 0)
+        gap = max(abs(float(arr[j_lo]) - av), abs(float(arr[j_hi]) - av))
+        if gap > best:
+            best = gap
+    return best
+
+
+def position_vasershtein(vals, dist):
+    """Per-position oracle for the L1 distance between the empirical law of
+    ``vals`` and ``dist``."""
+    arr, n, segments = atan_partitioned(vals, dist)
+    total = 0.0
+    for a, b, av in segments:
+        an, bn = a * n, b * n
+        full_lo = int(-((-an.numerator) // an.denominator))
+        full_hi = int(bn.numerator // bn.denominator)   # exclusive
+        if full_hi > full_lo:
+            total += float(np.abs(arr[full_lo:full_hi] - av).sum()) / n
+        if an.denominator != 1:
+            j = an.numerator // an.denominator
+            hi = min(F(j + 1, n), b)
+            total += float(hi - a) * abs(float(arr[j]) - av)
+        if bn.denominator != 1:
+            j = bn.numerator // bn.denominator
+            if an.denominator == 1 or j != an.numerator // an.denominator:
+                lo = max(F(j, n), a)
+                total += float(b - lo) * abs(float(arr[j]) - av)
+    return total
+
+
+@st.composite
+def big_den_dists(draw, den_lo, den_hi, allow_inf=False):
+    """Distribution whose level cut points have denominators in
+    [den_lo, den_hi], so the masses carry lcms of such denominators."""
+    n = draw(st.integers(1, 4))
+    cuts = set()
+    for _ in range(n - 1):
+        d = draw(st.integers(den_lo, den_hi))
+        cuts.add(F(draw(st.integers(1, d - 1)), d))
+    levels = [F(0)] + sorted(cuts) + [F(1)]
+    vals = sorted(draw(st.lists(
+        st.fractions(F(1, 50), F(50), max_denominator=60),
+        min_size=len(levels) - 1, max_size=len(levels) - 1, unique=True)))
+    if allow_inf and draw(st.booleans()):
+        vals[-1] = INF
+    return FiniteDist([(v, b - a) for v, a, b in
+                       zip(vals, levels, levels[1:])])
 
 
 def expand(dist):
@@ -182,19 +303,71 @@ class TestCdfDomination:
             assert cdf_dominates_below(p, q, r) is expected
 
 
-class TestEmpirical:
-    def test_matches_exact_on_atom_lists(self):
-        rng = random.Random(61)
-        for _ in range(40):
-            p = random_dist(rng)
-            vals = [float(v) for v in expand(p)]
-            rng.shuffle(vals)
-            emp = FiniteDist.uniform([F(v).limit_denominator(10 ** 6)
-                                      for v in expand(p)])
-            q = random_dist(rng)
-            assert empirical_vasershtein(vals, q) == \
-                pytest.approx(vasershtein(emp, q), abs=1e-9)
+class TestCheckedBreakpoints:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(big_den_dists(2 ** 20, 2 ** 23),
+           big_den_dists(2 ** 40 - 2 ** 12, 2 ** 40 + 2 ** 12,
+                         allow_inf=True))
+    def test_near_2_40_matches_exact_merge(self, p, q):
+        # n*L straddles 2^62 here, and exceeds it once q has two cut
+        # points; past it the breakpoints must be Python ints, not wrap
+        for a, b in ((p, q), (q, p)):
+            assert vasershtein(a, b) == \
+                pytest.approx(merge_vasershtein(a, b), abs=1e-12)
+            assert uniform_dist(a, b) == \
+                pytest.approx(merge_uniform(a, b), abs=1e-12)
 
+    def test_breakpoints_past_int64(self):
+        d = 2 ** 40 + 15
+        q = FiniteDist([(F(1), F(1, d)), (F(2), 1 - F(1, d))])
+        p = FiniteDist([(F(1), F(1, d - 2)), (F(3), 1 - F(1, d - 2))])
+        # the largest gap sits on a level interval of mass 2/(d(d-2)), far
+        # below 1/2^62
+        assert vasershtein(p, q) == \
+            pytest.approx(merge_vasershtein(p, q), abs=1e-12)
+        assert vasershtein(p, q) == pytest.approx(rho(2, 3), abs=1e-12)
+        assert uniform_dist(p, q) == rho(1, 2)
+
+
+class TestSkHistogram:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 60), min_size=6, max_size=6),
+                    min_size=1, max_size=4),
+           st.lists(st.sampled_from([F(1, 3072), F(1, 2048), F(1, 5)]),
+                    min_size=4, max_size=4),
+           st.one_of(st.sampled_from([6, 12, 18]), st.integers(1, 20)),
+           st.fractions(F(1, 7), F(10), max_denominator=7),
+           big_den_dists(2, 12, allow_inf=True))
+    def test_matches_per_position_oracle(self, units, scales, k, norm,
+                                         target):
+        # blocks of height 6 with mixed scales; k runs through multiples
+        # of the height and past it
+        blocks = [Block(u, sc) for u, sc in zip(units, scales)]
+        vals = np.concatenate(
+            [cyclic_partial_sums_units(w, k).astype(float) *
+             (float(w.scale) / (k * float(norm))) for w in blocks])
+        hist = SkHistogram(blocks, k)
+        assert hist.total == vals.size
+        assert hist.distance(norm, target, "vasershtein") == \
+            pytest.approx(position_vasershtein(vals, target), abs=1e-12)
+        assert hist.distance(norm, target, "uniform") == \
+            pytest.approx(position_uniform_gap(vals, target), abs=1e-12)
+
+    def test_masses_are_exact_counts(self):
+        w = Block([1, 2, 3, 4], F(1, 3))
+        hist = SkHistogram([w, w], 2)
+        assert [u.tolist() for u in hist.units] == [[3, 5, 7]] * 2
+        assert [c.tolist() for c in hist.counts] == [[1, 2, 1]] * 2
+        assert hist.counts[0].dtype == np.int64
+        assert hist.total == 8
+
+    def test_rejects_unknown_metric(self):
+        hist = SkHistogram([Block([1, 2])], 1)
+        with pytest.raises(DistError):
+            hist.distance(1, FiniteDist.point(1), "wasserstein")
+
+
+class TestEmpirical:
     def test_array_mean_dist(self):
         from towerkit.blocks import Block
         blocks = [Block([1, 1]), Block([2, 2]), Block([3, 3])]

@@ -12,8 +12,9 @@ from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
 from towerkit.distributions import FiniteDist, Splitting, SymRep
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    PreconditionError, SizeCapError,
-                                   basic_extend, basic_extend_array,
-                                   choose_mu, choose_tile, compound_extend,
+                                   _delta_k, basic_extend,
+                                   basic_extend_array, choose_mu,
+                                   choose_tile, compound_extend,
                                    extension_step, ge_one_minus_2sqrt,
                                    le_sqrt, make_k_grid, straightening_step)
 
@@ -35,6 +36,22 @@ def value_disagreements(wa, wb, k):
     sa, sb = F(wa.scale), F(wb.scale)
     return (a * sa.numerator * sb.denominator) != \
         (b * sb.numerator * sa.denominator)
+
+
+def delta_k_per_position(ratios):
+    """Per-position reference for _delta_k: scan every j in descending
+    order of deviation."""
+    d = np.sort(ratios)[::-1]
+    n = len(d)
+    best = float(d[0])
+    for j in range(n + 1):
+        tail = float(d[j]) if j < n else 0.0
+        cand = max(tail, j / n)
+        if cand < best:
+            best = cand
+        if j / n >= best:
+            break
+    return best
 
 
 def two_label_array(scale=F(1)):
@@ -223,6 +240,19 @@ class TestCompoundExtend:
                 devs.append(np.abs(ratio - 1.0))
             devs = np.concatenate(devs)
             assert float((devs > dk + 1e-12).mean()) <= dk + 1e-12
+
+    def test_delta_k_on_pairs_matches_per_position(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            m = int(rng.integers(1, 12))
+            # few distinct deviations on a coarse grid, so ties across
+            # pairs are common; some runs exceed 1
+            devs = rng.integers(0, 12, m) / float(rng.choice([4, 8, 16]))
+            counts = rng.integers(1, 9, m)
+            expanded = np.repeat(devs, counts)
+            rng.shuffle(expanded)
+            assert _delta_k(devs, counts) == \
+                delta_k_per_position(expanded)
 
     def test_rejects_shrinking_multiplier(self):
         arr = two_label_array()

@@ -3,9 +3,10 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from towerkit.blocks import is_normalized
+from towerkit.blocks import cyclic_partial_sums_units, is_normalized
 from towerkit.distributions import FiniteDist, vasershtein
 from towerkit.lemma_engine import PreconditionError, SizeCapError
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
@@ -113,6 +114,37 @@ class TestCertification:
         for k, x, lhs, rhs, ok in rep.lower_bound_checks:
             assert isinstance(lhs, F) and isinstance(rhs, F)
             assert ok == (lhs <= rhs)
+
+    def test_lower_bound_count_at_exact_ties(self, small_rational_trace):
+        # P(S_k < x b(k)) is strict: positions with S_k equal to the
+        # threshold are not counted, whether thresh/scale is an integer
+        # (some S_k hits it) or not
+        trace = small_rational_trace
+        arr = trace.final
+        k = trace.height // 3
+        g = F(trace.global_gamma.gamma(k))
+        w0 = arr.blocks[arr.symbols[0]]
+        u0 = cyclic_partial_sums_units(w0, k)
+        hit = F(w0.scale) * int(np.median(u0))
+        xs = [hit / (k * g), (hit + F(w0.scale) / 2) / (k * g)]
+        rep = certify_theorem1(trace, x_values=xs, k_grid=[k])
+        ties = 0
+        for (_, x, lhs, _, _), integral in zip(rep.lower_bound_checks,
+                                               (True, False)):
+            thresh = x * k * g
+            n_below = 0
+            for s in arr.symbols:
+                w = arr.blocks[s]
+                units = cyclic_partial_sums_units(w, k)
+                bound = thresh / F(w.scale)
+                assert (bound.denominator == 1) is integral
+                cut = bound.numerator // bound.denominator
+                n_below += int((units < cut).sum() if integral
+                               else (units <= cut).sum())
+                ties += int((units.astype(object) * F(w.scale)
+                             == thresh).sum())
+            assert lhs == F(n_below, arr.height * arr.size)
+        assert ties > 0
 
     def test_doubling_window(self, small_rational_trace):
         rep = certify_theorem1(small_rational_trace)
