@@ -26,6 +26,8 @@ Scalar = Union[int, Fraction, float]
 # exact Python integers.
 _INT64_SAFE = 1 << 62
 
+_INT64_MAX = (1 << 63) - 1
+
 # Relative comparison slack used in float mode.
 _FLOAT_RTOL = 1e-9
 
@@ -38,6 +40,48 @@ def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     return Fraction(x)
+
+
+def rescale_units(units: np.ndarray, f: int) -> np.ndarray:
+    """units * f for a positive integer f, raising BlockError instead of
+    letting a product leave the int64 range."""
+    if int(units.max()) * f > _INT64_MAX:
+        raise BlockError(f"rescaling units by {f} leaves the int64 range")
+    return units * np.int64(f)
+
+
+def _has_shift(units: np.ndarray, d: int) -> bool:
+    """units[i] == units[i + d] for every i, compared in chunks of growing
+    length so that a mismatch near the start exits early."""
+    n = units.size - d
+    i, step = 0, 64
+    while i < n:
+        j = min(n, i + step)
+        if (units[i:j] != units[d + i:d + j]).any():
+            return False
+        i, step = j, 4 * step
+    return True
+
+
+def _least_period(units: np.ndarray) -> int:
+    """Least p dividing h = len(units) with units == tile(units[:p], h/p).
+
+    The divisors of h that are periods are the multiples of the least one,
+    so it is found by dividing h by each prime factor for as long as the
+    quotient is still a period: one comparison per prime factor power.
+    """
+    h = p = units.size
+    n, q = h, 2
+    while n > 1:
+        if q * q > n:
+            q = n
+        if n % q == 0:
+            while n % q == 0:
+                n //= q
+            while p % q == 0 and _has_shift(units[:p], p // q):
+                p //= q
+        q += 1
+    return p
 
 
 def _common_scale(a: "Block", b: "Block") -> Tuple[Scalar, int, int]:
@@ -74,7 +118,7 @@ class Block:
     the float 1.0 (or any positive float).
     """
 
-    __slots__ = ("units", "scale", "prefix", "_changed")
+    __slots__ = ("units", "scale", "prefix", "_changed", "_period")
 
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
                  changed: Optional[np.ndarray] = None):
@@ -85,6 +129,8 @@ class Block:
             arr = arr.astype(np.float64)
             scale = float(scale)
         else:
+            if arr.dtype.kind in "uO" and int(arr.max()) > _INT64_MAX:
+                raise BlockError("block units leave the int64 range")
             arr = arr.astype(np.int64)
             scale = _as_fraction(scale)
         if scale <= 0:
@@ -95,10 +141,16 @@ class Block:
         self.scale = scale
         pre = np.zeros(arr.size + 1, dtype=arr.dtype)
         np.cumsum(arr, out=pre[1:])
+        # positive units give strictly increasing prefix sums unless the
+        # running total wrapped past the int64 range
+        if not self.is_float and arr.size * int(arr.max()) > _INT64_MAX \
+                and not (pre[1:] > pre[:-1]).all():
+            raise BlockError("block unit total leaves the int64 range")
         self.prefix = pre
         # Optional boolean mask of positions whose weight differs from the
         # weight inherited from the coarsest ancestor block (change ledger).
         self._changed = changed
+        self._period: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -155,6 +207,19 @@ class Block:
         return isinstance(self.scale, float)
 
     @property
+    def period(self) -> int:
+        """Least p dividing h with units == tile(units[:p], h/p).
+
+        S_k at position nu equals S_k at nu + p, so the law of S_k over the
+        block is h/p copies of its law over the first p positions, and the
+        deviation profile behind ``is_normalized`` is p-periodic.  Computed
+        once per block, on first use.
+        """
+        if self._period is None:
+            self._period = _least_period(self.units)
+        return self._period
+
+    @property
     def changed_mask(self) -> np.ndarray:
         """Boolean mask of positions carrying a perturbed weight."""
         if self._changed is None:
@@ -183,7 +248,8 @@ class Block:
 def concat(w: Block, v: Block) -> Block:
     """Concatenation w ⊙ v (stacking the second column on the first)."""
     scale, mw, mv = _common_scale(w, v)
-    units = np.concatenate([w.units * mw, v.units * mv])
+    units = np.concatenate([rescale_units(w.units, mw),
+                            rescale_units(v.units, mv)])
     changed = None
     if w._changed is not None or v._changed is not None:
         changed = np.concatenate([w.changed_mask, v.changed_mask])
@@ -207,7 +273,9 @@ def self_concat(w: Block, m: int) -> Block:
         return w
     units = np.tile(w.units, m)
     changed = np.tile(w.changed_mask, m) if w._changed is not None else None
-    return Block(units, w.scale, changed)
+    out = Block(units, w.scale, changed)
+    out._period = w._period
+    return out
 
 
 def cyclic_partial_sum(w: Block, k: int, nu: int) -> Scalar:
@@ -228,10 +296,21 @@ def cyclic_partial_sum(w: Block, k: int, nu: int) -> Scalar:
     return w.scale * units
 
 
-def cyclic_partial_sums_units(w: Block, k: int) -> np.ndarray:
-    """Vector of S_k(w)(nu)/scale over nu = 1..h (unit counts)."""
+def cyclic_partial_sums_units(w: Block, k: int,
+                              period: Optional[int] = None) -> np.ndarray:
+    """Vector of S_k(w)(nu)/scale over nu = 1..h (unit counts).
+
+    With ``period`` p, a multiple of ``w.period`` that divides h, only
+    nu = 1..p are returned: S_k is p-periodic in nu, so these p values
+    repeat h/p times over the block.  They are read from ``prefix[:p+1]``
+    without copying it.
+    """
     h = len(w)
-    pre = w.prefix
+    if period is not None:
+        if h % period or period % w.period:
+            raise BlockError(f"{period} is not a period of the block")
+        h = period
+    pre = w.prefix[:h + 1]
     tot = pre[-1]
     wraps, r = divmod(k, h)
     if r == 0:
@@ -252,14 +331,13 @@ def stats(w: Block) -> BlockStats:
     return w.stats()
 
 
-def _deviation_units(w: Block) -> np.ndarray:
-    """D(t) = h*prefix[t] - t*Sigma for t = 0..h.
+def _deviation_units(w: Block, h: int) -> np.ndarray:
+    """D(t) = h*prefix[t] - t*prefix[h] for t = 0..h, for a period h of w.
 
     S_k(w)(nu) deviates from kE(w) by (D((nu-1+k) mod h) - D(nu-1)) / h, for
-    every k >= 0, because whole cycles contribute exactly their mean.
+    every k >= 0, because whole periods contribute exactly their mean.
     """
-    h = len(w)
-    pre = w.prefix
+    pre = w.prefix[:h + 1]
     tot = pre[-1]
     if not w.is_float and h * int(tot) >= _INT64_SAFE:
         t = np.arange(h + 1, dtype=object)
@@ -322,24 +400,29 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     """Decide whether S_k(w) = kE(w)(1 ± eps) for every k >= eps*Sigma(w)/M(w).
 
     The quantifier over all k is decided exactly: the deviation of S_k from
-    kE(w) depends only on k mod h (via the h-periodic deviation profile D),
-    while the allowance eps*kE(w) grows with k, so it is enough to check the
-    smallest admissible k in each residue class, and no class needs checking
-    once the allowance exceeds twice the amplitude of D.
+    kE(w) depends only on k mod p (via the deviation profile D of one
+    period p = w.period), while the allowance eps*kE(w) grows with k, so it
+    is enough to check the smallest admissible k in each residue class, and
+    no class needs checking once the allowance exceeds twice the amplitude
+    of D.  The threshold eps*Sigma(w)/M(w) is that of the whole block, so a
+    tiling w^m is decided on w's profile with its threshold scaled by m.
 
     Returns bool, or (bool, witness) with witness = (k, nu) on failure when
     ``witness`` is true.
     """
-    h = len(w)
-    tot = w.total_units()
-    max_u = int(w.units.max()) if not w.is_float else float(w.units.max())
-    dev = _deviation_units(w)
+    # all quantities are taken on one period h; Sigma(w) = (len(w)/h) * tot
+    h = w.period
+    reps = len(w) // h
+    tot = w.prefix[h]
+    max_u = w.units[:h].max()
+    dev = _deviation_units(w, h)
 
     if w.is_float:
         e = float(eps)
         if e <= 0:
             raise BlockError("eps must be positive")
-        k0 = max(1, math.ceil(e * tot / max_u - _FLOAT_RTOL))
+        tot, max_u = float(tot), float(max_u)
+        k0 = max(1, math.ceil(e * reps * tot / max_u - _FLOAT_RTOL))
         dstar = float(np.abs(dev[:h]).max())
         # allowance at k, in the same units as dev: eps * k * Sigma
         if 2.0 * dstar <= e * k0 * tot * (1 + _FLOAT_RTOL):
@@ -355,8 +438,9 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     if e <= 0:
         raise BlockError("eps must be positive")
     a, b = e.numerator, e.denominator
+    tot, max_u = int(tot), int(max_u)
     # k0 = ceil(eps * Sigma / M) with Sigma, M in units (scale cancels)
-    k0 = max(1, -((-a * tot) // (b * max_u)))
+    k0 = max(1, -((-a * reps * tot) // (b * max_u)))
     dstar = int(np.abs(dev[:h]).max()) if dev.dtype != object \
         else max(abs(int(x)) for x in dev[:h])
     if 2 * b * dstar <= a * k0 * tot:

@@ -399,6 +399,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     _write_json(os.path.join(out, "verify_report.json"), report)
     _log(f"verify: eps {rep.stage_eps_ok}, lower {rep.lower_bound_ok}, "
          f"doubling {rep.doubling_ok}")
+    _log(json.dumps({"verify_margin": rep.margin[0], "k": rep.margin[1]}))
     return EXIT_OK if rep.ok() else EXIT_INVARIANT
 
 

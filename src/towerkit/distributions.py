@@ -259,8 +259,10 @@ class SkHistogram:
 
     For each block it holds the sorted distinct values of S_k/scale with
     their int64 counts, so every mass is an exact integer count over the
-    total number of positions.  Floats enter only through the arctan of
-    each distinct value when a transport distance is taken.
+    total number of positions.  The values are taken over one least period
+    of each block and their counts multiplied by the number of periods.
+    Floats enter only through the arctan of each distinct value when a
+    transport distance is taken.
     """
 
     __slots__ = ("k", "scales", "units", "counts", "total")
@@ -274,10 +276,13 @@ class SkHistogram:
         self.units = []
         self.counts = []
         for w in blocks:
-            u, c = np.unique(cyclic_partial_sums_units(w, k),
+            # S_k repeats with the block's least period p, so the law over
+            # the block is h/p copies of the law over one period
+            p = w.period
+            u, c = np.unique(cyclic_partial_sums_units(w, k, p),
                              return_counts=True)
             self.units.append(u)
-            self.counts.append(c)
+            self.counts.append(c * (len(w) // p))
         self.total = sum(len(w) for w in blocks)
 
     def distance(self, norm, dist: FiniteDist,
@@ -322,16 +327,6 @@ def cdf_dominates_below(p: FiniteDist, q: FiniteDist, r: Value) -> bool:
             if v != INF and (r == INF or v < r):
                 points.add(v)
     return all(p.cdf(t) <= q.cdf(t) for t in points)
-
-
-def array_mean_dist(blocks, c) -> "FiniteDist":
-    """Distribution of E(w)/c over the blocks of an array (uniform weights)."""
-    vals = []
-    for w in blocks:
-        e = w.stats().mean
-        vals.append(e / c if isinstance(e, Fraction) and
-                    isinstance(c, (int, Fraction)) else float(e) / float(c))
-    return FiniteDist.uniform(vals)
 
 
 @dataclass(frozen=True)

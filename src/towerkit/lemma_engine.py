@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import (Block, BlockError, Scalar, concat_many, is_normalized,
-                     self_concat)
+                     rescale_units, self_concat)
 from .distributions import FiniteDist, SkHistogram, Splitting
 
 DEFAULT_SIZE_CAP = 10 ** 6
@@ -38,18 +38,6 @@ class PreconditionError(ValueError):
 
 class InvariantError(RuntimeError):
     """A hard invariant failed during construction."""
-
-
-def le_sqrt(x: Fraction, rad: Fraction) -> bool:
-    """Exact decision of x <= sqrt(rad) for rationals with rad >= 0."""
-    if x <= 0:
-        return True
-    return x * x <= rad
-
-
-def ge_one_minus_2sqrt(ratio: Fraction, rad: Fraction) -> bool:
-    """Exact decision of ratio >= 1 - 2*sqrt(rad)."""
-    return le_sqrt((1 - ratio) / 2, rad)
 
 
 def make_k_grid(lo: int, hi: int, dense_cap: int = 4096,
@@ -279,7 +267,7 @@ def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
         f = ratio.denominator
         if int(units.max()) * f * h >= (1 << 62):
             raise SizeCapError("rescaled weights exceed the integer range")
-        units = units * np.int64(f)
+        units = rescale_units(units, f)
         scale = scale / f
         ratio = ratio * f
     else:

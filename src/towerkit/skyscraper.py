@@ -28,10 +28,6 @@ from .tower import TowerTrace
 DEFAULT_ETA_INT = Fraction(1, 1000)
 DEFAULT_TAIL_CONSTANT = Fraction(2)
 
-# the source text displays a cruder tail constant in one proof; it is kept
-# available behind this knob but the sharp constant is the default
-LOOSE_TAIL_CONSTANT = Fraction(28)
-
 # largest integer block total kept exactly; beyond it weights are requantized
 _EXACT_TOTAL_CAP = 1 << 52
 
@@ -358,6 +354,8 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
     occ_d = {}
     phi_d = {}
     reports = {}
+    # built once, so that each block's least period is found once
+    blocks = [Block(it.weights[s], it.time_unit) for s in it.symbols]
     for n in n_grid:
         rep = occupation_distribution(it, n, x_values, tail_constant)
         reports[n] = rep
@@ -369,9 +367,7 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
         occ_d[n] = vasershtein(rep.normalized, y)
         m = max(1, int(round(float(rep.a_n))))
         g = it.trace.global_gamma.gamma(m)
-        returns = SkHistogram([Block(it.weights[s], it.time_unit)
-                               for s in it.symbols], m)
-        phi_d[n] = returns.distance(g, z)
+        phi_d[n] = SkHistogram(blocks, m).distance(g, z)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, reports, tol,

@@ -391,13 +391,15 @@ class Theorem1Report:
     lower_bound_checks: tuple   # ((k, x, lhs, rhs, ok), ...)
     doubling_ratios: tuple      # ((k, b(2k)/b(k)), ...) in the top window
     doubling_ok: bool
+    # (min over the grid of stage eps minus distance, the k where it falls);
+    # None on an empty grid
+    margin: Optional[tuple]
 
     def ok(self) -> bool:
         return self.stage_eps_ok and self.lower_bound_ok and self.doubling_ok
 
 
 def _stage_eps_at(trace: TowerTrace, k: int) -> float:
-    bounds = [st.height for st in trace.stages]
     for st in trace.stages:
         if k <= st.height:
             return st.eps
@@ -424,12 +426,16 @@ def certify_theorem1(trace: TowerTrace,
     eps_ok = True
     checks = []
     lower_ok = True
+    margin = None
     for k in grid:
         g = trace.global_gamma.gamma(k)
         hist = arr.sk_histogram(k)
         vas[k] = hist.distance(g, y)
-        if not vas[k] <= _stage_eps_at(trace, k) + 1e-12:
+        eps_k = _stage_eps_at(trace, k)
+        if not vas[k] <= eps_k + 1e-12:
             eps_ok = False
+        if margin is None or eps_k - vas[k] < margin[0]:
+            margin = (eps_k - vas[k], k)
         for x in x_values:
             x = Fraction(x)
             rhs = y.cdf(Fraction(m * x))
@@ -451,7 +457,7 @@ def certify_theorem1(trace: TowerTrace,
             doubling_ok = False
         k += step
     return Theorem1Report(tuple(grid), vas, eps_ok, lower_ok, tuple(checks),
-                          tuple(ratios), doubling_ok)
+                          tuple(ratios), doubling_ok, margin)
 
 
 # -- serialization ---------------------------------------------------------

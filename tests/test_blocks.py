@@ -7,12 +7,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import (Block, BlockError, concat, concat_many,
                              cyclic_partial_sum, cyclic_partial_sums_units,
-                             is_normalized, self_concat, stats)
+                             is_normalized, rescale_units, self_concat, stats)
+
+INT64_MAX = 2 ** 63 - 1
+
+# few letters, so that random blocks are often periodic; tile counts with
+# several prime factors
+small_units = st.lists(st.integers(1, 3), min_size=1, max_size=8)
+tile_counts = st.sampled_from([1, 2, 3, 4, 6, 12])
+
+
+def least_period_oracle(units):
+    """Least d dividing h with units[i] == units[i mod d] for every i."""
+    h = len(units)
+    return next(d for d in range(1, h + 1)
+                if h % d == 0 and all(units[i] == units[i % d]
+                                      for i in range(h)))
 
 
 def random_block(rng, max_h=12, max_u=9, max_den=4):
@@ -81,6 +96,100 @@ class TestConcat:
         self_concat(w, 4)
         cyclic_partial_sum(w, 7, 2)
         assert w.weights() == before
+
+
+class TestOverflow:
+    """Unit totals and rescales near 2^63 raise instead of wrapping."""
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.lists(st.integers(2 ** 60, INT64_MAX), min_size=1, max_size=4))
+    @example([2 ** 62, 2 ** 62])
+    @example([2 ** 62, 2 ** 62 - 1, 1])
+    def test_block_total_fits_int64(self, units):
+        if sum(units) > INT64_MAX:
+            with pytest.raises(BlockError):
+                Block(units)
+        else:
+            w = Block(units)
+            assert w.total_units() == sum(units)
+            assert stats(w).mean == F(sum(units), len(units))
+
+    def test_units_past_int64_rejected(self):
+        for units in ([2 ** 63], [2 ** 64 + 1], [1, 2 ** 64 + 1]):
+            with pytest.raises(BlockError):
+                Block(units)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.integers(2 ** 58, 2 ** 62), st.integers(2, 64))
+    @example(2 ** 61 + 1, 8)
+    def test_concat_rescale_is_checked(self, x, den):
+        w, v = Block([x]), Block([1], F(1, den))
+        if x * den > INT64_MAX:
+            with pytest.raises(BlockError):
+                concat(w, v)
+        else:
+            assert concat(w, v).weights() == [F(x), F(1, den)]
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.lists(st.integers(1, 2 ** 62), min_size=1, max_size=4),
+           st.integers(1, 2 ** 12))
+    def test_rescale_units_is_checked(self, units, f):
+        arr = np.array(units, dtype=np.int64)
+        if max(units) * f > INT64_MAX:
+            with pytest.raises(BlockError):
+                rescale_units(arr, f)
+        else:
+            assert rescale_units(arr, f).tolist() == [u * f for u in units]
+
+
+class TestPeriod:
+    @settings(max_examples=80, derandomize=True)
+    @given(small_units, tile_counts)
+    @example([1, 2, 1, 2, 1, 3], 12)
+    @example([1, 2, 1, 2], 6)
+    @example([5], 7)
+    @example([1, 1, 2], 35)
+    def test_least_period_of_tilings(self, units, m):
+        w = Block(units, F(1, 3))
+        p = least_period_oracle(units)
+        # a fresh tiled block finds the period itself; self_concat of a
+        # block whose period is known inherits it
+        fresh = Block(np.tile(units, m), F(1, 3))
+        assert fresh.period == p
+        assert w.period == p
+        assert self_concat(w, m).period == p
+        assert len(fresh) % p == 0
+        assert np.array_equal(fresh.units,
+                              np.tile(fresh.units[:p], len(fresh) // p))
+        for d in range(1, p):
+            if p % d == 0:
+                assert not np.array_equal(fresh.units[:p],
+                                          np.tile(fresh.units[:d], p // d))
+
+    @settings(max_examples=40, derandomize=True)
+    @given(small_units, tile_counts)
+    def test_float_mode_period(self, units, m):
+        w = Block.from_weights([float(u) / 4 for u in units])
+        assert w.is_float
+        assert Block(np.tile(w.units, m), w.scale).period == \
+            least_period_oracle(units)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(small_units, tile_counts, st.integers(0, 30))
+    def test_one_period_of_partial_sums(self, units, m, k):
+        w = Block(np.tile(units, m))
+        p = w.period
+        full = cyclic_partial_sums_units(w, k)
+        assert np.array_equal(full, np.tile(cyclic_partial_sums_units(w, k, p),
+                                            len(w) // p))
+        # any multiple of the least period that divides h is a period
+        assert np.array_equal(cyclic_partial_sums_units(w, k, len(w)), full)
+
+    def test_rejects_non_period(self):
+        w = Block([1, 2, 1, 2, 1, 3])
+        for bad in (2, 4, 7):
+            with pytest.raises(BlockError):
+                cyclic_partial_sums_units(w, 3, bad)
 
 
 class TestCyclicPartialSums:
@@ -210,6 +319,37 @@ class TestIsNormalized:
             eps = F(1, 4)
             if is_normalized(w, eps):
                 assert is_normalized(self_concat(w, 3), eps)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
+           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 20)]))
+    @example([1, 2, 1, 2, 1, 3], 12, F(1, 20))
+    @example([1, 3], 6, F(1, 8))
+    def test_tiling_matches_brute_force(self, units, m, eps):
+        w = self_concat(Block(units, F(1, 2)), m)
+        ok, wit = is_normalized(w, eps, witness=True)
+        expected, first = self.brute(w, eps)
+        assert ok is expected
+        if ok:
+            assert wit is None
+            return
+        # the smallest failing k, at the first position of largest deviation
+        k = first[0]
+        mean = stats(w).mean
+        devs = [abs(w.scale * int(s) - k * mean)
+                for s in cyclic_partial_sums_units(w, k)]
+        assert wit == (k, devs.index(max(devs)) + 1)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
+           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 32)]))
+    @example([1, 2, 1, 2, 1, 3], 12, F(1, 32))
+    def test_float_tiling_matches_exact(self, units, m, eps):
+        # small integer weights and dyadic eps are exact in float64
+        tiled = np.tile(units, m)
+        assert is_normalized(Block(tiled.astype(float), 1.0), float(eps),
+                             witness=True) == \
+            is_normalized(Block(tiled), eps, witness=True)
 
     def test_float_mode_tolerance(self):
         w = Block.from_weights([1.0, 2.0, 1.0, 2.0])

@@ -9,7 +9,8 @@ import pytest
 
 from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           EXIT_OK, EXIT_SIZE_CAP, ConfigError, PRESETS,
-                          load_config, main)
+                          build_tower_from_config, load_config, main)
+from towerkit.tower import _stage_eps_at, certify_theorem1
 
 FAST_CONFIG = {
     "kind": "rational",
@@ -134,6 +135,33 @@ class TestExitCodes:
         path.write_text(json.dumps(obj))
         assert main(["skyscraper", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
+
+
+class TestVerifyMargin:
+    def test_margin_line_on_stderr(self, fast_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["build", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_OK
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        assert main(["verify", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_OK
+        lines = [json.loads(line) for line in
+                 capsys.readouterr().err.splitlines() if line.startswith("{")]
+        assert len(lines) == 1
+        # recompute: least stage eps minus distance over the grid
+        trace = build_tower_from_config(
+            load_config(fast_config, None, None, None, None))
+        rep = certify_theorem1(trace)
+        slack = {k: _stage_eps_at(trace, k) - d
+                 for k, d in rep.vasershtein.items()}
+        k = min(slack, key=lambda j: (slack[j], j))
+        assert lines[0] == {"verify_margin": slack[k], "k": k}
+        assert slack[k] > 0
+        # the margin goes to stderr only: --out gains just the verify outputs
+        new = set(os.listdir(out)) - set(before)
+        assert {n for n in new if not n.startswith("skdist_")} == \
+            {"verify_report.json"}
 
 
 class TestDeterminism:

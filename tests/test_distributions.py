@@ -5,16 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from towerkit.blocks import Block, cyclic_partial_sums_units
+from towerkit.blocks import Block, cyclic_partial_sums_units, self_concat
 from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
-                                    Splitting, SymRep, array_mean_dist,
-                                    cdf_dominates_below, rho, uniform_dist,
-                                    vasershtein)
+                                    Splitting, SymRep, cdf_dominates_below,
+                                    rho, uniform_dist, vasershtein)
 
 
 def random_dist(rng, max_atoms=4, max_den=6):
@@ -361,19 +360,34 @@ class TestSkHistogram:
         assert hist.counts[0].dtype == np.int64
         assert hist.total == 8
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=8),
+           st.sampled_from([1, 2, 3, 4, 6, 12]),
+           st.sampled_from([F(1), F(1, 6), 0.25]),
+           st.sampled_from([-1, 0, 1, 7]))
+    @example([1, 2, 1, 2, 1, 3], 12, F(1, 6), 0)
+    @example([1, 2, 1, 2], 6, 0.25, 1)
+    def test_tiling_multiplies_counts(self, units, m, scale, dk):
+        # k below, at and above the height of w, and past the tiled height
+        w = Block(np.array(units, dtype=float) if isinstance(scale, float)
+                  else units, scale)
+        tiled = self_concat(w, m)
+        h = len(w)
+        for k in (1, max(1, h + dk), 2 * h + 1, m * h + 1):
+            one, many = SkHistogram([w], k), SkHistogram([tiled], k)
+            assert np.array_equal(many.units[0], one.units[0])
+            assert np.array_equal(many.counts[0], m * one.counts[0])
+            assert many.total == m * one.total
+            # the whole-block law, position by position
+            u, c = np.unique(cyclic_partial_sums_units(tiled, k),
+                             return_counts=True)
+            assert np.array_equal(many.units[0], u)
+            assert np.array_equal(many.counts[0], c)
+
     def test_rejects_unknown_metric(self):
         hist = SkHistogram([Block([1, 2])], 1)
         with pytest.raises(DistError):
             hist.distance(1, FiniteDist.point(1), "wasserstein")
-
-
-class TestEmpirical:
-    def test_array_mean_dist(self):
-        from towerkit.blocks import Block
-        blocks = [Block([1, 1]), Block([2, 2]), Block([3, 3])]
-        d = array_mean_dist(blocks, F(1, 2))
-        assert d.atoms() == [(F(2), F(1, 3)), (F(4), F(1, 3)),
-                             (F(6), F(1, 3))]
 
 
 class TestSymRepSplitting:

@@ -15,8 +15,8 @@ from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _delta_k, basic_extend,
                                    basic_extend_array, choose_mu,
                                    choose_tile, compound_extend,
-                                   extension_step, ge_one_minus_2sqrt,
-                                   le_sqrt, make_k_grid, straightening_step)
+                                   extension_step, make_k_grid,
+                                   straightening_step)
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -61,16 +61,6 @@ def two_label_array(scale=F(1)):
 
 
 class TestHelpers:
-    def test_le_sqrt(self):
-        assert le_sqrt(F(1, 2), F(1, 2))
-        assert le_sqrt(F(7, 10), F(1, 2))
-        assert not le_sqrt(F(3, 4), F(1, 2))
-
-    def test_ge_one_minus_2sqrt(self):
-        assert ge_one_minus_2sqrt(F(1), F(1, 4))
-        assert ge_one_minus_2sqrt(F(1, 100), F(1, 4))
-        assert not ge_one_minus_2sqrt(F(1, 10), F(1, 16))
-
     def test_make_k_grid(self):
         grid = make_k_grid(10, 100000, dense_cap=64, geo_cap=32)
         assert grid[0] == 10
