@@ -123,14 +123,20 @@ class Block:
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
                  changed: Optional[np.ndarray] = None):
         arr = np.asarray(units)
+        if arr.dtype.kind == "f" and not isinstance(units, np.ndarray) \
+                and all(isinstance(u, (int, np.integer)) for u in units):
+            # numpy infers float64 for Python ints that fit neither int64
+            # nor uint64 together, such as [1, 2**63]; keep them exact
+            arr = np.asarray(units, dtype=object)
         if arr.ndim != 1 or arr.size == 0:
             raise BlockError("block must be a nonempty vector")
         if isinstance(scale, float) or arr.dtype.kind == "f":
             arr = arr.astype(np.float64)
             scale = float(scale)
         else:
-            if arr.dtype.kind in "uO" and int(arr.max()) > _INT64_MAX:
-                raise BlockError("block units leave the int64 range")
+            if arr.dtype.kind in "uO" and \
+                    not 0 < int(arr.min()) <= int(arr.max()) <= _INT64_MAX:
+                raise BlockError("block units must be positive and fit int64")
             arr = arr.astype(np.int64)
             scale = _as_fraction(scale)
         if scale <= 0:
@@ -346,13 +352,27 @@ def _deviation_units(w: Block, h: int) -> np.ndarray:
     return h * pre - t * tot
 
 
-def _max_shift_absdiff(dev: np.ndarray, k: int, h: int):
-    """max over s in 0..h-1 of |dev[(s+k) mod h] - dev[s]| and an argmax s."""
-    d = dev[:h]
-    shifted = np.roll(d, -(k % h))
-    diff = np.abs(shifted - d)
-    s = int(np.argmax(diff))
-    return diff[s], s
+def _window_extremes(x: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Max and min of x[j:j+width] for j = 0..len(x)-width, exactly.
+
+    The running max/min of van Herk and Gil-Werman: cut x into rows of
+    ``width``; a window then covers a suffix of one row and a prefix of the
+    next, so its extreme combines one suffix and one prefix accumulation.
+    Works on int64, float64 and object (Python int) arrays alike.  The last
+    row is padded with x[-1]; no window reads the padding, since a window
+    that reaches the last row starts at its beginning.
+    """
+    n = x.size
+    rows = -(-n // width)
+    if rows * width > n:
+        x = np.concatenate([x, np.full(rows * width - n, x[-1], dtype=x.dtype)])
+    b = x.reshape(rows, width)
+    out = []
+    for op in (np.maximum, np.minimum):
+        pre = op.accumulate(b, axis=1).ravel()
+        suf = op.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
+        out.append(op(suf[:n - width + 1], pre[width - 1:n]))
+    return out[0], out[1]
 
 
 def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates):
@@ -361,10 +381,11 @@ def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates):
     ``violates(k, m)`` decides whether amplitude m breaks the allowance at k.
     Whole ranges of k are first tested against their sliding-window extremes
     at the smallest allowance of the range; only ranges that fail the coarse
-    test are bisected, down to single shifts where the test is sharp.  Returns
-    None when every k passes, else a witness (k, s) with s a 0-based position.
+    test are bisected, down to single shifts where the test is sharp.  The
+    leftmost range is always tested first, so the witness has the smallest
+    failing k.  Returns None when every k passes, else a witness (k, s) with
+    s the first 0-based position of largest deviation at that k.
     """
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
     d = dev[:h]
     d2 = np.concatenate([d, d])
     stack = [(k0, kk)]
@@ -381,9 +402,8 @@ def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates):
             k2 = wrap
         r1 = k1 % h
         width = k2 - k1 + 1
-        lo = r1 + width // 2
-        mf = maximum_filter1d(d2, width)[lo:lo + h]
-        mn = minimum_filter1d(d2, width)[lo:lo + h]
+        # windows d2[r1+j : r1+j+width], j = 0..h-1; r1 + width <= h
+        mf, mn = _window_extremes(d2[r1:r1 + h + width - 1], width)
         amp = max((mf - d).max(), (d - mn).max())
         if not violates(k1, amp):
             continue
@@ -441,19 +461,11 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     tot, max_u = int(tot), int(max_u)
     # k0 = ceil(eps * Sigma / M) with Sigma, M in units (scale cancels)
     k0 = max(1, -((-a * reps * tot) // (b * max_u)))
-    dstar = int(np.abs(dev[:h]).max()) if dev.dtype != object \
-        else max(abs(int(x)) for x in dev[:h])
+    dstar = int(np.abs(dev[:h]).max())
     if 2 * b * dstar <= a * k0 * tot:
         return (True, None) if witness else True
     kstop = -((-2 * b * dstar) // (a * tot))
-    kk = min(k0 + h - 1, kstop)
-    if dev.dtype == object:
-        for k in range(k0, kk + 1):
-            m, s = _max_shift_absdiff(dev, k, h)
-            if b * int(m) > a * k * tot:
-                return (False, (k, s + 1)) if witness else False
-        return (True, None) if witness else True
-    hit = _shift_scan(dev, h, k0, kk,
+    hit = _shift_scan(dev, h, k0, min(k0 + h - 1, kstop),
                       lambda k, m: b * int(m) > a * k * tot)
     if hit is not None:
         return (False, (hit[0], hit[1] + 1)) if witness else False

@@ -172,23 +172,6 @@ def make_target(family: str, **params) -> TargetDist:
     raise SplittingError(f"unknown target family {family!r}")
 
 
-def psi(target: TargetDist, bits: Sequence[int]) -> Value:
-    """Cell value of the depth-n discretization at a bitstring.
-
-    Equals the target quantile at the right endpoint of the dyadic cell
-    [0.b_1...b_n, 0.b_1...b_n + 2^-n).
-    """
-    n = len(bits)
-    if n == 0:
-        raise SplittingError("bitstring must be nonempty")
-    if any(b not in (0, 1) for b in bits):
-        raise SplittingError("bits must be 0 or 1")
-    num = 0
-    for b in bits:
-        num = 2 * num + b
-    return target.quantile(Fraction(num + 1, 1 << n))
-
-
 @dataclass(frozen=True)
 class DyadicRep:
     """Depth-n discretization: one value per bitstring, listed in binary order."""
@@ -205,12 +188,6 @@ class DyadicRep:
     @property
     def size(self) -> int:
         return 1 << self.depth
-
-    def value(self, bits: Sequence[int]) -> Value:
-        num = 0
-        for b in bits:
-            num = 2 * num + b
-        return self.cell_values[num]
 
     def dist(self) -> FiniteDist:
         return FiniteDist.uniform(list(self.cell_values))

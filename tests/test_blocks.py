@@ -2,17 +2,23 @@
 sums, and the normalization decision procedure."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from towerkit.blocks import (Block, BlockError, concat, concat_many,
-                             cyclic_partial_sum, cyclic_partial_sums_units,
-                             is_normalized, rescale_units, self_concat, stats)
+from towerkit.blocks import (Block, BlockError, _window_extremes, concat,
+                             concat_many, cyclic_partial_sum,
+                             cyclic_partial_sums_units, is_normalized,
+                             rescale_units, self_concat, stats)
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -115,9 +121,22 @@ class TestOverflow:
             assert stats(w).mean == F(sum(units), len(units))
 
     def test_units_past_int64_rejected(self):
-        for units in ([2 ** 63], [2 ** 64 + 1], [1, 2 ** 64 + 1]):
+        for units in ([2 ** 63], [2 ** 64 + 1], [1, 2 ** 64 + 1], [1, -2 ** 64]):
             with pytest.raises(BlockError):
                 Block(units)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.integers(1, 2 ** 20), min_size=1, max_size=4),
+           st.integers(2 ** 63, 2 ** 64 - 1), st.integers(0, 4))
+    @example([1], 2 ** 63, 1)
+    def test_mixed_units_past_int64_rejected(self, small, big, at):
+        # numpy infers float64 for such a list; it must not become a
+        # float-mode block
+        units = small[:at] + [big] + small[at:]
+        with pytest.raises(BlockError):
+            Block(units)
+        with pytest.raises(BlockError):
+            Block.from_weights(units)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(2 ** 58, 2 ** 62), st.integers(2, 64))
@@ -190,6 +209,42 @@ class TestPeriod:
         for bad in (2, 4, 7):
             with pytest.raises(BlockError):
                 cyclic_partial_sums_units(w, 3, bad)
+
+
+class TestWindowExtremes:
+    """The running window max/min against numpy's sliding windows, for
+    every width 1..n, so most widths do not divide n."""
+
+    @staticmethod
+    def check(x):
+        for width in range(1, x.size + 1):
+            mx, mn = _window_extremes(x, width)
+            windows = sliding_window_view(x, width)
+            assert mx.dtype == x.dtype and mn.dtype == x.dtype
+            assert mx.tolist() == windows.max(axis=1).tolist()
+            assert mn.tolist() == windows.min(axis=1).tolist()
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.integers(-2 ** 62 - 2 ** 20, -2 ** 62 + 2 ** 20)
+                    | st.integers(2 ** 62 - 2 ** 20, 2 ** 62 + 2 ** 20)
+                    | st.integers(-3, 3), min_size=1, max_size=23))
+    @example([2 ** 62] * 22 + [-2 ** 62])
+    def test_int64_near_2_62(self, values):
+        self.check(np.array(values, dtype=np.int64))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=23))
+    def test_float64(self, values):
+        self.check(np.array(values, dtype=np.float64))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.integers(2 ** 63, 2 ** 66)
+                    | st.integers(-2 ** 66, -2 ** 63), min_size=1, max_size=23))
+    def test_python_ints_past_int64(self, values):
+        x = np.empty(len(values), dtype=object)
+        x[:] = values
+        self.check(x)
 
 
 class TestCyclicPartialSums:
@@ -320,13 +375,7 @@ class TestIsNormalized:
             if is_normalized(w, eps):
                 assert is_normalized(self_concat(w, 3), eps)
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
-           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 20)]))
-    @example([1, 2, 1, 2, 1, 3], 12, F(1, 20))
-    @example([1, 3], 6, F(1, 8))
-    def test_tiling_matches_brute_force(self, units, m, eps):
-        w = self_concat(Block(units, F(1, 2)), m)
+    def matches_brute(self, w, eps):
         ok, wit = is_normalized(w, eps, witness=True)
         expected, first = self.brute(w, eps)
         assert ok is expected
@@ -339,6 +388,35 @@ class TestIsNormalized:
         devs = [abs(w.scale * int(s) - k * mean)
                 for s in cyclic_partial_sums_units(w, k)]
         assert wit == (k, devs.index(max(devs)) + 1)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
+           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 20)]))
+    @example([1, 2, 1, 2, 1, 3], 12, F(1, 20))
+    @example([1, 3], 6, F(1, 8))
+    def test_tiling_matches_brute_force(self, units, m, eps):
+        self.matches_brute(self_concat(Block(units, F(1, 2)), m), eps)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=8),
+           st.lists(st.integers(0, 2 ** 40), min_size=8, max_size=8),
+           st.sampled_from([1, 2, 3, 4]),
+           st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 20)]))
+    @example([1, 2, 3, 1, 3, 3], [0] * 8, 4, F(1, 8))
+    @example([1, 3, 1, 3, 1, 2], [0] * 8, 1, F(1, 8))
+    @example([2, 2, 2], [0, 1, 2 ** 40, 0, 0, 0, 0, 0], 2, F(1, 20))
+    def test_past_int64_safe_matches_brute_force(self, units, offsets, m, eps):
+        # one period's units near 2^62/h, so that h * Sigma >= 2^62 and the
+        # deviation profile is scanned in Python ints; twice the block
+        # total must still fit int64, as the oracle's partial sums need
+        h = len(units)
+        c = -(-2 ** 62 // (h * sum(units)))
+        v = Block([c * u + o for u, o in zip(units, offsets)], F(1, 2))
+        assume(2 * m * v.total_units() <= INT64_MAX)
+        w = self_concat(v, m)
+        p = w.period
+        assume(p * int(w.prefix[p]) >= 2 ** 62)
+        self.matches_brute(w, eps)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
@@ -361,3 +439,20 @@ class TestIsNormalized:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(BlockError):
             is_normalized(Block([1, 2]), 0)
+
+
+def test_normalization_scan_needs_no_scipy():
+    # a tiled block that fails normalization is decided by the scan; in a
+    # fresh process, neither the package nor the scan may load scipy
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "import towerkit.cli\n"
+            "from towerkit.blocks import Block, is_normalized, self_concat\n"
+            "w = self_concat(Block([1, 3]), 2)\n"
+            "assert is_normalized(w, Fraction(1, 8), witness=True) "
+            "== (False, (1, 1))\n"
+            "assert 'scipy' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": path})

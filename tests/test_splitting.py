@@ -1,6 +1,5 @@
 """Unit tests for target discretizations and splitting sequences."""
 
-import itertools
 import math
 from fractions import Fraction as F
 
@@ -8,7 +7,7 @@ import pytest
 
 from towerkit.distributions import INF, FiniteDist, rho, cdf_dominates_below
 from towerkit.splitting import (DyadicRep, SplittingError,
-                                build_split_sequence, make_target, psi,
+                                build_split_sequence, make_target,
                                 split_cost, tail_cost_bound)
 
 
@@ -50,20 +49,20 @@ class TestTargets:
 
 
 class TestPsi:
+    """Cell num of the depth-n discretization holds the target quantile at
+    the right endpoint (num + 1)/2^n of the dyadic cell [num/2^n, (num+1)/2^n)."""
+
     def test_right_endpoint_convention(self):
         t = make_target("pareto", alpha=F(1))
         # cell [1/2, 3/4) has right endpoint 3/4
-        assert psi(t, [1, 0]) == t.quantile(F(3, 4))
+        assert DyadicRep.build(t, 2).cell_values[2] == t.quantile(F(3, 4))
 
     def test_matches_rep_cells(self):
-        t = make_target("pareto", alpha=F(1))
-        rep = DyadicRep.build(t, 3)
-        for bits in itertools.product((0, 1), repeat=3):
-            assert rep.value(bits) == psi(t, bits)
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(SplittingError):
-            psi(two_point(), [0, 2])
+        for t in (make_target("pareto", alpha=F(1)), two_point()):
+            for n in (1, 2, 3):
+                rep = DyadicRep.build(t, n)
+                for num in range(2 ** n):
+                    assert rep.cell_values[num] == t.quantile(F(num + 1, 2 ** n))
 
 
 class TestDyadicRep:
