@@ -5,9 +5,10 @@ stacking of labeled columns, self-concatenation models cutting a column into
 equal slices and restacking, and the cyclic partial sums S_k are the Birkhoff
 sums of the column labels read cyclically.
 
-Weights are stored as integer multiples of a common rational (or float)
-``scale``.  This keeps all block arithmetic exact in exact mode while allowing
-towers with millions of levels to live in a single int64 numpy array.
+Weights are stored as int64 multiples of a common rational ``scale``.  This
+keeps all block arithmetic exact while allowing towers with millions of
+levels to live in a single numpy array; floats are rejected, and no unit
+arithmetic may leave the int64 range silently.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-Scalar = Union[int, Fraction, float]
+Scalar = Union[int, Fraction]
 
 # Guard against int64 overflow in h * prefix products used by the
 # normalization test.  Blocks whose h * Sigma(units) exceeds this fall back to
@@ -28,18 +30,9 @@ _INT64_SAFE = 1 << 62
 
 _INT64_MAX = (1 << 63) - 1
 
-# Relative comparison slack used in float mode.
-_FLOAT_RTOL = 1e-9
-
 
 class BlockError(ValueError):
     """Invalid block or invalid block operation."""
-
-
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def rescale_units(units: np.ndarray, f: int) -> np.ndarray:
@@ -84,13 +77,11 @@ def _least_period(units: np.ndarray) -> int:
     return p
 
 
-def _common_scale(a: "Block", b: "Block") -> Tuple[Scalar, int, int]:
+def _common_scale(a: "Block", b: "Block") -> Tuple[Fraction, int, int]:
     """Return (scale, ma, mb) with a.scale == scale*ma and b.scale == scale*mb."""
     if a.scale == b.scale:
         return a.scale, 1, 1
-    if isinstance(a.scale, float) or isinstance(b.scale, float):
-        raise BlockError("cannot merge float-mode blocks with mismatched scales")
-    sa, sb = Fraction(a.scale), Fraction(b.scale)
+    sa, sb = a.scale, b.scale
     g = Fraction(math.gcd(sa.numerator * sb.denominator, sb.numerator * sa.denominator),
                  sa.denominator * sb.denominator)
     ma = sa / g
@@ -101,21 +92,20 @@ def _common_scale(a: "Block", b: "Block") -> Tuple[Scalar, int, int]:
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Length, max, total and mean of a block (exact in exact mode)."""
+    """Length, max, total and mean of a block, exact."""
 
     length: int
-    max: Scalar
-    total: Scalar
-    mean: Scalar
+    max: Fraction
+    total: Fraction
+    mean: Fraction
 
 
 class Block:
     """Positive weight vector with cached prefix sums.
 
-    Positions are 1-based.  ``units`` holds the weights divided by ``scale``;
-    in exact mode the entries are positive integers and ``scale`` is a
-    positive Fraction, in float mode ``units`` is float64 and ``scale`` is
-    the float 1.0 (or any positive float).
+    Positions are 1-based.  ``units`` holds the weights divided by
+    ``scale``: positive int64 entries, with ``scale`` a positive Fraction.
+    Float units, a float scale and float weights raise ``BlockError``.
     """
 
     __slots__ = ("units", "scale", "prefix", "_changed", "_period")
@@ -123,22 +113,20 @@ class Block:
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
                  changed: Optional[np.ndarray] = None):
         arr = np.asarray(units)
-        if arr.dtype.kind == "f" and not isinstance(units, np.ndarray) \
-                and all(isinstance(u, (int, np.integer)) for u in units):
-            # numpy infers float64 for Python ints that fit neither int64
-            # nor uint64 together, such as [1, 2**63]; keep them exact
-            arr = np.asarray(units, dtype=object)
         if arr.ndim != 1 or arr.size == 0:
             raise BlockError("block must be a nonempty vector")
-        if isinstance(scale, float) or arr.dtype.kind == "f":
-            arr = arr.astype(np.float64)
-            scale = float(scale)
-        else:
-            if arr.dtype.kind in "uO" and \
-                    not 0 < int(arr.min()) <= int(arr.max()) <= _INT64_MAX:
-                raise BlockError("block units must be positive and fit int64")
-            arr = arr.astype(np.int64)
-            scale = _as_fraction(scale)
+        # numpy infers float64 for Python ints that fit neither int64 nor
+        # uint64 together, such as [1, 2**63]; they are rejected with floats
+        if arr.dtype.kind not in "iuO" or (arr.dtype.kind == "O" and not all(
+                isinstance(u, (int, np.integer)) for u in arr)):
+            raise BlockError(f"block units must be integers, got {arr.dtype}")
+        if not isinstance(scale, Rational):
+            raise BlockError(f"block scale must be rational, got {scale!r}")
+        if arr.dtype.kind in "uO" and \
+                not 0 < int(arr.min()) <= int(arr.max()) <= _INT64_MAX:
+            raise BlockError("block units must be positive and fit int64")
+        arr = arr.astype(np.int64)
+        scale = Fraction(scale)
         if scale <= 0:
             raise BlockError("scale must be positive")
         if not (arr > 0).all():
@@ -149,7 +137,7 @@ class Block:
         np.cumsum(arr, out=pre[1:])
         # positive units give strictly increasing prefix sums unless the
         # running total wrapped past the int64 range
-        if not self.is_float and arr.size * int(arr.max()) > _INT64_MAX \
+        if arr.size * int(arr.max()) > _INT64_MAX \
                 and not (pre[1:] > pre[:-1]).all():
             raise BlockError("block unit total leaves the int64 range")
         self.prefix = pre
@@ -162,12 +150,12 @@ class Block:
 
     @classmethod
     def from_weights(cls, weights: Sequence[Scalar]) -> "Block":
-        """Build a block from rational or float weights."""
+        """Build a block from rational weights."""
         if len(weights) == 0:
             raise BlockError("block must be nonempty")
-        if any(isinstance(w, float) for w in weights):
-            return cls(np.asarray([float(w) for w in weights]), 1.0)
-        fracs = [_as_fraction(w) for w in weights]
+        if not all(isinstance(w, Rational) for w in weights):
+            raise BlockError("block weights must be rational, not float")
+        fracs = [Fraction(w) for w in weights]
         den = 1
         for f in fracs:
             den = den * f.denominator // math.gcd(den, f.denominator)
@@ -196,21 +184,14 @@ class Block:
             return f"Block({self.weights()})"
         return f"Block(h={len(self)}, E={self.stats().mean})"
 
-    def weight(self, j: int) -> Scalar:
+    def weight(self, j: int) -> Fraction:
         """Weight at 1-based position j."""
         if not 1 <= j <= len(self):
             raise IndexError(f"position {j} out of range 1..{len(self)}")
-        return self.scale * int(self.units[j - 1]) if not self.is_float \
-            else self.scale * float(self.units[j - 1])
+        return self.scale * int(self.units[j - 1])
 
     def weights(self) -> list:
-        if self.is_float:
-            return [self.scale * float(u) for u in self.units]
         return [self.scale * int(u) for u in self.units]
-
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self.scale, float)
 
     @property
     def period(self) -> int:
@@ -238,17 +219,13 @@ class Block:
     # -- statistics --------------------------------------------------------
 
     def total_units(self) -> int:
-        return int(self.prefix[-1]) if not self.is_float else float(self.prefix[-1])
+        return int(self.prefix[-1])
 
     def stats(self) -> BlockStats:
         h = len(self)
-        tot_u = self.total_units()
-        max_u = self.units.max()
-        if self.is_float:
-            total = self.scale * float(tot_u)
-            return BlockStats(h, self.scale * float(max_u), total, total / h)
-        total = self.scale * tot_u
-        return BlockStats(h, self.scale * int(max_u), total, total / h)
+        total = self.scale * self.total_units()
+        return BlockStats(h, self.scale * int(self.units.max()), total,
+                          total / h)
 
 
 def concat(w: Block, v: Block) -> Block:
@@ -284,7 +261,7 @@ def self_concat(w: Block, m: int) -> Block:
     return out
 
 
-def cyclic_partial_sum(w: Block, k: int, nu: int) -> Scalar:
+def cyclic_partial_sum(w: Block, k: int, nu: int) -> Fraction:
     """S_k(w)(nu): sum of k consecutive weights starting at position nu,
     indices taken cyclically (mod h)."""
     h = len(w)
@@ -295,9 +272,6 @@ def cyclic_partial_sum(w: Block, k: int, nu: int) -> Scalar:
     t = nu - 1 + k
     tot = w.prefix[-1]
     wraps, r = divmod(t, h)
-    if w.is_float:
-        units = float(wraps) * float(tot) + float(w.prefix[r]) - float(w.prefix[nu - 1])
-        return w.scale * units
     units = wraps * int(tot) + int(w.prefix[r]) - int(w.prefix[nu - 1])
     return w.scale * units
 
@@ -345,7 +319,7 @@ def _deviation_units(w: Block, h: int) -> np.ndarray:
     """
     pre = w.prefix[:h + 1]
     tot = pre[-1]
-    if not w.is_float and h * int(tot) >= _INT64_SAFE:
+    if h * int(tot) >= _INT64_SAFE:
         t = np.arange(h + 1, dtype=object)
         return h * pre.astype(object) - t * int(tot)
     t = np.arange(h + 1, dtype=pre.dtype)
@@ -358,7 +332,7 @@ def _window_extremes(x: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]
     The running max/min of van Herk and Gil-Werman: cut x into rows of
     ``width``; a window then covers a suffix of one row and a prefix of the
     next, so its extreme combines one suffix and one prefix accumulation.
-    Works on int64, float64 and object (Python int) arrays alike.  The last
+    Works on int64 and object (Python int) arrays alike.  The last
     row is padded with x[-1]; no window reads the padding, since a window
     that reaches the last row starts at its beginning.
     """
@@ -436,25 +410,7 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     tot = w.prefix[h]
     max_u = w.units[:h].max()
     dev = _deviation_units(w, h)
-
-    if w.is_float:
-        e = float(eps)
-        if e <= 0:
-            raise BlockError("eps must be positive")
-        tot, max_u = float(tot), float(max_u)
-        k0 = max(1, math.ceil(e * reps * tot / max_u - _FLOAT_RTOL))
-        dstar = float(np.abs(dev[:h]).max())
-        # allowance at k, in the same units as dev: eps * k * Sigma
-        if 2.0 * dstar <= e * k0 * tot * (1 + _FLOAT_RTOL):
-            return (True, None) if witness else True
-        kstop = math.ceil(2.0 * dstar / (e * tot))
-        hit = _shift_scan(dev, h, k0, min(k0 + h - 1, kstop),
-                          lambda k, m: float(m) > e * k * tot * (1 + _FLOAT_RTOL))
-        if hit is not None:
-            return (False, (hit[0], hit[1] + 1)) if witness else False
-        return (True, None) if witness else True
-
-    e = _as_fraction(eps)
+    e = Fraction(eps)
     if e <= 0:
         raise BlockError("eps must be positive")
     a, b = e.numerator, e.denominator

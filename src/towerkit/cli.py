@@ -1,12 +1,17 @@
 """Command-line front end: config parsing, pipeline orchestration, reports.
 
-Configs are JSON; numbers may be written as rational strings "p/q" (exact
-mode) or decimals (which force float mode).  All data goes to files in the
-output directory, logs go to standard error, and every report embeds the
-config hash and arithmetic mode so runs are reproducible byte for byte.
+Configs are JSON.  Config numbers are read exactly as Fractions: integers,
+rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
+floats through their shortest repr, so 0.1 is 1/10 (only the lognormal
+target's mu/sigma and the tolerances doubling_tol/tol stay floats).  There
+is one arithmetic mode, "exact"; a config "mode" other than "exact" is
+invalid.  All data goes to files in the output directory, logs go to
+standard error, and every report embeds the config hash and the arithmetic
+mode so runs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded, 4 corrupt
-trace artifact, 5 hard invariant failure.
+trace artifact (tower.json unreadable, or different in any field from the
+tower its config builds), 5 hard invariant failure.
 """
 
 from __future__ import annotations
@@ -45,39 +50,19 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-class _ScalarParser:
-    """Parses config numbers, tracking whether any decimal appeared."""
+def parse_number(x) -> Fraction:
+    """A config number, read exactly.
 
-    def __init__(self):
-        self.saw_decimal = False
-
-    def __call__(self, x):
-        if isinstance(x, bool):
-            raise ConfigError(f"expected a number, got {x!r}")
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            self.saw_decimal = True
-            return float(x)
-        if isinstance(x, str):
-            s = x.strip()
-            if "/" in s:
-                try:
-                    return Fraction(s)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ConfigError(f"bad rational {x!r}: {exc}")
-            if any(c in s for c in ".eE") and not s.lstrip("+-").isdigit():
-                try:
-                    v = float(s)
-                except ValueError as exc:
-                    raise ConfigError(f"bad number {x!r}: {exc}")
-                self.saw_decimal = True
-                return v
-            try:
-                return Fraction(int(s))
-            except ValueError as exc:
-                raise ConfigError(f"bad number {x!r}: {exc}")
+    Integers and strings ("1/12", "0.05", "1e-3") go straight to Fraction;
+    a JSON float goes through its shortest repr, so 0.1 is 1/10.  Bools,
+    NaN and infinities raise ConfigError.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
         raise ConfigError(f"expected a number, got {x!r}")
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad number {x!r}: {exc}")
 
 
 @dataclass
@@ -85,7 +70,6 @@ class RunConfig:
     """Validated run configuration."""
 
     kind: str
-    mode: str
     raw: dict
     config_hash: str
     target_spec: Optional[dict] = None
@@ -102,7 +86,6 @@ class RunConfig:
     sk_dist_ks: Optional[List[int]] = None
     k_grid: Optional[List[int]] = None
     skyscraper: dict = field(default_factory=dict)
-    workers: int = 1
 
 
 PRESETS = {
@@ -183,8 +166,15 @@ def _config_hash(obj: dict) -> str:
 
 
 def load_config(path: Optional[str], preset: Optional[str],
-                mode: Optional[str], cap: Optional[int],
-                workers: Optional[int]) -> RunConfig:
+                mode: None = None, cap: Optional[int] = None,
+                workers: None = None) -> RunConfig:
+    """Read a preset and/or a config file, with an optional height cap.
+
+    ``mode`` and ``workers`` are retired slots, kept so that positional
+    callers still line up with ``cap``; they accept only None.
+    """
+    if mode is not None or workers is not None:
+        raise ConfigError("mode and workers are no longer options")
     if path is None and preset is None:
         raise ConfigError("need --config or --preset")
     obj: dict = {}
@@ -202,19 +192,16 @@ def load_config(path: Optional[str], preset: Optional[str],
             raise ConfigError(f"config is not valid JSON: {exc}")
     if cap is not None:
         obj["size_cap"] = cap
-    if mode is not None:
-        obj["mode"] = mode
-    parse = _ScalarParser()
     kind = obj.get("kind")
     if kind not in ("rational", "example", "general"):
         raise ConfigError(f"kind must be rational|example|general, "
                           f"got {kind!r}")
-    deltas = [parse(x) for x in obj.get("deltas", [])]
-    epss = [parse(x) for x in obj.get("epss", [])]
-    kappas = [parse(x) for x in obj.get("kappas", [])]
+    deltas = [parse_number(x) for x in obj.get("deltas", [])]
+    epss = [parse_number(x) for x in obj.get("epss", [])]
+    kappas = [parse_number(x) for x in obj.get("kappas", [])]
     etas = obj.get("etas")
     if etas is not None:
-        etas = [parse(x) for x in etas]
+        etas = [parse_number(x) for x in etas]
     for name, seq in (("deltas", deltas), ("epss", epss)):
         if any(x <= 0 for x in seq):
             raise ConfigError(f"{name} must be positive")
@@ -232,68 +219,58 @@ def load_config(path: Optional[str], preset: Optional[str],
     size_cap = int(obj.get("size_cap", 10 ** 6))
     if size_cap <= 0:
         raise ConfigError("size_cap must be positive")
-    cfg_mode = obj.get("mode", "exact")
-    if cfg_mode not in ("exact", "float"):
-        raise ConfigError(f"mode must be exact|float, got {cfg_mode!r}")
+    if obj.get("mode", "exact") != "exact":
+        raise ConfigError(f"mode must be exact, got {obj['mode']!r}")
     sky_obj = dict(obj.get("skyscraper", {}))
-    x_values = tuple(parse(x) for x in obj.get(
+    x_values = tuple(parse_number(x) for x in obj.get(
         "x_values", ["3/10", "1/2", "4/5"]))
-    if parse.saw_decimal and cfg_mode == "exact":
-        _log("note: decimal literals in config force float mode")
-        cfg_mode = "float"
-    obj_for_hash = dict(obj)
     cfg = RunConfig(
-        kind=kind, mode=cfg_mode, raw=obj,
-        config_hash=_config_hash(obj_for_hash),
+        kind=kind, raw=obj, config_hash=_config_hash(obj),
         target_spec=target_spec, deltas=deltas, epss=epss, kappas=kappas,
-        e0=Fraction(parse(obj.get("e0", "5000"))),
+        e0=parse_number(obj.get("e0", "5000")),
         rounds=int(obj.get("rounds", 2)), size_cap=size_cap,
         max_depth=int(obj.get("max_depth", 16)), etas=etas,
         doubling_tol=float(obj.get("doubling_tol", 0.1)),
         x_values=x_values,
         sk_dist_ks=obj.get("sk_dist_ks"),
         k_grid=obj.get("k_grid"),
-        skyscraper=sky_obj,
-        workers=int(workers or obj.get("workers", 1)))
+        skyscraper=sky_obj)
     return cfg
 
 
-def _target_from_spec(spec: dict, mode: str):
+def _target_from_spec(spec: dict):
     params = dict(spec)
     family = params.pop("family", None)
     if family is None:
         raise ConfigError("target needs a family")
-    parse = _ScalarParser()
     if family == "points":
-        atoms = [(parse(v), Fraction(parse(m)))
+        atoms = [(parse_number(v), parse_number(m))
                  for v, m in params.pop("atoms")]
-        if mode == "float":
-            atoms = [(float(v), m) for v, m in atoms]
         return make_target("points", atoms=atoms)
     if family == "pareto":
-        return make_target("pareto", alpha=parse(params["alpha"]))
+        return make_target("pareto", alpha=parse_number(params["alpha"]))
     if family == "lognormal":
         return make_target("lognormal", mu=float(params.get("mu", 0.0)),
                            sigma=float(params.get("sigma", 1.0)))
     if family == "shifted_exponential":
         return make_target("shifted_exponential",
-                           shift=parse(params.get("shift", 0)),
-                           rate=parse(params["rate"]))
+                           shift=parse_number(params.get("shift", 0)),
+                           rate=parse_number(params["rate"]))
     if family == "table":
-        rows = [(Fraction(parse(u)), parse(v))
+        rows = [(parse_number(u), parse_number(v))
                 for u, v in params["rows"]]
         return make_target("table", rows=rows)
     raise ConfigError(f"unknown target family {family!r}")
 
 
-def _finite_target(spec: dict, mode: str) -> FiniteDist:
+def _finite_target(spec: dict) -> FiniteDist:
     if spec.get("family") != "points":
         raise ConfigError("this run kind needs a finitely supported target")
-    return _target_from_spec(spec, mode).dist
+    return _target_from_spec(spec).dist
 
 
 def _report_header(cfg: RunConfig) -> dict:
-    return {"config_hash": cfg.config_hash, "mode": cfg.mode}
+    return {"config_hash": cfg.config_hash, "mode": "exact"}
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -307,25 +284,24 @@ def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
         trace = build_example_tower(cfg.kappas, cfg.epss, e0=cfg.e0,
                                     size_cap=cfg.size_cap)
     elif cfg.kind == "rational":
-        target = _finite_target(cfg.target_spec, cfg.mode)
+        target = _finite_target(cfg.target_spec)
         trace = build_rational_tower(target, cfg.deltas, cfg.epss,
                                      rounds=cfg.rounds,
-                                     size_cap=cfg.size_cap, mode=cfg.mode)
+                                     size_cap=cfg.size_cap)
     else:
-        target = _target_from_spec(cfg.target_spec, cfg.mode)
+        target = _target_from_spec(cfg.target_spec)
         trace = build_general_tower(target, cfg.deltas, cfg.epss,
                                     max_depth=cfg.max_depth,
                                     rounds=max(1, cfg.rounds - 1),
                                     size_cap=cfg.size_cap, etas=cfg.etas)
     trace.config_hash = cfg.config_hash
-    trace.mode = cfg.mode
     return trace
 
 
 def cmd_split(cfg: RunConfig, out: str) -> int:
     if cfg.kind == "example":
         raise ConfigError("split requires a target-based run")
-    target = _target_from_spec(cfg.target_spec, cfg.mode)
+    target = _target_from_spec(cfg.target_spec)
     seq = build_split_sequence(target, [float(e) for e in cfg.epss],
                                max_depth=cfg.max_depth)
     report = dict(_report_header(cfg))
@@ -367,16 +343,17 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     except CorruptTraceError as exc:
         _log(f"verify: corrupt trace: {exc}")
         return EXIT_CORRUPT
-    if summary.get("config_hash") != cfg.config_hash:
-        _log("verify: trace was built from a different config")
-        return EXIT_CORRUPT
     if cfg.k_grid is not None and not cfg.k_grid:
         _log("verify: empty k grid")
         return EXIT_CONFIG
     trace = build_tower_from_config(cfg)
-    if trace_to_json_obj(trace)["gamma_checksum"] != \
-            summary.get("gamma_checksum"):
-        _log("verify: gamma table checksum mismatch")
+    # every field of tower.json must be what this config builds
+    built = json.loads(json.dumps(trace_to_json_obj(trace)))
+    if built != summary:
+        diff = sorted(k for k in set(built) | set(summary)
+                      if built.get(k) != summary.get(k))
+        _log(f"verify: tower.json differs from the tower this config "
+             f"builds in {diff}")
         return EXIT_CORRUPT
     rep = certify_theorem1(trace, x_values=cfg.x_values,
                            doubling_tol=cfg.doubling_tol,
@@ -411,27 +388,26 @@ def _pareto1_rho(alpha: float, t: float) -> float:
 
 
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
-    parse = _ScalarParser()
     sky_cfg = cfg.skyscraper
     base_cfg = sky_cfg.get("base")
     if base_cfg is not None:
         base_obj = dict(cfg.raw)
         base_obj.update(base_cfg)
         base_run = RunConfig(
-            kind=base_cfg.get("kind", cfg.kind), mode=cfg.mode,
-            raw=base_obj, config_hash=cfg.config_hash,
+            kind=base_cfg.get("kind", cfg.kind), raw=base_obj,
+            config_hash=cfg.config_hash,
             target_spec=base_cfg.get("target"),
-            deltas=[parse(x) for x in base_cfg.get("deltas", [])],
-            epss=[parse(x) for x in base_cfg.get("epss", [])],
-            kappas=[parse(x) for x in base_cfg.get("kappas", [])],
+            deltas=[parse_number(x) for x in base_cfg.get("deltas", [])],
+            epss=[parse_number(x) for x in base_cfg.get("epss", [])],
+            kappas=[parse_number(x) for x in base_cfg.get("kappas", [])],
             rounds=int(base_cfg.get("rounds", cfg.rounds)),
             size_cap=cfg.size_cap)
         trace = build_tower_from_config(base_run)
     else:
         trace = build_tower_from_config(cfg)
     try:
-        it = sky.integerize(trace, Fraction(parse(
-            sky_cfg.get("eta", "1/1000"))))
+        it = sky.integerize(trace,
+                            parse_number(sky_cfg.get("eta", "1/1000")))
     except sky.SkyscraperError as exc:
         _log(f"skyscraper: {exc}")
         return EXIT_CONFIG
@@ -457,14 +433,14 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     if not n_grid:
         _log("skyscraper: no admissible time horizons under the cap")
         return EXIT_CONFIG
-    tail_constant = Fraction(parse(sky_cfg.get("tail_constant", "2")))
+    tail_constant = parse_number(sky_cfg.get("tail_constant", "2"))
     tol = float(sky_cfg.get("tol", 0.15))
     try:
         if it.height * it.size <= 512:
             sky.check_duality(it)
         inv = sky.check_inversion(
             it, n_grid, tol=tol, tail_constant=tail_constant,
-            x_values=tuple(parse(x) for x in sky_cfg.get(
+            x_values=tuple(parse_number(x) for x in sky_cfg.get(
                 "x_values", ["5/4", "3/2", "2"])))
     except (sky.InversionError, InvariantError) as exc:
         _log(f"skyscraper: hard invariant failed: {exc}")
@@ -472,9 +448,11 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     for n in (n_grid[0], n_grid[-1]):
         inv.reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
     rho_fn = _pareto1_rho if sky_cfg.get("rho") == "pareto1" else None
-    alphas = [float(parse(a)) for a in sky_cfg.get("alphas", ["1"])]
-    t_grid = [float(parse(t)) for t in sky_cfg.get("t_grid", ["2"])]
-    divergent = [float(parse(a))
+    alphas = [float(parse_number(a))
+              for a in sky_cfg.get("alphas", ["1"])]
+    t_grid = [float(parse_number(t))
+              for t in sky_cfg.get("t_grid", ["2"])]
+    divergent = [float(parse_number(a))
                  for a in sky_cfg.get("divergent_alphas", [])]
     rows = sky.are_diagnostic(it, alphas, n_grid, t_grid, rho_fn=rho_fn,
                               divergent_alphas=divergent,
@@ -504,7 +482,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     if bound_alphas is None:
         checked = rows
     else:
-        wanted = {float(parse(a)) for a in bound_alphas}
+        wanted = {float(parse_number(a)) for a in bound_alphas}
         checked = [r for r in rows if r.alpha in wanted]
     hard_ok = inv.ok() and all(r.bound_ok in (True, None) for r in checked)
     _log(f"skyscraper: inversion {'pass' if inv.ok() else 'FAIL'}, "
@@ -521,15 +499,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  "all"])
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--mode", choices=["exact", "float"], default=None)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--cap", type=int, default=None,
                         help="override the height cap")
     parser.add_argument("--preset", choices=sorted(PRESETS), default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.preset, args.mode, args.cap,
-                          args.workers)
+        cfg = load_config(args.config, args.preset, cap=args.cap)
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG

@@ -303,14 +303,11 @@ class SkHistogram:
         import numpy as np
         n = 0
         for u, c, sc in zip(self.units, self.counts, self.scales):
-            if isinstance(sc, float):
-                i = np.searchsorted(u * sc, float(thresh))
-            else:
-                # S < thresh  <=>  units < thresh/scale, decided exactly
-                bound = Fraction(thresh) / sc
-                cut = bound.numerator // bound.denominator
-                i = np.searchsorted(u, cut, side="left"
-                                    if bound.denominator == 1 else "right")
+            # S < thresh  <=>  units < thresh/scale, decided exactly
+            bound = Fraction(thresh) / sc
+            cut = bound.numerator // bound.denominator
+            i = np.searchsorted(u, cut, side="left"
+                                if bound.denominator == 1 else "right")
             n += int(c[:i].sum())
         return n
 

@@ -85,15 +85,10 @@ class BlockArray:
         for s in self.symbols:
             st = self.blocks[s].stats()
             expected = self.scale * self.values[s]
-            if not self.blocks[s].is_float:
-                if st.mean != expected:
-                    raise PreconditionError(
-                        f"block mean for {s!r} is {st.mean}, "
-                        f"expected scale*value = {expected}")
-            elif not math.isclose(float(st.mean), float(expected),
-                                  rel_tol=1e-9):
+            if st.mean != expected:
                 raise PreconditionError(
-                    f"block mean for {s!r} is {st.mean}, expected {expected}")
+                    f"block mean for {s!r} is {st.mean}, "
+                    f"expected scale*value = {expected}")
 
     @property
     def height(self) -> int:
@@ -130,7 +125,8 @@ class GammaTable:
     (steps: gamma(k) = g_i on [k_i, k_{i+1})).
     """
 
-    anchors: tuple             # ((k_0, g_0), ..., (k_m, g_m)), k increasing
+    anchors: tuple             # ((k_0, g_0), ..., (k_m, g_m)), k increasing,
+                               # g rational
     eps_anchors: tuple         # ((k_0, e_0), ...), e nonincreasing
     mode: str = "linear"
 
@@ -161,9 +157,7 @@ class GammaTable:
             return gs[i - 1]
         k0, k1 = ks[i - 1], ks[i]
         g0, g1 = gs[i - 1], gs[i]
-        t = Fraction(k - k0, k1 - k0) if not isinstance(g0, float) \
-            else (k - k0) / (k1 - k0)
-        return g0 + (g1 - g0) * t
+        return g0 + (g1 - g0) * Fraction(k - k0, k1 - k0)
 
     def eps(self, k) -> float:
         ks = [a for a, _ in self.eps_anchors]
@@ -186,19 +180,15 @@ class GammaTable:
             if self.mode == "constant":
                 step = g1 - g0
             else:
-                step = Fraction(g1 - g0, k1 - k0) if not isinstance(g0, float) \
-                    else (g1 - g0) / (k1 - k0)
+                step = Fraction(g1 - g0, k1 - k0)
             if step > best:
                 best = step
         return best
 
     def to_json_obj(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return repr(float(x))
         return {"mode": self.mode,
-                "anchors": [[int(k), enc(g)] for k, g in self.anchors],
+                "anchors": [[int(k), f"{g.numerator}/{g.denominator}"]
+                            for k, g in self.anchors],
                 "eps": [[int(k), repr(float(e))] for k, e in self.eps_anchors]}
 
     def checksum(self) -> str:
@@ -207,10 +197,7 @@ class GammaTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GammaTable":
-        def dec(s):
-            return Fraction(s) if "/" in s or s.lstrip("-").isdigit() \
-                else float(s)
-        return cls(tuple((int(k), dec(g)) for k, g in obj["anchors"]),
+        return cls(tuple((int(k), Fraction(g)) for k, g in obj["anchors"]),
                    tuple((int(k), float(e)) for k, e in obj["eps"]),
                    obj["mode"])
 
@@ -252,15 +239,7 @@ def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
     h = len(big)
     if h % spacing != 0:
         raise PreconditionError("bump spacing must divide the tiled length")
-    if big.is_float:
-        units = big.units.copy()
-        idx = np.arange(spacing - 1, h, spacing)
-        units[idx] += float(bump) / big.scale
-        changed = big.changed_mask.copy()
-        changed[idx] = True
-        return Block(units, big.scale, changed)
-    bump = Fraction(bump)
-    ratio = bump / big.scale
+    ratio = Fraction(bump) / big.scale
     units = big.units
     scale = big.scale
     if ratio.denominator != 1:
@@ -293,12 +272,11 @@ def basic_extend(w: Block, kappa: Scalar, q: int, mu: int,
     if mu < 1:
         raise PreconditionError(f"mu must be at least 1, got {mu}")
     h = len(w)
-    if not w.is_float:
-        kappa = Fraction(kappa)
+    kappa = Fraction(kappa)
     if kappa < 0:
         raise PreconditionError("kappa must be nonnegative")
     if delta is not None:
-        d = Fraction(delta) if not w.is_float else float(delta)
+        d = Fraction(delta)
         if kappa > d * w.stats().mean:
             raise PreconditionError(
                 f"kappa={kappa} exceeds delta*E = {d * w.stats().mean}")
@@ -382,12 +360,10 @@ def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
     if set(kappas) != set(arr.symbols):
         raise PreconditionError("kappas must cover exactly the symbols")
     lams = {s: Fraction(kappas[s]) / (Fraction(arr.scale) * arr.values[s])
-            for s in arr.symbols} if not arr.blocks[arr.symbols[0]].is_float \
-        else {s: float(kappas[s]) / (float(arr.scale) * float(arr.values[s]))
-              for s in arr.symbols}
+            for s in arr.symbols}
     lam = lams[arr.symbols[0]]
     for s in arr.symbols:
-        if not arr.blocks[s].is_float and lams[s] != lam:
+        if lams[s] != lam:
             raise PreconditionError(
                 "kappas must be proportional to the label values")
     if mu is None:

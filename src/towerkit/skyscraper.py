@@ -50,8 +50,7 @@ def inverse_target(dist: FiniteDist) -> FiniteDist:
     for v, m in zip(dist.values, dist.masses):
         if v == INF:
             raise SkyscraperError("cannot invert an atom at infinity")
-        atoms.append((Fraction(1) / Fraction(v) if not isinstance(v, float)
-                      else 1.0 / v, m))
+        atoms.append((1 / Fraction(v), m))
     return FiniteDist(atoms)
 
 
@@ -93,12 +92,9 @@ class IntegerTower:
     def totals(self) -> Dict:
         return {s: int(self._prefixes[s][-1]) for s in self.symbols}
 
-    def b_units(self, k: int):
+    def b_units(self, k: int) -> Fraction:
         """Normalizer of the return-time sums, in integer ticks."""
-        g = self.trace.global_gamma.gamma(k)
-        if isinstance(g, float) or isinstance(self.time_unit, float):
-            return k * float(g) / float(self.time_unit)
-        return k * Fraction(g) / self.time_unit
+        return k * Fraction(self.trace.global_gamma.gamma(k)) / self.time_unit
 
     def _inversion_table(self):
         ks = [k for k, _ in self.trace.global_gamma.anchors]
@@ -107,13 +103,12 @@ class IntegerTower:
         bs = [self.b_units(k) for k in ks]
         return ks, bs
 
-    def a_of(self, n):
+    def a_of(self, n) -> Fraction:
         """Piecewise-linear inverse of b_units at time n."""
         if n <= 0:
             raise SkyscraperError(f"time must be positive, got {n}")
         ks, bs = self._inversion_table()
-        exact = not isinstance(bs[0], float)
-        n = Fraction(n) if exact else float(n)
+        n = Fraction(n)
         if n <= bs[0]:
             return n * ks[0] / bs[0]
         for (k0, b0), (k1, b1) in zip(zip(ks, bs), zip(ks[1:], bs[1:])):
@@ -144,28 +139,24 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     if any(v == INF or v <= 0 for v in trace.target.values):
         raise SkyscraperError("target must be supported on (0, infinity)")
     symbols = arr.symbols
-    is_float = arr.blocks[symbols[0]].is_float
     weights = {}
     perts = {}
-    if not is_float:
-        scales = {s: Fraction(arr.blocks[s].scale) for s in symbols}
-        tick = None
-        for sc in scales.values():
-            tick = sc if tick is None else Fraction(
-                math.gcd(tick.numerator * sc.denominator,
-                         sc.numerator * tick.denominator),
-                tick.denominator * sc.denominator)
-        mults = {s: scales[s] / tick for s in symbols}
-        exact_totals = max(int(arr.blocks[s].prefix[-1]) * int(mults[s])
-                           for s in symbols)
-        if exact_totals <= _EXACT_TOTAL_CAP:
-            for s in symbols:
-                weights[s] = arr.blocks[s].units.astype(np.int64) \
-                    * int(mults[s])
-                perts[s] = Fraction(0)
-            occ = inverse_target(trace.target)
-            return IntegerTower(trace, symbols, weights, tick, occ, eta,
-                                perts)
+    scales = {s: arr.blocks[s].scale for s in symbols}
+    tick = None
+    for sc in scales.values():
+        tick = sc if tick is None else Fraction(
+            math.gcd(tick.numerator * sc.denominator,
+                     sc.numerator * tick.denominator),
+            tick.denominator * sc.denominator)
+    mults = {s: scales[s] / tick for s in symbols}
+    exact_totals = max(int(arr.blocks[s].prefix[-1]) * int(mults[s])
+                       for s in symbols)
+    if exact_totals <= _EXACT_TOTAL_CAP:
+        for s in symbols:
+            weights[s] = arr.blocks[s].units.astype(np.int64) \
+                * int(mults[s])
+            perts[s] = Fraction(0)
+    else:
         min_w = min(int(arr.blocks[s].units.min()) * scales[s]
                     for s in symbols)
         tick = eta * min_w
@@ -180,24 +171,8 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
             perts[s] = (new_mean - old_mean) / old_mean
             if not perts[s] <= eta:
                 raise SkyscraperError("integer rounding exceeded eta")
-        occ = inverse_target(trace.target)
-        return IntegerTower(trace, symbols, weights, tick, occ, eta, perts)
-    min_w = min(float(arr.blocks[s].units.min()) * arr.blocks[s].scale
-                for s in symbols)
-    if min_w <= 0:
-        raise SkyscraperError("weights must be bounded below by 0")
-    tick = float(eta) * min_w
-    tu = tick
-    for s in symbols:
-        w = np.ceil(arr.blocks[s].units * (arr.blocks[s].scale / tick))
-        weights[s] = w.astype(np.int64)
-        old_mean = float(arr.blocks[s].stats().mean)
-        new_mean = float(weights[s].mean()) * tick
-        perts[s] = (new_mean - old_mean) / old_mean
-        if not perts[s] <= float(eta) * (1 + 1e-9):
-            raise SkyscraperError("integer rounding exceeded eta")
     occ = inverse_target(trace.target)
-    return IntegerTower(trace, symbols, weights, tu, occ, eta, perts)
+    return IntegerTower(trace, symbols, weights, tick, occ, eta, perts)
 
 
 def return_time_partial_sums(it: IntegerTower, n: int, nu) -> int:
@@ -296,20 +271,15 @@ def occupation_distribution(it: IntegerTower, n: int,
             merged[int(u)] = merged.get(int(u), 0) + int(c)
     total = h * size
     a_n = it.a_of(n)
-    exact = not isinstance(a_n, float)
     dist = FiniteDist([(v, Fraction(c, total)) for v, c in merged.items()])
-    if exact:
-        normalized = FiniteDist([(Fraction(v) / a_n, Fraction(c, total))
-                                 for v, c in merged.items()])
-    else:
-        normalized = FiniteDist([(v / a_n, Fraction(c, total))
-                                 for v, c in merged.items()])
+    normalized = FiniteDist([(Fraction(v) / a_n, Fraction(c, total))
+                             for v, c in merged.items()])
     y = it.occupation_target
     checks = []
     c_tail = Fraction(tail_constant)
     for x in x_values:
         x = Fraction(x)
-        thresh = x * a_n if exact else float(x) * a_n
+        thresh = x * a_n
         lhs = Fraction(sum(c for v, c in merged.items() if v >= thresh), total)
         bound = c_tail * (1 - y.cdf_below(x))
         checks.append((x, lhs, bound, lhs <= bound))

@@ -58,7 +58,6 @@ class TowerTrace:
     bicycle_m: Fraction = DEFAULT_BICYCLE_M
     floor_r: Optional[Fraction] = None
     config_hash: str = ""
-    mode: str = "exact"
 
     @property
     def height(self) -> int:
@@ -85,27 +84,17 @@ def _check_monotone_growth(old: BlockArray, new: BlockArray) -> None:
         if len(wn) % len(wo) != 0:
             raise InvariantError("stage height must be a multiple")
         reps = len(wn) // len(wo)
-        if wo.is_float:
-            tiled = np.tile(wo.units * wo.scale, reps)
-            if not (wn.units * wn.scale >= tiled - 1e-12).all():
-                raise InvariantError("weights decreased across a stage")
-        else:
-            ratio = Fraction(wo.scale) / Fraction(wn.scale)
-            if ratio.denominator != 1:
-                # compare in exact rational units of the finer scale
-                tiled = np.tile(wo.units.astype(object) * ratio.numerator, reps)
-                cur = wn.units.astype(object) * ratio.denominator
-            else:
-                tiled = np.tile(wo.units.astype(object) * int(ratio), reps)
-                cur = wn.units.astype(object)
-            if not (cur >= tiled).all():
-                raise InvariantError("weights decreased across a stage")
+        # compare in exact rational units of the finer scale, as Python ints
+        ratio = wo.scale / wn.scale
+        tiled = np.tile(wo.units.astype(object) * ratio.numerator, reps)
+        cur = wn.units.astype(object) * ratio.denominator
+        if not (cur >= tiled).all():
+            raise InvariantError("weights decreased across a stage")
 
 
 def build_rational_tower(target: FiniteDist, deltas: Sequence,
                          epss: Sequence, rounds: int = 2,
                          size_cap: int = 10 ** 6,
-                         mode: str = "exact",
                          cert_dense: int = 512,
                          cert_geo: int = 128) -> TowerTrace:
     """Pure extension chain for a finitely supported rational target.
@@ -137,10 +126,8 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
             s = (len(symbols), v)
             symbols.append(s)
             values[s] = Fraction(v)
-            blocks[s] = Block.from_weights([v]) if mode == "exact" \
-                else Block.from_weights([float(v)])
-    arr = BlockArray(tuple(symbols), blocks, values,
-                     Fraction(1) if mode == "exact" else 1.0)
+            blocks[s] = Block.from_weights([v])
+    arr = BlockArray(tuple(symbols), blocks, values, Fraction(1))
     stages: List[StageRecord] = []
     certs = []
     g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
@@ -467,7 +454,7 @@ def trace_to_json_obj(trace: TowerTrace) -> dict:
     gamma_obj = trace.global_gamma.to_json_obj()
     return {
         "kind": trace.kind,
-        "mode": trace.mode,
+        "mode": "exact",
         "config_hash": trace.config_hash,
         "target": trace.target.to_json_obj(),
         "height": trace.height,
@@ -495,11 +482,18 @@ class CorruptTraceError(RuntimeError):
 
 
 def load_trace_summary(path: str) -> dict:
-    """Load and integrity-check a serialized trace (summary only)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    gamma = GammaTable.from_json_obj(obj["gamma"])
-    if gamma.checksum() != obj["gamma_checksum"]:
-        raise CorruptTraceError(
-            f"gamma table checksum mismatch in {path}")
+    """Load and integrity-check a serialized trace (summary only).
+
+    Raises CorruptTraceError when the file is not JSON, lacks the gamma
+    table or its checksum, or the table does not match its checksum.
+    """
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        ok = GammaTable.from_json_obj(obj["gamma"]).checksum() == \
+            obj["gamma_checksum"]
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise CorruptTraceError(f"unreadable trace {path}: {exc!r}") from exc
+    if not ok:
+        raise CorruptTraceError(f"gamma table checksum mismatch in {path}")
     return obj

@@ -9,7 +9,9 @@ import pytest
 
 from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           EXIT_OK, EXIT_SIZE_CAP, ConfigError, PRESETS,
-                          build_tower_from_config, load_config, main)
+                          build_tower_from_config, load_config, main,
+                          parse_number)
+from towerkit.lemma_engine import GammaTable
 from towerkit.tower import _stage_eps_at, certify_theorem1
 
 FAST_CONFIG = {
@@ -23,11 +25,14 @@ FAST_CONFIG = {
 }
 
 
+def write_config(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.fixture()
 def fast_config(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(FAST_CONFIG))
-    return str(path)
+    return write_config(tmp_path / "config.json", FAST_CONFIG)
 
 
 class TestConfigParsing:
@@ -35,15 +40,55 @@ class TestConfigParsing:
         cfg = load_config(fast_config, None, None, None, None)
         assert cfg.deltas == [F(1, 10)]
         assert cfg.epss == [F(1, 20)]
-        assert cfg.mode == "exact"
         assert len(cfg.config_hash) == 16
 
-    def test_decimals_force_float_mode(self, tmp_path):
-        obj = dict(FAST_CONFIG, deltas=[0.1], epss=[0.05])
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(obj))
-        cfg = load_config(str(path), None, None, None, None)
-        assert cfg.mode == "float"
+    def test_decimals_read_exactly(self, tmp_path):
+        # a JSON float is read through its shortest repr, a decimal string
+        # goes straight to Fraction
+        obj = dict(FAST_CONFIG, deltas=[0.1], epss=["0.05"], e0="1e-3",
+                   x_values=["2.50", 0.3])
+        cfg = load_config(write_config(tmp_path / "c.json", obj), None)
+        assert cfg.deltas == [F(1, 10)] and cfg.epss == [F(1, 20)]
+        assert cfg.e0 == F(1, 1000) and cfg.x_values == (F(5, 2), F(3, 10))
+        numbers = cfg.deltas + cfg.epss + [cfg.e0, *cfg.x_values]
+        assert all(type(x) is F for x in numbers)
+
+    def test_decimal_config_builds_its_rational_twin(self, fast_config,
+                                                     tmp_path):
+        decimal = write_config(tmp_path / "decimal.json", dict(
+            FAST_CONFIG, deltas=[0.1], epss=["0.05"],
+            target={"family": "points",
+                    "atoms": [[1, 0.5], ["2.0", "0.50"]]}))
+        towers = []
+        for i, config in enumerate((fast_config, decimal)):
+            out = tmp_path / f"out{i}"
+            assert main(["build", "--config", config,
+                         "--out", str(out)]) == EXIT_OK
+            towers.append(json.loads((out / "tower.json").read_text()))
+        assert towers[0].pop("config_hash") != towers[1].pop("config_hash")
+        assert towers[0] == towers[1]
+
+    def test_non_numbers_rejected(self):
+        for x in (True, False, None, [1], "nan", "inf", "-inf", "1/0", "",
+                  float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                parse_number(x)
+
+    def test_only_exact_mode(self, fast_config, tmp_path):
+        exact = dict(FAST_CONFIG, mode="exact")
+        assert load_config(write_config(tmp_path / "e.json", exact),
+                           None).kind == "rational"
+        floats = write_config(tmp_path / "f.json",
+                              dict(FAST_CONFIG, mode="float"))
+        assert main(["build", "--config", floats,
+                     "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", fast_config, "--mode", "float",
+                  "--out", str(tmp_path / "b")])
+        assert exc.value.code == EXIT_CONFIG
+        for retired in ({"mode": "exact"}, {"workers": 1}):
+            with pytest.raises(ConfigError):
+                load_config(fast_config, None, **retired)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -137,6 +182,68 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
 
 
+def bump(v):
+    """The same JSON value with its first leaf changed."""
+    if isinstance(v, bool):
+        return not v
+    if isinstance(v, (int, float)):
+        return 2 * v + 1
+    if isinstance(v, str):
+        return v + "1"
+    if v is None:
+        return "1"
+    if isinstance(v, list):
+        return [bump(v[0])] + v[1:]
+    key = sorted(v)[0]
+    return dict(v, **{key: bump(v[key])})
+
+
+class TestVerifyIntegrity:
+    """verify checks every field of tower.json against the tower that its
+    config builds, and reads a broken file as a corrupt trace."""
+
+    def verify(self, config, out):
+        return main(["verify", "--config", config, "--out", str(out)])
+
+    def test_every_edited_field_is_4(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["build", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_OK
+        good = json.loads((out / "tower.json").read_text())
+        edits = {key: dict(good, **{key: bump(good[key])})
+                 for key in good}
+        for key in good["stages"][0]:
+            stages = [dict(good["stages"][0], **{key: bump(
+                good["stages"][0][key])})] + good["stages"][1:]
+            edits[f"stages[0].{key}"] = dict(good, stages=stages)
+        # a gamma table edited together with its checksum
+        gamma = bump(good["gamma"])
+        edits["gamma with checksum"] = dict(
+            good, gamma=gamma,
+            gamma_checksum=GammaTable.from_json_obj(gamma).checksum())
+        assert {"height", "target", "epss", "cert_valid"} <= \
+            set(good) | set(good["stages"][0])
+        for name, obj in edits.items():
+            assert obj != good
+            (out / "tower.json").write_text(json.dumps(obj))
+            assert self.verify(fast_config, out) == EXIT_CORRUPT, name
+        (out / "tower.json").write_text(json.dumps(good))
+        assert self.verify(fast_config, out) == EXIT_OK
+
+    def test_partial_manifest_is_4(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["build", "--config", fast_config, "--out", str(out),
+                     "--cap", "100"]) == EXIT_SIZE_CAP
+        assert self.verify(fast_config, out) == EXIT_CORRUPT
+
+    def test_non_json_is_4(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for text in ("not json", "[1, 2]", '{"gamma": {}}'):
+            (out / "tower.json").write_text(text)
+            assert self.verify(fast_config, out) == EXIT_CORRUPT, text
+
+
 class TestVerifyMargin:
     def test_margin_line_on_stderr(self, fast_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -167,10 +274,10 @@ class TestVerifyMargin:
 class TestDeterminism:
     def test_byte_identical_runs(self, fast_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["all", "--config", fast_config, "--out", str(out1),
-                     "--workers", "1"]) == EXIT_OK
-        assert main(["all", "--config", fast_config, "--out", str(out2),
-                     "--workers", "4"]) == EXIT_OK
+        assert main(["all", "--config", fast_config,
+                     "--out", str(out1)]) == EXIT_OK
+        assert main(["all", "--config", fast_config,
+                     "--out", str(out2)]) == EXIT_OK
         names = sorted(os.listdir(out1))
         assert names == sorted(os.listdir(out2))
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names,
