@@ -390,6 +390,42 @@ def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates):
     return None
 
 
+def _tiling_failure(w: Block, eps: Scalar):
+    """Decide every tiling w^m on w's deviation profile, computed once.
+
+    Returns (failure, m_hi): ``failure(m)`` is None when w^m is
+    eps-normalized, else ``_shift_scan``'s witness; m_hi is the least m
+    whose threshold alone settles the question (w^m has w's period and
+    profile, only its threshold eps*Sigma/M grows with m).
+    """
+    # all quantities are taken on one period h; Sigma(w) = (len(w)/h) * tot
+    h = w.period
+    reps = len(w) // h
+    e = Fraction(eps)
+    if e <= 0:
+        raise BlockError("eps must be positive")
+    a, b = e.numerator, e.denominator
+    tot, max_u = int(w.prefix[h]), int(w.units[:h].max())
+    dev = _deviation_units(w, h)
+    dstar = int(np.abs(dev[:h]).max())
+    # no k with a*k*tot >= 2*b*dstar can fail: its allowance exceeds twice
+    # the amplitude of the profile
+    kstop = -((-2 * b * dstar) // (a * tot))
+
+    def failure(m: int):
+        # k0 = ceil(eps * Sigma(w^m) / M) with Sigma, M in units (scale
+        # cancels)
+        k0 = max(1, -((-a * m * reps * tot) // (b * max_u)))
+        if k0 >= kstop:
+            return None
+        return _shift_scan(dev, h, k0, min(k0 + h - 1, kstop),
+                           lambda k, amp: b * int(amp) > a * k * tot)
+
+    # least m with ceil(a*m*reps*tot / (b*max_u)) >= kstop
+    m_hi = max(1, (kstop - 1) * b * max_u // (a * reps * tot) + 1)
+    return failure, m_hi
+
+
 def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     """Decide whether S_k(w) = kE(w)(1 ± eps) for every k >= eps*Sigma(w)/M(w).
 
@@ -404,25 +440,26 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     Returns bool, or (bool, witness) with witness = (k, nu) on failure when
     ``witness`` is true.
     """
-    # all quantities are taken on one period h; Sigma(w) = (len(w)/h) * tot
-    h = w.period
-    reps = len(w) // h
-    tot = w.prefix[h]
-    max_u = w.units[:h].max()
-    dev = _deviation_units(w, h)
-    e = Fraction(eps)
-    if e <= 0:
-        raise BlockError("eps must be positive")
-    a, b = e.numerator, e.denominator
-    tot, max_u = int(tot), int(max_u)
-    # k0 = ceil(eps * Sigma / M) with Sigma, M in units (scale cancels)
-    k0 = max(1, -((-a * reps * tot) // (b * max_u)))
-    dstar = int(np.abs(dev[:h]).max())
-    if 2 * b * dstar <= a * k0 * tot:
+    failure, _ = _tiling_failure(w, eps)
+    hit = failure(1)
+    if hit is None:
         return (True, None) if witness else True
-    kstop = -((-2 * b * dstar) // (a * tot))
-    hit = _shift_scan(dev, h, k0, min(k0 + h - 1, kstop),
-                      lambda k, m: b * int(m) > a * k * tot)
-    if hit is not None:
-        return (False, (hit[0], hit[1] + 1)) if witness else False
-    return (True, None) if witness else True
+    return (False, (hit[0], hit[1] + 1)) if witness else False
+
+
+def normalizing_copies(w: Block, eps: Scalar) -> int:
+    """Least m with is_normalized(self_concat(w, m), eps), building no tiling.
+
+    Normalization of w^m is monotone in m (the deviation profile is fixed
+    while the threshold grows), so the least m is found by bisection on
+    [1, m_hi] over one deviation profile of w.
+    """
+    failure, hi = _tiling_failure(w, eps)
+    lo = 0          # w^hi is normalized; w^lo is not, or lo == 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if failure(mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -2,8 +2,10 @@
 
 Configs are JSON.  Config numbers are read exactly as Fractions: integers,
 rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
-floats through their shortest repr, so 0.1 is 1/10 (only the lognormal
-target's mu/sigma and the tolerances doubling_tol/tol stay floats).  There
+floats through their shortest repr, so 0.1 is 1/10.  Counts (size_cap,
+rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
+"2.5" is invalid; the tolerances doubling_tol/tol are read the same way and
+then used as floats, as are the lognormal target's mu/sigma.  There
 is one arithmetic mode, "exact"; a config "mode" other than "exact" is
 invalid.  All data goes to files in the output directory, logs go to
 standard error, and every report embeds the config hash and the arithmetic
@@ -63,6 +65,16 @@ def parse_number(x) -> Fraction:
         return Fraction(repr(x) if isinstance(x, float) else x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad number {x!r}: {exc}")
+
+
+def _config_int(obj: dict, key: str, default) -> int:
+    """A config count, read exactly: "1e6" is 10**6, while a number that
+    is not a whole integer raises ConfigError."""
+    x = obj.get(key, default)
+    n = parse_number(x)
+    if n.denominator != 1:
+        raise ConfigError(f"{key} must be an integer, got {x!r}")
+    return int(n)
 
 
 @dataclass
@@ -216,7 +228,7 @@ def load_config(path: Optional[str], preset: Optional[str],
     target_spec = obj.get("target")
     if kind != "example" and target_spec is None:
         raise ConfigError("target specification is required")
-    size_cap = int(obj.get("size_cap", 10 ** 6))
+    size_cap = _config_int(obj, "size_cap", 10 ** 6)
     if size_cap <= 0:
         raise ConfigError("size_cap must be positive")
     if obj.get("mode", "exact") != "exact":
@@ -228,9 +240,9 @@ def load_config(path: Optional[str], preset: Optional[str],
         kind=kind, raw=obj, config_hash=_config_hash(obj),
         target_spec=target_spec, deltas=deltas, epss=epss, kappas=kappas,
         e0=parse_number(obj.get("e0", "5000")),
-        rounds=int(obj.get("rounds", 2)), size_cap=size_cap,
-        max_depth=int(obj.get("max_depth", 16)), etas=etas,
-        doubling_tol=float(obj.get("doubling_tol", 0.1)),
+        rounds=_config_int(obj, "rounds", 2), size_cap=size_cap,
+        max_depth=_config_int(obj, "max_depth", 16), etas=etas,
+        doubling_tol=float(parse_number(obj.get("doubling_tol", 0.1))),
         x_values=x_values,
         sk_dist_ks=obj.get("sk_dist_ks"),
         k_grid=obj.get("k_grid"),
@@ -389,6 +401,8 @@ def _pareto1_rho(alpha: float, t: float) -> float:
 
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     sky_cfg = cfg.skyscraper
+    n_points = _config_int(sky_cfg, "n_points", 16)
+    tol = float(parse_number(sky_cfg.get("tol", 0.15)))
     base_cfg = sky_cfg.get("base")
     if base_cfg is not None:
         base_obj = dict(cfg.raw)
@@ -400,7 +414,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
             deltas=[parse_number(x) for x in base_cfg.get("deltas", [])],
             epss=[parse_number(x) for x in base_cfg.get("epss", [])],
             kappas=[parse_number(x) for x in base_cfg.get("kappas", [])],
-            rounds=int(base_cfg.get("rounds", cfg.rounds)),
+            rounds=_config_int(base_cfg, "rounds", cfg.rounds),
             size_cap=cfg.size_cap)
         trace = build_tower_from_config(base_run)
     else:
@@ -411,22 +425,8 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     except sky.SkyscraperError as exc:
         _log(f"skyscraper: {exc}")
         return EXIT_CONFIG
-    if sky_cfg.get("inject_tail_fault"):
-        # test hook: inflate the heaviest weights so the occupation tail
-        # bound must fail and the hard-invariant exit path is exercised
-        weights = {}
-        for s in it.symbols:
-            w = it.weights[s].copy()
-            cut = int(len(w) * 0.7)
-            order = w.argsort()
-            w[order[cut:]] *= 4
-            weights[s] = w
-        it = sky.IntegerTower(it.trace, it.symbols, weights, it.time_unit,
-                              it.occupation_target, it.eta,
-                              it.perturbations)
     horizon = it.covered_horizon()
     wmax = max(int(it.weights[s].max()) for s in it.symbols)
-    n_points = int(sky_cfg.get("n_points", 16))
     n_grid = sorted(set(
         n for n in (int(horizon * 1.2 ** -j) for j in range(n_points))
         if n >= 4 * wmax))
@@ -434,7 +434,6 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         _log("skyscraper: no admissible time horizons under the cap")
         return EXIT_CONFIG
     tail_constant = parse_number(sky_cfg.get("tail_constant", "2"))
-    tol = float(sky_cfg.get("tol", 0.15))
     try:
         if it.height * it.size <= 512:
             sky.check_duality(it)

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, BlockError, Scalar, concat_many, is_normalized,
-                     rescale_units, self_concat)
+from .blocks import (Block, BlockError, Scalar, concat_many,
+                     normalizing_copies, rescale_units, self_concat)
 from .distributions import FiniteDist, SkHistogram, Splitting
 
 DEFAULT_SIZE_CAP = 10 ** 6
@@ -290,69 +290,27 @@ def basic_extend(w: Block, kappa: Scalar, q: int, mu: int,
     return _add_bumps(w, m, kappa * q * h, q * h)
 
 
-def choose_mu(w: Block, kappa: Scalar, q: int, delta: Scalar,
-              size_cap: int = DEFAULT_SIZE_CAP,
-              max_mu: int = 1 << 20) -> int:
-    """Least mu making the basic extension delta-normalized.
-
-    Normalization of the extension is monotone in mu (the partial-sum
-    deviation profile is mu-independent while the admissible-k threshold
-    grows linearly with mu), so a doubling search followed by bisection
-    finds the least witness.
-    """
-    def ok(mu: int) -> bool:
-        wp = basic_extend(w, kappa, q, mu, size_cap=size_cap)
-        return is_normalized(wp, delta)
-
-    max_mu = min(max_mu, size_cap // (q * len(w)))
-    if max_mu < 1:
-        raise SizeCapError(f"even mu=1 exceeds height cap {size_cap}")
-    if ok(1):
-        return 1
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-        if hi > max_mu:
-            raise SizeCapError(f"no admissible mu up to {max_mu}")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def choose_tile(w: Block, eps: Scalar, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """Least number of plain copies making the tiling eps-normalized.
 
-    Tiling leaves the deviation profile unchanged while the admissible-k
-    threshold grows linearly with the copy count, so the property is
-    monotone and a doubling search followed by bisection is exact.
+    Decided on w's own deviation profile (``normalizing_copies``), with no
+    candidate tiling built; SizeCapError when that many copies exceed the
+    height cap.  The least mu of a basic extension is the least tile count
+    of its mu = 1 block, since basic_extend(w, kappa, q, mu) is
+    self_concat(basic_extend(w, kappa, q, 1), mu).
     """
-    if is_normalized(w, eps):
-        return 1
-    hi = 2
-    while not is_normalized(self_concat(w, hi), eps):
-        hi *= 2
-        if hi * len(w) > size_cap:
-            raise SizeCapError(
-                f"normalizing tile count exceeds height cap {size_cap}")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if is_normalized(self_concat(w, mid), eps):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = normalizing_copies(w, eps)
+    if m * len(w) > size_cap:
+        raise SizeCapError(f"normalizing tile count {m} gives height "
+                           f"{m * len(w)}, above the cap {size_cap}")
+    return m
 
 
 def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
-                       delta: Scalar, mu: Optional[int] = None,
+                       delta: Scalar,
                        size_cap: int = DEFAULT_SIZE_CAP) -> Tuple[BlockArray, int]:
-    """Extend every block with its own kappa but shared q and mu.
+    """Extend every block with its own kappa but shared q and the least mu
+    making every block delta-normalized.
 
     kappas must scale the labels: kappa(s) = lam * scale * value(s) for a
     common lam, so the extended array is again exactly label-distributed.
@@ -366,12 +324,14 @@ def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
         if lams[s] != lam:
             raise PreconditionError(
                 "kappas must be proportional to the label values")
-    if mu is None:
-        mu = max(choose_mu(arr.blocks[s], kappas[s], q, delta, size_cap)
-                 for s in arr.symbols)
-    blocks = {s: basic_extend(arr.blocks[s], kappas[s], q, mu,
+    blocks = {s: basic_extend(arr.blocks[s], kappas[s], q, 1,
                               size_cap=size_cap)
               for s in arr.symbols}
+    mu = max(choose_tile(blocks[s], delta, size_cap) for s in arr.symbols)
+    if mu > 1:
+        blocks = {s: basic_extend(arr.blocks[s], kappas[s], q, mu,
+                                  size_cap=size_cap)
+                  for s in arr.symbols}
     new_scale = arr.scale * (1 + lam)
     return BlockArray(arr.symbols, blocks, arr.values, new_scale), mu
 
@@ -489,9 +449,6 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
     tile = max(choose_tile(cur.blocks[s], eps_out / 2, size_cap)
                for s in arr.symbols)
     if tile > 1:
-        if cur.height * tile > size_cap:
-            raise SizeCapError(
-                f"normalized height {cur.height * tile} exceeds {size_cap}")
         cur = BlockArray(arr.symbols,
                          {s: self_concat(cur.blocks[s], tile)
                           for s in arr.symbols}, cur.values, cur.scale)
@@ -593,8 +550,8 @@ def _extension_gentle(arr: BlockArray, delta: Fraction, eps: Fraction,
     for r in range(rounds):
         h = cur.height
         kappas = {s: theta * cur.values[s] / (q * h) for s in cur.symbols}
-        cur, mu = basic_extend_array(cur, kappas, q, eps_round,
-                                     size_cap=size_cap)
+        cur, _ = basic_extend_array(cur, kappas, q, eps_round,
+                                    size_cap=size_cap)
         heights.append(cur.height)
         scales.append(Fraction(cur.scale))
     span = heights[-1] - h0
@@ -645,14 +602,11 @@ def _extension_transitive(arr: BlockArray, delta: Fraction, eps: Fraction,
         blocks[t_sym] = concat_many(parts)
     new_scale = c0 * k_factor
     new = BlockArray(arr.symbols, blocks, vals, new_scale)
-    # double until the assembled blocks are eps-normalized
-    t_copies = 1
-    while not all(is_normalized(new.blocks[s], eps) for s in arr.symbols):
-        t_copies *= 2
-        if new.height * 2 > size_cap:
-            raise SizeCapError("transitive extension exceeds the height cap")
+    # tile until the assembled blocks are eps-normalized
+    tile = max(choose_tile(new.blocks[s], eps, size_cap) for s in arr.symbols)
+    if tile > 1:
         new = BlockArray(arr.symbols,
-                         {s: self_concat(new.blocks[s], 2)
+                         {s: self_concat(new.blocks[s], tile)
                           for s in arr.symbols}, vals, new_scale)
     h1 = new.height
     gamma = GammaTable(((h0, c0), (h1, new_scale)),

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import Block
+from .blocks import _INT64_MAX, Block
 from .distributions import INF, FiniteDist, SkHistogram, vasershtein
 from .lemma_engine import InvariantError, PreconditionError
 from .tower import TowerTrace
@@ -165,9 +165,15 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
             r = scales[s] / tick
             num, den = r.numerator, r.denominator
             w = (u.astype(object) * num + den - 1) // den
-            weights[s] = np.array([int(x) for x in w], dtype=np.int64)
+            # summed as Python ints; weights are positive, so a total in
+            # the int64 range keeps every weight and prefix sum there too
+            total = int(w.sum())
+            if total > _INT64_MAX:
+                raise SkyscraperError(
+                    f"rounded weights of block {s!r} leave the int64 range")
+            weights[s] = w.astype(np.int64)
             old_mean = Fraction(arr.blocks[s].stats().mean)
-            new_mean = Fraction(int(weights[s].sum()), len(u)) * tick
+            new_mean = Fraction(total, len(u)) * tick
             perts[s] = (new_mean - old_mean) / old_mean
             if not perts[s] <= eta:
                 raise SkyscraperError("integer rounding exceeded eta")

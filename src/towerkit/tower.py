@@ -23,7 +23,7 @@ from .blocks import Block, is_normalized, self_concat
 from .distributions import INF, FiniteDist
 from .lemma_engine import (BlockArray, ExtensionCertificate, GammaTable,
                            InvariantError, PreconditionError, SizeCapError,
-                           basic_extend, choose_mu, extension_step,
+                           basic_extend, choose_tile, extension_step,
                            straightening_step)
 from .splitting import SplitSequence, TargetDist, build_split_sequence
 
@@ -65,11 +65,6 @@ class TowerTrace:
 
     def change_ledger(self) -> Fraction:
         return self.final.change_mass()
-
-    def residual_mass_bound(self, after_stage: int) -> float:
-        """Bound on the mass still to be moved after the given stage."""
-        return float(sum(Fraction(e).limit_denominator(10 ** 12)
-                         for e in self.epss[after_stage:]))
 
 
 def b_of(trace: TowerTrace, k: int):
@@ -184,8 +179,10 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
             raise PreconditionError(
                 f"stage {n}: kappa={kap} exceeds eps*E = {e * mean}")
         q = int(1 / e) + 1 if qs is None else int(qs[n - 1])
-        mu = choose_mu(w, kap, q, e, size_cap=size_cap)
-        w = basic_extend(w, kap, q, mu, delta=e, size_cap=size_cap)
+        # the least mu is the least tile count of the mu = 1 extension
+        w1 = basic_extend(w, kap, q, 1, delta=e, size_cap=size_cap)
+        mu = choose_tile(w1, e, size_cap)
+        w = w1 if mu == 1 else basic_extend(w, kap, q, mu, size_cap=size_cap)
         mean = mean + kap
         if Fraction(w.stats().mean) != mean:
             raise InvariantError("mean increment failed to be exact")

@@ -14,7 +14,7 @@ from towerkit.blocks import (Block, cyclic_partial_sum,
                              self_concat, stats)
 from towerkit.distributions import (FiniteDist, rho, uniform_dist,
                                     vasershtein)
-from towerkit.lemma_engine import (BlockArray, basic_extend, choose_mu,
+from towerkit.lemma_engine import (BlockArray, basic_extend, choose_tile,
                                    compound_extend, extension_step)
 from towerkit.skyscraper import (IntegerTower, are_diagnostic, check_duality,
                                  check_inversion, integerize)
@@ -125,7 +125,7 @@ def test_criterion_2_basic_lemma():
         H, qh = len(wp), q * h
         # (i) normalization by enlarging mu, on a subsample
         if checked % 20 == 0:
-            mu_star = choose_mu(w, kap, q, delta)
+            mu_star = choose_tile(basic_extend(w, kap, q, 1), delta)
             assert is_normalized(basic_extend(w, kap, q, mu_star), delta)
         # (ii) exact mean shift and pointwise domination
         assert F(wp.stats().mean) == e + kap

@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from towerkit.blocks import (Block, BlockError, _window_extremes, concat,
                              concat_many, cyclic_partial_sum,
                              cyclic_partial_sums_units, is_normalized,
-                             rescale_units, self_concat, stats)
+                             normalizing_copies, rescale_units, self_concat,
+                             stats)
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -413,6 +414,52 @@ class TestIsNormalized:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(BlockError):
             is_normalized(Block([1, 2]), 0)
+
+
+eps_values = st.sampled_from([F(1, 2), F(1, 4), F(1, 8), F(1, 20)])
+
+
+class TestNormalizingCopies:
+    def assert_least(self, w, eps):
+        """normalizing_copies(w) is the least m with w^m normalized, by
+        deciding the materialized tilings at m and m - 1."""
+        m = normalizing_copies(w, eps)
+        assert is_normalized(self_concat(w, m), eps)
+        if m > 1:
+            assert not is_normalized(self_concat(w, m - 1), eps)
+        return m
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), tile_counts,
+           eps_values)
+    @example([4, 4, 1, 3, 1], 1, F(1, 20))
+    @example([1, 3], 6, F(1, 8))
+    @example([2], 1, F(1, 8))
+    def test_matches_brute_force(self, units, r, eps):
+        # r > 1 gives an input block that is already a tiling (period < h);
+        # its least count is that of its period block, divided by r
+        base = Block(units, F(1, 2))
+        m = self.assert_least(self_concat(base, r), eps)
+        assert m == -(-normalizing_copies(base, eps) // r)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=8),
+           st.lists(st.integers(0, 2 ** 40), min_size=8, max_size=8),
+           st.sampled_from([1, 2]), eps_values)
+    @example([1, 3, 1, 3, 1, 2], [0] * 8, 1, F(1, 8))
+    @example([2, 2, 2], [0, 1, 2 ** 40, 0, 0, 0, 0, 0], 2, F(1, 20))
+    def test_past_int64_safe_matches_brute_force(self, units, offsets, r,
+                                                 eps):
+        # one period with h * Sigma >= 2^62, so the profile is scanned in
+        # Python ints; the least tiling must still fit int64 to be built
+        h = len(units)
+        c = -(-2 ** 62 // (h * sum(units)))
+        w = self_concat(Block([c * u + o for u, o in zip(units, offsets)]),
+                        r)
+        p = w.period
+        assume(p * int(w.prefix[p]) >= 2 ** 62)
+        assume(normalizing_copies(w, eps) * w.total_units() <= INT64_MAX)
+        self.assert_least(w, eps)
 
 
 def test_normalization_scan_needs_no_scipy():

@@ -11,6 +11,7 @@ from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           EXIT_OK, EXIT_SIZE_CAP, ConfigError, PRESETS,
                           build_tower_from_config, load_config, main,
                           parse_number)
+from towerkit import skyscraper as sky
 from towerkit.lemma_engine import GammaTable
 from towerkit.tower import _stage_eps_at, certify_theorem1
 
@@ -89,6 +90,38 @@ class TestConfigParsing:
         for retired in ({"mode": "exact"}, {"workers": 1}):
             with pytest.raises(ConfigError):
                 load_config(fast_config, None, **retired)
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
+        for path in (("size_cap",), ("rounds",), ("max_depth",),
+                     ("skyscraper", "n_points"),
+                     ("skyscraper", "base", "rounds"))
+        for value in ("1/2", "2.5", True, "x")] + [
+        # the tolerances take any number, but not a bool or a word
+        pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
+        for path in (("doubling_tol",), ("skyscraper", "tol"))
+        for value in (True, "x")])
+    def test_bad_config_numbers_are_2(self, path, value, tmp_path):
+        obj = json.loads(json.dumps(FAST_CONFIG))
+        obj["skyscraper"]["base"] = {k: FAST_CONFIG[k] for k in (
+            "kind", "target", "deltas", "epss", "rounds")}
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        command = "skyscraper" if path[0] == "skyscraper" else "build"
+        assert main([command, "--config",
+                     write_config(tmp_path / "c.json", obj),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_config_counts_read_exactly(self, tmp_path):
+        obj = dict(FAST_CONFIG, size_cap="1e6", rounds="3", max_depth=12.0,
+                   doubling_tol="1/8")
+        cfg = load_config(write_config(tmp_path / "c.json", obj), None)
+        assert (cfg.size_cap, cfg.rounds, cfg.max_depth) == (10 ** 6, 3, 12)
+        assert all(type(x) is int
+                   for x in (cfg.size_cap, cfg.rounds, cfg.max_depth))
+        assert cfg.doubling_tol == 0.125
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -173,12 +206,25 @@ class TestExitCodes:
         assert main(["verify", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
 
-    def test_tail_fault_injection_is_5(self, tmp_path):
-        obj = json.loads(json.dumps(FAST_CONFIG))
-        obj["skyscraper"]["inject_tail_fault"] = True
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(obj))
-        assert main(["skyscraper", "--config", str(path),
+    def test_tail_fault_injection_is_5(self, fast_config, tmp_path,
+                                       monkeypatch):
+        # inflate the heaviest weights so the occupation tail bound must
+        # fail and the hard-invariant exit path is exercised
+        integerize = sky.integerize
+
+        def faulty(trace, eta):
+            it = integerize(trace, eta)
+            weights = {}
+            for s in it.symbols:
+                w = it.weights[s].copy()
+                w[w.argsort()[int(len(w) * 0.7):]] *= 4
+                weights[s] = w
+            return sky.IntegerTower(it.trace, it.symbols, weights,
+                                    it.time_unit, it.occupation_target,
+                                    it.eta, it.perturbations)
+
+        monkeypatch.setattr(sky, "integerize", faulty)
+        assert main(["skyscraper", "--config", fast_config,
                      "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
                              self_concat, stats)
@@ -13,10 +15,9 @@ from towerkit.distributions import FiniteDist, Splitting, SymRep
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    PreconditionError, SizeCapError,
                                    _delta_k, basic_extend,
-                                   basic_extend_array, choose_mu,
-                                   choose_tile, compound_extend,
-                                   extension_step, make_k_grid,
-                                   straightening_step)
+                                   basic_extend_array, choose_tile,
+                                   compound_extend, extension_step,
+                                   make_k_grid, straightening_step)
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -144,7 +145,7 @@ class TestBasicExtend:
 
     def test_choose_mu_minimal(self):
         w = Block([1])
-        mu = choose_mu(w, F(1), 2, F(1, 2))
+        mu = choose_tile(basic_extend(w, F(1), 2, 1), F(1, 2))
         wp = basic_extend(w, F(1), 2, mu)
         assert is_normalized(wp, F(1, 2))
         for smaller in range(1, mu):
@@ -158,6 +159,37 @@ class TestBasicExtend:
         assert is_normalized(self_concat(w, t), eps)
         if t > 1:
             assert not is_normalized(self_concat(w, t - 1), eps)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 7)]),
+           st.sampled_from([F(0), F(1, 5), F(1, 2), F(3, 7), F(2)]),
+           st.integers(2, 5), st.integers(1, 6), st.booleans())
+    @example([1], F(1), F(1), 2, 3, False)
+    def test_extension_is_tiling_of_mu_one(self, units, scale, kappa, q, mu,
+                                           ledger):
+        # basic_extend(w, kappa, q, mu) is mu copies of the mu = 1 block,
+        # scale and change ledger included, so a tile count chosen on the
+        # mu = 1 block is the least mu
+        w = Block(units, scale)
+        if ledger:
+            w = basic_extend(w, F(1, 3), 2, 1)
+        big = basic_extend(w, kappa, q, mu)
+        tiled = self_concat(basic_extend(w, kappa, q, 1), mu)
+        assert big.scale == tiled.scale
+        assert np.array_equal(big.units, tiled.units)
+        assert np.array_equal(big.changed_mask, tiled.changed_mask)
+
+    def test_choose_tile_cap_is_exact(self):
+        # 111 copies of a 5-level block are the least normalizing tiling;
+        # a cap of 555 admits them although 128 copies would not fit
+        w = Block([4, 4, 1, 3, 1])
+        eps = F(1, 20)
+        assert choose_tile(w, eps, size_cap=555) == 111
+        assert is_normalized(self_concat(w, 111), eps)
+        assert not is_normalized(self_concat(w, 110), eps)
+        with pytest.raises(SizeCapError):
+            choose_tile(w, eps, size_cap=554)
 
     def test_array_extension_shares_shape(self):
         arr = two_label_array()

@@ -1,13 +1,15 @@
 """Unit tests for the integer return-time tower and its occupation laws."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from towerkit.blocks import Block
 from towerkit.distributions import FiniteDist
-from towerkit.lemma_engine import InvariantError
+from towerkit.lemma_engine import BlockArray, InvariantError
 from towerkit.skyscraper import (IntegerTower, SkyscraperError,
                                  are_diagnostic, check_duality,
                                  check_inversion, integerize, inverse_target,
@@ -77,6 +79,22 @@ class TestIntegerize:
     def test_rejects_bad_eta(self, base_trace):
         with pytest.raises(SkyscraperError):
             integerize(base_trace, F(0))
+
+    @pytest.mark.parametrize("eta", [F(1, 2 ** 62), F(1, 10 ** 30)])
+    def test_rounded_weights_past_int64_rejected(self, base_trace, eta):
+        # one block of 16 units near 2^50 at scale 2^-50 takes the rounded
+        # branch; at these eta its weights (2^-62) or their total (2^66)
+        # leave int64, which must raise instead of wrapping or overflowing
+        w = Block([2 ** 50 + j for j in range(16)], F(1, 2 ** 50))
+        mean = w.stats().mean
+        trace = dataclasses.replace(
+            base_trace, final=BlockArray(("w",), {"w": w}, {"w": mean}, 1))
+        it = integerize(trace, F(1, 2 ** 20))
+        assert 0 <= it.perturbations["w"] <= F(1, 2 ** 20)
+        assert int(it.weights["w"].sum()) == sum(
+            -(-u // 2 ** 30) for u in w.units.tolist())
+        with pytest.raises(SkyscraperError):
+            integerize(trace, eta)
 
 
 class TestReturnTimes:
