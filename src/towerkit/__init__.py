@@ -1,8 +1,7 @@
 """Exact tower constructions with certified partial-sum distributions."""
 
 from .blocks import (Block, BlockError, BlockStats, concat, concat_many,
-                     cyclic_partial_sum, is_normalized, normalizing_copies,
-                     self_concat, stats)
+                     is_normalized, normalizing_copies, self_concat, stats)
 from .distributions import (FiniteDist, Splitting, SymRep, cdf_dominates_below,
                             rho, uniform_dist, vasershtein)
 

@@ -43,6 +43,20 @@ def rescale_units(units: np.ndarray, f: int) -> np.ndarray:
     return units * np.int64(f)
 
 
+def _add_periods(units: np.ndarray, q: int, total: int) -> np.ndarray:
+    """units + q*total: S_k over q more whole periods of unit total
+    ``total``, for nonnegative units and total.  Raises BlockError when q
+    is negative (k < 0) or a sum would leave the int64 range."""
+    if q < 0:
+        raise BlockError("k must be nonnegative")
+    if q == 0:
+        return units
+    shift = q * total
+    if shift + int(units.max()) > _INT64_MAX:
+        raise BlockError(f"S_k over {q} more periods leaves the int64 range")
+    return units + np.int64(shift)
+
+
 def _has_shift(units: np.ndarray, d: int) -> bool:
     """units[i] == units[i + d] for every i, compared in chunks of growing
     length so that a mismatch near the start exits early."""
@@ -261,21 +275,6 @@ def self_concat(w: Block, m: int) -> Block:
     return out
 
 
-def cyclic_partial_sum(w: Block, k: int, nu: int) -> Fraction:
-    """S_k(w)(nu): sum of k consecutive weights starting at position nu,
-    indices taken cyclically (mod h)."""
-    h = len(w)
-    if not 1 <= nu <= h:
-        raise IndexError(f"position {nu} out of range 1..{h}")
-    if k < 0:
-        raise BlockError("k must be nonnegative")
-    t = nu - 1 + k
-    tot = w.prefix[-1]
-    wraps, r = divmod(t, h)
-    units = wraps * int(tot) + int(w.prefix[r]) - int(w.prefix[nu - 1])
-    return w.scale * units
-
-
 def cyclic_partial_sums_units(w: Block, k: int,
                               period: Optional[int] = None) -> np.ndarray:
     """Vector of S_k(w)(nu)/scale over nu = 1..h (unit counts).
@@ -283,7 +282,7 @@ def cyclic_partial_sums_units(w: Block, k: int,
     With ``period`` p, a multiple of ``w.period`` that divides h, only
     nu = 1..p are returned: S_k is p-periodic in nu, so these p values
     repeat h/p times over the block.  They are read from ``prefix[:p+1]``
-    without copying it.
+    without copying it.  A value past the int64 range raises BlockError.
     """
     h = len(w)
     if period is not None:
@@ -294,7 +293,7 @@ def cyclic_partial_sums_units(w: Block, k: int,
     tot = pre[-1]
     wraps, r = divmod(k, h)
     if r == 0:
-        return np.full(h, wraps * tot, dtype=pre.dtype)
+        return _add_periods(np.zeros(h, dtype=pre.dtype), wraps, int(tot))
     # S_k(nu) = wraps*tot + pre[nu-1+r] - pre[nu-1], where an index past h
     # wraps around and adds one more tot
     split = h + 1 - r                               # nu-1 in [0, h-r]
@@ -302,9 +301,7 @@ def cyclic_partial_sums_units(w: Block, k: int,
     np.subtract(pre[r:], pre[:split], out=out[:split])
     np.subtract(pre[1:r], pre[split:h], out=out[split:])
     out[split:] += tot
-    if wraps:
-        out += wraps * tot
-    return out
+    return _add_periods(out, wraps, int(tot))
 
 
 def stats(w: Block) -> BlockStats:

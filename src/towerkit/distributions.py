@@ -8,11 +8,15 @@ of each distinct value is a float.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from .blocks import _add_periods, cyclic_partial_sums_units
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
@@ -187,17 +191,9 @@ class FiniteDist:
                  for a in obj["atoms"]]
         return cls(atoms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, s: str) -> "FiniteDist":
-        return cls.from_json_obj(json.loads(s))
-
 
 def _atan(values) -> "np.ndarray":
     """Arctan of each value; math.inf maps to pi/2."""
-    import numpy as np
     return np.arctan(np.array([float(v) for v in values]))
 
 
@@ -220,7 +216,6 @@ def _transport(av, counts, n: int, dist: FiniteDist, metric: str) -> float:
     the integral ("vasershtein", L1) or the sup ("uniform", L-infinity) of
     the quantile gap; the comonotone coupling is optimal on the line.
     """
-    import numpy as np
     if metric not in ("vasershtein", "uniform"):
         raise DistError(f"unknown transport metric {metric!r}")
     t_counts, den = _integer_masses(dist.masses)
@@ -253,43 +248,120 @@ def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
     return _dist_transport(p, q, "uniform")
 
 
+class PeriodLaws:
+    """Laws of S_k over one least period of each block for the k of one
+    grid, each measured once per class and shared by equal blocks.
+
+    For a block of least period p and unit total Sigma = prefix[p] over a
+    period, the law at k = q*p + r follows exactly from the law at its
+    class c = min(r, p - r):
+
+    - whole periods: S_{qp+r} = q*Sigma + S_r;
+    - reflection: S_r(nu) + S_{p-r}(nu + r) = Sigma, so over one period the
+      values of S_r are Sigma minus those of S_{p-r}, in reverse order, with
+      the counts reversed.
+
+    Blocks with equal scale and units share one measurement; the
+    changed-position mask plays no part in S_k.  A class law is kept only
+    until the last k of the grid that needs it, so a grid without repeats
+    holds no more than one k at a time.
+    """
+
+    def __init__(self, blocks, ks: Sequence[int]):
+        self.blocks = list(blocks)
+        # per block, the index of the first block equal to it
+        self.first = []
+        seen: Dict[tuple, List[int]] = {}
+        for i, w in enumerate(self.blocks):
+            p = w.period
+            # blocks of equal height and least period are equal exactly when
+            # their first periods are
+            same = seen.setdefault((len(w), w.scale, p, int(w.prefix[p])), [])
+            j = next((j for j in same if np.array_equal(
+                self.blocks[j].units[:p], w.units[:p])), None)
+            if j is None:
+                same.append(i)
+                j = i
+            self.first.append(j)
+        # (index, block, least period, unit total of a period) per distinct
+        # block, and the number of k of the grid in each of its classes
+        self.distinct = []
+        for j in sorted(set(self.first)):
+            w = self.blocks[j]
+            self.distinct.append((j, w, w.period, int(w.prefix[w.period])))
+        self.pending = Counter((j, min(k % p, p - k % p))
+                               for j, _, p, _ in self.distinct for k in ks)
+        self.memo: Dict[Tuple[int, int], tuple] = {}
+
+    def at(self, k: int) -> list:
+        """Per block, in input order, the sorted distinct units of S_k over
+        one least period with their int64 counts; equal blocks get the same
+        pair.  Raises BlockError past the int64 range."""
+        laws = {}
+        for j, w, p, sigma in self.distinct:
+            q, r = divmod(k, p)
+            c = min(r, p - r)
+            law = self.memo.get((j, c))
+            if law is None:
+                law = self.memo[j, c] = np.unique(
+                    cyclic_partial_sums_units(w, c, p), return_counts=True)
+            self.pending[j, c] -= 1
+            if self.pending[j, c] <= 0:
+                del self.memo[j, c]
+            u, n = law
+            if r > c:
+                u, n = sigma - u[::-1], n[::-1]
+            laws[j] = _add_periods(u, q, sigma), n
+        return [laws[j] for j in self.first]
+
+
+def sk_histograms(blocks, ks: Sequence[int]) -> Iterator["SkHistogram"]:
+    """The SkHistogram of ``blocks`` at each k of ``ks``, in order.
+
+    One PeriodLaws serves the whole grid, so each distinct block is
+    measured once per class of k, and its memo goes with the iterator.
+    """
+    ks = list(ks)
+    laws = PeriodLaws(blocks, ks)
+    return (SkHistogram(laws.blocks, k, laws) for k in ks)
+
+
 class SkHistogram:
     """Exact law of the cyclic partial sums S_k over every position of a
     list of blocks.
 
-    For each block it holds the sorted distinct values of S_k/scale with
-    their int64 counts, so every mass is an exact integer count over the
-    total number of positions.  The values are taken over one least period
-    of each block and their counts multiplied by the number of periods.
+    For each block, in input order, it holds the sorted distinct values of
+    S_k/scale with their int64 counts, so every mass is an exact integer
+    count over the total number of positions.  The values are taken over
+    one least period of each block and their counts multiplied by the
+    number of periods; the law over a period comes from ``PeriodLaws``,
+    which derives it exactly from the law at the class of k and shares it
+    between equal blocks.  ``laws`` is the PeriodLaws of these same blocks
+    when a grid shares one (``sk_histograms``), else a fresh one is made.
     Floats enter only through the arctan of each distinct value when a
     transport distance is taken.
     """
 
     __slots__ = ("k", "scales", "units", "counts", "total")
 
-    def __init__(self, blocks, k: int):
-        import numpy as np
-
-        from .blocks import cyclic_partial_sums_units
+    def __init__(self, blocks, k: int, laws: Optional[PeriodLaws] = None):
+        if laws is None:
+            laws = PeriodLaws(blocks, [k])
         self.k = k
         self.scales = [w.scale for w in blocks]
         self.units = []
         self.counts = []
-        for w in blocks:
+        for w, (u, c) in zip(blocks, laws.at(k)):
             # S_k repeats with the block's least period p, so the law over
             # the block is h/p copies of the law over one period
-            p = w.period
-            u, c = np.unique(cyclic_partial_sums_units(w, k, p),
-                             return_counts=True)
             self.units.append(u)
-            self.counts.append(c * (len(w) // p))
+            self.counts.append(c * (len(w) // w.period))
         self.total = sum(len(w) for w in blocks)
 
     def distance(self, norm, dist: FiniteDist,
                  metric: str = "vasershtein") -> float:
         """Transport distance between the law of S_k/(k*norm) and ``dist``;
         ``metric`` is "vasershtein" (L1) or "uniform" (L-infinity)."""
-        import numpy as np
         vals = np.concatenate(
             [u.astype(float) * (float(sc) / (self.k * float(norm)))
              for u, sc in zip(self.units, self.scales)])
@@ -300,7 +372,6 @@ class SkHistogram:
 
     def count_below(self, thresh: Value) -> int:
         """Exact number of positions with S_k < thresh."""
-        import numpy as np
         n = 0
         for u, c, sc in zip(self.units, self.counts, self.scales):
             # S < thresh  <=>  units < thresh/scale, decided exactly

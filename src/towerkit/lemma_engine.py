@@ -17,13 +17,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .blocks import (Block, BlockError, Scalar, concat_many,
                      normalizing_copies, rescale_units, self_concat)
-from .distributions import FiniteDist, SkHistogram, Splitting
+from .distributions import (FiniteDist, SkHistogram, Splitting,
+                            sk_histograms)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
@@ -111,9 +112,10 @@ class BlockArray:
     def max_value(self) -> Fraction:
         return max(self.values[s] for s in self.symbols)
 
-    def sk_histogram(self, k: int) -> SkHistogram:
-        """Exact law of S_k over all positions of all blocks."""
-        return SkHistogram([self.blocks[s] for s in self.symbols], k)
+    def sk_histograms(self, ks: Sequence[int]) -> Iterator[SkHistogram]:
+        """Exact law of S_k over all positions of all blocks, for each k of
+        ``ks`` in order, sharing one measurement per block class."""
+        return sk_histograms([self.blocks[s] for s in self.symbols], ks)
 
 
 @dataclass(frozen=True)
@@ -466,8 +468,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
         k_grid = make_k_grid(base_h, final.height, dense_cap=min(
             4096, max(base_h * 4, 64)), geo_cap=64)
     deltas = []
-    for k in k_grid:
-        hist = final.sk_histogram(k)
+    for k, hist in zip(k_grid, final.sk_histograms(k_grid)):
         devs = []
         for s, units, sc in zip(arr.symbols, hist.units, hist.scales):
             ek = e0[s] * (1 + rep.p_of_k(k) * (t[s] - 1))
@@ -521,9 +522,8 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
              geo_cap: int = 256) -> ExtensionCertificate:
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
-    distances = {k: arr_new.sk_histogram(k).distance(gamma.gamma(k), y,
-                                                     metric)
-                 for k in grid}
+    distances = {k: hist.distance(gamma.gamma(k), y, metric)
+                 for k, hist in zip(grid, arr_new.sk_histograms(grid))}
     return ExtensionCertificate(tuple(grid), distances, gamma, change,
                                 float(delta), float(eps), metric)
 
@@ -677,7 +677,7 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     q_grid = []
     distances = {}
     prev_q = None
-    for k in grid:
+    for k, hist in zip(grid, final.sk_histograms(grid)):
         p = rep.p_of_k(k)
         beta_k = c0 * ((1 - p) + p * k_factor)
         q_k = (k_factor * p) / ((1 - p) + p * k_factor)
@@ -688,7 +688,7 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
         q_grid.append((k, q_k))
         blend = FiniteDist.uniform(
             [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
-        distances[k] = final.sk_histogram(k).distance(beta_k, blend)
+        distances[k] = hist.distance(beta_k, blend)
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
     bound = float(eps) + split.cost()

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import _INT64_MAX, Block
-from .distributions import INF, FiniteDist, SkHistogram, vasershtein
+from .distributions import INF, FiniteDist, sk_histograms, vasershtein
 from .lemma_engine import InvariantError, PreconditionError
 from .tower import TowerTrace
 
@@ -330,8 +330,7 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
     occ_d = {}
     phi_d = {}
     reports = {}
-    # built once, so that each block's least period is found once
-    blocks = [Block(it.weights[s], it.time_unit) for s in it.symbols]
+    windows = []
     for n in n_grid:
         rep = occupation_distribution(it, n, x_values, tail_constant)
         reports[n] = rep
@@ -341,9 +340,10 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
         occ_d[n] = vasershtein(rep.normalized, y)
-        m = max(1, int(round(float(rep.a_n))))
-        g = it.trace.global_gamma.gamma(m)
-        phi_d[n] = SkHistogram(blocks, m).distance(g, z)
+        windows.append(max(1, int(round(float(rep.a_n)))))
+    blocks = [Block(it.weights[s], it.time_unit) for s in it.symbols]
+    for n, m, hist in zip(n_grid, windows, sk_histograms(blocks, windows)):
+        phi_d[n] = hist.distance(it.trace.global_gamma.gamma(m), z)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, reports, tol,
@@ -441,23 +441,6 @@ def are_diagnostic(it: IntegerTower, alphas: Sequence, n_grid: Sequence[int],
         rows.append(AlphaRow(alpha, mode, a_a, ratio, u_table, u_sup, rho,
                              ok))
     return rows
-
-
-def occupation_mean_via_levels(it: IntegerTower, n: int) -> Fraction:
-    """Mean occupation computed by counting level hits, for cross-checks.
-
-    Sums over j >= 1 the number of base positions whose j-th return happens
-    by time n; agrees exactly with the mean of the occupation distribution.
-    """
-    total = 0
-    h = it.height
-    for s in it.symbols:
-        for pos in range(1, h + 1):
-            j = 1
-            while return_time_partial_sums(it, j, (s, pos)) <= n:
-                total += 1
-                j += 1
-    return Fraction(total, h * it.size)
 
 
 def check_duality(it: IntegerTower, n_max: Optional[int] = None) -> bool:

@@ -63,9 +63,6 @@ class TowerTrace:
     def height(self) -> int:
         return self.final.height
 
-    def change_ledger(self) -> Fraction:
-        return self.final.change_mass()
-
 
 def b_of(trace: TowerTrace, k: int):
     """Normalizing sequence b(k) = k * gamma(k)."""
@@ -329,7 +326,7 @@ class SkDistReport:
 
 def sk_distribution(trace: TowerTrace, k: int) -> SkDistReport:
     """Uniform distribution of S_k(nu) over all blocks and positions."""
-    hist = trace.final.sk_histogram(k)
+    (hist,) = trace.final.sk_histograms([k])
     counts: Dict = {}
     for uniq, cnt, sc in zip(hist.units, hist.counts, hist.scales):
         for u, c in zip(uniq.tolist(), cnt.tolist()):
@@ -411,9 +408,8 @@ def certify_theorem1(trace: TowerTrace,
     checks = []
     lower_ok = True
     margin = None
-    for k in grid:
+    for k, hist in zip(grid, arr.sk_histograms(grid)):
         g = trace.global_gamma.gamma(k)
-        hist = arr.sk_histogram(k)
         vas[k] = hist.distance(g, y)
         eps_k = _stage_eps_at(trace, k)
         if not vas[k] <= eps_k + 1e-12:

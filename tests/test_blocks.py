@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from towerkit.blocks import (Block, BlockError, _window_extremes, concat,
-                             concat_many, cyclic_partial_sum,
-                             cyclic_partial_sums_units, is_normalized,
-                             normalizing_copies, rescale_units, self_concat,
-                             stats)
+                             concat_many, cyclic_partial_sums_units,
+                             is_normalized, normalizing_copies, rescale_units,
+                             self_concat, stats)
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -27,6 +26,17 @@ INT64_MAX = 2 ** 63 - 1
 # several prime factors
 small_units = st.lists(st.integers(1, 3), min_size=1, max_size=8)
 tile_counts = st.sampled_from([1, 2, 3, 4, 6, 12])
+
+
+def cyclic_partial_sum(w, k, nu):
+    """S_k(w)(nu): the sum of k consecutive weights from position nu,
+    indices taken cyclically, as an exact Fraction from the prefix sums."""
+    h = len(w)
+    if not 1 <= nu <= h:
+        raise IndexError(f"position {nu} out of range 1..{h}")
+    wraps, r = divmod(nu - 1 + k, h)
+    return w.scale * (wraps * w.total_units() + int(w.prefix[r])
+                      - int(w.prefix[nu - 1]))
 
 
 def least_period_oracle(units):
@@ -244,9 +254,9 @@ class TestCyclicPartialSums:
     def test_small_example(self):
         w = Block([1, 2, 3])
         # wrap once past the end: S_4(2) = 2 + 3 + 1 + 2
-        assert cyclic_partial_sum(w, 4, 2) == 8
-        assert cyclic_partial_sum(w, 0, 1) == 0
-        assert cyclic_partial_sum(w, 3, 3) == 6
+        assert cyclic_partial_sums_units(w, 4)[1] == 8
+        assert cyclic_partial_sums_units(w, 0).tolist() == [0, 0, 0]
+        assert cyclic_partial_sums_units(w, 3)[2] == 6
 
     def test_against_loop_oracle(self):
         rng = random.Random(23)
@@ -255,9 +265,10 @@ class TestCyclicPartialSums:
             h = len(w)
             ws = w.weights()
             k = rng.randint(0, 3 * h)
-            nu = rng.randint(1, h)
-            expected = sum(ws[(nu - 1 + j) % h] for j in range(k))
-            assert cyclic_partial_sum(w, k, nu) == expected
+            units = cyclic_partial_sums_units(w, k)
+            for nu in range(1, h + 1):
+                expected = sum(ws[(nu - 1 + j) % h] for j in range(k))
+                assert w.scale * int(units[nu - 1]) == expected
 
     def test_vectorized_matches_scalar(self):
         rng = random.Random(31)
@@ -269,10 +280,11 @@ class TestCyclicPartialSums:
                 assert w.scale * int(units[nu - 1]) == \
                     cyclic_partial_sum(w, k, nu)
 
-    def test_out_of_range_position(self):
-        w = Block([1, 2])
-        with pytest.raises(IndexError):
-            cyclic_partial_sum(w, 1, 3)
+    def test_negative_k_rejected(self):
+        w = Block([1, 2, 1, 2])
+        for period in (None, 2, 4):
+            with pytest.raises(BlockError):
+                cyclic_partial_sums_units(w, -1, period)
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=20),
@@ -280,9 +292,8 @@ class TestCyclicPartialSums:
     def test_full_turn_identity(self, units, wraps):
         w = Block(units)
         h = len(w)
-        total = stats(w).total
-        for nu in range(1, h + 1):
-            assert cyclic_partial_sum(w, wraps * h, nu) == wraps * total
+        assert cyclic_partial_sums_units(w, wraps * h).tolist() == \
+            [wraps * w.total_units()] * h
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=20),
@@ -290,10 +301,27 @@ class TestCyclicPartialSums:
     def test_period_shift_identity(self, units, k):
         w = Block(units)
         h = len(w)
-        total = stats(w).total
-        for nu in range(1, h + 1):
-            assert cyclic_partial_sum(w, k + h, nu) == \
-                cyclic_partial_sum(w, k, nu) + total
+        assert np.array_equal(cyclic_partial_sums_units(w, k + h),
+                              cyclic_partial_sums_units(w, k)
+                              + w.total_units())
+
+    @settings(max_examples=80, derandomize=True)
+    @given(st.lists(st.integers(2 ** 60, 2 ** 62), min_size=1, max_size=3),
+           st.integers(1, 12))
+    @example([2 ** 61, 2 ** 61 - 1], 5)
+    def test_past_int64_raises(self, units, k):
+        # a total below 2^63 still lets S_k leave int64 once k passes the
+        # block: exact Python-int sums, or BlockError
+        assume(sum(units) <= INT64_MAX)
+        w = Block(units)
+        h = len(w)
+        exact = [sum(units[(nu + j) % h] for j in range(k))
+                 for nu in range(h)]
+        if max(exact) > INT64_MAX:
+            with pytest.raises(BlockError):
+                cyclic_partial_sums_units(w, k)
+        else:
+            assert cyclic_partial_sums_units(w, k).tolist() == exact
 
 
 class TestCrudeBound:

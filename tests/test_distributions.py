@@ -1,19 +1,25 @@
 """Unit tests for finite distributions and the arctan transport metrics."""
 
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from towerkit.blocks import Block, cyclic_partial_sums_units, self_concat
+import towerkit.distributions as distributions
+from towerkit.blocks import (Block, BlockError, cyclic_partial_sums_units,
+                             self_concat)
 from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
                                     Splitting, SymRep, cdf_dominates_below,
-                                    rho, uniform_dist, vasershtein)
+                                    rho, sk_histograms, uniform_dist,
+                                    vasershtein)
+
+INT64_MAX = 2 ** 63 - 1
 
 
 def random_dist(rng, max_atoms=4, max_den=6):
@@ -207,7 +213,8 @@ class TestFiniteDist:
     def test_json_round_trip(self):
         d = FiniteDist([(F(1, 3), F(1, 4)), (2.5, F(1, 4)),
                         (INF, F(1, 2))])
-        assert FiniteDist.from_json(d.to_json()) == d
+        assert FiniteDist.from_json_obj(
+            json.loads(json.dumps(d.to_json_obj()))) == d
         obj = d.to_json_obj()
         assert all(set(a) == {"value", "mass"} for a in obj["atoms"])
 
@@ -387,6 +394,109 @@ class TestSkHistogram:
         hist = SkHistogram([Block([1, 2])], 1)
         with pytest.raises(DistError):
             hist.distance(1, FiniteDist.point(1), "wasserstein")
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(2 ** 60, 2 ** 62), min_size=1, max_size=3),
+           st.integers(1, 12))
+    @example([2 ** 61, 2 ** 61 - 1], 5)
+    def test_past_int64_raises(self, units, k):
+        # whole periods past the block may leave int64 although the block
+        # total fits: exact Python-int values, or BlockError
+        assume(sum(units) <= INT64_MAX)
+        w = Block(units)
+        h = len(w)
+        exact = [sum(units[(nu + j) % h] for j in range(k))
+                 for nu in range(h)]
+        if max(exact) > INT64_MAX:
+            with pytest.raises(BlockError):
+                SkHistogram([w], k)
+        else:
+            u, c = np.unique(np.array(exact, dtype=object),
+                             return_counts=True)
+            hist = SkHistogram([w], k)
+            assert hist.units[0].tolist() == u.tolist()
+            assert hist.counts[0].tolist() == c.tolist()
+
+
+def whole_block_histogram(blocks, k):
+    """Per-k oracle: np.unique over every position of each whole block."""
+    hist = SkHistogram.__new__(SkHistogram)
+    hist.k = k
+    hist.scales = [w.scale for w in blocks]
+    laws = [np.unique(cyclic_partial_sums_units(w, k), return_counts=True)
+            for w in blocks]
+    hist.units = [u for u, _ in laws]
+    hist.counts = [c for _, c in laws]
+    hist.total = sum(len(w) for w in blocks)
+    return hist
+
+
+def assert_same_histogram(got, want):
+    assert got.k == want.k and got.total == want.total
+    assert got.scales == want.scales
+    assert len(got.units) == len(want.units)
+    for gu, gc, wu, wc in zip(got.units, got.counts, want.units,
+                              want.counts):
+        assert gu.dtype == wu.dtype and gc.dtype == wc.dtype
+        assert np.array_equal(gu, wu) and np.array_equal(gc, wc)
+
+
+class TestSkHistogramGrid:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           st.sampled_from([1, 2, 3, 4, 6]),
+           st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           st.sampled_from([F(1), F(1, 6), F(5, 4)]))
+    @example([1, 2, 4], 4, [1, 1, 2], F(1, 6))
+    @example([3, 1], 6, [1], F(1))
+    def test_matches_whole_block_oracle(self, units, m, other, scale):
+        # a tiled block repeated, a copy with equal units at another scale,
+        # and an unrelated block; every k in 0..3h+1 covers r = 0, r = p/2
+        # and several whole periods
+        tiled = self_concat(Block(units, scale), m)
+        rescaled = Block(tiled.units, scale * 3)
+        plain = Block(np.resize(other, len(tiled)), scale)
+        blocks = [tiled, tiled, rescaled, plain, tiled]
+        ks = list(range(3 * len(tiled) + 2))
+        got = list(sk_histograms(blocks, ks))
+        assert len(got) == len(ks)
+        for k, hist in zip(ks, got):
+            assert_same_histogram(hist, whole_block_histogram(blocks, k))
+
+    def test_counts_reverse_under_reflection(self):
+        # one period 1, 1, 2, 5: S_1 takes 1 twice, S_3 takes 9 twice
+        w = Block([1, 1, 2, 5])
+        hist, = sk_histograms([w], [3])
+        assert hist.units[0].tolist() == [4, 7, 8]
+        assert hist.counts[0].tolist() == [1, 1, 2]
+
+    def test_one_measurement_per_block_class(self, monkeypatch):
+        calls = []
+        measure = distributions.cyclic_partial_sums_units
+
+        def counted(w, k, period=None):
+            calls.append((w.scale, tuple(w.units.tolist()), k))
+            return measure(w, k, period)
+
+        monkeypatch.setattr(distributions, "cyclic_partial_sums_units",
+                            counted)
+        a = self_concat(Block([1, 2, 4, 1, 3, 2], F(1, 2)), 2)
+        b = Block(a.units, F(1, 4))               # equal units, other scale
+        c = Block([2, 1, 1, 1, 5, 1] * 2, F(1, 2))
+        blocks = [a, a, b, c, Block(a.units, F(1, 2), a.changed_mask)]
+        # residues, reflections and whole periods revisit classes
+        ks = [1, 5, 7, 11, 6, 12, 3, 9, 2, 4, 8, 10, 13, 17, 0]
+        hists = list(sk_histograms(blocks, ks))
+        distinct = {(w.scale, tuple(w.units.tolist())) for w in blocks}
+        pairs = {(sc, u, min(k % 6, 6 - k % 6))
+                 for sc, u in distinct for k in ks}
+        assert len(calls) == len(pairs) == 3 * 4
+        assert len(calls) < len(ks) * len(blocks)
+        for k, hist in zip(ks, hists):
+            assert_same_histogram(hist, whole_block_histogram(blocks, k))
+        # the memo lives for one grid: a second grid measures again
+        list(sk_histograms(blocks, ks))
+        assert len(calls) == 2 * len(pairs)
 
 
 class TestSymRepSplitting:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
                              self_concat, stats)
-from towerkit.distributions import FiniteDist, Splitting, SymRep
+from towerkit.distributions import FiniteDist, SkHistogram, Splitting, SymRep
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    PreconditionError, SizeCapError,
-                                   _delta_k, basic_extend,
+                                   _certify, _delta_k, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
@@ -326,6 +326,34 @@ class TestExtensionStep:
         arr = self.labels_three_halves()
         with pytest.raises(PreconditionError):
             extension_step(arr, F(1, 4), F(1, 2))
+
+    def test_certify_matches_each_k_alone(self):
+        # an extended array with a repeated block: the grid shares class
+        # laws across k and across the equal blocks, and every distance
+        # must equal, bit for bit, the one measured on that k alone from
+        # every position of each whole block
+        out, cert = extension_step(self.labels_three_halves(), F(3, 5),
+                                   F(1, 2), rounds=2, mode="gentle")
+        arr = BlockArray(("a", "a2", "b"),
+                         {"a": out.blocks["a"], "a2": out.blocks["a"],
+                          "b": out.blocks["b"]},
+                         {"a": F(1), "a2": F(1), "b": F(3, 2)}, out.scale)
+        blocks = [arr.blocks[s] for s in arr.symbols]
+        y = arr.label_dist()
+        for metric in ("uniform", "vasershtein"):
+            got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
+                           F(1, 2), arr.change_mass(), metric)
+            assert len(got.k_grid) > arr.height
+            for k in got.k_grid:
+                alone = SkHistogram.__new__(SkHistogram)
+                laws = [np.unique(cyclic_partial_sums_units(w, k),
+                                  return_counts=True) for w in blocks]
+                alone.k, alone.total = k, sum(len(w) for w in blocks)
+                alone.scales = [w.scale for w in blocks]
+                alone.units = [u for u, _ in laws]
+                alone.counts = [c for _, c in laws]
+                assert got.distances[k] == \
+                    alone.distance(cert.gamma.gamma(k), y, metric)
 
 
 class TestStraightening:

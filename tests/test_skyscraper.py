@@ -14,9 +14,22 @@ from towerkit.skyscraper import (IntegerTower, SkyscraperError,
                                  are_diagnostic, check_duality,
                                  check_inversion, integerize, inverse_target,
                                  occupation_counts, occupation_distribution,
-                                 occupation_mean_via_levels,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
+
+
+def occupation_mean_via_levels(it, n):
+    """Mean occupation computed by counting level hits: the number of base
+    positions whose j-th return happens by time n, summed over j >= 1."""
+    total = 0
+    h = it.height
+    for s in it.symbols:
+        for pos in range(1, h + 1):
+            j = 1
+            while return_time_partial_sums(it, j, (s, pos)) <= n:
+                total += 1
+                j += 1
+    return F(total, h * it.size)
 
 
 def toy_tower(weights_by_symbol, target=None):

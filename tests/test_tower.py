@@ -35,7 +35,7 @@ class TestRationalTower:
         heights = [st.height for st in trace.stages]
         assert heights == sorted(heights)
         assert all(st.cert_valid for st in trace.stages)
-        assert trace.change_ledger() < F(1, 10)
+        assert trace.final.change_mass() < F(1, 10)
 
     def test_blocks_stay_label_distributed(self, small_rational_trace):
         arr = small_rational_trace.final
@@ -83,7 +83,7 @@ class TestExampleTower:
 
     def test_ledger_below_eps_sum(self, small_example_trace):
         trace = small_example_trace
-        assert trace.change_ledger() < F(1, 3) + F(1, 4)
+        assert trace.final.change_mass() < F(1, 3) + F(1, 4)
 
     def test_target_is_constant(self, small_example_trace):
         assert small_example_trace.target == FiniteDist.point(1)
