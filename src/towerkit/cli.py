@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .distributions import FiniteDist
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError

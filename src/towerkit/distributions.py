@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .blocks import _add_periods, cyclic_partial_sums_units
+from .blocks import _add_periods, cyclic_partial_sums_units, rescale_units
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
@@ -250,7 +250,8 @@ def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
 
 class PeriodLaws:
     """Laws of S_k over one least period of each block for the k of one
-    grid, each measured once per class and shared by equal blocks.
+    grid, each measured once per class and shared by blocks that are
+    integer multiples of one pattern, at any scale.
 
     For a block of least period p and unit total Sigma = prefix[p] over a
     period, the law at k = q*p + r follows exactly from the law at its
@@ -259,46 +260,78 @@ class PeriodLaws:
     - whole periods: S_{qp+r} = q*Sigma + S_r;
     - reflection: S_r(nu) + S_{p-r}(nu + r) = Sigma, so over one period the
       values of S_r are Sigma minus those of S_{p-r}, in reverse order, with
-      the counts reversed.
+      the counts reversed;
+    - multiples: blocks of equal height and least period whose first
+      periods are g*P and g'*P for one integer pattern P (g the gcd of a
+      period's units) have S_k(g'*P) = (g'/g)*S_k(g*P), so one of them
+      is measured.  The other's law divides the measured class law by g,
+      adds whole periods of P and multiplies by g' with a check, so it
+      raises BlockError exactly when its own S_k leaves int64.
 
-    Blocks with equal scale and units share one measurement; the
-    changed-position mask plays no part in S_k.  A class law is kept only
-    until the last k of the grid that needs it, so a grid without repeats
-    holds no more than one k at a time.
+    The law is in units, so the scale plays no part, nor does the
+    changed-position mask.  A class law is kept only until the last k of
+    the grid that needs it, so a grid without repeats holds no more than
+    one k at a time.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
         self.blocks = list(blocks)
-        # per block, the index of the first block equal to it
-        self.first = []
-        seen: Dict[tuple, List[int]] = {}
+        # per block, the index of the block measured for it and its factor
+        # g' when that differs from the measured block's g, else None
+        self.first = list(range(len(self.blocks)))
+        self.factor: List[Optional[int]] = [None] * len(self.blocks)
+        shapes: Dict[Tuple[int, int], List[int]] = {}
         for i, w in enumerate(self.blocks):
-            p = w.period
-            # blocks of equal height and least period are equal exactly when
-            # their first periods are
-            same = seen.setdefault((len(w), w.scale, p, int(w.prefix[p])), [])
-            j = next((j for j in same if np.array_equal(
-                self.blocks[j].units[:p], w.units[:p])), None)
-            if j is None:
-                same.append(i)
-                j = i
-            self.first.append(j)
-        # (index, block, least period, unit total of a period) per distinct
-        # block, and the number of k of the grid in each of its classes
+            shapes.setdefault((len(w), w.period), []).append(i)
+        gcds: Dict[int, int] = {}
+        multiples: Dict[int, set] = {}
+        for (_, p), group in shapes.items():
+            # only blocks that share height and least period can share a
+            # pattern, so a block without such a partner costs nothing
+            if len(group) < 2:
+                continue
+            # (index, first unit, unit total of a period) per measured block
+            reps: List[Tuple[int, int, int]] = []
+            for i in group:
+                u = self.blocks[i].units[:p]
+                a, s = int(u[0]), int(self.blocks[i].prefix[p])
+                for j, b, t in reps:
+                    v = self.blocks[j].units[:p]
+                    # g*P and g'*P have proportional first units and totals
+                    if a * t != b * s:
+                        continue
+                    if s == t:
+                        if np.array_equal(u, v):
+                            self.first[i] = j
+                            break
+                        continue
+                    g, gj = int(np.gcd.reduce(u)), int(np.gcd.reduce(v))
+                    if np.array_equal(u // g, v // gj):
+                        self.first[i], self.factor[i] = j, g
+                        gcds[j] = gj
+                        multiples.setdefault(j, set()).add(g)
+                        break
+                else:
+                    reps.append((i, a, s))
+        # (index, block, least period, unit total of a period, gcd of a
+        # period, factors of its multiples) per measured block, and the
+        # number of k of the grid in each of its classes
         self.distinct = []
         for j in sorted(set(self.first)):
             w = self.blocks[j]
-            self.distinct.append((j, w, w.period, int(w.prefix[w.period])))
+            self.distinct.append((j, w, w.period, int(w.prefix[w.period]),
+                                  gcds.get(j), sorted(multiples.get(j, ()))))
         self.pending = Counter((j, min(k % p, p - k % p))
-                               for j, _, p, _ in self.distinct for k in ks)
+                               for j, _, p, _, _, _ in self.distinct
+                               for k in ks)
         self.memo: Dict[Tuple[int, int], tuple] = {}
 
     def at(self, k: int) -> list:
         """Per block, in input order, the sorted distinct units of S_k over
-        one least period with their int64 counts; equal blocks get the same
-        pair.  Raises BlockError past the int64 range."""
+        one least period with their int64 counts; blocks with equal units
+        get the same pair.  Raises BlockError past the int64 range."""
         laws = {}
-        for j, w, p, sigma in self.distinct:
+        for j, w, p, sigma, g, factors in self.distinct:
             q, r = divmod(k, p)
             c = min(r, p - r)
             law = self.memo.get((j, c))
@@ -311,15 +344,21 @@ class PeriodLaws:
             u, n = law
             if r > c:
                 u, n = sigma - u[::-1], n[::-1]
-            laws[j] = _add_periods(u, q, sigma), n
-        return [laws[j] for j in self.first]
+            if factors:
+                # the pattern's law, divided by g before whole periods are
+                # added, so only a block's own S_k can leave int64
+                v = _add_periods(u // g, q, sigma // g)
+                for f in factors:
+                    laws[j, f] = rescale_units(v, f), n
+            laws[j, None] = _add_periods(u, q, sigma), n
+        return [laws[j, f] for j, f in zip(self.first, self.factor)]
 
 
 def sk_histograms(blocks, ks: Sequence[int]) -> Iterator["SkHistogram"]:
     """The SkHistogram of ``blocks`` at each k of ``ks``, in order.
 
-    One PeriodLaws serves the whole grid, so each distinct block is
-    measured once per class of k, and its memo goes with the iterator.
+    One PeriodLaws serves the whole grid, so each pattern is measured once
+    per class of k, and its memo goes with the iterator.
     """
     ks = list(ks)
     laws = PeriodLaws(blocks, ks)
@@ -335,8 +374,9 @@ class SkHistogram:
     count over the total number of positions.  The values are taken over
     one least period of each block and their counts multiplied by the
     number of periods; the law over a period comes from ``PeriodLaws``,
-    which derives it exactly from the law at the class of k and shares it
-    between equal blocks.  ``laws`` is the PeriodLaws of these same blocks
+    which derives it exactly from the law at the class of k and shares one
+    measurement between blocks that are integer multiples of one pattern,
+    at any scale.  ``laws`` is the PeriodLaws of these same blocks
     when a grid shares one (``sk_histograms``), else a fresh one is made.
     Floats enter only through the arctan of each distinct value when a
     transport distance is taken.
@@ -372,13 +412,14 @@ class SkHistogram:
 
     def count_below(self, thresh: Value) -> int:
         """Exact number of positions with S_k < thresh."""
+        t = Fraction(thresh)
         n = 0
         for u, c, sc in zip(self.units, self.counts, self.scales):
-            # S < thresh  <=>  units < thresh/scale, decided exactly
-            bound = Fraction(thresh) / sc
-            cut = bound.numerator // bound.denominator
-            i = np.searchsorted(u, cut, side="left"
-                                if bound.denominator == 1 else "right")
+            # S < thresh  <=>  units < thresh/scale, decided exactly: below
+            # an integer bound, or up to the floor of a fractional one
+            cut, rem = divmod(t.numerator * sc.denominator,
+                              t.denominator * sc.numerator)
+            i = np.searchsorted(u, cut, side="right" if rem else "left")
             n += int(c[:i].sum())
         return n
 

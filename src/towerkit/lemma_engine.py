@@ -21,8 +21,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, BlockError, Scalar, concat_many,
-                     normalizing_copies, rescale_units, self_concat)
+from .blocks import (Block, Scalar, concat_many, normalizing_copies,
+                     rescale_units, self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
                             sk_histograms)
 

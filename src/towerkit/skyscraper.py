@@ -16,13 +16,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .blocks import _INT64_MAX, Block
 from .distributions import INF, FiniteDist, sk_histograms, vasershtein
-from .lemma_engine import InvariantError, PreconditionError
+from .lemma_engine import InvariantError
 from .tower import TowerTrace
 
 DEFAULT_ETA_INT = Fraction(1, 1000)

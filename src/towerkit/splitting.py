@@ -16,8 +16,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
-from .distributions import (INF, DistError, FiniteDist, Splitting, SymRep,
-                            Value, rho)
+from .distributions import INF, FiniteDist, Splitting, SymRep, Value, rho
 
 
 class SplittingError(ValueError):

@@ -10,10 +10,9 @@ distributional-limit claims are certified at finite resolution.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,11 +20,10 @@ import numpy as np
 
 from .blocks import Block, is_normalized, self_concat
 from .distributions import INF, FiniteDist
-from .lemma_engine import (BlockArray, ExtensionCertificate, GammaTable,
-                           InvariantError, PreconditionError, SizeCapError,
-                           basic_extend, choose_tile, extension_step,
-                           straightening_step)
-from .splitting import SplitSequence, TargetDist, build_split_sequence
+from .lemma_engine import (BlockArray, GammaTable, InvariantError,
+                           PreconditionError, basic_extend, choose_tile,
+                           extension_step, straightening_step)
+from .splitting import TargetDist, build_split_sequence
 
 DEFAULT_BICYCLE_M = Fraction(9, 8)
 

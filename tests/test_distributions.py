@@ -1,5 +1,6 @@
 """Unit tests for finite distributions and the arctan transport metrics."""
 
+import contextlib
 import json
 import math
 import random
@@ -390,6 +391,28 @@ class TestSkHistogram:
             assert np.array_equal(many.units[0], u)
             assert np.array_equal(many.counts[0], c)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 2 ** 20), min_size=4,
+                                       max_size=4),
+                              st.integers(1, 9),
+                              st.integers(2 ** 40 - 64, 2 ** 40 + 64)),
+                    min_size=1, max_size=3),
+           st.integers(1, 9))
+    @example([([1, 2, 3, 4], 3, 2 ** 40 - 1), ([2, 4, 6, 8], 3, 2 ** 41 - 2)],
+             2)
+    def test_count_below_exact_ties(self, specs, k):
+        # scale denominators near 2^40: every S_k value of every block is
+        # a threshold, where the count is strict, and so is a value just
+        # above it
+        blocks = [Block(u, F(a, b)) for u, a, b in specs]
+        hist = SkHistogram(blocks, k)
+        sums = [(cyclic_partial_sums_units(w, k).tolist(), w.scale)
+                for w in blocks]
+        hits = {v * sc for vals, sc in sums for v in vals}
+        for thresh in hits | {t + F(1, 2 ** 90) for t in hits}:
+            want = sum(v * sc < thresh for vals, sc in sums for v in vals)
+            assert hist.count_below(thresh) == want
+
     def test_rejects_unknown_metric(self):
         hist = SkHistogram([Block([1, 2])], 1)
         with pytest.raises(DistError):
@@ -441,6 +464,22 @@ def assert_same_histogram(got, want):
         assert np.array_equal(gu, wu) and np.array_equal(gc, wc)
 
 
+@contextlib.contextmanager
+def counted_measurements():
+    """List of the (scale, units, k) of every class law that PeriodLaws
+    measures while the context is open."""
+    calls = []
+    measure = distributions.cyclic_partial_sums_units
+
+    def counted(w, k, period=None):
+        calls.append((w.scale, tuple(w.units.tolist()), k))
+        return measure(w, k, period)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "cyclic_partial_sums_units", counted)
+        yield calls
+
+
 class TestSkHistogramGrid:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=7),
@@ -487,16 +526,78 @@ class TestSkHistogramGrid:
         # residues, reflections and whole periods revisit classes
         ks = [1, 5, 7, 11, 6, 12, 3, 9, 2, 4, 8, 10, 13, 17, 0]
         hists = list(sk_histograms(blocks, ks))
-        distinct = {(w.scale, tuple(w.units.tolist())) for w in blocks}
-        pairs = {(sc, u, min(k % 6, 6 - k % 6))
-                 for sc, u in distinct for k in ks}
-        assert len(calls) == len(pairs) == 3 * 4
+        # b is a's units at another scale: one pattern, measured once
+        distinct = {tuple(w.units.tolist()) for w in blocks}
+        pairs = {(u, min(k % 6, 6 - k % 6)) for u in distinct for k in ks}
+        assert len(calls) == len(pairs) == 2 * 4
         assert len(calls) < len(ks) * len(blocks)
         for k, hist in zip(ks, hists):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
         # the memo lives for one grid: a second grid measures again
         list(sk_histograms(blocks, ks))
         assert len(calls) == 2 * len(pairs)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           st.sampled_from([1, 2, 6]),
+           st.sampled_from([1, 2, 3]),
+           st.lists(st.tuples(st.integers(1, 7),
+                              st.sampled_from([F(1), F(1, 16384),
+                                               F(3, 2048), F(5, 4)])),
+                    min_size=2, max_size=5))
+    @example([1, 2, 4], 1, 2, [(3, F(1, 2048)), (1, F(1, 16384)),
+                               (5, F(1, 16384)), (7, F(1))])
+    @example([2, 1, 2, 1], 6, 1, [(7, F(1)), (1, F(1)), (7, F(5, 4))])
+    def test_integer_multiples_share_one_measurement(self, pattern, own,
+                                                     m, members):
+        # blocks g*P at mixed scales, with P carrying its own gcd ``own``
+        # and tiled m times; an unrelated block joins them.  The first
+        # block is measured, whichever g it has
+        base = np.tile(np.array(pattern) * own, m)
+        blocks = [Block(base * g, sc) for g, sc in members]
+        blocks.append(Block(np.resize([1, 3], base.size), F(1, 2)))
+        ks = list(range(3 * base.size + 2))
+        with counted_measurements() as calls:
+            got = list(sk_histograms(blocks, ks))
+        for k, hist in zip(ks, got):
+            assert_same_histogram(hist, whole_block_histogram(blocks, k))
+        patterns = set()
+        for w in blocks:
+            p = w.period
+            unit = w.units[:p] // np.gcd.reduce(w.units[:p])
+            patterns.add(tuple(unit.tolist()))
+        pairs = {(u, min(k % len(u), len(u) - k % len(u)))
+                 for u in patterns for k in ks}
+        assert len(calls) == len(pairs)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(2 ** 56, 2 ** 59), min_size=1, max_size=3),
+           st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=2,
+                    max_size=3),
+           st.integers(1, 12))
+    # only the member with the larger g leaves int64
+    @example([2 ** 58, 2 ** 58 + 1], [1, 7], 5)
+    # the measured block has the larger g; 15*S_3(P) would leave int64
+    @example([2 ** 58, 2 ** 58 + 1], [5, 3], 3)
+    def test_multiples_past_int64(self, pattern, gs, k):
+        # exact Python-int values of each multiple's S_k, or BlockError as
+        # soon as one of them leaves int64
+        assume(all(g * sum(pattern) <= INT64_MAX for g in gs))
+        blocks = [Block([g * u for u in pattern], F(1, g)) for g in gs]
+        h = len(pattern)
+        exact = [[g * sum(pattern[(nu + j) % h] for j in range(k))
+                  for nu in range(h)] for g in gs]
+        if max(map(max, exact)) > INT64_MAX:
+            with pytest.raises(BlockError):
+                SkHistogram(blocks, k)
+            return
+        hist = SkHistogram(blocks, k)
+        for vals, u, c in zip(exact, hist.units, hist.counts):
+            want_u, want_c = np.unique(np.array(vals, dtype=object),
+                                       return_counts=True)
+            assert u.dtype == np.int64
+            assert u.tolist() == want_u.tolist()
+            assert c.tolist() == want_c.tolist()
 
 
 class TestSymRepSplitting:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import towerkit.lemma_engine as lemma_engine
 from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
                              self_concat, stats)
 from towerkit.distributions import FiniteDist, SkHistogram, Splitting, SymRep
@@ -311,6 +312,39 @@ class TestExtensionStep:
         assert cert.metric == "vasershtein"
         assert out.scale > arr.scale
         assert out.label_dist() == arr.label_dist()
+
+    def test_transitive_tiles_the_assembled_blocks(self, monkeypatch):
+        # on the small arrays tried, the assembled blocks are already
+        # eps-normalized, so the final tile count is raised to 3 here to
+        # run the branch that tiles them
+        arr = BlockArray(("a", "b"), {"a": Block([4], F(1, 4)),
+                                      "b": Block([6], F(1, 4))},
+                         {"a": F(1), "b": F(3, 2)}, F(1))
+        eps = F(1, 2)
+        seen = []
+        least = lemma_engine.choose_tile
+
+        def forced(w, e, size_cap):
+            m = least(w, e, size_cap)
+            if e != eps:        # the pieces of compound_extend
+                return m
+            seen.append((len(w), m))
+            return max(m, 3)
+
+        monkeypatch.setattr(lemma_engine, "choose_tile", forced)
+        out, cert = extension_step(arr, F(3, 5), eps, mode="transitive")
+        (h, m), _ = seen
+        assert m == 1 and out.height == 3 * h
+        blocks = [out.blocks[s] for s in out.symbols]
+        assert all(np.array_equal(w.units, np.tile(w.units[:h], 3))
+                   for w in blocks)
+        assert all(is_normalized(w, eps) for w in blocks)
+        assert out.label_dist() == arr.label_dist()
+        for s in out.symbols:
+            assert F(out.blocks[s].stats().mean) == out.scale * out.values[s]
+        assert cert.k_grid[0] == arr.height
+        assert cert.k_grid[-1] == out.height
+        assert cert.is_valid()
 
     def test_gamma_chain_steps_bounded(self):
         arr = self.labels_three_halves()
