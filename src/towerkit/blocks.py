@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,6 +104,17 @@ def _common_scale(a: "Block", b: "Block") -> Tuple[Fraction, int, int]:
     return g, int(ma), int(mb)
 
 
+class Bump(NamedTuple):
+    """How a bump tiling built a block: its units are ``factor`` times the
+    units of ``child``, tiled, plus ``amount`` at positions spacing,
+    2*spacing, ... (1-based).  ``spacing`` is a multiple of len(child)."""
+
+    child: "Block"
+    factor: int
+    amount: int
+    spacing: int
+
+
 @dataclass(frozen=True)
 class BlockStats:
     """Length, max, total and mean of a block, exact."""
@@ -122,7 +133,7 @@ class Block:
     Float units, a float scale and float weights raise ``BlockError``.
     """
 
-    __slots__ = ("units", "scale", "prefix", "_changed", "_period")
+    __slots__ = ("units", "scale", "prefix", "_changed", "_period", "_bump")
 
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
                  changed: Optional[np.ndarray] = None):
@@ -159,6 +170,8 @@ class Block:
         # weight inherited from the coarsest ancestor block (change ledger).
         self._changed = changed
         self._period: Optional[int] = None
+        # Set by the bump tiling that built the block, else None.
+        self._bump: Optional[Bump] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -272,6 +285,7 @@ def self_concat(w: Block, m: int) -> Block:
     changed = np.tile(w.changed_mask, m) if w._changed is not None else None
     out = Block(units, w.scale, changed)
     out._period = w._period
+    out._bump = w._bump
     return out
 
 

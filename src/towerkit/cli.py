@@ -4,7 +4,8 @@ Configs are JSON.  Config numbers are read exactly as Fractions: integers,
 rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
 floats through their shortest repr, so 0.1 is 1/10.  Counts (size_cap,
 rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
-"2.5" is invalid; the tolerances doubling_tol/tol are read the same way and
+"2.5" is invalid, and k_grid and sk_dist_ks are lists of positive whole
+numbers; the tolerances doubling_tol/tol are read the same way and
 then used as floats, as are the lognormal target's mu/sigma.  There
 is one arithmetic mode, "exact"; a config "mode" other than "exact" is
 invalid.  All data goes to files in the output directory, logs go to
@@ -67,14 +68,31 @@ def parse_number(x) -> Fraction:
         raise ConfigError(f"bad number {x!r}: {exc}")
 
 
-def _config_int(obj: dict, key: str, default) -> int:
+def _whole_number(x, key: str) -> int:
     """A config count, read exactly: "1e6" is 10**6, while a number that
     is not a whole integer raises ConfigError."""
-    x = obj.get(key, default)
     n = parse_number(x)
     if n.denominator != 1:
         raise ConfigError(f"{key} must be an integer, got {x!r}")
     return int(n)
+
+
+def _config_int(obj: dict, key: str, default) -> int:
+    return _whole_number(obj.get(key, default), key)
+
+
+def _config_ks(obj: dict, key: str) -> Optional[List[int]]:
+    """A config list of window lengths k, each a positive whole number
+    read like a count; None when the key is absent."""
+    xs = obj.get(key)
+    if xs is None:
+        return None
+    if not isinstance(xs, list):
+        raise ConfigError(f"{key} must be a list, got {xs!r}")
+    ks = [_whole_number(x, key) for x in xs]
+    if any(k < 1 for k in ks):
+        raise ConfigError(f"{key} must hold positive integers, got {xs!r}")
+    return ks
 
 
 @dataclass
@@ -244,8 +262,8 @@ def load_config(path: Optional[str], preset: Optional[str],
         max_depth=_config_int(obj, "max_depth", 16), etas=etas,
         doubling_tol=float(parse_number(obj.get("doubling_tol", 0.1))),
         x_values=x_values,
-        sk_dist_ks=obj.get("sk_dist_ks"),
-        k_grid=obj.get("k_grid"),
+        sk_dist_ks=_config_ks(obj, "sk_dist_ks"),
+        k_grid=_config_ks(obj, "k_grid"),
         skyscraper=sky_obj)
     return cfg
 
@@ -372,8 +390,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
                            k_grid=cfg.k_grid)
     ks = cfg.sk_dist_ks or [max(1, trace.height // 2), trace.height]
     for k in ks:
-        sk_distribution(trace, int(k)).to_csv(
-            os.path.join(out, f"skdist_{int(k)}.csv"))
+        sk_distribution(trace, k).to_csv(
+            os.path.join(out, f"skdist_{k}.csv"))
     report = dict(_report_header(cfg))
     report.update({
         "k_grid_size": len(rep.k_grid),
@@ -434,11 +452,12 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         _log("skyscraper: no admissible time horizons under the cap")
         return EXIT_CONFIG
     tail_constant = parse_number(sky_cfg.get("tail_constant", "2"))
+    occ = sky.occupation_table(it, n_grid)
     try:
         if it.height * it.size <= 512:
             sky.check_duality(it)
         inv = sky.check_inversion(
-            it, n_grid, tol=tol, tail_constant=tail_constant,
+            it, occ, tol=tol, tail_constant=tail_constant,
             x_values=tuple(parse_number(x) for x in sky_cfg.get(
                 "x_values", ["5/4", "3/2", "2"])))
     except (sky.InversionError, InvariantError) as exc:
@@ -453,7 +472,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
               for t in sky_cfg.get("t_grid", ["2"])]
     divergent = [float(parse_number(a))
                  for a in sky_cfg.get("divergent_alphas", [])]
-    rows = sky.are_diagnostic(it, alphas, n_grid, t_grid, rho_fn=rho_fn,
+    rows = sky.are_diagnostic(it, occ, alphas, t_grid, rho_fn=rho_fn,
                               divergent_alphas=divergent,
                               tail_constant=tail_constant)
     report = dict(_report_header(cfg))

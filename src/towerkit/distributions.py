@@ -248,6 +248,62 @@ def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
     return _dist_transport(p, q, "uniform")
 
 
+def _run_starts(srt: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values starts in a sorted array."""
+    new = np.ones(srt.size, dtype=bool)
+    new[1:] = srt[1:] != srt[:-1]
+    return np.flatnonzero(new)
+
+
+def _runs(srt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a sorted array with the length of each run."""
+    starts = _run_starts(srt)
+    return srt[starts], np.diff(starts, append=srt.size)
+
+
+def _class_law(w, c: int) -> tuple:
+    """Sorted distinct units of S_c over one least period p of ``w``, with
+    their int64 counts, for 0 <= c < p.
+
+    A block that a bump tiling built with its least period as spacing s
+    (``w._bump``) is measured on one least period L of the tiled child: a
+    position t in [0, s) reads f*S_c(child) at t mod L, plus the bump B
+    exactly when t >= s - c.  So each tau in [0, L) counts
+    (s-c)//L + [tau < (s-c) % L] times with f*S_c(child)(tau) and
+    c//L + [tau >= L - c % L] times with that plus B; B is added only
+    where it occurs, so BlockError comes exactly with the block's own.
+    Any other block is measured over its period.
+    """
+    p = w.period
+    bump = w._bump
+    if bump is None or c == 0 or bump.spacing != p:
+        return np.unique(cyclic_partial_sums_units(w, c, p),
+                         return_counts=True)
+    child, f, b, s = bump
+    L = child.period
+    v = cyclic_partial_sums_units(child, c, L)
+    n0, r0 = divmod(s - c, L)
+    n1, r1 = divmod(c, L)
+    # s is a multiple of L, so r0 + r1 is 0 or L: tau < r0 gets one more
+    # plain window, and tau >= r0 one more bumped window when r1 > 0
+    (hu, hn), (tu, tn) = _runs(np.sort(v[:r0])), _runs(np.sort(v[r0:]))
+    u = rescale_units(np.concatenate([hu, tu]), f)
+    m = np.concatenate([hn, tn])
+    plain = n0 * m
+    plain[:hu.size] += hn
+    bumped = n1 * m
+    if r1:
+        bumped[hu.size:] += tn
+    keep, hit = plain > 0, bumped > 0
+    vals = np.concatenate([u[keep], _add_periods(u[hit], 1, b)])
+    counts = np.concatenate([plain[keep], bumped[hit]])
+    # at most four values per distinct value of v: merge equal ones
+    order = np.argsort(vals)
+    vals, counts = vals[order], counts[order]
+    starts = _run_starts(vals)
+    return vals[starts], np.add.reduceat(counts, starts)
+
+
 class PeriodLaws:
     """Laws of S_k over one least period of each block for the k of one
     grid, each measured once per class and shared by blocks that are
@@ -268,6 +324,8 @@ class PeriodLaws:
       adds whole periods of P and multiplies by g' with a check, so it
       raises BlockError exactly when its own S_k leaves int64.
 
+    A class law is measured by ``_class_law``: on one least period of the
+    child of a bump-tiled block, else over the block's own least period.
     The law is in units, so the scale plays no part, nor does the
     changed-position mask.  A class law is kept only until the last k of
     the grid that needs it, so a grid without repeats holds no more than
@@ -336,8 +394,7 @@ class PeriodLaws:
             c = min(r, p - r)
             law = self.memo.get((j, c))
             if law is None:
-                law = self.memo[j, c] = np.unique(
-                    cyclic_partial_sums_units(w, c, p), return_counts=True)
+                law = self.memo[j, c] = _class_law(w, c)
             self.pending[j, c] -= 1
             if self.pending[j, c] <= 0:
                 del self.memo[j, c]

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, Scalar, concat_many, normalizing_copies,
+from .blocks import (Block, Bump, Scalar, concat_many, normalizing_copies,
                      rescale_units, self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
                             sk_histograms)
@@ -236,28 +236,29 @@ class ExtensionCertificate:
 
 def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
     """w^{(m copies)} with ``bump`` added at positions spacing, 2*spacing,...
-    (1-based), marking those positions as changed."""
+    (1-based), marking those positions as changed.  The result records
+    this as its ``Bump``, from which ``PeriodLaws`` measures it."""
     big = self_concat(w, m)
     h = len(big)
     if h % spacing != 0:
         raise PreconditionError("bump spacing must divide the tiled length")
     ratio = Fraction(bump) / big.scale
+    f = ratio.denominator
     units = big.units
-    scale = big.scale
-    if ratio.denominator != 1:
-        f = ratio.denominator
+    if f != 1:
         if int(units.max()) * f * h >= (1 << 62):
             raise SizeCapError("rescaled weights exceed the integer range")
         units = rescale_units(units, f)
-        scale = scale / f
-        ratio = ratio * f
     else:
         units = units.copy()
+    amount = int(ratio * f)
     idx = np.arange(spacing - 1, h, spacing)
-    units[idx] += np.int64(ratio)
+    units[idx] += np.int64(amount)
     changed = big.changed_mask.copy()
     changed[idx] = True
-    return Block(units, scale, changed)
+    out = Block(units, big.scale / f, changed)
+    out._bump = Bump(w, f, amount, spacing)
+    return out
 
 
 def basic_extend(w: Block, kappa: Scalar, q: int, mu: int,

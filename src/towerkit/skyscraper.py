@@ -233,6 +233,14 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
     return out
 
 
+def occupation_table(it: IntegerTower, n_grid: Sequence[int]) -> Dict:
+    """``occupation_counts`` at each distinct horizon of ``n_grid``, in
+    increasing order: the per-position counts that ``check_inversion`` and
+    ``are_diagnostic`` both read, counted once."""
+    return {n: occupation_counts(it, n)
+            for n in sorted(set(int(n) for n in n_grid))}
+
+
 @dataclass(frozen=True)
 class OccupationReport:
     """Occupation distribution at one time horizon with its tail checks."""
@@ -254,18 +262,18 @@ class OccupationReport:
                 writer.writerow([str(v), str(m)])
 
 
-def occupation_distribution(it: IntegerTower, n: int,
+def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
                             x_values: Sequence = (Fraction(5, 4),
                                                   Fraction(3, 2),
                                                   Fraction(2)),
                             tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
                             ) -> OccupationReport:
-    """Exact distribution of the base occupation count at time n.
+    """Exact distribution of the base occupation count at time n, from
+    its per-position ``counts`` (``occupation_counts(it, n)``).
 
     The tail checks compare the exact mass of [S_n >= x a(n)] against
     tail_constant * P(Y >= x) for the occupation target Y.
     """
-    counts = occupation_counts(it, n)
     h, size = it.height, it.size
     if min(int(counts[s].min()) for s in it.symbols) < 1:
         raise SkyscraperError(
@@ -308,7 +316,7 @@ class InversionReport:
         return self.top_ok and self.tail_ok
 
 
-def check_inversion(it: IntegerTower, n_grid: Sequence[int],
+def check_inversion(it: IntegerTower, occ: Dict,
                     tol: float = 0.15,
                     x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
                                           Fraction(2)),
@@ -316,15 +324,16 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
                     ) -> InversionReport:
     """Certify the occupation limit and the matching return-time limit.
 
-    At every n in the grid the occupation law S_n/a(n) is compared with the
+    ``occ`` is the ``occupation_table`` of the time grid.  At every n in
+    the grid the occupation law S_n/a(n) is compared with the
     occupation target and the return-time law phi_m/b(m), at the matched
     window m ~ a(n), with the trace target.  Distances in the top decade of
     the grid must stay below ``tol``; any tail-check failure aborts with a
     witness.
     """
-    if not n_grid:
+    if not occ:
         raise SkyscraperError("need a nonempty time grid")
-    n_grid = sorted(set(int(n) for n in n_grid))
+    n_grid = sorted(occ)
     y = it.occupation_target
     z = it.trace.target
     occ_d = {}
@@ -332,7 +341,8 @@ def check_inversion(it: IntegerTower, n_grid: Sequence[int],
     reports = {}
     windows = []
     for n in n_grid:
-        rep = occupation_distribution(it, n, x_values, tail_constant)
+        rep = occupation_distribution(it, n, occ[n], x_values,
+                                      tail_constant)
         reports[n] = rep
         for x, lhs, bound, ok in rep.tail_checks:
             if not ok:
@@ -374,14 +384,15 @@ def _target_rho(y: FiniteDist, alpha: float, t: float) -> float:
     return acc
 
 
-def are_diagnostic(it: IntegerTower, alphas: Sequence, n_grid: Sequence[int],
+def are_diagnostic(it: IntegerTower, occ: Dict, alphas: Sequence,
                    t_grid: Sequence, rho_fn: Optional[Callable] = None,
                    divergent_alphas: Sequence = (),
                    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
                    ) -> List[AlphaRow]:
     """Alpha-moment growth and uniform-integrability table.
 
-    For each finite alpha the exact occupation distributions give
+    ``occ`` is the ``occupation_table`` of the time grid.  For each finite
+    alpha the exact occupation counts give
     a_{alpha,Omega}(n) = (E[S_n(1_Omega)^alpha])^(1/alpha) and the
     functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}] with
     Phi_n = (S_n/a(n))^alpha.  In integrable mode the sup of u over the top
@@ -389,57 +400,53 @@ def are_diagnostic(it: IntegerTower, alphas: Sequence, n_grid: Sequence[int],
     divergent mode (infinite alpha-moment of the target) only reports the
     growth trend.  alpha = inf reports the sup-norm diagnostic.
     """
-    if not n_grid:
+    if not occ:
         raise SkyscraperError("need a nonempty time grid")
-    n_grid = sorted(set(int(n) for n in n_grid))
+    alphas = [float(a) for a in alphas]
+    if any(a != math.inf and a <= 0 for a in alphas):
+        raise SkyscraperError("alpha must be positive")
+    t_grid = [float(t) for t in t_grid]
+    n_grid = sorted(occ)
     y = it.occupation_target
     divergent = set(float(a) for a in divergent_alphas)
     total = it.height * it.size
-    occ = {}
-    for n in n_grid:
-        counts = occupation_counts(it, n)
-        occ[n] = np.concatenate([counts[s] for s in it.symbols]).astype(float)
-    a1 = {n: float(occ[n].mean()) for n in n_grid}
-    a_of = {n: float(it.a_of(n)) for n in n_grid}
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
+    # every statistic of one horizon from one float copy of its counts,
+    # so only one copy is held at a time
+    a1, moment, u_table = {}, {}, {}
+    for n in n_grid:
+        x = np.concatenate([occ[n][s] for s in it.symbols], dtype=float)
+        a1[n] = float(x.mean())
+        a_n = float(it.a_of(n))
+        for alpha in alphas:
+            if alpha == math.inf:
+                moment[alpha, n] = float(x.max())
+                continue
+            moment[alpha, n] = float(np.mean(x ** alpha)) ** (1.0 / alpha)
+            phi = x / a_n
+            phi **= alpha
+            for t in t_grid:
+                u_table[alpha, n, t] = float(phi[phi > t].sum()) / total
     rows = []
     for alpha in alphas:
-        alpha = float(alpha)
-        if alpha != math.inf and alpha <= 0:
-            raise SkyscraperError("alpha must be positive")
+        a_a = {n: moment[alpha, n] for n in n_grid}
+        ratio = {n: a_a[n] / a1[n] for n in n_grid}
         if alpha == math.inf:
-            a_a = {n: float(occ[n].max()) for n in n_grid}
-            ratio = {n: a_a[n] / a1[n] for n in n_grid}
             rows.append(AlphaRow(alpha, "sup-norm", a_a, ratio, {}, {}, {},
                                  None))
             continue
-        a_a = {n: float(np.mean(occ[n] ** alpha)) ** (1.0 / alpha)
-               for n in n_grid}
-        ratio = {n: a_a[n] / a1[n] for n in n_grid}
         mode = "divergent" if (alpha in divergent or INF in y.values) \
             else "integrable"
-        u_table = {}
-        u_sup = {}
-        rho = {}
-        for t in t_grid:
-            t = float(t)
-            rho[t] = rho_fn(alpha, t) if rho_fn is not None \
-                else _target_rho(y, alpha, t)
-            sup = 0.0
-            for n in n_grid:
-                phi = (occ[n] / a_of[n]) ** alpha
-                u = float(phi[phi > t].sum()) / total
-                u_table[(n, t)] = u
-                if n in top:
-                    sup = max(sup, u)
-            u_sup[t] = sup
+        u = {(n, t): u_table[alpha, n, t] for t in t_grid for n in n_grid}
+        u_sup = {t: max([0.0] + [u[n, t] for n in top]) for t in t_grid}
+        rho = {t: rho_fn(alpha, t) if rho_fn is not None
+               else _target_rho(y, alpha, t) for t in t_grid}
         if mode == "integrable":
             ok = all(u_sup[t] <= float(tail_constant) * rho[t] + 1e-12
                      for t in rho)
         else:
             ok = None
-        rows.append(AlphaRow(alpha, mode, a_a, ratio, u_table, u_sup, rho,
-                             ok))
+        rows.append(AlphaRow(alpha, mode, a_a, ratio, u, u_sup, rho, ok))
     return rows
 
 

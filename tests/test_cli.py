@@ -5,6 +5,7 @@ import json
 import os
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
@@ -113,6 +114,29 @@ class TestConfigParsing:
         assert main([command, "--config",
                      write_config(tmp_path / "c.json", obj),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key}={value!r}")
+        for key, values in (("k_grid", ([0], [-3], ["a"], [1.5], 5)),
+                            ("sk_dist_ks", (["x"], [0])))
+        for value in values])
+    def test_bad_k_lists_are_2(self, key, value, tmp_path):
+        # read when the config loads, before verify would divide by k or
+        # write skdist_0.csv
+        path = write_config(tmp_path / "c.json", {key: value})
+        with pytest.raises(ConfigError):
+            load_config(path, "example1")
+        assert main(["verify", "--preset", "example1", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "skdist_0.csv").exists()
+
+    def test_k_lists_read_exactly(self, tmp_path):
+        obj = dict(FAST_CONFIG, k_grid=["1e2", 7, "14/2"], sk_dist_ks=[3.0])
+        cfg = load_config(write_config(tmp_path / "c.json", obj), None)
+        assert cfg.k_grid == [100, 7, 7] and cfg.sk_dist_ks == [3]
+        assert all(type(k) is int for k in cfg.k_grid + cfg.sk_dist_ks)
+        assert load_config(write_config(tmp_path / "d.json", FAST_CONFIG),
+                           None).k_grid is None
 
     def test_config_counts_read_exactly(self, tmp_path):
         obj = dict(FAST_CONFIG, size_cap="1e6", rounds="3", max_depth=12.0,
@@ -329,6 +353,51 @@ class TestDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names,
                                                    shallow=False)
         assert mismatch == [] and errors == []
+
+
+class TestSkyscraperCounts:
+    def test_one_occupation_count_per_horizon(self, fast_config, tmp_path,
+                                              monkeypatch):
+        # check_inversion and are_diagnostic read one table; this tower is
+        # above the exhaustive duality check's 512 positions
+        calls = []
+        count = sky.occupation_counts
+
+        def counted(it, n):
+            calls.append(n)
+            return count(it, n)
+
+        monkeypatch.setattr(sky, "occupation_counts", counted)
+        out = tmp_path / "out"
+        assert main(["skyscraper", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "inversion_report.json").read_text())
+        n_grid = sorted(int(n) for n in report["inversion"][
+            "occupation_distances"])
+        assert len(n_grid) > 1 and calls == n_grid
+
+
+class TestPresetProvenance:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bump_blocks_tile_their_child(self, preset):
+        # every block a bump tiling built, down each chain, is its child's
+        # units times f, tiled, plus B at every spacing-th position
+        trace = build_tower_from_config(load_config(None, preset))
+        todo = [trace.final.blocks[s] for s in trace.final.symbols]
+        seen = 0
+        while todo:
+            w = todo.pop()
+            if w._bump is None:
+                continue
+            child, f, b, s = w._bump
+            assert s % len(child) == 0 and len(w) % s == 0
+            assert w.scale * f == child.scale
+            want = np.tile(child.units * f, len(w) // len(child))
+            want[s - 1::s] += b
+            assert np.array_equal(w.units, want)
+            seen += 1
+            todo.append(child)
+        assert seen >= len(trace.final.symbols)
 
 
 class TestReports:

@@ -19,6 +19,7 @@ from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
                                     Splitting, SymRep, cdf_dominates_below,
                                     rho, sk_histograms, uniform_dist,
                                     vasershtein)
+from towerkit.lemma_engine import basic_extend
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -598,6 +599,121 @@ class TestSkHistogramGrid:
             assert u.dtype == np.int64
             assert u.tolist() == want_u.tolist()
             assert c.tolist() == want_c.tolist()
+
+
+def bump_chain(base, rep, scale, steps, cap=600):
+    """``rep`` copies of Block(base, scale), then one basic_extend per
+    (kappa, q, mu) of ``steps``; the chain ends before a step that would
+    pass ``cap`` levels."""
+    w = self_concat(Block(base, scale), rep)
+    for kappa, q, mu in steps:
+        if len(w) * q * mu > cap:
+            break
+        w = basic_extend(w, kappa, q, mu)
+    return w
+
+
+def class_law_oracle(w, c):
+    """np.unique of S_c over one least period of the materialized units."""
+    return np.unique(cyclic_partial_sums_units(w, c, w.period),
+                     return_counts=True)
+
+
+def assert_same_law(got, want):
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype and np.array_equal(g, x)
+
+
+bump_steps = st.lists(
+    st.tuples(st.one_of(st.just(F(0)),
+                        st.fractions(F(1, 11), F(3), max_denominator=11)),
+              st.integers(2, 3), st.integers(1, 2)),
+    min_size=1, max_size=3)
+
+
+class TestBumpDerivedLaw:
+    """Blocks that basic_extend built are measured on one period of the
+    child they tile; every law must equal the materialized oracle."""
+
+    # f = 7, mu = 2, and a child of least period 2 and length 4
+    RESCALED = ([1, 2], 2, F(1), [(F(1, 7), 2, 2)])
+    # a three-step chain whose last step is a plain tiling (kappa = 0)
+    CHAIN = ([3, 1, 2], 1, F(1, 2),
+             [(F(1, 3), 2, 1), (F(2, 5), 3, 2), (F(0), 2, 1)])
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           st.integers(1, 3), st.sampled_from([F(1), F(1, 2), F(3, 7)]),
+           bump_steps)
+    @example(*RESCALED)
+    @example(*CHAIN)
+    def test_matches_oracle_at_every_class(self, base, rep, scale, steps):
+        w = bump_chain(base, rep, scale, steps)
+        for c in range(w.period):
+            assert_same_law(distributions._class_law(w, c),
+                            class_law_oracle(w, c))
+
+    @pytest.mark.parametrize("case", ["RESCALED", "CHAIN"])
+    def test_examples_take_the_derived_path(self, case):
+        w = bump_chain(*getattr(self, case))
+        child, f, b, s = w._bump
+        assert w.period == s and b > 0
+        if case == "RESCALED":
+            assert f == 7 and len(w) == 2 * s
+            assert child.period < len(child)
+        else:
+            # the plain tiling of the last step carried the bump over
+            assert len(w) == 4 * s and len(child) == 6
+        with counted_measurements() as calls:
+            list(sk_histograms([w], range(2 * len(w) + 1)))
+        # every class but 0 is measured on the child alone
+        assert {len(units) for _, units, k in calls if k} == {len(child)}
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           st.integers(1, 2), bump_steps,
+           st.lists(st.sampled_from([1, 2, 3, 7]), min_size=2, max_size=4))
+    @example([1, 2], 2, [(F(1, 7), 2, 2)], [1, 7, 3])
+    def test_multiples_share_the_derived_law(self, base, rep, steps, gs):
+        # g*P siblings: every weight and bump times g, so the units are
+        # proportional at whatever scale each chain ends
+        blocks = [bump_chain(np.array(base) * g, rep, F(1),
+                             [(g * kappa, q, mu) for kappa, q, mu in steps],
+                             cap=300)
+                  for g in gs]
+        ks = list(range(2 * len(blocks[0]) + 2))
+        with counted_measurements() as calls:
+            got = list(sk_histograms(blocks, ks))
+        for k, hist in zip(ks, got):
+            assert_same_histogram(hist, whole_block_histogram(blocks, k))
+        p = blocks[0].period
+        assert len(calls) == len({min(k % p, p - k % p) for k in ks})
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(2 ** 57, 2 ** 58), min_size=1, max_size=2),
+           st.integers(1, 2 ** 58), st.integers(1, 40))
+    # units 2^58, 2^58, 2^58, 2^59: the largest S_25 is 2^63, one past
+    # int64, while every S_24 fits
+    @example([2 ** 58, 2 ** 58], 2 ** 58, 25)
+    @example([2 ** 58, 2 ** 58], 2 ** 58, 24)
+    def test_past_int64_parity(self, base, bump, k):
+        # a bump-tiled block with a total near 2^62: the law of every k is
+        # the exact Python-int law, or BlockError when that leaves int64
+        child = Block(base)
+        w = basic_extend(child, F(bump, 2 * len(child)), 2, 1)
+        assert w._bump.amount == bump and w._bump.factor == 1
+        units, h = w.units.tolist(), len(w)
+        exact = [sum(units[(nu + j) % h] for j in range(k))
+                 for nu in range(h)]
+        if max(exact) > INT64_MAX:
+            with pytest.raises(BlockError):
+                SkHistogram([w], k)
+            return
+        u, c = np.unique(np.array(exact, dtype=object), return_counts=True)
+        hist = SkHistogram([w], k)
+        assert hist.units[0].dtype == np.int64
+        assert hist.units[0].tolist() == u.tolist()
+        assert hist.counts[0].tolist() == c.tolist()
 
 
 class TestSymRepSplitting:

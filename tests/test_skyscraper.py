@@ -14,6 +14,7 @@ from towerkit.skyscraper import (IntegerTower, SkyscraperError,
                                  are_diagnostic, check_duality,
                                  check_inversion, integerize, inverse_target,
                                  occupation_counts, occupation_distribution,
+                                 occupation_table,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
 
@@ -162,14 +163,15 @@ class TestOccupation:
     def test_distribution_total_mass(self, int_tower):
         n = 6 * max(int(int_tower.weights[s].max())
                     for s in int_tower.symbols)
-        rep = occupation_distribution(int_tower, n)
+        rep = occupation_distribution(int_tower, n,
+                                      occupation_counts(int_tower, n))
         assert sum(rep.dist.masses) == 1
         assert rep.dist.mean() == occupation_mean_via_levels(int_tower, n)
 
     def test_early_time_rejected(self):
         it = toy_tower({"a": [5, 9, 7]})
         with pytest.raises(SkyscraperError):
-            occupation_distribution(it, 3)
+            occupation_distribution(it, 3, occupation_counts(it, 3))
 
 
 class TestDuality:
@@ -219,7 +221,8 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        rep = check_inversion(int_tower, n_grid)
+        rep = check_inversion(int_tower,
+                              occupation_table(int_tower, n_grid))
         assert rep.ok()
         assert rep.top_ok and rep.tail_ok
         top = [n for n in rep.n_grid if n * 10 >= rep.n_grid[-1]]
@@ -232,7 +235,8 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(8)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        rows = are_diagnostic(int_tower, [1.0, 2.0], n_grid, [2.0])
+        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
+                              [1.0, 2.0], [2.0])
         by_alpha = {r.alpha: r for r in rows}
         assert by_alpha[1.0].mode == "integrable"
         # E[Y^2]^(1/2) / E[Y] for Y uniform on {1,2}
@@ -244,12 +248,13 @@ class TestInversion:
 
     def test_divergent_mode_flag(self, int_tower):
         n_grid = [int_tower.covered_horizon()]
-        rows = are_diagnostic(int_tower, [1.5], n_grid, [2.0],
-                              divergent_alphas=[1.5])
+        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
+                              [1.5], [2.0], divergent_alphas=[1.5])
         assert rows[0].mode == "divergent"
         assert rows[0].bound_ok is None
 
     def test_sup_norm_mode(self, int_tower):
         n_grid = [int_tower.covered_horizon()]
-        rows = are_diagnostic(int_tower, [float("inf")], n_grid, [2.0])
+        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
+                              [float("inf")], [2.0])
         assert rows[0].mode == "sup-norm"
