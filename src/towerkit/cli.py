@@ -100,7 +100,6 @@ class RunConfig:
     """Validated run configuration."""
 
     kind: str
-    raw: dict
     config_hash: str
     target_spec: Optional[dict] = None
     deltas: List = field(default_factory=list)
@@ -195,6 +194,31 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
+def _stage_schedules(obj: dict, kind) -> Tuple[list, list, list]:
+    """The checked deltas, epss and kappas of a run of ``kind`` whose
+    schedules and target are read from ``obj``."""
+    if kind not in ("rational", "example", "general"):
+        raise ConfigError(f"kind must be rational|example|general, "
+                          f"got {kind!r}")
+    deltas = [parse_number(x) for x in obj.get("deltas", [])]
+    epss = [parse_number(x) for x in obj.get("epss", [])]
+    kappas = [parse_number(x) for x in obj.get("kappas", [])]
+    for name, seq in (("deltas", deltas), ("epss", epss)):
+        if any(x <= 0 for x in seq):
+            raise ConfigError(f"{name} must be positive")
+        if any(b > a for a, b in zip(seq, seq[1:])):
+            raise ConfigError(f"{name} must be nonincreasing")
+    if kind == "example":
+        if not kappas or len(kappas) != len(epss):
+            raise ConfigError("example runs need matching kappas and epss")
+    else:
+        if not deltas or len(deltas) != len(epss):
+            raise ConfigError("runs need matching nonempty deltas and epss")
+    if kind != "example" and obj.get("target") is None:
+        raise ConfigError("target specification is required")
+    return deltas, epss, kappas
+
+
 def load_config(path: Optional[str], preset: Optional[str],
                 mode: None = None, cap: Optional[int] = None,
                 workers: None = None) -> RunConfig:
@@ -223,29 +247,16 @@ def load_config(path: Optional[str], preset: Optional[str],
     if cap is not None:
         obj["size_cap"] = cap
     kind = obj.get("kind")
-    if kind not in ("rational", "example", "general"):
-        raise ConfigError(f"kind must be rational|example|general, "
-                          f"got {kind!r}")
-    deltas = [parse_number(x) for x in obj.get("deltas", [])]
-    epss = [parse_number(x) for x in obj.get("epss", [])]
-    kappas = [parse_number(x) for x in obj.get("kappas", [])]
+    deltas, epss, kappas = _stage_schedules(obj, kind)
     etas = obj.get("etas")
     if etas is not None:
         etas = [parse_number(x) for x in etas]
-    for name, seq in (("deltas", deltas), ("epss", epss)):
-        if any(x <= 0 for x in seq):
-            raise ConfigError(f"{name} must be positive")
-        if any(b > a for a, b in zip(seq, seq[1:])):
-            raise ConfigError(f"{name} must be nonincreasing")
-    if kind == "example":
-        if not kappas or len(kappas) != len(epss):
-            raise ConfigError("example runs need matching kappas and epss")
-    else:
-        if not deltas or len(deltas) != len(epss):
-            raise ConfigError("runs need matching nonempty deltas and epss")
-    target_spec = obj.get("target")
-    if kind != "example" and target_spec is None:
-        raise ConfigError("target specification is required")
+        if len(etas) != len(deltas) or any(x <= 0 for x in etas):
+            raise ConfigError("etas must hold one positive number per "
+                              "stage, like deltas")
+    e0 = parse_number(obj.get("e0", "5000"))
+    if e0 <= 0:
+        raise ConfigError("e0 must be positive")
     size_cap = _config_int(obj, "size_cap", 10 ** 6)
     if size_cap <= 0:
         raise ConfigError("size_cap must be positive")
@@ -255,9 +266,9 @@ def load_config(path: Optional[str], preset: Optional[str],
     x_values = tuple(parse_number(x) for x in obj.get(
         "x_values", ["3/10", "1/2", "4/5"]))
     cfg = RunConfig(
-        kind=kind, raw=obj, config_hash=_config_hash(obj),
-        target_spec=target_spec, deltas=deltas, epss=epss, kappas=kappas,
-        e0=parse_number(obj.get("e0", "5000")),
+        kind=kind, config_hash=_config_hash(obj),
+        target_spec=obj.get("target"), deltas=deltas, epss=epss,
+        kappas=kappas, e0=e0,
         rounds=_config_int(obj, "rounds", 2), size_cap=size_cap,
         max_depth=_config_int(obj, "max_depth", 16), etas=etas,
         doubling_tol=float(parse_number(obj.get("doubling_tol", 0.1))),
@@ -423,28 +434,20 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     tol = float(parse_number(sky_cfg.get("tol", 0.15)))
     base_cfg = sky_cfg.get("base")
     if base_cfg is not None:
-        base_obj = dict(cfg.raw)
-        base_obj.update(base_cfg)
+        kind = base_cfg.get("kind", cfg.kind)
+        deltas, epss, kappas = _stage_schedules(base_cfg, kind)
         base_run = RunConfig(
-            kind=base_cfg.get("kind", cfg.kind), raw=base_obj,
-            config_hash=cfg.config_hash,
-            target_spec=base_cfg.get("target"),
-            deltas=[parse_number(x) for x in base_cfg.get("deltas", [])],
-            epss=[parse_number(x) for x in base_cfg.get("epss", [])],
-            kappas=[parse_number(x) for x in base_cfg.get("kappas", [])],
+            kind=kind, config_hash=cfg.config_hash,
+            target_spec=base_cfg.get("target"), deltas=deltas, epss=epss,
+            kappas=kappas,
             rounds=_config_int(base_cfg, "rounds", cfg.rounds),
             size_cap=cfg.size_cap)
         trace = build_tower_from_config(base_run)
     else:
         trace = build_tower_from_config(cfg)
-    try:
-        it = sky.integerize(trace,
-                            parse_number(sky_cfg.get("eta", "1/1000")))
-    except sky.SkyscraperError as exc:
-        _log(f"skyscraper: {exc}")
-        return EXIT_CONFIG
+    it = sky.integerize(trace, parse_number(sky_cfg.get("eta", "1/1000")))
     horizon = it.covered_horizon()
-    wmax = max(int(it.weights[s].max()) for s in it.symbols)
+    wmax = max(int(it.blocks[s].units.max()) for s in it.symbols)
     n_grid = sorted(set(
         n for n in (int(horizon * 1.2 ** -j) for j in range(n_points))
         if n >= 4 * wmax))
@@ -539,7 +542,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for step in steps:
         try:
             code = step(cfg, args.out)
-        except (ConfigError, SplittingError, PreconditionError) as exc:
+        except (ConfigError, SplittingError, PreconditionError,
+                sky.SkyscraperError) as exc:
             _log(f"invalid configuration: {exc}")
             return EXIT_CONFIG
         except SizeCapError as exc:

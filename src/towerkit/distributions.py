@@ -412,48 +412,41 @@ class PeriodLaws:
 
 
 def sk_histograms(blocks, ks: Sequence[int]) -> Iterator["SkHistogram"]:
-    """The SkHistogram of ``blocks`` at each k of ``ks``, in order.
+    """The SkHistogram of S_k over every position of ``blocks`` at each k
+    of ``ks``, in order.
 
     One PeriodLaws serves the whole grid, so each pattern is measured once
-    per class of k, and its memo goes with the iterator.
+    per class of k, and its memo goes with the iterator.  S_k repeats with
+    a block's least period p, so its law over the block is h/p copies of
+    its law over one period.
     """
     ks = list(ks)
     laws = PeriodLaws(blocks, ks)
-    return (SkHistogram(laws.blocks, k, laws) for k in ks)
+    scales = [w.scale for w in laws.blocks]
+    for k in ks:
+        pairs = laws.at(k)
+        yield SkHistogram(k, scales, [u for u, _ in pairs],
+                          [c * (len(w) // w.period)
+                           for w, (_, c) in zip(laws.blocks, pairs)])
 
 
 class SkHistogram:
-    """Exact law of the cyclic partial sums S_k over every position of a
-    list of blocks.
+    """Exact law of integer sums over a finite set of positions, held by
+    block: the law of the cyclic partial sums S_k of a list of blocks
+    (``sk_histograms``), or of the occupation counts of a skyscraper base.
 
-    For each block, in input order, it holds the sorted distinct values of
-    S_k/scale with their int64 counts, so every mass is an exact integer
-    count over the total number of positions.  The values are taken over
-    one least period of each block and their counts multiplied by the
-    number of periods; the law over a period comes from ``PeriodLaws``,
-    which derives it exactly from the law at the class of k and shares one
-    measurement between blocks that are integer multiples of one pattern,
-    at any scale.  ``laws`` is the PeriodLaws of these same blocks
-    when a grid shares one (``sk_histograms``), else a fresh one is made.
-    Floats enter only through the arctan of each distinct value when a
-    transport distance is taken.
+    For each block it holds the sorted distinct values of S_k/scale as
+    ``units`` with their int64 ``counts``, so every mass is an exact
+    integer count over ``total``, the number of positions.  Floats enter
+    only through the arctan of each distinct value when a transport
+    distance is taken.
     """
 
     __slots__ = ("k", "scales", "units", "counts", "total")
 
-    def __init__(self, blocks, k: int, laws: Optional[PeriodLaws] = None):
-        if laws is None:
-            laws = PeriodLaws(blocks, [k])
-        self.k = k
-        self.scales = [w.scale for w in blocks]
-        self.units = []
-        self.counts = []
-        for w, (u, c) in zip(blocks, laws.at(k)):
-            # S_k repeats with the block's least period p, so the law over
-            # the block is h/p copies of the law over one period
-            self.units.append(u)
-            self.counts.append(c * (len(w) // w.period))
-        self.total = sum(len(w) for w in blocks)
+    def __init__(self, k: int, scales: list, units: list, counts: list):
+        self.k, self.scales, self.units, self.counts = k, scales, units, counts
+        self.total = sum(int(c.sum()) for c in self.counts)
 
     def distance(self, norm, dist: FiniteDist,
                  metric: str = "vasershtein") -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .blocks import _INT64_MAX, Block
-from .distributions import INF, FiniteDist, sk_histograms, vasershtein
+from .distributions import INF, FiniteDist, SkHistogram, sk_histograms
 from .lemma_engine import InvariantError
 from .tower import TowerTrace
 
@@ -58,39 +58,31 @@ def inverse_target(dist: FiniteDist) -> FiniteDist:
 class IntegerTower:
     """Integer return-time tower with its normalizer inversion table.
 
-    ``weights[s]`` holds the integer roof heights of block s, ``time_unit``
-    is the physical length of one integer tick, and ``occupation_target`` is
-    the law of 1/Z for the trace target Z, i.e. the distributional limit of
-    the normalized occupation counts.
+    ``blocks[s]`` is block s at scale ``time_unit``, the physical length of
+    one integer tick, so its units are the integer roof heights and its
+    prefix sums the return times.  ``occupation_target`` is the law of 1/Z
+    for the trace target Z, i.e. the distributional limit of the normalized
+    occupation counts.
     """
 
     trace: TowerTrace
     symbols: tuple
-    weights: Dict
+    blocks: Dict
     time_unit: Fraction
     occupation_target: FiniteDist
     eta: Fraction
     perturbations: Dict = field(default_factory=dict)
-    _prefixes: Dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        for s in self.symbols:
-            w = self.weights[s]
-            if int(w.min()) < 1:
-                raise SkyscraperError("integer weights must be at least 1")
-            pre = np.concatenate([[0], np.cumsum(w, dtype=np.int64)])
-            self._prefixes[s] = pre
 
     @property
     def height(self) -> int:
-        return len(self.weights[self.symbols[0]])
+        return len(self.blocks[self.symbols[0]])
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
     def totals(self) -> Dict:
-        return {s: int(self._prefixes[s][-1]) for s in self.symbols}
+        return {s: self.blocks[s].total_units() for s in self.symbols}
 
     def b_units(self, k: int) -> Fraction:
         """Normalizer of the return-time sums, in integer ticks."""
@@ -139,7 +131,7 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     if any(v == INF or v <= 0 for v in trace.target.values):
         raise SkyscraperError("target must be supported on (0, infinity)")
     symbols = arr.symbols
-    weights = {}
+    blocks = {}
     perts = {}
     scales = {s: arr.blocks[s].scale for s in symbols}
     tick = None
@@ -153,8 +145,7 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                        for s in symbols)
     if exact_totals <= _EXACT_TOTAL_CAP:
         for s in symbols:
-            weights[s] = arr.blocks[s].units.astype(np.int64) \
-                * int(mults[s])
+            blocks[s] = Block(arr.blocks[s].units * int(mults[s]), tick)
             perts[s] = Fraction(0)
     else:
         min_w = min(int(arr.blocks[s].units.min()) * scales[s]
@@ -171,14 +162,14 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
             if total > _INT64_MAX:
                 raise SkyscraperError(
                     f"rounded weights of block {s!r} leave the int64 range")
-            weights[s] = w.astype(np.int64)
+            blocks[s] = Block(w.astype(np.int64), tick)
             old_mean = Fraction(arr.blocks[s].stats().mean)
             new_mean = Fraction(total, len(u)) * tick
             perts[s] = (new_mean - old_mean) / old_mean
             if not perts[s] <= eta:
                 raise SkyscraperError("integer rounding exceeded eta")
     occ = inverse_target(trace.target)
-    return IntegerTower(trace, symbols, weights, tick, occ, eta, perts)
+    return IntegerTower(trace, symbols, blocks, tick, occ, eta, perts)
 
 
 def return_time_partial_sums(it: IntegerTower, n: int, nu) -> int:
@@ -199,7 +190,7 @@ def return_time_partial_sums(it: IntegerTower, n: int, nu) -> int:
         raise SkyscraperError(f"position must be in 1..{h}, got {pos}")
     if n < 0:
         raise SkyscraperError("n must be nonnegative")
-    pre = it._prefixes[s]
+    pre = it.blocks[s].prefix
     tot = int(pre[-1])
     wraps, r = divmod(n, h)
     t = pos - 1 + r
@@ -222,7 +213,7 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
     out = {}
     h = it.height
     for s in it.symbols:
-        pre = it._prefixes[s]
+        pre = it.blocks[s].prefix
         tot = int(pre[-1])
         q, m = divmod(n, tot)
         pre2 = np.concatenate([pre, tot + pre[1:]])
@@ -247,19 +238,19 @@ class OccupationReport:
 
     n: int
     a_n: Fraction
-    dist: FiniteDist            # law of S_n(1_Omega) over the base
-    normalized: FiniteDist      # law of S_n(1_Omega)/a(n)
+    law: SkHistogram            # law of S_n(1_Omega) over the base
     tail_checks: tuple          # ((x, lhs, bound, pass), ...)
 
     def tail_ok(self) -> bool:
         return all(ok for _, _, _, ok in self.tail_checks)
 
     def to_csv(self, path: str) -> None:
+        (values,), (counts,) = self.law.units, self.law.counts
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["count", "mass"])
-            for v, m in zip(self.dist.values, self.dist.masses):
-                writer.writerow([str(v), str(m)])
+            for v, c in zip(values.tolist(), counts.tolist()):
+                writer.writerow([str(v), str(Fraction(c, self.law.total))])
 
 
 def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
@@ -271,33 +262,25 @@ def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
     """Exact distribution of the base occupation count at time n, from
     its per-position ``counts`` (``occupation_counts(it, n)``).
 
-    The tail checks compare the exact mass of [S_n >= x a(n)] against
+    The law is one SkHistogram of the counts at scale 1 and k = 1.  The
+    tail checks compare the exact mass of [S_n >= x a(n)] against
     tail_constant * P(Y >= x) for the occupation target Y.
     """
-    h, size = it.height, it.size
-    if min(int(counts[s].min()) for s in it.symbols) < 1:
+    values, mult = np.unique(np.concatenate([counts[s] for s in it.symbols]),
+                             return_counts=True)
+    if values[0] < 1:
         raise SkyscraperError(
             f"time {n} precedes the first return at some base position")
-    merged: Dict[int, int] = {}
-    for s in it.symbols:
-        uniq, cnt = np.unique(counts[s], return_counts=True)
-        for u, c in zip(uniq, cnt):
-            merged[int(u)] = merged.get(int(u), 0) + int(c)
-    total = h * size
+    law = SkHistogram(1, [Fraction(1)], [values], [mult])
     a_n = it.a_of(n)
-    dist = FiniteDist([(v, Fraction(c, total)) for v, c in merged.items()])
-    normalized = FiniteDist([(Fraction(v) / a_n, Fraction(c, total))
-                             for v, c in merged.items()])
     y = it.occupation_target
     checks = []
-    c_tail = Fraction(tail_constant)
     for x in x_values:
         x = Fraction(x)
-        thresh = x * a_n
-        lhs = Fraction(sum(c for v, c in merged.items() if v >= thresh), total)
-        bound = c_tail * (1 - y.cdf_below(x))
+        lhs = Fraction(law.total - law.count_below(x * a_n), law.total)
+        bound = Fraction(tail_constant) * (1 - y.cdf_below(x))
         checks.append((x, lhs, bound, lhs <= bound))
-    return OccupationReport(n, a_n, dist, normalized, tuple(checks))
+    return OccupationReport(n, a_n, law, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -305,8 +288,8 @@ class InversionReport:
     """Measured two-sided inversion at a grid of time horizons."""
 
     n_grid: tuple
-    occ_distances: dict         # n -> vasershtein(S_n/a(n), Y)
-    phi_distances: dict         # n -> vasershtein(phi_m/b(m), Z) at m ~ a(n)
+    occ_distances: dict         # n -> distance(S_n/a(n), Y)
+    phi_distances: dict         # n -> distance(phi_m/b(m), Z) at m ~ a(n)
     reports: dict               # n -> OccupationReport
     tol: float
     top_ok: bool
@@ -349,9 +332,9 @@ def check_inversion(it: IntegerTower, occ: Dict,
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
-        occ_d[n] = vasershtein(rep.normalized, y)
+        occ_d[n] = rep.law.distance(rep.a_n, y)
         windows.append(max(1, int(round(float(rep.a_n)))))
-    blocks = [Block(it.weights[s], it.time_unit) for s in it.symbols]
+    blocks = [it.blocks[s] for s in it.symbols]
     for n, m, hist in zip(n_grid, windows, sk_histograms(blocks, windows)):
         phi_d[n] = hist.distance(it.trace.global_gamma.gamma(m), z)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]

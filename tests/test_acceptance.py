@@ -42,7 +42,7 @@ def certified_level(w):
 
 def sky_n_grid(it, points=14, ratio=1.2):
     horizon = it.covered_horizon()
-    wmax = max(int(it.weights[s].max()) for s in it.symbols)
+    wmax = max(int(it.blocks[s].units.max()) for s in it.symbols)
     return sorted({int(horizon * ratio ** -j) for j in range(points)
                    if int(horizon * ratio ** -j) >= 4 * wmax})
 
@@ -311,13 +311,12 @@ def test_criterion_9_skyscraper_inversion(uniform_sky):
     # exhaustive duality on small towers, including one at the height cap
     for _ in range(10):
         h = rng.randint(1, 24)
-        weights = {"a": np.array([rng.randint(1, 9) for _ in range(h)],
-                                 dtype=np.int64)}
-        it = IntegerTower(None, ("a",), weights, F(1),
+        blocks = {"a": Block([rng.randint(1, 9) for _ in range(h)])}
+        it = IntegerTower(None, ("a",), blocks, F(1),
                           FiniteDist.point(1), F(1, 1000))
         assert check_duality(it)
-    big = IntegerTower(None, ("a",), {"a": np.array(
-        [rng.randint(1, 3) for _ in range(512)], dtype=np.int64)}, F(1),
+    big = IntegerTower(None, ("a",), {"a": Block(
+        [rng.randint(1, 3) for _ in range(512)])}, F(1),
         FiniteDist.point(1), F(1, 1000))
     assert check_duality(big)
     # two-sided inversion on the uniform(1,2) integer tower

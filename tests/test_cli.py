@@ -13,6 +13,7 @@ from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           build_tower_from_config, load_config, main,
                           parse_number)
 from towerkit import skyscraper as sky
+from towerkit.blocks import Block
 from towerkit.lemma_engine import GammaTable
 from towerkit.tower import _stage_eps_at, certify_theorem1
 
@@ -130,6 +131,37 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "skdist_0.csv").exists()
 
+    @pytest.mark.parametrize("preset, override", [
+        pytest.param("pareto1", {"etas": value}, id=f"etas={value!r}")
+        for value in ([0], ["-1/2"], ["1/2"])] + [
+        pytest.param("example1", {"e0": "-5"}, id="e0='-5'")])
+    def test_bad_stage_values_are_2(self, preset, override, tmp_path):
+        # etas must be positive, one per stage like deltas, and e0 positive
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError):
+            load_config(path, preset)
+        assert main(["build", "--preset", preset, "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("base", [
+        pytest.param({"kind": "bogus"}, id="bogus-kind"),
+        pytest.param({"kind": "rational", "deltas": ["1/20"],
+                      "epss": ["1/40"]}, id="rational-without-target")])
+    def test_bad_skyscraper_base_is_2(self, base, tmp_path):
+        # the base run goes through the same checks as the run itself
+        path = write_config(tmp_path / "c.json",
+                            {"skyscraper": {"base": base}})
+        assert main(["skyscraper", "--preset", "twopoint", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("alpha", ["-1", "0"])
+    def test_nonpositive_alpha_is_2(self, alpha, tmp_path):
+        obj = json.loads(json.dumps(FAST_CONFIG))
+        obj["skyscraper"]["alphas"] = [alpha]
+        assert main(["skyscraper", "--config",
+                     write_config(tmp_path / "c.json", obj),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
     def test_k_lists_read_exactly(self, tmp_path):
         obj = dict(FAST_CONFIG, k_grid=["1e2", 7, "14/2"], sk_dist_ks=[3.0])
         cfg = load_config(write_config(tmp_path / "c.json", obj), None)
@@ -238,12 +270,12 @@ class TestExitCodes:
 
         def faulty(trace, eta):
             it = integerize(trace, eta)
-            weights = {}
+            blocks = {}
             for s in it.symbols:
-                w = it.weights[s].copy()
+                w = it.blocks[s].units.copy()
                 w[w.argsort()[int(len(w) * 0.7):]] *= 4
-                weights[s] = w
-            return sky.IntegerTower(it.trace, it.symbols, weights,
+                blocks[s] = Block(w, it.time_unit)
+            return sky.IntegerTower(it.trace, it.symbols, blocks,
                                     it.time_unit, it.occupation_target,
                                     it.eta, it.perturbations)
 

@@ -354,7 +354,7 @@ class TestSkHistogram:
         vals = np.concatenate(
             [cyclic_partial_sums_units(w, k).astype(float) *
              (float(w.scale) / (k * float(norm))) for w in blocks])
-        hist = SkHistogram(blocks, k)
+        hist, = sk_histograms(blocks, [k])
         assert hist.total == vals.size
         assert hist.distance(norm, target, "vasershtein") == \
             pytest.approx(position_vasershtein(vals, target), abs=1e-12)
@@ -363,7 +363,7 @@ class TestSkHistogram:
 
     def test_masses_are_exact_counts(self):
         w = Block([1, 2, 3, 4], F(1, 3))
-        hist = SkHistogram([w, w], 2)
+        hist, = sk_histograms([w, w], [2])
         assert [u.tolist() for u in hist.units] == [[3, 5, 7]] * 2
         assert [c.tolist() for c in hist.counts] == [[1, 2, 1]] * 2
         assert hist.counts[0].dtype == np.int64
@@ -382,7 +382,8 @@ class TestSkHistogram:
         tiled = self_concat(w, m)
         h = len(w)
         for k in (1, max(1, h + dk), 2 * h + 1, m * h + 1):
-            one, many = SkHistogram([w], k), SkHistogram([tiled], k)
+            (one,), (many,) = (sk_histograms([w], [k]),
+                               sk_histograms([tiled], [k]))
             assert np.array_equal(many.units[0], one.units[0])
             assert np.array_equal(many.counts[0], m * one.counts[0])
             assert many.total == m * one.total
@@ -406,7 +407,7 @@ class TestSkHistogram:
         # a threshold, where the count is strict, and so is a value just
         # above it
         blocks = [Block(u, F(a, b)) for u, a, b in specs]
-        hist = SkHistogram(blocks, k)
+        hist, = sk_histograms(blocks, [k])
         sums = [(cyclic_partial_sums_units(w, k).tolist(), w.scale)
                 for w in blocks]
         hits = {v * sc for vals, sc in sums for v in vals}
@@ -415,7 +416,7 @@ class TestSkHistogram:
             assert hist.count_below(thresh) == want
 
     def test_rejects_unknown_metric(self):
-        hist = SkHistogram([Block([1, 2])], 1)
+        hist, = sk_histograms([Block([1, 2])], [1])
         with pytest.raises(DistError):
             hist.distance(1, FiniteDist.point(1), "wasserstein")
 
@@ -433,26 +434,21 @@ class TestSkHistogram:
                  for nu in range(h)]
         if max(exact) > INT64_MAX:
             with pytest.raises(BlockError):
-                SkHistogram([w], k)
+                list(sk_histograms([w], [k]))
         else:
             u, c = np.unique(np.array(exact, dtype=object),
                              return_counts=True)
-            hist = SkHistogram([w], k)
+            hist, = sk_histograms([w], [k])
             assert hist.units[0].tolist() == u.tolist()
             assert hist.counts[0].tolist() == c.tolist()
 
 
 def whole_block_histogram(blocks, k):
     """Per-k oracle: np.unique over every position of each whole block."""
-    hist = SkHistogram.__new__(SkHistogram)
-    hist.k = k
-    hist.scales = [w.scale for w in blocks]
     laws = [np.unique(cyclic_partial_sums_units(w, k), return_counts=True)
             for w in blocks]
-    hist.units = [u for u, _ in laws]
-    hist.counts = [c for _, c in laws]
-    hist.total = sum(len(w) for w in blocks)
-    return hist
+    return SkHistogram(k, [w.scale for w in blocks], [u for u, _ in laws],
+                       [c for _, c in laws])
 
 
 def assert_same_histogram(got, want):
@@ -590,9 +586,9 @@ class TestSkHistogramGrid:
                   for nu in range(h)] for g in gs]
         if max(map(max, exact)) > INT64_MAX:
             with pytest.raises(BlockError):
-                SkHistogram(blocks, k)
+                list(sk_histograms(blocks, [k]))
             return
-        hist = SkHistogram(blocks, k)
+        hist, = sk_histograms(blocks, [k])
         for vals, u, c in zip(exact, hist.units, hist.counts):
             want_u, want_c = np.unique(np.array(vals, dtype=object),
                                        return_counts=True)
@@ -707,10 +703,10 @@ class TestBumpDerivedLaw:
                  for nu in range(h)]
         if max(exact) > INT64_MAX:
             with pytest.raises(BlockError):
-                SkHistogram([w], k)
+                list(sk_histograms([w], [k]))
             return
         u, c = np.unique(np.array(exact, dtype=object), return_counts=True)
-        hist = SkHistogram([w], k)
+        hist, = sk_histograms([w], [k])
         assert hist.units[0].dtype == np.int64
         assert hist.units[0].tolist() == u.tolist()
         assert hist.counts[0].tolist() == c.tolist()

@@ -379,13 +379,11 @@ class TestExtensionStep:
                            F(1, 2), arr.change_mass(), metric)
             assert len(got.k_grid) > arr.height
             for k in got.k_grid:
-                alone = SkHistogram.__new__(SkHistogram)
                 laws = [np.unique(cyclic_partial_sums_units(w, k),
                                   return_counts=True) for w in blocks]
-                alone.k, alone.total = k, sum(len(w) for w in blocks)
-                alone.scales = [w.scale for w in blocks]
-                alone.units = [u for u, _ in laws]
-                alone.counts = [c for _, c in laws]
+                alone = SkHistogram(k, [w.scale for w in blocks],
+                                    [u for u, _ in laws],
+                                    [c for _, c in laws])
                 assert got.distances[k] == \
                     alone.distance(cert.gamma.gamma(k), y, metric)
 

@@ -1,18 +1,23 @@
 """Unit tests for the integer return-time tower and its occupation laws."""
 
+import csv
 import dataclasses
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from towerkit.blocks import Block
-from towerkit.distributions import FiniteDist
-from towerkit.lemma_engine import BlockArray, InvariantError
-from towerkit.skyscraper import (IntegerTower, SkyscraperError,
-                                 are_diagnostic, check_duality,
-                                 check_inversion, integerize, inverse_target,
+from towerkit.distributions import FiniteDist, vasershtein
+from towerkit.lemma_engine import BlockArray, GammaTable, InvariantError
+from towerkit.skyscraper import (IntegerTower, InversionError,
+                                 SkyscraperError, are_diagnostic,
+                                 check_duality, check_inversion, integerize,
+                                 inverse_target,
                                  occupation_counts, occupation_distribution,
                                  occupation_table,
                                  return_time_partial_sums)
@@ -33,13 +38,43 @@ def occupation_mean_via_levels(it, n):
     return F(total, h * it.size)
 
 
-def toy_tower(weights_by_symbol, target=None):
-    """Hand-built integer tower for oracle tests (no trace attached)."""
+def toy_tower(weights_by_symbol, target=None, trace=None):
+    """Hand-built integer tower for oracle tests (no trace attached unless
+    one is given)."""
     symbols = tuple(weights_by_symbol)
-    weights = {s: np.asarray(w, dtype=np.int64)
-               for s, w in weights_by_symbol.items()}
+    blocks = {s: Block(w, F(1)) for s, w in weights_by_symbol.items()}
     y = target or FiniteDist.point(1)
-    return IntegerTower(None, symbols, weights, F(1), y, F(1, 1000))
+    return IntegerTower(trace, symbols, blocks, F(1), y, F(1, 1000))
+
+
+def occupation_oracle(it, n, counts, x_values, tail_constant):
+    """The occupation law at time n by merging per-block counts in a dict
+    into exact FiniteDists: the law of S_n, its tail checks, and the
+    transport distance of S_n/a(n) to the occupation target."""
+    merged = {}
+    for s in it.symbols:
+        uniq, cnt = np.unique(counts[s], return_counts=True)
+        for u, c in zip(uniq, cnt):
+            merged[int(u)] = merged.get(int(u), 0) + int(c)
+    total = it.height * it.size
+    a_n = it.a_of(n)
+    dist = FiniteDist([(v, F(c, total)) for v, c in merged.items()])
+    normalized = FiniteDist([(F(v) / a_n, F(c, total))
+                             for v, c in merged.items()])
+    y = it.occupation_target
+    checks = []
+    for x in map(F, x_values):
+        lhs = F(sum(c for v, c in merged.items() if v >= x * a_n), total)
+        bound = F(tail_constant) * (1 - y.cdf_below(x))
+        checks.append((x, lhs, bound, lhs <= bound))
+    return dist, tuple(checks), vasershtein(normalized, y)
+
+
+def gamma_trace(g, target):
+    """Stand-in trace with constant normalizer g, so a(n) = n/g on a tower
+    of unit tick."""
+    return SimpleNamespace(global_gamma=GammaTable(((1, g),), ((1, 0.5),)),
+                           target=target)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +104,8 @@ class TestInverseTarget:
 class TestIntegerize:
     def test_weights_positive_integers(self, int_tower):
         for s in int_tower.symbols:
-            w = int_tower.weights[s]
+            assert int_tower.blocks[s].scale == int_tower.time_unit
+            w = int_tower.blocks[s].units
             assert w.dtype == np.int64
             assert int(w.min()) >= 1
 
@@ -81,12 +117,12 @@ class TestIntegerize:
             w = arr.blocks[s]
             exact = [int(u) * F(w.scale) / int_tower.time_unit
                      for u in w.units]
-            assert exact == list(int_tower.weights[s])
+            assert exact == list(int_tower.blocks[s].units)
 
     def test_means_match_target(self, base_trace, int_tower):
         arr = base_trace.final
         for s in int_tower.symbols:
-            mean = F(int(int_tower.weights[s].sum()), int_tower.height)
+            mean = F(int_tower.blocks[s].total_units(), int_tower.height)
             assert mean * int_tower.time_unit == \
                 F(arr.scale) * arr.values[s]
 
@@ -105,7 +141,7 @@ class TestIntegerize:
             base_trace, final=BlockArray(("w",), {"w": w}, {"w": mean}, 1))
         it = integerize(trace, F(1, 2 ** 20))
         assert 0 <= it.perturbations["w"] <= F(1, 2 ** 20)
-        assert int(it.weights["w"].sum()) == sum(
+        assert it.blocks["w"].total_units() == sum(
             -(-u // 2 ** 30) for u in w.units.tolist())
         with pytest.raises(SkyscraperError):
             integerize(trace, eta)
@@ -115,7 +151,7 @@ class TestReturnTimes:
     def test_against_orbit_oracle(self):
         rng = random.Random(71)
         it = toy_tower({"a": [rng.randint(1, 9) for _ in range(7)]})
-        w = list(it.weights["a"])
+        w = list(it.blocks["a"].units)
         h = len(w)
         for pos in range(1, h + 1):
             acc = 0
@@ -161,12 +197,66 @@ class TestOccupation:
             assert occupation_mean_via_levels(it, n) == direct
 
     def test_distribution_total_mass(self, int_tower):
-        n = 6 * max(int(int_tower.weights[s].max())
+        n = 6 * max(int(int_tower.blocks[s].units.max())
                     for s in int_tower.symbols)
         rep = occupation_distribution(int_tower, n,
                                       occupation_counts(int_tower, n))
-        assert sum(rep.dist.masses) == 1
-        assert rep.dist.mean() == occupation_mean_via_levels(int_tower, n)
+        (values,), (counts,) = rep.law.units, rep.law.counts
+        assert sum(F(int(c), rep.law.total) for c in counts) == 1
+        assert F(int((values * counts).sum()), rep.law.total) == \
+            occupation_mean_via_levels(int_tower, n)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda h: st.lists(
+               st.lists(st.integers(1, 9), min_size=h, max_size=h),
+               min_size=1, max_size=3)),
+           st.integers(0, 60),
+           st.fractions(F(1, 4), F(8), max_denominator=6),
+           st.lists(st.fractions(F(1, 4), F(4), max_denominator=4),
+                    min_size=1, max_size=3),
+           st.lists(st.fractions(F(1, 2), F(3), max_denominator=4),
+                    min_size=1, max_size=3),
+           st.sampled_from([F(1), F(2), F(100)]))
+    # every position returns each tick and a(n) = n: x = 1 puts x a(n) on
+    # the one occupation count, which the tail [S_n >= x a(n)] includes
+    @example([[1, 1]], 0, F(1), [F(1, 2)], [F(1)], F(2))
+    def test_law_matches_dict_oracle(self, weights, extra, g, ys, xs,
+                                     tail_constant):
+        y = FiniteDist.uniform(ys)
+        it = toy_tower(dict(enumerate(weights)), y,
+                       gamma_trace(g, inverse_target(y)))
+        n = max(map(max, weights)) + extra
+        counts = occupation_counts(it, n)
+        rep = occupation_distribution(it, n, counts, xs, tail_constant)
+        dist, checks, distance = occupation_oracle(it, n, counts, xs,
+                                                   tail_constant)
+        (values,), (mult,) = rep.law.units, rep.law.counts
+        assert rep.law.total == it.height * it.size
+        assert values.tolist() == dist.values
+        assert [F(int(c), rep.law.total) for c in mult] == dist.masses
+        assert rep.tail_checks == checks
+        assert rep.law.distance(rep.a_n, y) == \
+            pytest.approx(distance, abs=1e-15)
+        if all(ok for _, _, _, ok in checks):
+            inv = check_inversion(it, {n: counts}, x_values=xs,
+                                  tail_constant=tail_constant)
+            assert inv.occ_distances[n] == \
+                pytest.approx(distance, abs=1e-15)
+        else:
+            with pytest.raises(InversionError):
+                check_inversion(it, {n: counts}, x_values=xs,
+                                tail_constant=tail_constant)
+
+    def test_csv_rows_match_oracle(self, int_tower, tmp_path):
+        n = int_tower.covered_horizon()
+        counts = occupation_counts(int_tower, n)
+        rep = occupation_distribution(int_tower, n, counts)
+        rep.to_csv(tmp_path / "occ.csv")
+        dist, _, _ = occupation_oracle(int_tower, n, counts, (), 2)
+        with open(tmp_path / "occ.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["count", "mass"]] + [
+            [str(v), str(m)] for v, m in dist.atoms()]
 
     def test_early_time_rejected(self):
         it = toy_tower({"a": [5, 9, 7]})
@@ -187,7 +277,7 @@ class TestDuality:
         it = toy_tower({"a": [3, 4, 5]})
         # break the roof structure behind the prefix cache: a non-monotone
         # prefix desynchronizes the vectorized count from the orbit sums
-        it._prefixes["a"] = np.array([0, 7, 3, 12])
+        it.blocks["a"].prefix = np.array([0, 7, 3, 12])
         with pytest.raises(InvariantError):
             check_duality(it)
 
@@ -217,7 +307,7 @@ class TestInversionTable:
 class TestInversion:
     def test_two_point_inversion(self, int_tower):
         horizon = int_tower.covered_horizon()
-        wmax = max(int(int_tower.weights[s].max())
+        wmax = max(int(int_tower.blocks[s].units.max())
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
@@ -231,7 +321,7 @@ class TestInversion:
 
     def test_alpha_moment_ratio(self, int_tower):
         horizon = int_tower.covered_horizon()
-        wmax = max(int(int_tower.weights[s].max())
+        wmax = max(int(int_tower.blocks[s].units.max())
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(8)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})

@@ -9,6 +9,9 @@ import towerkit
 
 MODULES = sorted(p for p in Path(towerkit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# every Python file under src/ and tests/
+SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -27,6 +30,39 @@ def unused_imports(source: str) -> list:
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in read)
+
+
+def dead_names(modules: dict, sources: list) -> list:
+    """Module-level functions and classes of ``modules`` (file name ->
+    source) that no source in ``sources`` names: as a name, an attribute
+    or an imported name.  A definition does not name itself."""
+    named = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    return sorted((file, node.name) for file, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in named)
+
+
+def test_scan_finds_a_dead_name():
+    module = "def used():\n    pass\n\n\ndef dead():\n    return used()\n" \
+             "\n\nclass Kept:\n    pass\n"
+    user = "from pkg.m import used\nx = pkg.m.Kept\n"
+    assert dead_names({"m.py": module}, [module, user]) == \
+        [("m.py", "dead")]
+
+
+def test_no_dead_names():
+    sources = [p.read_text() for p in SOURCES]
+    assert dead_names({p.name: p.read_text() for p in MODULES},
+                      sources) == []
 
 
 def test_scan_finds_an_unused_import():
