@@ -211,12 +211,6 @@ class Block:
             return f"Block({self.weights()})"
         return f"Block(h={len(self)}, E={self.stats().mean})"
 
-    def weight(self, j: int) -> Fraction:
-        """Weight at 1-based position j."""
-        if not 1 <= j <= len(self):
-            raise IndexError(f"position {j} out of range 1..{len(self)}")
-        return self.scale * int(self.units[j - 1])
-
     def weights(self) -> list:
         return [self.scale * int(u) for u in self.units]
 

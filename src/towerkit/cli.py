@@ -115,6 +115,7 @@ class RunConfig:
     sk_dist_ks: Optional[List[int]] = None
     k_grid: Optional[List[int]] = None
     skyscraper: dict = field(default_factory=dict)
+    base: Optional[RunConfig] = None     # the skyscraper.base run
 
 
 PRESETS = {
@@ -276,6 +277,17 @@ def load_config(path: Optional[str], preset: Optional[str],
         sk_dist_ks=_config_ks(obj, "sk_dist_ks"),
         k_grid=_config_ks(obj, "k_grid"),
         skyscraper=sky_obj)
+    base_obj = sky_obj.get("base")
+    if base_obj is not None:
+        # the skyscraper's base tower, checked before any step runs
+        base_kind = base_obj.get("kind", kind)
+        deltas, epss, kappas = _stage_schedules(base_obj, base_kind)
+        cfg.base = RunConfig(
+            kind=base_kind, config_hash=cfg.config_hash,
+            target_spec=base_obj.get("target"), deltas=deltas, epss=epss,
+            kappas=kappas,
+            rounds=_config_int(base_obj, "rounds", cfg.rounds),
+            size_cap=size_cap)
     return cfg
 
 
@@ -432,19 +444,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     sky_cfg = cfg.skyscraper
     n_points = _config_int(sky_cfg, "n_points", 16)
     tol = float(parse_number(sky_cfg.get("tol", 0.15)))
-    base_cfg = sky_cfg.get("base")
-    if base_cfg is not None:
-        kind = base_cfg.get("kind", cfg.kind)
-        deltas, epss, kappas = _stage_schedules(base_cfg, kind)
-        base_run = RunConfig(
-            kind=kind, config_hash=cfg.config_hash,
-            target_spec=base_cfg.get("target"), deltas=deltas, epss=epss,
-            kappas=kappas,
-            rounds=_config_int(base_cfg, "rounds", cfg.rounds),
-            size_cap=cfg.size_cap)
-        trace = build_tower_from_config(base_run)
-    else:
-        trace = build_tower_from_config(cfg)
+    trace = build_tower_from_config(cfg.base or cfg)
     it = sky.integerize(trace, parse_number(sky_cfg.get("eta", "1/1000")))
     horizon = it.covered_horizon()
     wmax = max(int(it.blocks[s].units.max()) for s in it.symbols)

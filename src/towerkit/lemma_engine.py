@@ -21,8 +21,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, Bump, Scalar, concat_many, normalizing_copies,
-                     rescale_units, self_concat)
+from .blocks import (Block, Bump, Scalar, normalizing_copies, rescale_units,
+                     self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
                             sk_histograms)
 
@@ -105,12 +105,6 @@ class BlockArray:
     def change_mass(self) -> Fraction:
         changed = sum(self.blocks[s].changed_count() for s in self.symbols)
         return Fraction(changed, self.height * self.size)
-
-    def min_value(self) -> Fraction:
-        return min(self.values[s] for s in self.symbols)
-
-    def max_value(self) -> Fraction:
-        return max(self.values[s] for s in self.symbols)
 
     def sk_histograms(self, ks: Sequence[int]) -> Iterator[SkHistogram]:
         """Exact law of S_k over all positions of all blocks, for each k of
@@ -209,10 +203,9 @@ class ExtensionCertificate:
     """Measured evidence that an extended array stays distributed like its
     label variable along the normalizer chain.
 
-    ``metric`` names the arctan transport distance stored in ``distances``:
-    "uniform" (L-infinity) or "vasershtein" (L1), each taken between the
-    exact histogram of S_k/(k gamma(k)), whose masses are integer position
-    counts, and the label distribution.
+    ``distances`` holds the uniform (L-infinity) arctan transport distance
+    between the exact histogram of S_k/(k gamma(k)), whose masses are
+    integer position counts, and the label distribution.
     """
 
     k_grid: tuple
@@ -221,7 +214,6 @@ class ExtensionCertificate:
     change_mass: Fraction
     delta: float
     eps_target: float
-    metric: str = "uniform"    # "uniform" or "vasershtein"
 
     def failures(self) -> List[int]:
         return [k for k in self.k_grid
@@ -353,13 +345,10 @@ class CompoundRound:
 
 @dataclass(frozen=True)
 class CompoundReport:
-    """Schedule and measured deviations of a compound extension."""
+    """Round schedule of a compound extension."""
 
     rounds: tuple
-    t_map: dict                # symbol -> exact mean multiplier
-    beta: Fraction             # bound on p-steps
     base_height: int
-    delta_grid: tuple          # ((k, delta_k), ...) nonincreasing in k
 
     def p_of_k(self, k: int) -> Fraction:
         """Proportion of the mean change already present at window scale k."""
@@ -374,26 +363,9 @@ class CompoundReport:
         return [r.p_after - r.p_before for r in self.rounds]
 
 
-def _delta_k(devs: np.ndarray, counts: np.ndarray) -> float:
-    """Least d with  fraction of positions deviating by more than d  <= d.
-
-    ``devs`` holds the deviations |S_k/(k E_k) - 1| and ``counts`` the
-    number of positions taking each.  With deviations in descending order,
-    d = devs[i] leaves at most the j positions before i above it, so the
-    candidate is max(devs[i], j/n); within a run of equal deviations it is
-    least at the start of the run, and d = 1 always qualifies.
-    """
-    order = np.argsort(devs, kind="stable")[::-1]
-    c = counts[order]
-    before = np.cumsum(c) - c
-    return float(min(np.maximum(devs[order], before / int(c.sum())).min(),
-                     1.0))
-
-
 def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
                     eps_out: Scalar, delta: Scalar,
-                    size_cap: int = DEFAULT_SIZE_CAP,
-                    k_grid: Optional[Sequence[int]] = None
+                    size_cap: int = DEFAULT_SIZE_CAP
                     ) -> Tuple[BlockArray, CompoundReport]:
     """Multiply each block mean exactly by t_map(s) >= 1 through a chain of
     basic extensions whose mean-proportion p advances by at most beta per
@@ -463,78 +435,43 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
     for s in arr.symbols:
         if Fraction(final.blocks[s].stats().mean) != final_vals[s]:
             raise InvariantError("exact mean multiplication failed")
-    report_rounds = tuple(rounds)
-    rep = CompoundReport(report_rounds, dict(t), beta, base_h, tuple())
-    if k_grid is None:
-        k_grid = make_k_grid(base_h, final.height, dense_cap=min(
-            4096, max(base_h * 4, 64)), geo_cap=64)
-    deltas = []
-    for k, hist in zip(k_grid, final.sk_histograms(k_grid)):
-        devs = []
-        for s, units, sc in zip(arr.symbols, hist.units, hist.scales):
-            ek = e0[s] * (1 + rep.p_of_k(k) * (t[s] - 1))
-            ratio = units.astype(float) * float(sc) / (k * float(ek))
-            devs.append(np.abs(ratio - 1.0))
-        deltas.append(_delta_k(np.concatenate(devs),
-                               np.concatenate(hist.counts)))
-    # enforce the nonincreasing shape by a running maximum from the right
-    for i in range(len(deltas) - 2, -1, -1):
-        deltas[i] = max(deltas[i], deltas[i + 1])
-    rep = CompoundReport(report_rounds, dict(t), beta, base_h,
-                         tuple(zip(k_grid, deltas)))
-    return final, rep
+    return final, CompoundReport(tuple(rounds), base_h)
 
 
 # -- full extension step ---------------------------------------------------
 
 
+def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
+             delta: Fraction, eps: Fraction, change: Fraction,
+             dense_cap: int = 4096,
+             geo_cap: int = 256) -> ExtensionCertificate:
+    y = arr_new.label_dist()
+    grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
+    distances = {k: hist.distance(gamma.gamma(k), y, "uniform")
+                 for k, hist in zip(grid, arr_new.sk_histograms(grid))}
+    return ExtensionCertificate(tuple(grid), distances, gamma, change,
+                                float(delta), float(eps))
+
+
 def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
-                   rounds: int = 3, mode: str = "gentle",
-                   size_cap: int = DEFAULT_SIZE_CAP,
+                   rounds: int = 3, size_cap: int = DEFAULT_SIZE_CAP,
                    cert_dense: int = 4096, cert_geo: int = 256
                    ) -> Tuple[BlockArray, ExtensionCertificate]:
     """Produce a strictly larger-scale array that is still exactly
     label-distributed, moves less than ``delta`` of the mass, and carries a
     certificate of closeness to the label distribution along a gamma chain.
 
-    ``gentle`` mode grows the scale by a small factor using bump sizes that
-    stay uniformly negligible at every window length, and certifies in the
-    L-infinity transport metric.  ``transitive`` mode multiplies the scale
-    by an integer factor larger than the label spread by blending every
-    block into every target label, and certifies in the L1 transport metric
-    (large but rare bumps are unavoidable there).
+    The scale grows by a small factor through ``rounds`` basic extensions
+    whose bumps stay uniformly negligible at every window length, so the
+    certificate is uniform: it bounds the L-infinity transport distance at
+    every k of its grid.
     """
-    d = Fraction(delta)
-    e = Fraction(eps)
-    if not 0 < e <= d:
+    delta = Fraction(delta)
+    eps = Fraction(eps)
+    if not 0 < eps <= delta:
         raise PreconditionError("need 0 < eps <= delta")
-    if mode == "gentle":
-        return _extension_gentle(arr, d, e, rounds, size_cap,
-                                 cert_dense, cert_geo)
-    if mode == "transitive":
-        return _extension_transitive(arr, d, e, size_cap,
-                                     cert_dense, cert_geo)
-    raise PreconditionError(f"unknown extension mode {mode!r}")
-
-
-def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
-             delta: Fraction, eps: Fraction, change: Fraction,
-             metric: str, dense_cap: int = 4096,
-             geo_cap: int = 256) -> ExtensionCertificate:
-    y = arr_new.label_dist()
-    grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
-    distances = {k: hist.distance(gamma.gamma(k), y, metric)
-                 for k, hist in zip(grid, arr_new.sk_histograms(grid))}
-    return ExtensionCertificate(tuple(grid), distances, gamma, change,
-                                float(delta), float(eps), metric)
-
-
-def _extension_gentle(arr: BlockArray, delta: Fraction, eps: Fraction,
-                      rounds: int, size_cap: int,
-                      cert_dense: int = 4096, cert_geo: int = 256
-                      ) -> Tuple[BlockArray, ExtensionCertificate]:
     if rounds < 1:
-        raise PreconditionError("gentle extension needs at least one round")
+        raise PreconditionError("extension needs at least one round")
     q = 2 * (int(1 / delta) + 1)
     # dyadic bump coefficient: every bump is theta*value(s), keeping weight
     # denominators bounded while window excess stays below eps/4
@@ -569,53 +506,8 @@ def _extension_gentle(arr: BlockArray, delta: Fraction, eps: Fraction,
     if gamma.max_step() > delta:
         raise InvariantError("gamma chain step exceeds delta")
     cert = _certify(cur, gamma, h0, heights[-1], delta, eps,
-                    cur.change_mass(), "uniform", cert_dense, cert_geo)
+                    cur.change_mass(), cert_dense, cert_geo)
     return cur, cert
-
-
-def _extension_transitive(arr: BlockArray, delta: Fraction, eps: Fraction,
-                          size_cap: int,
-                          cert_dense: int = 4096, cert_geo: int = 256
-                          ) -> Tuple[BlockArray, ExtensionCertificate]:
-    vals = arr.values
-    f_min, f_max = arr.min_value(), arr.max_value()
-    k_factor = int(2 * f_max / f_min) + 1
-    h0 = arr.height
-    c0 = Fraction(arr.scale)
-    # one blended constituent per (source, target) pair, extended along a
-    # shared schedule so all pieces keep a common length
-    pair_syms = tuple((s, t_sym) for s in arr.symbols
-                      for t_sym in arr.symbols)
-    pair_arr = BlockArray(pair_syms,
-                          {(s, t_sym): arr.blocks[s]
-                           for s, t_sym in pair_syms},
-                          {(s, t_sym): vals[s] for s, t_sym in pair_syms},
-                          c0)
-    t_map = {(s, t_sym): Fraction(k_factor) * vals[t_sym] / vals[s]
-             for s, t_sym in pair_syms}
-    per_piece_cap = size_cap // len(arr.symbols)
-    pieces_arr, _ = compound_extend(pair_arr, t_map, beta=Fraction(1, 2),
-                                    eps_out=eps / 2, delta=delta,
-                                    size_cap=per_piece_cap, k_grid=[h0])
-    blocks = {}
-    for t_sym in arr.symbols:
-        parts = [pieces_arr.blocks[(s, t_sym)] for s in arr.symbols]
-        blocks[t_sym] = concat_many(parts)
-    new_scale = c0 * k_factor
-    new = BlockArray(arr.symbols, blocks, vals, new_scale)
-    # tile until the assembled blocks are eps-normalized
-    tile = max(choose_tile(new.blocks[s], eps, size_cap) for s in arr.symbols)
-    if tile > 1:
-        new = BlockArray(arr.symbols,
-                         {s: self_concat(new.blocks[s], tile)
-                          for s in arr.symbols}, vals, new_scale)
-    h1 = new.height
-    gamma = GammaTable(((h0, c0), (h1, new_scale)),
-                       ((h0, float(delta)), (h1 - 1, float(delta)),
-                        (h1, float(eps))), mode="linear")
-    cert = _certify(new, gamma, h0, h1, delta, eps, new.change_mass(),
-                    "vasershtein", cert_dense, cert_geo)
-    return new, cert
 
 
 # -- straightening ---------------------------------------------------------

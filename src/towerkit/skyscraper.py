@@ -285,7 +285,9 @@ def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
 
 @dataclass(frozen=True)
 class InversionReport:
-    """Measured two-sided inversion at a grid of time horizons."""
+    """Measured two-sided inversion at a grid of time horizons.  Every
+    tail check of ``reports`` passed: ``check_inversion`` raises on the
+    first that fails."""
 
     n_grid: tuple
     occ_distances: dict         # n -> distance(S_n/a(n), Y)
@@ -293,10 +295,9 @@ class InversionReport:
     reports: dict               # n -> OccupationReport
     tol: float
     top_ok: bool
-    tail_ok: bool
 
     def ok(self) -> bool:
-        return self.top_ok and self.tail_ok
+        return self.top_ok
 
 
 def check_inversion(it: IntegerTower, occ: Dict,
@@ -340,7 +341,7 @@ def check_inversion(it: IntegerTower, occ: Dict,
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, reports, tol,
-                           top_ok, True)
+                           top_ok)
 
 
 @dataclass(frozen=True)

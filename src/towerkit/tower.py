@@ -26,6 +26,10 @@ from .lemma_engine import (BlockArray, GammaTable, InvariantError,
 from .splitting import TargetDist, build_split_sequence
 
 DEFAULT_BICYCLE_M = Fraction(9, 8)
+# k grid of each stage's extension certificate: every k up to CERT_DENSE,
+# then at most CERT_GEO geometrically spaced k up to the stage height
+CERT_DENSE = 512
+CERT_GEO = 128
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,7 @@ def _check_monotone_growth(old: BlockArray, new: BlockArray) -> None:
 
 def build_rational_tower(target: FiniteDist, deltas: Sequence,
                          epss: Sequence, rounds: int = 2,
-                         size_cap: int = 10 ** 6,
-                         cert_dense: int = 512,
-                         cert_geo: int = 128) -> TowerTrace:
+                         size_cap: int = 10 ** 6) -> TowerTrace:
     """Pure extension chain for a finitely supported rational target.
 
     Stage n applies a gentle extension with parameters (delta_n, eps_n);
@@ -125,8 +127,8 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
     for n, (d, e) in enumerate(zip(deltas, epss), start=1):
         arr_new, cert = extension_step(arr, d, e, rounds=rounds,
                                        size_cap=size_cap,
-                                       cert_dense=cert_dense,
-                                       cert_geo=cert_geo)
+                                       cert_dense=CERT_DENSE,
+                                       cert_geo=CERT_GEO)
         _check_monotone_growth(arr, arr_new)
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed at "
@@ -198,9 +200,7 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
                         epss: Sequence, max_depth: int = 16,
                         rounds: int = 1,
                         size_cap: int = 10 ** 6,
-                        etas: Optional[Sequence] = None,
-                        cert_dense: int = 512,
-                        cert_geo: int = 128) -> TowerTrace:
+                        etas: Optional[Sequence] = None) -> TowerTrace:
     """Alternating straightening and extension stages for a general target.
 
     The target is discretized along a dyadic splitting sequence; each
@@ -265,8 +265,8 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
             k_flat = arr.height
         arr_new, cert = extension_step(arr, d, e, rounds=rounds,
                                        size_cap=size_cap,
-                                       cert_dense=cert_dense,
-                                       cert_geo=cert_geo)
+                                       cert_dense=CERT_DENSE,
+                                       cert_geo=CERT_GEO)
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed")
         certs.append(cert)

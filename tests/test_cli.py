@@ -154,6 +154,26 @@ class TestConfigParsing:
         assert main(["skyscraper", "--preset", "twopoint", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
+    def test_bad_skyscraper_base_stops_all_before_writing(self, tmp_path):
+        # the base is checked when the config loads, so "all" writes no
+        # split, tower or verify file before it exits
+        path = write_config(tmp_path / "c.json",
+                            {"skyscraper": {"base": {"kind": "bogus"}}})
+        with pytest.raises(ConfigError):
+            load_config(path, "twopoint")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+    def test_skyscraper_base_shares_hash_rounds_and_cap(self):
+        cfg = load_config(None, "twopoint", cap=123456)
+        assert cfg.base.kind == "rational" and cfg.base.deltas == [F(1, 20)]
+        assert cfg.base.config_hash == cfg.config_hash
+        assert cfg.base.rounds == 2 and cfg.base.size_cap == 123456
+        assert load_config(None, "lognormal").base is None
+
     @pytest.mark.parametrize("alpha", ["-1", "0"])
     def test_nonpositive_alpha_is_2(self, alpha, tmp_path):
         obj = json.loads(json.dumps(FAST_CONFIG))

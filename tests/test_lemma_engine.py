@@ -1,6 +1,5 @@
 """Unit tests for the extension engine: basic, compound, straightening."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -9,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import towerkit.lemma_engine as lemma_engine
 from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
                              self_concat, stats)
 from towerkit.distributions import FiniteDist, SkHistogram, Splitting, SymRep
-from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
+from towerkit.lemma_engine import (BlockArray, GammaTable,
                                    PreconditionError, SizeCapError,
-                                   _certify, _delta_k, basic_extend,
+                                   _certify, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
@@ -38,22 +36,6 @@ def value_disagreements(wa, wb, k):
     sa, sb = F(wa.scale), F(wb.scale)
     return (a * sa.numerator * sb.denominator) != \
         (b * sb.numerator * sa.denominator)
-
-
-def delta_k_per_position(ratios):
-    """Per-position reference for _delta_k: scan every j in descending
-    order of deviation."""
-    d = np.sort(ratios)[::-1]
-    n = len(d)
-    best = float(d[0])
-    for j in range(n + 1):
-        tail = float(d[j]) if j < n else 0.0
-        cand = max(tail, j / n)
-        if cand < best:
-            best = cand
-        if j / n >= best:
-            break
-    return best
 
 
 def two_label_array(scale=F(1)):
@@ -235,47 +217,18 @@ class TestCompoundExtend:
         assert rep.p_of_k(arr.height) == 0
         assert rep.p_of_k(out.height + 1) == 1
 
-    def test_delta_grid_nonincreasing(self):
+    def test_output_is_half_eps_normalized(self):
+        # the final tiling makes every block eps_out/2-normalized: at every
+        # k, the positions whose S_k strays from k*E by more than eps_out/2
+        # are at most an eps_out/2 fraction
         arr = two_label_array()
-        out, rep = compound_extend(arr, {"a": F(2), "b": F(2)},
-                                   beta=F(1, 3), eps_out=F(1, 4),
-                                   delta=F(1, 3))
-        ds = [d for _, d in rep.delta_grid]
-        assert all(a >= b for a, b in zip(ds, ds[1:]))
-        assert rep.delta_grid[-1][1] < 0.25 + 1e-12
-
-    def test_certified_delta_fraction(self):
-        # delta_k certifies: at most a delta_k fraction of positions
-        # deviates from the blended mean by more than delta_k
-        arr = two_label_array()
-        out, rep = compound_extend(arr, {"a": F(2), "b": F(3, 2)},
-                                   beta=F(1, 3), eps_out=F(1, 4),
-                                   delta=F(1, 3))
-        e0 = {s: F(arr.blocks[s].stats().mean) for s in arr.symbols}
-        for k, dk in rep.delta_grid[::3]:
-            devs = []
-            p = rep.p_of_k(k)
-            for s in arr.symbols:
-                w = out.blocks[s]
-                ek = e0[s] * ((1 - p) + p * rep.t_map[s])
-                units = cyclic_partial_sums_units(w, k)
-                ratio = units.astype(float) * float(w.scale) / (k * float(ek))
-                devs.append(np.abs(ratio - 1.0))
-            devs = np.concatenate(devs)
-            assert float((devs > dk + 1e-12).mean()) <= dk + 1e-12
-
-    def test_delta_k_on_pairs_matches_per_position(self):
-        rng = np.random.default_rng(71)
-        for _ in range(300):
-            m = int(rng.integers(1, 12))
-            # few distinct deviations on a coarse grid, so ties across
-            # pairs are common; some runs exceed 1
-            devs = rng.integers(0, 12, m) / float(rng.choice([4, 8, 16]))
-            counts = rng.integers(1, 9, m)
-            expanded = np.repeat(devs, counts)
-            rng.shuffle(expanded)
-            assert _delta_k(devs, counts) == \
-                delta_k_per_position(expanded)
+        eps_out = F(1, 4)
+        for t_map in ({"a": F(2), "b": F(2)}, {"a": F(2), "b": F(3, 2)}):
+            out, rep = compound_extend(arr, t_map, beta=F(1, 3),
+                                       eps_out=eps_out, delta=F(1, 3))
+            assert rep.p_of_k(out.height) == 1
+            for s in out.symbols:
+                assert is_normalized(out.blocks[s], eps_out / 2)
 
     def test_rejects_shrinking_multiplier(self):
         arr = two_label_array()
@@ -293,10 +246,8 @@ class TestExtensionStep:
 
     def test_gentle_mode(self):
         arr = self.labels_three_halves()
-        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2,
-                                   mode="gentle")
+        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
         assert cert.is_valid()
-        assert cert.metric == "uniform"
         assert cert.change_mass < F(3, 5)
         assert out.scale > arr.scale
         assert out.label_dist() == arr.label_dist()
@@ -304,52 +255,9 @@ class TestExtensionStep:
             assert F(out.blocks[s].stats().mean) == \
                 out.scale * out.values[s]
 
-    def test_transitive_mode(self):
-        arr = self.labels_three_halves()
-        out, cert = extension_step(arr, F(3, 5), F(1, 2),
-                                   mode="transitive")
-        assert cert.is_valid()
-        assert cert.metric == "vasershtein"
-        assert out.scale > arr.scale
-        assert out.label_dist() == arr.label_dist()
-
-    def test_transitive_tiles_the_assembled_blocks(self, monkeypatch):
-        # on the small arrays tried, the assembled blocks are already
-        # eps-normalized, so the final tile count is raised to 3 here to
-        # run the branch that tiles them
-        arr = BlockArray(("a", "b"), {"a": Block([4], F(1, 4)),
-                                      "b": Block([6], F(1, 4))},
-                         {"a": F(1), "b": F(3, 2)}, F(1))
-        eps = F(1, 2)
-        seen = []
-        least = lemma_engine.choose_tile
-
-        def forced(w, e, size_cap):
-            m = least(w, e, size_cap)
-            if e != eps:        # the pieces of compound_extend
-                return m
-            seen.append((len(w), m))
-            return max(m, 3)
-
-        monkeypatch.setattr(lemma_engine, "choose_tile", forced)
-        out, cert = extension_step(arr, F(3, 5), eps, mode="transitive")
-        (h, m), _ = seen
-        assert m == 1 and out.height == 3 * h
-        blocks = [out.blocks[s] for s in out.symbols]
-        assert all(np.array_equal(w.units, np.tile(w.units[:h], 3))
-                   for w in blocks)
-        assert all(is_normalized(w, eps) for w in blocks)
-        assert out.label_dist() == arr.label_dist()
-        for s in out.symbols:
-            assert F(out.blocks[s].stats().mean) == out.scale * out.values[s]
-        assert cert.k_grid[0] == arr.height
-        assert cert.k_grid[-1] == out.height
-        assert cert.is_valid()
-
     def test_gamma_chain_steps_bounded(self):
         arr = self.labels_three_halves()
-        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2,
-                                   mode="gentle")
+        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
         assert cert.gamma.max_step() <= F(3, 5)
         ks = [k for k, _ in cert.gamma.anchors]
         gs = [g for _, g in cert.gamma.anchors]
@@ -367,25 +275,26 @@ class TestExtensionStep:
         # must equal, bit for bit, the one measured on that k alone from
         # every position of each whole block
         out, cert = extension_step(self.labels_three_halves(), F(3, 5),
-                                   F(1, 2), rounds=2, mode="gentle")
+                                   F(1, 2), rounds=2)
         arr = BlockArray(("a", "a2", "b"),
                          {"a": out.blocks["a"], "a2": out.blocks["a"],
                           "b": out.blocks["b"]},
                          {"a": F(1), "a2": F(1), "b": F(3, 2)}, out.scale)
         blocks = [arr.blocks[s] for s in arr.symbols]
         y = arr.label_dist()
-        for metric in ("uniform", "vasershtein"):
-            got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
-                           F(1, 2), arr.change_mass(), metric)
-            assert len(got.k_grid) > arr.height
-            for k in got.k_grid:
-                laws = [np.unique(cyclic_partial_sums_units(w, k),
-                                  return_counts=True) for w in blocks]
-                alone = SkHistogram(k, [w.scale for w in blocks],
-                                    [u for u, _ in laws],
-                                    [c for _, c in laws])
-                assert got.distances[k] == \
-                    alone.distance(cert.gamma.gamma(k), y, metric)
+        got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
+                       F(1, 2), arr.change_mass())
+        assert len(got.k_grid) > arr.height
+        hists = dict(zip(got.k_grid, arr.sk_histograms(got.k_grid)))
+        for k in got.k_grid:
+            laws = [np.unique(cyclic_partial_sums_units(w, k),
+                              return_counts=True) for w in blocks]
+            alone = SkHistogram(k, [w.scale for w in blocks],
+                                [u for u, _ in laws], [c for _, c in laws])
+            g = cert.gamma.gamma(k)
+            assert got.distances[k] == alone.distance(g, y, "uniform")
+            assert hists[k].distance(g, y, "vasershtein") == \
+                alone.distance(g, y, "vasershtein")
 
 
 class TestStraightening:

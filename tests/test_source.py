@@ -32,10 +32,26 @@ def unused_imports(source: str) -> list:
                   if name not in read)
 
 
+def definitions(source: str):
+    """Module-level functions and classes of ``source``, as ``name``, and
+    the methods and properties of its classes, as ``Class.name``; dunder
+    methods are left out, since Python calls them by protocol."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__")
+                        and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def dead_names(modules: dict, sources: list) -> list:
-    """Module-level functions and classes of ``modules`` (file name ->
-    source) that no source in ``sources`` names: as a name, an attribute
-    or an imported name.  A definition does not name itself."""
+    """Definitions of ``modules`` (file name -> source) that no source in
+    ``sources`` names: as a name, an attribute or an imported name.  A
+    definition does not name itself."""
     named = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -45,18 +61,20 @@ def dead_names(modules: dict, sources: list) -> list:
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.asname or node.name)
-    return sorted((file, node.name) for file, source in modules.items()
-                  for node in ast.parse(source).body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in named)
+    return sorted((file, label) for file, source in modules.items()
+                  for label, name in definitions(source)
+                  if name not in named)
 
 
 def test_scan_finds_a_dead_name():
     module = "def used():\n    pass\n\n\ndef dead():\n    return used()\n" \
-             "\n\nclass Kept:\n    pass\n"
-    user = "from pkg.m import used\nx = pkg.m.Kept\n"
+             "\n\nclass Kept:\n    def __len__(self):\n        return 0\n" \
+             "\n    def read(self):\n        return self.gone\n" \
+             "\n    @property\n    def gone(self):\n        return 1\n" \
+             "\n    def dead_method(self):\n        return self.read()\n"
+    user = "from pkg.m import used\nx = pkg.m.Kept().read()\n"
     assert dead_names({"m.py": module}, [module, user]) == \
-        [("m.py", "dead")]
+        [("m.py", "Kept.dead_method"), ("m.py", "dead")]
 
 
 def test_no_dead_names():
