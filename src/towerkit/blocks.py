@@ -107,7 +107,11 @@ def _common_scale(a: "Block", b: "Block") -> Tuple[Fraction, int, int]:
 class Bump(NamedTuple):
     """How a bump tiling built a block: its units are ``factor`` times the
     units of ``child``, tiled, plus ``amount`` at positions spacing,
-    2*spacing, ... (1-based).  ``spacing`` is a multiple of len(child)."""
+    2*spacing, ... (1-based).  ``spacing`` is a multiple of len(child).
+
+    Set by ``lemma_engine._add_bumps`` on the blocks it builds, and by
+    ``skyscraper.integerize`` on the integer blocks of bump-tiled ones;
+    ``self_concat`` passes it on."""
 
     child: "Block"
     factor: int

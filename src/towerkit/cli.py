@@ -195,9 +195,14 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
+_FAMILIES = ("points", "pareto", "lognormal", "shifted_exponential",
+             "table")
+
+
 def _stage_schedules(obj: dict, kind) -> Tuple[list, list, list]:
     """The checked deltas, epss and kappas of a run of ``kind`` whose
-    schedules and target are read from ``obj``."""
+    schedules and target are read from ``obj``; the target's family is
+    checked too, so a bad target stops a run before any step writes."""
     if kind not in ("rational", "example", "general"):
         raise ConfigError(f"kind must be rational|example|general, "
                           f"got {kind!r}")
@@ -215,8 +220,18 @@ def _stage_schedules(obj: dict, kind) -> Tuple[list, list, list]:
     else:
         if not deltas or len(deltas) != len(epss):
             raise ConfigError("runs need matching nonempty deltas and epss")
-    if kind != "example" and obj.get("target") is None:
-        raise ConfigError("target specification is required")
+    if kind != "example":
+        target = obj.get("target")
+        if target is None:
+            raise ConfigError("target specification is required")
+        if not isinstance(target, dict):
+            raise ConfigError(f"target must be a JSON object, got {target!r}")
+        if target.get("family") not in _FAMILIES:
+            raise ConfigError(
+                f"unknown target family {target.get('family')!r}")
+        if kind == "rational" and target["family"] != "points":
+            raise ConfigError(
+                "this run kind needs a finitely supported target")
     return deltas, epss, kappas
 
 
@@ -263,7 +278,10 @@ def load_config(path: Optional[str], preset: Optional[str],
         raise ConfigError("size_cap must be positive")
     if obj.get("mode", "exact") != "exact":
         raise ConfigError(f"mode must be exact, got {obj['mode']!r}")
-    sky_obj = dict(obj.get("skyscraper", {}))
+    sky_obj = obj.get("skyscraper", {})
+    if not isinstance(sky_obj, dict):
+        raise ConfigError(f"skyscraper must be a JSON object, got {sky_obj!r}")
+    sky_obj = dict(sky_obj)
     x_values = tuple(parse_number(x) for x in obj.get(
         "x_values", ["3/10", "1/2", "4/5"]))
     cfg = RunConfig(
@@ -280,6 +298,9 @@ def load_config(path: Optional[str], preset: Optional[str],
     base_obj = sky_obj.get("base")
     if base_obj is not None:
         # the skyscraper's base tower, checked before any step runs
+        if not isinstance(base_obj, dict):
+            raise ConfigError(
+                f"skyscraper.base must be a JSON object, got {base_obj!r}")
         base_kind = base_obj.get("kind", kind)
         deltas, epss, kappas = _stage_schedules(base_obj, base_kind)
         cfg.base = RunConfig(
@@ -294,8 +315,6 @@ def load_config(path: Optional[str], preset: Optional[str],
 def _target_from_spec(spec: dict):
     params = dict(spec)
     family = params.pop("family", None)
-    if family is None:
-        raise ConfigError("target needs a family")
     if family == "points":
         atoms = [(parse_number(v), parse_number(m))
                  for v, m in params.pop("atoms")]
@@ -455,27 +474,27 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         _log("skyscraper: no admissible time horizons under the cap")
         return EXIT_CONFIG
     tail_constant = parse_number(sky_cfg.get("tail_constant", "2"))
-    occ = sky.occupation_table(it, n_grid)
-    try:
-        if it.height * it.size <= 512:
-            sky.check_duality(it)
-        inv = sky.check_inversion(
-            it, occ, tol=tol, tail_constant=tail_constant,
-            x_values=tuple(parse_number(x) for x in sky_cfg.get(
-                "x_values", ["5/4", "3/2", "2"])))
-    except (sky.InversionError, InvariantError) as exc:
-        _log(f"skyscraper: hard invariant failed: {exc}")
-        return EXIT_INVARIANT
-    for n in (n_grid[0], n_grid[-1]):
-        inv.reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
-    rho_fn = _pareto1_rho if sky_cfg.get("rho") == "pareto1" else None
+    x_values = tuple(parse_number(x) for x in sky_cfg.get(
+        "x_values", ["5/4", "3/2", "2"]))
     alphas = [float(parse_number(a))
               for a in sky_cfg.get("alphas", ["1"])]
     t_grid = [float(parse_number(t))
               for t in sky_cfg.get("t_grid", ["2"])]
     divergent = [float(parse_number(a))
                  for a in sky_cfg.get("divergent_alphas", [])]
-    rows = sky.are_diagnostic(it, occ, alphas, t_grid, rho_fn=rho_fn,
+    try:
+        if it.height * it.size <= 512:
+            sky.check_duality(it)
+        reports, moments = sky.occupation_sweep(
+            it, n_grid, alphas, t_grid, x_values, tail_constant)
+        inv = sky.check_inversion(it, reports, tol=tol)
+    except (sky.InversionError, InvariantError) as exc:
+        _log(f"skyscraper: hard invariant failed: {exc}")
+        return EXIT_INVARIANT
+    for n in (n_grid[0], n_grid[-1]):
+        inv.reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
+    rho_fn = _pareto1_rho if sky_cfg.get("rho") == "pareto1" else None
+    rows = sky.are_diagnostic(it, moments, alphas, t_grid, rho_fn=rho_fn,
                               divergent_alphas=divergent,
                               tail_constant=tail_constant)
     report = dict(_report_header(cfg))

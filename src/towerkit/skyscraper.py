@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .blocks import _INT64_MAX, Block
+from .blocks import _INT64_MAX, Block, Bump
 from .distributions import INF, FiniteDist, SkHistogram, sk_histograms
 from .lemma_engine import InvariantError
 from .tower import TowerTrace
@@ -122,7 +122,9 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     Weights are divided by a common rational tick so they become integers:
     exactly (zero perturbation) whenever the unit counts stay in safe
     integer range, otherwise by rounding up on a grid fine enough that every
-    block mean moves by a relative amount below ``eta``.
+    block mean moves by a relative amount below ``eta``.  An integer block
+    of a bump-tiled block keeps a ``Bump``, from which
+    ``occupation_counts`` reads it.
     """
     arr = trace.final
     eta = Fraction(eta)
@@ -145,7 +147,12 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                        for s in symbols)
     if exact_totals <= _EXACT_TOTAL_CAP:
         for s in symbols:
-            blocks[s] = Block(arr.blocks[s].units * int(mults[s]), tick)
+            mult = int(mults[s])
+            blocks[s] = Block(arr.blocks[s].units * mult, tick)
+            bump = arr.blocks[s]._bump
+            if bump is not None:
+                child, f, b, spacing = bump
+                blocks[s]._bump = Bump(child, f * mult, b * mult, spacing)
             perts[s] = Fraction(0)
     else:
         min_w = min(int(arr.blocks[s].units.min()) * scales[s]
@@ -163,6 +170,17 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                 raise SkyscraperError(
                     f"rounded weights of block {s!r} leave the int64 range")
             blocks[s] = Block(w.astype(np.int64), tick)
+            bump = arr.blocks[s]._bump
+            if bump is not None:
+                # only bump positions differ from the tiled child, and they
+                # all round f*c_last + B for the child's last unit c_last
+                child, f, b, spacing = bump
+                c = child.units.astype(object) * f
+                cw = (c * num + den - 1) // den
+                last = (int(c[-1]) + b) * num
+                blocks[s]._bump = Bump(
+                    Block(cw.astype(np.int64), tick), 1,
+                    (last + den - 1) // den - int(cw[-1]), spacing)
             old_mean = Fraction(arr.blocks[s].stats().mean)
             new_mean = Fraction(total, len(u)) * tick
             perts[s] = (new_mean - old_mean) / old_mean
@@ -201,35 +219,82 @@ def return_time_partial_sums(it: IntegerTower, n: int, nu) -> int:
     return wraps * tot + part
 
 
+def _window_ends(pre: np.ndarray, m: int) -> np.ndarray:
+    """nu + max{j : S_j(nu) <= m} at each 0-based position nu of the block
+    with prefix sums ``pre``, for 0 <= m < its total: one vectorized
+    binary search of pre[nu] + m in the doubled prefix array."""
+    h = pre.size - 1
+    pre2 = np.concatenate([pre, pre[-1] + pre[1:]])
+    return np.searchsorted(pre2, pre[:h] + m, side="right") - 1
+
+
+def _bumped_remainder_counts(bump: Bump, h: int, m: int) -> np.ndarray:
+    """max{j < h : S_j(nu) <= m} over one spacing s of a height-h block
+    that ``bump`` built, read off the child's prefix sums.
+
+    A window of length j from nu (0 <= nu < s) reads f*C_j(nu mod L), with
+    C_j the child's cyclic partial sum and L its least period, plus B for
+    each of the c = (nu + j) // s bump positions it crosses.  So among the
+    windows ending in [c*s, (c+1)*s), the sum is at most m exactly when
+    j <= J_c(nu mod L), the largest j with C_j <= (m - c*B) // f, and as
+    S_j increases with j the count is the last such c's
+    min(nu + J_c, (c+1)*s - 1) - nu.  The ends are laid out as s/L rows
+    of L positions, the row start plus one child-sized table per c.
+    """
+    child, f, b, s = bump
+    L = child.period
+    pre = child.prefix[:L + 1]
+    tot = int(pre[-1])
+    starts = np.arange(0, s, L)[:, None]
+    end = np.empty((s // L, L), dtype=np.int64)
+    for c in range(h // s + 1):
+        if m < c * b:
+            break
+        # whole child periods, capped at h: no count reaches h
+        periods, rest = divmod((m - c * b) // f, tot)
+        reach = min(periods * L, h) + _window_ends(pre, rest)
+        if c == 0:
+            np.add(starts, reach, out=end)
+            np.minimum(end, s - 1, out=end)
+            continue
+        # rows from which some window reaches the c-th bump
+        first = max(0, -(-(c * s - int(reach.max())) // L))
+        if first >= len(starts):
+            break
+        ends = starts[first:] + reach
+        hit = ends >= c * s
+        np.minimum(ends, (c + 1) * s - 1, out=ends)
+        np.copyto(end[first:], ends, where=hit)
+    out = end.ravel()
+    out -= np.arange(s)
+    return out
+
+
 def occupation_counts(it: IntegerTower, n: int) -> Dict:
     """S_n(1_Omega) over all base positions of every block, exact.
 
-    For each position nu the count is max{j >= 0 : phi_j(nu) <= n}, found by
-    splitting n into whole cycles plus a remainder located in the doubled
-    prefix array with one vectorized binary search.
+    For each position nu the count is max{j >= 0 : phi_j(nu) <= n}: n is
+    split into whole cycles plus a remainder m, which is located with one
+    binary search of the block's doubled prefix array.  A block that a
+    bump tiling built is s-periodic for its spacing s, and its remainders
+    are found over one spacing from one period of its child, then tiled.
     """
     if n < 1:
         raise SkyscraperError("time horizon must be positive")
     out = {}
     h = it.height
     for s in it.symbols:
-        pre = it.blocks[s].prefix
-        tot = int(pre[-1])
-        q, m = divmod(n, tot)
-        pre2 = np.concatenate([pre, tot + pre[1:]])
-        base = pre[:h]
-        idx = np.searchsorted(pre2, base + m, side="right") - 1
-        r = idx - np.arange(h)
-        out[s] = q * h + r
+        w = it.blocks[s]
+        q, m = divmod(n, w.total_units())
+        if w._bump is None:
+            r = _window_ends(w.prefix, m) - np.arange(h)
+        else:
+            r = _bumped_remainder_counts(w._bump, h, m)
+            if w._bump.spacing < h:
+                r = np.tile(r, h // w._bump.spacing)
+        r += q * h
+        out[s] = r
     return out
-
-
-def occupation_table(it: IntegerTower, n_grid: Sequence[int]) -> Dict:
-    """``occupation_counts`` at each distinct horizon of ``n_grid``, in
-    increasing order: the per-position counts that ``check_inversion`` and
-    ``are_diagnostic`` both read, counted once."""
-    return {n: occupation_counts(it, n)
-            for n in sorted(set(int(n) for n in n_grid))}
 
 
 @dataclass(frozen=True)
@@ -284,6 +349,67 @@ def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
 
 
 @dataclass(frozen=True)
+class OccupationMoments:
+    """Float statistics of the occupation counts at one time horizon,
+    for ``are_diagnostic``."""
+
+    mean: float                 # E[S_n(1_Omega)]
+    moment: dict                # alpha -> E[S_n^alpha]^(1/alpha); max at inf
+    u: dict                     # (alpha, t) -> E[Phi_n 1_{Phi_n > t}]
+
+
+def occupation_moments(it: IntegerTower, n: int, counts: Dict,
+                       alphas: Sequence = (), t_grid: Sequence = ()
+                       ) -> OccupationMoments:
+    """The alpha-moments of the occupation counts at time n, from its
+    per-position ``counts`` (``occupation_counts(it, n)``), and the
+    uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
+    with Phi_n = (S_n/a(n))^alpha, all from one float copy of the counts.
+    alpha = inf gives the maximum count and no functional.
+    """
+    alphas = [float(a) for a in alphas]
+    if any(a != math.inf and a <= 0 for a in alphas):
+        raise SkyscraperError("alpha must be positive")
+    t_grid = [float(t) for t in t_grid]
+    x = np.concatenate([counts[s] for s in it.symbols], dtype=float)
+    a_n = float(it.a_of(n))
+    moment, u = {}, {}
+    for alpha in alphas:
+        if alpha == math.inf:
+            moment[alpha] = float(x.max())
+            continue
+        moment[alpha] = float(np.mean(x ** alpha)) ** (1.0 / alpha)
+        phi = x / a_n
+        phi **= alpha
+        for t in t_grid:
+            u[alpha, t] = float(phi[phi > t].sum()) / x.size
+    return OccupationMoments(float(x.mean()), moment, u)
+
+
+def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
+                     alphas: Sequence = (), t_grid: Sequence = (),
+                     x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
+                                           Fraction(2)),
+                     tail_constant: Fraction = DEFAULT_TAIL_CONSTANT):
+    """One pass over the distinct horizons of ``n_grid``, in increasing
+    order: at each, the per-position occupation counts give that
+    horizon's ``OccupationReport`` and ``OccupationMoments`` and are then
+    dropped, so one horizon's counts are held at a time.
+
+    Returns (reports, moments), each a dict keyed by horizon: what
+    ``check_inversion`` and ``are_diagnostic`` read.
+    """
+    reports, moments = {}, {}
+    for n in sorted(set(int(n) for n in n_grid)):
+        counts = occupation_counts(it, n)
+        reports[n] = occupation_distribution(it, n, counts, x_values,
+                                             tail_constant)
+        moments[n] = occupation_moments(it, n, counts, alphas, t_grid)
+        del counts
+    return reports, moments
+
+
+@dataclass(frozen=True)
 class InversionReport:
     """Measured two-sided inversion at a grid of time horizons.  Every
     tail check of ``reports`` passed: ``check_inversion`` raises on the
@@ -300,34 +426,27 @@ class InversionReport:
         return self.top_ok
 
 
-def check_inversion(it: IntegerTower, occ: Dict,
-                    tol: float = 0.15,
-                    x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
-                                          Fraction(2)),
-                    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
-                    ) -> InversionReport:
+def check_inversion(it: IntegerTower, reports: Dict,
+                    tol: float = 0.15) -> InversionReport:
     """Certify the occupation limit and the matching return-time limit.
 
-    ``occ`` is the ``occupation_table`` of the time grid.  At every n in
-    the grid the occupation law S_n/a(n) is compared with the
-    occupation target and the return-time law phi_m/b(m), at the matched
-    window m ~ a(n), with the trace target.  Distances in the top decade of
-    the grid must stay below ``tol``; any tail-check failure aborts with a
-    witness.
+    ``reports`` holds the ``OccupationReport`` of each horizon of the time
+    grid (``occupation_sweep``).  At every n in the grid the occupation
+    law S_n/a(n) is compared with the occupation target and the
+    return-time law phi_m/b(m), at the matched window m ~ a(n), with the
+    trace target.  Distances in the top decade of the grid must stay below
+    ``tol``; any tail-check failure aborts with a witness.
     """
-    if not occ:
+    if not reports:
         raise SkyscraperError("need a nonempty time grid")
-    n_grid = sorted(occ)
+    n_grid = sorted(reports)
     y = it.occupation_target
     z = it.trace.target
     occ_d = {}
     phi_d = {}
-    reports = {}
     windows = []
     for n in n_grid:
-        rep = occupation_distribution(it, n, occ[n], x_values,
-                                      tail_constant)
-        reports[n] = rep
+        rep = reports[n]
         for x, lhs, bound, ok in rep.tail_checks:
             if not ok:
                 raise InversionError(
@@ -368,15 +487,16 @@ def _target_rho(y: FiniteDist, alpha: float, t: float) -> float:
     return acc
 
 
-def are_diagnostic(it: IntegerTower, occ: Dict, alphas: Sequence,
+def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
                    t_grid: Sequence, rho_fn: Optional[Callable] = None,
                    divergent_alphas: Sequence = (),
                    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
                    ) -> List[AlphaRow]:
     """Alpha-moment growth and uniform-integrability table.
 
-    ``occ`` is the ``occupation_table`` of the time grid.  For each finite
-    alpha the exact occupation counts give
+    ``moments`` holds the ``OccupationMoments`` of each horizon of the
+    time grid, taken at ``alphas`` and ``t_grid`` (``occupation_sweep``).
+    For each finite alpha the exact occupation counts give
     a_{alpha,Omega}(n) = (E[S_n(1_Omega)^alpha])^(1/alpha) and the
     functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}] with
     Phi_n = (S_n/a(n))^alpha.  In integrable mode the sup of u over the top
@@ -384,44 +504,25 @@ def are_diagnostic(it: IntegerTower, occ: Dict, alphas: Sequence,
     divergent mode (infinite alpha-moment of the target) only reports the
     growth trend.  alpha = inf reports the sup-norm diagnostic.
     """
-    if not occ:
+    if not moments:
         raise SkyscraperError("need a nonempty time grid")
     alphas = [float(a) for a in alphas]
-    if any(a != math.inf and a <= 0 for a in alphas):
-        raise SkyscraperError("alpha must be positive")
     t_grid = [float(t) for t in t_grid]
-    n_grid = sorted(occ)
+    n_grid = sorted(moments)
     y = it.occupation_target
     divergent = set(float(a) for a in divergent_alphas)
-    total = it.height * it.size
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
-    # every statistic of one horizon from one float copy of its counts,
-    # so only one copy is held at a time
-    a1, moment, u_table = {}, {}, {}
-    for n in n_grid:
-        x = np.concatenate([occ[n][s] for s in it.symbols], dtype=float)
-        a1[n] = float(x.mean())
-        a_n = float(it.a_of(n))
-        for alpha in alphas:
-            if alpha == math.inf:
-                moment[alpha, n] = float(x.max())
-                continue
-            moment[alpha, n] = float(np.mean(x ** alpha)) ** (1.0 / alpha)
-            phi = x / a_n
-            phi **= alpha
-            for t in t_grid:
-                u_table[alpha, n, t] = float(phi[phi > t].sum()) / total
     rows = []
     for alpha in alphas:
-        a_a = {n: moment[alpha, n] for n in n_grid}
-        ratio = {n: a_a[n] / a1[n] for n in n_grid}
+        a_a = {n: moments[n].moment[alpha] for n in n_grid}
+        ratio = {n: a_a[n] / moments[n].mean for n in n_grid}
         if alpha == math.inf:
             rows.append(AlphaRow(alpha, "sup-norm", a_a, ratio, {}, {}, {},
                                  None))
             continue
         mode = "divergent" if (alpha in divergent or INF in y.values) \
             else "integrable"
-        u = {(n, t): u_table[alpha, n, t] for t in t_grid for n in n_grid}
+        u = {(n, t): moments[n].u[alpha, t] for t in t_grid for n in n_grid}
         u_sup = {t: max([0.0] + [u[n, t] for n in top]) for t in t_grid}
         rho = {t: rho_fn(alpha, t) if rho_fn is not None
                else _target_rho(y, alpha, t) for t in t_grid}

@@ -17,7 +17,7 @@ from towerkit.lemma_engine import (BlockArray, basic_extend, choose_tile,
                                    compound_extend, extension_step)
 from towerkit.skyscraper import (IntegerTower, are_diagnostic, check_duality,
                                  check_inversion, integerize,
-                                 occupation_table)
+                                 occupation_sweep)
 from towerkit.splitting import (DyadicRep, build_split_sequence, make_target,
                                 split_cost)
 from towerkit.tower import (build_example_tower, build_rational_tower,
@@ -320,8 +320,8 @@ def test_criterion_9_skyscraper_inversion(uniform_sky):
         FiniteDist.point(1), F(1, 1000))
     assert check_duality(big)
     # two-sided inversion on the uniform(1,2) integer tower
-    inv = check_inversion(uniform_sky, occupation_table(
-        uniform_sky, sky_n_grid(uniform_sky)), tol=0.15)
+    reports, _ = occupation_sweep(uniform_sky, sky_n_grid(uniform_sky))
+    inv = check_inversion(uniform_sky, reports, tol=0.15)
     top = [n for n in inv.n_grid if n * 10 >= inv.n_grid[-1]]
     top_ok = all(inv.occ_distances[n] <= 0.15 for n in top)
     tail_ok = all(inv.reports[n].tail_ok() for n in inv.n_grid)
@@ -335,8 +335,8 @@ def test_criterion_9_skyscraper_inversion(uniform_sky):
 def test_criterion_10_alpha_dichotomy(uniform_sky, pareto_sky):
     t0 = time.monotonic()
     n_grid = sky_n_grid(uniform_sky)
-    rows = are_diagnostic(uniform_sky, occupation_table(uniform_sky, n_grid),
-                          [1.0, 2.0], [2.0])
+    _, moments = occupation_sweep(uniform_sky, n_grid, [1.0, 2.0], [2.0])
+    rows = are_diagnostic(uniform_sky, moments, [1.0, 2.0], [2.0])
     by_alpha = {r.alpha: r for r in rows}
     expected = (2.5 ** 0.5) / 1.5
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
@@ -349,8 +349,10 @@ def test_criterion_10_alpha_dichotomy(uniform_sky, pareto_sky):
         return float(t) ** (1 - 1 / alpha) / (1 / alpha - 1)
 
     p_grid = sky_n_grid(pareto_sky)
-    p_rows = are_diagnostic(pareto_sky, occupation_table(pareto_sky, p_grid),
-                            [0.5, 1.5], [2.0, 4.0, 8.0],
+    _, p_moments = occupation_sweep(pareto_sky, p_grid, [0.5, 1.5],
+                                    [2.0, 4.0, 8.0])
+    p_rows = are_diagnostic(pareto_sky, p_moments, [0.5, 1.5],
+                            [2.0, 4.0, 8.0],
                             rho_fn=pareto_rho, divergent_alphas=[1.5])
     p_by_alpha = {r.alpha: r for r in p_rows}
     divergent_ok = p_by_alpha[1.5].mode == "divergent"

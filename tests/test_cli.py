@@ -167,6 +167,34 @@ class TestConfigParsing:
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sky_obj", [
+        pytest.param("x", id="skyscraper-not-object"),
+        pytest.param({"base": "x"}, id="base-not-object"),
+        pytest.param({"base": {"kind": "rational", "deltas": ["1/20"],
+                               "epss": ["1/40"], "target": "x"}},
+                     id="target-not-object"),
+        pytest.param({"base": {"kind": "rational", "deltas": ["1/20"],
+                               "epss": ["1/40"],
+                               "target": {"family": "nope"}}},
+                     id="unknown-family"),
+        pytest.param({"base": {"kind": "rational", "deltas": ["1/20"],
+                               "epss": ["1/40"],
+                               "target": {"family": "pareto",
+                                          "alpha": "1"}}},
+                     id="rational-base-without-points")])
+    def test_bad_skyscraper_config_is_2_before_writing(self, sky_obj,
+                                                       tmp_path):
+        # the skyscraper section and its base target are checked when the
+        # config loads, not when the skyscraper step builds the base
+        path = write_config(tmp_path / "c.json", {"skyscraper": sky_obj})
+        with pytest.raises(ConfigError):
+            load_config(path, "twopoint")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
     def test_skyscraper_base_shares_hash_rounds_and_cap(self):
         cfg = load_config(None, "twopoint", cap=123456)
         assert cfg.base.kind == "rational" and cfg.base.deltas == [F(1, 20)]
@@ -410,8 +438,9 @@ class TestDeterminism:
 class TestSkyscraperCounts:
     def test_one_occupation_count_per_horizon(self, fast_config, tmp_path,
                                               monkeypatch):
-        # check_inversion and are_diagnostic read one table; this tower is
-        # above the exhaustive duality check's 512 positions
+        # one pass over the horizons feeds check_inversion and
+        # are_diagnostic; this tower is above the exhaustive duality
+        # check's 512 positions
         calls = []
         count = sky.occupation_counts
 

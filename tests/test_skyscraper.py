@@ -11,15 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towerkit.blocks import Block
+from towerkit.blocks import Block, Bump
 from towerkit.distributions import FiniteDist, vasershtein
-from towerkit.lemma_engine import BlockArray, GammaTable, InvariantError
+from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
+                                   _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
                                  SkyscraperError, are_diagnostic,
                                  check_duality, check_inversion, integerize,
                                  inverse_target,
                                  occupation_counts, occupation_distribution,
-                                 occupation_table,
+                                 occupation_sweep,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
 
@@ -238,14 +239,12 @@ class TestOccupation:
         assert rep.law.distance(rep.a_n, y) == \
             pytest.approx(distance, abs=1e-15)
         if all(ok for _, _, _, ok in checks):
-            inv = check_inversion(it, {n: counts}, x_values=xs,
-                                  tail_constant=tail_constant)
+            inv = check_inversion(it, {n: rep})
             assert inv.occ_distances[n] == \
                 pytest.approx(distance, abs=1e-15)
         else:
             with pytest.raises(InversionError):
-                check_inversion(it, {n: counts}, x_values=xs,
-                                tail_constant=tail_constant)
+                check_inversion(it, {n: rep})
 
     def test_csv_rows_match_oracle(self, int_tower, tmp_path):
         n = int_tower.covered_horizon()
@@ -262,6 +261,104 @@ class TestOccupation:
         it = toy_tower({"a": [5, 9, 7]})
         with pytest.raises(SkyscraperError):
             occupation_distribution(it, 3, occupation_counts(it, 3))
+
+
+def doubled_prefix_counts(w, n):
+    """The count at every position of block w by one binary search of its
+    doubled prefix array: the oracle for the bump-tiled kernel."""
+    pre, h = w.prefix, len(w)
+    q, m = divmod(n, int(pre[-1]))
+    pre2 = np.concatenate([pre, pre[-1] + pre[1:]])
+    return q * h + np.searchsorted(pre2, pre[:h] + m, side="right") - 1 \
+        - np.arange(h)
+
+
+def tiled_units(w):
+    """The units that w's Bump describes: its child's units times f,
+    tiled, plus B at every spacing-th position."""
+    child, f, b, s = w._bump
+    units = np.tile(child.units * f, len(w) // len(child))
+    units[s - 1::s] += b
+    return units
+
+
+def bumped(child_units, f, b, copies, tiles):
+    """A block of ``tiles`` spacings, each ``copies`` copies of the child
+    times f with b added at its last position, carrying its Bump."""
+    s = copies * len(child_units)
+    units = np.tile(np.asarray(child_units) * f, copies * tiles)
+    units[s - 1::s] += b
+    w = Block(units)
+    w._bump = Bump(Block(child_units), f, b, s)
+    return w
+
+
+def bump_tower(blocks):
+    """Integer tower of the given blocks at unit tick, with no trace."""
+    return IntegerTower(None, tuple(blocks), blocks, F(1),
+                        FiniteDist.point(1), F(1, 1000))
+
+
+class TestBumpKernel:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=6),
+           st.integers(1, 5), st.integers(0, 40), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 10 ** 6))
+    # a zero bump, a child of period 1 under length 2, and m < B
+    @example([3], 2, 0, 2, 2, 5)
+    @example([1, 1], 1, 7, 1, 3, 17)
+    def test_counts_match_doubled_prefix_search(self, child, f, b, copies,
+                                               tiles, seed):
+        w = bumped(child, f, b, copies, tiles)
+        it = bump_tower({"a": w})
+        tot = w.total_units()
+        rng = random.Random(seed)
+        ns = {1, rng.randint(1, 4 * tot)}
+        for q in range(4):
+            # at and around whole cycles, and remainders below the bump
+            for d in (-1, 0, 1, b - 1, b, b + 1, rng.randrange(tot)):
+                ns.add(q * tot + d)
+        for n in sorted(n for n in ns if n >= 1):
+            got = occupation_counts(it, n)["a"]
+            assert np.array_equal(got, doubled_prefix_counts(w, n)), n
+
+    def test_add_bumps_blocks_use_their_bump(self):
+        w = _add_bumps(Block([2, 3, 1]), 6, 5, 9)
+        assert w._bump is not None and len(w) // w._bump.spacing == 2
+        it = bump_tower({"a": w})
+        for n in range(1, 3 * w.total_units()):
+            assert np.array_equal(occupation_counts(it, n)["a"],
+                                  doubled_prefix_counts(w, n))
+
+    def test_exact_integer_bumps_rebuild_units(self, int_tower):
+        assert all(p == 0 for p in int_tower.perturbations.values())
+        for s in int_tower.symbols:
+            w = int_tower.blocks[s]
+            assert w._bump is not None
+            assert np.array_equal(w.units, tiled_units(w))
+
+    def test_rounded_integer_bumps_rebuild_units(self, base_trace):
+        # units near 2^50 at scale 2^-50 take the rounded branch, where
+        # the bump positions round f*c_last + B on their own
+        child = Block([2 ** 50 + 7 * j for j in range(4)], F(1, 2 ** 50))
+        w = _add_bumps(child, 4, F(3 * 2 ** 30 + 5, 2 ** 50), 8)
+        trace = dataclasses.replace(base_trace, final=BlockArray(
+            ("w",), {"w": w}, {"w": w.stats().mean}, 1))
+        it = integerize(trace, F(1, 2 ** 20))
+        v = it.blocks["w"]
+        assert it.perturbations["w"] != 0
+        # ceil(B*r) would be 4; the bump positions round to 3 more than
+        # the child's last unit
+        assert v._bump.factor == 1 and v._bump.amount == 3
+        assert np.array_equal(v.units, tiled_units(v))
+        for n in (4 * v.total_units() // 3, 7 * v.total_units() + 3):
+            assert np.array_equal(occupation_counts(it, n)["w"],
+                                  doubled_prefix_counts(v, n))
+
+    def test_duality_on_bump_tiled_tower(self):
+        it = bump_tower({"a": bumped([2, 1, 3], 1, 4, 2, 2),
+                         "b": bumped([1, 1], 3, 2, 3, 2)})
+        assert check_duality(it)
 
 
 class TestDuality:
@@ -311,8 +408,8 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        rep = check_inversion(int_tower,
-                              occupation_table(int_tower, n_grid))
+        reports, _ = occupation_sweep(int_tower, n_grid)
+        rep = check_inversion(int_tower, reports)
         assert rep.ok()
         assert rep.top_ok
         top = [n for n in rep.n_grid if n * 10 >= rep.n_grid[-1]]
@@ -325,8 +422,8 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(8)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
-                              [1.0, 2.0], [2.0])
+        _, moments = occupation_sweep(int_tower, n_grid, [1.0, 2.0], [2.0])
+        rows = are_diagnostic(int_tower, moments, [1.0, 2.0], [2.0])
         by_alpha = {r.alpha: r for r in rows}
         assert by_alpha[1.0].mode == "integrable"
         # E[Y^2]^(1/2) / E[Y] for Y uniform on {1,2}
@@ -338,13 +435,15 @@ class TestInversion:
 
     def test_divergent_mode_flag(self, int_tower):
         n_grid = [int_tower.covered_horizon()]
-        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
-                              [1.5], [2.0], divergent_alphas=[1.5])
+        _, moments = occupation_sweep(int_tower, n_grid, [1.5], [2.0])
+        rows = are_diagnostic(int_tower, moments, [1.5], [2.0],
+                              divergent_alphas=[1.5])
         assert rows[0].mode == "divergent"
         assert rows[0].bound_ok is None
 
     def test_sup_norm_mode(self, int_tower):
         n_grid = [int_tower.covered_horizon()]
-        rows = are_diagnostic(int_tower, occupation_table(int_tower, n_grid),
-                              [float("inf")], [2.0])
+        _, moments = occupation_sweep(int_tower, n_grid, [float("inf")],
+                                      [2.0])
+        rows = are_diagnostic(int_tower, moments, [float("inf")], [2.0])
         assert rows[0].mode == "sup-norm"
