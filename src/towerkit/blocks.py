@@ -121,9 +121,8 @@ class Bump(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Length, max, total and mean of a block, exact."""
+    """Max, total and mean of a block, exact."""
 
-    length: int
     max: Fraction
     total: Fraction
     mean: Fraction
@@ -249,8 +248,7 @@ class Block:
     def stats(self) -> BlockStats:
         h = len(self)
         total = self.scale * self.total_units()
-        return BlockStats(h, self.scale * int(self.units.max()), total,
-                          total / h)
+        return BlockStats(self.scale * int(self.units.max()), total, total / h)
 
 
 def concat(w: Block, v: Block) -> Block:

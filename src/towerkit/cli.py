@@ -1,16 +1,18 @@
 """Command-line front end: config parsing, pipeline orchestration, reports.
 
-Configs are JSON.  Config numbers are read exactly as Fractions: integers,
-rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
-floats through their shortest repr, so 0.1 is 1/10.  Counts (size_cap,
-rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
-"2.5" is invalid, and k_grid and sk_dist_ks are lists of positive whole
-numbers; the tolerances doubling_tol/tol are read the same way and
-then used as floats, as are the lognormal target's mu/sigma.  There
-is one arithmetic mode, "exact"; a config "mode" other than "exact" is
-invalid.  All data goes to files in the output directory, logs go to
-standard error, and every report embeds the config hash and the arithmetic
-mode so runs are reproducible byte for byte.
+Configs are JSON, and ``load_config`` is their one reader: it checks every
+key, builds the run's target and reads the skyscraper section before any
+step runs, so a bad config exits 2 with nothing written.  Config numbers
+are read exactly as Fractions: integers, rational strings "p/q", decimal
+strings such as "0.05" or "1e-3", and JSON floats through their shortest
+repr, so 0.1 is 1/10.  Counts (size_cap, rounds, max_depth, n_points) must
+be whole numbers, so "1e6" is 10**6 and "2.5" is invalid, and k_grid and
+sk_dist_ks are nonempty lists of positive whole numbers; the tolerances
+doubling_tol/tol are read the same way and then used as floats, and so is
+a target parameter that enters a float quantile function.  There is one
+arithmetic mode, "exact"; a config "mode" other than "exact" is invalid.  All data goes to files in the
+output directory, logs go to standard error, and every report embeds the
+config hash and the arithmetic mode so runs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded, 4 corrupt
 trace artifact (tower.json unreadable, or different in any field from the
@@ -27,15 +29,15 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .distributions import FiniteDist
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError
-from .splitting import SplittingError, build_split_sequence, make_target
+from .splitting import (PointsTarget, SplittingError, TargetDist,
+                        build_split_sequence, make_target)
 from .tower import (CorruptTraceError, TowerTrace, build_example_tower,
                     build_general_tower, build_rational_tower,
                     certify_theorem1, load_trace_summary, save_trace,
-                    sk_distribution, trace_to_json_obj)
+                    trace_to_json_obj)
 from . import skyscraper as sky
 
 EXIT_OK = 0
@@ -81,18 +83,42 @@ def _config_int(obj: dict, key: str, default) -> int:
     return _whole_number(obj.get(key, default), key)
 
 
+def _config_numbers(obj: dict, key: str, default=()) -> List[Fraction]:
+    """A config list of numbers, each read exactly."""
+    xs = obj.get(key, default)
+    if not isinstance(xs, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {xs!r}")
+    return [parse_number(x) for x in xs]
+
+
 def _config_ks(obj: dict, key: str) -> Optional[List[int]]:
-    """A config list of window lengths k, each a positive whole number
-    read like a count; None when the key is absent."""
+    """A nonempty config list of window lengths k, each a positive whole
+    number read like a count; None when the key is absent."""
     xs = obj.get(key)
     if xs is None:
         return None
-    if not isinstance(xs, list):
-        raise ConfigError(f"{key} must be a list, got {xs!r}")
+    if not isinstance(xs, list) or not xs:
+        raise ConfigError(f"{key} must be a nonempty list, got {xs!r}")
     ks = [_whole_number(x, key) for x in xs]
     if any(k < 1 for k in ks):
         raise ConfigError(f"{key} must hold positive integers, got {xs!r}")
     return ks
+
+
+@dataclass
+class SkyscraperConfig:
+    """The checked skyscraper section of a run config."""
+
+    n_points: int                   # time horizons tried below the cap
+    tol: float                      # top-decade occupation distance bound
+    eta: Fraction                   # integer rounding allowance
+    tail_constant: Fraction
+    x_values: Tuple                 # occupation tail thresholds
+    alphas: List[float]
+    t_grid: List[float]
+    divergent_alphas: List[float]
+    bound_alphas: Optional[List[float]]     # None: every alpha's bound
+    rho_fn: Optional[Callable]      # the target's tail integral, if given
 
 
 @dataclass
@@ -101,7 +127,7 @@ class RunConfig:
 
     kind: str
     config_hash: str
-    target_spec: Optional[dict] = None
+    target: Optional[TargetDist] = None
     deltas: List = field(default_factory=list)
     epss: List = field(default_factory=list)
     kappas: List = field(default_factory=list)
@@ -114,7 +140,7 @@ class RunConfig:
     x_values: Tuple = (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
     sk_dist_ks: Optional[List[int]] = None
     k_grid: Optional[List[int]] = None
-    skyscraper: dict = field(default_factory=dict)
+    skyscraper: Optional[SkyscraperConfig] = None
     base: Optional[RunConfig] = None     # the skyscraper.base run
 
 
@@ -195,20 +221,38 @@ def _config_hash(obj: dict) -> str:
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
-_FAMILIES = ("points", "pareto", "lognormal", "shifted_exponential",
-             "table")
+def _target(spec) -> TargetDist:
+    """The target that a config's target spec describes: its numbers are
+    read exactly, "atoms" and "rows" as lists of pairs, and
+    ``make_target`` builds it."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"target must be a JSON object, got {spec!r}")
+    params = {}
+    for key, x in spec.items():
+        if key in ("atoms", "rows"):
+            if not isinstance(x, list) or not all(
+                    isinstance(p, list) and len(p) == 2 for p in x):
+                raise ConfigError(f"target {key} must be a list of pairs, "
+                                  f"got {x!r}")
+            params[key] = [(parse_number(a), parse_number(b)) for a, b in x]
+        elif key != "family":
+            params[key] = parse_number(x)
+    try:
+        return make_target(spec.get("family"), **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad target {spec!r}: {exc}") from exc
 
 
-def _stage_schedules(obj: dict, kind) -> Tuple[list, list, list]:
-    """The checked deltas, epss and kappas of a run of ``kind`` whose
-    schedules and target are read from ``obj``; the target's family is
-    checked too, so a bad target stops a run before any step writes."""
+def _run_stages(obj: dict, kind) -> Tuple[list, list, list,
+                                          Optional[TargetDist]]:
+    """The checked deltas, epss, kappas and target of a run of ``kind``
+    read from ``obj``; an example run has no target."""
     if kind not in ("rational", "example", "general"):
         raise ConfigError(f"kind must be rational|example|general, "
                           f"got {kind!r}")
-    deltas = [parse_number(x) for x in obj.get("deltas", [])]
-    epss = [parse_number(x) for x in obj.get("epss", [])]
-    kappas = [parse_number(x) for x in obj.get("kappas", [])]
+    deltas = _config_numbers(obj, "deltas")
+    epss = _config_numbers(obj, "epss")
+    kappas = _config_numbers(obj, "kappas")
     for name, seq in (("deltas", deltas), ("epss", epss)):
         if any(x <= 0 for x in seq):
             raise ConfigError(f"{name} must be positive")
@@ -217,22 +261,51 @@ def _stage_schedules(obj: dict, kind) -> Tuple[list, list, list]:
     if kind == "example":
         if not kappas or len(kappas) != len(epss):
             raise ConfigError("example runs need matching kappas and epss")
-    else:
-        if not deltas or len(deltas) != len(epss):
-            raise ConfigError("runs need matching nonempty deltas and epss")
-    if kind != "example":
-        target = obj.get("target")
-        if target is None:
-            raise ConfigError("target specification is required")
-        if not isinstance(target, dict):
-            raise ConfigError(f"target must be a JSON object, got {target!r}")
-        if target.get("family") not in _FAMILIES:
-            raise ConfigError(
-                f"unknown target family {target.get('family')!r}")
-        if kind == "rational" and target["family"] != "points":
-            raise ConfigError(
-                "this run kind needs a finitely supported target")
-    return deltas, epss, kappas
+        return deltas, epss, kappas, None
+    if not deltas or len(deltas) != len(epss):
+        raise ConfigError("runs need matching nonempty deltas and epss")
+    target = _target(obj.get("target"))
+    if kind == "rational" and not isinstance(target, PointsTarget):
+        raise ConfigError("this run kind needs a finitely supported target")
+    return deltas, epss, kappas, target
+
+
+def _pareto1_rho(alpha: float, t: float) -> float:
+    """Tail integral of Y^alpha for a Pareto(1) target."""
+    if alpha >= 1:
+        return math.inf
+    return float(t) ** (1 - 1 / alpha) / (1 / alpha - 1)
+
+
+def _skyscraper_section(obj) -> SkyscraperConfig:
+    """The skyscraper section of a config, every value read and checked."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"skyscraper must be a JSON object, got {obj!r}")
+    n_points = _config_int(obj, "n_points", 16)
+    if n_points < 1:
+        raise ConfigError("skyscraper n_points must be positive")
+    eta = parse_number(obj.get("eta", "1/1000"))
+    if eta <= 0:
+        raise ConfigError("skyscraper eta must be positive")
+    alphas = [float(a) for a in _config_numbers(obj, "alphas", ["1"])]
+    if any(a <= 0 for a in alphas):
+        raise ConfigError("skyscraper alphas must be positive")
+    rho = obj.get("rho")
+    if rho not in (None, "pareto1"):
+        raise ConfigError(f"skyscraper rho must be pareto1, got {rho!r}")
+    bound = obj.get("bound_alphas")
+    return SkyscraperConfig(
+        n_points=n_points, tol=float(parse_number(obj.get("tol", 0.15))),
+        eta=eta, tail_constant=parse_number(obj.get("tail_constant", "2")),
+        x_values=tuple(_config_numbers(obj, "x_values",
+                                       ["5/4", "3/2", "2"])),
+        alphas=alphas,
+        t_grid=[float(t) for t in _config_numbers(obj, "t_grid", ["2"])],
+        divergent_alphas=[float(a) for a in
+                          _config_numbers(obj, "divergent_alphas")],
+        bound_alphas=None if bound is None else [
+            float(a) for a in _config_numbers(obj, "bound_alphas")],
+        rho_fn=_pareto1_rho if rho == "pareto1" else None)
 
 
 def load_config(path: Optional[str], preset: Optional[str],
@@ -240,8 +313,10 @@ def load_config(path: Optional[str], preset: Optional[str],
                 workers: None = None) -> RunConfig:
     """Read a preset and/or a config file, with an optional height cap.
 
-    ``mode`` and ``workers`` are retired slots, kept so that positional
-    callers still line up with ``cap``; they accept only None.
+    Every key is checked here, and the run's targets are built here, so no
+    step reads the config JSON.  ``mode`` and ``workers`` are retired
+    slots, kept so that positional callers still line up with ``cap``;
+    they accept only None.
     """
     if mode is not None or workers is not None:
         raise ConfigError("mode and workers are no longer options")
@@ -263,10 +338,10 @@ def load_config(path: Optional[str], preset: Optional[str],
     if cap is not None:
         obj["size_cap"] = cap
     kind = obj.get("kind")
-    deltas, epss, kappas = _stage_schedules(obj, kind)
+    deltas, epss, kappas, target = _run_stages(obj, kind)
     etas = obj.get("etas")
     if etas is not None:
-        etas = [parse_number(x) for x in etas]
+        etas = _config_numbers(obj, "etas")
         if len(etas) != len(deltas) or any(x <= 0 for x in etas):
             raise ConfigError("etas must hold one positive number per "
                               "stage, like deltas")
@@ -279,22 +354,17 @@ def load_config(path: Optional[str], preset: Optional[str],
     if obj.get("mode", "exact") != "exact":
         raise ConfigError(f"mode must be exact, got {obj['mode']!r}")
     sky_obj = obj.get("skyscraper", {})
-    if not isinstance(sky_obj, dict):
-        raise ConfigError(f"skyscraper must be a JSON object, got {sky_obj!r}")
-    sky_obj = dict(sky_obj)
-    x_values = tuple(parse_number(x) for x in obj.get(
-        "x_values", ["3/10", "1/2", "4/5"]))
     cfg = RunConfig(
-        kind=kind, config_hash=_config_hash(obj),
-        target_spec=obj.get("target"), deltas=deltas, epss=epss,
-        kappas=kappas, e0=e0,
+        kind=kind, config_hash=_config_hash(obj), target=target,
+        deltas=deltas, epss=epss, kappas=kappas, e0=e0,
         rounds=_config_int(obj, "rounds", 2), size_cap=size_cap,
         max_depth=_config_int(obj, "max_depth", 16), etas=etas,
         doubling_tol=float(parse_number(obj.get("doubling_tol", 0.1))),
-        x_values=x_values,
+        x_values=tuple(_config_numbers(obj, "x_values",
+                                       ["3/10", "1/2", "4/5"])),
         sk_dist_ks=_config_ks(obj, "sk_dist_ks"),
         k_grid=_config_ks(obj, "k_grid"),
-        skyscraper=sky_obj)
+        skyscraper=_skyscraper_section(sky_obj))
     base_obj = sky_obj.get("base")
     if base_obj is not None:
         # the skyscraper's base tower, checked before any step runs
@@ -302,43 +372,13 @@ def load_config(path: Optional[str], preset: Optional[str],
             raise ConfigError(
                 f"skyscraper.base must be a JSON object, got {base_obj!r}")
         base_kind = base_obj.get("kind", kind)
-        deltas, epss, kappas = _stage_schedules(base_obj, base_kind)
+        deltas, epss, kappas, target = _run_stages(base_obj, base_kind)
         cfg.base = RunConfig(
-            kind=base_kind, config_hash=cfg.config_hash,
-            target_spec=base_obj.get("target"), deltas=deltas, epss=epss,
-            kappas=kappas,
+            kind=base_kind, config_hash=cfg.config_hash, target=target,
+            deltas=deltas, epss=epss, kappas=kappas,
             rounds=_config_int(base_obj, "rounds", cfg.rounds),
             size_cap=size_cap)
     return cfg
-
-
-def _target_from_spec(spec: dict):
-    params = dict(spec)
-    family = params.pop("family", None)
-    if family == "points":
-        atoms = [(parse_number(v), parse_number(m))
-                 for v, m in params.pop("atoms")]
-        return make_target("points", atoms=atoms)
-    if family == "pareto":
-        return make_target("pareto", alpha=parse_number(params["alpha"]))
-    if family == "lognormal":
-        return make_target("lognormal", mu=float(params.get("mu", 0.0)),
-                           sigma=float(params.get("sigma", 1.0)))
-    if family == "shifted_exponential":
-        return make_target("shifted_exponential",
-                           shift=parse_number(params.get("shift", 0)),
-                           rate=parse_number(params["rate"]))
-    if family == "table":
-        rows = [(parse_number(u), parse_number(v))
-                for u, v in params["rows"]]
-        return make_target("table", rows=rows)
-    raise ConfigError(f"unknown target family {family!r}")
-
-
-def _finite_target(spec: dict) -> FiniteDist:
-    if spec.get("family") != "points":
-        raise ConfigError("this run kind needs a finitely supported target")
-    return _target_from_spec(spec).dist
 
 
 def _report_header(cfg: RunConfig) -> dict:
@@ -356,13 +396,11 @@ def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
         trace = build_example_tower(cfg.kappas, cfg.epss, e0=cfg.e0,
                                     size_cap=cfg.size_cap)
     elif cfg.kind == "rational":
-        target = _finite_target(cfg.target_spec)
-        trace = build_rational_tower(target, cfg.deltas, cfg.epss,
+        trace = build_rational_tower(cfg.target.dist, cfg.deltas, cfg.epss,
                                      rounds=cfg.rounds,
                                      size_cap=cfg.size_cap)
     else:
-        target = _target_from_spec(cfg.target_spec)
-        trace = build_general_tower(target, cfg.deltas, cfg.epss,
+        trace = build_general_tower(cfg.target, cfg.deltas, cfg.epss,
                                     max_depth=cfg.max_depth,
                                     rounds=max(1, cfg.rounds - 1),
                                     size_cap=cfg.size_cap, etas=cfg.etas)
@@ -373,8 +411,7 @@ def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
 def cmd_split(cfg: RunConfig, out: str) -> int:
     if cfg.kind == "example":
         raise ConfigError("split requires a target-based run")
-    target = _target_from_spec(cfg.target_spec)
-    seq = build_split_sequence(target, [float(e) for e in cfg.epss],
+    seq = build_split_sequence(cfg.target, [float(e) for e in cfg.epss],
                                max_depth=cfg.max_depth)
     report = dict(_report_header(cfg))
     report.update({
@@ -398,11 +435,11 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
         _write_json(os.path.join(out, "tower.json"), partial)
         _log(f"build: size cap exceeded: {exc}")
         return EXIT_SIZE_CAP
+    # every builder raises InvariantError on a failed certificate
     save_trace(trace, os.path.join(out, "tower.json"))
-    ok = all(st.cert_valid in (True, None) for st in trace.stages)
     _log(f"build: height {trace.height}, {len(trace.stages)} stages, "
-         f"certificates {'pass' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_INVARIANT
+         "certificates pass")
+    return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig, out: str) -> int:
@@ -415,9 +452,6 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     except CorruptTraceError as exc:
         _log(f"verify: corrupt trace: {exc}")
         return EXIT_CORRUPT
-    if cfg.k_grid is not None and not cfg.k_grid:
-        _log("verify: empty k grid")
-        return EXIT_CONFIG
     trace = build_tower_from_config(cfg)
     # every field of tower.json must be what this config builds
     built = json.loads(json.dumps(trace_to_json_obj(trace)))
@@ -431,9 +465,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
                            doubling_tol=cfg.doubling_tol,
                            k_grid=cfg.k_grid)
     ks = cfg.sk_dist_ks or [max(1, trace.height // 2), trace.height]
-    for k in ks:
-        sk_distribution(trace, k).to_csv(
-            os.path.join(out, f"skdist_{k}.csv"))
+    for hist in trace.final.sk_histograms(ks):
+        hist.to_csv(os.path.join(out, f"skdist_{hist.k}.csv"))
     report = dict(_report_header(cfg))
     report.update({
         "k_grid_size": len(rep.k_grid),
@@ -452,54 +485,36 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     return EXIT_OK if rep.ok() else EXIT_INVARIANT
 
 
-def _pareto1_rho(alpha: float, t: float) -> float:
-    """Tail integral of Y^alpha for a Pareto(1) target."""
-    if alpha >= 1:
-        return math.inf
-    return float(t) ** (1 - 1 / alpha) / (1 / alpha - 1)
-
-
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
-    sky_cfg = cfg.skyscraper
-    n_points = _config_int(sky_cfg, "n_points", 16)
-    tol = float(parse_number(sky_cfg.get("tol", 0.15)))
+    sc = cfg.skyscraper
     trace = build_tower_from_config(cfg.base or cfg)
-    it = sky.integerize(trace, parse_number(sky_cfg.get("eta", "1/1000")))
+    it = sky.integerize(trace, sc.eta)
     horizon = it.covered_horizon()
     wmax = max(int(it.blocks[s].units.max()) for s in it.symbols)
     n_grid = sorted(set(
-        n for n in (int(horizon * 1.2 ** -j) for j in range(n_points))
+        n for n in (int(horizon * 1.2 ** -j) for j in range(sc.n_points))
         if n >= 4 * wmax))
     if not n_grid:
         _log("skyscraper: no admissible time horizons under the cap")
         return EXIT_CONFIG
-    tail_constant = parse_number(sky_cfg.get("tail_constant", "2"))
-    x_values = tuple(parse_number(x) for x in sky_cfg.get(
-        "x_values", ["5/4", "3/2", "2"]))
-    alphas = [float(parse_number(a))
-              for a in sky_cfg.get("alphas", ["1"])]
-    t_grid = [float(parse_number(t))
-              for t in sky_cfg.get("t_grid", ["2"])]
-    divergent = [float(parse_number(a))
-                 for a in sky_cfg.get("divergent_alphas", [])]
     try:
         if it.height * it.size <= 512:
             sky.check_duality(it)
         reports, moments = sky.occupation_sweep(
-            it, n_grid, alphas, t_grid, x_values, tail_constant)
-        inv = sky.check_inversion(it, reports, tol=tol)
+            it, n_grid, sc.alphas, sc.t_grid, sc.x_values, sc.tail_constant)
+        inv = sky.check_inversion(it, reports, tol=sc.tol)
     except (sky.InversionError, InvariantError) as exc:
         _log(f"skyscraper: hard invariant failed: {exc}")
         return EXIT_INVARIANT
     for n in (n_grid[0], n_grid[-1]):
         inv.reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
-    rho_fn = _pareto1_rho if sky_cfg.get("rho") == "pareto1" else None
-    rows = sky.are_diagnostic(it, moments, alphas, t_grid, rho_fn=rho_fn,
-                              divergent_alphas=divergent,
-                              tail_constant=tail_constant)
+    rows = sky.are_diagnostic(it, moments, sc.alphas, sc.t_grid,
+                              rho_fn=sc.rho_fn,
+                              divergent_alphas=sc.divergent_alphas,
+                              tail_constant=sc.tail_constant)
     report = dict(_report_header(cfg))
     report["inversion"] = {
-        "tol": tol,
+        "tol": sc.tol,
         "top_ok": inv.top_ok,
         "occupation_distances": {str(n): inv.occ_distances[n]
                                  for n in inv.n_grid},
@@ -518,12 +533,8 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         "rho": {str(t): v for t, v in r.rho.items()},
     } for r in rows]
     _write_json(os.path.join(out, "are_report.json"), are_report)
-    bound_alphas = sky_cfg.get("bound_alphas")
-    if bound_alphas is None:
-        checked = rows
-    else:
-        wanted = {float(parse_number(a)) for a in bound_alphas}
-        checked = [r for r in rows if r.alpha in wanted]
+    checked = rows if sc.bound_alphas is None else [
+        r for r in rows if r.alpha in sc.bound_alphas]
     hard_ok = inv.ok() and all(r.bound_ok in (True, None) for r in checked)
     _log(f"skyscraper: inversion {'pass' if inv.ok() else 'FAIL'}, "
          f"{len(rows)} alpha rows")

@@ -8,6 +8,7 @@ of each distinct value is a float.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -459,6 +460,29 @@ class SkHistogram:
         return _transport(np.arctan(vals[order]),
                           np.concatenate(self.counts)[order], self.total,
                           dist, metric)
+
+    def merged(self) -> List[Tuple[Fraction, int]]:
+        """(value, count) for each distinct exact value over all blocks,
+        increasing.  Units are brought to the least common denominator of
+        the scales as Python ints, so equal values of blocks at different
+        scales merge and none is rounded or wraps."""
+        den = math.lcm(*(sc.denominator for sc in self.scales))
+        nums = np.concatenate([u.astype(object) * int(sc * den)
+                               for u, sc in zip(self.units, self.scales)])
+        vals, inv = np.unique(nums, return_inverse=True)
+        counts = np.zeros(len(vals), dtype=np.int64)
+        np.add.at(counts, inv, np.concatenate(self.counts))
+        return [(Fraction(v, den), c)
+                for v, c in zip(vals.tolist(), counts.tolist())]
+
+    def to_csv(self, path: str) -> None:
+        """Write the merged law as rows value,count,mass, with the mass
+        as count/total."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["value", "count", "mass"])
+            for v, c in self.merged():
+                writer.writerow([str(v), c, f"{c}/{self.total}"])
 
     def count_below(self, thresh: Value) -> int:
         """Exact number of positions with S_k < thresh."""

@@ -213,7 +213,6 @@ class ExtensionCertificate:
     gamma: GammaTable
     change_mass: Fraction
     delta: float
-    eps_target: float
 
     def failures(self) -> List[int]:
         return [k for k in self.k_grid
@@ -338,8 +337,6 @@ def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
 class CompoundRound:
     p_before: Fraction
     p_after: Fraction
-    q: int
-    mu: int
     height: int        # block height after this round
 
 
@@ -419,7 +416,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
         cur = BlockArray(arr.symbols, blocks, new_vals, Fraction(1))
         p = p_next
         rounds.append(CompoundRound(rounds[-1].p_after if rounds else
-                                    Fraction(0), p, q, 1, cur.height))
+                                    Fraction(0), p, cur.height))
     # a plain tiling fixes the admissible-k threshold without moving means
     tile = max(choose_tile(cur.blocks[s], eps_out / 2, size_cap)
                for s in arr.symbols)
@@ -427,7 +424,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
         cur = BlockArray(arr.symbols,
                          {s: self_concat(cur.blocks[s], tile)
                           for s in arr.symbols}, cur.values, cur.scale)
-        rounds.append(CompoundRound(p, p, q, tile, cur.height))
+        rounds.append(CompoundRound(p, p, cur.height))
     # final array: values are the target labels, scale absorbs the rest when
     # the multipliers are proportional; otherwise keep unit scale
     final_vals = {s: e0[s] * t[s] for s in arr.symbols}
@@ -442,15 +439,14 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
 
 
 def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
-             delta: Fraction, eps: Fraction, change: Fraction,
-             dense_cap: int = 4096,
+             delta: Fraction, change: Fraction, dense_cap: int = 4096,
              geo_cap: int = 256) -> ExtensionCertificate:
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
     distances = {k: hist.distance(gamma.gamma(k), y, "uniform")
                  for k, hist in zip(grid, arr_new.sk_histograms(grid))}
     return ExtensionCertificate(tuple(grid), distances, gamma, change,
-                                float(delta), float(eps))
+                                float(delta))
 
 
 def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
@@ -505,8 +501,8 @@ def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
                        mode="linear")
     if gamma.max_step() > delta:
         raise InvariantError("gamma chain step exceeds delta")
-    cert = _certify(cur, gamma, h0, heights[-1], delta, eps,
-                    cur.change_mass(), cert_dense, cert_geo)
+    cert = _certify(cur, gamma, h0, heights[-1], delta, cur.change_mass(),
+                    cert_dense, cert_geo)
     return cur, cert
 
 
@@ -518,7 +514,6 @@ class StraighteningReport:
     """Blend schedule from a coarse label to a fine one along a splitting."""
 
     k_factor: Fraction
-    beta_table: GammaTable          # beta(k) normalizer chain
     q_grid: tuple                   # ((k, q_k), ...) blend weights
     distances: dict                 # k -> vasershtein distance to the blend
     bound: float                    # allowance eps + splitting cost
@@ -566,7 +561,6 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     final = BlockArray(fine_syms, refined.blocks, g, c0 * k_factor)
     h0, h1 = arr.height, final.height
     grid = make_k_grid(h0, h1, dense_cap=min(2048, 4 * h0), geo_cap=64)
-    beta_anchors = []
     q_grid = []
     distances = {}
     prev_q = None
@@ -577,16 +571,12 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
         if prev_q is not None and q_k < prev_q:
             raise InvariantError("blend weight must be monotone in k")
         prev_q = q_k
-        beta_anchors.append((k, beta_k))
         q_grid.append((k, q_k))
         blend = FiniteDist.uniform(
             [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
         distances[k] = hist.distance(beta_k, blend)
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
-    bound = float(eps) + split.cost()
-    beta_table = GammaTable(tuple(beta_anchors),
-                            ((h0, float(1)), (h1, float(1))), mode="linear")
-    report = StraighteningReport(k_factor, beta_table, tuple(q_grid),
-                                 distances, bound)
+    report = StraighteningReport(k_factor, tuple(q_grid), distances,
+                                 float(eps) + split.cost())
     return final, report

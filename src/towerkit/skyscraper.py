@@ -274,10 +274,11 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
     """S_n(1_Omega) over all base positions of every block, exact.
 
     For each position nu the count is max{j >= 0 : phi_j(nu) <= n}: n is
-    split into whole cycles plus a remainder m, which is located with one
-    binary search of the block's doubled prefix array.  A block that a
-    bump tiling built is s-periodic for its spacing s, and its remainders
-    are found over one spacing from one period of its child, then tiled.
+    split into whole cycles plus a remainder m, which is located on one
+    period of the block's child.  A block that a bump tiling built is
+    s-periodic for its spacing s, so its remainders are found over one
+    spacing, then tiled; any other block w is read as the tiling
+    Bump(w, 1, 0, len(w)) of itself, with no bump.
     """
     if n < 1:
         raise SkyscraperError("time horizon must be positive")
@@ -285,13 +286,11 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
     h = it.height
     for s in it.symbols:
         w = it.blocks[s]
+        bump = w._bump or Bump(w, 1, 0, h)
         q, m = divmod(n, w.total_units())
-        if w._bump is None:
-            r = _window_ends(w.prefix, m) - np.arange(h)
-        else:
-            r = _bumped_remainder_counts(w._bump, h, m)
-            if w._bump.spacing < h:
-                r = np.tile(r, h // w._bump.spacing)
+        r = _bumped_remainder_counts(bump, h, m)
+        if bump.spacing < h:
+            r = np.tile(r, h // bump.spacing)
         r += q * h
         out[s] = r
     return out
@@ -301,7 +300,6 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
 class OccupationReport:
     """Occupation distribution at one time horizon with its tail checks."""
 
-    n: int
     a_n: Fraction
     law: SkHistogram            # law of S_n(1_Omega) over the base
     tail_checks: tuple          # ((x, lhs, bound, pass), ...)
@@ -345,7 +343,7 @@ def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
         lhs = Fraction(law.total - law.count_below(x * a_n), law.total)
         bound = Fraction(tail_constant) * (1 - y.cdf_below(x))
         checks.append((x, lhs, bound, lhs <= bound))
-    return OccupationReport(n, a_n, law, tuple(checks))
+    return OccupationReport(a_n, law, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -419,7 +417,6 @@ class InversionReport:
     occ_distances: dict         # n -> distance(S_n/a(n), Y)
     phi_distances: dict         # n -> distance(phi_m/b(m), Z) at m ~ a(n)
     reports: dict               # n -> OccupationReport
-    tol: float
     top_ok: bool
 
     def ok(self) -> bool:
@@ -459,8 +456,7 @@ def check_inversion(it: IntegerTower, reports: Dict,
         phi_d[n] = hist.distance(it.trace.global_gamma.gamma(m), z)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
-    return InversionReport(tuple(n_grid), occ_d, phi_d, reports, tol,
-                           top_ok)
+    return InversionReport(tuple(n_grid), occ_d, phi_d, reports, top_ok)
 
 
 @dataclass(frozen=True)
@@ -471,7 +467,6 @@ class AlphaRow:
     mode: str                   # "integrable" or "divergent"
     a_alpha: dict               # n -> a_{alpha,Omega}(n)
     ratio_to_a1: dict           # n -> a_{alpha}(n)/a_{1}(n)
-    u_table: dict               # (n, t) -> uniform-integrability functional
     u_sup: dict                 # t -> sup over the top window
     rho: dict                   # t -> tail integral of the target
     bound_ok: Optional[bool]    # None in divergent mode
@@ -517,13 +512,12 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
         a_a = {n: moments[n].moment[alpha] for n in n_grid}
         ratio = {n: a_a[n] / moments[n].mean for n in n_grid}
         if alpha == math.inf:
-            rows.append(AlphaRow(alpha, "sup-norm", a_a, ratio, {}, {}, {},
-                                 None))
+            rows.append(AlphaRow(alpha, "sup-norm", a_a, ratio, {}, {}, None))
             continue
         mode = "divergent" if (alpha in divergent or INF in y.values) \
             else "integrable"
-        u = {(n, t): moments[n].u[alpha, t] for t in t_grid for n in n_grid}
-        u_sup = {t: max([0.0] + [u[n, t] for n in top]) for t in t_grid}
+        u_sup = {t: max([0.0] + [moments[n].u[alpha, t] for n in top])
+                 for t in t_grid}
         rho = {t: rho_fn(alpha, t) if rho_fn is not None
                else _target_rho(y, alpha, t) for t in t_grid}
         if mode == "integrable":
@@ -531,7 +525,7 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
                      for t in rho)
         else:
             ok = None
-        rows.append(AlphaRow(alpha, mode, a_a, ratio, u, u_sup, rho, ok))
+        rows.append(AlphaRow(alpha, mode, a_a, ratio, u_sup, rho, ok))
     return rows
 
 

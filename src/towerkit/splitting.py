@@ -101,7 +101,7 @@ class LognormalTarget(TargetDist):
 class ShiftedExponentialTarget(TargetDist):
     """shift + Exponential(rate), supported on (shift, infinity)."""
 
-    def __init__(self, shift, rate):
+    def __init__(self, rate, shift=0):
         if rate <= 0:
             raise SplittingError("exponential rate must be positive")
         if shift < 0:
@@ -156,19 +156,17 @@ class TableTarget(TargetDist):
 
 
 def make_target(family: str, **params) -> TargetDist:
-    """Construct a target distribution from a family name and parameters."""
-    if family == "points":
-        return PointsTarget(FiniteDist(params["atoms"]))
-    if family == "pareto":
-        return ParetoTarget(params["alpha"])
-    if family == "lognormal":
-        return LognormalTarget(params.get("mu", 0.0), params.get("sigma", 1.0))
-    if family == "shifted_exponential":
-        return ShiftedExponentialTarget(params.get("shift", 0),
-                                        params["rate"])
-    if family == "table":
-        return TableTarget(params["rows"])
-    raise SplittingError(f"unknown target family {family!r}")
+    """Construct a target distribution from a family name and the keyword
+    parameters of its constructor: atoms (points), alpha (pareto), mu and
+    sigma (lognormal), rate and shift (shifted_exponential), rows (table).
+    A missing or unknown parameter raises TypeError."""
+    makers = {"points": lambda atoms: PointsTarget(FiniteDist(atoms)),
+              "pareto": ParetoTarget, "lognormal": LognormalTarget,
+              "shifted_exponential": ShiftedExponentialTarget,
+              "table": TableTarget}
+    if family not in makers:
+        raise SplittingError(f"unknown target family {family!r}")
+    return makers[family](**params)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ distributional-limit claims are certified at finite resolution.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class TowerTrace:
     global_gamma: GammaTable
     deltas: Tuple[float, ...]
     epss: Tuple[float, ...]
-    certs: Tuple
     bicycle_m: Fraction = DEFAULT_BICYCLE_M
     floor_r: Optional[Fraction] = None
     config_hash: str = ""
@@ -121,7 +119,6 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
             blocks[s] = Block.from_weights([v])
     arr = BlockArray(tuple(symbols), blocks, values, Fraction(1))
     stages: List[StageRecord] = []
-    certs = []
     g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
     e_anchors: List[Tuple[int, float]] = []
     for n, (d, e) in enumerate(zip(deltas, epss), start=1):
@@ -133,7 +130,6 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed at "
                                  f"k={cert.failures()[:3]}")
-        certs.append(cert)
         for k, g in cert.gamma.anchors:
             if not g_anchors or k > g_anchors[-1][0]:
                 g_anchors.append((k, g))
@@ -145,7 +141,7 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
     gamma = GammaTable(tuple(g_anchors), tuple(e_anchors), mode="linear")
     return TowerTrace("rational", target, stages, arr, gamma,
                       tuple(float(d) for d in deltas),
-                      tuple(float(e) for e in epss), tuple(certs))
+                      tuple(float(e) for e in epss))
 
 
 def build_example_tower(kappas: Sequence, epss: Sequence,
@@ -193,7 +189,7 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
     gamma = GammaTable(tuple(anchors), tuple(e_anchors), mode="constant")
     return TowerTrace("example", target, stages, arr, gamma,
                       tuple(float(e) for e in epss),
-                      tuple(float(e) for e in epss), tuple())
+                      tuple(float(e) for e in epss))
 
 
 def build_general_tower(target: TargetDist, deltas: Sequence,
@@ -241,7 +237,6 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
                      {j: Block.from_weights([vals0[j]]) for j in symbols},
                      {j: vals0[j] for j in symbols}, Fraction(1))
     stages: List[StageRecord] = []
-    certs = []
     g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
     e_anchors: List[Tuple[int, float]] = []
     k_flat = 1
@@ -269,7 +264,6 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
                                        cert_geo=CERT_GEO)
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed")
-        certs.append(cert)
         for k, g in cert.gamma.anchors:
             if k > g_anchors[-1][0]:
                 g_anchors.append((k, Fraction(g)))
@@ -294,43 +288,9 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
     tgt = arr.label_dist()
     trace = TowerTrace("general", tgt, stages, arr, gamma,
                        tuple(float(d) for d in deltas),
-                       tuple(float(e) for e in epss), tuple(certs))
+                       tuple(float(e) for e in epss))
     trace.floor_r = r_cap if floor_r != INF else None
     return trace
-
-
-# -- distribution of the partial sums --------------------------------------
-
-
-@dataclass(frozen=True)
-class SkDistReport:
-    """Exact distribution of S_k over all (position, block) pairs."""
-
-    k: int
-    entries: tuple          # ((value, count), ...) sorted by value
-    total: int
-
-    def dist(self) -> FiniteDist:
-        return FiniteDist([(v, Fraction(c, self.total))
-                           for v, c in self.entries])
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "count", "mass"])
-            for v, c in self.entries:
-                writer.writerow([str(v), c, f"{c}/{self.total}"])
-
-
-def sk_distribution(trace: TowerTrace, k: int) -> SkDistReport:
-    """Uniform distribution of S_k(nu) over all blocks and positions."""
-    (hist,) = trace.final.sk_histograms([k])
-    counts: Dict = {}
-    for uniq, cnt, sc in zip(hist.units, hist.counts, hist.scales):
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            v = sc * u
-            counts[v] = counts.get(v, 0) + c
-    return SkDistReport(k, tuple(sorted(counts.items())), hist.total)
 
 
 # -- certification ---------------------------------------------------------

@@ -195,6 +195,40 @@ class TestConfigParsing:
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("preset, override", [
+        pytest.param("twopoint", {"skyscraper": {key: value}},
+                     id=f"skyscraper.{key}={value!r}")
+        for key, value in (("alphas", ["x"]), ("n_points", "2.5"),
+                           ("n_points", 0), ("tol", "abc"), ("eta", "-1"),
+                           ("rho", "pareto2"))] + [
+        pytest.param("twopoint", {"k_grid": []}, id="k_grid=[]"),
+        pytest.param("pareto1", {"target": {"family": "pareto"}},
+                     id="pareto-without-alpha"),
+        pytest.param("lognormal", {"target": {"family": "lognormal",
+                                              "sigma": "abc"}},
+                     id="lognormal-sigma='abc'"),
+        pytest.param("twopoint", {"target": {
+            "family": "points", "atoms": [["1", "1/4"], ["2", "1/4"]]}},
+            id="points-masses-sum-to-1/2"),
+        pytest.param("twopoint", {"target": {"family": "points"}},
+                     id="points-without-atoms"),
+        pytest.param("twopoint", {"skyscraper": {"base": {
+            "kind": "rational", "deltas": ["1/20"], "epss": ["1/40"],
+            "target": {"family": "points", "atoms": [["1/2", "1/2"]]}}}},
+            id="base-points-masses-sum-to-1/2")])
+    def test_malformed_config_is_2_before_writing(self, preset, override,
+                                                  tmp_path):
+        # every key is read when the config loads, so "all" exits 2
+        # before any step writes
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError):
+            load_config(path, preset)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", preset, "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
     def test_skyscraper_base_shares_hash_rounds_and_cap(self):
         cfg = load_config(None, "twopoint", cap=123456)
         assert cfg.base.kind == "rational" and cfg.base.deltas == [F(1, 20)]
@@ -305,10 +339,10 @@ class TestExitCodes:
         obj = dict(FAST_CONFIG, k_grid=[])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(obj))
+        # read when the config loads, before --out is even made
         assert main(["build", "--config", str(path),
-                     "--out", str(out)]) == EXIT_OK
-        assert main(["verify", "--config", str(path),
                      "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_tail_fault_injection_is_5(self, fast_config, tmp_path,
                                        monkeypatch):

@@ -283,7 +283,7 @@ class TestExtensionStep:
         blocks = [arr.blocks[s] for s in arr.symbols]
         y = arr.label_dist()
         got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
-                       F(1, 2), arr.change_mass())
+                       arr.change_mass())
         assert len(got.k_grid) > arr.height
         hists = dict(zip(got.k_grid, arr.sk_histograms(got.k_grid)))
         for k in got.k_grid:

@@ -370,6 +370,21 @@ class TestDuality:
                        "b": [rng.randint(1, 9) for _ in range(h)]}
             assert check_duality(toy_tower(weights))
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           st.integers(1, 3), st.lists(st.integers(1, 9), min_size=1,
+                                       max_size=4))
+    def test_bumpless_blocks_against_brute_force(self, pattern, copies,
+                                                 other):
+        # a block with no Bump is counted as the tiling Bump(w, 1, 0, h)
+        # of itself, on one least period, which is shorter than h here
+        # whenever copies > 1
+        h = len(pattern) * copies
+        it = toy_tower({"a": pattern * copies,
+                        "b": (other * h)[:h]})
+        assert all(it.blocks[s]._bump is None for s in it.symbols)
+        assert check_duality(it)
+
     def test_corrupted_counts_detected(self):
         it = toy_tower({"a": [3, 4, 5]})
         # break the roof structure behind the prefix cache: a non-monotone

@@ -1,18 +1,19 @@
 """Unit tests for tower construction, certification, and serialization."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from towerkit.blocks import cyclic_partial_sums_units, is_normalized
-from towerkit.distributions import FiniteDist, vasershtein
+from towerkit.blocks import Block, cyclic_partial_sums_units, is_normalized
+from towerkit.distributions import FiniteDist, sk_histograms, vasershtein
 from towerkit.lemma_engine import PreconditionError, SizeCapError
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             build_general_tower, build_rational_tower,
                             certify_theorem1, load_trace_summary, save_trace,
-                            sk_distribution, tower_k_grid, trace_to_json_obj)
+                            tower_k_grid, trace_to_json_obj)
 from towerkit.splitting import make_target
 
 
@@ -168,30 +169,53 @@ class TestCertification:
 
 
 class TestSkDistribution:
+    """The S_k law that verify writes as skdist_<k>.csv."""
+
     def test_exact_mean(self, small_rational_trace):
         trace = small_rational_trace
         arr = trace.final
         k = trace.height // 3
-        rep = sk_distribution(trace, k)
+        (hist,) = arr.sk_histograms([k])
         expected = k * sum(arr.scale * arr.values[s]
                            for s in arr.symbols) / arr.size
-        assert rep.dist().mean() == expected
+        assert sum(v * c for v, c in hist.merged()) / hist.total == expected
 
     def test_csv_round_trip(self, small_rational_trace, tmp_path):
-        rep = sk_distribution(small_rational_trace, 7)
+        (hist,) = small_rational_trace.final.sk_histograms([7])
         path = tmp_path / "skdist.csv"
-        rep.to_csv(str(path))
+        hist.to_csv(str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "value,count,mass"
-        assert len(lines) == len(rep.entries) + 1
+        assert lines[1:] == [f"{v},{c},{c}/{hist.total}"
+                             for v, c in hist.merged()]
+
+    def test_values_merge_across_scales(self):
+        # 2 * 1/2 and 1 * 1 are one exact value; 3/2 * 1 is another
+        (hist,) = sk_histograms([Block([2, 2], F(1, 2)), Block([1, 1], 1),
+                                 Block([3, 3], F(1, 2))], [1])
+        assert hist.merged() == [(F(1), 4), (F(3, 2), 2)]
+        # against a dict merge of every position's exact S_k
+        rng = random.Random(29)
+        for _ in range(100):
+            h = rng.randint(1, 6)
+            blocks = [Block([rng.randint(1, 9) for _ in range(h)],
+                            F(rng.randint(1, 3), rng.randint(1, 4)))
+                      for _ in range(rng.randint(1, 4))]
+            k = rng.randint(1, 2 * h)
+            oracle = {}
+            for w in blocks:
+                for u in cyclic_partial_sums_units(w, k).tolist():
+                    oracle[w.scale * u] = oracle.get(w.scale * u, 0) + 1
+            (hist,) = sk_histograms(blocks, [k])
+            assert hist.merged() == sorted(oracle.items())
 
     def test_distribution_close_to_target(self, small_rational_trace):
         trace = small_rational_trace
         k = trace.height
         g = trace.global_gamma.gamma(k)
-        rep = sk_distribution(trace, k)
-        scaled = FiniteDist([(F(v) / (k * g), m)
-                             for v, m in rep.dist().atoms()])
+        (hist,) = trace.final.sk_histograms([k])
+        scaled = FiniteDist([(F(v) / (k * g), F(c, hist.total))
+                             for v, c in hist.merged()])
         assert vasershtein(scaled, trace.target) <= 0.05
 
 
