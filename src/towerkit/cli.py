@@ -36,8 +36,8 @@ from .splitting import (PointsTarget, SplittingError, TargetDist,
                         build_split_sequence, make_target)
 from .tower import (CorruptTraceError, TowerTrace, build_example_tower,
                     build_general_tower, build_rational_tower,
-                    certify_theorem1, load_trace_summary, save_trace,
-                    trace_to_json_obj)
+                    certify_theorem1, check_rational_run, load_trace_summary,
+                    save_trace, trace_to_json_obj)
 from . import skyscraper as sky
 
 EXIT_OK = 0
@@ -290,13 +290,16 @@ def _skyscraper_section(obj) -> SkyscraperConfig:
     alphas = [float(a) for a in _config_numbers(obj, "alphas", ["1"])]
     if any(a <= 0 for a in alphas):
         raise ConfigError("skyscraper alphas must be positive")
+    tol = parse_number(obj.get("tol", 0.15))
+    if tol <= 0:
+        raise ConfigError("skyscraper tol must be positive")
     rho = obj.get("rho")
     if rho not in (None, "pareto1"):
         raise ConfigError(f"skyscraper rho must be pareto1, got {rho!r}")
     bound = obj.get("bound_alphas")
     return SkyscraperConfig(
-        n_points=n_points, tol=float(parse_number(obj.get("tol", 0.15))),
-        eta=eta, tail_constant=parse_number(obj.get("tail_constant", "2")),
+        n_points=n_points, tol=float(tol), eta=eta,
+        tail_constant=parse_number(obj.get("tail_constant", "2")),
         x_values=tuple(_config_numbers(obj, "x_values",
                                        ["5/4", "3/2", "2"])),
         alphas=alphas,
@@ -378,6 +381,13 @@ def load_config(path: Optional[str], preset: Optional[str],
             deltas=deltas, epss=epss, kappas=kappas,
             rounds=_config_int(base_obj, "rounds", cfg.rounds),
             size_cap=size_cap)
+    for run in (cfg, cfg.base):
+        if run is not None and run.kind == "rational":
+            try:
+                check_rational_run(run.target.dist, run.deltas, run.epss,
+                                   run.rounds)
+            except PreconditionError as exc:
+                raise ConfigError(str(exc)) from exc
     return cfg
 
 

@@ -13,11 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .blocks import _add_periods, cyclic_partial_sums_units, rescale_units
+from .blocks import Bump, _add_periods, rescale_units
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
@@ -25,6 +26,11 @@ INF = math.inf
 
 # Level breakpoints at or above this leave int64 and become Python ints.
 _INT64_SAFE = 1 << 62
+
+# Entries of one call of a grid kernel: child positions that one
+# ``_class_laws`` call gathers, or law entries that one ``_transport`` call
+# compares (one row alone may pass it).
+_CHUNK = 1 << 16
 
 
 class DistError(ValueError):
@@ -206,35 +212,104 @@ def _integer_masses(masses: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [m.numerator * (den // m.denominator) for m in masses], den
 
 
-def _transport(av, counts, n: int, dist: FiniteDist, metric: str) -> float:
-    """Arctan transport distance between a histogram and ``dist``.
+def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
+               dists: Sequence[FiniteDist], metric: str) -> List[float]:
+    """Arctan transport distance between each histogram row and its target.
 
-    The histogram has ascending arctan values ``av`` carrying integer
-    ``counts`` that sum to n.  Both quantile functions are step functions of
+    Row i is ``lengths[i]`` consecutive entries of ``av`` (ascending arctan
+    values) and ``counts`` (integer counts that sum to totals[i] = n),
+    compared with dists[i].  Both quantile functions are step functions of
     the level u in (0, 1]; their breakpoints are merged exactly as integers
-    over n*L, with L the least common denominator of the masses of ``dist``,
-    and promoted to Python ints when n*L leaves the int64 range.  Returns
-    the integral ("vasershtein", L1) or the sup ("uniform", L-infinity) of
-    the quantile gap; the comonotone coupling is optimal on the line.
+    over n*L, with L the least common denominator of the masses of the
+    target.  Each row's breakpoints are shifted by the sum of n*L over the
+    rows before it, so the rows fill disjoint ranges and one
+    union1d/searchsorted pair serves them all; they are promoted to Python
+    ints when that sum leaves the int64 range.  Returns per row the
+    integral ("vasershtein", L1; one dot product per row, so each float is
+    the one a row alone gives) or the sup ("uniform", L-infinity) of the
+    quantile gap; the comonotone coupling is optimal on the line.
     """
     if metric not in ("vasershtein", "uniform"):
         raise DistError(f"unknown transport metric {metric!r}")
-    t_counts, den = _integer_masses(dist.masses)
-    dtype = np.int64 if n * den < _INT64_SAFE else object
-    own = np.cumsum(np.asarray(counts, dtype=dtype)) * den
-    other = np.cumsum(np.asarray(t_counts, dtype=dtype)) * n
+    # per target: cumulated integer masses, their denominator, atom values
+    targets = {}
+    for d in dists:
+        if id(d) not in targets:
+            t_counts, den = _integer_masses(d.masses)
+            targets[id(d)] = (list(accumulate(t_counts)), den,
+                              [float(v) for v in d.values])
+    dens = [targets[id(d)][1] for d in dists]
+    sizes = [n * den for n, den in zip(totals, dens)]
+    offs = list(accumulate(sizes, initial=0))
+    dtype = np.int64 if offs[-1] < _INT64_SAFE else object
+
+    def per_entry(xs):
+        return np.repeat(np.array(xs, dtype=dtype), lengths)
+
+    own = (np.cumsum(np.asarray(counts, dtype=dtype)) -
+           per_entry(list(accumulate(totals, initial=0))[:-1])) * \
+        per_entry(dens) + per_entry(offs[:-1])
+    other = np.array([t * n + off
+                      for d, n, off in zip(dists, totals, offs)
+                      for t in targets[id(d)][0]], dtype=dtype)
+    tv = np.arctan([x for d in dists for x in targets[id(d)][2]])
     cuts = np.union1d(own, other)
     gap = np.abs(av[np.searchsorted(own, cuts)] -
-                 _atan(dist.values)[np.searchsorted(other, cuts)])
+                 tv[np.searchsorted(other, cuts)])
+    first = np.searchsorted(cuts, np.array(offs[:-1], dtype=dtype),
+                            side="right")
     if metric == "uniform":
-        return float(gap.max())
+        return np.maximum.reduceat(gap, first).tolist()
     widths = np.diff(cuts, prepend=0).astype(float)
-    return float(np.dot(widths, gap)) / (n * den)
+    ends = [*first[1:].tolist(), cuts.size]
+    return [float(np.dot(widths[i:j], gap[i:j])) / size
+            for i, j, size in zip(first.tolist(), ends, sizes)]
 
 
 def _dist_transport(p: FiniteDist, q: FiniteDist, metric: str) -> float:
     counts, n = _integer_masses(p.masses)
-    return _transport(_atan(p.values), counts, n, q, metric)
+    return _transport(_atan(p.values), counts, [len(counts)], [n], [q],
+                      metric)[0]
+
+
+def transport_distances(laws, metric: str = "vasershtein") -> List[float]:
+    """Transport distance between the law of S_k/(k*norm) and ``dist`` for
+    each (hist, norm, dist) of ``laws``, in order; ``metric`` is
+    "vasershtein" (L1) or "uniform" (L-infinity).
+
+    The histograms are taken in chunks of at most _CHUNK law entries (one
+    histogram may pass it alone), and each chunk is compared by one
+    ``_transport`` call, so a grid holds one chunk at a time.
+    """
+    out: List[float] = []
+    chunk, size = [], 0
+    for law in laws:
+        n = sum(u.size for u in law[0].units)
+        if chunk and size + n > _CHUNK:
+            out += _hist_transport(chunk, metric)
+            chunk, size = [], 0
+        chunk.append(law)
+        size += n
+    if chunk:
+        out += _hist_transport(chunk, metric)
+    return out
+
+
+def _hist_transport(laws, metric: str) -> List[float]:
+    """``_transport`` of (hist, norm, dist) rows: each row's values
+    S_k/(k*norm) as floats, sorted stably within the row, so that equal
+    values keep block order."""
+    units = [u for hist, _, _ in laws for u in hist.units]
+    factors = [float(sc) / (hist.k * float(norm))
+               for hist, norm, _ in laws for sc in hist.scales]
+    vals = np.concatenate(units).astype(float) * \
+        np.repeat(factors, [u.size for u in units])
+    lengths = [sum(u.size for u in hist.units) for hist, _, _ in laws]
+    order = np.lexsort((vals, np.repeat(np.arange(len(laws)), lengths)))
+    counts = np.concatenate([c for hist, _, _ in laws for c in hist.counts])
+    return _transport(np.arctan(vals[order]), counts[order], lengths,
+                      [hist.total for hist, _, _ in laws],
+                      [dist for _, _, dist in laws], metric)
 
 
 def vasershtein(p: FiniteDist, q: FiniteDist) -> float:
@@ -249,60 +324,76 @@ def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
     return _dist_transport(p, q, "uniform")
 
 
-def _run_starts(srt: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values starts in a sorted array."""
-    new = np.ones(srt.size, dtype=bool)
-    new[1:] = srt[1:] != srt[:-1]
-    return np.flatnonzero(new)
-
-
-def _runs(srt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct values of a sorted array with the length of each run."""
-    starts = _run_starts(srt)
-    return srt[starts], np.diff(starts, append=srt.size)
-
-
-def _class_law(w, c: int) -> tuple:
-    """Sorted distinct units of S_c over one least period p of ``w``, with
-    their int64 counts, for 0 <= c < p.
-
-    A block that a bump tiling built with its least period as spacing s
-    (``w._bump``) is measured on one least period L of the tiled child: a
-    position t in [0, s) reads f*S_c(child) at t mod L, plus the bump B
-    exactly when t >= s - c.  So each tau in [0, L) counts
-    (s-c)//L + [tau < (s-c) % L] times with f*S_c(child)(tau) and
-    c//L + [tau >= L - c % L] times with that plus B; B is added only
-    where it occurs, so BlockError comes exactly with the block's own.
-    Any other block is measured over its period.
-    """
-    p = w.period
+def _tiling(w) -> Bump:
+    """The tiling that a class law of ``w`` is measured on: the ``Bump``
+    that built w when its spacing is w's least period p, else
+    Bump(w, 1, 0, p), w as its own child with no bump."""
     bump = w._bump
-    if bump is None or c == 0 or bump.spacing != p:
-        return np.unique(cyclic_partial_sums_units(w, c, p),
-                         return_counts=True)
-    child, f, b, s = bump
+    if bump is None or bump.spacing != w.period:
+        return Bump(w, 1, 0, w.period)
+    return bump
+
+
+def _class_laws(w, cs) -> list:
+    """Per class c of ``cs`` (0 <= c < p), the sorted distinct units of
+    S_c over one least period p of ``w`` with their int64 counts.
+
+    Every class is measured on one least period L of the child of
+    ``_tiling(w)`` = (child, f, B, s): a position t in [0, s) reads
+    f*S_c(child) at t mod L, plus the bump B exactly when t >= s - c.  So
+    each tau in [0, L) counts (s-c)//L + [tau < r0] times with
+    f*S_c(child)(tau) and c//L + [tau >= r0 and c % L > 0] times with that
+    plus B, where r0 = (s-c) % L.  All classes are gathered as one 2-D
+    array over the child's doubled prefix, in uint64, where a period's
+    total and twice any S_c fit.  Each row is sorted once on the key
+    2*S_c + [tau >= r0], so that its runs give the value and its half
+    together; the plain and bumped values of all rows are then merged by
+    one lexsort.  No value passes the block's unit total over a period,
+    which fits int64, so no class law can leave int64.
+    """
+    child, f, b, s = _tiling(w)
     L = child.period
-    v = cyclic_partial_sums_units(child, c, L)
-    n0, r0 = divmod(s - c, L)
-    n1, r1 = divmod(c, L)
-    # s is a multiple of L, so r0 + r1 is 0 or L: tau < r0 gets one more
-    # plain window, and tau >= r0 one more bumped window when r1 > 0
-    (hu, hn), (tu, tn) = _runs(np.sort(v[:r0])), _runs(np.sort(v[r0:]))
-    u = rescale_units(np.concatenate([hu, tu]), f)
-    m = np.concatenate([hn, tn])
-    plain = n0 * m
-    plain[:hu.size] += hn
-    bumped = n1 * m
-    if r1:
-        bumped[hu.size:] += tn
+    pre = child.prefix[:L + 1].astype(np.uint64)
+    ext = np.concatenate([pre[:-1], pre + pre[-1]])
+    cs = np.asarray(cs, dtype=np.int64)
+    n0, r0 = np.divmod(s - cs, L)
+    n1, r1 = np.divmod(cs, L)
+    tau = np.arange(L)
+    sums = ext[tau + r1[:, None]] - pre[:-1] + \
+        (n1.astype(np.uint64) * pre[-1])[:, None]
+    key = np.sort(2 * sums + (tau >= r0[:, None]), axis=1).ravel()
+    # runs of equal keys, each within one row of L entries
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    new[::L] = True
+    starts = np.flatnonzero(new)
+    runs = np.diff(starts, append=key.size)
+    row, key = starts // L, key[starts]
+    half = (key & 1).astype(np.int64)
+    v = (key >> 1).astype(np.int64) * np.int64(f)
+    plain = runs * (n0[row] + 1 - half)
+    bumped = runs * (n1[row] + half * (r1[row] > 0))
     keep, hit = plain > 0, bumped > 0
-    vals = np.concatenate([u[keep], _add_periods(u[hit], 1, b)])
+    rows = np.concatenate([row[keep], row[hit]])
+    vals = np.concatenate([v[keep], v[hit] + np.int64(b)])
     counts = np.concatenate([plain[keep], bumped[hit]])
-    # at most four values per distinct value of v: merge equal ones
-    order = np.argsort(vals)
-    vals, counts = vals[order], counts[order]
-    starts = _run_starts(vals)
-    return vals[starts], np.add.reduceat(counts, starts)
+    order = np.lexsort((vals, rows))
+    rows, vals, counts = rows[order], vals[order], counts[order]
+    new = np.ones(vals.size, dtype=bool)
+    new[1:] = (vals[1:] != vals[:-1]) | (rows[1:] != rows[:-1])
+    starts = np.flatnonzero(new)
+    vals, counts = vals[starts], np.add.reduceat(counts, starts)
+    ends = np.searchsorted(rows[starts], np.arange(cs.size + 1))
+    return [(vals[i:j], counts[i:j]) for i, j in zip(ends[:-1], ends[1:])]
+
+
+def _class_law_stream(w, cs) -> Iterator[tuple]:
+    """(c, law) for each class c of ``cs`` in order, measured by
+    ``_class_laws`` in chunks of at most _CHUNK child positions."""
+    step = max(1, _CHUNK // _tiling(w).child.period)
+    for i in range(0, len(cs), step):
+        chunk = cs[i:i + step]
+        yield from zip(chunk, _class_laws(w, chunk))
 
 
 class PeriodLaws:
@@ -325,12 +416,14 @@ class PeriodLaws:
       adds whole periods of P and multiplies by g' with a check, so it
       raises BlockError exactly when its own S_k leaves int64.
 
-    A class law is measured by ``_class_law``: on one least period of the
-    child of a bump-tiled block, else over the block's own least period.
+    Class laws are measured by ``_class_laws``, on one least period of the
+    child of a bump-tiled block, else over the block's own least period:
+    each pattern's classes in order of first need, one chunk at a time.
     The law is in units, so the scale plays no part, nor does the
     changed-position mask.  A class law is kept only until the last k of
     the grid that needs it, so a grid without repeats holds no more than
-    one k at a time.
+    one chunk of class laws per pattern.  The whole periods are added per
+    k, so BlockError comes at the first k whose S_k leaves int64.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
@@ -383,6 +476,9 @@ class PeriodLaws:
         self.pending = Counter((j, min(k % p, p - k % p))
                                for j, _, p, _, _, _ in self.distinct
                                for k in ks)
+        self.streams = {j: _class_law_stream(w, list(dict.fromkeys(
+                            min(k % p, p - k % p) for k in ks)))
+                        for j, w, p, _, _, _ in self.distinct}
         self.memo: Dict[Tuple[int, int], tuple] = {}
 
     def at(self, k: int) -> list:
@@ -390,16 +486,16 @@ class PeriodLaws:
         one least period with their int64 counts; blocks with equal units
         get the same pair.  Raises BlockError past the int64 range."""
         laws = {}
-        for j, w, p, sigma, g, factors in self.distinct:
+        for j, _, p, sigma, g, factors in self.distinct:
             q, r = divmod(k, p)
             c = min(r, p - r)
-            law = self.memo.get((j, c))
-            if law is None:
-                law = self.memo[j, c] = _class_law(w, c)
+            while (j, c) not in self.memo:
+                d, law = next(self.streams[j])
+                self.memo[j, d] = law
             self.pending[j, c] -= 1
+            u, n = self.memo[j, c]
             if self.pending[j, c] <= 0:
                 del self.memo[j, c]
-            u, n = law
             if r > c:
                 u, n = sigma - u[::-1], n[::-1]
             if factors:
@@ -453,13 +549,7 @@ class SkHistogram:
                  metric: str = "vasershtein") -> float:
         """Transport distance between the law of S_k/(k*norm) and ``dist``;
         ``metric`` is "vasershtein" (L1) or "uniform" (L-infinity)."""
-        vals = np.concatenate(
-            [u.astype(float) * (float(sc) / (self.k * float(norm)))
-             for u, sc in zip(self.units, self.scales)])
-        order = np.argsort(vals, kind="stable")
-        return _transport(np.arctan(vals[order]),
-                          np.concatenate(self.counts)[order], self.total,
-                          dist, metric)
+        return transport_distances([(self, norm, dist)], metric)[0]
 
     def merged(self) -> List[Tuple[Fraction, int]]:
         """(value, count) for each distinct exact value over all blocks,

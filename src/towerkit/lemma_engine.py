@@ -24,7 +24,7 @@ import numpy as np
 from .blocks import (Block, Bump, Scalar, normalizing_copies, rescale_units,
                      self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
-                            sk_histograms)
+                            sk_histograms, transport_distances)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
@@ -443,8 +443,9 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
              geo_cap: int = 256) -> ExtensionCertificate:
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
-    distances = {k: hist.distance(gamma.gamma(k), y, "uniform")
-                 for k, hist in zip(grid, arr_new.sk_histograms(grid))}
+    laws = ((hist, gamma.gamma(k), y)
+            for k, hist in zip(grid, arr_new.sk_histograms(grid)))
+    distances = dict(zip(grid, transport_distances(laws, "uniform")))
     return ExtensionCertificate(tuple(grid), distances, gamma, change,
                                 float(delta))
 
@@ -561,20 +562,20 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     final = BlockArray(fine_syms, refined.blocks, g, c0 * k_factor)
     h0, h1 = arr.height, final.height
     grid = make_k_grid(h0, h1, dense_cap=min(2048, 4 * h0), geo_cap=64)
-    q_grid = []
-    distances = {}
+    q_grid, norms, blends = [], [], []
     prev_q = None
-    for k, hist in zip(grid, final.sk_histograms(grid)):
+    for k in grid:
         p = rep.p_of_k(k)
-        beta_k = c0 * ((1 - p) + p * k_factor)
         q_k = (k_factor * p) / ((1 - p) + p * k_factor)
         if prev_q is not None and q_k < prev_q:
             raise InvariantError("blend weight must be monotone in k")
         prev_q = q_k
         q_grid.append((k, q_k))
-        blend = FiniteDist.uniform(
-            [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
-        distances[k] = hist.distance(beta_k, blend)
+        norms.append(c0 * ((1 - p) + p * k_factor))
+        blends.append(FiniteDist.uniform(
+            [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms]))
+    distances = dict(zip(grid, transport_distances(
+        zip(final.sk_histograms(grid), norms, blends))))
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
     report = StraighteningReport(k_factor, tuple(q_grid), distances,

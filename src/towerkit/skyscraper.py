@@ -21,7 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .blocks import _INT64_MAX, Block, Bump
-from .distributions import INF, FiniteDist, SkHistogram, sk_histograms
+from .distributions import (INF, FiniteDist, SkHistogram, sk_histograms,
+                            transport_distances)
 from .lemma_engine import InvariantError
 from .tower import TowerTrace
 
@@ -439,21 +440,20 @@ def check_inversion(it: IntegerTower, reports: Dict,
     n_grid = sorted(reports)
     y = it.occupation_target
     z = it.trace.target
-    occ_d = {}
-    phi_d = {}
-    windows = []
     for n in n_grid:
-        rep = reports[n]
-        for x, lhs, bound, ok in rep.tail_checks:
+        for x, lhs, bound, ok in reports[n].tail_checks:
             if not ok:
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
-        occ_d[n] = rep.law.distance(rep.a_n, y)
-        windows.append(max(1, int(round(float(rep.a_n)))))
+    occ_d = dict(zip(n_grid, transport_distances(
+        (reports[n].law, reports[n].a_n, y) for n in n_grid)))
+    windows = [max(1, int(round(float(reports[n].a_n)))) for n in n_grid]
     blocks = [it.blocks[s] for s in it.symbols]
-    for n, m, hist in zip(n_grid, windows, sk_histograms(blocks, windows)):
-        phi_d[n] = hist.distance(it.trace.global_gamma.gamma(m), z)
+    gamma = it.trace.global_gamma.gamma
+    phi_d = dict(zip(n_grid, transport_distances(
+        (hist, gamma(m), z)
+        for m, hist in zip(windows, sk_histograms(blocks, windows)))))
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, reports, top_ok)

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import Block, is_normalized, self_concat
-from .distributions import INF, FiniteDist
+from .distributions import INF, FiniteDist, transport_distances
 from .lemma_engine import (BlockArray, GammaTable, InvariantError,
                            PreconditionError, basic_extend, choose_tile,
                            extension_step, straightening_step)
@@ -84,6 +84,24 @@ def _check_monotone_growth(old: BlockArray, new: BlockArray) -> None:
             raise InvariantError("weights decreased across a stage")
 
 
+def check_rational_run(target: FiniteDist, deltas: Sequence[Fraction],
+                       epss: Sequence[Fraction], rounds: int) -> None:
+    """Raise PreconditionError unless ``build_rational_tower`` can build
+    these schedules: matching and nonempty, eps_n <= delta_n, delta_1 below
+    min(Y)/9, and at least one extension round per stage.  ``load_config``
+    checks a rational run with it before any step runs."""
+    if len(deltas) != len(epss) or not deltas:
+        raise PreconditionError("need matching nonempty delta/eps schedules")
+    if any(e > d for d, e in zip(deltas, epss)):
+        raise PreconditionError("eps_n must not exceed delta_n")
+    min_y = target.min_value()
+    if min_y == INF or not deltas[0] < Fraction(min_y) / 9:
+        raise PreconditionError(
+            f"delta_1 = {deltas[0]} must be below min(Y)/9 = {min_y}/9")
+    if rounds < 1:
+        raise PreconditionError("extension needs at least one round")
+
+
 def build_rational_tower(target: FiniteDist, deltas: Sequence,
                          epss: Sequence, rounds: int = 2,
                          size_cap: int = 10 ** 6) -> TowerTrace:
@@ -96,14 +114,7 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
     """
     deltas = [Fraction(d) for d in deltas]
     epss = [Fraction(e) for e in epss]
-    if len(deltas) != len(epss) or not deltas:
-        raise PreconditionError("need matching nonempty delta/eps schedules")
-    if any(e > d for d, e in zip(deltas, epss)):
-        raise PreconditionError("eps_n must not exceed delta_n")
-    min_y = target.min_value()
-    if min_y == INF or not deltas[0] < Fraction(min_y) / 9:
-        raise PreconditionError(
-            f"delta_1 = {deltas[0]} must be below min(Y)/9 = {min_y}/9")
+    check_rational_run(target, deltas, epss, rounds)
     # one symbol per unit of target mass, so the array is label-distributed
     den = 1
     for m in target.masses:
@@ -361,28 +372,29 @@ def certify_theorem1(trace: TowerTrace,
     y = trace.target
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
     m = trace.bicycle_m
-    vas = {}
-    eps_ok = True
+    bounds = [(x, y.cdf(Fraction(m * x))) for x in map(Fraction, x_values)]
     checks = []
-    lower_ok = True
+
+    def laws():
+        # the cdf checks read each histogram on its way to the transport
+        for k, hist in zip(grid, arr.sk_histograms(grid)):
+            g = trace.global_gamma.gamma(k)
+            for x, bound in bounds:
+                lhs = Fraction(hist.count_below(x * k * Fraction(g)),
+                               hist.total)
+                checks.append((k, x, lhs, bound, lhs <= bound))
+            yield hist, g, y
+
+    vas = dict(zip(grid, transport_distances(laws())))
+    lower_ok = all(ok for *_, ok in checks)
+    eps_ok = True
     margin = None
-    for k, hist in zip(grid, arr.sk_histograms(grid)):
-        g = trace.global_gamma.gamma(k)
-        vas[k] = hist.distance(g, y)
+    for k in grid:
         eps_k = _stage_eps_at(trace, k)
         if not vas[k] <= eps_k + 1e-12:
             eps_ok = False
         if margin is None or eps_k - vas[k] < margin[0]:
             margin = (eps_k - vas[k], k)
-        for x in x_values:
-            x = Fraction(x)
-            rhs = y.cdf(Fraction(m * x))
-            lhs = Fraction(hist.count_below(x * k * Fraction(g)),
-                           hist.total)
-            ok = lhs <= rhs
-            if not ok:
-                lower_ok = False
-            checks.append((k, x, lhs, rhs, ok))
     h = trace.height
     ratios = []
     doubling_ok = True

@@ -199,8 +199,20 @@ class TestConfigParsing:
         pytest.param("twopoint", {"skyscraper": {key: value}},
                      id=f"skyscraper.{key}={value!r}")
         for key, value in (("alphas", ["x"]), ("n_points", "2.5"),
-                           ("n_points", 0), ("tol", "abc"), ("eta", "-1"),
+                           ("n_points", 0), ("tol", "abc"), ("tol", "-1"),
+                           ("tol", 0), ("eta", "-1"),
                            ("rho", "pareto2"))] + [
+        pytest.param("twopoint", {"rounds": 0}, id="rounds=0"),
+        pytest.param("twopoint", {"deltas": ["1/5"], "epss": ["1/20"]},
+                     id="delta_1-not-below-min(Y)/9"),
+        pytest.param("twopoint", {"deltas": ["1/10"], "epss": ["1/8"]},
+                     id="eps_1-above-delta_1"),
+        pytest.param("twopoint", {"skyscraper": {"base": {
+            "kind": "rational", "deltas": ["1/20"], "epss": ["1/40"],
+            "rounds": 0, "target": {"family": "points",
+                                    "atoms": [["1/2", "1/2"],
+                                              ["1", "1/2"]]}}}},
+            id="base-rounds=0")] + [
         pytest.param("twopoint", {"k_grid": []}, id="k_grid=[]"),
         pytest.param("pareto1", {"target": {"family": "pareto"}},
                      id="pareto-without-alpha"),

@@ -463,17 +463,20 @@ def assert_same_histogram(got, want):
 
 @contextlib.contextmanager
 def counted_measurements():
-    """List of the (scale, units, k) of every class law that PeriodLaws
-    measures while the context is open."""
+    """List of the (scale, units, c) of every class law that PeriodLaws
+    asks ``_class_laws`` for while the context is open, with the scale and
+    units of the block that it reads: the child of a bump-tiled block."""
     calls = []
-    measure = distributions.cyclic_partial_sums_units
+    measure = distributions._class_laws
 
-    def counted(w, k, period=None):
-        calls.append((w.scale, tuple(w.units.tolist()), k))
-        return measure(w, k, period)
+    def counted(w, cs):
+        child = distributions._tiling(w).child
+        calls.extend((child.scale, tuple(child.units.tolist()), int(c))
+                     for c in cs)
+        return measure(w, cs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(distributions, "cyclic_partial_sums_units", counted)
+        mp.setattr(distributions, "_class_laws", counted)
         yield calls
 
 
@@ -506,32 +509,25 @@ class TestSkHistogramGrid:
         assert hist.units[0].tolist() == [4, 7, 8]
         assert hist.counts[0].tolist() == [1, 1, 2]
 
-    def test_one_measurement_per_block_class(self, monkeypatch):
-        calls = []
-        measure = distributions.cyclic_partial_sums_units
-
-        def counted(w, k, period=None):
-            calls.append((w.scale, tuple(w.units.tolist()), k))
-            return measure(w, k, period)
-
-        monkeypatch.setattr(distributions, "cyclic_partial_sums_units",
-                            counted)
+    def test_one_measurement_per_block_class(self):
         a = self_concat(Block([1, 2, 4, 1, 3, 2], F(1, 2)), 2)
         b = Block(a.units, F(1, 4))               # equal units, other scale
         c = Block([2, 1, 1, 1, 5, 1] * 2, F(1, 2))
         blocks = [a, a, b, c, Block(a.units, F(1, 2), a.changed_mask)]
         # residues, reflections and whole periods revisit classes
         ks = [1, 5, 7, 11, 6, 12, 3, 9, 2, 4, 8, 10, 13, 17, 0]
-        hists = list(sk_histograms(blocks, ks))
-        # b is a's units at another scale: one pattern, measured once
-        distinct = {tuple(w.units.tolist()) for w in blocks}
-        pairs = {(u, min(k % 6, 6 - k % 6)) for u in distinct for k in ks}
-        assert len(calls) == len(pairs) == 2 * 4
-        assert len(calls) < len(ks) * len(blocks)
-        for k, hist in zip(ks, hists):
-            assert_same_histogram(hist, whole_block_histogram(blocks, k))
-        # the memo lives for one grid: a second grid measures again
-        list(sk_histograms(blocks, ks))
+        with counted_measurements() as calls:
+            hists = list(sk_histograms(blocks, ks))
+            # b is a's units at another scale: one pattern, measured once
+            distinct = {tuple(w.units.tolist()) for w in blocks}
+            pairs = {(u, min(k % 6, 6 - k % 6))
+                     for u in distinct for k in ks}
+            assert len(calls) == len(pairs) == 2 * 4
+            assert len(calls) < len(ks) * len(blocks)
+            for k, hist in zip(ks, hists):
+                assert_same_histogram(hist, whole_block_histogram(blocks, k))
+            # the memo lives for one grid: a second grid measures again
+            list(sk_histograms(blocks, ks))
         assert len(calls) == 2 * len(pairs)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -645,9 +641,45 @@ class TestBumpDerivedLaw:
     @example(*CHAIN)
     def test_matches_oracle_at_every_class(self, base, rep, scale, steps):
         w = bump_chain(base, rep, scale, steps)
-        for c in range(w.period):
-            assert_same_law(distributions._class_law(w, c),
-                            class_law_oracle(w, c))
+        cs = range(w.period)
+        for c, law in zip(cs, distributions._class_laws(w, cs)):
+            assert_same_law(law, class_law_oracle(w, c))
+
+    @pytest.mark.parametrize("chunk", [1, 3, distributions._CHUNK])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           st.integers(1, 3), st.sampled_from([F(1), F(1, 2), F(3, 7)]),
+           st.one_of(st.just([]), bump_steps), st.randoms())
+    @example(*RESCALED, random.Random(0))
+    @example(*CHAIN, random.Random(1))
+    @example([1, 2, 1, 2], 2, F(1), [], random.Random(2))
+    def test_kernel_in_chunks(self, chunk, base, rep, scale, steps, rnd):
+        # bump-less blocks (no steps) and bump-tiled ones, f = 7 included;
+        # classes 0, p/2 and c >= L (the child's least period) in one call,
+        # then a shuffled grid whose classes come in chunks of at most
+        # ``chunk`` child positions, split mid-grid
+        w = bump_chain(base, rep, scale, steps)
+        p, L = w.period, distributions._tiling(w).child.period
+        cs = list(range(p // 2 + 1))
+        for c, law in zip(cs, distributions._class_laws(w, cs)):
+            assert_same_law(law, class_law_oracle(w, c))
+        ks = list(range(2 * len(w) + 2)) * 2
+        rnd.shuffle(ks)
+        sizes = []
+        measure = distributions._class_laws
+
+        def counted(v, classes):
+            sizes.append(len(classes))
+            return measure(v, classes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_CHUNK", chunk)
+            mp.setattr(distributions, "_class_laws", counted)
+            got = list(sk_histograms([w], ks))
+        for k, hist in zip(ks, got):
+            assert_same_histogram(hist, whole_block_histogram([w], k))
+        assert sum(sizes) == len(cs)
+        assert max(sizes) == min(len(cs), max(1, chunk // L))
 
     @pytest.mark.parametrize("case", ["RESCALED", "CHAIN"])
     def test_examples_take_the_derived_path(self, case):
@@ -710,6 +742,94 @@ class TestBumpDerivedLaw:
         assert hist.units[0].dtype == np.int64
         assert hist.units[0].tolist() == u.tolist()
         assert hist.counts[0].tolist() == c.tolist()
+
+
+    @pytest.mark.parametrize("chunk", [1, 3, distributions._CHUNK])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(2 ** 57, 2 ** 58), min_size=1, max_size=2),
+           st.integers(1, 2 ** 58),
+           st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    # S_24 fits for every unit, S_25 reaches 2^63 at one position
+    @example([2 ** 58, 2 ** 58], 2 ** 58, [24, 3, 24, 1, 25, 2])
+    @example([2 ** 58, 2 ** 58], 2 ** 58, list(range(40)))
+    def test_block_error_at_first_k_past_int64(self, chunk, base, bump, ks):
+        # a grid of a bump-tiled block with a total near 2^62: every k
+        # before the first whose S_k leaves int64 yields its exact law,
+        # and that k raises BlockError, whatever the chunks
+        w = basic_extend(Block(base), F(bump, 2 * len(base)), 2, 1)
+        units, h = w.units.tolist(), len(w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_CHUNK", chunk)
+            hists = sk_histograms([w], ks)
+            for k in ks:
+                exact = [sum(units[(nu + j) % h] for j in range(k))
+                         for nu in range(h)]
+                if max(exact) > INT64_MAX:
+                    with pytest.raises(BlockError):
+                        next(hists)
+                    return
+                u, c = np.unique(np.array(exact, dtype=object),
+                                 return_counts=True)
+                hist = next(hists)
+                assert hist.units[0].tolist() == u.tolist()
+                assert hist.counts[0].tolist() == c.tolist()
+
+
+@st.composite
+def histograms(draw):
+    """SkHistogram of up to three blocks at mixed scales, whose counts are
+    small or near 2^40, so that equal float values across blocks occur."""
+    n = draw(st.integers(1, 3))
+    units, counts = [], []
+    for _ in range(n):
+        u = sorted(draw(st.lists(st.integers(1, 40), min_size=1,
+                                 max_size=6, unique=True)))
+        hi = draw(st.sampled_from([9, 2 ** 40]))
+        units.append(np.array(u, dtype=np.int64))
+        counts.append(np.array(draw(st.lists(
+            st.integers(1, hi), min_size=len(u), max_size=len(u))),
+            dtype=np.int64))
+    scales = draw(st.lists(st.sampled_from([F(1), F(1, 3), F(5, 2)]),
+                           min_size=n, max_size=n))
+    return SkHistogram(draw(st.integers(1, 9)), scales, units, counts)
+
+
+class TestRowwiseTransport:
+    @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
+    @pytest.mark.parametrize("chunk", [7, distributions._CHUNK])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(histograms(),
+                              st.fractions(F(1, 7), F(10),
+                                           max_denominator=7),
+                              st.one_of(big_den_dists(2, 12, allow_inf=True),
+                                        big_den_dists(2 ** 20, 2 ** 24))),
+                    min_size=2, max_size=6))
+    def test_rows_match_one_row_calls(self, metric, chunk, laws):
+        # rows of a chunk against each row alone, bit for bit, whether a
+        # chunk holds int64 or Python-int breakpoints
+        want = [hist.distance(norm, dist, metric)
+                for hist, norm, dist in laws]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_CHUNK", chunk)
+            assert distributions.transport_distances(laws, metric) == want
+
+    @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
+    def test_python_int_breakpoints_match_int64_rows(self, metric):
+        # each row alone takes int64 breakpoints (n*L near 2^61) and the
+        # chunk of three passes 2^62, so it takes Python ints; a fourth row
+        # passes 2^62 alone
+        w = Block([1, 2, 3, 5, 8, 13])
+        hists = list(sk_histograms([w], [1, 2, 3]))
+        y = FiniteDist([(F(1, 2), F(1, 2 ** 58)),
+                        (F(3), 1 - F(1, 2 ** 58))])
+        z = FiniteDist([(F(1), F(1, 2 ** 63)), (F(4), 1 - F(1, 2 ** 63))])
+        laws = [(h, 1, y) for h in hists] + [(hists[0], 1, z)]
+        assert all(h.total * 2 ** 58 < 2 ** 62 for h in hists)
+        assert 3 * hists[0].total * 2 ** 58 >= 2 ** 62
+        want = [h.distance(norm, d, metric) for h, norm, d in laws]
+        assert distributions.transport_distances(laws[:3], metric) == \
+            want[:3]
+        assert distributions.transport_distances(laws, metric) == want
 
 
 class TestSymRepSplitting:
