@@ -13,6 +13,8 @@ a target parameter that enters a float quantile function.  There is one
 arithmetic mode, "exact"; a config "mode" other than "exact" is invalid.  All data goes to files in the
 output directory, logs go to standard error, and every report embeds the
 config hash and the arithmetic mode so runs are reproducible byte for byte.
+Each file is written as a new file (``open_output``), and ``verify`` and
+``skyscraper`` remove their own files before they check anything.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded, 4 corrupt
 trace artifact (tower.json unreadable, or different in any field from the
@@ -22,6 +24,7 @@ tower its config builds), 5 hard invariant failure.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import math
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .distributions import write_json
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError
 from .splitting import (PointsTarget, SplittingError, TargetDist,
                         build_split_sequence, make_target)
@@ -395,10 +399,13 @@ def _report_header(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.config_hash, "mode": "exact"}
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _remove_outputs(out: str, *patterns: str) -> None:
+    """Remove the files of ``out`` whose names match any of the glob
+    ``patterns``: a step's own outputs, removed before it checks anything,
+    so that a step that fails leaves no report from an earlier run."""
+    for name in os.listdir(out):
+        if any(fnmatch.fnmatchcase(name, pat) for pat in patterns):
+            os.unlink(os.path.join(out, name))
 
 
 def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
@@ -431,7 +438,7 @@ def cmd_split(cfg: RunConfig, out: str) -> int:
         "floor_r": str(seq.floor_r),
         "dominates": seq.dominates,
     })
-    _write_json(os.path.join(out, "split.json"), report)
+    write_json(os.path.join(out, "split.json"), report)
     _log(f"split: depths {seq.depths}, floor {seq.floor_r}")
     return EXIT_OK
 
@@ -442,7 +449,7 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
     except SizeCapError as exc:
         partial = dict(_report_header(cfg))
         partial["error"] = f"size cap: {exc}"
-        _write_json(os.path.join(out, "tower.json"), partial)
+        write_json(os.path.join(out, "tower.json"), partial)
         _log(f"build: size cap exceeded: {exc}")
         return EXIT_SIZE_CAP
     # every builder raises InvariantError on a failed certificate
@@ -453,6 +460,7 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: str) -> int:
+    _remove_outputs(out, "verify_report.json", "skdist_*.csv")
     tower_path = os.path.join(out, "tower.json")
     if not os.path.exists(tower_path):
         _log("verify: tower.json not found; run build first")
@@ -488,7 +496,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
             [k, str(x), str(lhs), str(rhs)]
             for k, x, lhs, rhs, ok in rep.lower_bound_checks if not ok],
     })
-    _write_json(os.path.join(out, "verify_report.json"), report)
+    write_json(os.path.join(out, "verify_report.json"), report)
     _log(f"verify: eps {rep.stage_eps_ok}, lower {rep.lower_bound_ok}, "
          f"doubling {rep.doubling_ok}")
     _log(json.dumps({"verify_margin": rep.margin[0], "k": rep.margin[1]}))
@@ -496,6 +504,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
+    _remove_outputs(out, "inversion_report.json", "are_report.json",
+                    "occupation_*.csv")
     sc = cfg.skyscraper
     trace = build_tower_from_config(cfg.base or cfg)
     it = sky.integerize(trace, sc.eta)
@@ -531,7 +541,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         "return_time_distances": {str(n): inv.phi_distances[n]
                                   for n in inv.n_grid},
     }
-    _write_json(os.path.join(out, "inversion_report.json"), report)
+    write_json(os.path.join(out, "inversion_report.json"), report)
     are_report = dict(_report_header(cfg))
     are_report["alphas"] = [{
         "alpha": r.alpha,
@@ -542,7 +552,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         "u_sup": {str(t): v for t, v in r.u_sup.items()},
         "rho": {str(t): v for t, v in r.rho.items()},
     } for r in rows]
-    _write_json(os.path.join(out, "are_report.json"), are_report)
+    write_json(os.path.join(out, "are_report.json"), are_report)
     checked = rows if sc.bound_alphas is None else [
         r for r in rows if r.alpha in sc.bound_alphas]
     hard_ok = inv.ok() and all(r.bound_ok in (True, None) for r in checked)

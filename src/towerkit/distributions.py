@@ -4,17 +4,23 @@ Distances between distributions are taken after the compactifying change of
 variable x -> arctan(x), so that the point at infinity is an honest atom at
 pi/2.  Masses are exact rationals or exact integer counts; only the arctan
 of each distinct value is a float.
+
+``open_output`` is the one way the package opens a file it writes, and
+``write_json`` the one JSON writer on top of it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Optional, Sequence, TextIO,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -568,7 +574,7 @@ class SkHistogram:
     def to_csv(self, path: str) -> None:
         """Write the merged law as rows value,count,mass, with the mass
         as count/total."""
-        with open(path, "w", newline="") as fh:
+        with open_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["value", "count", "mass"])
             for v, c in self.merged():
@@ -665,3 +671,27 @@ class Splitting:
         return math.fsum(rho(self.fine.values[s],
                              self.coarse.values[self.pi[s]])
                          for s in self.fine.symbols) / n
+
+
+def open_output(path: str) -> TextIO:
+    """Open ``path`` to write text into a new file.
+
+    A file already at ``path`` is unlinked first, never truncated, so the
+    write cannot reach an earlier file through a hard or symbolic link.
+    Nor does it wait on that file's pending writeback: truncating a file
+    whose last version is still being written back stalls on ext4.
+    Line ends are written as given (CRLF from csv, LF from json).
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", newline="")
+
+
+def write_json(path: str, obj: dict) -> None:
+    """Write ``obj`` to ``path`` as JSON, one-space indents, sorted keys
+    and a final newline."""
+    with open_output(path) as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -21,8 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .blocks import _INT64_MAX, Block, Bump
-from .distributions import (INF, FiniteDist, SkHistogram, sk_histograms,
-                            transport_distances)
+from .distributions import (INF, FiniteDist, SkHistogram, open_output,
+                            sk_histograms, transport_distances)
 from .lemma_engine import InvariantError
 from .tower import TowerTrace
 
@@ -310,7 +310,7 @@ class OccupationReport:
 
     def to_csv(self, path: str) -> None:
         (values,), (counts,) = self.law.units, self.law.counts
-        with open(path, "w", newline="") as fh:
+        with open_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["count", "mass"])
             for v, c in zip(values.tolist(), counts.tolist()):

@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import Block, is_normalized, self_concat
-from .distributions import INF, FiniteDist, transport_distances
+from .distributions import (INF, FiniteDist, transport_distances,
+                            write_json)
 from .lemma_engine import (BlockArray, GammaTable, InvariantError,
                            PreconditionError, basic_extend, choose_tile,
                            extension_step, straightening_step)
@@ -435,9 +436,7 @@ def trace_to_json_obj(trace: TowerTrace) -> dict:
 
 
 def save_trace(trace: TowerTrace, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace_to_json_obj(trace), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, trace_to_json_obj(trace))
 
 
 class CorruptTraceError(RuntimeError):

@@ -474,11 +474,82 @@ class TestDeterminism:
                      "--out", str(out1)]) == EXIT_OK
         assert main(["all", "--config", fast_config,
                      "--out", str(out2)]) == EXIT_OK
+        # a re-run into out1 rewrites every file: still the same bytes
+        assert main(["all", "--config", fast_config,
+                     "--out", str(out1)]) == EXIT_OK
         names = sorted(os.listdir(out1))
         assert names == sorted(os.listdir(out2))
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names,
                                                    shallow=False)
         assert mismatch == [] and errors == []
+
+
+class TestRewrite:
+    """A re-run replaces each file of its step: it never writes through
+    an existing file, and a failing step leaves no report of its own from
+    an earlier run."""
+
+    def run(self, cmd, config, out):
+        return main([cmd, "--config", config, "--out", str(out)])
+
+    def test_no_file_written_through_a_link(self, fast_config, tmp_path):
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        assert self.run("all", fast_config, out) == EXIT_OK
+        names = sorted(os.listdir(out))
+        want = {name: (out / name).read_bytes() for name in names}
+        keep.mkdir()
+        for name in names:
+            os.link(out / name, keep / name)
+            (keep / name).write_bytes(b"earlier\n")
+        assert self.run("all", fast_config, out) == EXIT_OK
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (keep / name).read_bytes() == b"earlier\n", name
+            assert (out / name).read_bytes() == want[name], name
+        # verify on its own replaces its report too
+        linked = tmp_path / "linked.json"
+        os.link(out / "verify_report.json", linked)
+        linked.write_bytes(b"earlier\n")
+        assert self.run("verify", fast_config, out) == EXIT_OK
+        assert linked.read_bytes() == b"earlier\n"
+        assert (out / "verify_report.json").read_bytes() == \
+            want["verify_report.json"]
+
+    def test_failed_verify_leaves_no_report(self, fast_config, tmp_path):
+        out = tmp_path / "out"
+        assert self.run("all", fast_config, out) == EXIT_OK
+        obj = json.loads((out / "tower.json").read_text())
+        obj["height"] += 1
+        (out / "tower.json").write_text(json.dumps(obj))
+        assert self.run("verify", fast_config, out) == EXIT_CORRUPT
+        left = set(os.listdir(out))
+        assert "verify_report.json" not in left
+        assert not any(n.startswith("skdist_") for n in left)
+        assert {"inversion_report.json", "are_report.json"} <= left
+
+    def test_failed_skyscraper_leaves_no_report(self, fast_config,
+                                                tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self.run("all", fast_config, out) == EXIT_OK
+
+        def failing(it, reports, tol):
+            raise sky.InversionError("injected", None)
+
+        monkeypatch.setattr(sky, "check_inversion", failing)
+        assert self.run("skyscraper", fast_config, out) == EXIT_INVARIANT
+        left = set(os.listdir(out))
+        assert not left & {"inversion_report.json", "are_report.json"}
+        assert not any(n.startswith("occupation_") for n in left)
+        assert {"tower.json", "verify_report.json"} <= left
+
+    def test_earlier_sk_dist_ks_removed(self, tmp_path):
+        out = tmp_path / "out"
+        for ks in ([3, 4], [5]):
+            config = write_config(tmp_path / "c.json",
+                                  dict(FAST_CONFIG, sk_dist_ks=ks))
+            assert self.run("all", config, out) == EXIT_OK
+        assert sorted(n for n in os.listdir(out)
+                      if n.startswith("skdist_")) == ["skdist_5.csv"]
 
 
 class TestSkyscraperCounts:

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -17,8 +18,8 @@ from towerkit.blocks import (Block, BlockError, cyclic_partial_sums_units,
                              self_concat)
 from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
                                     Splitting, SymRep, cdf_dominates_below,
-                                    rho, sk_histograms, uniform_dist,
-                                    vasershtein)
+                                    open_output, rho, sk_histograms,
+                                    uniform_dist, vasershtein, write_json)
 from towerkit.lemma_engine import basic_extend
 
 INT64_MAX = 2 ** 63 - 1
@@ -854,3 +855,39 @@ class TestSymRepSplitting:
         s = Splitting(fine, coarse, {"a": "x", "b": "x", "c": "y",
                                      "d": "y"})
         assert vasershtein(fine.dist(), coarse.dist()) <= s.cost() + 1e-12
+
+
+class TestOutputFiles:
+    def test_rewrite_replaces_links_not_their_target(self, tmp_path):
+        # a hard link and a symbolic link to an earlier file are each
+        # replaced by a new file; the earlier file keeps its bytes
+        earlier = tmp_path / "earlier.txt"
+        earlier.write_text("earlier\n")
+        os.link(earlier, tmp_path / "hard.txt")
+        os.symlink(earlier, tmp_path / "sym.txt")
+        for name in ("hard.txt", "sym.txt"):
+            path = tmp_path / name
+            with open_output(str(path)) as fh:
+                fh.write(f"new {name}\n")
+            assert not path.is_symlink()
+            assert os.stat(path).st_nlink == 1
+            assert path.read_text() == f"new {name}\n"
+        assert earlier.read_text() == "earlier\n"
+
+    def test_histogram_csv_through_a_link(self, tmp_path):
+        (hist,) = sk_histograms([Block([1, 2], 1)], [1])
+        path, outside = tmp_path / "skdist_1.csv", tmp_path / "outside.csv"
+        hist.to_csv(str(path))
+        want = path.read_bytes()
+        os.link(path, outside)
+        outside.write_bytes(b"earlier\n")
+        hist.to_csv(str(path))
+        assert path.read_bytes() == want
+        assert want == b"value,count,mass\r\n1,1,1/2\r\n2,1,1/2\r\n"
+        assert outside.read_bytes() == b"earlier\n"
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_json(str(path), {"b": [1, "1/2"], "a": None})
+        assert path.read_bytes() == \
+            b'{\n "a": null,\n "b": [\n  1,\n  "1/2"\n ]\n}\n'
