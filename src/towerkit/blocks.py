@@ -23,9 +23,8 @@ import numpy as np
 
 Scalar = Union[int, Fraction]
 
-# Guard against int64 overflow in h * prefix products used by the
-# normalization test.  Blocks whose h * Sigma(units) exceeds this fall back to
-# exact Python integers.
+# Guard against int64 overflow in products and sums of units: a quantity
+# that may reach it is checked, or held as exact Python integers.
 _INT64_SAFE = 1 << 62
 
 _INT64_MAX = (1 << 63) - 1
@@ -186,9 +185,7 @@ class Block:
         if not all(isinstance(w, Rational) for w in weights):
             raise BlockError("block weights must be rational, not float")
         fracs = [Fraction(w) for w in weights]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in fracs))
         units = [int(f * den) for f in fracs]
         return cls(units, Fraction(1, den))
 
@@ -283,35 +280,6 @@ def self_concat(w: Block, m: int) -> Block:
     out._period = w._period
     out._bump = w._bump
     return out
-
-
-def cyclic_partial_sums_units(w: Block, k: int,
-                              period: Optional[int] = None) -> np.ndarray:
-    """Vector of S_k(w)(nu)/scale over nu = 1..h (unit counts).
-
-    With ``period`` p, a multiple of ``w.period`` that divides h, only
-    nu = 1..p are returned: S_k is p-periodic in nu, so these p values
-    repeat h/p times over the block.  They are read from ``prefix[:p+1]``
-    without copying it.  A value past the int64 range raises BlockError.
-    """
-    h = len(w)
-    if period is not None:
-        if h % period or period % w.period:
-            raise BlockError(f"{period} is not a period of the block")
-        h = period
-    pre = w.prefix[:h + 1]
-    tot = pre[-1]
-    wraps, r = divmod(k, h)
-    if r == 0:
-        return _add_periods(np.zeros(h, dtype=pre.dtype), wraps, int(tot))
-    # S_k(nu) = wraps*tot + pre[nu-1+r] - pre[nu-1], where an index past h
-    # wraps around and adds one more tot
-    split = h + 1 - r                               # nu-1 in [0, h-r]
-    out = np.empty(h, dtype=pre.dtype)
-    np.subtract(pre[r:], pre[:split], out=out[:split])
-    np.subtract(pre[1:r], pre[split:h], out=out[split:])
-    out[split:] += tot
-    return _add_periods(out, wraps, int(tot))
 
 
 def stats(w: Block) -> BlockStats:

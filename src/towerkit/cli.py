@@ -10,11 +10,13 @@ be whole numbers, so "1e6" is 10**6 and "2.5" is invalid, and k_grid and
 sk_dist_ks are nonempty lists of positive whole numbers; the tolerances
 doubling_tol/tol are read the same way and then used as floats, and so is
 a target parameter that enters a float quantile function.  There is one
-arithmetic mode, "exact"; a config "mode" other than "exact" is invalid.  All data goes to files in the
-output directory, logs go to standard error, and every report embeds the
-config hash and the arithmetic mode so runs are reproducible byte for byte.
-Each file is written as a new file (``open_output``), and ``verify`` and
-``skyscraper`` remove their own files before they check anything.
+arithmetic mode, "exact"; a config "mode" other than "exact" is invalid.
+All data goes to files in the output directory, logs go to standard error,
+and every report embeds the config hash and the arithmetic mode so runs are
+reproducible byte for byte.  Each file is written as a new file
+(``open_output``).  Before it runs, a command removes the files that its
+steps own (``STEP_OUTPUTS``), and ``all`` those of every step, so no file
+of an earlier run stays beside this run's.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded, 4 corrupt
 trace artifact (tower.json unreadable, or different in any field from the
@@ -49,6 +51,15 @@ EXIT_CONFIG = 2
 EXIT_SIZE_CAP = 3
 EXIT_CORRUPT = 4
 EXIT_INVARIANT = 5
+
+# The files of the output directory that each step writes, as glob patterns.
+STEP_OUTPUTS = {
+    "split": ("split.json",),
+    "build": ("tower.json",),
+    "verify": ("verify_report.json", "skdist_*.csv"),
+    "skyscraper": ("inversion_report.json", "are_report.json",
+                   "occupation_*.csv"),
+}
 
 
 class ConfigError(ValueError):
@@ -297,13 +308,16 @@ def _skyscraper_section(obj) -> SkyscraperConfig:
     tol = parse_number(obj.get("tol", 0.15))
     if tol <= 0:
         raise ConfigError("skyscraper tol must be positive")
+    tail_constant = parse_number(obj.get("tail_constant", "2"))
+    if tail_constant <= 0:
+        raise ConfigError("skyscraper tail_constant must be positive")
     rho = obj.get("rho")
     if rho not in (None, "pareto1"):
         raise ConfigError(f"skyscraper rho must be pareto1, got {rho!r}")
     bound = obj.get("bound_alphas")
     return SkyscraperConfig(
         n_points=n_points, tol=float(tol), eta=eta,
-        tail_constant=parse_number(obj.get("tail_constant", "2")),
+        tail_constant=tail_constant,
         x_values=tuple(_config_numbers(obj, "x_values",
                                        ["5/4", "3/2", "2"])),
         alphas=alphas,
@@ -358,6 +372,9 @@ def load_config(path: Optional[str], preset: Optional[str],
     size_cap = _config_int(obj, "size_cap", 10 ** 6)
     if size_cap <= 0:
         raise ConfigError("size_cap must be positive")
+    doubling_tol = parse_number(obj.get("doubling_tol", 0.1))
+    if doubling_tol <= 0:
+        raise ConfigError("doubling_tol must be positive")
     if obj.get("mode", "exact") != "exact":
         raise ConfigError(f"mode must be exact, got {obj['mode']!r}")
     sky_obj = obj.get("skyscraper", {})
@@ -366,7 +383,7 @@ def load_config(path: Optional[str], preset: Optional[str],
         deltas=deltas, epss=epss, kappas=kappas, e0=e0,
         rounds=_config_int(obj, "rounds", 2), size_cap=size_cap,
         max_depth=_config_int(obj, "max_depth", 16), etas=etas,
-        doubling_tol=float(parse_number(obj.get("doubling_tol", 0.1))),
+        doubling_tol=float(doubling_tol),
         x_values=tuple(_config_numbers(obj, "x_values",
                                        ["3/10", "1/2", "4/5"])),
         sk_dist_ks=_config_ks(obj, "sk_dist_ks"),
@@ -401,8 +418,7 @@ def _report_header(cfg: RunConfig) -> dict:
 
 def _remove_outputs(out: str, *patterns: str) -> None:
     """Remove the files of ``out`` whose names match any of the glob
-    ``patterns``: a step's own outputs, removed before it checks anything,
-    so that a step that fails leaves no report from an earlier run."""
+    ``patterns``."""
     for name in os.listdir(out):
         if any(fnmatch.fnmatchcase(name, pat) for pat in patterns):
             os.unlink(os.path.join(out, name))
@@ -460,7 +476,6 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: str) -> int:
-    _remove_outputs(out, "verify_report.json", "skdist_*.csv")
     tower_path = os.path.join(out, "tower.json")
     if not os.path.exists(tower_path):
         _log("verify: tower.json not found; run build first")
@@ -504,8 +519,6 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
-    _remove_outputs(out, "inversion_report.json", "are_report.json",
-                    "occupation_*.csv")
     sc = cfg.skyscraper
     trace = build_tower_from_config(cfg.base or cfg)
     it = sky.integerize(trace, sc.eta)
@@ -565,9 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="towerkit",
         description="build and certify cutting-and-stacking towers")
-    parser.add_argument("command",
-                        choices=["split", "build", "verify", "skyscraper",
-                                 "all"])
+    parser.add_argument("command", choices=[*STEP_OUTPUTS, "all"])
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--cap", type=int, default=None,
@@ -580,18 +591,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
-    steps = {
-        "split": [cmd_split],
-        "build": [cmd_build],
-        "verify": [cmd_verify],
-        "skyscraper": [cmd_skyscraper],
-        "all": [cmd_build, cmd_verify, cmd_skyscraper],
-    }[args.command]
-    if args.command == "all" and cfg.kind != "example":
-        steps = [cmd_split] + steps
-    for step in steps:
+    if args.command == "all":
+        owned = list(STEP_OUTPUTS)
+        steps = [n for n in owned if n != "split" or cfg.kind != "example"]
+    else:
+        owned = steps = [args.command]
+    # a step that fails or does not run leaves no file of an earlier run
+    _remove_outputs(args.out, *(p for n in owned for p in STEP_OUTPUTS[n]))
+    # bound when main runs, so a cmd_* attribute replaced on the module is
+    # the function called
+    commands = {"split": cmd_split, "build": cmd_build,
+                "verify": cmd_verify, "skyscraper": cmd_skyscraper}
+    for name in steps:
         try:
-            code = step(cfg, args.out)
+            code = commands[name](cfg, args.out)
         except (ConfigError, SplittingError, PreconditionError,
                 sky.SkyscraperError) as exc:
             _log(f"invalid configuration: {exc}")

@@ -24,14 +24,11 @@ from typing import (Dict, Iterator, List, Optional, Sequence, TextIO,
 
 import numpy as np
 
-from .blocks import Bump, _add_periods, rescale_units
+from .blocks import _INT64_SAFE, Bump, _add_periods, rescale_units
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
 INF = math.inf
-
-# Level breakpoints at or above this leave int64 and become Python ints.
-_INT64_SAFE = 1 << 62
 
 # Entries of one call of a grid kernel: child positions that one
 # ``_class_laws`` call gathers, or law entries that one ``_transport`` call
@@ -51,20 +48,6 @@ def rho(x: Value, y: Value) -> float:
     ax = math.pi / 2 if x == INF else math.atan(float(x))
     ay = math.pi / 2 if y == INF else math.atan(float(y))
     return abs(ax - ay)
-
-
-def _parse_value(s) -> Value:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, float):
-        return s
-    if s == "inf":
-        return INF
-    if "/" in s:
-        return Fraction(s)
-    if "." in s or "e" in s or "E" in s:
-        return float(s)
-    return Fraction(s)
 
 
 def _format_value(v: Value) -> str:
@@ -166,9 +149,6 @@ class FiniteDist:
     def min_value(self) -> Value:
         return self.values[0]
 
-    def max_value(self) -> Value:
-        return self.values[-1]
-
     def mean(self) -> Value:
         """Exact mean; infinity if an atom sits at infinity."""
         if self.values and self.values[-1] == INF:
@@ -179,30 +159,12 @@ class FiniteDist:
         return sum((v * m for v, m in zip(self.values, self.masses)),
                    Fraction(0))
 
-    def scaled(self, c) -> "FiniteDist":
-        """Distribution of c*X for a positive rational or float c."""
-        if c <= 0:
-            raise DistError("scaling factor must be positive")
-        out = []
-        for v, m in zip(self.values, self.masses):
-            out.append((INF if v == INF else
-                        (v * c if isinstance(v, Fraction) and
-                         isinstance(c, (int, Fraction)) else float(v) * float(c)),
-                        m))
-        return FiniteDist(out)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
         return {"atoms": [{"value": _format_value(v),
                            "mass": f"{m.numerator}/{m.denominator}"}
                           for v, m in zip(self.values, self.masses)]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FiniteDist":
-        atoms = [(_parse_value(a["value"]), Fraction(a["mass"]))
-                 for a in obj["atoms"]]
-        return cls(atoms)
 
 
 def _atan(values) -> "np.ndarray":
@@ -212,9 +174,7 @@ def _atan(values) -> "np.ndarray":
 
 def _integer_masses(masses: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Masses as integer counts over their least common denominator."""
-    den = 1
-    for m in masses:
-        den = den * m.denominator // math.gcd(den, m.denominator)
+    den = math.lcm(*(m.denominator for m in masses))
     return [m.numerator * (den // m.denominator) for m in masses], den
 
 
@@ -551,12 +511,6 @@ class SkHistogram:
         self.k, self.scales, self.units, self.counts = k, scales, units, counts
         self.total = sum(int(c.sum()) for c in self.counts)
 
-    def distance(self, norm, dist: FiniteDist,
-                 metric: str = "vasershtein") -> float:
-        """Transport distance between the law of S_k/(k*norm) and ``dist``;
-        ``metric`` is "vasershtein" (L1) or "uniform" (L-infinity)."""
-        return transport_distances([(self, norm, dist)], metric)[0]
-
     def merged(self) -> List[Tuple[Fraction, int]]:
         """(value, count) for each distinct exact value over all blocks,
         increasing.  Units are brought to the least common denominator of
@@ -657,9 +611,6 @@ class Splitting:
         sizes = set(counts.values())
         if len(sizes) != 1 or 0 in sizes:
             raise DistError(f"fibers of pi must have equal size, got {counts}")
-
-    def fiber_size(self) -> int:
-        return self.fine.size // self.coarse.size
 
     def cost(self) -> float:
         """Average rho-gap between the fine value and the lifted coarse value.

@@ -21,12 +21,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import (Block, Bump, Scalar, normalizing_copies, rescale_units,
-                     self_concat)
+from .blocks import (_INT64_SAFE, Block, Bump, Scalar, normalizing_copies,
+                     rescale_units, self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
                             sk_histograms, transport_distances)
 
 DEFAULT_SIZE_CAP = 10 ** 6
+# k grid of each extension certificate: every k up to CERT_DENSE, then at
+# most CERT_GEO geometrically spaced k up to the extended height
+CERT_DENSE = 512
+CERT_GEO = 128
 
 
 class SizeCapError(RuntimeError):
@@ -237,7 +241,7 @@ def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
     f = ratio.denominator
     units = big.units
     if f != 1:
-        if int(units.max()) * f * h >= (1 << 62):
+        if int(units.max()) * f * h >= _INT64_SAFE:
             raise SizeCapError("rescaled weights exceed the integer range")
         units = rescale_units(units, f)
     else:
@@ -356,9 +360,6 @@ class CompoundReport:
                 return r.p_after
         return Fraction(1)
 
-    def p_steps(self) -> List[Fraction]:
-        return [r.p_after - r.p_before for r in self.rounds]
-
 
 def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
                     eps_out: Scalar, delta: Scalar,
@@ -439,10 +440,9 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
 
 
 def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
-             delta: Fraction, change: Fraction, dense_cap: int = 4096,
-             geo_cap: int = 256) -> ExtensionCertificate:
+             delta: Fraction, change: Fraction) -> ExtensionCertificate:
     y = arr_new.label_dist()
-    grid = make_k_grid(k_lo, k_hi, dense_cap=dense_cap, geo_cap=geo_cap)
+    grid = make_k_grid(k_lo, k_hi, dense_cap=CERT_DENSE, geo_cap=CERT_GEO)
     laws = ((hist, gamma.gamma(k), y)
             for k, hist in zip(grid, arr_new.sk_histograms(grid)))
     distances = dict(zip(grid, transport_distances(laws, "uniform")))
@@ -451,8 +451,7 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
 
 
 def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
-                   rounds: int = 3, size_cap: int = DEFAULT_SIZE_CAP,
-                   cert_dense: int = 4096, cert_geo: int = 256
+                   rounds: int = 3, size_cap: int = DEFAULT_SIZE_CAP
                    ) -> Tuple[BlockArray, ExtensionCertificate]:
     """Produce a strictly larger-scale array that is still exactly
     label-distributed, moves less than ``delta`` of the mass, and carries a
@@ -502,8 +501,7 @@ def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
                        mode="linear")
     if gamma.max_step() > delta:
         raise InvariantError("gamma chain step exceeds delta")
-    cert = _certify(cur, gamma, h0, heights[-1], delta, cur.change_mass(),
-                    cert_dense, cert_geo)
+    cert = _certify(cur, gamma, h0, heights[-1], delta, cur.change_mass())
     return cur, cert
 
 

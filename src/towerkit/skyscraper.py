@@ -191,19 +191,14 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     return IntegerTower(trace, symbols, blocks, tick, occ, eta, perts)
 
 
-def return_time_partial_sums(it: IntegerTower, n: int, nu) -> int:
-    """Sum of the first n return times starting at base position nu.
+def return_time_partial_sums(it: IntegerTower, n: int, nu: tuple) -> int:
+    """Sum of the first n return times starting at base position
+    nu = (symbol, pos), with pos 1-based within the symbol's block.
 
-    ``nu`` is 1-based within a block; pass (symbol, nu) for multi-block
-    towers.  The sum is exact and n may exceed the block height, with whole
-    cycles contributing their total.
+    The sum is exact and n may exceed the block height, with whole cycles
+    contributing their total.
     """
-    if isinstance(nu, tuple):
-        s, pos = nu
-    else:
-        if it.size != 1:
-            raise SkyscraperError("position must carry a symbol")
-        s, pos = it.symbols[0], nu
+    s, pos = nu
     h = it.height
     if not 1 <= pos <= h:
         raise SkyscraperError(f"position must be in 1..{h}, got {pos}")
@@ -304,9 +299,6 @@ class OccupationReport:
     a_n: Fraction
     law: SkHistogram            # law of S_n(1_Omega) over the base
     tail_checks: tuple          # ((x, lhs, bound, pass), ...)
-
-    def tail_ok(self) -> bool:
-        return all(ok for _, _, _, ok in self.tail_checks)
 
     def to_csv(self, path: str) -> None:
         (values,), (counts,) = self.law.units, self.law.counts
@@ -529,20 +521,18 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
     return rows
 
 
-def check_duality(it: IntegerTower, n_max: Optional[int] = None) -> bool:
+def check_duality(it: IntegerTower) -> bool:
     """Exhaustive finite inversion duality on small towers.
 
     Verifies phi_j(nu) <= n iff S_n(1_Omega)(nu) >= j for every base
-    position, every j, and every time n up to ``n_max``.  Intended for
-    towers of height at most 512.
+    position, every j, and every time n up to three times the largest
+    block total.  Intended for towers of height at most 512.
     """
     h = it.height
     if h > 512:
         raise SkyscraperError("exhaustive duality check is limited to "
                               "height 512")
-    tots = it.totals()
-    if n_max is None:
-        n_max = 3 * max(tots.values())
+    n_max = 3 * max(it.totals().values())
     counts_by_n = {n: occupation_counts(it, n)
                    for n in range(1, n_max + 1)}
     for s in it.symbols:

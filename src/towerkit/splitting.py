@@ -16,7 +16,10 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
-from .distributions import INF, FiniteDist, Splitting, SymRep, Value, rho
+from .distributions import INF, FiniteDist, Value, rho
+
+# extra levels by which tail_cost_bound refines before its analytic remainder
+GUARD = 8
 
 
 class SplittingError(ValueError):
@@ -198,18 +201,6 @@ class DyadicRep:
         # fine subcell, so coarse values are a stride of the fine values
         return DyadicRep(depth, self.cell_values[step - 1::step])
 
-    def splitting_to(self, coarse: "DyadicRep") -> Splitting:
-        """Uniform-fiber splitting onto a restriction of this representation."""
-        if coarse.depth >= self.depth:
-            raise SplittingError("coarse depth must be smaller")
-        shift = self.depth - coarse.depth
-        fine_sym = SymRep(tuple(range(self.size)),
-                          dict(enumerate(self.cell_values)))
-        coarse_sym = SymRep(tuple(range(coarse.size)),
-                            dict(enumerate(coarse.cell_values)))
-        pi = {j: j >> shift for j in range(self.size)}
-        return Splitting(fine_sym, coarse_sym, pi)
-
 
 def split_cost(target: TargetDist, fine_depth: int, coarse_depth: int) -> float:
     """Average rho-gap between depth-``fine_depth`` cell values and their
@@ -224,16 +215,16 @@ def split_cost(target: TargetDist, fine_depth: int, coarse_depth: int) -> float:
                      for j in range(n)) / n
 
 
-def tail_cost_bound(target: TargetDist, depth: int, guard: int = 8) -> float:
+def tail_cost_bound(target: TargetDist, depth: int) -> float:
     """Upper bound on the average rho-gap between the depth-``depth`` values
     and the target itself.
 
-    Refines by ``guard`` extra levels and adds the analytic remainder
-    (pi/2) * 2^-(depth+guard), which bounds the residual oscillation of the
+    Refines by GUARD extra levels and adds the analytic remainder
+    (pi/2) * 2^-(depth+GUARD), which bounds the residual oscillation of the
     monotone function arctan(quantile) summed over the finest cells.
     """
-    measured = split_cost(target, depth + guard, depth)
-    return measured + (math.pi / 2) * 2.0 ** (-(depth + guard))
+    measured = split_cost(target, depth + GUARD, depth)
+    return measured + (math.pi / 2) * 2.0 ** (-(depth + GUARD))
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,7 @@ class SplitSequence:
 
 
 def build_split_sequence(target: TargetDist, eps_list: Sequence,
-                         max_depth: int = 20, guard: int = 8) -> SplitSequence:
+                         max_depth: int = 20) -> SplitSequence:
     """Choose depths n_1 < n_2 < ... so that consecutive restrictions are
     eps_j-splittings.
 
@@ -271,7 +262,7 @@ def build_split_sequence(target: TargetDist, eps_list: Sequence,
             if d > max_depth:
                 raise SplittingError(
                     f"required splitting depth exceeds max_depth={max_depth}")
-            b = tail_cost_bound(target, d, guard)
+            b = tail_cost_bound(target, d)
             if b < e:
                 break
             d += 1

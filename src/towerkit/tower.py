@@ -18,18 +18,20 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import Block, is_normalized, self_concat
-from .distributions import (INF, FiniteDist, transport_distances,
-                            write_json)
+from .distributions import (INF, FiniteDist, Splitting, SymRep,
+                            transport_distances, write_json)
 from .lemma_engine import (BlockArray, GammaTable, InvariantError,
                            PreconditionError, basic_extend, choose_tile,
                            extension_step, straightening_step)
 from .splitting import TargetDist, build_split_sequence
 
-DEFAULT_BICYCLE_M = Fraction(9, 8)
-# k grid of each stage's extension certificate: every k up to CERT_DENSE,
-# then at most CERT_GEO geometrically spaced k up to the stage height
-CERT_DENSE = 512
-CERT_GEO = 128
+# the constant M of certify_theorem1's cdf lower bound
+BICYCLE_M = Fraction(9, 8)
+# tower_k_grid: every k up to EXHAUSTIVE_BELOW; above it, a window of PAD
+# on each side of every stage boundary and GEO geometrically spaced k
+EXHAUSTIVE_BELOW = 4096
+PAD = 64
+GEO = 256
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class TowerTrace:
     global_gamma: GammaTable
     deltas: Tuple[float, ...]
     epss: Tuple[float, ...]
-    bicycle_m: Fraction = DEFAULT_BICYCLE_M
     floor_r: Optional[Fraction] = None
     config_hash: str = ""
 
@@ -117,9 +118,7 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
     epss = [Fraction(e) for e in epss]
     check_rational_run(target, deltas, epss, rounds)
     # one symbol per unit of target mass, so the array is label-distributed
-    den = 1
-    for m in target.masses:
-        den = den * m.denominator // math.gcd(den, m.denominator)
+    den = math.lcm(*(m.denominator for m in target.masses))
     symbols = []
     values = {}
     blocks = {}
@@ -135,9 +134,7 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
     e_anchors: List[Tuple[int, float]] = []
     for n, (d, e) in enumerate(zip(deltas, epss), start=1):
         arr_new, cert = extension_step(arr, d, e, rounds=rounds,
-                                       size_cap=size_cap,
-                                       cert_dense=CERT_DENSE,
-                                       cert_geo=CERT_GEO)
+                                       size_cap=size_cap)
         _check_monotone_growth(arr, arr_new)
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed at "
@@ -157,7 +154,6 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
 
 
 def build_example_tower(kappas: Sequence, epss: Sequence,
-                        qs: Optional[Sequence[int]] = None,
                         e0: Fraction = Fraction(5000),
                         size_cap: int = 10 ** 7) -> TowerTrace:
     """Single-block tower with prescribed mean increments.
@@ -183,7 +179,7 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
         if kap > e * mean:
             raise PreconditionError(
                 f"stage {n}: kappa={kap} exceeds eps*E = {e * mean}")
-        q = int(1 / e) + 1 if qs is None else int(qs[n - 1])
+        q = int(1 / e) + 1
         # the least mu is the least tile count of the mu = 1 extension
         w1 = basic_extend(w, kap, q, 1, delta=e, size_cap=size_cap)
         mu = choose_tile(w1, e, size_cap)
@@ -258,7 +254,6 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
             coarse = reps[n - 2]
             fine_vals = clipped(fine)
             shift = fine.depth - coarse.depth
-            from .distributions import Splitting, SymRep
             fine_sym = SymRep(tuple(range(fine.size)),
                               dict(enumerate(fine_vals)))
             coarse_sym = SymRep(tuple(arr.symbols),
@@ -271,9 +266,7 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
                 raise InvariantError(f"straightening at stage {n} failed")
             k_flat = arr.height
         arr_new, cert = extension_step(arr, d, e, rounds=rounds,
-                                       size_cap=size_cap,
-                                       cert_dense=CERT_DENSE,
-                                       cert_geo=CERT_GEO)
+                                       size_cap=size_cap)
         if not cert.is_valid():
             raise InvariantError(f"stage {n} certificate failed")
         for k, g in cert.gamma.anchors:
@@ -308,22 +301,21 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
 # -- certification ---------------------------------------------------------
 
 
-def tower_k_grid(trace: TowerTrace, pad: int = 64, geo: int = 256,
-                 exhaustive_below: int = 4096) -> List[int]:
+def tower_k_grid(trace: TowerTrace) -> List[int]:
     """Stage boundaries with a local window, plus geometric fill; every k
     when the final height is small enough."""
     h = trace.height
     lo = 1
-    if h <= exhaustive_below:
+    if h <= EXHAUSTIVE_BELOW:
         return list(range(lo, h + 1))
     ks = set()
     bounds = [1] + [st.height for st in trace.stages]
     for b in bounds:
-        for k in range(max(lo, b - pad), min(h, b + pad) + 1):
+        for k in range(max(lo, b - PAD), min(h, b + PAD) + 1):
             ks.add(k)
     x = 1.0
-    ratio = h ** (1.0 / geo)
-    for _ in range(geo):
+    ratio = h ** (1.0 / GEO)
+    for _ in range(GEO):
         x *= ratio
         ks.add(min(h, max(lo, int(round(x)))))
     return sorted(ks)
@@ -366,14 +358,13 @@ def certify_theorem1(trace: TowerTrace,
 
     Checks, on the verification grid: the L1 transport distance between
     S_k/b(k) and the target stays within the stage epsilon; the exact cdf
-    lower bound P(S_k < x b(k)) <= P(Y <= M x) with the configured
-    constant M; and b(2k)/b(k) near 2 over the top decade of heights.
+    lower bound P(S_k < x b(k)) <= P(Y <= M x) with M = BICYCLE_M; and
+    b(2k)/b(k) near 2 over the top decade of heights.
     """
     arr = trace.final
     y = trace.target
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
-    m = trace.bicycle_m
-    bounds = [(x, y.cdf(Fraction(m * x))) for x in map(Fraction, x_values)]
+    bounds = [(x, y.cdf(BICYCLE_M * x)) for x in map(Fraction, x_values)]
     checks = []
 
     def laws():
@@ -422,7 +413,7 @@ def trace_to_json_obj(trace: TowerTrace) -> dict:
         "config_hash": trace.config_hash,
         "target": trace.target.to_json_obj(),
         "height": trace.height,
-        "bicycle_m": str(trace.bicycle_m),
+        "bicycle_m": str(BICYCLE_M),
         "floor_r": str(trace.floor_r) if trace.floor_r is not None else None,
         "deltas": list(trace.deltas),
         "epss": list(trace.epss),

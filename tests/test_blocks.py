@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from towerkit.blocks import (Block, BlockError, _window_extremes, concat,
-                             concat_many, cyclic_partial_sums_units,
-                             is_normalized, normalizing_copies, rescale_units,
-                             self_concat, stats)
+                             concat_many, is_normalized, normalizing_copies,
+                             rescale_units, self_concat, stats)
+from towerkit.distributions import sk_histograms
 
-INT64_MAX = 2 ** 63 - 1
+from oracles import INT64_MAX, cyclic_partial_sums_units
 
 # few letters, so that random blocks are often periodic; tile counts with
 # several prime factors
@@ -205,19 +205,16 @@ class TestPeriod:
     @settings(max_examples=60, derandomize=True)
     @given(small_units, tile_counts, st.integers(0, 30))
     def test_one_period_of_partial_sums(self, units, m, k):
+        # S_k repeats with the least period, so the law over the block is
+        # h/p copies of the law over one period
         w = Block(np.tile(units, m))
         p = w.period
         full = cyclic_partial_sums_units(w, k)
-        assert np.array_equal(full, np.tile(cyclic_partial_sums_units(w, k, p),
-                                            len(w) // p))
-        # any multiple of the least period that divides h is a period
-        assert np.array_equal(cyclic_partial_sums_units(w, k, len(w)), full)
-
-    def test_rejects_non_period(self):
-        w = Block([1, 2, 1, 2, 1, 3])
-        for bad in (2, 4, 7):
-            with pytest.raises(BlockError):
-                cyclic_partial_sums_units(w, 3, bad)
+        assert np.array_equal(full, np.tile(full[:p], len(w) // p))
+        u, c = np.unique(full, return_counts=True)
+        hist, = sk_histograms([w], [k])
+        assert hist.units[0].tolist() == u.tolist()
+        assert hist.counts[0].tolist() == c.tolist()
 
 
 class TestWindowExtremes:
@@ -281,10 +278,9 @@ class TestCyclicPartialSums:
                     cyclic_partial_sum(w, k, nu)
 
     def test_negative_k_rejected(self):
-        w = Block([1, 2, 1, 2])
-        for period in (None, 2, 4):
+        for w in (Block([1, 2, 1, 2]), Block([1, 2, 3]), Block([4])):
             with pytest.raises(BlockError):
-                cyclic_partial_sums_units(w, -1, period)
+                list(sk_histograms([w], [-1]))
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=20),
@@ -292,8 +288,9 @@ class TestCyclicPartialSums:
     def test_full_turn_identity(self, units, wraps):
         w = Block(units)
         h = len(w)
-        assert cyclic_partial_sums_units(w, wraps * h).tolist() == \
-            [wraps * w.total_units()] * h
+        hist, = sk_histograms([w], [wraps * h])
+        assert hist.units[0].tolist() == [wraps * w.total_units()]
+        assert hist.counts[0].tolist() == [h]
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=20),
@@ -301,9 +298,10 @@ class TestCyclicPartialSums:
     def test_period_shift_identity(self, units, k):
         w = Block(units)
         h = len(w)
-        assert np.array_equal(cyclic_partial_sums_units(w, k + h),
-                              cyclic_partial_sums_units(w, k)
-                              + w.total_units())
+        one, turned = sk_histograms([w], [k, k + h])
+        assert np.array_equal(turned.units[0],
+                              one.units[0] + w.total_units())
+        assert np.array_equal(turned.counts[0], one.counts[0])
 
     @settings(max_examples=80, derandomize=True)
     @given(st.lists(st.integers(2 ** 60, 2 ** 62), min_size=1, max_size=3),
@@ -311,17 +309,25 @@ class TestCyclicPartialSums:
     @example([2 ** 61, 2 ** 61 - 1], 5)
     def test_past_int64_raises(self, units, k):
         # a total below 2^63 still lets S_k leave int64 once k passes the
-        # block: exact Python-int sums, or BlockError
+        # block: over the grid k, k + h, ... each law is exact in Python
+        # ints until the first k whose S_k leaves int64 raises BlockError
         assume(sum(units) <= INT64_MAX)
         w = Block(units)
         h = len(w)
-        exact = [sum(units[(nu + j) % h] for j in range(k))
-                 for nu in range(h)]
-        if max(exact) > INT64_MAX:
-            with pytest.raises(BlockError):
-                cyclic_partial_sums_units(w, k)
-        else:
-            assert cyclic_partial_sums_units(w, k).tolist() == exact
+        grid = [k + j * h for j in range(3)]
+        hists = sk_histograms([w], grid)
+        for kk in grid:
+            exact = [sum(units[(nu + j) % h] for j in range(kk))
+                     for nu in range(h)]
+            if max(exact) > INT64_MAX:
+                with pytest.raises(BlockError):
+                    next(hists)
+                return
+            u, c = np.unique(np.array(exact, dtype=object),
+                             return_counts=True)
+            hist = next(hists)
+            assert hist.units[0].tolist() == u.tolist()
+            assert hist.counts[0].tolist() == c.tolist()
 
 
 class TestCrudeBound:

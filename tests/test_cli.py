@@ -201,8 +201,12 @@ class TestConfigParsing:
         for key, value in (("alphas", ["x"]), ("n_points", "2.5"),
                            ("n_points", 0), ("tol", "abc"), ("tol", "-1"),
                            ("tol", 0), ("eta", "-1"),
+                           ("tail_constant", "-1"), ("tail_constant", 0),
                            ("rho", "pareto2"))] + [
         pytest.param("twopoint", {"rounds": 0}, id="rounds=0"),
+        pytest.param("twopoint", {"doubling_tol": "-1"},
+                     id="doubling_tol='-1'"),
+        pytest.param("twopoint", {"doubling_tol": 0}, id="doubling_tol=0"),
         pytest.param("twopoint", {"deltas": ["1/5"], "epss": ["1/20"]},
                      id="delta_1-not-below-min(Y)/9"),
         pytest.param("twopoint", {"deltas": ["1/10"], "epss": ["1/8"]},
@@ -541,6 +545,34 @@ class TestRewrite:
         assert not left & {"inversion_report.json", "are_report.json"}
         assert not any(n.startswith("occupation_") for n in left)
         assert {"tower.json", "verify_report.json"} <= left
+
+    def all_preset(self, preset, out, *extra):
+        return main(["all", "--preset", preset, "--out", str(out), *extra])
+
+    def hashes(self, out):
+        return {json.loads((out / n).read_text())["config_hash"]
+                for n in os.listdir(out) if n.endswith(".json")}
+
+    def test_example_run_removes_an_earlier_split(self, tmp_path):
+        # an example run has no split step, yet an earlier run's
+        # split.json is among the files that "all" owns
+        out = tmp_path / "out"
+        assert self.all_preset("twopoint", out) == EXIT_OK
+        assert self.all_preset("example1", out) == EXIT_OK
+        assert "split.json" not in os.listdir(out)
+        assert self.hashes(out) == {load_config(None, "example1").config_hash}
+
+    def test_failed_build_leaves_no_earlier_report(self, tmp_path):
+        # "all" stops at the failing build, so the later steps never run,
+        # and none of their files from the first run may stay
+        out = tmp_path / "out"
+        assert self.all_preset("twopoint", out) == EXIT_OK
+        assert self.all_preset("twopoint", out, "--cap", "1000") == \
+            EXIT_SIZE_CAP
+        assert sorted(os.listdir(out)) == ["split.json", "tower.json"]
+        assert "error" in json.loads((out / "tower.json").read_text())
+        assert self.hashes(out) == {
+            load_config(None, "twopoint", cap=1000).config_hash}
 
     def test_earlier_sk_dist_ks_removed(self, tmp_path):
         out = tmp_path / "out"

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towerkit.blocks import (Block, cyclic_partial_sums_units, is_normalized,
-                             self_concat, stats)
-from towerkit.distributions import FiniteDist, SkHistogram, Splitting, SymRep
+from towerkit.blocks import Block, is_normalized, self_concat, stats
+from towerkit.distributions import (FiniteDist, SkHistogram, Splitting,
+                                    SymRep, transport_distances)
 from towerkit.lemma_engine import (BlockArray, GammaTable,
                                    PreconditionError, SizeCapError,
                                    _certify, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
+
+from oracles import cyclic_partial_sums_units
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -208,7 +210,7 @@ class TestCompoundExtend:
         out, rep = compound_extend(arr, {"a": F(2), "b": F(3, 2)},
                                    beta=F(1, 3), eps_out=F(1, 3),
                                    delta=F(1, 3))
-        steps = rep.p_steps()
+        steps = [r.p_after - r.p_before for r in rep.rounds]
         assert all(0 <= s <= F(1, 3) for s in steps)
         assert len(rep.rounds) >= 3
         ps = [r.p_after for r in rep.rounds]
@@ -292,9 +294,10 @@ class TestExtensionStep:
             alone = SkHistogram(k, [w.scale for w in blocks],
                                 [u for u, _ in laws], [c for _, c in laws])
             g = cert.gamma.gamma(k)
-            assert got.distances[k] == alone.distance(g, y, "uniform")
-            assert hists[k].distance(g, y, "vasershtein") == \
-                alone.distance(g, y, "vasershtein")
+            assert got.distances[k] == \
+                transport_distances([(alone, g, y)], "uniform")[0]
+            assert transport_distances([(hists[k], g, y)]) == \
+                transport_distances([(alone, g, y)])
 
 
 class TestStraightening:

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import Block, Bump
-from towerkit.distributions import FiniteDist, vasershtein
+from towerkit.distributions import (FiniteDist, transport_distances,
+                                    vasershtein)
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
@@ -160,11 +161,6 @@ class TestReturnTimes:
                 acc += w[(pos - 1 + j - 1) % h]
                 assert return_time_partial_sums(it, j, ("a", pos)) == acc
 
-    def test_position_only_addressing(self):
-        it = toy_tower({"a": [2, 3, 4]})
-        assert return_time_partial_sums(it, 2, 1) == \
-            return_time_partial_sums(it, 2, ("a", 1))
-
 
 class TestOccupation:
     def oracle_counts(self, weights, n):
@@ -236,7 +232,7 @@ class TestOccupation:
         assert values.tolist() == dist.values
         assert [F(int(c), rep.law.total) for c in mult] == dist.masses
         assert rep.tail_checks == checks
-        assert rep.law.distance(rep.a_n, y) == \
+        assert transport_distances([(rep.law, rep.a_n, y)])[0] == \
             pytest.approx(distance, abs=1e-15)
         if all(ok for _, _, _, ok in checks):
             inv = check_inversion(it, {n: rep})

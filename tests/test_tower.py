@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from towerkit.blocks import Block, cyclic_partial_sums_units, is_normalized
+from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import FiniteDist, sk_histograms, vasershtein
 from towerkit.lemma_engine import PreconditionError, SizeCapError
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
@@ -15,6 +15,8 @@ from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             certify_theorem1, load_trace_summary, save_trace,
                             tower_k_grid, trace_to_json_obj)
 from towerkit.splitting import make_target
+
+from oracles import cyclic_partial_sums_units
 
 
 @pytest.fixture(scope="module")
