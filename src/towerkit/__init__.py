@@ -1,8 +1,7 @@
 """Exact tower constructions with certified partial-sum distributions."""
 
-from .blocks import (Block, BlockError, BlockStats, concat, concat_many,
-                     is_normalized, normalizing_copies, self_concat, stats)
-from .distributions import (FiniteDist, Splitting, SymRep, cdf_dominates_below,
-                            rho, uniform_dist, vasershtein)
+from .blocks import (Block, BlockError, BlockStats, is_normalized,
+                     normalizing_copies, self_concat)
+from .distributions import FiniteDist, Splitting, SymRep, rho
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Core block calculus.
 
-A block is a positive weight vector.  Concatenation of blocks models the
-stacking of labeled columns, self-concatenation models cutting a column into
-equal slices and restacking, and the cyclic partial sums S_k are the Birkhoff
-sums of the column labels read cyclically.
+A block is a positive weight vector.  Self-concatenation models cutting a
+column into equal slices and restacking, a bump tiling (``Bump``) adds
+weight at a sparse progression of the restacked levels, and the cyclic
+partial sums S_k are the Birkhoff sums of the column labels read
+cyclically.
 
 Weights are stored as int64 multiples of a common rational ``scale``.  This
 keeps all block arithmetic exact while allowing towers with millions of
@@ -90,27 +91,14 @@ def _least_period(units: np.ndarray) -> int:
     return p
 
 
-def _common_scale(a: "Block", b: "Block") -> Tuple[Fraction, int, int]:
-    """Return (scale, ma, mb) with a.scale == scale*ma and b.scale == scale*mb."""
-    if a.scale == b.scale:
-        return a.scale, 1, 1
-    sa, sb = a.scale, b.scale
-    g = Fraction(math.gcd(sa.numerator * sb.denominator, sb.numerator * sa.denominator),
-                 sa.denominator * sb.denominator)
-    ma = sa / g
-    mb = sb / g
-    assert ma.denominator == 1 and mb.denominator == 1
-    return g, int(ma), int(mb)
-
-
 class Bump(NamedTuple):
     """How a bump tiling built a block: its units are ``factor`` times the
     units of ``child``, tiled, plus ``amount`` at positions spacing,
     2*spacing, ... (1-based).  ``spacing`` is a multiple of len(child).
 
-    Set by ``lemma_engine._add_bumps`` on the blocks it builds, and by
-    ``skyscraper.integerize`` on the integer blocks of bump-tiled ones;
-    ``self_concat`` passes it on."""
+    Given to ``Block`` by ``lemma_engine._add_bumps`` for the blocks it
+    builds, and by ``skyscraper.integerize`` for the integer blocks of
+    bump-tiled ones; ``self_concat`` passes it on."""
 
     child: "Block"
     factor: int
@@ -133,12 +121,13 @@ class Block:
     Positions are 1-based.  ``units`` holds the weights divided by
     ``scale``: positive int64 entries, with ``scale`` a positive Fraction.
     Float units, a float scale and float weights raise ``BlockError``.
+    ``bump`` is the ``Bump`` of the tiling that built the block, else None.
     """
 
-    __slots__ = ("units", "scale", "prefix", "_changed", "_period", "_bump")
+    __slots__ = ("units", "scale", "prefix", "bump", "_period")
 
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
-                 changed: Optional[np.ndarray] = None):
+                 bump: Optional[Bump] = None):
         arr = np.asarray(units)
         if arr.ndim != 1 or arr.size == 0:
             raise BlockError("block must be a nonempty vector")
@@ -168,12 +157,8 @@ class Block:
                 and not (pre[1:] > pre[:-1]).all():
             raise BlockError("block unit total leaves the int64 range")
         self.prefix = pre
-        # Optional boolean mask of positions whose weight differs from the
-        # weight inherited from the coarsest ancestor block (change ledger).
-        self._changed = changed
+        self.bump = bump
         self._period: Optional[int] = None
-        # Set by the bump tiling that built the block, else None.
-        self._bump: Optional[Bump] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -227,15 +212,18 @@ class Block:
             self._period = _least_period(self.units)
         return self._period
 
-    @property
-    def changed_mask(self) -> np.ndarray:
-        """Boolean mask of positions carrying a perturbed weight."""
-        if self._changed is None:
-            return np.zeros(len(self), dtype=bool)
-        return self._changed
-
     def changed_count(self) -> int:
-        return 0 if self._changed is None else int(self._changed.sum())
+        """Number of levels whose weight differs from the tiled weights of
+        the first block of the ``Bump`` chain, read off the chain.
+
+        Each bump lands on the last level of a child copy, since the
+        spacing is a multiple of len(child), and that level is already
+        changed exactly when the child has a ``Bump``."""
+        b = self.bump
+        if b is None:
+            return 0
+        n = len(self) // len(b.child) * b.child.changed_count()
+        return n if b.child.bump is not None else n + len(self) // b.spacing
 
     # -- statistics --------------------------------------------------------
 
@@ -248,42 +236,15 @@ class Block:
         return BlockStats(self.scale * int(self.units.max()), total, total / h)
 
 
-def concat(w: Block, v: Block) -> Block:
-    """Concatenation w ⊙ v (stacking the second column on the first)."""
-    scale, mw, mv = _common_scale(w, v)
-    units = np.concatenate([rescale_units(w.units, mw),
-                            rescale_units(v.units, mv)])
-    changed = None
-    if w._changed is not None or v._changed is not None:
-        changed = np.concatenate([w.changed_mask, v.changed_mask])
-    return Block(units, scale, changed)
-
-
-def concat_many(blocks: Sequence[Block]) -> Block:
-    if not blocks:
-        raise BlockError("cannot concatenate an empty sequence of blocks")
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = concat(out, b)
-    return out
-
-
 def self_concat(w: Block, m: int) -> Block:
     """m-fold self concatenation w^{⊙m}."""
     if m < 1:
         raise BlockError(f"self-concatenation count must be >= 1, got {m}")
     if m == 1:
         return w
-    units = np.tile(w.units, m)
-    changed = np.tile(w.changed_mask, m) if w._changed is not None else None
-    out = Block(units, w.scale, changed)
+    out = Block(np.tile(w.units, m), w.scale, w.bump)
     out._period = w._period
-    out._bump = w._bump
     return out
-
-
-def stats(w: Block) -> BlockStats:
-    return w.stats()
 
 
 def _deviation_units(w: Block, h: int) -> np.ndarray:

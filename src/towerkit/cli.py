@@ -1,12 +1,14 @@
 """Command-line front end: config parsing, pipeline orchestration, reports.
 
 Configs are JSON, and ``load_config`` is their one reader: it checks every
-key, builds the run's target and reads the skyscraper section before any
-step runs, so a bad config exits 2 with nothing written.  Config numbers
-are read exactly as Fractions: integers, rational strings "p/q", decimal
-strings such as "0.05" or "1e-3", and JSON floats through their shortest
-repr, so 0.1 is 1/10.  Counts (size_cap, rounds, max_depth, n_points) must
-be whole numbers, so "1e6" is 10**6 and "2.5" is invalid, and k_grid and
+key, rejects any key it does not read (at the top level, in ``skyscraper``
+and in ``skyscraper.base``), builds the run's target and reads the
+skyscraper section before any step runs, so a bad config exits 2 with
+nothing written.  Config numbers are read exactly as Fractions: integers,
+rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
+floats through their shortest repr, so 0.1 is 1/10.  Counts (size_cap,
+rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
+"2.5" is invalid, and k_grid and
 sk_dist_ks are nonempty lists of positive whole numbers; the tolerances
 doubling_tol/tol are read the same way and then used as floats, and so is
 a target parameter that enters a float quantile function.  There is one
@@ -18,9 +20,10 @@ reproducible byte for byte.  Each file is written as a new file
 steps own (``STEP_OUTPUTS``), and ``all`` those of every step, so no file
 of an earlier run stays beside this run's.
 
-Exit codes: 0 success, 2 invalid config, 3 size cap exceeded, 4 corrupt
-trace artifact (tower.json unreadable, or different in any field from the
-tower its config builds), 5 hard invariant failure.
+Exit codes: 0 success, 2 invalid config, 3 size cap exceeded or a sum
+past the int64 range (``BlockError``), 4 corrupt trace artifact
+(tower.json unreadable, or different in any field from the tower its
+config builds), 5 hard invariant failure.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .blocks import BlockError
 from .distributions import write_json
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError
 from .splitting import (PointsTarget, SplittingError, TargetDist,
@@ -62,8 +66,25 @@ STEP_OUTPUTS = {
 }
 
 
+# The keys that load_config reads, at the top level, in the skyscraper
+# section and in skyscraper.base; any other key is a config error.
+RUN_KEYS = ("kind", "target", "deltas", "epss", "kappas", "etas", "e0",
+            "rounds", "size_cap", "max_depth", "doubling_tol", "x_values",
+            "sk_dist_ks", "k_grid", "mode", "skyscraper")
+SKYSCRAPER_KEYS = ("base", "n_points", "tol", "eta", "tail_constant",
+                   "x_values", "alphas", "t_grid", "divergent_alphas",
+                   "bound_alphas", "rho")
+BASE_KEYS = ("kind", "target", "deltas", "epss", "kappas", "rounds")
+
+
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+def _check_keys(obj: dict, known: Sequence[str], where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}")
 
 
 def _log(msg: str) -> None:
@@ -296,6 +317,7 @@ def _skyscraper_section(obj) -> SkyscraperConfig:
     """The skyscraper section of a config, every value read and checked."""
     if not isinstance(obj, dict):
         raise ConfigError(f"skyscraper must be a JSON object, got {obj!r}")
+    _check_keys(obj, SKYSCRAPER_KEYS, "skyscraper")
     n_points = _config_int(obj, "n_points", 16)
     if n_points < 1:
         raise ConfigError("skyscraper n_points must be positive")
@@ -334,10 +356,10 @@ def load_config(path: Optional[str], preset: Optional[str],
                 workers: None = None) -> RunConfig:
     """Read a preset and/or a config file, with an optional height cap.
 
-    Every key is checked here, and the run's targets are built here, so no
-    step reads the config JSON.  ``mode`` and ``workers`` are retired
-    slots, kept so that positional callers still line up with ``cap``;
-    they accept only None.
+    Every key is checked here, a key that is not read is an error, and the
+    run's targets are built here, so no step reads the config JSON.
+    ``mode`` and ``workers`` are retired slots, kept so that positional
+    callers still line up with ``cap``; they accept only None.
     """
     if mode is not None or workers is not None:
         raise ConfigError("mode and workers are no longer options")
@@ -358,6 +380,7 @@ def load_config(path: Optional[str], preset: Optional[str],
             raise ConfigError(f"config is not valid JSON: {exc}")
     if cap is not None:
         obj["size_cap"] = cap
+    _check_keys(obj, RUN_KEYS, "config")
     kind = obj.get("kind")
     deltas, epss, kappas, target = _run_stages(obj, kind)
     etas = obj.get("etas")
@@ -395,6 +418,7 @@ def load_config(path: Optional[str], preset: Optional[str],
         if not isinstance(base_obj, dict):
             raise ConfigError(
                 f"skyscraper.base must be a JSON object, got {base_obj!r}")
+        _check_keys(base_obj, BASE_KEYS, "skyscraper.base")
         base_kind = base_obj.get("kind", kind)
         deltas, epss, kappas, target = _run_stages(base_obj, base_kind)
         cfg.base = RunConfig(
@@ -611,6 +635,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_CONFIG
         except SizeCapError as exc:
             _log(f"size cap exceeded: {exc}")
+            return EXIT_SIZE_CAP
+        except BlockError as exc:
+            _log(f"int64 range exceeded: {exc}")
             return EXIT_SIZE_CAP
         except CorruptTraceError as exc:
             _log(f"corrupt artifact: {exc}")

@@ -167,11 +167,6 @@ class FiniteDist:
                           for v, m in zip(self.values, self.masses)]}
 
 
-def _atan(values) -> "np.ndarray":
-    """Arctan of each value; math.inf maps to pi/2."""
-    return np.arctan(np.array([float(v) for v in values]))
-
-
 def _integer_masses(masses: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Masses as integer counts over their least common denominator."""
     den = math.lcm(*(m.denominator for m in masses))
@@ -232,12 +227,6 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
             for i, j, size in zip(first.tolist(), ends, sizes)]
 
 
-def _dist_transport(p: FiniteDist, q: FiniteDist, metric: str) -> float:
-    counts, n = _integer_masses(p.masses)
-    return _transport(_atan(p.values), counts, [len(counts)], [n], [q],
-                      metric)[0]
-
-
 def transport_distances(laws, metric: str = "vasershtein") -> List[float]:
     """Transport distance between the law of S_k/(k*norm) and ``dist`` for
     each (hist, norm, dist) of ``laws``, in order; ``metric`` is
@@ -278,23 +267,11 @@ def _hist_transport(laws, metric: str) -> List[float]:
                       [dist for _, _, dist in laws], metric)
 
 
-def vasershtein(p: FiniteDist, q: FiniteDist) -> float:
-    """L1 transport distance in the arctan metric: the integral of rho
-    between the two quantile functions."""
-    return _dist_transport(p, q, "vasershtein")
-
-
-def uniform_dist(p: FiniteDist, q: FiniteDist) -> float:
-    """L-infinity transport distance in the arctan metric: the sup over
-    levels of the quantile gap."""
-    return _dist_transport(p, q, "uniform")
-
-
 def _tiling(w) -> Bump:
     """The tiling that a class law of ``w`` is measured on: the ``Bump``
     that built w when its spacing is w's least period p, else
     Bump(w, 1, 0, p), w as its own child with no bump."""
-    bump = w._bump
+    bump = w.bump
     if bump is None or bump.spacing != w.period:
         return Bump(w, 1, 0, w.period)
     return bump
@@ -385,10 +362,9 @@ class PeriodLaws:
     Class laws are measured by ``_class_laws``, on one least period of the
     child of a bump-tiled block, else over the block's own least period:
     each pattern's classes in order of first need, one chunk at a time.
-    The law is in units, so the scale plays no part, nor does the
-    changed-position mask.  A class law is kept only until the last k of
-    the grid that needs it, so a grid without repeats holds no more than
-    one chunk of class laws per pattern.  The whole periods are added per
+    The law is in units, so the scale plays no part.  A class law is kept
+    only until the last k of the grid that needs it, so a grid without
+    repeats holds no more than one chunk of class laws per pattern.  The whole periods are added per
     k, so BlockError comes at the first k whose S_k leaves int64.
     """
 
@@ -546,20 +522,6 @@ class SkHistogram:
             i = np.searchsorted(u, cut, side="right" if rem else "left")
             n += int(c[:i].sum())
         return n
-
-
-def cdf_dominates_below(p: FiniteDist, q: FiniteDist, r: Value) -> bool:
-    """Exact check of P(X <= t) <= Q(X <= t) for every t < r.
-
-    Both cdfs are right-continuous step functions, so it is enough to test
-    at the atom values of either distribution that lie below r.
-    """
-    points = set()
-    for d in (p, q):
-        for v in d.values:
-            if v != INF and (r == INF or v < r):
-                points.add(v)
-    return all(p.cdf(t) <= q.cdf(t) for t in points)
 
 
 @dataclass(frozen=True)

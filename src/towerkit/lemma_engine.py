@@ -229,46 +229,53 @@ class ExtensionCertificate:
 # -- basic extension -------------------------------------------------------
 
 
+def _check_rescale(child: Block, f: int, h: int) -> None:
+    """SizeCapError when the units of ``child``, rescaled by f, times a
+    tiled height h reach 2^62."""
+    if f != 1 and int(child.units.max()) * f * h >= _INT64_SAFE:
+        raise SizeCapError("rescaled weights exceed the integer range")
+
+
 def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
     """w^{(m copies)} with ``bump`` added at positions spacing, 2*spacing,...
-    (1-based), marking those positions as changed.  The result records
-    this as its ``Bump``, from which ``PeriodLaws`` measures it."""
-    big = self_concat(w, m)
-    h = len(big)
-    if h % spacing != 0:
-        raise PreconditionError("bump spacing must divide the tiled length")
-    ratio = Fraction(bump) / big.scale
+    (1-based).  The result records this as its ``Bump``, from which
+    ``PeriodLaws`` measures it and ``changed_count`` counts its changed
+    levels."""
+    h = m * len(w)
+    if spacing % len(w) != 0 or h % spacing != 0:
+        raise PreconditionError("bump spacing must be a multiple of the "
+                                "block length and divide the tiled length")
+    ratio = Fraction(bump) / w.scale
     f = ratio.denominator
-    units = big.units
-    if f != 1:
-        if int(units.max()) * f * h >= _INT64_SAFE:
-            raise SizeCapError("rescaled weights exceed the integer range")
-        units = rescale_units(units, f)
-    else:
-        units = units.copy()
+    _check_rescale(w, f, h)
+    units = self_concat(w, m).units
+    units = rescale_units(units, f) if f != 1 else units.copy()
     amount = int(ratio * f)
-    idx = np.arange(spacing - 1, h, spacing)
-    units[idx] += np.int64(amount)
-    changed = big.changed_mask.copy()
-    changed[idx] = True
-    out = Block(units, big.scale / f, changed)
-    out._bump = Bump(w, f, amount, spacing)
-    return out
+    units[spacing - 1::spacing] += np.int64(amount)
+    return Block(units, w.scale / f, Bump(w, f, amount, spacing))
 
 
-def basic_extend(w: Block, kappa: Scalar, q: int, mu: int,
+def _tile(w: Block, m: int) -> Block:
+    """self_concat(w, m), held to the rescale guard of the bump tiling that
+    built w at the tiled height, as if that tiling had made all m*len(w)
+    levels at once."""
+    if w.bump is not None:
+        _check_rescale(w.bump.child, w.bump.factor, m * len(w))
+    return self_concat(w, m)
+
+
+def basic_extend(w: Block, kappa: Scalar, q: int, *,
                  delta: Optional[Scalar] = None,
                  size_cap: int = DEFAULT_SIZE_CAP) -> Block:
-    """Tile w into mu*q copies and add kappa*q*h at every q*h-th position.
+    """Tile w into q copies and add kappa*q*h at every q*h-th position.
 
     The result has mean E(w) + kappa exactly and dominates the plain tiling
     pointwise.  When ``delta`` is given the preconditions kappa <= delta*E(w)
-    and q > 1/delta are enforced.
+    and q > 1/delta are enforced.  A multiplicity mu is applied by tiling
+    the result (``choose_tile``, ``_tile``).
     """
     if q < 2:
         raise PreconditionError(f"q must be at least 2, got {q}")
-    if mu < 1:
-        raise PreconditionError(f"mu must be at least 1, got {mu}")
     h = len(w)
     kappa = Fraction(kappa)
     if kappa < 0:
@@ -280,12 +287,11 @@ def basic_extend(w: Block, kappa: Scalar, q: int, mu: int,
                 f"kappa={kappa} exceeds delta*E = {d * w.stats().mean}")
         if q * d <= 1:
             raise PreconditionError(f"q={q} must exceed 1/delta")
-    m = mu * q
-    if m * h > size_cap:
-        raise SizeCapError(f"extended height {m * h} exceeds cap {size_cap}")
+    if q * h > size_cap:
+        raise SizeCapError(f"extended height {q * h} exceeds cap {size_cap}")
     if kappa == 0:
-        return self_concat(w, m)
-    return _add_bumps(w, m, kappa * q * h, q * h)
+        return self_concat(w, q)
+    return _add_bumps(w, q, kappa * q * h, q * h)
 
 
 def choose_tile(w: Block, eps: Scalar, size_cap: int = DEFAULT_SIZE_CAP) -> int:
@@ -293,9 +299,8 @@ def choose_tile(w: Block, eps: Scalar, size_cap: int = DEFAULT_SIZE_CAP) -> int:
 
     Decided on w's own deviation profile (``normalizing_copies``), with no
     candidate tiling built; SizeCapError when that many copies exceed the
-    height cap.  The least mu of a basic extension is the least tile count
-    of its mu = 1 block, since basic_extend(w, kappa, q, mu) is
-    self_concat(basic_extend(w, kappa, q, 1), mu).
+    height cap.  The multiplicity mu of a basic extension is the tile count
+    of the extension.
     """
     m = normalizing_copies(w, eps)
     if m * len(w) > size_cap:
@@ -322,14 +327,11 @@ def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
         if lams[s] != lam:
             raise PreconditionError(
                 "kappas must be proportional to the label values")
-    blocks = {s: basic_extend(arr.blocks[s], kappas[s], q, 1,
+    blocks = {s: basic_extend(arr.blocks[s], kappas[s], q,
                               size_cap=size_cap)
               for s in arr.symbols}
     mu = max(choose_tile(blocks[s], delta, size_cap) for s in arr.symbols)
-    if mu > 1:
-        blocks = {s: basic_extend(arr.blocks[s], kappas[s], q, mu,
-                                  size_cap=size_cap)
-                  for s in arr.symbols}
+    blocks = {s: _tile(w, mu) for s, w in blocks.items()}
     new_scale = arr.scale * (1 + lam)
     return BlockArray(arr.symbols, blocks, arr.values, new_scale), mu
 
@@ -408,7 +410,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
             p_next = Fraction(1)
             inc = 1 - p
         kappas = {s: e0[s] * (t[s] - 1) * inc for s in arr.symbols}
-        blocks = {s: basic_extend(cur.blocks[s], kappas[s], q, 1,
+        blocks = {s: basic_extend(cur.blocks[s], kappas[s], q,
                                   size_cap=size_cap)
                   for s in arr.symbols}
         # means are now e0*(1 + p_next*(t-1)); fold them into the values and
@@ -423,7 +425,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
                for s in arr.symbols)
     if tile > 1:
         cur = BlockArray(arr.symbols,
-                         {s: self_concat(cur.blocks[s], tile)
+                         {s: _tile(cur.blocks[s], tile)
                           for s in arr.symbols}, cur.values, cur.scale)
         rounds.append(CompoundRound(p, p, cur.height))
     # final array: values are the target labels, scale absorbs the rest when

@@ -149,11 +149,11 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     if exact_totals <= _EXACT_TOTAL_CAP:
         for s in symbols:
             mult = int(mults[s])
-            blocks[s] = Block(arr.blocks[s].units * mult, tick)
-            bump = arr.blocks[s]._bump
+            bump = arr.blocks[s].bump
             if bump is not None:
                 child, f, b, spacing = bump
-                blocks[s]._bump = Bump(child, f * mult, b * mult, spacing)
+                bump = Bump(child, f * mult, b * mult, spacing)
+            blocks[s] = Block(arr.blocks[s].units * mult, tick, bump)
             perts[s] = Fraction(0)
     else:
         min_w = min(int(arr.blocks[s].units.min()) * scales[s]
@@ -170,8 +170,7 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
             if total > _INT64_MAX:
                 raise SkyscraperError(
                     f"rounded weights of block {s!r} leave the int64 range")
-            blocks[s] = Block(w.astype(np.int64), tick)
-            bump = arr.blocks[s]._bump
+            bump = arr.blocks[s].bump
             if bump is not None:
                 # only bump positions differ from the tiled child, and they
                 # all round f*c_last + B for the child's last unit c_last
@@ -179,9 +178,9 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                 c = child.units.astype(object) * f
                 cw = (c * num + den - 1) // den
                 last = (int(c[-1]) + b) * num
-                blocks[s]._bump = Bump(
-                    Block(cw.astype(np.int64), tick), 1,
-                    (last + den - 1) // den - int(cw[-1]), spacing)
+                bump = Bump(Block(cw.astype(np.int64), tick), 1,
+                            (last + den - 1) // den - int(cw[-1]), spacing)
+            blocks[s] = Block(w.astype(np.int64), tick, bump)
             old_mean = Fraction(arr.blocks[s].stats().mean)
             new_mean = Fraction(total, len(u)) * tick
             perts[s] = (new_mean - old_mean) / old_mean
@@ -282,7 +281,7 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
     h = it.height
     for s in it.symbols:
         w = it.blocks[s]
-        bump = w._bump or Bump(w, 1, 0, h)
+        bump = w.bump or Bump(w, 1, 0, h)
         q, m = divmod(n, w.total_units())
         r = _bumped_remainder_counts(bump, h, m)
         if bump.spacing < h:
@@ -345,7 +344,7 @@ class OccupationMoments:
     for ``are_diagnostic``."""
 
     mean: float                 # E[S_n(1_Omega)]
-    moment: dict                # alpha -> E[S_n^alpha]^(1/alpha); max at inf
+    moment: dict                # alpha -> E[S_n^alpha]^(1/alpha)
     u: dict                     # (alpha, t) -> E[Phi_n 1_{Phi_n > t}]
 
 
@@ -356,19 +355,15 @@ def occupation_moments(it: IntegerTower, n: int, counts: Dict,
     per-position ``counts`` (``occupation_counts(it, n)``), and the
     uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
     with Phi_n = (S_n/a(n))^alpha, all from one float copy of the counts.
-    alpha = inf gives the maximum count and no functional.
     """
     alphas = [float(a) for a in alphas]
-    if any(a != math.inf and a <= 0 for a in alphas):
+    if any(a <= 0 for a in alphas):
         raise SkyscraperError("alpha must be positive")
     t_grid = [float(t) for t in t_grid]
     x = np.concatenate([counts[s] for s in it.symbols], dtype=float)
     a_n = float(it.a_of(n))
     moment, u = {}, {}
     for alpha in alphas:
-        if alpha == math.inf:
-            moment[alpha] = float(x.max())
-            continue
         moment[alpha] = float(np.mean(x ** alpha)) ** (1.0 / alpha)
         phi = x / a_n
         phi **= alpha
@@ -468,8 +463,6 @@ def _target_rho(y: FiniteDist, alpha: float, t: float) -> float:
     """Tail integral of Y^alpha above t: E[(Y^alpha - t)^+]."""
     acc = 0.0
     for v, m in zip(y.values, y.masses):
-        if v == INF:
-            return math.inf
         acc += float(m) * max(0.0, float(v) ** alpha - t)
     return acc
 
@@ -489,7 +482,7 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
     Phi_n = (S_n/a(n))^alpha.  In integrable mode the sup of u over the top
     window must stay below tail_constant times the tail integral rho(t);
     divergent mode (infinite alpha-moment of the target) only reports the
-    growth trend.  alpha = inf reports the sup-norm diagnostic.
+    growth trend.
     """
     if not moments:
         raise SkyscraperError("need a nonempty time grid")
@@ -503,11 +496,7 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
     for alpha in alphas:
         a_a = {n: moments[n].moment[alpha] for n in n_grid}
         ratio = {n: a_a[n] / moments[n].mean for n in n_grid}
-        if alpha == math.inf:
-            rows.append(AlphaRow(alpha, "sup-norm", a_a, ratio, {}, {}, None))
-            continue
-        mode = "divergent" if (alpha in divergent or INF in y.values) \
-            else "integrable"
+        mode = "divergent" if alpha in divergent else "integrable"
         u_sup = {t: max([0.0] + [moments[n].u[alpha, t] for n in top])
                  for t in t_grid}
         rho = {t: rho_fn(alpha, t) if rho_fn is not None

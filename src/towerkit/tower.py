@@ -21,8 +21,8 @@ from .blocks import Block, is_normalized, self_concat
 from .distributions import (INF, FiniteDist, Splitting, SymRep,
                             transport_distances, write_json)
 from .lemma_engine import (BlockArray, GammaTable, InvariantError,
-                           PreconditionError, basic_extend, choose_tile,
-                           extension_step, straightening_step)
+                           PreconditionError, _tile, basic_extend,
+                           choose_tile, extension_step, straightening_step)
 from .splitting import TargetDist, build_split_sequence
 
 # the constant M of certify_theorem1's cdf lower bound
@@ -180,10 +180,8 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
             raise PreconditionError(
                 f"stage {n}: kappa={kap} exceeds eps*E = {e * mean}")
         q = int(1 / e) + 1
-        # the least mu is the least tile count of the mu = 1 extension
-        w1 = basic_extend(w, kap, q, 1, delta=e, size_cap=size_cap)
-        mu = choose_tile(w1, e, size_cap)
-        w = w1 if mu == 1 else basic_extend(w, kap, q, mu, size_cap=size_cap)
+        w = basic_extend(w, kap, q, delta=e, size_cap=size_cap)
+        w = _tile(w, choose_tile(w, e, size_cap))
         mean = mean + kap
         if Fraction(w.stats().mean) != mean:
             raise InvariantError("mean increment failed to be exact")

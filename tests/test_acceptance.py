@@ -9,9 +9,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from towerkit.blocks import Block, is_normalized, self_concat, stats
-from towerkit.distributions import (FiniteDist, rho, uniform_dist,
-                                    vasershtein)
+from towerkit.blocks import Block, is_normalized, self_concat
+from towerkit.distributions import FiniteDist, rho
 from towerkit.lemma_engine import (BlockArray, basic_extend, choose_tile,
                                    compound_extend, extension_step)
 from towerkit.skyscraper import (IntegerTower, are_diagnostic, check_duality,
@@ -22,7 +21,7 @@ from towerkit.splitting import (DyadicRep, build_split_sequence, make_target,
 from towerkit.tower import (build_example_tower, build_rational_tower,
                             certify_theorem1)
 
-from oracles import cyclic_partial_sums_units
+from oracles import cyclic_partial_sums_units, law_distance
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -83,7 +82,7 @@ def test_criterion_1_block_algebra():
         h = rng.randint(1, 10)
         w = Block([rng.randint(1, 9) for _ in range(h)],
                   F(1, rng.randint(1, 4)))
-        st = stats(w)
+        st = w.stats()
         assert list(np.diff(w.prefix)) == list(w.units)
         m = rng.randint(2, 4)
         tiled = self_concat(w, m)
@@ -121,13 +120,14 @@ def test_criterion_2_basic_lemma():
         kap = F(rng.randint(0, 4), 4) * delta * e
         q = int(1 / delta) + rng.randint(1, 3)
         mu = rng.randint(1, 3)
-        wp = basic_extend(w, kap, q, mu, delta=delta)
+        wp = self_concat(basic_extend(w, kap, q, delta=delta), mu)
         tiled = self_concat(w, mu * q)
         H, qh = len(wp), q * h
         # (i) normalization by enlarging mu, on a subsample
         if checked % 20 == 0:
-            mu_star = choose_tile(basic_extend(w, kap, q, 1), delta)
-            assert is_normalized(basic_extend(w, kap, q, mu_star), delta)
+            w1 = basic_extend(w, kap, q)
+            assert is_normalized(self_concat(w1, choose_tile(w1, delta)),
+                                 delta)
         # (ii) exact mean shift and pointwise domination
         assert F(wp.stats().mean) == e + kap
         assert all(a >= b for a, b in zip(wp.weights(), tiled.weights()))
@@ -240,13 +240,13 @@ def test_criterion_5_distance_oracles():
         # monotone coupling on the exact common expansion is optimal
         vas_oracle = math.fsum(rho(x, y) for x, y in zip(a, b)) / den
         uni_oracle = max(rho(x, y) for x, y in zip(a, b))
-        assert abs(vasershtein(p, q) - vas_oracle) <= 1e-12
-        assert abs(uniform_dist(p, q) - uni_oracle) <= 1e-12
+        assert abs(law_distance(p, q) - vas_oracle) <= 1e-12
+        assert abs(law_distance(p, q, "uniform") - uni_oracle) <= 1e-12
         # no rearrangement of the coupling can do better
         perm = list(range(den))
         rng.shuffle(perm)
         shuffled = math.fsum(rho(a[i], b[perm[i]]) for i in range(den)) / den
-        assert vasershtein(p, q) <= shuffled + 1e-12
+        assert law_distance(p, q) <= shuffled + 1e-12
     report(5, True, "transport distances match coupling oracles on "
                     "200 pairs", t0)
 

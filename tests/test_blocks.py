@@ -15,9 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from towerkit.blocks import (Block, BlockError, _window_extremes, concat,
-                             concat_many, is_normalized, normalizing_copies,
-                             rescale_units, self_concat, stats)
+from towerkit.blocks import (Block, BlockError, _window_extremes,
+                             is_normalized, normalizing_copies,
+                             rescale_units, self_concat)
 from towerkit.distributions import sk_histograms
 
 from oracles import INT64_MAX, cyclic_partial_sums_units
@@ -57,8 +57,8 @@ class TestConstruction:
     def test_from_weights_exact(self):
         w = Block.from_weights([F(1, 2), F(3, 4), F(5, 2)])
         assert w.weights() == [F(1, 2), F(3, 4), F(5, 2)]
-        assert stats(w).total == F(15, 4)
-        assert stats(w).mean == F(5, 4)
+        assert w.stats().total == F(15, 4)
+        assert w.stats().mean == F(5, 4)
 
     def test_rejects_floats(self):
         # one arithmetic path: float units, a float scale or float weights
@@ -91,32 +91,16 @@ class TestConstruction:
 
 
 class TestConcat:
-    def test_concat_weights(self):
-        w = Block([1, 2], F(1, 2))
-        v = Block([3], F(1, 3))
-        c = concat(w, v)
-        assert c.weights() == [F(1, 2), F(1), F(1)]
-        assert stats(c).total == stats(w).total + stats(v).total
-
-    def test_concat_many_matches_fold(self):
-        rng = random.Random(5)
-        blocks = [random_block(rng) for _ in range(4)]
-        folded = blocks[0]
-        for b in blocks[1:]:
-            folded = concat(folded, b)
-        assert concat_many(blocks) == folded
-
     def test_self_concat(self):
         w = Block([2, 5], F(1, 4))
         v = self_concat(w, 3)
         assert len(v) == 6
         assert v.weights() == w.weights() * 3
-        assert stats(v).mean == stats(w).mean
+        assert v.stats().mean == w.stats().mean
 
     def test_inputs_unchanged(self):
         w = Block([1, 2], F(1, 2))
         before = w.weights()
-        concat(w, w)
         self_concat(w, 4)
         cyclic_partial_sum(w, 7, 2)
         assert w.weights() == before
@@ -136,7 +120,7 @@ class TestOverflow:
         else:
             w = Block(units)
             assert w.total_units() == sum(units)
-            assert stats(w).mean == F(sum(units), len(units))
+            assert w.stats().mean == F(sum(units), len(units))
 
     def test_units_past_int64_rejected(self):
         for units in ([2 ** 63], [2 ** 64 + 1], [1, 2 ** 64 + 1], [1, -2 ** 64]):
@@ -154,17 +138,6 @@ class TestOverflow:
             Block(units)
         with pytest.raises(BlockError):
             Block.from_weights(units)
-
-    @settings(max_examples=100, derandomize=True)
-    @given(st.integers(2 ** 58, 2 ** 62), st.integers(2, 64))
-    @example(2 ** 61 + 1, 8)
-    def test_concat_rescale_is_checked(self, x, den):
-        w, v = Block([x]), Block([1], F(1, den))
-        if x * den > INT64_MAX:
-            with pytest.raises(BlockError):
-                concat(w, v)
-        else:
-            assert concat(w, v).weights() == [F(x), F(1, den)]
 
     @settings(max_examples=100, derandomize=True)
     @given(st.lists(st.integers(1, 2 ** 62), min_size=1, max_size=4),
@@ -337,7 +310,7 @@ class TestCrudeBound:
         for _ in range(60):
             w = random_block(rng)
             h = len(w)
-            st_ = stats(w)
+            st_ = w.stats()
             for k in range(h, 3 * h + 1):
                 units = cyclic_partial_sums_units(w, k)
                 for v in (int(units.min()), int(units.max())):
@@ -349,7 +322,7 @@ class TestIsNormalized:
     def brute(self, w, eps):
         """Direct quantifier scan over one period of residues."""
         h = len(w)
-        st_ = stats(w)
+        st_ = w.stats()
         k0 = max(1, math.ceil(F(eps) * st_.total / st_.max))
         for k in range(k0, k0 + h):
             units = cyclic_partial_sums_units(w, k)
@@ -384,7 +357,7 @@ class TestIsNormalized:
             k, nu = wit
             found += 1
             s = cyclic_partial_sum(w, k, nu)
-            mean = stats(w).mean
+            mean = w.stats().mean
             assert abs(s - k * mean) > eps * k * mean
         assert found > 0
 
@@ -411,7 +384,7 @@ class TestIsNormalized:
             return
         # the smallest failing k, at the first position of largest deviation
         k = first[0]
-        mean = stats(w).mean
+        mean = w.stats().mean
         devs = [abs(w.scale * int(s) - k * mean)
                 for s in cyclic_partial_sums_units(w, k)]
         assert wit == (k, devs.index(max(devs)) + 1)

@@ -245,6 +245,25 @@ class TestConfigParsing:
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("override", [
+        pytest.param({"size_caps": 10}, id="size_caps"),
+        pytest.param({"skyscraper": {"alpha": ["1"]}}, id="skyscraper.alpha"),
+        *(pytest.param({"skyscraper": {"base": dict(
+            PRESETS["twopoint"]["skyscraper"]["base"], **{key: value})}},
+            id=f"skyscraper.base.{key}")
+          for key, value in (("e0", "1"), ("max_depth", 4),
+                             ("etas", ["1/2"]), ("size_cap", 10)))])
+    def test_unknown_keys_are_2_before_writing(self, override, tmp_path):
+        # a key that load_config does not read would be silently ignored
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path, "twopoint", None, None, None)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
     def test_skyscraper_base_shares_hash_rounds_and_cap(self):
         cfg = load_config(None, "twopoint", cap=123456)
         assert cfg.base.kind == "rational" and cfg.base.deltas == [F(1, 20)]
@@ -335,6 +354,16 @@ class TestExitCodes:
         partial = json.loads((out / "tower.json").read_text())
         assert "size cap" in partial["error"]
         assert "config_hash" in partial
+
+    def test_sum_past_int64_is_3(self, tmp_path, capsys):
+        # S_k at k = 10^17 leaves int64 while verify measures the grid
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", {"k_grid": ["1e17"]})
+        assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_SIZE_CAP
+        assert not (out / "verify_report.json").exists()
+        err = capsys.readouterr().err
+        assert "int64 range exceeded" in err and "Traceback" not in err
 
     def test_corrupt_trace_is_4(self, fast_config, tmp_path):
         out = tmp_path / "out"
@@ -617,9 +646,9 @@ class TestPresetProvenance:
         seen = 0
         while todo:
             w = todo.pop()
-            if w._bump is None:
+            if w.bump is None:
                 continue
-            child, f, b, s = w._bump
+            child, f, b, s = w.bump
             assert s % len(child) == 0 and len(w) % s == 0
             assert w.scale * f == child.scale
             want = np.tile(child.units * f, len(w) // len(child))

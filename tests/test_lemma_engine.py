@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towerkit.blocks import Block, is_normalized, self_concat, stats
+from towerkit.blocks import Block, is_normalized, self_concat
 from towerkit.distributions import (FiniteDist, SkHistogram, Splitting,
                                     SymRep, transport_distances)
 from towerkit.lemma_engine import (BlockArray, GammaTable,
                                    PreconditionError, SizeCapError,
-                                   _certify, basic_extend,
+                                   _add_bumps, _certify, _tile, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
@@ -76,22 +76,22 @@ class TestHelpers:
 class TestBasicExtend:
     def test_singleton_example(self):
         w = Block([1])
-        wp = basic_extend(w, 1, 2, 1)
+        wp = basic_extend(w, 1, 2)
         assert wp.weights() == [F(1), F(3)]
-        assert stats(wp).mean == F(2)
+        assert wp.stats().mean == F(2)
 
     def test_zero_kappa_is_tiling(self):
         w = Block([2, 3], F(1, 2))
-        assert basic_extend(w, 0, 3, 2) == self_concat(w, 6)
+        assert basic_extend(w, 0, 6) == self_concat(w, 6)
 
     def test_preconditions(self):
         w = Block([1, 1])
         with pytest.raises(PreconditionError):
-            basic_extend(w, 1, 1, 1)
+            basic_extend(w, 1, 1)
         with pytest.raises(PreconditionError):
-            basic_extend(w, F(2), 3, 1, delta=F(1, 2))
+            basic_extend(w, F(2), 3, delta=F(1, 2))
         with pytest.raises(SizeCapError):
-            basic_extend(w, 0, 2, 10, size_cap=8)
+            basic_extend(w, 0, 5, size_cap=8)
 
     def test_postconditions_random(self):
         rng = random.Random(19)
@@ -108,7 +108,7 @@ class TestBasicExtend:
             kap = F(rng.randint(0, 4), 4) * delta * st.mean
             q = int(1 / delta) + rng.randint(1, 3)
             mu = rng.randint(1, 3)
-            wp = basic_extend(w, kap, q, mu, delta=delta)
+            wp = self_concat(basic_extend(w, kap, q, delta=delta), mu)
             tiled = self_concat(w, mu * q)
             assert len(wp) == mu * q * h
             assert F(wp.stats().mean) == st.mean + kap
@@ -121,7 +121,7 @@ class TestBasicExtend:
         st = w.stats()
         kap = delta * st.mean
         q = int(1 / delta) + 1
-        wp = basic_extend(w, kap, q, 2, delta=delta)
+        wp = self_concat(basic_extend(w, kap, q, delta=delta), 2)
         tiled = self_concat(w, 2 * q)
         H, qh = len(wp), q * len(w)
         for j in range(1, qh + 1):
@@ -130,12 +130,11 @@ class TestBasicExtend:
 
     def test_choose_mu_minimal(self):
         w = Block([1])
-        mu = choose_tile(basic_extend(w, F(1), 2, 1), F(1, 2))
-        wp = basic_extend(w, F(1), 2, mu)
-        assert is_normalized(wp, F(1, 2))
+        w1 = basic_extend(w, F(1), 2)
+        mu = choose_tile(w1, F(1, 2))
+        assert is_normalized(self_concat(w1, mu), F(1, 2))
         for smaller in range(1, mu):
-            assert not is_normalized(basic_extend(w, F(1), 2, smaller),
-                                     F(1, 2))
+            assert not is_normalized(self_concat(w1, smaller), F(1, 2))
 
     def test_choose_tile_minimal(self):
         w = Block([1, 4])
@@ -153,17 +152,37 @@ class TestBasicExtend:
     @example([1], F(1), F(1), 2, 3, False)
     def test_extension_is_tiling_of_mu_one(self, units, scale, kappa, q, mu,
                                            ledger):
-        # basic_extend(w, kappa, q, mu) is mu copies of the mu = 1 block,
-        # scale and change ledger included, so a tile count chosen on the
-        # mu = 1 block is the least mu
+        # mu copies of the extension are the one bump tiling of mu*q
+        # copies with the same bumps: scale, Bump and change count
+        # included, so a tile count chosen on the extension is the least mu
         w = Block(units, scale)
         if ledger:
-            w = basic_extend(w, F(1, 3), 2, 1)
-        big = basic_extend(w, kappa, q, mu)
-        tiled = self_concat(basic_extend(w, kappa, q, 1), mu)
+            w = basic_extend(w, F(1, 3), 2)
+        h = len(w)
+        tiled = _tile(basic_extend(w, kappa, q), mu)
+        big = _add_bumps(w, mu * q, kappa * q * h, q * h) if kappa else \
+            self_concat(w, mu * q)
         assert big.scale == tiled.scale
         assert np.array_equal(big.units, tiled.units)
-        assert np.array_equal(big.changed_mask, tiled.changed_mask)
+        assert big.bump == tiled.bump
+        assert big.changed_count() == tiled.changed_count()
+
+    def test_tiling_keeps_the_rescale_guard(self):
+        # the extension rescales units 2^55 by f = 3; its q*h = 2 levels
+        # pass the 2^62 guard, and so do 8 copies, but 32 copies of it
+        # reach 2^62 just as one bump tiling of 64 copies would
+        w = Block([2 ** 55])
+        wp = basic_extend(w, F(1, 3), 2)
+        assert wp.bump.factor == 3
+        assert len(_tile(wp, 8)) == 16
+        with pytest.raises(SizeCapError):
+            _add_bumps(w, 64, F(2, 3), 2)
+        with pytest.raises(SizeCapError):
+            _tile(wp, 32)
+
+    def test_bump_spacing_is_a_multiple_of_the_block(self):
+        with pytest.raises(PreconditionError):
+            _add_bumps(Block([1, 2]), 3, 1, 3)
 
     def test_choose_tile_cap_is_exact(self):
         # 111 copies of a 5-level block are the least normalizing tiling;
@@ -192,6 +211,62 @@ class TestBasicExtend:
         with pytest.raises(PreconditionError):
             basic_extend_array(arr, {"a": F(1, 8), "b": F(1, 8)}, 5,
                                F(1, 4))
+
+
+def changed_levels(w, first):
+    """Number of levels of w whose weight differs from the tiled weights
+    of ``first``, compared exactly as Python ints."""
+    r = first.scale / w.scale
+    tiled = np.tile(first.units.astype(object) * r.numerator,
+                    len(w) // len(first))
+    return int((w.units.astype(object) * r.denominator != tiled).sum())
+
+
+LEDGER_CAP = 4000
+
+chain_steps = st.lists(st.one_of(
+    st.tuples(st.just("extend"),
+              st.sampled_from([F(0), F(1, 7), F(1, 2), F(2)]),
+              st.integers(2, 4)),
+    st.tuples(st.just("tile"), st.integers(1, 3)),
+    st.tuples(st.just("compound"), st.sampled_from([F(1), F(3, 2), F(2)]),
+              st.sampled_from([F(1, 2), F(1, 3)]))), min_size=1, max_size=6)
+
+
+class TestChangeLedger:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.fractions(F(1, 4), F(4), max_denominator=4),
+                    min_size=1, max_size=4), chain_steps)
+    @example([F(1)], [("extend", F(1, 2), 2), ("extend", F(1, 2), 2)])
+    @example([F(1), F(2)], [("extend", F(1, 7), 3), ("tile", 2),
+                            ("extend", F(0), 2), ("compound", F(2), F(1, 2))])
+    def test_count_matches_changed_levels(self, weights, steps):
+        # basic_extend (kappa = 0 included), self_concat and
+        # compound_extend chains: the count read off the Bump chain is the
+        # number of levels that differ from the tiling of the first block
+        first = Block.from_weights(weights)
+        w = first
+        for step in steps:
+            try:
+                if step[0] == "extend":
+                    _, frac, q = step
+                    w = basic_extend(w, frac * w.stats().mean, q,
+                                     size_cap=LEDGER_CAP)
+                elif step[0] == "tile":
+                    if len(w) * step[1] > LEDGER_CAP:
+                        break
+                    w = self_concat(w, step[1])
+                else:
+                    _, t, d = step
+                    arr = BlockArray(("w",), {"w": w},
+                                     {"w": F(w.stats().mean)}, F(1))
+                    out, _ = compound_extend(arr, {"w": t}, beta=F(1, 2),
+                                             eps_out=F(1, 2), delta=d,
+                                             size_cap=LEDGER_CAP)
+                    w = out.blocks["w"]
+            except SizeCapError:
+                break
+            assert w.changed_count() == changed_levels(w, first)
 
 
 class TestCompoundExtend:

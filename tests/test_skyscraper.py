@@ -12,8 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import Block, Bump
-from towerkit.distributions import (FiniteDist, transport_distances,
-                                    vasershtein)
+from towerkit.distributions import FiniteDist, transport_distances
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
@@ -24,6 +23,8 @@ from towerkit.skyscraper import (IntegerTower, InversionError,
                                  occupation_sweep,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
+
+from oracles import merge_vasershtein
 
 
 def occupation_mean_via_levels(it, n):
@@ -69,7 +70,7 @@ def occupation_oracle(it, n, counts, x_values, tail_constant):
         lhs = F(sum(c for v, c in merged.items() if v >= x * a_n), total)
         bound = F(tail_constant) * (1 - y.cdf_below(x))
         checks.append((x, lhs, bound, lhs <= bound))
-    return dist, tuple(checks), vasershtein(normalized, y)
+    return dist, tuple(checks), merge_vasershtein(normalized, y)
 
 
 def gamma_trace(g, target):
@@ -272,7 +273,7 @@ def doubled_prefix_counts(w, n):
 def tiled_units(w):
     """The units that w's Bump describes: its child's units times f,
     tiled, plus B at every spacing-th position."""
-    child, f, b, s = w._bump
+    child, f, b, s = w.bump
     units = np.tile(child.units * f, len(w) // len(child))
     units[s - 1::s] += b
     return units
@@ -284,9 +285,7 @@ def bumped(child_units, f, b, copies, tiles):
     s = copies * len(child_units)
     units = np.tile(np.asarray(child_units) * f, copies * tiles)
     units[s - 1::s] += b
-    w = Block(units)
-    w._bump = Bump(Block(child_units), f, b, s)
-    return w
+    return Block(units, 1, Bump(Block(child_units), f, b, s))
 
 
 def bump_tower(blocks):
@@ -320,7 +319,7 @@ class TestBumpKernel:
 
     def test_add_bumps_blocks_use_their_bump(self):
         w = _add_bumps(Block([2, 3, 1]), 6, 5, 9)
-        assert w._bump is not None and len(w) // w._bump.spacing == 2
+        assert w.bump is not None and len(w) // w.bump.spacing == 2
         it = bump_tower({"a": w})
         for n in range(1, 3 * w.total_units()):
             assert np.array_equal(occupation_counts(it, n)["a"],
@@ -330,7 +329,7 @@ class TestBumpKernel:
         assert all(p == 0 for p in int_tower.perturbations.values())
         for s in int_tower.symbols:
             w = int_tower.blocks[s]
-            assert w._bump is not None
+            assert w.bump is not None
             assert np.array_equal(w.units, tiled_units(w))
 
     def test_rounded_integer_bumps_rebuild_units(self, base_trace):
@@ -345,7 +344,7 @@ class TestBumpKernel:
         assert it.perturbations["w"] != 0
         # ceil(B*r) would be 4; the bump positions round to 3 more than
         # the child's last unit
-        assert v._bump.factor == 1 and v._bump.amount == 3
+        assert v.bump.factor == 1 and v.bump.amount == 3
         assert np.array_equal(v.units, tiled_units(v))
         for n in (4 * v.total_units() // 3, 7 * v.total_units() + 3):
             assert np.array_equal(occupation_counts(it, n)["w"],
@@ -378,7 +377,7 @@ class TestDuality:
         h = len(pattern) * copies
         it = toy_tower({"a": pattern * copies,
                         "b": (other * h)[:h]})
-        assert all(it.blocks[s]._bump is None for s in it.symbols)
+        assert all(it.blocks[s].bump is None for s in it.symbols)
         assert check_duality(it)
 
     def test_corrupted_counts_detected(self):
@@ -451,10 +450,3 @@ class TestInversion:
                               divergent_alphas=[1.5])
         assert rows[0].mode == "divergent"
         assert rows[0].bound_ok is None
-
-    def test_sup_norm_mode(self, int_tower):
-        n_grid = [int_tower.covered_horizon()]
-        _, moments = occupation_sweep(int_tower, n_grid, [float("inf")],
-                                      [2.0])
-        rows = are_diagnostic(int_tower, moments, [float("inf")], [2.0])
-        assert rows[0].mode == "sup-norm"

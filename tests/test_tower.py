@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from towerkit.blocks import Block, is_normalized
-from towerkit.distributions import FiniteDist, sk_histograms, vasershtein
+from towerkit.distributions import (FiniteDist, sk_histograms,
+                                    transport_distances)
 from towerkit.lemma_engine import PreconditionError, SizeCapError
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             build_general_tower, build_rational_tower,
@@ -216,9 +217,7 @@ class TestSkDistribution:
         k = trace.height
         g = trace.global_gamma.gamma(k)
         (hist,) = trace.final.sk_histograms([k])
-        scaled = FiniteDist([(F(v) / (k * g), F(c, hist.total))
-                             for v, c in hist.merged()])
-        assert vasershtein(scaled, trace.target) <= 0.05
+        assert transport_distances([(hist, g, trace.target)])[0] <= 0.05
 
 
 class TestSerialization:
