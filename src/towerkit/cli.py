@@ -11,14 +11,18 @@ rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
 "2.5" is invalid, and k_grid and
 sk_dist_ks are nonempty lists of positive whole numbers; the tolerances
 doubling_tol/tol are read the same way and then used as floats, and so is
-a target parameter that enters a float quantile function.  There is one
-arithmetic mode, "exact"; a config "mode" other than "exact" is invalid.
-All data goes to files in the output directory, logs go to standard error,
-and every report embeds the config hash and the arithmetic mode so runs are
-reproducible byte for byte.  Each file is written as a new file
-(``open_output``).  Before it runs, a command removes the files that its
-steps own (``STEP_OUTPUTS``), and ``all`` those of every step, so no file
-of an earlier run stays beside this run's.
+a target parameter that enters a float quantile function.  An "example"
+run's kappas are checked against its epss and e0 (``check_example_run``),
+as a "rational" run's schedules are (``check_rational_run``).  There is one
+arithmetic mode, "exact", and no config key chooses it.  All data goes to
+files in the output directory, logs go to standard error, and every report
+embeds the config hash and the arithmetic mode so runs are reproducible
+byte for byte.  Each file is written as a new file (``open_output``).
+Before it runs, a command removes the files that its steps own
+(``STEP_OUTPUTS``), and ``all`` those of every step, so no file of an
+earlier run stays beside this run's.  The skyscraper step reduces each time
+horizon once (``skyscraper.occupation_sweep``) and writes its occupation
+CSVs and both reports from those records.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded or a sum
 past the int64 range (``BlockError``), 4 corrupt trace artifact
@@ -46,8 +50,8 @@ from .splitting import (PointsTarget, SplittingError, TargetDist,
                         build_split_sequence, make_target)
 from .tower import (CorruptTraceError, TowerTrace, build_example_tower,
                     build_general_tower, build_rational_tower,
-                    certify_theorem1, check_rational_run, load_trace_summary,
-                    save_trace, trace_to_json_obj)
+                    certify_theorem1, check_example_run, check_rational_run,
+                    load_trace_summary, save_trace, trace_to_json_obj)
 from . import skyscraper as sky
 
 EXIT_OK = 0
@@ -70,7 +74,7 @@ STEP_OUTPUTS = {
 # section and in skyscraper.base; any other key is a config error.
 RUN_KEYS = ("kind", "target", "deltas", "epss", "kappas", "etas", "e0",
             "rounds", "size_cap", "max_depth", "doubling_tol", "x_values",
-            "sk_dist_ks", "k_grid", "mode", "skyscraper")
+            "sk_dist_ks", "k_grid", "skyscraper")
 SKYSCRAPER_KEYS = ("base", "n_points", "tol", "eta", "tail_constant",
                    "x_values", "alphas", "t_grid", "divergent_alphas",
                    "bound_alphas", "rho")
@@ -398,8 +402,6 @@ def load_config(path: Optional[str], preset: Optional[str],
     doubling_tol = parse_number(obj.get("doubling_tol", 0.1))
     if doubling_tol <= 0:
         raise ConfigError("doubling_tol must be positive")
-    if obj.get("mode", "exact") != "exact":
-        raise ConfigError(f"mode must be exact, got {obj['mode']!r}")
     sky_obj = obj.get("skyscraper", {})
     cfg = RunConfig(
         kind=kind, config_hash=_config_hash(obj), target=target,
@@ -426,13 +428,15 @@ def load_config(path: Optional[str], preset: Optional[str],
             deltas=deltas, epss=epss, kappas=kappas,
             rounds=_config_int(base_obj, "rounds", cfg.rounds),
             size_cap=size_cap)
-    for run in (cfg, cfg.base):
-        if run is not None and run.kind == "rational":
-            try:
+    for run in filter(None, (cfg, cfg.base)):
+        try:
+            if run.kind == "rational":
                 check_rational_run(run.target.dist, run.deltas, run.epss,
                                    run.rounds)
-            except PreconditionError as exc:
-                raise ConfigError(str(exc)) from exc
+            elif run.kind == "example":
+                check_example_run(run.kappas, run.epss, run.e0)
+        except PreconditionError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -557,15 +561,15 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     try:
         if it.height * it.size <= 512:
             sky.check_duality(it)
-        reports, moments = sky.occupation_sweep(
+        reports = sky.occupation_sweep(
             it, n_grid, sc.alphas, sc.t_grid, sc.x_values, sc.tail_constant)
-        inv = sky.check_inversion(it, reports, tol=sc.tol)
     except (sky.InversionError, InvariantError) as exc:
         _log(f"skyscraper: hard invariant failed: {exc}")
         return EXIT_INVARIANT
+    inv = sky.check_inversion(it, reports, tol=sc.tol)
     for n in (n_grid[0], n_grid[-1]):
-        inv.reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
-    rows = sky.are_diagnostic(it, moments, sc.alphas, sc.t_grid,
+        reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
+    rows = sky.are_diagnostic(it, reports, sc.alphas, sc.t_grid,
                               rho_fn=sc.rho_fn,
                               divergent_alphas=sc.divergent_alphas,
                               tail_constant=sc.tail_constant)
@@ -592,8 +596,8 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     write_json(os.path.join(out, "are_report.json"), are_report)
     checked = rows if sc.bound_alphas is None else [
         r for r in rows if r.alpha in sc.bound_alphas]
-    hard_ok = inv.ok() and all(r.bound_ok in (True, None) for r in checked)
-    _log(f"skyscraper: inversion {'pass' if inv.ok() else 'FAIL'}, "
+    hard_ok = inv.top_ok and all(r.bound_ok in (True, None) for r in checked)
+    _log(f"skyscraper: inversion {'pass' if inv.top_ok else 'FAIL'}, "
          f"{len(rows)} alpha rows")
     return EXIT_OK if hard_ok else EXIT_INVARIANT
 

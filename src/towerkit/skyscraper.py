@@ -6,7 +6,10 @@ the roof height there, the cyclic partial sums are the successive return
 times, and the occupation count of the base up to time n is the inverse of
 the return-time chain.  The module certifies the inversion duality, the
 occupation-time tail bound with its explicit constant, and the alpha-moment
-diagnostics of rational ergodicity at finite resolution.
+diagnostics of rational ergodicity at finite resolution.  Each time horizon
+is reduced once, by ``occupation_sweep``, to one ``OccupationReport`` that
+``check_inversion`` and ``are_diagnostic`` both read; a tail bound that
+fails raises there, with its witness.
 """
 
 from __future__ import annotations
@@ -293,11 +296,14 @@ def occupation_counts(it: IntegerTower, n: int) -> Dict:
 
 @dataclass(frozen=True)
 class OccupationReport:
-    """Occupation distribution at one time horizon with its tail checks."""
+    """The occupation count S_n(1_Omega) at one time horizon: its exact
+    law and the float statistics that ``are_diagnostic`` reads."""
 
     a_n: Fraction
     law: SkHistogram            # law of S_n(1_Omega) over the base
-    tail_checks: tuple          # ((x, lhs, bound, pass), ...)
+    mean: float                 # E[S_n(1_Omega)]
+    moment: dict                # alpha -> E[S_n^alpha]^(1/alpha)
+    u: dict                     # (alpha, t) -> E[Phi_n 1_{Phi_n > t}]
 
     def to_csv(self, path: str) -> None:
         (values,), (counts,) = self.law.units, self.law.counts
@@ -308,107 +314,76 @@ class OccupationReport:
                 writer.writerow([str(v), str(Fraction(c, self.law.total))])
 
 
-def occupation_distribution(it: IntegerTower, n: int, counts: Dict,
-                            x_values: Sequence = (Fraction(5, 4),
-                                                  Fraction(3, 2),
-                                                  Fraction(2)),
-                            tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
-                            ) -> OccupationReport:
-    """Exact distribution of the base occupation count at time n, from
-    its per-position ``counts`` (``occupation_counts(it, n)``).
+def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
+                     alphas: Sequence = (), t_grid: Sequence = (),
+                     x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
+                                           Fraction(2)),
+                     tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
+                     ) -> Dict:
+    """One pass over the distinct horizons of ``n_grid``, in increasing
+    order, each reduced to its ``OccupationReport`` from one call of
+    ``occupation_counts``, whose counts are then dropped, so one
+    horizon's counts are held at a time.
 
-    The law is one SkHistogram of the counts at scale 1 and k = 1.  The
+    The law is one SkHistogram of the counts at scale 1 and k = 1.  Its
     tail checks compare the exact mass of [S_n >= x a(n)] against
-    tail_constant * P(Y >= x) for the occupation target Y.
-    """
-    values, mult = np.unique(np.concatenate([counts[s] for s in it.symbols]),
-                             return_counts=True)
-    if values[0] < 1:
-        raise SkyscraperError(
-            f"time {n} precedes the first return at some base position")
-    law = SkHistogram(1, [Fraction(1)], [values], [mult])
-    a_n = it.a_of(n)
-    y = it.occupation_target
-    checks = []
-    for x in x_values:
-        x = Fraction(x)
-        lhs = Fraction(law.total - law.count_below(x * a_n), law.total)
-        bound = Fraction(tail_constant) * (1 - y.cdf_below(x))
-        checks.append((x, lhs, bound, lhs <= bound))
-    return OccupationReport(a_n, law, tuple(checks))
+    tail_constant * P(Y >= x) for the occupation target Y, and the first
+    that fails raises ``InversionError`` with the witness
+    (n, x, lhs, bound).  The alpha-moments and the uniform-integrability
+    functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}] with
+    Phi_n = (S_n/a(n))^alpha come from one float copy of the counts.
 
-
-@dataclass(frozen=True)
-class OccupationMoments:
-    """Float statistics of the occupation counts at one time horizon,
-    for ``are_diagnostic``."""
-
-    mean: float                 # E[S_n(1_Omega)]
-    moment: dict                # alpha -> E[S_n^alpha]^(1/alpha)
-    u: dict                     # (alpha, t) -> E[Phi_n 1_{Phi_n > t}]
-
-
-def occupation_moments(it: IntegerTower, n: int, counts: Dict,
-                       alphas: Sequence = (), t_grid: Sequence = ()
-                       ) -> OccupationMoments:
-    """The alpha-moments of the occupation counts at time n, from its
-    per-position ``counts`` (``occupation_counts(it, n)``), and the
-    uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
-    with Phi_n = (S_n/a(n))^alpha, all from one float copy of the counts.
+    Returns the reports keyed by horizon: what ``check_inversion`` and
+    ``are_diagnostic`` read.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0 for a in alphas):
         raise SkyscraperError("alpha must be positive")
     t_grid = [float(t) for t in t_grid]
-    x = np.concatenate([counts[s] for s in it.symbols], dtype=float)
-    a_n = float(it.a_of(n))
-    moment, u = {}, {}
-    for alpha in alphas:
-        moment[alpha] = float(np.mean(x ** alpha)) ** (1.0 / alpha)
-        phi = x / a_n
-        phi **= alpha
-        for t in t_grid:
-            u[alpha, t] = float(phi[phi > t].sum()) / x.size
-    return OccupationMoments(float(x.mean()), moment, u)
-
-
-def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
-                     alphas: Sequence = (), t_grid: Sequence = (),
-                     x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
-                                           Fraction(2)),
-                     tail_constant: Fraction = DEFAULT_TAIL_CONSTANT):
-    """One pass over the distinct horizons of ``n_grid``, in increasing
-    order: at each, the per-position occupation counts give that
-    horizon's ``OccupationReport`` and ``OccupationMoments`` and are then
-    dropped, so one horizon's counts are held at a time.
-
-    Returns (reports, moments), each a dict keyed by horizon: what
-    ``check_inversion`` and ``are_diagnostic`` read.
-    """
-    reports, moments = {}, {}
+    y = it.occupation_target
+    bounds = [(x, Fraction(tail_constant) * (1 - y.cdf_below(x)))
+              for x in map(Fraction, x_values)]
+    reports = {}
     for n in sorted(set(int(n) for n in n_grid)):
         counts = occupation_counts(it, n)
-        reports[n] = occupation_distribution(it, n, counts, x_values,
-                                             tail_constant)
-        moments[n] = occupation_moments(it, n, counts, alphas, t_grid)
+        occ = np.concatenate([counts[s] for s in it.symbols])
         del counts
-    return reports, moments
+        values, mult = np.unique(occ, return_counts=True)
+        if values[0] < 1:
+            raise SkyscraperError(
+                f"time {n} precedes the first return at some base position")
+        law = SkHistogram(1, [Fraction(1)], [values], [mult])
+        a_n = it.a_of(n)
+        for x, bound in bounds:
+            lhs = Fraction(law.total - law.count_below(x * a_n), law.total)
+            if not lhs <= bound:
+                raise InversionError(
+                    f"occupation tail bound failed at n={n}, x={x}: "
+                    f"{lhs} > {bound}", (n, x, lhs, bound))
+        occ = occ.astype(float)
+        moment, u = {}, {}
+        for alpha in alphas:
+            moment[alpha] = float(np.mean(occ ** alpha)) ** (1.0 / alpha)
+            phi = occ / float(a_n)
+            phi **= alpha
+            for t in t_grid:
+                u[alpha, t] = float(phi[phi > t].sum()) / occ.size
+            del phi
+        reports[n] = OccupationReport(a_n, law, float(occ.mean()), moment, u)
+        # no array of this horizon stays alive while the next is counted
+        del occ
+    return reports
 
 
 @dataclass(frozen=True)
 class InversionReport:
-    """Measured two-sided inversion at a grid of time horizons.  Every
-    tail check of ``reports`` passed: ``check_inversion`` raises on the
-    first that fails."""
+    """Measured two-sided inversion at a grid of time horizons, every one
+    of whose tail checks passed (``occupation_sweep``)."""
 
     n_grid: tuple
     occ_distances: dict         # n -> distance(S_n/a(n), Y)
     phi_distances: dict         # n -> distance(phi_m/b(m), Z) at m ~ a(n)
-    reports: dict               # n -> OccupationReport
     top_ok: bool
-
-    def ok(self) -> bool:
-        return self.top_ok
 
 
 def check_inversion(it: IntegerTower, reports: Dict,
@@ -420,19 +395,13 @@ def check_inversion(it: IntegerTower, reports: Dict,
     law S_n/a(n) is compared with the occupation target and the
     return-time law phi_m/b(m), at the matched window m ~ a(n), with the
     trace target.  Distances in the top decade of the grid must stay below
-    ``tol``; any tail-check failure aborts with a witness.
+    ``tol``.
     """
     if not reports:
         raise SkyscraperError("need a nonempty time grid")
     n_grid = sorted(reports)
     y = it.occupation_target
     z = it.trace.target
-    for n in n_grid:
-        for x, lhs, bound, ok in reports[n].tail_checks:
-            if not ok:
-                raise InversionError(
-                    f"occupation tail bound failed at n={n}, x={x}: "
-                    f"{lhs} > {bound}", (n, x, lhs, bound))
     occ_d = dict(zip(n_grid, transport_distances(
         (reports[n].law, reports[n].a_n, y) for n in n_grid)))
     windows = [max(1, int(round(float(reports[n].a_n)))) for n in n_grid]
@@ -443,7 +412,7 @@ def check_inversion(it: IntegerTower, reports: Dict,
         for m, hist in zip(windows, sk_histograms(blocks, windows)))))
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
-    return InversionReport(tuple(n_grid), occ_d, phi_d, reports, top_ok)
+    return InversionReport(tuple(n_grid), occ_d, phi_d, top_ok)
 
 
 @dataclass(frozen=True)
@@ -467,14 +436,14 @@ def _target_rho(y: FiniteDist, alpha: float, t: float) -> float:
     return acc
 
 
-def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
+def are_diagnostic(it: IntegerTower, reports: Dict, alphas: Sequence,
                    t_grid: Sequence, rho_fn: Optional[Callable] = None,
                    divergent_alphas: Sequence = (),
                    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
                    ) -> List[AlphaRow]:
     """Alpha-moment growth and uniform-integrability table.
 
-    ``moments`` holds the ``OccupationMoments`` of each horizon of the
+    ``reports`` holds the ``OccupationReport`` of each horizon of the
     time grid, taken at ``alphas`` and ``t_grid`` (``occupation_sweep``).
     For each finite alpha the exact occupation counts give
     a_{alpha,Omega}(n) = (E[S_n(1_Omega)^alpha])^(1/alpha) and the
@@ -484,20 +453,20 @@ def are_diagnostic(it: IntegerTower, moments: Dict, alphas: Sequence,
     divergent mode (infinite alpha-moment of the target) only reports the
     growth trend.
     """
-    if not moments:
+    if not reports:
         raise SkyscraperError("need a nonempty time grid")
     alphas = [float(a) for a in alphas]
     t_grid = [float(t) for t in t_grid]
-    n_grid = sorted(moments)
+    n_grid = sorted(reports)
     y = it.occupation_target
     divergent = set(float(a) for a in divergent_alphas)
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     rows = []
     for alpha in alphas:
-        a_a = {n: moments[n].moment[alpha] for n in n_grid}
-        ratio = {n: a_a[n] / moments[n].mean for n in n_grid}
+        a_a = {n: reports[n].moment[alpha] for n in n_grid}
+        ratio = {n: a_a[n] / reports[n].mean for n in n_grid}
         mode = "divergent" if alpha in divergent else "integrable"
-        u_sup = {t: max([0.0] + [moments[n].u[alpha, t] for n in top])
+        u_sup = {t: max([0.0] + [reports[n].u[alpha, t] for n in top])
                  for t in t_grid}
         rho = {t: rho_fn(alpha, t) if rho_fn is not None
                else _target_rho(y, alpha, t) for t in t_grid}

@@ -56,8 +56,6 @@ class TowerTrace:
     stages: List[StageRecord]
     final: BlockArray
     global_gamma: GammaTable
-    deltas: Tuple[float, ...]
-    epss: Tuple[float, ...]
     floor_r: Optional[Fraction] = None
     config_hash: str = ""
 
@@ -104,6 +102,24 @@ def check_rational_run(target: FiniteDist, deltas: Sequence[Fraction],
         raise PreconditionError("extension needs at least one round")
 
 
+def check_example_run(kappas: Sequence[Fraction], epss: Sequence[Fraction],
+                      e0: Fraction) -> None:
+    """Raise PreconditionError unless ``build_example_tower`` can build
+    these schedules: matching and nonempty, and at each stage n
+    0 <= kappa_n <= eps_n * (e0 + kappa_1 + ... + kappa_{n-1}).
+    ``load_config`` checks an example run with it before any step runs."""
+    if len(kappas) != len(epss) or not kappas:
+        raise PreconditionError("need matching nonempty kappa/eps schedules")
+    mean = e0
+    for n, (kap, e) in enumerate(zip(kappas, epss), start=1):
+        if kap < 0:
+            raise PreconditionError(f"stage {n}: kappa={kap} is negative")
+        if kap > e * mean:
+            raise PreconditionError(
+                f"stage {n}: kappa={kap} exceeds eps*E = {e * mean}")
+        mean += kap
+
+
 def build_rational_tower(target: FiniteDist, deltas: Sequence,
                          epss: Sequence, rounds: int = 2,
                          size_cap: int = 10 ** 6) -> TowerTrace:
@@ -137,8 +153,9 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
                                        size_cap=size_cap)
         _check_monotone_growth(arr, arr_new)
         if not cert.is_valid():
-            raise InvariantError(f"stage {n} certificate failed at "
-                                 f"k={cert.failures()[:3]}")
+            raise InvariantError(
+                f"stage {n} certificate failed at k={cert.failures()[:3]}, "
+                f"change mass {cert.change_mass} against delta {d}")
         for k, g in cert.gamma.anchors:
             if not g_anchors or k > g_anchors[-1][0]:
                 g_anchors.append((k, g))
@@ -148,9 +165,7 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
                                   cert.is_valid()))
         arr = arr_new
     gamma = GammaTable(tuple(g_anchors), tuple(e_anchors), mode="linear")
-    return TowerTrace("rational", target, stages, arr, gamma,
-                      tuple(float(d) for d in deltas),
-                      tuple(float(e) for e in epss))
+    return TowerTrace("rational", target, stages, arr, gamma)
 
 
 def build_example_tower(kappas: Sequence, epss: Sequence,
@@ -165,9 +180,8 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
     """
     kappas = [Fraction(k) for k in kappas]
     epss = [Fraction(e) for e in epss]
-    if len(kappas) != len(epss) or not kappas:
-        raise PreconditionError("need matching nonempty kappa/eps schedules")
     e0 = Fraction(e0)
+    check_example_run(kappas, epss, e0)
     w = Block.from_weights([e0])
     sym = ("w",)
     mean = e0
@@ -176,26 +190,23 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
     stages: List[StageRecord] = []
     target = FiniteDist.point(Fraction(1))
     for n, (kap, e) in enumerate(zip(kappas, epss), start=1):
-        if kap > e * mean:
-            raise PreconditionError(
-                f"stage {n}: kappa={kap} exceeds eps*E = {e * mean}")
         q = int(1 / e) + 1
         w = basic_extend(w, kap, q, delta=e, size_cap=size_cap)
         w = _tile(w, choose_tile(w, e, size_cap))
         mean = mean + kap
         if Fraction(w.stats().mean) != mean:
             raise InvariantError("mean increment failed to be exact")
-        if not is_normalized(w, e):
-            raise InvariantError(f"stage {n} block is not eps-normalized")
+        normalized, where = is_normalized(w, e, witness=True)
+        if not normalized:
+            raise InvariantError(f"stage {n} block is not eps-normalized "
+                                 f"at (k, position) = {where}")
         anchors.append((len(w), mean))
         e_anchors.append((len(w), float(e)))
         stages.append(StageRecord(n, len(w), mean / e0, float(e), float(e),
                                   Fraction(w.changed_count(), len(w)), True))
     arr = BlockArray(sym, {"w": w}, {"w": Fraction(1)}, mean)
     gamma = GammaTable(tuple(anchors), tuple(e_anchors), mode="constant")
-    return TowerTrace("example", target, stages, arr, gamma,
-                      tuple(float(e) for e in epss),
-                      tuple(float(e) for e in epss))
+    return TowerTrace("example", target, stages, arr, gamma)
 
 
 def build_general_tower(target: TargetDist, deltas: Sequence,
@@ -261,12 +272,15 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
             arr, srep = straightening_step(arr, split, e, etas[n - 1],
                                            size_cap=size_cap)
             if not srep.is_valid():
-                raise InvariantError(f"straightening at stage {n} failed")
+                raise InvariantError(f"straightening at stage {n} failed at "
+                                     f"k={srep.failures()[:3]}")
             k_flat = arr.height
         arr_new, cert = extension_step(arr, d, e, rounds=rounds,
                                        size_cap=size_cap)
         if not cert.is_valid():
-            raise InvariantError(f"stage {n} certificate failed")
+            raise InvariantError(
+                f"stage {n} certificate failed at k={cert.failures()[:3]}, "
+                f"change mass {cert.change_mass} against delta {d}")
         for k, g in cert.gamma.anchors:
             if k > g_anchors[-1][0]:
                 g_anchors.append((k, Fraction(g)))
@@ -289,11 +303,8 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
         e_anchors.append((arr.height, float(epss[-1])))
     gamma = GammaTable(tuple(g_anchors), tuple(e_anchors), mode="linear")
     tgt = arr.label_dist()
-    trace = TowerTrace("general", tgt, stages, arr, gamma,
-                       tuple(float(d) for d in deltas),
-                       tuple(float(e) for e in epss))
-    trace.floor_r = r_cap if floor_r != INF else None
-    return trace
+    return TowerTrace("general", tgt, stages, arr, gamma,
+                      r_cap if floor_r != INF else None)
 
 
 # -- certification ---------------------------------------------------------
@@ -413,8 +424,8 @@ def trace_to_json_obj(trace: TowerTrace) -> dict:
         "height": trace.height,
         "bicycle_m": str(BICYCLE_M),
         "floor_r": str(trace.floor_r) if trace.floor_r is not None else None,
-        "deltas": list(trace.deltas),
-        "epss": list(trace.epss),
+        "deltas": [st.delta for st in trace.stages],
+        "epss": [st.eps for st in trace.stages],
         "stages": [{"index": st.index, "height": st.height,
                     "scale": str(st.scale), "delta": st.delta,
                     "eps": st.eps, "change_mass": str(st.change_mass),

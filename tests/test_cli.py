@@ -78,13 +78,17 @@ class TestConfigParsing:
                 parse_number(x)
 
     def test_only_exact_mode(self, fast_config, tmp_path):
-        exact = dict(FAST_CONFIG, mode="exact")
-        assert load_config(write_config(tmp_path / "e.json", exact),
-                           None).kind == "rational"
-        floats = write_config(tmp_path / "f.json",
-                              dict(FAST_CONFIG, mode="float"))
-        assert main(["build", "--config", floats,
-                     "--out", str(tmp_path / "a")]) == EXIT_CONFIG
+        # exact is the one mode, and no config key chooses it: "mode" is
+        # an unknown key, whatever its value
+        for mode in ("exact", "float"):
+            path = write_config(tmp_path / f"{mode}.json",
+                                dict(FAST_CONFIG, mode=mode))
+            with pytest.raises(ConfigError, match="unknown config key"):
+                load_config(path, None)
+            out = tmp_path / mode
+            assert main(["all", "--config", path,
+                         "--out", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
         with pytest.raises(SystemExit) as exc:
             main(["build", "--config", fast_config, "--mode", "float",
                   "--out", str(tmp_path / "b")])
@@ -164,6 +168,28 @@ class TestConfigParsing:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, override", [
+        pytest.param(preset, override, id=f"{preset}-kappas={kappas}")
+        for kappas in (["-1"], ["10000"])
+        for preset, override in (
+            ("example1", {"kappas": kappas, "epss": ["1/4"]}),
+            ("twopoint", {"skyscraper": {"base": {
+                "kind": "example", "kappas": kappas, "epss": ["1/4"]}}}))])
+    def test_bad_example_kappas_stop_all_before_writing(self, preset,
+                                                        override, tmp_path):
+        # an example run, or base, needs 0 <= kappa_n <= eps_n * E with
+        # E = e0 + kappa_1 + ... + kappa_{n-1}; the base has the default
+        # e0 of 5000, so 10000 exceeds 5000/4
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError, match="kappa=") as exc:
+            load_config(path, preset)
+        assert "stage 1" in str(exc.value)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", preset, "--config", path,
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 
@@ -565,10 +591,10 @@ class TestRewrite:
         out = tmp_path / "out"
         assert self.run("all", fast_config, out) == EXIT_OK
 
-        def failing(it, reports, tol):
+        def failing(it, n_grid, *args):
             raise sky.InversionError("injected", None)
 
-        monkeypatch.setattr(sky, "check_inversion", failing)
+        monkeypatch.setattr(sky, "occupation_sweep", failing)
         assert self.run("skyscraper", fast_config, out) == EXIT_INVARIANT
         left = set(os.listdir(out))
         assert not left & {"inversion_report.json", "are_report.json"}
@@ -616,7 +642,7 @@ class TestRewrite:
 class TestSkyscraperCounts:
     def test_one_occupation_count_per_horizon(self, fast_config, tmp_path,
                                               monkeypatch):
-        # one pass over the horizons feeds check_inversion and
+        # one record per horizon feeds check_inversion and
         # are_diagnostic; this tower is above the exhaustive duality
         # check's 512 positions
         calls = []

@@ -12,15 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import Block, Bump
-from towerkit.distributions import FiniteDist, transport_distances
+from towerkit.distributions import FiniteDist
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
                                  SkyscraperError, are_diagnostic,
                                  check_duality, check_inversion, integerize,
                                  inverse_target,
-                                 occupation_counts, occupation_distribution,
-                                 occupation_sweep,
+                                 occupation_counts, occupation_sweep,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
 
@@ -197,8 +196,7 @@ class TestOccupation:
     def test_distribution_total_mass(self, int_tower):
         n = 6 * max(int(int_tower.blocks[s].units.max())
                     for s in int_tower.symbols)
-        rep = occupation_distribution(int_tower, n,
-                                      occupation_counts(int_tower, n))
+        rep = occupation_sweep(int_tower, [n])[n]
         (values,), (counts,) = rep.law.units, rep.law.counts
         assert sum(F(int(c), rep.law.total) for c in counts) == 1
         assert F(int((values * counts).sum()), rep.law.total) == \
@@ -224,31 +222,32 @@ class TestOccupation:
         it = toy_tower(dict(enumerate(weights)), y,
                        gamma_trace(g, inverse_target(y)))
         n = max(map(max, weights)) + extra
-        counts = occupation_counts(it, n)
-        rep = occupation_distribution(it, n, counts, xs, tail_constant)
-        dist, checks, distance = occupation_oracle(it, n, counts, xs,
-                                                   tail_constant)
+        dist, checks, distance = occupation_oracle(
+            it, n, occupation_counts(it, n), xs, tail_constant)
+        failed = [(n, x, lhs, bound) for x, lhs, bound, ok in checks
+                  if not ok]
+        if failed:
+            # the sweep stops at the first failing tail check
+            with pytest.raises(InversionError) as exc:
+                occupation_sweep(it, [n], x_values=xs,
+                                 tail_constant=tail_constant)
+            assert exc.value.witness == failed[0]
+            return
+        rep = occupation_sweep(it, [n], x_values=xs,
+                               tail_constant=tail_constant)[n]
         (values,), (mult,) = rep.law.units, rep.law.counts
         assert rep.law.total == it.height * it.size
         assert values.tolist() == dist.values
         assert [F(int(c), rep.law.total) for c in mult] == dist.masses
-        assert rep.tail_checks == checks
-        assert transport_distances([(rep.law, rep.a_n, y)])[0] == \
+        assert rep.a_n == it.a_of(n)
+        assert check_inversion(it, {n: rep}).occ_distances[n] == \
             pytest.approx(distance, abs=1e-15)
-        if all(ok for _, _, _, ok in checks):
-            inv = check_inversion(it, {n: rep})
-            assert inv.occ_distances[n] == \
-                pytest.approx(distance, abs=1e-15)
-        else:
-            with pytest.raises(InversionError):
-                check_inversion(it, {n: rep})
 
     def test_csv_rows_match_oracle(self, int_tower, tmp_path):
         n = int_tower.covered_horizon()
-        counts = occupation_counts(int_tower, n)
-        rep = occupation_distribution(int_tower, n, counts)
-        rep.to_csv(tmp_path / "occ.csv")
-        dist, _, _ = occupation_oracle(int_tower, n, counts, (), 2)
+        occupation_sweep(int_tower, [n])[n].to_csv(tmp_path / "occ.csv")
+        dist, _, _ = occupation_oracle(
+            int_tower, n, occupation_counts(int_tower, n), (), 2)
         with open(tmp_path / "occ.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["count", "mass"]] + [
@@ -257,7 +256,7 @@ class TestOccupation:
     def test_early_time_rejected(self):
         it = toy_tower({"a": [5, 9, 7]})
         with pytest.raises(SkyscraperError):
-            occupation_distribution(it, 3, occupation_counts(it, 3))
+            occupation_sweep(it, [3])
 
 
 def doubled_prefix_counts(w, n):
@@ -418,9 +417,7 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        reports, _ = occupation_sweep(int_tower, n_grid)
-        rep = check_inversion(int_tower, reports)
-        assert rep.ok()
+        rep = check_inversion(int_tower, occupation_sweep(int_tower, n_grid))
         assert rep.top_ok
         top = [n for n in rep.n_grid if n * 10 >= rep.n_grid[-1]]
         for n in top:
@@ -432,8 +429,8 @@ class TestInversion:
                    for s in int_tower.symbols)
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(8)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
-        _, moments = occupation_sweep(int_tower, n_grid, [1.0, 2.0], [2.0])
-        rows = are_diagnostic(int_tower, moments, [1.0, 2.0], [2.0])
+        reports = occupation_sweep(int_tower, n_grid, [1.0, 2.0], [2.0])
+        rows = are_diagnostic(int_tower, reports, [1.0, 2.0], [2.0])
         by_alpha = {r.alpha: r for r in rows}
         assert by_alpha[1.0].mode == "integrable"
         # E[Y^2]^(1/2) / E[Y] for Y uniform on {1,2}
@@ -445,8 +442,8 @@ class TestInversion:
 
     def test_divergent_mode_flag(self, int_tower):
         n_grid = [int_tower.covered_horizon()]
-        _, moments = occupation_sweep(int_tower, n_grid, [1.5], [2.0])
-        rows = are_diagnostic(int_tower, moments, [1.5], [2.0],
+        reports = occupation_sweep(int_tower, n_grid, [1.5], [2.0])
+        rows = are_diagnostic(int_tower, reports, [1.5], [2.0],
                               divergent_alphas=[1.5])
         assert rows[0].mode == "divergent"
         assert rows[0].bound_ok is None

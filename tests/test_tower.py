@@ -1,5 +1,6 @@
 """Unit tests for tower construction, certification, and serialization."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -10,11 +11,14 @@ import pytest
 from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
                                     transport_distances)
-from towerkit.lemma_engine import PreconditionError, SizeCapError
+from towerkit import tower
+from towerkit.lemma_engine import (InvariantError, PreconditionError,
+                                   SizeCapError)
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             build_general_tower, build_rational_tower,
-                            certify_theorem1, load_trace_summary, save_trace,
-                            tower_k_grid, trace_to_json_obj)
+                            certify_theorem1, check_example_run,
+                            load_trace_summary, save_trace, tower_k_grid,
+                            trace_to_json_obj)
 from towerkit.splitting import make_target
 
 from oracles import cyclic_partial_sums_units
@@ -93,6 +97,16 @@ class TestExampleTower:
         assert small_example_trace.target == FiniteDist.point(1)
 
 
+    def test_example_run_preconditions(self):
+        # kappa_n may reach eps_n * (e0 + kappa_1 + ... + kappa_{n-1})
+        check_example_run([F(10, 3), F(10, 3)], [F(1, 3), F(1, 4)], F(10))
+        for kappas in ([F(-1), F(0)], [F(1), F(4)], [F(1)]):
+            with pytest.raises(PreconditionError):
+                check_example_run(kappas, [F(1, 3), F(1, 4)], F(10))
+            with pytest.raises(PreconditionError):
+                build_example_tower(kappas, [F(1, 3), F(1, 4)], e0=F(10))
+
+
 class TestGeneralTower:
     def test_pareto_small(self):
         t = make_target("pareto", alpha=F(1))
@@ -104,6 +118,77 @@ class TestGeneralTower:
         for s in arr.symbols:
             assert F(arr.blocks[s].stats().mean) == \
                 arr.scale * arr.values[s]
+
+
+class TestBuildFailureWitness:
+    """Every hard build failure says where it failed: the first failing k
+    (at most three), the change mass against delta, or the (k, position)
+    witness of a block that is not normalized."""
+
+    def pareto(self):
+        return build_general_tower(make_target("pareto", alpha=F(1)),
+                                   [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)])
+
+    def test_general_certificate_names_k(self, monkeypatch):
+        step, certs = tower.extension_step, []
+
+        def far(*args, **kwargs):
+            arr, cert = step(*args, **kwargs)
+            certs.append(cert)
+            return arr, dataclasses.replace(
+                cert, distances=dict.fromkeys(cert.k_grid, 1.0))
+
+        monkeypatch.setattr(tower, "extension_step", far)
+        with pytest.raises(InvariantError) as exc:
+            self.pareto()
+        ks = list(certs[0].k_grid[:3])
+        assert str(exc.value) == (
+            f"stage 1 certificate failed at k={ks}, change mass "
+            f"{certs[0].change_mass} against delta 1/3")
+
+    def test_general_certificate_names_change_mass(self, monkeypatch):
+        step = tower.extension_step
+
+        def heavy(*args, **kwargs):
+            arr, cert = step(*args, **kwargs)
+            return arr, dataclasses.replace(cert, change_mass=F(1, 2))
+
+        monkeypatch.setattr(tower, "extension_step", heavy)
+        with pytest.raises(InvariantError) as exc:
+            self.pareto()
+        assert str(exc.value) == ("stage 1 certificate failed at k=[], "
+                                  "change mass 1/2 against delta 1/3")
+
+    def test_straightening_names_k(self, monkeypatch):
+        step, reports = tower.straightening_step, []
+
+        def strict(*args, **kwargs):
+            arr, rep = step(*args, **kwargs)
+            reports.append(rep)
+            return arr, dataclasses.replace(rep, bound=0.0)
+
+        monkeypatch.setattr(tower, "straightening_step", strict)
+        with pytest.raises(InvariantError) as exc:
+            self.pareto()
+        ks = [k for k, _ in reports[0].q_grid[:3]]
+        assert str(exc.value) == f"straightening at stage 2 failed at k={ks}"
+
+    def test_example_normalization_names_witness(self, monkeypatch):
+        # one copy per stage leaves the stage-2 block not normalized
+        witnesses = []
+
+        def recorded(w, eps, witness=False):
+            witnesses.append(is_normalized(w, eps, witness=True)[1])
+            return is_normalized(w, eps, witness)
+
+        monkeypatch.setattr(tower, "choose_tile", lambda w, e, cap: 1)
+        monkeypatch.setattr(tower, "is_normalized", recorded)
+        with pytest.raises(InvariantError) as exc:
+            build_example_tower([F(1), F(1, 2)], [F(1, 3), F(1, 4)],
+                                e0=F(10))
+        assert witnesses[-1] is not None
+        assert str(exc.value) == ("stage 2 block is not eps-normalized at "
+                                  f"(k, position) = {witnesses[-1]}")
 
 
 class TestCertification:
