@@ -43,20 +43,6 @@ def rescale_units(units: np.ndarray, f: int) -> np.ndarray:
     return units * np.int64(f)
 
 
-def _add_periods(units: np.ndarray, q: int, total: int) -> np.ndarray:
-    """units + q*total: S_k over q more whole periods of unit total
-    ``total``, for nonnegative units and total.  Raises BlockError when q
-    is negative (k < 0) or a sum would leave the int64 range."""
-    if q < 0:
-        raise BlockError("k must be nonnegative")
-    if q == 0:
-        return units
-    shift = q * total
-    if shift + int(units.max()) > _INT64_MAX:
-        raise BlockError(f"S_k over {q} more periods leaves the int64 range")
-    return units + np.int64(shift)
-
-
 def _has_shift(units: np.ndarray, d: int) -> bool:
     """units[i] == units[i + d] for every i, compared in chunks of growing
     length so that a mismatch near the start exits early."""

@@ -79,6 +79,12 @@ SKYSCRAPER_KEYS = ("base", "n_points", "tol", "eta", "tail_constant",
                    "x_values", "alphas", "t_grid", "divergent_alphas",
                    "bound_alphas", "rho")
 BASE_KEYS = ("kind", "target", "deltas", "epss", "kappas", "rounds")
+# The keys that no run of a kind reads, so setting one is a config error.
+# An example run's rounds is the default of its skyscraper base, and a
+# rational run's split reads max_depth, so neither is here.
+UNREAD_KEYS = {"example": ("deltas", "target", "etas"),
+               "rational": ("kappas", "e0", "etas"),
+               "general": ("kappas", "e0")}
 
 
 class ConfigError(ValueError):
@@ -290,6 +296,9 @@ def _run_stages(obj: dict, kind) -> Tuple[list, list, list,
     if kind not in ("rational", "example", "general"):
         raise ConfigError(f"kind must be rational|example|general, "
                           f"got {kind!r}")
+    unread = sorted(set(obj) & set(UNREAD_KEYS[kind]))
+    if unread:
+        raise ConfigError(f"{kind} runs do not read key(s) {unread}")
     deltas = _config_numbers(obj, "deltas")
     epss = _config_numbers(obj, "epss")
     kappas = _config_numbers(obj, "kappas")
@@ -527,7 +536,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
                            k_grid=cfg.k_grid)
     ks = cfg.sk_dist_ks or [max(1, trace.height // 2), trace.height]
     for hist in trace.final.sk_histograms(ks):
-        hist.to_csv(os.path.join(out, f"skdist_{hist.k}.csv"))
+        for i, k in enumerate(hist.ks):
+            hist.row(i).to_csv(os.path.join(out, f"skdist_{k}.csv"))
     report = dict(_report_header(cfg))
     report.update({
         "k_grid_size": len(rep.k_grid),

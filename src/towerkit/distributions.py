@@ -5,6 +5,14 @@ variable x -> arctan(x), so that the point at infinity is an honest atom at
 pi/2.  Masses are exact rationals or exact integer counts; only the arctan
 of each distinct value is a float.
 
+The laws of S_k on a grid of k are measured chunk by chunk: ``sk_histograms``
+yields SkHistogram records of consecutive rows (one per k) in flat int64
+arrays, built from each pattern's class laws by one gather per chunk;
+``SkHistogram.count_below`` decides every cdf threshold of a chunk at once
+and ``transport_distances`` compares its rows with their targets by one
+row-wise transport.  A record holds at most _CHUNK law entries, unless one
+row alone passes it.
+
 ``open_output`` is the one way the package opens a file it writes, and
 ``write_json`` the one JSON writer on top of it.
 """
@@ -15,7 +23,6 @@ import csv
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -24,7 +31,7 @@ from typing import (Dict, Iterator, List, Optional, Sequence, TextIO,
 
 import numpy as np
 
-from .blocks import _INT64_SAFE, Bump, _add_periods, rescale_units
+from .blocks import _INT64_MAX, _INT64_SAFE, BlockError, Bump
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
@@ -40,14 +47,18 @@ class DistError(ValueError):
     """Invalid distribution or invalid metric query."""
 
 
+def angle(v: Value) -> float:
+    """arctan(v) for v in [0, infinity], with arctan(infinity) = pi/2."""
+    f = float(v)
+    # a negative v may round to -0.0
+    if f < 0 or (f == 0 and v < 0):
+        raise DistError(f"rho is defined on nonnegative values, got {v}")
+    return math.pi / 2 if f == INF else math.atan(f)
+
+
 def rho(x: Value, y: Value) -> float:
     """Compactified distance |arctan(x) - arctan(y)| on [0, infinity]."""
-    for v in (x, y):
-        if v != INF and v < 0:
-            raise DistError(f"rho is defined on nonnegative values, got {v}")
-    ax = math.pi / 2 if x == INF else math.atan(float(x))
-    ay = math.pi / 2 if y == INF else math.atan(float(y))
-    return abs(ax - ay)
+    return abs(angle(x) - angle(y))
 
 
 def _format_value(v: Value) -> str:
@@ -183,8 +194,8 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
     the level u in (0, 1]; their breakpoints are merged exactly as integers
     over n*L, with L the least common denominator of the masses of the
     target.  Each row's breakpoints are shifted by the sum of n*L over the
-    rows before it, so the rows fill disjoint ranges and one
-    union1d/searchsorted pair serves them all; they are promoted to Python
+    rows before it, so the rows fill disjoint ranges and one merge and
+    one searchsorted pair serve them all; they are promoted to Python
     ints when that sum leaves the int64 range.  Returns per row the
     integral ("vasershtein", L1; one dot product per row, so each float is
     the one a row alone gives) or the sup ("uniform", L-infinity) of the
@@ -214,7 +225,12 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
                       for d, n, off in zip(dists, totals, offs)
                       for t in targets[id(d)][0]], dtype=dtype)
     tv = np.arctan([x for d in dists for x in targets[id(d)][2]])
-    cuts = np.union1d(own, other)
+    # own and other each increase, so one stable sort merges the two runs
+    cuts = np.concatenate([own, other])
+    cuts.sort(kind="stable")
+    new = np.ones(cuts.size, dtype=bool)
+    new[1:] = cuts[1:] != cuts[:-1]
+    cuts = cuts[new]
     gap = np.abs(av[np.searchsorted(own, cuts)] -
                  tv[np.searchsorted(other, cuts)])
     first = np.searchsorted(cuts, np.array(offs[:-1], dtype=dtype),
@@ -229,17 +245,18 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
 
 def transport_distances(laws, metric: str = "vasershtein") -> List[float]:
     """Transport distance between the law of S_k/(k*norm) and ``dist`` for
-    each (hist, norm, dist) of ``laws``, in order; ``metric`` is
+    each row of ``laws``, in order.  Each item is (hist, norms, dists): an
+    SkHistogram with one norm and one target per row.  ``metric`` is
     "vasershtein" (L1) or "uniform" (L-infinity).
 
-    The histograms are taken in chunks of at most _CHUNK law entries (one
-    histogram may pass it alone), and each chunk is compared by one
-    ``_transport`` call, so a grid holds one chunk at a time.
+    Records are compared together by one ``_transport`` call while they
+    hold at most _CHUNK law entries (one record may pass it alone), so a
+    grid holds one chunk at a time.
     """
     out: List[float] = []
     chunk, size = [], 0
     for law in laws:
-        n = sum(u.size for u in law[0].units)
+        n = law[0].units.size
         if chunk and size + n > _CHUNK:
             out += _hist_transport(chunk, metric)
             chunk, size = [], 0
@@ -251,20 +268,27 @@ def transport_distances(laws, metric: str = "vasershtein") -> List[float]:
 
 
 def _hist_transport(laws, metric: str) -> List[float]:
-    """``_transport`` of (hist, norm, dist) rows: each row's values
-    S_k/(k*norm) as floats, sorted stably within the row, so that equal
-    values keep block order."""
-    units = [u for hist, _, _ in laws for u in hist.units]
-    factors = [float(sc) / (hist.k * float(norm))
-               for hist, norm, _ in laws for sc in hist.scales]
-    vals = np.concatenate(units).astype(float) * \
-        np.repeat(factors, [u.size for u in units])
-    lengths = [sum(u.size for u in hist.units) for hist, _, _ in laws]
-    order = np.lexsort((vals, np.repeat(np.arange(len(laws)), lengths)))
-    counts = np.concatenate([c for hist, _, _ in laws for c in hist.counts])
+    """``_transport`` of the rows of (hist, norms, dists) records: each
+    row's values S_k/(k*norm) as floats, units*(float(scale)/(k*float(norm)))
+    per block, sorted stably within the row, so that equal values keep
+    block order."""
+    factors, sizes, lengths = [], [], []
+    for hist, norms, _ in laws:
+        per_k = np.array(hist.ks, dtype=float) * \
+            np.array([float(x) for x in norms])
+        factors.append(np.array([float(sc) for sc in hist.scales]) /
+                       per_k[:, None])
+        sizes.append(np.diff(hist.offsets))
+        lengths.append(np.diff(hist.offsets[::len(hist.scales)]))
+    lengths = np.concatenate(lengths)
+    vals = np.concatenate([hist.units for hist, _, _ in laws]).astype(float) \
+        * np.repeat(np.concatenate([f.ravel() for f in factors]),
+                    np.concatenate(sizes))
+    order = np.lexsort((vals, np.repeat(np.arange(lengths.size), lengths)))
+    counts = np.concatenate([hist.counts for hist, _, _ in laws])
     return _transport(np.arctan(vals[order]), counts[order], lengths,
-                      [hist.total for hist, _, _ in laws],
-                      [dist for _, _, dist in laws], metric)
+                      [n for hist, _, _ in laws for n in hist.totals],
+                      [d for _, _, dists in laws for d in dists], metric)
 
 
 def _tiling(w) -> Bump:
@@ -277,9 +301,11 @@ def _tiling(w) -> Bump:
     return bump
 
 
-def _class_laws(w, cs) -> list:
-    """Per class c of ``cs`` (0 <= c < p), the sorted distinct units of
-    S_c over one least period p of ``w`` with their int64 counts.
+def _class_laws(w, cs) -> tuple:
+    """(units, counts, ends): for the i-th class c of ``cs`` (0 <= c < p),
+    the sorted distinct units of S_c over one least period p of ``w`` are
+    units[ends[i]:ends[i + 1]], with their int64 counts at the same
+    entries of ``counts``.
 
     Every class is measured on one least period L of the child of
     ``_tiling(w)`` = (child, f, B, s): a position t in [0, s) reads
@@ -327,16 +353,7 @@ def _class_laws(w, cs) -> list:
     starts = np.flatnonzero(new)
     vals, counts = vals[starts], np.add.reduceat(counts, starts)
     ends = np.searchsorted(rows[starts], np.arange(cs.size + 1))
-    return [(vals[i:j], counts[i:j]) for i, j in zip(ends[:-1], ends[1:])]
-
-
-def _class_law_stream(w, cs) -> Iterator[tuple]:
-    """(c, law) for each class c of ``cs`` in order, measured by
-    ``_class_laws`` in chunks of at most _CHUNK child positions."""
-    step = max(1, _CHUNK // _tiling(w).child.period)
-    for i in range(0, len(cs), step):
-        chunk = cs[i:i + step]
-        yield from zip(chunk, _class_laws(w, chunk))
+    return vals, counts, ends
 
 
 class PeriodLaws:
@@ -355,30 +372,29 @@ class PeriodLaws:
     - multiples: blocks of equal height and least period whose first
       periods are g*P and g'*P for one integer pattern P (g the gcd of a
       period's units) have S_k(g'*P) = (g'/g)*S_k(g*P), so one of them
-      is measured.  The other's law divides the measured class law by g,
-      adds whole periods of P and multiplies by g' with a check, so it
-      raises BlockError exactly when its own S_k leaves int64.
+      is measured, and the other's law is the measured law divided by g
+      and multiplied by g'.
 
-    Class laws are measured by ``_class_laws``, on one least period of the
-    child of a bump-tiled block, else over the block's own least period:
-    each pattern's classes in order of first need, one chunk at a time.
-    The law is in units, so the scale plays no part.  A class law is kept
-    only until the last k of the grid that needs it, so a grid without
-    repeats holds no more than one chunk of class laws per pattern.  The whole periods are added per
-    k, so BlockError comes at the first k whose S_k leaves int64.
+    Each measured block's classes are taken in order of first need and
+    measured by ``_class_laws`` as they are needed, in measurements of at
+    most _CHUNK child positions: one least period of the child of a
+    bump-tiled block, else of the block itself.  The law is in units, so
+    the scale plays no part.  A measurement is kept only until the last k
+    of the grid that reads it, so a grid without repeats holds about one
+    measurement per pattern.  ``records`` then applies whole periods,
+    reflections and multiples to a chunk of rows at once.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
         self.blocks = list(blocks)
         # per block, the index of the block measured for it and its factor
         # g' when that differs from the measured block's g, else None
-        self.first = list(range(len(self.blocks)))
-        self.factor: List[Optional[int]] = [None] * len(self.blocks)
+        first = list(range(len(self.blocks)))
+        factor: List[Optional[int]] = [None] * len(self.blocks)
         shapes: Dict[Tuple[int, int], List[int]] = {}
         for i, w in enumerate(self.blocks):
             shapes.setdefault((len(w), w.period), []).append(i)
         gcds: Dict[int, int] = {}
-        multiples: Dict[int, set] = {}
         for (_, p), group in shapes.items():
             # only blocks that share height and least period can share a
             # pattern, so a block without such a partner costs nothing
@@ -396,132 +412,264 @@ class PeriodLaws:
                         continue
                     if s == t:
                         if np.array_equal(u, v):
-                            self.first[i] = j
+                            first[i] = j
                             break
                         continue
                     g, gj = int(np.gcd.reduce(u)), int(np.gcd.reduce(v))
                     if np.array_equal(u // g, v // gj):
-                        self.first[i], self.factor[i] = j, g
+                        first[i], factor[i] = j, g
                         gcds[j] = gj
-                        multiples.setdefault(j, set()).add(g)
                         break
                 else:
                     reps.append((i, a, s))
-        # (index, block, least period, unit total of a period, gcd of a
-        # period, factors of its multiples) per measured block, and the
-        # number of k of the grid in each of its classes
-        self.distinct = []
-        for j in sorted(set(self.first)):
-            w = self.blocks[j]
-            self.distinct.append((j, w, w.period, int(w.prefix[w.period]),
-                                  gcds.get(j), sorted(multiples.get(j, ()))))
-        self.pending = Counter((j, min(k % p, p - k % p))
-                               for j, _, p, _, _, _ in self.distinct
-                               for k in ks)
-        self.streams = {j: _class_law_stream(w, list(dict.fromkeys(
-                            min(k % p, p - k % p) for k in ks)))
-                        for j, w, p, _, _, _ in self.distinct}
-        self.memo: Dict[Tuple[int, int], tuple] = {}
+        index = sorted(set(first))
+        self.measured = [self.blocks[j] for j in index]
+        p = np.array([w.period for w in self.measured], dtype=np.int64)
+        self.sigma = np.array([int(w.prefix[w.period]) for w in self.measured],
+                              dtype=np.int64)
+        # per block: the column of its measured block, the gcd g that its
+        # measured law is divided by and the g' it is multiplied by (1 and
+        # 1 for the measured law itself), and its number of periods
+        self.col = np.array([index.index(j) for j in first], dtype=np.int64)
+        self.readers = np.bincount(self.col, minlength=p.size)
+        self.div = np.array([1 if f is None else gcds[j]
+                             for j, f in zip(first, factor)], dtype=np.int64)
+        self.mul = np.array([1 if f is None else f for f in factor],
+                            dtype=np.int64)
+        self.multiples = any(f is not None for f in factor)
+        self.periods = np.array([len(w) // w.period for w in self.blocks],
+                                dtype=np.int64)
+        # per row and measured block: whole periods q, reflection, and the
+        # class's index in order of first need
+        self.ks = list(ks)
+        k = np.array(self.ks, dtype=np.int64).reshape(-1, 1)
+        self.q, r = np.divmod(k, p)
+        c = np.minimum(r, p - r)
+        self.flip = r > c
+        self.idx = np.zeros(c.shape, dtype=np.int64)
+        # per measured block: its classes in order of first need, classes
+        # per measurement, the last row that reads each measurement, the
+        # entries of each measured class law and where it sits in the pool
+        self.classes, self.step, self.last = [], [], []
+        for d, w in enumerate(self.measured):
+            cs, seen, inv = np.unique(c[:, d], return_index=True,
+                                      return_inverse=True)
+            order = np.argsort(seen)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            self.idx[:, d] = rank[inv]
+            self.classes.append(cs[order])
+            step = max(1, _CHUNK // _tiling(w).child.period)
+            last = np.full(-(-cs.size // step), -1)
+            np.maximum.at(last, self.idx[:, d] // step, np.arange(len(k)))
+            self.step.append(step)
+            self.last.append(last)
+        self.need = np.maximum.accumulate(self.idx, axis=0)
+        self.lens = [np.zeros(cs.size, dtype=np.int64) for cs in self.classes]
+        self.at = [np.zeros(cs.size, dtype=np.int64) for cs in self.classes]
+        self.done = [0] * p.size
+        # (column, measurement) -> (units, counts, ends) of its class laws
+        self.live: Dict[Tuple[int, int], tuple] = {}
 
-    def at(self, k: int) -> list:
-        """Per block, in input order, the sorted distinct units of S_k over
-        one least period with their int64 counts; blocks with equal units
-        get the same pair.  Raises BlockError past the int64 range."""
-        laws = {}
-        for j, _, p, sigma, g, factors in self.distinct:
-            q, r = divmod(k, p)
-            c = min(r, p - r)
-            while (j, c) not in self.memo:
-                d, law = next(self.streams[j])
-                self.memo[j, d] = law
-            self.pending[j, c] -= 1
-            u, n = self.memo[j, c]
-            if self.pending[j, c] <= 0:
-                del self.memo[j, c]
-            if r > c:
-                u, n = sigma - u[::-1], n[::-1]
-            if factors:
-                # the pattern's law, divided by g before whole periods are
-                # added, so only a block's own S_k can leave int64
-                v = _add_periods(u // g, q, sigma // g)
-                for f in factors:
-                    laws[j, f] = rescale_units(v, f), n
-            laws[j, None] = _add_periods(u, q, sigma), n
-        return [laws[j, f] for j, f in zip(self.first, self.factor)]
+    def _measure(self, d: int) -> None:
+        """Measure the next classes of measured block d."""
+        t, step = self.done[d] // self.step[d], self.step[d]
+        cs = self.classes[d][t * step:(t + 1) * step]
+        units, counts, ends = _class_laws(self.measured[d], cs)
+        self.live[d, t] = units, counts, ends
+        self.lens[d][t * step:t * step + cs.size] = np.diff(ends)
+        self.done[d] += cs.size
+
+    def records(self) -> Iterator["SkHistogram"]:
+        """The SkHistogram records of the grid, in order, each of
+        consecutive rows that hold at most _CHUNK law entries together
+        (one row may pass it alone); classes are measured as the rows
+        need them."""
+        n, start = len(self.ks), 0
+        while start < n:
+            # rows before ``ready`` have every class law measured
+            avail = [int(np.searchsorted(self.need[:, d], m))
+                     for d, m in enumerate(self.done)]
+            ready = min(avail)
+            rows = self.idx[start:ready]
+            sizes = sum(lens[rows[:, d]] * self.readers[d]
+                        for d, lens in enumerate(self.lens))
+            fit = int(np.searchsorted(np.cumsum(sizes), _CHUNK, "right"))
+            if fit == ready - start and ready < n:
+                self._measure(int(np.argmin(avail)))
+                continue
+            end = start + max(1, fit)
+            yield from self._record(start, end)
+            self.live = {(d, t): law for (d, t), law in self.live.items()
+                         if self.last[d][t] >= end}
+            start = end
+
+    def _record(self, start: int, end: int) -> Iterator["SkHistogram"]:
+        """The SkHistogram of rows start..end-1: whole periods, reflections
+        and multiples applied by one gather over the rows.
+
+        The largest S_k of every row and block is checked against int64
+        first.  When some row leaves it, the record of the rows before the
+        first such row is yielded, then BlockError names its k.
+        """
+        # one pool of the live measurements, and where each class sits
+        laws = list(self.live.items())
+        pool = [np.concatenate([law[i] for _, law in laws]) for i in (0, 1)]
+        base = 0
+        for (d, t), (units, _, ends) in laws:
+            step = self.step[d]
+            self.at[d][t * step:t * step + ends.size - 1] = base + ends[:-1]
+            base += units.size
+        rows = self.idx[start:end]
+        lens = np.stack([lens[rows[:, d]] for d, lens in
+                         enumerate(self.lens)], axis=1).ravel()
+        src = np.stack([at[rows[:, d]] for d, at in enumerate(self.at)],
+                       axis=1).ravel()
+        q = self.q[start:end].ravel()
+        flip = self.flip[start:end].ravel()
+        sigma = np.tile(self.sigma, end - start)
+        # the largest S_k of each row and measured block: its top unit over
+        # a period plus q whole periods, tested without leaving int64
+        top = np.where(flip, sigma - pool[0][src],
+                       pool[0][src + lens - 1])
+        past = q > (_INT64_MAX - top) // sigma
+        cols = self.sigma.size
+        most = np.where(past, 0, top + q * sigma).reshape(-1, cols)[
+            :, self.col]
+        past = past.reshape(-1, cols)[:, self.col] | \
+            (most // self.div > _INT64_MAX // self.mul)
+        bad = np.flatnonzero(past.any(axis=1))
+        n = int(bad[0]) if bad.size else end - start
+        if n:
+            # per (row, block) segment: its source segment, length, and
+            # the start of its entries in the pool, read backwards when
+            # the law is reflected
+            seg = (np.arange(n)[:, None] * cols + self.col).ravel()
+            size = lens[seg]
+            offsets = np.zeros(seg.size + 1, dtype=np.int64)
+            np.cumsum(size, out=offsets[1:])
+            sign = np.where(flip[seg], -1, 1)
+            first = np.where(flip[seg], src[seg] + size - 1, src[seg])
+            pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], size)
+            idx = np.repeat(first, size) + np.repeat(sign, size) * pos
+            # u or Sigma - u, then q whole periods: no partial sum passes
+            # the largest S_k, which fits int64
+            vals = np.repeat(sign, size) * pool[0][idx] + \
+                np.repeat(flip[seg] * sigma[seg], size) + \
+                np.repeat(q[seg] * sigma[seg], size)
+            if self.multiples:
+                vals = vals // np.repeat(np.tile(self.div, n), size) * \
+                    np.repeat(np.tile(self.mul, n), size)
+            counts = pool[1][idx] * np.repeat(np.tile(self.periods, n), size)
+            yield SkHistogram(self.ks[start:start + n],
+                              [w.scale for w in self.blocks], vals, counts,
+                              offsets)
+        if n < end - start:
+            raise BlockError(f"S_{self.ks[start + n]} leaves the int64 range")
 
 
 def sk_histograms(blocks, ks: Sequence[int]) -> Iterator["SkHistogram"]:
-    """The SkHistogram of S_k over every position of ``blocks`` at each k
-    of ``ks``, in order.
+    """The law of S_k over every position of ``blocks`` at each k of
+    ``ks``, in order, as SkHistogram records of consecutive rows that
+    hold at most _CHUNK law entries each (one row may pass it alone).
 
     One PeriodLaws serves the whole grid, so each pattern is measured once
-    per class of k, and its memo goes with the iterator.  S_k repeats with
-    a block's least period p, so its law over the block is h/p copies of
-    its law over one period.
+    per class of k, and its measurements go with the iterator.  S_k
+    repeats with a block's least period p, so its law over the block is
+    h/p copies of its law over one period.  Raises BlockError for a
+    negative k, and at the first k whose S_k leaves int64, after the rows
+    before it.
     """
     ks = list(ks)
-    laws = PeriodLaws(blocks, ks)
-    scales = [w.scale for w in laws.blocks]
-    for k in ks:
-        pairs = laws.at(k)
-        yield SkHistogram(k, scales, [u for u, _ in pairs],
-                          [c * (len(w) // w.period)
-                           for w, (_, c) in zip(laws.blocks, pairs)])
+    if any(k < 0 for k in ks):
+        raise BlockError("k must be nonnegative")
+    return PeriodLaws(blocks, ks).records()
 
 
 class SkHistogram:
-    """Exact law of integer sums over a finite set of positions, held by
-    block: the law of the cyclic partial sums S_k of a list of blocks
-    (``sk_histograms``), or of the occupation counts of a skyscraper base.
+    """Exact laws of integer sums over a finite set of positions, one row
+    per k of a chunk: the laws of the cyclic partial sums S_k of a list of
+    blocks (``sk_histograms``), or the law of the occupation counts of a
+    skyscraper base (one row, one block, scale 1 and k = 1).
 
-    For each block it holds the sorted distinct values of S_k/scale as
-    ``units`` with their int64 ``counts``, so every mass is an exact
-    integer count over ``total``, the number of positions.  Floats enter
-    only through the arctan of each distinct value when a transport
-    distance is taken.
+    Row i and block b hold the sorted distinct values of S_k/scale of the
+    block as units[offsets[i*B + b]:offsets[i*B + b + 1]], with their
+    int64 counts at the same entries of ``counts``, B = len(scales).  So
+    every mass is an exact integer count over ``totals[i]``, the number of
+    positions of the row.  Floats enter only through the arctan of each
+    distinct value when a transport distance is taken.
     """
 
-    __slots__ = ("k", "scales", "units", "counts", "total")
+    __slots__ = ("ks", "scales", "units", "counts", "offsets", "totals")
 
-    def __init__(self, k: int, scales: list, units: list, counts: list):
-        self.k, self.scales, self.units, self.counts = k, scales, units, counts
-        self.total = sum(int(c.sum()) for c in self.counts)
+    def __init__(self, ks: List[int], scales: list, units: np.ndarray,
+                 counts: np.ndarray, offsets: np.ndarray):
+        self.ks, self.scales = ks, scales
+        self.units, self.counts, self.offsets = units, counts, offsets
+        self.totals = np.add.reduceat(
+            counts, offsets[:-1:len(scales)]).tolist()
+
+    def row(self, i: int) -> "SkHistogram":
+        """The one-row record of row i."""
+        b = len(self.scales)
+        lo, hi = self.offsets[i * b], self.offsets[(i + 1) * b]
+        return SkHistogram([self.ks[i]], self.scales, self.units[lo:hi],
+                           self.counts[lo:hi],
+                           self.offsets[i * b:(i + 1) * b + 1] - lo)
 
     def merged(self) -> List[Tuple[Fraction, int]]:
-        """(value, count) for each distinct exact value over all blocks,
-        increasing.  Units are brought to the least common denominator of
-        the scales as Python ints, so equal values of blocks at different
-        scales merge and none is rounded or wraps."""
+        """(value, count) for each distinct exact value over all blocks of
+        a one-row record, increasing.  Units are brought to the least
+        common denominator of the scales as Python ints, so equal values
+        of blocks at different scales merge and none is rounded or
+        wraps."""
         den = math.lcm(*(sc.denominator for sc in self.scales))
-        nums = np.concatenate([u.astype(object) * int(sc * den)
-                               for u, sc in zip(self.units, self.scales)])
+        nums = self.units.astype(object) * np.repeat(
+            np.array([int(sc * den) for sc in self.scales], dtype=object),
+            np.diff(self.offsets))
         vals, inv = np.unique(nums, return_inverse=True)
         counts = np.zeros(len(vals), dtype=np.int64)
-        np.add.at(counts, inv, np.concatenate(self.counts))
+        np.add.at(counts, inv, self.counts)
         return [(Fraction(v, den), c)
                 for v, c in zip(vals.tolist(), counts.tolist())]
 
     def to_csv(self, path: str) -> None:
-        """Write the merged law as rows value,count,mass, with the mass
-        as count/total."""
+        """Write the merged law of a one-row record as rows
+        value,count,mass, with the mass as count/total."""
         with open_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["value", "count", "mass"])
             for v, c in self.merged():
-                writer.writerow([str(v), c, f"{c}/{self.total}"])
+                writer.writerow([str(v), c, f"{c}/{self.totals[0]}"])
 
-    def count_below(self, thresh: Value) -> int:
-        """Exact number of positions with S_k < thresh."""
-        t = Fraction(thresh)
-        n = 0
-        for u, c, sc in zip(self.units, self.counts, self.scales):
-            # S < thresh  <=>  units < thresh/scale, decided exactly: below
-            # an integer bound, or up to the floor of a fractional one
-            cut, rem = divmod(t.numerator * sc.denominator,
-                              t.denominator * sc.numerator)
-            i = np.searchsorted(u, cut, side="right" if rem else "left")
-            n += int(c[:i].sum())
-        return n
+    def count_below(self, xs: Sequence, factors: Sequence) -> List[List[int]]:
+        """Exact number of positions of row i with S_k < x*factors[i], for
+        each row i and each x of ``xs``: one list per row.
+
+        S < t  <=>  units < t/scale, decided exactly: below an integer
+        bound, or up to the floor of a fractional one.  One Python-int
+        divmod per (row, x, block) gives the largest unit counted (t/scale
+        - 1 or the floor), then one comparison and one ``np.add.reduceat``
+        run over the flat entries.
+        """
+        b = len(self.scales)
+        pairs = [(x.numerator * sc.denominator, x.denominator * sc.numerator)
+                 for x in map(Fraction, xs) for sc in self.scales]
+        if not pairs:
+            return [[] for _ in factors]
+        rows = [(f.numerator, f.denominator) for f in map(Fraction, factors)]
+        parts = [divmod(num * a, den * d) for num, den in rows
+                 for a, d in pairs]
+        cuts = [cut - (not rem) for cut, rem in parts]
+        if max(cuts) > _INT64_MAX or min(cuts) < -1:
+            cuts = [max(-1, min(cut, _INT64_MAX)) for cut in cuts]
+        xn = len(pairs) // b
+        cut = np.array(cuts, dtype=np.int64).reshape(-1, xn, b) \
+            .transpose(1, 0, 2).reshape(xn, -1)
+        below = self.units <= np.repeat(cut, np.diff(self.offsets), axis=1)
+        n = np.add.reduceat(np.where(below, self.counts, 0),
+                            self.offsets[:-1:b], axis=1)
+        return n.T.tolist()
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,8 @@ class BlockArray:
 
     def sk_histograms(self, ks: Sequence[int]) -> Iterator[SkHistogram]:
         """Exact law of S_k over all positions of all blocks, for each k of
-        ``ks`` in order, sharing one measurement per block class."""
+        ``ks`` in order, as chunk records (``distributions.sk_histograms``)
+        sharing one measurement per block class."""
         return sk_histograms([self.blocks[s] for s in self.symbols], ks)
 
 
@@ -445,8 +446,8 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
              delta: Fraction, change: Fraction) -> ExtensionCertificate:
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=CERT_DENSE, geo_cap=CERT_GEO)
-    laws = ((hist, gamma.gamma(k), y)
-            for k, hist in zip(grid, arr_new.sk_histograms(grid)))
+    laws = ((hist, [gamma.gamma(k) for k in hist.ks], [y] * len(hist.ks))
+            for hist in arr_new.sk_histograms(grid))
     distances = dict(zip(grid, transport_distances(laws, "uniform")))
     return ExtensionCertificate(tuple(grid), distances, gamma, change,
                                 float(delta))
@@ -562,7 +563,7 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     final = BlockArray(fine_syms, refined.blocks, g, c0 * k_factor)
     h0, h1 = arr.height, final.height
     grid = make_k_grid(h0, h1, dense_cap=min(2048, 4 * h0), geo_cap=64)
-    q_grid, norms, blends = [], [], []
+    q_grid, norms, blends = [], {}, {}
     prev_q = None
     for k in grid:
         p = rep.p_of_k(k)
@@ -571,11 +572,12 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
             raise InvariantError("blend weight must be monotone in k")
         prev_q = q_k
         q_grid.append((k, q_k))
-        norms.append(c0 * ((1 - p) + p * k_factor))
-        blends.append(FiniteDist.uniform(
-            [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms]))
+        norms[k] = c0 * ((1 - p) + p * k_factor)
+        blends[k] = FiniteDist.uniform(
+            [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
     distances = dict(zip(grid, transport_distances(
-        zip(final.sk_histograms(grid), norms, blends))))
+        (hist, [norms[k] for k in hist.ks], [blends[k] for k in hist.ks])
+        for hist in final.sk_histograms(grid))))
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
     report = StraighteningReport(k_factor, tuple(q_grid), distances,

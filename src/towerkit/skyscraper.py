@@ -300,18 +300,19 @@ class OccupationReport:
     law and the float statistics that ``are_diagnostic`` reads."""
 
     a_n: Fraction
-    law: SkHistogram            # law of S_n(1_Omega) over the base
+    law: SkHistogram            # one-row law of S_n(1_Omega) over the base
     mean: float                 # E[S_n(1_Omega)]
     moment: dict                # alpha -> E[S_n^alpha]^(1/alpha)
     u: dict                     # (alpha, t) -> E[Phi_n 1_{Phi_n > t}]
 
     def to_csv(self, path: str) -> None:
-        (values,), (counts,) = self.law.units, self.law.counts
+        total = self.law.totals[0]
         with open_output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["count", "mass"])
-            for v, c in zip(values.tolist(), counts.tolist()):
-                writer.writerow([str(v), str(Fraction(c, self.law.total))])
+            for v, c in zip(self.law.units.tolist(),
+                            self.law.counts.tolist()):
+                writer.writerow([str(v), str(Fraction(c, total))])
 
 
 def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
@@ -325,8 +326,8 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     ``occupation_counts``, whose counts are then dropped, so one
     horizon's counts are held at a time.
 
-    The law is one SkHistogram of the counts at scale 1 and k = 1.  Its
-    tail checks compare the exact mass of [S_n >= x a(n)] against
+    The law is a one-row SkHistogram of the counts at scale 1 and k = 1.
+    Its tail checks compare the exact mass of [S_n >= x a(n)] against
     tail_constant * P(Y >= x) for the occupation target Y, and the first
     that fails raises ``InversionError`` with the witness
     (n, x, lhs, bound).  The alpha-moments and the uniform-integrability
@@ -341,8 +342,8 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
         raise SkyscraperError("alpha must be positive")
     t_grid = [float(t) for t in t_grid]
     y = it.occupation_target
-    bounds = [(x, Fraction(tail_constant) * (1 - y.cdf_below(x)))
-              for x in map(Fraction, x_values)]
+    xs = [Fraction(x) for x in x_values]
+    bounds = [Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs]
     reports = {}
     for n in sorted(set(int(n) for n in n_grid)):
         counts = occupation_counts(it, n)
@@ -352,10 +353,13 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
         if values[0] < 1:
             raise SkyscraperError(
                 f"time {n} precedes the first return at some base position")
-        law = SkHistogram(1, [Fraction(1)], [values], [mult])
+        law = SkHistogram([1], [Fraction(1)], values, mult,
+                          np.array([0, values.size]))
         a_n = it.a_of(n)
-        for x, bound in bounds:
-            lhs = Fraction(law.total - law.count_below(x * a_n), law.total)
+        total = law.totals[0]
+        (below,) = law.count_below(xs, [a_n])
+        for x, bound, m in zip(xs, bounds, below):
+            lhs = Fraction(total - m, total)
             if not lhs <= bound:
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
@@ -403,13 +407,13 @@ def check_inversion(it: IntegerTower, reports: Dict,
     y = it.occupation_target
     z = it.trace.target
     occ_d = dict(zip(n_grid, transport_distances(
-        (reports[n].law, reports[n].a_n, y) for n in n_grid)))
+        (reports[n].law, [reports[n].a_n], [y]) for n in n_grid)))
     windows = [max(1, int(round(float(reports[n].a_n)))) for n in n_grid]
     blocks = [it.blocks[s] for s in it.symbols]
     gamma = it.trace.global_gamma.gamma
     phi_d = dict(zip(n_grid, transport_distances(
-        (hist, gamma(m), z)
-        for m, hist in zip(windows, sk_histograms(blocks, windows)))))
+        (hist, [gamma(m) for m in hist.ks], [z] * len(hist.ks))
+        for hist in sk_histograms(blocks, windows))))
     top = [n for n in n_grid if n * 10 >= n_grid[-1]]
     top_ok = all(occ_d[n] <= tol for n in top)
     return InversionReport(tuple(n_grid), occ_d, phi_d, top_ok)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
-from .distributions import INF, FiniteDist, Value, rho
+from .distributions import INF, FiniteDist, Value, angle
 
 # extra levels by which tail_cost_bound refines before its analytic remainder
 GUARD = 8
@@ -207,11 +207,13 @@ def split_cost(target: TargetDist, fine_depth: int, coarse_depth: int) -> float:
     depth-``coarse_depth`` ancestors, enumerated over all fine cells."""
     if not 1 <= coarse_depth < fine_depth:
         raise SplittingError("need 1 <= coarse_depth < fine_depth")
-    fine = target.quantile_grid(fine_depth)
+    # every coarse value is the fine value at the end of its cell, so each
+    # fine value's arctan is taken once
+    fine = [angle(v) for v in target.quantile_grid(fine_depth)]
     shift = fine_depth - coarse_depth
     step = 1 << shift
     n = len(fine)
-    return math.fsum(rho(fine[j], fine[((j >> shift) << shift) + step - 1])
+    return math.fsum(abs(fine[j] - fine[((j >> shift) << shift) + step - 1])
                      for j in range(n)) / n
 
 

@@ -373,18 +373,21 @@ def certify_theorem1(trace: TowerTrace,
     arr = trace.final
     y = trace.target
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
-    bounds = [(x, y.cdf(BICYCLE_M * x)) for x in map(Fraction, x_values)]
+    xs = [Fraction(x) for x in x_values]
+    bounds = [y.cdf(BICYCLE_M * x) for x in xs]
     checks = []
 
     def laws():
-        # the cdf checks read each histogram on its way to the transport
-        for k, hist in zip(grid, arr.sk_histograms(grid)):
-            g = trace.global_gamma.gamma(k)
-            for x, bound in bounds:
-                lhs = Fraction(hist.count_below(x * k * Fraction(g)),
-                               hist.total)
-                checks.append((k, x, lhs, bound, lhs <= bound))
-            yield hist, g, y
+        # the cdf checks read each record on its way to the transport
+        for hist in arr.sk_histograms(grid):
+            gs = [trace.global_gamma.gamma(k) for k in hist.ks]
+            below = hist.count_below(
+                xs, [k * Fraction(g) for k, g in zip(hist.ks, gs)])
+            for k, counts, total in zip(hist.ks, below, hist.totals):
+                for x, bound, n in zip(xs, bounds, counts):
+                    lhs = Fraction(n, total)
+                    checks.append((k, x, lhs, bound, lhs <= bound))
+            yield hist, gs, [y] * len(gs)
 
     vas = dict(zip(grid, transport_distances(laws())))
     lower_ok = all(ok for *_, ok in checks)

@@ -20,7 +20,7 @@ from towerkit.blocks import (Block, BlockError, _window_extremes,
                              rescale_units, self_concat)
 from towerkit.distributions import sk_histograms
 
-from oracles import INT64_MAX, cyclic_partial_sums_units
+from oracles import INT64_MAX, cyclic_partial_sums_units, rows
 
 # few letters, so that random blocks are often periodic; tile counts with
 # several prime factors
@@ -186,8 +186,8 @@ class TestPeriod:
         assert np.array_equal(full, np.tile(full[:p], len(w) // p))
         u, c = np.unique(full, return_counts=True)
         hist, = sk_histograms([w], [k])
-        assert hist.units[0].tolist() == u.tolist()
-        assert hist.counts[0].tolist() == c.tolist()
+        assert hist.units.tolist() == u.tolist()
+        assert hist.counts.tolist() == c.tolist()
 
 
 class TestWindowExtremes:
@@ -262,8 +262,8 @@ class TestCyclicPartialSums:
         w = Block(units)
         h = len(w)
         hist, = sk_histograms([w], [wraps * h])
-        assert hist.units[0].tolist() == [wraps * w.total_units()]
-        assert hist.counts[0].tolist() == [h]
+        assert hist.units.tolist() == [wraps * w.total_units()]
+        assert hist.counts.tolist() == [h]
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=20),
@@ -271,10 +271,9 @@ class TestCyclicPartialSums:
     def test_period_shift_identity(self, units, k):
         w = Block(units)
         h = len(w)
-        one, turned = sk_histograms([w], [k, k + h])
-        assert np.array_equal(turned.units[0],
-                              one.units[0] + w.total_units())
-        assert np.array_equal(turned.counts[0], one.counts[0])
+        one, turned = rows(sk_histograms([w], [k, k + h]))
+        assert np.array_equal(turned.units, one.units + w.total_units())
+        assert np.array_equal(turned.counts, one.counts)
 
     @settings(max_examples=80, derandomize=True)
     @given(st.lists(st.integers(2 ** 60, 2 ** 62), min_size=1, max_size=3),
@@ -288,7 +287,7 @@ class TestCyclicPartialSums:
         w = Block(units)
         h = len(w)
         grid = [k + j * h for j in range(3)]
-        hists = sk_histograms([w], grid)
+        hists = rows(sk_histograms([w], grid))
         for kk in grid:
             exact = [sum(units[(nu + j) % h] for j in range(kk))
                      for nu in range(h)]
@@ -299,8 +298,8 @@ class TestCyclicPartialSums:
             u, c = np.unique(np.array(exact, dtype=object),
                              return_counts=True)
             hist = next(hists)
-            assert hist.units[0].tolist() == u.tolist()
-            assert hist.counts[0].tolist() == c.tolist()
+            assert hist.units.tolist() == u.tolist()
+            assert hist.counts.tolist() == c.tolist()
 
 
 class TestCrudeBound:

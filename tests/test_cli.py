@@ -48,12 +48,16 @@ class TestConfigParsing:
     def test_decimals_read_exactly(self, tmp_path):
         # a JSON float is read through its shortest repr, a decimal string
         # goes straight to Fraction
-        obj = dict(FAST_CONFIG, deltas=[0.1], epss=["0.05"], e0="1e-3",
+        obj = dict(FAST_CONFIG, deltas=[0.1], epss=["0.05"],
                    x_values=["2.50", 0.3])
         cfg = load_config(write_config(tmp_path / "c.json", obj), None)
         assert cfg.deltas == [F(1, 10)] and cfg.epss == [F(1, 20)]
-        assert cfg.e0 == F(1, 1000) and cfg.x_values == (F(5, 2), F(3, 10))
-        numbers = cfg.deltas + cfg.epss + [cfg.e0, *cfg.x_values]
+        assert cfg.x_values == (F(5, 2), F(3, 10))
+        # e0 is read by example runs only
+        example = load_config(write_config(tmp_path / "e.json",
+                                           {"e0": "5.0e3"}), "example1")
+        assert example.e0 == F(5000)
+        numbers = cfg.deltas + cfg.epss + [example.e0, *cfg.x_values]
         assert all(type(x) is F for x in numbers)
 
     def test_decimal_config_builds_its_rational_twin(self, fast_config,
@@ -287,6 +291,35 @@ class TestConfigParsing:
         out = tmp_path / "out"
         out.mkdir()
         assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, override", [
+        *(pytest.param("example1", {key: value}, id=f"example-{key}")
+          for key, value in (("deltas", ["1/2"]),
+                             ("target", FAST_CONFIG["target"]),
+                             ("etas", []))),
+        *(pytest.param("twopoint", {key: value}, id=f"rational-{key}")
+          for key, value in (("kappas", ["1"]), ("e0", "5000"),
+                             ("etas", ["1/2", "1/2"]))),
+        *(pytest.param("pareto1", {key: value}, id=f"general-{key}")
+          for key, value in (("kappas", ["1"]), ("e0", "5000"))),
+        pytest.param("twopoint", {"skyscraper": {"base": dict(
+            PRESETS["twopoint"]["skyscraper"]["base"], kappas=["1"])}},
+            id="rational-base-kappas"),
+        pytest.param("twopoint", {"skyscraper": {"base": {
+            "kind": "example", "kappas": ["1"], "epss": ["1/4"],
+            "deltas": ["1/2"]}}}, id="example-base-deltas")])
+    def test_keys_a_kind_never_reads_are_2_before_writing(
+            self, preset, override, tmp_path):
+        # such a key would be accepted and ignored: an example run with
+        # deltas wrote the tower it writes without them
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError, match="do not read"):
+            load_config(path, preset)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", preset, "--config", path,
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 

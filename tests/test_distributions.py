@@ -14,14 +14,15 @@ import numpy as np
 
 import towerkit.distributions as distributions
 from towerkit.blocks import Block, BlockError, self_concat
-from towerkit.distributions import (INF, DistError, FiniteDist, SkHistogram,
+from towerkit.distributions import (INF, DistError, FiniteDist,
                                     Splitting, SymRep, open_output, rho,
                                     sk_histograms, transport_distances,
                                     write_json)
 from towerkit.lemma_engine import basic_extend
 
 from oracles import (INT64_MAX, cyclic_partial_sums_units, law_distance,
-                     merge_uniform, merge_vasershtein)
+                     merge_uniform, merge_vasershtein, oracle_histograms,
+                     oracle_transport, record, rows, segments)
 
 
 def vasershtein(p, q):
@@ -309,8 +310,8 @@ class TestSkHistogram:
             [cyclic_partial_sums_units(w, k).astype(float) *
              (float(w.scale) / (k * float(norm))) for w in blocks])
         hist, = sk_histograms(blocks, [k])
-        assert hist.total == vals.size
-        law = [(hist, norm, target)]
+        assert hist.totals == [vals.size]
+        law = [(hist, [norm], [target])]
         assert transport_distances(law, "vasershtein")[0] == \
             pytest.approx(position_vasershtein(vals, target), abs=1e-12)
         assert transport_distances(law, "uniform")[0] == \
@@ -319,10 +320,11 @@ class TestSkHistogram:
     def test_masses_are_exact_counts(self):
         w = Block([1, 2, 3, 4], F(1, 3))
         hist, = sk_histograms([w, w], [2])
-        assert [u.tolist() for u in hist.units] == [[3, 5, 7]] * 2
-        assert [c.tolist() for c in hist.counts] == [[1, 2, 1]] * 2
-        assert hist.counts[0].dtype == np.int64
-        assert hist.total == 8
+        (a, b), = segments(hist)
+        assert [u.tolist() for u, _ in (a, b)] == [[3, 5, 7]] * 2
+        assert [c.tolist() for _, c in (a, b)] == [[1, 2, 1]] * 2
+        assert hist.counts.dtype == np.int64
+        assert hist.totals == [8]
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=8),
@@ -339,14 +341,14 @@ class TestSkHistogram:
         for k in (1, max(1, h + dk), 2 * h + 1, m * h + 1):
             (one,), (many,) = (sk_histograms([w], [k]),
                                sk_histograms([tiled], [k]))
-            assert np.array_equal(many.units[0], one.units[0])
-            assert np.array_equal(many.counts[0], m * one.counts[0])
-            assert many.total == m * one.total
+            assert np.array_equal(many.units, one.units)
+            assert np.array_equal(many.counts, m * one.counts)
+            assert many.totals == [m * one.totals[0]]
             # the whole-block law, position by position
             u, c = np.unique(cyclic_partial_sums_units(tiled, k),
                              return_counts=True)
-            assert np.array_equal(many.units[0], u)
-            assert np.array_equal(many.counts[0], c)
+            assert np.array_equal(many.units, u)
+            assert np.array_equal(many.counts, c)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(st.lists(st.integers(1, 2 ** 20), min_size=4,
@@ -366,14 +368,15 @@ class TestSkHistogram:
         sums = [(cyclic_partial_sums_units(w, k).tolist(), w.scale)
                 for w in blocks]
         hits = {v * sc for vals, sc in sums for v in vals}
-        for thresh in hits | {t + F(1, 2 ** 90) for t in hits}:
-            want = sum(v * sc < thresh for vals, sc in sums for v in vals)
-            assert hist.count_below(thresh) == want
+        threshs = sorted(hits | {t + F(1, 2 ** 90) for t in hits})
+        want = [sum(v * sc < thresh for vals, sc in sums for v in vals)
+                for thresh in threshs]
+        assert hist.count_below(threshs, [1]) == [want]
 
     def test_rejects_unknown_metric(self):
         hist, = sk_histograms([Block([1, 2])], [1])
         with pytest.raises(DistError):
-            transport_distances([(hist, 1, FiniteDist.point(1))],
+            transport_distances([(hist, [1], [FiniteDist.point(1)])],
                                 "wasserstein")
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -395,26 +398,24 @@ class TestSkHistogram:
             u, c = np.unique(np.array(exact, dtype=object),
                              return_counts=True)
             hist, = sk_histograms([w], [k])
-            assert hist.units[0].tolist() == u.tolist()
-            assert hist.counts[0].tolist() == c.tolist()
+            assert hist.units.tolist() == u.tolist()
+            assert hist.counts.tolist() == c.tolist()
 
 
 def whole_block_histogram(blocks, k):
-    """Per-k oracle: np.unique over every position of each whole block."""
+    """Per-k oracle: np.unique over every position of each whole block,
+    as a one-row record."""
     laws = [np.unique(cyclic_partial_sums_units(w, k), return_counts=True)
             for w in blocks]
-    return SkHistogram(k, [w.scale for w in blocks], [u for u, _ in laws],
-                       [c for _, c in laws])
+    return record([k], [w.scale for w in blocks], [laws])
 
 
 def assert_same_histogram(got, want):
-    assert got.k == want.k and got.total == want.total
+    assert got.ks == want.ks and got.totals == want.totals
     assert got.scales == want.scales
-    assert len(got.units) == len(want.units)
-    for gu, gc, wu, wc in zip(got.units, got.counts, want.units,
-                              want.counts):
-        assert gu.dtype == wu.dtype and gc.dtype == wc.dtype
-        assert np.array_equal(gu, wu) and np.array_equal(gc, wc)
+    assert np.array_equal(got.offsets, want.offsets)
+    for g, x in ((got.units, want.units), (got.counts, want.counts)):
+        assert g.dtype == x.dtype and np.array_equal(g, x)
 
 
 @contextlib.contextmanager
@@ -453,7 +454,7 @@ class TestSkHistogramGrid:
         plain = Block(np.resize(other, len(tiled)), scale)
         blocks = [tiled, tiled, rescaled, plain, tiled]
         ks = list(range(3 * len(tiled) + 2))
-        got = list(sk_histograms(blocks, ks))
+        got = list(rows(sk_histograms(blocks, ks)))
         assert len(got) == len(ks)
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
@@ -462,8 +463,8 @@ class TestSkHistogramGrid:
         # one period 1, 1, 2, 5: S_1 takes 1 twice, S_3 takes 9 twice
         w = Block([1, 1, 2, 5])
         hist, = sk_histograms([w], [3])
-        assert hist.units[0].tolist() == [4, 7, 8]
-        assert hist.counts[0].tolist() == [1, 1, 2]
+        assert hist.units.tolist() == [4, 7, 8]
+        assert hist.counts.tolist() == [1, 1, 2]
 
     def test_one_measurement_per_block_class(self):
         a = self_concat(Block([1, 2, 4, 1, 3, 2], F(1, 2)), 2)
@@ -473,7 +474,7 @@ class TestSkHistogramGrid:
         # residues, reflections and whole periods revisit classes
         ks = [1, 5, 7, 11, 6, 12, 3, 9, 2, 4, 8, 10, 13, 17, 0]
         with counted_measurements() as calls:
-            hists = list(sk_histograms(blocks, ks))
+            hists = list(rows(sk_histograms(blocks, ks)))
             # b is a's units at another scale: one pattern, measured once
             distinct = {tuple(w.units.tolist()) for w in blocks}
             pairs = {(u, min(k % 6, 6 - k % 6))
@@ -507,7 +508,7 @@ class TestSkHistogramGrid:
         blocks.append(Block(np.resize([1, 3], base.size), F(1, 2)))
         ks = list(range(3 * base.size + 2))
         with counted_measurements() as calls:
-            got = list(sk_histograms(blocks, ks))
+            got = list(rows(sk_histograms(blocks, ks)))
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
         patterns = set()
@@ -541,7 +542,7 @@ class TestSkHistogramGrid:
                 list(sk_histograms(blocks, [k]))
             return
         hist, = sk_histograms(blocks, [k])
-        for vals, u, c in zip(exact, hist.units, hist.counts):
+        for vals, (u, c) in zip(exact, segments(hist)[0]):
             want_u, want_c = np.unique(np.array(vals, dtype=object),
                                        return_counts=True)
             assert u.dtype == np.int64
@@ -565,6 +566,14 @@ def class_law_oracle(w, c):
     """np.unique of S_c over one least period of the materialized units."""
     return np.unique(cyclic_partial_sums_units(w, c)[:w.period],
                      return_counts=True)
+
+
+def class_laws(w, cs):
+    """The (units, counts) law of each class of ``cs``, from one
+    ``_class_laws`` call."""
+    units, counts, ends = distributions._class_laws(w, cs)
+    return [(units[a:b], counts[a:b])
+            for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
 
 def assert_same_law(got, want):
@@ -598,7 +607,7 @@ class TestBumpDerivedLaw:
     def test_matches_oracle_at_every_class(self, base, rep, scale, steps):
         w = bump_chain(base, rep, scale, steps)
         cs = range(w.period)
-        for c, law in zip(cs, distributions._class_laws(w, cs)):
+        for c, law in zip(cs, class_laws(w, cs)):
             assert_same_law(law, class_law_oracle(w, c))
 
     @pytest.mark.parametrize("chunk", [1, 3, distributions._CHUNK])
@@ -617,7 +626,7 @@ class TestBumpDerivedLaw:
         w = bump_chain(base, rep, scale, steps)
         p, L = w.period, distributions._tiling(w).child.period
         cs = list(range(p // 2 + 1))
-        for c, law in zip(cs, distributions._class_laws(w, cs)):
+        for c, law in zip(cs, class_laws(w, cs)):
             assert_same_law(law, class_law_oracle(w, c))
         ks = list(range(2 * len(w) + 2)) * 2
         rnd.shuffle(ks)
@@ -631,7 +640,7 @@ class TestBumpDerivedLaw:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distributions, "_CHUNK", chunk)
             mp.setattr(distributions, "_class_laws", counted)
-            got = list(sk_histograms([w], ks))
+            got = list(rows(sk_histograms([w], ks)))
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram([w], k))
         assert sum(sizes) == len(cs)
@@ -667,7 +676,7 @@ class TestBumpDerivedLaw:
                   for g in gs]
         ks = list(range(2 * len(blocks[0]) + 2))
         with counted_measurements() as calls:
-            got = list(sk_histograms(blocks, ks))
+            got = list(rows(sk_histograms(blocks, ks)))
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
         p = blocks[0].period
@@ -695,9 +704,9 @@ class TestBumpDerivedLaw:
             return
         u, c = np.unique(np.array(exact, dtype=object), return_counts=True)
         hist, = sk_histograms([w], [k])
-        assert hist.units[0].dtype == np.int64
-        assert hist.units[0].tolist() == u.tolist()
-        assert hist.counts[0].tolist() == c.tolist()
+        assert hist.units.dtype == np.int64
+        assert hist.units.tolist() == u.tolist()
+        assert hist.counts.tolist() == c.tolist()
 
 
     @pytest.mark.parametrize("chunk", [1, 3, distributions._CHUNK])
@@ -716,7 +725,7 @@ class TestBumpDerivedLaw:
         units, h = w.units.tolist(), len(w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distributions, "_CHUNK", chunk)
-            hists = sk_histograms([w], ks)
+            hists = rows(sk_histograms([w], ks))
             for k in ks:
                 exact = [sum(units[(nu + j) % h] for j in range(k))
                          for nu in range(h)]
@@ -727,43 +736,57 @@ class TestBumpDerivedLaw:
                 u, c = np.unique(np.array(exact, dtype=object),
                                  return_counts=True)
                 hist = next(hists)
-                assert hist.units[0].tolist() == u.tolist()
-                assert hist.counts[0].tolist() == c.tolist()
+                assert hist.units.tolist() == u.tolist()
+                assert hist.counts.tolist() == c.tolist()
 
 
 @st.composite
 def histograms(draw):
-    """SkHistogram of up to three blocks at mixed scales, whose counts are
-    small or near 2^40, so that equal float values across blocks occur."""
+    """(record, norms, targets): an SkHistogram of one to three rows of up
+    to three blocks at mixed scales, whose counts are small or near 2^40,
+    so that equal float values across blocks occur, with one norm and one
+    target per row."""
     n = draw(st.integers(1, 3))
-    units, counts = [], []
-    for _ in range(n):
-        u = sorted(draw(st.lists(st.integers(1, 40), min_size=1,
-                                 max_size=6, unique=True)))
-        hi = draw(st.sampled_from([9, 2 ** 40]))
-        units.append(np.array(u, dtype=np.int64))
-        counts.append(np.array(draw(st.lists(
-            st.integers(1, hi), min_size=len(u), max_size=len(u))),
-            dtype=np.int64))
     scales = draw(st.lists(st.sampled_from([F(1), F(1, 3), F(5, 2)]),
                            min_size=n, max_size=n))
-    return SkHistogram(draw(st.integers(1, 9)), scales, units, counts)
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = []
+        for _ in range(n):
+            u = sorted(draw(st.lists(st.integers(1, 40), min_size=1,
+                                     max_size=6, unique=True)))
+            hi = draw(st.sampled_from([9, 2 ** 40]))
+            row.append((np.array(u, dtype=np.int64), np.array(draw(st.lists(
+                st.integers(1, hi), min_size=len(u), max_size=len(u))),
+                dtype=np.int64)))
+        laws.append(row)
+    ks = draw(st.lists(st.integers(1, 9), min_size=len(laws),
+                       max_size=len(laws)))
+    norms = draw(st.lists(st.fractions(F(1, 7), F(10), max_denominator=7),
+                          min_size=len(laws), max_size=len(laws)))
+    dists = draw(st.lists(st.one_of(big_den_dists(2, 12, allow_inf=True),
+                                    big_den_dists(2 ** 20, 2 ** 24)),
+                          min_size=len(laws), max_size=len(laws)))
+    return record(ks, scales, laws), norms, dists
+
+
+def one_row_calls(laws, metric):
+    """The distance of each row of (record, norms, targets) ``laws``, each
+    row compared alone."""
+    return [transport_distances([(hist.row(i), [norms[i]], [dists[i]])],
+                                metric)[0]
+            for hist, norms, dists in laws for i in range(len(hist.ks))]
 
 
 class TestRowwiseTransport:
     @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
     @pytest.mark.parametrize("chunk", [7, distributions._CHUNK])
     @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(st.lists(st.tuples(histograms(),
-                              st.fractions(F(1, 7), F(10),
-                                           max_denominator=7),
-                              st.one_of(big_den_dists(2, 12, allow_inf=True),
-                                        big_den_dists(2 ** 20, 2 ** 24))),
-                    min_size=2, max_size=6))
+    @given(st.lists(histograms(), min_size=2, max_size=6))
     def test_rows_match_one_row_calls(self, metric, chunk, laws):
         # rows of a chunk against each row alone, bit for bit, whether a
         # chunk holds int64 or Python-int breakpoints
-        want = [transport_distances([law], metric)[0] for law in laws]
+        want = one_row_calls(laws, metric)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distributions, "_CHUNK", chunk)
             assert distributions.transport_distances(laws, metric) == want
@@ -774,17 +797,132 @@ class TestRowwiseTransport:
         # chunk of three passes 2^62, so it takes Python ints; a fourth row
         # passes 2^62 alone
         w = Block([1, 2, 3, 5, 8, 13])
-        hists = list(sk_histograms([w], [1, 2, 3]))
+        hist, = sk_histograms([w], [1, 2, 3])
         y = FiniteDist([(F(1, 2), F(1, 2 ** 58)),
                         (F(3), 1 - F(1, 2 ** 58))])
         z = FiniteDist([(F(1), F(1, 2 ** 63)), (F(4), 1 - F(1, 2 ** 63))])
-        laws = [(h, 1, y) for h in hists] + [(hists[0], 1, z)]
-        assert all(h.total * 2 ** 58 < 2 ** 62 for h in hists)
-        assert 3 * hists[0].total * 2 ** 58 >= 2 ** 62
-        want = [transport_distances([law], metric)[0] for law in laws]
-        assert distributions.transport_distances(laws[:3], metric) == \
+        laws = [(hist, [1] * 3, [y] * 3), (hist.row(0), [1], [z])]
+        assert all(n * 2 ** 58 < 2 ** 62 for n in hist.totals)
+        assert 3 * hist.totals[0] * 2 ** 58 >= 2 ** 62
+        want = one_row_calls(laws, metric)
+        assert distributions.transport_distances(laws[:1], metric) == \
             want[:3]
         assert distributions.transport_distances(laws, metric) == want
+
+
+def drain(records):
+    """The rows of ``records`` until the first BlockError, and that
+    error (None when every row came)."""
+    got = []
+    try:
+        for hist in records:
+            got.append(hist)
+    except BlockError as exc:
+        return got, exc
+    return got, None
+
+
+@st.composite
+def grids(draw):
+    """(blocks, ks): integer multiples g*P of one pattern at mixed scales
+    (scale denominators up to near 2^61), a bump-tiled block and an
+    unrelated one, with units from 1 up to near 2^62, and a grid of k that
+    revisits classes, reflections and whole periods."""
+    pattern = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    mag = draw(st.sampled_from([1, 2 ** 40, 2 ** 56]))
+    base = np.tile(np.array(pattern, dtype=np.int64) * mag,
+                   draw(st.integers(1, 3)))
+    scales = st.one_of(st.sampled_from([F(1), F(1, 6), F(5, 4)]),
+                       st.builds(F, st.integers(1, 9),
+                                 st.integers(2 ** 40, 2 ** 61)))
+    members = draw(st.lists(st.tuples(st.sampled_from([1, 2, 3, 7]), scales),
+                            min_size=1, max_size=3))
+    assume(max(g for g, _ in members) * int(base.sum()) <= INT64_MAX)
+    blocks = [Block(base * g, sc) for g, sc in members]
+    blocks.append(Block(np.resize([1, 3], base.size) * mag, draw(scales)))
+    if draw(st.booleans()):
+        child = Block(base)
+        blocks.append(basic_extend(child, F(draw(st.integers(1, 9)) * mag,
+                                            2 * len(child)), 2))
+    h = max(len(w) for w in blocks)
+    ks = draw(st.lists(st.integers(0, 3 * h + 2), min_size=1, max_size=24))
+    return blocks, ks
+
+
+class TestChunkRecords:
+    """Chunk records against the per-k path of tests/oracles.py: laws entry
+    by entry, counts below every threshold, and distances float by float,
+    for _CHUNK small enough that grids cross record boundaries."""
+
+    @pytest.mark.parametrize("chunk", [5, 17, distributions._CHUNK])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(grids(), st.randoms())
+    @example(([Block([1, 2, 3], F(1, 6)), Block([2, 4, 6], F(1, 2 ** 61 - 1)),
+               Block([1, 3, 1])], list(range(12))), random.Random(0))
+    @example(([Block([2 ** 60, 2 ** 60 + 8]),
+               Block([3 * 2 ** 58, 3 * 2 ** 58 + 6], F(1, 3))],
+              [1, 3, 2, 5, 4, 7, 6, 9, 8]), random.Random(1))
+    def test_records_match_the_oracle(self, chunk, grid, rnd):
+        blocks, ks = grid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_CHUNK", chunk)
+            got, err = drain(rows(sk_histograms(blocks, ks)))
+            want, want_err = drain(oracle_histograms(blocks, ks))
+            assert len(got) == len(want)
+            assert (err is None) == (want_err is None)
+            if err is not None:
+                # the first k of the grid whose S_k leaves int64
+                assert f"S_{ks[len(got)]} " in str(err)
+            for hist, one in zip(got, want):
+                assert hist.ks == [one.k] and hist.totals == [one.total]
+                assert hist.scales == one.scales
+                for (u, c), wu, wc in zip(segments(hist)[0], one.units,
+                                          one.counts):
+                    assert u.dtype == wu.dtype and np.array_equal(u, wu)
+                    assert c.dtype == wc.dtype and np.array_equal(c, wc)
+            if err is not None:
+                return
+            records = list(sk_histograms(blocks, ks))
+            # the rows are the grid in order, no record passes the chunk
+            # but a row alone, and a record ends only where the next row
+            # would pass it
+            assert [k for r in records for k in r.ks] == ks
+            assert all(r.units.size <= chunk or len(r.ks) == 1
+                       for r in records)
+            assert all(a.units.size + b.row(0).units.size > chunk
+                       for a, b in zip(records, records[1:]))
+            # thresholds on values, at integer and fractional
+            # thresh/scale, and just beside them
+            values = sorted({sc * int(v) for one in want
+                             for sc, u in zip(one.scales, one.units)
+                             for v in u.tolist()})
+            xs = rnd.sample(values, min(4, len(values)))
+            xs += [x + F(1, 2 ** 90) for x in xs] + \
+                [x - F(1, 2 ** 90) for x in xs] + [F(0)]
+            got_n = [n for r in records
+                     for n in r.count_below(xs, [1] * len(r.ks))]
+            assert got_n == [[one.count_below(x) for x in xs]
+                             for one in want]
+            xs = [F(3, 10), F(1, 2), F(4, 5)]
+            norms = [F(rnd.randint(1, 9), rnd.randint(1, 9)) for _ in ks]
+            factors = [k * g for k, g in zip(ks, norms)]
+            got_n, i = [], 0
+            for r in records:
+                got_n += r.count_below(xs, factors[i:i + len(r.ks)])
+                i += len(r.ks)
+            assert got_n == [[one.count_below(x * f) for x in xs]
+                             for one, f in zip(want, factors)]
+            # no distance is taken at k = 0, where S_0/0 is undefined
+            if 0 in ks:
+                return
+            y = FiniteDist([(F(1, 2), F(1, 3)), (F(2), F(2, 3))])
+            for metric in ("vasershtein", "uniform"):
+                i, laws = 0, []
+                for r in records:
+                    laws.append((r, norms[i:i + len(r.ks)], [y] * len(r.ks)))
+                    i += len(r.ks)
+                assert transport_distances(laws, metric) == oracle_transport(
+                    [(one, g, y) for one, g in zip(want, norms)], metric)
 
 
 class TestSymRepSplitting:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import Block, is_normalized, self_concat
-from towerkit.distributions import (FiniteDist, SkHistogram, Splitting,
+from towerkit.distributions import (FiniteDist, Splitting,
                                     SymRep, transport_distances)
 from towerkit.lemma_engine import (BlockArray, GammaTable,
                                    PreconditionError, SizeCapError,
@@ -18,7 +18,7 @@ from towerkit.lemma_engine import (BlockArray, GammaTable,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
 
-from oracles import cyclic_partial_sums_units
+from oracles import cyclic_partial_sums_units, record, rows
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -362,17 +362,16 @@ class TestExtensionStep:
         got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
                        arr.change_mass())
         assert len(got.k_grid) > arr.height
-        hists = dict(zip(got.k_grid, arr.sk_histograms(got.k_grid)))
+        hists = dict(zip(got.k_grid, rows(arr.sk_histograms(got.k_grid))))
         for k in got.k_grid:
             laws = [np.unique(cyclic_partial_sums_units(w, k),
                               return_counts=True) for w in blocks]
-            alone = SkHistogram(k, [w.scale for w in blocks],
-                                [u for u, _ in laws], [c for _, c in laws])
+            alone = record([k], [w.scale for w in blocks], [laws])
             g = cert.gamma.gamma(k)
             assert got.distances[k] == \
-                transport_distances([(alone, g, y)], "uniform")[0]
-            assert transport_distances([(hists[k], g, y)]) == \
-                transport_distances([(alone, g, y)])
+                transport_distances([(alone, [g], [y])], "uniform")[0]
+            assert transport_distances([(hists[k], [g], [y])]) == \
+                transport_distances([(alone, [g], [y])])
 
 
 class TestStraightening:

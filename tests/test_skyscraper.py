@@ -197,9 +197,10 @@ class TestOccupation:
         n = 6 * max(int(int_tower.blocks[s].units.max())
                     for s in int_tower.symbols)
         rep = occupation_sweep(int_tower, [n])[n]
-        (values,), (counts,) = rep.law.units, rep.law.counts
-        assert sum(F(int(c), rep.law.total) for c in counts) == 1
-        assert F(int((values * counts).sum()), rep.law.total) == \
+        values, counts = rep.law.units, rep.law.counts
+        (total,) = rep.law.totals
+        assert sum(F(int(c), total) for c in counts) == 1
+        assert F(int((values * counts).sum()), total) == \
             occupation_mean_via_levels(int_tower, n)
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -235,10 +236,10 @@ class TestOccupation:
             return
         rep = occupation_sweep(it, [n], x_values=xs,
                                tail_constant=tail_constant)[n]
-        (values,), (mult,) = rep.law.units, rep.law.counts
-        assert rep.law.total == it.height * it.size
+        values, mult = rep.law.units, rep.law.counts
+        assert rep.law.totals == [it.height * it.size]
         assert values.tolist() == dist.values
-        assert [F(int(c), rep.law.total) for c in mult] == dist.masses
+        assert [F(int(c), it.height * it.size) for c in mult] == dist.masses
         assert rep.a_n == it.a_of(n)
         assert check_inversion(it, {n: rep}).occ_distances[n] == \
             pytest.approx(distance, abs=1e-15)

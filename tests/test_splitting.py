@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from towerkit.distributions import INF, FiniteDist, Splitting, SymRep, rho
+from towerkit.distributions import (INF, DistError, FiniteDist, Splitting,
+                                    SymRep, rho)
 from towerkit.splitting import (DyadicRep, SplittingError,
                                 build_split_sequence, make_target,
                                 split_cost, tail_cost_bound)
@@ -112,6 +113,26 @@ class TestSplitCost:
                 for j in range(8)) / 8
             assert split_cost(t, fine, coarse) == pytest.approx(oracle,
                                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("family, params", [
+        ("pareto", {"alpha": F(1)}), ("lognormal", {"mu": 0, "sigma": 1})])
+    def test_equals_the_sum_of_cell_gaps(self, family, params):
+        # bit for bit, with the atom at infinity at u = 1
+        t = make_target(family, **params)
+        for fine in range(2, 8):
+            cells = t.quantile_grid(fine)
+            for coarse in range(1, fine):
+                shift, n = fine - coarse, len(cells)
+                want = math.fsum(
+                    rho(cells[j], cells[((j >> shift) << shift) +
+                                        (1 << shift) - 1])
+                    for j in range(n)) / n
+                assert split_cost(t, fine, coarse) == want
+
+    def test_negative_value_is_rejected(self):
+        t = make_target("table", rows=[(F(1, 2), F(-1)), (F(1), F(2))])
+        with pytest.raises(DistError):
+            split_cost(t, 2, 1)
 
     def test_pareto_costs_decrease_in_depth(self):
         t = make_target("pareto", alpha=F(1))

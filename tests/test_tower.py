@@ -21,7 +21,8 @@ from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             trace_to_json_obj)
 from towerkit.splitting import make_target
 
-from oracles import cyclic_partial_sums_units
+from oracles import (cyclic_partial_sums_units, oracle_histograms,
+                     oracle_transport)
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +267,8 @@ class TestSkDistribution:
         (hist,) = arr.sk_histograms([k])
         expected = k * sum(arr.scale * arr.values[s]
                            for s in arr.symbols) / arr.size
-        assert sum(v * c for v, c in hist.merged()) / hist.total == expected
+        assert sum(v * c for v, c in hist.merged()) / hist.totals[0] == \
+            expected
 
     def test_csv_round_trip(self, small_rational_trace, tmp_path):
         (hist,) = small_rational_trace.final.sk_histograms([7])
@@ -274,7 +276,7 @@ class TestSkDistribution:
         hist.to_csv(str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "value,count,mass"
-        assert lines[1:] == [f"{v},{c},{c}/{hist.total}"
+        assert lines[1:] == [f"{v},{c},{c}/{hist.totals[0]}"
                              for v, c in hist.merged()]
 
     def test_values_merge_across_scales(self):
@@ -302,7 +304,87 @@ class TestSkDistribution:
         k = trace.height
         g = trace.global_gamma.gamma(k)
         (hist,) = trace.final.sk_histograms([k])
-        assert transport_distances([(hist, g, trace.target)])[0] <= 0.05
+        assert transport_distances([(hist, [g], [trace.target])])[0] <= 0.05
+
+
+def oracle_theorem1(trace, xs=(F(3, 10), F(1, 2), F(4, 5))):
+    """The cdf checks, distances and margin of ``certify_theorem1`` taken
+    on the per-k oracle path, one histogram per k of the trace's grid."""
+    arr, y = trace.final, trace.target
+    grid = tower_k_grid(trace)
+    checks, laws = [], []
+    for k, hist in zip(grid, oracle_histograms(
+            [arr.blocks[s] for s in arr.symbols], grid)):
+        g = trace.global_gamma.gamma(k)
+        for x in xs:
+            lhs = F(hist.count_below(x * k * F(g)), hist.total)
+            bound = y.cdf(tower.BICYCLE_M * x)
+            checks.append((k, x, lhs, bound, lhs <= bound))
+        laws.append((hist, g, y))
+    vas = dict(zip(grid, oracle_transport(laws)))
+    margin = min((tower._stage_eps_at(trace, k) - vas[k], k) for k in grid)
+    return tuple(checks), vas, margin
+
+
+class TestOraclePath:
+    """Certificates measured on chunk records equal, value for value, the
+    ones the per-k oracle path of tests/oracles.py gives."""
+
+    @pytest.mark.parametrize("name", ["small_rational_trace",
+                                      "small_example_trace"])
+    def test_theorem1(self, name, request):
+        trace = request.getfixturevalue(name)
+        rep = certify_theorem1(trace)
+        checks, vas, margin = oracle_theorem1(trace)
+        assert rep.lower_bound_checks == checks
+        assert rep.vasershtein == vas
+        assert rep.margin == margin
+
+    def test_extension_and_straightening(self, monkeypatch):
+        # the build of small_rational_trace, and a two-stage general build
+        # that straightens once, with every certificate kept
+        extend, straighten = tower.extension_step, tower.straightening_step
+        certs, reports = [], []
+
+        def kept_extension(*args, **kwargs):
+            arr, cert = extend(*args, **kwargs)
+            certs.append((arr, cert))
+            return arr, cert
+
+        def kept_straightening(arr, split, *args, **kwargs):
+            final, rep = straighten(arr, split, *args, **kwargs)
+            reports.append((arr, split, final, rep))
+            return final, rep
+
+        monkeypatch.setattr(tower, "extension_step", kept_extension)
+        monkeypatch.setattr(tower, "straightening_step", kept_straightening)
+        build_rational_tower(FiniteDist.uniform([1, 2]), [F(1, 10)],
+                             [F(1, 20)], rounds=2)
+        build_general_tower(make_target("pareto", alpha=F(1)),
+                            [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)])
+        assert len(certs) == 3 and len(reports) == 1
+        for arr, cert in certs:
+            grid, y = list(cert.k_grid), arr.label_dist()
+            hists = oracle_histograms([arr.blocks[s] for s in arr.symbols],
+                                      grid)
+            assert cert.distances == dict(zip(grid, oracle_transport(
+                [(h, cert.gamma.gamma(k), y) for k, h in zip(grid, hists)],
+                "uniform")))
+        for arr, split, final, rep in reports:
+            f = {s: F(arr.values[s]) for s in arr.symbols}
+            g = {x: F(split.fine.values[x]) for x in final.symbols}
+            kf = rep.k_factor
+            grid = [k for k, _ in rep.q_grid]
+            laws = []
+            for (k, q), h in zip(rep.q_grid, oracle_histograms(
+                    [final.blocks[x] for x in final.symbols], grid)):
+                # the norm c0*((1 - p) + p*K), read back from the blend
+                # weight q = K*p/((1 - p) + p*K)
+                norm = F(arr.scale) * kf / (kf - (kf - 1) * q)
+                laws.append((h, norm, FiniteDist.uniform(
+                    [(1 - q) * f[split.pi[x]] + q * g[x]
+                     for x in final.symbols])))
+            assert rep.distances == dict(zip(grid, oracle_transport(laws)))
 
 
 class TestSerialization:
