@@ -15,7 +15,6 @@ arithmetic may leave the int64 range silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
@@ -90,15 +89,6 @@ class Bump(NamedTuple):
     factor: int
     amount: int
     spacing: int
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Max, total and mean of a block, exact."""
-
-    max: Fraction
-    total: Fraction
-    mean: Fraction
 
 
 class Block:
@@ -180,7 +170,7 @@ class Block:
     def __repr__(self) -> str:
         if len(self) <= 8:
             return f"Block({self.weights()})"
-        return f"Block(h={len(self)}, E={self.stats().mean})"
+        return f"Block(h={len(self)}, E={self.mean})"
 
     def weights(self) -> list:
         return [self.scale * int(u) for u in self.units]
@@ -216,10 +206,10 @@ class Block:
     def total_units(self) -> int:
         return int(self.prefix[-1])
 
-    def stats(self) -> BlockStats:
-        h = len(self)
-        total = self.scale * self.total_units()
-        return BlockStats(self.scale * int(self.units.max()), total, total / h)
+    @property
+    def mean(self) -> Fraction:
+        """E(w), the mean weight, exact."""
+        return self.scale * Fraction(self.total_units(), len(self))
 
 
 def self_concat(w: Block, m: int) -> Block:

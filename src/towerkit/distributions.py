@@ -120,9 +120,6 @@ class FiniteDist:
                           zip(self.values, self.masses))
         return f"FiniteDist({pairs})"
 
-    def atoms(self) -> List[Tuple[Value, Fraction]]:
-        return list(zip(self.values, self.masses))
-
     def cdf(self, t: Value) -> Fraction:
         """P(X <= t), exact."""
         acc = Fraction(0)
@@ -159,16 +156,6 @@ class FiniteDist:
 
     def min_value(self) -> Value:
         return self.values[0]
-
-    def mean(self) -> Value:
-        """Exact mean; infinity if an atom sits at infinity."""
-        if self.values and self.values[-1] == INF:
-            return INF
-        if any(isinstance(v, float) for v in self.values):
-            return math.fsum(float(v) * float(m)
-                             for v, m in zip(self.values, self.masses))
-        return sum((v * m for v, m in zip(self.values, self.masses)),
-                   Fraction(0))
 
     # -- serialization -----------------------------------------------------
 
@@ -692,9 +679,6 @@ class SymRep:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def dist(self) -> FiniteDist:
-        return FiniteDist.uniform([self.values[s] for s in self.symbols])
 
 
 @dataclass(frozen=True)

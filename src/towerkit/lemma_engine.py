@@ -88,11 +88,11 @@ class BlockArray:
         if len(hs) != 1:
             raise PreconditionError(f"blocks must share one length, got {hs}")
         for s in self.symbols:
-            st = self.blocks[s].stats()
+            mean = self.blocks[s].mean
             expected = self.scale * self.values[s]
-            if st.mean != expected:
+            if mean != expected:
                 raise PreconditionError(
-                    f"block mean for {s!r} is {st.mean}, "
+                    f"block mean for {s!r} is {mean}, "
                     f"expected scale*value = {expected}")
 
     @property
@@ -283,9 +283,9 @@ def basic_extend(w: Block, kappa: Scalar, q: int, *,
         raise PreconditionError("kappa must be nonnegative")
     if delta is not None:
         d = Fraction(delta)
-        if kappa > d * w.stats().mean:
+        if kappa > d * w.mean:
             raise PreconditionError(
-                f"kappa={kappa} exceeds delta*E = {d * w.stats().mean}")
+                f"kappa={kappa} exceeds delta*E = {d * w.mean}")
         if q * d <= 1:
             raise PreconditionError(f"q={q} must exceed 1/delta")
     if q * h > size_cap:
@@ -416,7 +416,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
                   for s in arr.symbols}
         # means are now e0*(1 + p_next*(t-1)); fold them into the values and
         # keep a unit scale, since the multipliers need not be proportional
-        new_vals = {s: Fraction(blocks[s].stats().mean) for s in arr.symbols}
+        new_vals = {s: blocks[s].mean for s in arr.symbols}
         cur = BlockArray(arr.symbols, blocks, new_vals, Fraction(1))
         p = p_next
         rounds.append(CompoundRound(rounds[-1].p_after if rounds else
@@ -434,7 +434,7 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
     final_vals = {s: e0[s] * t[s] for s in arr.symbols}
     final = BlockArray(arr.symbols, cur.blocks, final_vals, Fraction(1))
     for s in arr.symbols:
-        if Fraction(final.blocks[s].stats().mean) != final_vals[s]:
+        if final.blocks[s].mean != final_vals[s]:
             raise InvariantError("exact mean multiplication failed")
     return final, CompoundReport(tuple(rounds), base_h)
 
@@ -563,7 +563,9 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     final = BlockArray(fine_syms, refined.blocks, g, c0 * k_factor)
     h0, h1 = arr.height, final.height
     grid = make_k_grid(h0, h1, dense_cap=min(2048, 4 * h0), geo_cap=64)
-    q_grid, norms, blends = [], {}, {}
+    # p_of_k steps over the compound rounds, so few k have their own q_k;
+    # one blend object per q_k lets the transport reduce it once
+    q_grid, norms, blends, blend_of = [], {}, {}, {}
     prev_q = None
     for k in grid:
         p = rep.p_of_k(k)
@@ -573,10 +575,12 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
         prev_q = q_k
         q_grid.append((k, q_k))
         norms[k] = c0 * ((1 - p) + p * k_factor)
-        blends[k] = FiniteDist.uniform(
-            [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
+        if q_k not in blends:
+            blends[q_k] = FiniteDist.uniform(
+                [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
+        blend_of[k] = blends[q_k]
     distances = dict(zip(grid, transport_distances(
-        (hist, [norms[k] for k in hist.ks], [blends[k] for k in hist.ks])
+        (hist, [norms[k] for k in hist.ks], [blend_of[k] for k in hist.ks])
         for hist in final.sk_histograms(grid))))
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")

@@ -184,7 +184,7 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                 bump = Bump(Block(cw.astype(np.int64), tick), 1,
                             (last + den - 1) // den - int(cw[-1]), spacing)
             blocks[s] = Block(w.astype(np.int64), tick, bump)
-            old_mean = Fraction(arr.blocks[s].stats().mean)
+            old_mean = arr.blocks[s].mean
             new_mean = Fraction(total, len(u)) * tick
             perts[s] = (new_mean - old_mean) / old_mean
             if not perts[s] <= eta:

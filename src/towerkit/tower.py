@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import Block, is_normalized, self_concat
+from .blocks import _INT64_MAX, Block, is_normalized, self_concat
 from .distributions import (INF, FiniteDist, Splitting, SymRep,
                             transport_distances, write_json)
 from .lemma_engine import (BlockArray, GammaTable, InvariantError,
@@ -70,17 +70,23 @@ def b_of(trace: TowerTrace, k: int):
 
 
 def _check_monotone_growth(old: BlockArray, new: BlockArray) -> None:
-    """Every new block must dominate the tiling of its predecessor."""
+    """Every new block must dominate the tiling of its predecessor.
+
+    An extension chain divides the scale by an integer ratio r
+    (``_add_bumps``), so the comparison runs in int64 units of the finer
+    scale: old units times r against the new units.  A new unit fits
+    int64, so an old unit whose rescale leaves it means a decrease."""
     for s in old.symbols:
         wo, wn = old.blocks[s], new.blocks[s]
         if len(wn) % len(wo) != 0:
             raise InvariantError("stage height must be a multiple")
-        reps = len(wn) // len(wo)
-        # compare in exact rational units of the finer scale, as Python ints
         ratio = wo.scale / wn.scale
-        tiled = np.tile(wo.units.astype(object) * ratio.numerator, reps)
-        cur = wn.units.astype(object) * ratio.denominator
-        if not (cur >= tiled).all():
+        if ratio.denominator != 1:
+            raise InvariantError(
+                f"scale ratio {ratio} across a stage is not an integer")
+        r = ratio.numerator
+        if int(wo.units.max()) * r > _INT64_MAX or not (
+                wn.units.reshape(-1, len(wo)) >= wo.units * np.int64(r)).all():
             raise InvariantError("weights decreased across a stage")
 
 
@@ -120,6 +126,49 @@ def check_example_run(kappas: Sequence[Fraction], epss: Sequence[Fraction],
         mean += kap
 
 
+def _run_stages(arr: BlockArray, deltas: Sequence[Fraction],
+                epss: Sequence[Fraction], rounds: int, size_cap: int,
+                levels: Optional[Dict[int, Tuple[Splitting, Fraction]]] = None
+                ) -> Tuple[BlockArray, List[StageRecord],
+                           List[Tuple[int, Fraction]], int]:
+    """The stages of a rational or general tower, from ``arr`` on.
+
+    Stage n first straightens the array along ``levels[n]`` (a splitting
+    onto a finer dyadic level and its blend coarseness eta) when given,
+    then applies a gentle extension with (delta_n, eps_n), whose weights
+    must dominate the old ones and whose certificate must hold.  Returns
+    the final array, the stage records, the merged gamma anchors and the
+    height after the last straightening (1 when none ran).
+    """
+    levels = levels or {}
+    stages: List[StageRecord] = []
+    g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
+    k_flat = 1
+    for n, (d, e) in enumerate(zip(deltas, epss), start=1):
+        if n in levels:
+            split, eta = levels[n]
+            arr, srep = straightening_step(arr, split, e, eta,
+                                           size_cap=size_cap)
+            if not srep.is_valid():
+                raise InvariantError(f"straightening at stage {n} failed at "
+                                     f"k={srep.failures()[:3]}")
+            k_flat = arr.height
+        arr_new, cert = extension_step(arr, d, e, rounds=rounds,
+                                       size_cap=size_cap)
+        _check_monotone_growth(arr, arr_new)
+        if not cert.is_valid():
+            raise InvariantError(
+                f"stage {n} certificate failed at k={cert.failures()[:3]}, "
+                f"change mass {cert.change_mass} against delta {d}")
+        g_anchors += [(k, g) for k, g in cert.gamma.anchors
+                      if k > g_anchors[-1][0]]
+        stages.append(StageRecord(n, arr_new.height, Fraction(arr_new.scale),
+                                  float(d), float(e), arr_new.change_mass(),
+                                  True))
+        arr = arr_new
+    return arr, stages, g_anchors, k_flat
+
+
 def build_rational_tower(target: FiniteDist, deltas: Sequence,
                          epss: Sequence, rounds: int = 2,
                          size_cap: int = 10 ** 6) -> TowerTrace:
@@ -145,26 +194,11 @@ def build_rational_tower(target: FiniteDist, deltas: Sequence,
             values[s] = Fraction(v)
             blocks[s] = Block.from_weights([v])
     arr = BlockArray(tuple(symbols), blocks, values, Fraction(1))
-    stages: List[StageRecord] = []
-    g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
-    e_anchors: List[Tuple[int, float]] = []
-    for n, (d, e) in enumerate(zip(deltas, epss), start=1):
-        arr_new, cert = extension_step(arr, d, e, rounds=rounds,
-                                       size_cap=size_cap)
-        _check_monotone_growth(arr, arr_new)
-        if not cert.is_valid():
-            raise InvariantError(
-                f"stage {n} certificate failed at k={cert.failures()[:3]}, "
-                f"change mass {cert.change_mass} against delta {d}")
-        for k, g in cert.gamma.anchors:
-            if not g_anchors or k > g_anchors[-1][0]:
-                g_anchors.append((k, g))
-        e_anchors.append((arr_new.height, float(e)))
-        stages.append(StageRecord(n, arr_new.height, Fraction(arr_new.scale),
-                                  float(d), float(e), arr_new.change_mass(),
-                                  cert.is_valid()))
-        arr = arr_new
-    gamma = GammaTable(tuple(g_anchors), tuple(e_anchors), mode="linear")
+    arr, stages, g_anchors, _ = _run_stages(arr, deltas, epss, rounds,
+                                            size_cap)
+    gamma = GammaTable(tuple(g_anchors),
+                       tuple((st.height, st.eps) for st in stages),
+                       mode="linear")
     return TowerTrace("rational", target, stages, arr, gamma)
 
 
@@ -194,7 +228,7 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
         w = basic_extend(w, kap, q, delta=e, size_cap=size_cap)
         w = _tile(w, choose_tile(w, e, size_cap))
         mean = mean + kap
-        if Fraction(w.stats().mean) != mean:
+        if w.mean != mean:
             raise InvariantError("mean increment failed to be exact")
         normalized, where = is_normalized(w, e, witness=True)
         if not normalized:
@@ -247,48 +281,20 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
         return [rationalize(v) if v != INF and v <= floor_r else r_cap
                 for v in rep.cell_values]
 
-    rep0 = reps[0]
-    vals0 = clipped(rep0)
-    symbols = tuple(range(rep0.size))
-    arr = BlockArray(symbols,
-                     {j: Block.from_weights([vals0[j]]) for j in symbols},
-                     {j: vals0[j] for j in symbols}, Fraction(1))
-    stages: List[StageRecord] = []
-    g_anchors: List[Tuple[int, Fraction]] = [(1, Fraction(1))]
-    e_anchors: List[Tuple[int, float]] = []
-    k_flat = 1
-    for n, (d, e) in enumerate(zip(deltas, epss), start=1):
-        if n > 1 and n - 2 < len(reps) - 1:
-            fine = reps[n - 1]
-            coarse = reps[n - 2]
-            fine_vals = clipped(fine)
-            shift = fine.depth - coarse.depth
-            fine_sym = SymRep(tuple(range(fine.size)),
-                              dict(enumerate(fine_vals)))
-            coarse_sym = SymRep(tuple(arr.symbols),
-                                {s: arr.values[s] for s in arr.symbols})
-            pi = {j: j >> shift for j in range(fine.size)}
-            split = Splitting(fine_sym, coarse_sym, pi)
-            arr, srep = straightening_step(arr, split, e, etas[n - 1],
-                                           size_cap=size_cap)
-            if not srep.is_valid():
-                raise InvariantError(f"straightening at stage {n} failed at "
-                                     f"k={srep.failures()[:3]}")
-            k_flat = arr.height
-        arr_new, cert = extension_step(arr, d, e, rounds=rounds,
-                                       size_cap=size_cap)
-        if not cert.is_valid():
-            raise InvariantError(
-                f"stage {n} certificate failed at k={cert.failures()[:3]}, "
-                f"change mass {cert.change_mass} against delta {d}")
-        for k, g in cert.gamma.anchors:
-            if k > g_anchors[-1][0]:
-                g_anchors.append((k, Fraction(g)))
-        e_anchors.append((arr_new.height, float(e)))
-        stages.append(StageRecord(n, arr_new.height, Fraction(arr_new.scale),
-                                  float(d), float(e), arr_new.change_mass(),
-                                  cert.is_valid()))
-        arr = arr_new
+    syms = [SymRep(tuple(range(rep.size)), dict(enumerate(clipped(rep))))
+            for rep in reps]
+    # stage n > 1 first folds in the next finer level of the split chain
+    levels = {n: (Splitting(syms[n - 1], syms[n - 2],
+                            {j: j >> (reps[n - 1].depth - reps[n - 2].depth)
+                             for j in syms[n - 1].symbols}), etas[n - 1])
+              for n in range(2, min(len(reps), len(deltas)) + 1)}
+    arr = BlockArray(syms[0].symbols,
+                     {j: Block.from_weights([v])
+                      for j, v in syms[0].values.items()},
+                     syms[0].values, Fraction(1))
+    arr, stages, g_anchors, k_flat = _run_stages(arr, deltas, epss, rounds,
+                                                 size_cap, levels)
+    e_anchors = [(st.height, st.eps) for st in stages]
     # plain tiling pushes the top decade of heights past the last scale
     # jump, where the normalizer is flat and b(2k)/b(k) sits at 2
     tile = 1

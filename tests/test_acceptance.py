@@ -82,7 +82,7 @@ def test_criterion_1_block_algebra():
         h = rng.randint(1, 10)
         w = Block([rng.randint(1, 9) for _ in range(h)],
                   F(1, rng.randint(1, 4)))
-        st = w.stats()
+        mx = w.scale * int(w.units.max())
         assert list(np.diff(w.prefix)) == list(w.units)
         m = rng.randint(2, 4)
         tiled = self_concat(w, m)
@@ -95,7 +95,7 @@ def test_criterion_1_block_algebra():
         for kk in (h, h + rng.randint(0, 2 * h)):
             units = cyclic_partial_sums_units(w, kk)
             for v in (int(units.min()), int(units.max())):
-                assert abs(w.scale * v - kk * st.mean) <= 2 * h * st.max
+                assert abs(w.scale * v - kk * w.mean) <= 2 * h * mx
         nu = rng.randint(1, h)
         ws = w.weights()
         assert w.scale * int(a[nu - 1]) == \
@@ -115,8 +115,7 @@ def test_criterion_2_basic_lemma():
         if delta is None:
             continue
         checked += 1
-        st = w.stats()
-        e, mx = F(st.mean), F(st.max)
+        e, mx = w.mean, w.scale * int(w.units.max())
         kap = F(rng.randint(0, 4), 4) * delta * e
         q = int(1 / delta) + rng.randint(1, 3)
         mu = rng.randint(1, 3)
@@ -129,7 +128,7 @@ def test_criterion_2_basic_lemma():
             assert is_normalized(self_concat(w1, choose_tile(w1, delta)),
                                  delta)
         # (ii) exact mean shift and pointwise domination
-        assert F(wp.stats().mean) == e + kap
+        assert wp.mean == e + kap
         assert all(a >= b for a, b in zip(wp.weights(), tiled.weights()))
         # value-level disagreement masks (scales may differ)
         sa, sb = F(wp.scale), F(tiled.scale)
@@ -187,8 +186,7 @@ def test_criterion_3_compound():
         out, rep = compound_extend(arr, t_map, beta=beta, eps_out=F(1, 3),
                                    delta=beta)
         for s in arr.symbols:
-            assert F(out.blocks[s].stats().mean) == \
-                F(arr.blocks[s].stats().mean) * t_map[s]
+            assert out.blocks[s].mean == arr.blocks[s].mean * t_map[s]
         steps = [r.p_after - r.p_before for r in rep.rounds]
         assert all(0 <= s <= beta for s in steps)
         ps = [r.p_after for r in rep.rounds]
@@ -227,7 +225,7 @@ def test_criterion_5_distance_oracles():
 
     def expand(dist, length):
         out = []
-        for v, m in dist.atoms():
+        for v, m in zip(dist.values, dist.masses):
             out.extend([v] * int(m * length))
         return out
 

@@ -57,8 +57,8 @@ class TestConstruction:
     def test_from_weights_exact(self):
         w = Block.from_weights([F(1, 2), F(3, 4), F(5, 2)])
         assert w.weights() == [F(1, 2), F(3, 4), F(5, 2)]
-        assert w.stats().total == F(15, 4)
-        assert w.stats().mean == F(5, 4)
+        assert w.scale * w.total_units() == F(15, 4)
+        assert w.mean == F(5, 4)
 
     def test_rejects_floats(self):
         # one arithmetic path: float units, a float scale or float weights
@@ -96,7 +96,7 @@ class TestConcat:
         v = self_concat(w, 3)
         assert len(v) == 6
         assert v.weights() == w.weights() * 3
-        assert v.stats().mean == w.stats().mean
+        assert v.mean == w.mean
 
     def test_inputs_unchanged(self):
         w = Block([1, 2], F(1, 2))
@@ -120,7 +120,7 @@ class TestOverflow:
         else:
             w = Block(units)
             assert w.total_units() == sum(units)
-            assert w.stats().mean == F(sum(units), len(units))
+            assert w.mean == F(sum(units), len(units))
 
     def test_units_past_int64_rejected(self):
         for units in ([2 ** 63], [2 ** 64 + 1], [1, 2 ** 64 + 1], [1, -2 ** 64]):
@@ -309,25 +309,24 @@ class TestCrudeBound:
         for _ in range(60):
             w = random_block(rng)
             h = len(w)
-            st_ = w.stats()
+            mx = w.scale * int(w.units.max())
             for k in range(h, 3 * h + 1):
                 units = cyclic_partial_sums_units(w, k)
                 for v in (int(units.min()), int(units.max())):
                     s = w.scale * v
-                    assert abs(s - k * st_.mean) <= 2 * h * st_.max
+                    assert abs(s - k * w.mean) <= 2 * h * mx
 
 
 class TestIsNormalized:
     def brute(self, w, eps):
         """Direct quantifier scan over one period of residues."""
         h = len(w)
-        st_ = w.stats()
-        k0 = max(1, math.ceil(F(eps) * st_.total / st_.max))
+        k0 = max(1, math.ceil(F(eps) * w.total_units() / int(w.units.max())))
         for k in range(k0, k0 + h):
             units = cyclic_partial_sums_units(w, k)
             for nu in range(1, h + 1):
                 s = w.scale * int(units[nu - 1])
-                if abs(s - k * st_.mean) > F(eps) * k * st_.mean:
+                if abs(s - k * w.mean) > F(eps) * k * w.mean:
                     return False, (k, nu)
         return True, None
 
@@ -356,7 +355,7 @@ class TestIsNormalized:
             k, nu = wit
             found += 1
             s = cyclic_partial_sum(w, k, nu)
-            mean = w.stats().mean
+            mean = w.mean
             assert abs(s - k * mean) > eps * k * mean
         assert found > 0
 
@@ -383,7 +382,7 @@ class TestIsNormalized:
             return
         # the smallest failing k, at the first position of largest deviation
         k = first[0]
-        mean = w.stats().mean
+        mean = w.mean
         devs = [abs(w.scale * int(s) - k * mean)
                 for s in cyclic_partial_sums_units(w, k)]
         assert wit == (k, devs.index(max(devs)) + 1)

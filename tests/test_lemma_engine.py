@@ -78,7 +78,7 @@ class TestBasicExtend:
         w = Block([1])
         wp = basic_extend(w, 1, 2)
         assert wp.weights() == [F(1), F(3)]
-        assert wp.stats().mean == F(2)
+        assert wp.mean == F(2)
 
     def test_zero_kappa_is_tiling(self):
         w = Block([2, 3], F(1, 2))
@@ -104,22 +104,20 @@ class TestBasicExtend:
             if delta is None:
                 continue
             checked += 1
-            st = w.stats()
-            kap = F(rng.randint(0, 4), 4) * delta * st.mean
+            kap = F(rng.randint(0, 4), 4) * delta * w.mean
             q = int(1 / delta) + rng.randint(1, 3)
             mu = rng.randint(1, 3)
             wp = self_concat(basic_extend(w, kap, q, delta=delta), mu)
             tiled = self_concat(w, mu * q)
             assert len(wp) == mu * q * h
-            assert F(wp.stats().mean) == st.mean + kap
+            assert wp.mean == w.mean + kap
             assert all(a >= b for a, b in
                        zip(wp.weights(), tiled.weights()))
 
     def test_disagreement_counting(self):
         w = Block([2, 3, 4, 3], F(1, 3))
         delta = certified_level(w)
-        st = w.stats()
-        kap = delta * st.mean
+        kap = delta * w.mean
         q = int(1 / delta) + 1
         wp = self_concat(basic_extend(w, kap, q, delta=delta), 2)
         tiled = self_concat(w, 2 * q)
@@ -203,8 +201,7 @@ class TestBasicExtend:
         assert out.values == arr.values
         assert out.scale == arr.scale * (1 + F(1, 8))
         for s in out.symbols:
-            assert F(out.blocks[s].stats().mean) == \
-                out.scale * out.values[s]
+            assert out.blocks[s].mean == out.scale * out.values[s]
 
     def test_array_extension_rejects_disproportionate(self):
         arr = two_label_array()
@@ -250,7 +247,7 @@ class TestChangeLedger:
             try:
                 if step[0] == "extend":
                     _, frac, q = step
-                    w = basic_extend(w, frac * w.stats().mean, q,
+                    w = basic_extend(w, frac * w.mean, q,
                                      size_cap=LEDGER_CAP)
                 elif step[0] == "tile":
                     if len(w) * step[1] > LEDGER_CAP:
@@ -259,7 +256,7 @@ class TestChangeLedger:
                 else:
                     _, t, d = step
                     arr = BlockArray(("w",), {"w": w},
-                                     {"w": F(w.stats().mean)}, F(1))
+                                     {"w": w.mean}, F(1))
                     out, _ = compound_extend(arr, {"w": t}, beta=F(1, 2),
                                              eps_out=F(1, 2), delta=d,
                                              size_cap=LEDGER_CAP)
@@ -276,8 +273,7 @@ class TestCompoundExtend:
         out, rep = compound_extend(arr, t_map, beta=F(1, 3),
                                    eps_out=F(1, 4), delta=F(1, 3))
         for s in arr.symbols:
-            assert F(out.blocks[s].stats().mean) == \
-                F(arr.blocks[s].stats().mean) * t_map[s]
+            assert out.blocks[s].mean == arr.blocks[s].mean * t_map[s]
             assert is_normalized(out.blocks[s], F(1, 4))
 
     def test_schedule_monotone_with_small_steps(self):
@@ -329,8 +325,7 @@ class TestExtensionStep:
         assert out.scale > arr.scale
         assert out.label_dist() == arr.label_dist()
         for s in out.symbols:
-            assert F(out.blocks[s].stats().mean) == \
-                out.scale * out.values[s]
+            assert out.blocks[s].mean == out.scale * out.values[s]
 
     def test_gamma_chain_steps_bounded(self):
         arr = self.labels_three_halves()
@@ -392,8 +387,7 @@ class TestStraightening:
         assert out.label_dist() == FiniteDist.uniform([1, 2])
         assert out.scale == arr.scale * rep.k_factor
         for s in out.symbols:
-            assert F(out.blocks[s].stats().mean) == \
-                out.scale * out.values[s]
+            assert out.blocks[s].mean == out.scale * out.values[s]
 
     def test_blend_weight_monotone_zero_to_one(self):
         arr = self.coarse_array()

@@ -138,7 +138,7 @@ class TestIntegerize:
         # branch; at these eta its weights (2^-62) or their total (2^66)
         # leave int64, which must raise instead of wrapping or overflowing
         w = Block([2 ** 50 + j for j in range(16)], F(1, 2 ** 50))
-        mean = w.stats().mean
+        mean = w.mean
         trace = dataclasses.replace(
             base_trace, final=BlockArray(("w",), {"w": w}, {"w": mean}, 1))
         it = integerize(trace, F(1, 2 ** 20))
@@ -252,7 +252,7 @@ class TestOccupation:
         with open(tmp_path / "occ.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["count", "mass"]] + [
-            [str(v), str(m)] for v, m in dist.atoms()]
+            [str(v), str(m)] for v, m in zip(dist.values, dist.masses)]
 
     def test_early_time_rejected(self):
         it = toy_tower({"a": [5, 9, 7]})
@@ -338,7 +338,7 @@ class TestBumpKernel:
         child = Block([2 ** 50 + 7 * j for j in range(4)], F(1, 2 ** 50))
         w = _add_bumps(child, 4, F(3 * 2 ** 30 + 5, 2 ** 50), 8)
         trace = dataclasses.replace(base_trace, final=BlockArray(
-            ("w",), {"w": w}, {"w": w.stats().mean}, 1))
+            ("w",), {"w": w}, {"w": w.mean}, 1))
         it = integerize(trace, F(1, 2 ** 20))
         v = it.blocks["w"]
         assert it.perturbations["w"] != 0

@@ -12,8 +12,8 @@ from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
                                     transport_distances)
 from towerkit import tower
-from towerkit.lemma_engine import (InvariantError, PreconditionError,
-                                   SizeCapError)
+from towerkit.lemma_engine import (BlockArray, InvariantError,
+                                   PreconditionError, SizeCapError)
 from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
                             build_general_tower, build_rational_tower,
                             certify_theorem1, check_example_run,
@@ -49,8 +49,7 @@ class TestRationalTower:
     def test_blocks_stay_label_distributed(self, small_rational_trace):
         arr = small_rational_trace.final
         for s in arr.symbols:
-            assert F(arr.blocks[s].stats().mean) == \
-                arr.scale * arr.values[s]
+            assert arr.blocks[s].mean == arr.scale * arr.values[s]
         assert arr.label_dist() == FiniteDist.uniform([1, 2])
 
     def test_gamma_chain(self, small_rational_trace):
@@ -83,7 +82,7 @@ class TestExampleTower:
         arr = trace.final
         s = arr.symbols[0]
         # each stage adds kappa_n to the running mean, exactly
-        assert F(arr.blocks[s].stats().mean) == F(10) + F(1) + F(1, 2)
+        assert arr.blocks[s].mean == F(10) + F(1) + F(1, 2)
 
     def test_stage_normalization(self, small_example_trace):
         arr = small_example_trace.final
@@ -117,8 +116,7 @@ class TestGeneralTower:
         assert all(st.cert_valid in (True, None) for st in trace.stages)
         arr = trace.final
         for s in arr.symbols:
-            assert F(arr.blocks[s].stats().mean) == \
-                arr.scale * arr.values[s]
+            assert arr.blocks[s].mean == arr.scale * arr.values[s]
 
 
 class TestBuildFailureWitness:
@@ -190,6 +188,70 @@ class TestBuildFailureWitness:
         assert witnesses[-1] is not None
         assert str(exc.value) == ("stage 2 block is not eps-normalized at "
                                   f"(k, position) = {witnesses[-1]}")
+
+
+class TestMonotoneGrowth:
+    """No weight may decrease across an extension stage of either builder;
+    the check compares int64 units and never lets a rescale wrap."""
+
+    @staticmethod
+    def one_symbol(units, scale=1):
+        w = Block(units, F(scale))
+        return BlockArray(("a",), {"a": w}, {"a": F(1)}, w.mean)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_rational_tower(FiniteDist.uniform([1, 2]), [F(1, 10)],
+                                     [F(1, 20)], rounds=2),
+        lambda: build_general_tower(make_target("pareto", alpha=F(1)),
+                                    [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)]),
+    ], ids=["rational", "general"])
+    def test_lowered_unit_fails(self, build, monkeypatch):
+        # the first level of a block is never bumped, so its new unit is
+        # the old one times the scale ratio; lowering it by one (and raising
+        # the second, so the mean stays exact) leaves a weight decreased
+        step = tower.extension_step
+
+        def lowering(*args, **kwargs):
+            arr, cert = step(*args, **kwargs)
+            s = arr.symbols[0]
+            units = arr.blocks[s].units.copy()
+            units[0] -= 1
+            units[1] += 1
+            blocks = {**arr.blocks, s: Block(units, arr.blocks[s].scale)}
+            return BlockArray(arr.symbols, blocks, arr.values,
+                              arr.scale), cert
+
+        monkeypatch.setattr(tower, "extension_step", lowering)
+        with pytest.raises(InvariantError) as exc:
+            build()
+        assert str(exc.value) == "weights decreased across a stage"
+
+    def test_rescale_past_int64_fails(self):
+        # 4 * (2^62 - 1) wraps int64 to -4, where a wrapped comparison
+        # would pass
+        big = 2 ** 62 - 1
+        old = self.one_symbol([big, 1])
+        new = self.one_symbol([big, 4], F(1, 4))
+        assert (new.blocks["a"].units >= old.blocks["a"].units *
+                np.int64(4)).all()
+        with pytest.raises(InvariantError) as exc:
+            tower._check_monotone_growth(old, new)
+        assert str(exc.value) == "weights decreased across a stage"
+
+    def test_rescale_at_int64_edge_passes(self):
+        # 2 * (2^62 - 1) = 2^63 - 2 still fits int64
+        big = 2 ** 62 - 1
+        tower._check_monotone_growth(self.one_symbol([big]),
+                                     self.one_symbol([2 * big], F(1, 2)))
+        with pytest.raises(InvariantError):
+            tower._check_monotone_growth(
+                self.one_symbol([big]),
+                self.one_symbol([2 * big - 1], F(1, 2)))
+
+    def test_non_integer_scale_ratio_fails(self):
+        with pytest.raises(InvariantError, match="not an integer"):
+            tower._check_monotone_growth(self.one_symbol([2, 2]),
+                                         self.one_symbol([3, 3], F(2, 3)))
 
 
 class TestCertification:
