@@ -538,21 +538,23 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     for hist in trace.final.sk_histograms(ks):
         for i, k in enumerate(hist.ks):
             hist.row(i).to_csv(os.path.join(out, f"skdist_{k}.csv"))
+    low = rep.lower_bound
     report = dict(_report_header(cfg))
     report.update({
         "k_grid_size": len(rep.k_grid),
-        "stage_eps_ok": rep.stage_eps_ok,
-        "lower_bound_ok": rep.lower_bound_ok,
-        "doubling_ok": rep.doubling_ok,
-        "max_vasershtein": max(rep.vasershtein.values()),
+        "stage_eps_ok": rep.eps.ok(),
+        "lower_bound_ok": low.ok(),
+        "doubling_ok": rep.doubling.ok(),
+        "max_vasershtein": max(rep.eps.distances.values()),
         "lower_bound_failures": [
-            [k, str(x), str(lhs), str(rhs)]
-            for k, x, lhs, rhs, ok in rep.lower_bound_checks if not ok],
+            [k, str(x), str(low.distances[k, x]), str(low.allowances[k, x])]
+            for k, x in low.failures()],
     })
     write_json(os.path.join(out, "verify_report.json"), report)
-    _log(f"verify: eps {rep.stage_eps_ok}, lower {rep.lower_bound_ok}, "
-         f"doubling {rep.doubling_ok}")
-    _log(json.dumps({"verify_margin": rep.margin[0], "k": rep.margin[1]}))
+    _log(f"verify: eps {rep.eps.ok()}, lower {low.ok()}, "
+         f"doubling {rep.doubling.ok()}")
+    margin, k = rep.eps.margin()
+    _log(json.dumps({"verify_margin": margin, "k": k}))
     return EXIT_OK if rep.ok() else EXIT_INVARIANT
 
 
@@ -586,7 +588,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     report = dict(_report_header(cfg))
     report["inversion"] = {
         "tol": sc.tol,
-        "top_ok": inv.top_ok,
+        "top_ok": inv.top.ok(),
         "occupation_distances": {str(n): inv.occ_distances[n]
                                  for n in inv.n_grid},
         "return_time_distances": {str(n): inv.phi_distances[n]
@@ -597,7 +599,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     are_report["alphas"] = [{
         "alpha": r.alpha,
         "mode": r.mode,
-        "bound_ok": r.bound_ok,
+        "bound_ok": None if r.bound is None else r.bound.ok(),
         "a_alpha": {str(n): v for n, v in r.a_alpha.items()},
         "ratio_to_a1": {str(n): v for n, v in r.ratio_to_a1.items()},
         "u_sup": {str(t): v for t, v in r.u_sup.items()},
@@ -606,8 +608,9 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     write_json(os.path.join(out, "are_report.json"), are_report)
     checked = rows if sc.bound_alphas is None else [
         r for r in rows if r.alpha in sc.bound_alphas]
-    hard_ok = inv.top_ok and all(r.bound_ok in (True, None) for r in checked)
-    _log(f"skyscraper: inversion {'pass' if inv.top_ok else 'FAIL'}, "
+    top_ok = inv.top.ok()
+    hard_ok = top_ok and all(r.bound is None or r.bound.ok() for r in checked)
+    _log(f"skyscraper: inversion {'pass' if top_ok else 'FAIL'}, "
          f"{len(rows)} alpha rows")
     return EXIT_OK if hard_ok else EXIT_INVARIANT
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,8 @@ DEFAULT_SIZE_CAP = 10 ** 6
 # most CERT_GEO geometrically spaced k up to the extended height
 CERT_DENSE = 512
 CERT_GEO = 128
+# the float slack of the Theorem 1 eps verdict and the ARE bound verdict
+FLOAT_SLACK = 1e-12
 
 
 class SizeCapError(RuntimeError):
@@ -66,6 +69,45 @@ def make_k_grid(lo: int, hi: int, dense_cap: int = 4096,
         if hi not in seen:
             grid.append(hi)
     return sorted(set(grid))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Measured distances held to allowances over one grid, decided once.
+
+    ``distances`` and ``allowances`` are keyed alike, in grid order.  An
+    entry passes when d < a + slack (``strict``) or d <= a + slack; the
+    default slack, the int 0, keeps an exact ``Fraction`` pair exact.
+    """
+
+    distances: dict
+    allowances: dict
+    strict: bool
+    slack: float = 0
+
+    def __post_init__(self):
+        if list(self.distances) != list(self.allowances):
+            raise InvariantError("allowances must be keyed like distances")
+        bounds = self.allowances.values()
+        if self.slack:
+            bounds = [a + self.slack for a in bounds]
+        holds = operator.lt if self.strict else operator.le
+        object.__setattr__(self, "_failed", [
+            k for (k, d), a in zip(self.distances.items(), bounds)
+            if not holds(d, a)])
+
+    def failures(self) -> list:
+        """The failing keys, in grid order."""
+        return list(self._failed)
+
+    def ok(self) -> bool:
+        return not self._failed
+
+    def margin(self) -> Optional[tuple]:
+        """(least allowance minus distance, its first key); None if empty."""
+        return min(((a - d, k) for (k, d), a in zip(
+            self.distances.items(), self.allowances.values())),
+            key=operator.itemgetter(0), default=None)
 
 
 @dataclass(frozen=True)
@@ -132,21 +174,23 @@ class GammaTable:
     mode: str = "linear"
 
     def __post_init__(self):
-        ks = [k for k, _ in self.anchors]
-        gs = [g for _, g in self.anchors]
-        if ks != sorted(set(ks)):
+        ks = tuple(k for k, _ in self.anchors)
+        gs = tuple(g for _, g in self.anchors)
+        if list(ks) != sorted(set(ks)):
             raise PreconditionError("gamma anchors must have increasing k")
         if any(b < a for a, b in zip(gs, gs[1:])):
             raise PreconditionError("gamma must be nondecreasing")
-        es = [e for _, e in self.eps_anchors]
+        es = tuple(e for _, e in self.eps_anchors)
         if any(b > a for a, b in zip(es, es[1:])):
             raise PreconditionError("eps schedule must be nonincreasing")
         if self.mode not in ("linear", "constant"):
             raise PreconditionError(f"unknown gamma mode {self.mode!r}")
+        object.__setattr__(self, "_gamma_columns", (ks, gs))
+        object.__setattr__(self, "_eps_columns", (
+            tuple(k for k, _ in self.eps_anchors), es))
 
     def gamma(self, k):
-        ks = [a for a, _ in self.anchors]
-        gs = [g for _, g in self.anchors]
+        ks, gs = self._gamma_columns
         if k <= ks[0]:
             return gs[0]
         if k >= ks[-1]:
@@ -161,8 +205,7 @@ class GammaTable:
         return g0 + (g1 - g0) * Fraction(k - k0, k1 - k0)
 
     def eps(self, k) -> float:
-        ks = [a for a, _ in self.eps_anchors]
-        es = [e for _, e in self.eps_anchors]
+        ks, es = self._eps_columns
         if k <= ks[0]:
             return float(es[0])
         if k >= ks[-1]:
@@ -201,30 +244,6 @@ class GammaTable:
         return cls(tuple((int(k), Fraction(g)) for k, g in obj["anchors"]),
                    tuple((int(k), float(e)) for k, e in obj["eps"]),
                    obj["mode"])
-
-
-@dataclass(frozen=True)
-class ExtensionCertificate:
-    """Measured evidence that an extended array stays distributed like its
-    label variable along the normalizer chain.
-
-    ``distances`` holds the uniform (L-infinity) arctan transport distance
-    between the exact histogram of S_k/(k gamma(k)), whose masses are
-    integer position counts, and the label distribution.
-    """
-
-    k_grid: tuple
-    distances: dict            # k -> measured transport distance
-    gamma: GammaTable
-    change_mass: Fraction
-    delta: float
-
-    def failures(self) -> List[int]:
-        return [k for k in self.k_grid
-                if not self.distances[k] < self.gamma.eps(k)]
-
-    def is_valid(self) -> bool:
-        return not self.failures() and self.change_mass < self.delta
 
 
 # -- basic extension -------------------------------------------------------
@@ -442,23 +461,25 @@ def compound_extend(arr: BlockArray, t_map: Dict, beta: Scalar,
 # -- full extension step ---------------------------------------------------
 
 
-def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int, k_hi: int,
-             delta: Fraction, change: Fraction) -> ExtensionCertificate:
+def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int,
+             k_hi: int) -> Verdict:
+    """The uniform (L-infinity) arctan transport distance between the exact
+    histogram of S_k/(k gamma(k)), whose masses are integer position counts,
+    and the label distribution, held below eps(k) on the certificate grid."""
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=CERT_DENSE, geo_cap=CERT_GEO)
     laws = ((hist, [gamma.gamma(k) for k in hist.ks], [y] * len(hist.ks))
             for hist in arr_new.sk_histograms(grid))
     distances = dict(zip(grid, transport_distances(laws, "uniform")))
-    return ExtensionCertificate(tuple(grid), distances, gamma, change,
-                                float(delta))
+    return Verdict(distances, {k: gamma.eps(k) for k in grid}, strict=True)
 
 
 def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
                    rounds: int = 3, size_cap: int = DEFAULT_SIZE_CAP
-                   ) -> Tuple[BlockArray, ExtensionCertificate]:
+                   ) -> Tuple[BlockArray, GammaTable, Verdict]:
     """Produce a strictly larger-scale array that is still exactly
-    label-distributed, moves less than ``delta`` of the mass, and carries a
-    certificate of closeness to the label distribution along a gamma chain.
+    label-distributed, its gamma chain, and the verdict of its closeness to
+    the label distribution along it; the caller holds its change to delta.
 
     The scale grows by a small factor through ``rounds`` basic extensions
     whose bumps stay uniformly negligible at every window length, so the
@@ -504,8 +525,7 @@ def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
                        mode="linear")
     if gamma.max_step() > delta:
         raise InvariantError("gamma chain step exceeds delta")
-    cert = _certify(cur, gamma, h0, heights[-1], delta, cur.change_mass())
-    return cur, cert
+    return cur, gamma, _certify(cur, gamma, h0, heights[-1])
 
 
 # -- straightening ---------------------------------------------------------
@@ -517,15 +537,7 @@ class StraighteningReport:
 
     k_factor: Fraction
     q_grid: tuple                   # ((k, q_k), ...) blend weights
-    distances: dict                 # k -> vasershtein distance to the blend
-    bound: float                    # allowance eps + splitting cost
-
-    def failures(self) -> List[int]:
-        return [k for k, _ in self.q_grid
-                if not self.distances[k] < self.bound]
-
-    def is_valid(self) -> bool:
-        return not self.failures()
+    verdict: Verdict                # distance to the blend < eps + cost
 
 
 def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
@@ -584,6 +596,7 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
         for hist in final.sk_histograms(grid))))
     if q_grid[0][1] != 0:
         raise InvariantError("blend weight must start at 0")
-    report = StraighteningReport(k_factor, tuple(q_grid), distances,
-                                 float(eps) + split.cost())
-    return final, report
+    bound = float(eps) + split.cost()
+    return final, StraighteningReport(
+        k_factor, tuple(q_grid),
+        Verdict(distances, dict.fromkeys(distances, bound), strict=True))

@@ -26,7 +26,7 @@ import numpy as np
 from .blocks import _INT64_MAX, Block, Bump
 from .distributions import (INF, FiniteDist, SkHistogram, open_output,
                             sk_histograms, transport_distances)
-from .lemma_engine import InvariantError
+from .lemma_engine import FLOAT_SLACK, InvariantError, Verdict
 from .tower import TowerTrace
 
 DEFAULT_ETA_INT = Fraction(1, 1000)
@@ -387,7 +387,7 @@ class InversionReport:
     n_grid: tuple
     occ_distances: dict         # n -> distance(S_n/a(n), Y)
     phi_distances: dict         # n -> distance(phi_m/b(m), Z) at m ~ a(n)
-    top_ok: bool
+    top: Verdict                # occ_distances on the top decade vs tol
 
 
 def check_inversion(it: IntegerTower, reports: Dict,
@@ -414,9 +414,9 @@ def check_inversion(it: IntegerTower, reports: Dict,
     phi_d = dict(zip(n_grid, transport_distances(
         (hist, [gamma(m) for m in hist.ks], [z] * len(hist.ks))
         for hist in sk_histograms(blocks, windows))))
-    top = [n for n in n_grid if n * 10 >= n_grid[-1]]
-    top_ok = all(occ_d[n] <= tol for n in top)
-    return InversionReport(tuple(n_grid), occ_d, phi_d, top_ok)
+    top = {n: occ_d[n] for n in n_grid if n * 10 >= n_grid[-1]}
+    return InversionReport(tuple(n_grid), occ_d, phi_d,
+                           Verdict(top, dict.fromkeys(top, tol), strict=False))
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ class AlphaRow:
     ratio_to_a1: dict           # n -> a_{alpha}(n)/a_{1}(n)
     u_sup: dict                 # t -> sup over the top window
     rho: dict                   # t -> tail integral of the target
-    bound_ok: Optional[bool]    # None in divergent mode
+    bound: Optional[Verdict]    # u_sup vs tail_constant*rho; None divergent
 
 
 def _target_rho(y: FiniteDist, alpha: float, t: float) -> float:
@@ -474,12 +474,10 @@ def are_diagnostic(it: IntegerTower, reports: Dict, alphas: Sequence,
                  for t in t_grid}
         rho = {t: rho_fn(alpha, t) if rho_fn is not None
                else _target_rho(y, alpha, t) for t in t_grid}
-        if mode == "integrable":
-            ok = all(u_sup[t] <= float(tail_constant) * rho[t] + 1e-12
-                     for t in rho)
-        else:
-            ok = None
-        rows.append(AlphaRow(alpha, mode, a_a, ratio, u_sup, rho, ok))
+        bound = None if mode == "divergent" else Verdict(
+            u_sup, {t: float(tail_constant) * rho[t] for t in rho},
+            strict=False, slack=FLOAT_SLACK)
+        rows.append(AlphaRow(alpha, mode, a_a, ratio, u_sup, rho, bound))
     return rows
 
 

@@ -20,9 +20,10 @@ import numpy as np
 from .blocks import _INT64_MAX, Block, is_normalized, self_concat
 from .distributions import (INF, FiniteDist, Splitting, SymRep,
                             transport_distances, write_json)
-from .lemma_engine import (BlockArray, GammaTable, InvariantError,
-                           PreconditionError, _tile, basic_extend,
-                           choose_tile, extension_step, straightening_step)
+from .lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
+                           InvariantError, PreconditionError, Verdict, _tile,
+                           basic_extend, choose_tile, extension_step,
+                           straightening_step)
 from .splitting import TargetDist, build_split_sequence
 
 # the constant M of certify_theorem1's cdf lower bound
@@ -149,22 +150,22 @@ def _run_stages(arr: BlockArray, deltas: Sequence[Fraction],
             split, eta = levels[n]
             arr, srep = straightening_step(arr, split, e, eta,
                                            size_cap=size_cap)
-            if not srep.is_valid():
+            if not srep.verdict.ok():
                 raise InvariantError(f"straightening at stage {n} failed at "
-                                     f"k={srep.failures()[:3]}")
+                                     f"k={srep.verdict.failures()[:3]}")
             k_flat = arr.height
-        arr_new, cert = extension_step(arr, d, e, rounds=rounds,
-                                       size_cap=size_cap)
+        arr_new, gamma, cert = extension_step(arr, d, e, rounds=rounds,
+                                              size_cap=size_cap)
         _check_monotone_growth(arr, arr_new)
-        if not cert.is_valid():
+        change = arr_new.change_mass()
+        if not (cert.ok() and change < float(d)):
             raise InvariantError(
                 f"stage {n} certificate failed at k={cert.failures()[:3]}, "
-                f"change mass {cert.change_mass} against delta {d}")
-        g_anchors += [(k, g) for k, g in cert.gamma.anchors
+                f"change mass {change} against delta {d}")
+        g_anchors += [(k, g) for k, g in gamma.anchors
                       if k > g_anchors[-1][0]]
         stages.append(StageRecord(n, arr_new.height, Fraction(arr_new.scale),
-                                  float(d), float(e), arr_new.change_mass(),
-                                  True))
+                                  float(d), float(e), change, True))
         arr = arr_new
     return arr, stages, g_anchors, k_flat
 
@@ -338,23 +339,19 @@ def tower_k_grid(trace: TowerTrace) -> List[int]:
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """Certification summary for a tower trace."""
+    """Certification summary for a tower trace: three verdicts."""
 
-    k_grid: tuple
-    # k -> L1 arctan transport distance between the exact histogram of
-    # S_k/b(k), whose masses are integer position counts, and the target
-    vasershtein: dict
-    stage_eps_ok: bool
-    lower_bound_ok: bool
-    lower_bound_checks: tuple   # ((k, x, lhs, rhs, ok), ...)
-    doubling_ratios: tuple      # ((k, b(2k)/b(k)), ...) in the top window
-    doubling_ok: bool
-    # (min over the grid of stage eps minus distance, the k where it falls);
-    # None on an empty grid
-    margin: Optional[tuple]
+    k_grid: tuple               # the grid as measured, repeats included
+    # k -> L1 arctan transport distance from the exact histogram of S_k/b(k)
+    # (integer position counts) to the target, against the stage eps
+    eps: Verdict
+    # (k, x) -> P(S_k < x b(k)) against P(Y <= M x), both exact
+    lower_bound: Verdict
+    # k -> |b(2k)/b(k) - 2| in the top window, against doubling_tol
+    doubling: Verdict
 
     def ok(self) -> bool:
-        return self.stage_eps_ok and self.lower_bound_ok and self.doubling_ok
+        return all(v.ok() for v in (self.eps, self.lower_bound, self.doubling))
 
 
 def _stage_eps_at(trace: TowerTrace, k: int) -> float:
@@ -381,7 +378,7 @@ def certify_theorem1(trace: TowerTrace,
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
     xs = [Fraction(x) for x in x_values]
     bounds = [y.cdf(BICYCLE_M * x) for x in xs]
-    checks = []
+    lhs, rhs = {}, {}
 
     def laws():
         # the cdf checks read each record on its way to the transport
@@ -391,33 +388,21 @@ def certify_theorem1(trace: TowerTrace,
                 xs, [k * Fraction(g) for k, g in zip(hist.ks, gs)])
             for k, counts, total in zip(hist.ks, below, hist.totals):
                 for x, bound, n in zip(xs, bounds, counts):
-                    lhs = Fraction(n, total)
-                    checks.append((k, x, lhs, bound, lhs <= bound))
+                    lhs[k, x] = Fraction(n, total)
+                    rhs[k, x] = bound
             yield hist, gs, [y] * len(gs)
 
     vas = dict(zip(grid, transport_distances(laws())))
-    lower_ok = all(ok for *_, ok in checks)
-    eps_ok = True
-    margin = None
-    for k in grid:
-        eps_k = _stage_eps_at(trace, k)
-        if not vas[k] <= eps_k + 1e-12:
-            eps_ok = False
-        if margin is None or eps_k - vas[k] < margin[0]:
-            margin = (eps_k - vas[k], k)
     h = trace.height
-    ratios = []
-    doubling_ok = True
-    k = max(1, h // 20)
-    step = max(1, (h // 2 - k) // 32)
-    while 2 * k <= h:
-        r = float(b_of(trace, 2 * k)) / float(b_of(trace, k))
-        ratios.append((k, r))
-        if abs(r - 2) > doubling_tol:
-            doubling_ok = False
-        k += step
-    return Theorem1Report(tuple(grid), vas, eps_ok, lower_ok, tuple(checks),
-                          tuple(ratios), doubling_ok, margin)
+    k0 = max(1, h // 20)
+    gaps = {k: abs(float(b_of(trace, 2 * k)) / float(b_of(trace, k)) - 2)
+            for k in range(k0, h // 2 + 1, max(1, (h // 2 - k0) // 32))}
+    return Theorem1Report(
+        tuple(grid),
+        Verdict(vas, {k: _stage_eps_at(trace, k) for k in vas},
+                strict=False, slack=FLOAT_SLACK),
+        Verdict(lhs, rhs, strict=False),
+        Verdict(gaps, dict.fromkeys(gaps, doubling_tol), strict=False))
 
 
 # -- serialization ---------------------------------------------------------

@@ -18,8 +18,8 @@ from towerkit.skyscraper import (IntegerTower, are_diagnostic, check_duality,
                                  occupation_sweep)
 from towerkit.splitting import (DyadicRep, build_split_sequence, make_target,
                                 split_cost)
-from towerkit.tower import (build_example_tower, build_rational_tower,
-                            certify_theorem1)
+from towerkit.tower import (b_of, build_example_tower,
+                            build_rational_tower, certify_theorem1)
 
 from oracles import cyclic_partial_sums_units, law_distance
 
@@ -199,14 +199,15 @@ def test_criterion_4_extension_end_to_end():
     t0 = time.monotonic()
     blocks = {"a": Block([1]), "b": Block([2])}
     arr = BlockArray(("a", "b"), blocks, {"a": F(1), "b": F(2)}, F(1))
-    out, cert = extension_step(arr, F(3, 10), F(1, 10), rounds=2)
-    ok = cert.is_valid() and cert.change_mass < F(3, 10) and \
+    out, gamma, cert = extension_step(arr, F(3, 10), F(1, 10), rounds=2)
+    change = out.change_mass()
+    ok = cert.ok() and change < 0.3 and change < F(3, 10) and \
         out.height <= 10 ** 6
     # replay the certificate distances against the eps chain
-    for k in cert.k_grid:
-        assert cert.distances[k] < cert.gamma.eps(k)
+    for k, d in cert.distances.items():
+        assert d < gamma.eps(k)
     report(4, ok, f"uniform(1,2) extension delta=0.3 eps=0.1 certified on "
-                  f"{len(cert.k_grid)} window lengths, height {out.height}",
+                  f"{len(cert.distances)} window lengths, height {out.height}",
            t0)
 
 
@@ -283,10 +284,12 @@ def test_criterion_7_example_pipeline(example_trace):
     eps_sum = sum(F(1, n + 3) for n in range(1, 7))
     ledger_ok = trace.final.change_mass() < eps_sum
     rep = certify_theorem1(trace)
-    doubling_ok = all(1.9 <= r <= 2.1 for _, r in rep.doubling_ratios)
-    boundary_ok = all(
-        rep.vasershtein[st.height] <= st.eps + 1e-12
-        for st in trace.stages if st.height in rep.vasershtein)
+    doubling_ok = all(
+        1.9 <= float(b_of(trace, 2 * k)) / float(b_of(trace, k)) <= 2.1
+        for k in rep.doubling.distances)
+    vas = rep.eps.distances
+    boundary_ok = all(vas[st.height] <= st.eps + 1e-12
+                      for st in trace.stages if st.height in vas)
     ok = ledger_ok and doubling_ok and boundary_ok and rep.ok()
     report(7, ok, f"six-stage constant-target pipeline, ledger "
                   f"{float(trace.final.change_mass()):.3f} < "
@@ -297,10 +300,12 @@ def test_criterion_8_lower_bound(twopoint_trace):
     t0 = time.monotonic()
     rep = certify_theorem1(twopoint_trace,
                            x_values=(F(3, 10), F(1, 2), F(4, 5)))
-    failures = [c for c in rep.lower_bound_checks if not c[4]]
-    ok = rep.lower_bound_ok and not failures and rep.ok()
+    low = rep.lower_bound
+    failures = [kx for kx, lhs in low.distances.items()
+                if not lhs <= low.allowances[kx]]
+    ok = low.ok() and not failures and rep.ok()
     report(8, ok, f"exact cdf lower bound with constant 9/8 at "
-                  f"x in (0.3, 0.5, 0.8), {len(rep.lower_bound_checks)} "
+                  f"x in (0.3, 0.5, 0.8), {len(low.distances)} "
                   f"checks, {len(failures)} failures", t0)
 
 
@@ -324,7 +329,7 @@ def test_criterion_9_skyscraper_inversion(uniform_sky):
     inv = check_inversion(uniform_sky, reports, tol=0.15)
     top = [n for n in inv.n_grid if n * 10 >= inv.n_grid[-1]]
     top_ok = all(inv.occ_distances[n] <= 0.15 for n in top)
-    ok = inv.top_ok and top_ok
+    ok = inv.top.ok() and top_ok
     report(9, ok, f"duality exhaustive to height 512; occupation within "
                   f"0.15 on the top window, tail constant 2 at "
                   f"x in (1.25, 1.5, 2) over {len(inv.n_grid)} horizons",
@@ -356,7 +361,7 @@ def test_criterion_10_alpha_dichotomy(uniform_sky, pareto_sky):
     p_by_alpha = {r.alpha: r for r in p_rows}
     divergent_ok = p_by_alpha[1.5].mode == "divergent"
     half = p_by_alpha[0.5]
-    bound_ok = half.mode == "integrable" and half.bound_ok and all(
+    bound_ok = half.mode == "integrable" and half.bound.ok() and all(
         half.u_sup[t] <= 2 * half.rho[t] + 1e-9 for t in (2.0, 4.0, 8.0))
     ok = ratio_ok and divergent_ok and bound_ok
     report(10, ok, f"moment ratio near {expected:.4f} on the top window; "

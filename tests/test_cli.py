@@ -15,7 +15,7 @@ from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
 from towerkit import skyscraper as sky
 from towerkit.blocks import Block
 from towerkit.lemma_engine import GammaTable
-from towerkit.tower import _stage_eps_at, certify_theorem1
+from towerkit.tower import certify_theorem1
 
 FAST_CONFIG = {
     "kind": "rational",
@@ -470,6 +470,52 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
 
 
+class TestVerdictExitCodes:
+    """Every exit code that a verdict decides, each driven by config
+    alone."""
+
+    @staticmethod
+    def run(tmp_path, preset, override, *steps):
+        path = write_config(tmp_path / "c.json", override)
+        out = tmp_path / "out"
+        return [main([step, "--preset", preset, "--config", path,
+                      "--out", str(out)]) for step in steps], out
+
+    @staticmethod
+    def read(out, name):
+        return json.loads((out / name).read_text())
+
+    def test_doubling_is_5(self, tmp_path):
+        codes, out = self.run(tmp_path, "twopoint", {"doubling_tol": "1e-9"},
+                              "build", "verify")
+        assert codes == [EXIT_OK, EXIT_INVARIANT]
+        report = self.read(out, "verify_report.json")
+        assert report["doubling_ok"] is False
+        assert report["stage_eps_ok"] and report["lower_bound_ok"]
+
+    def test_inversion_top_is_5(self, tmp_path):
+        section = dict(PRESETS["twopoint"]["skyscraper"], tol="1e-9")
+        codes, out = self.run(tmp_path, "twopoint", {"skyscraper": section},
+                              "skyscraper")
+        assert codes == [EXIT_INVARIANT]
+        assert self.read(out, "inversion_report.json")[
+            "inversion"]["top_ok"] is False
+
+    def test_are_bound_is_5(self, tmp_path):
+        # without the Pareto tail integral, rho comes from the truncated
+        # target, and u at alpha 1/2 exceeds twice it
+        section = {key: v for key, v in PRESETS["pareto1"]["skyscraper"]
+                   .items() if key != "rho"}
+        codes, out = self.run(tmp_path, "pareto1", {"skyscraper": section},
+                              "skyscraper")
+        assert codes == [EXIT_INVARIANT]
+        rows = self.read(out, "are_report.json")["alphas"]
+        assert {r["alpha"]: r["bound_ok"] for r in rows} == \
+            {0.5: False, 1.5: None}
+        assert self.read(out, "inversion_report.json")[
+            "inversion"]["top_ok"] is True
+
+
 def bump(v):
     """The same JSON value with its first leaf changed."""
     if isinstance(v, bool):
@@ -518,6 +564,30 @@ class TestVerifyIntegrity:
         (out / "tower.json").write_text(json.dumps(good))
         assert self.verify(fast_config, out) == EXIT_OK
 
+    @pytest.mark.parametrize("gamma", [
+        {"mode": "linear", "anchors": [], "eps": []},
+        {"mode": "linear", "anchors": [], "eps": [[1, "0.05"]]},
+        {"mode": "linear", "anchors": [[1, "1"]], "eps": []},
+        {"mode": "linear", "anchors": [[1]], "eps": [[1, "0.05"]]},
+        {"mode": "linear", "anchors": [[2, "1"], [1, "1"]],
+         "eps": [[1, "0.05"]]},
+        {"mode": "steps", "anchors": [[1, "1"]], "eps": [[1, "0.05"]]},
+    ], ids=["empty", "no-anchors", "no-eps", "short", "decreasing-k",
+            "mode"])
+    def test_malformed_gamma_is_4(self, gamma, fast_config, tmp_path):
+        # with its checksum recomputed wherever the table loads at all
+        out = tmp_path / "out"
+        assert main(["build", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_OK
+        good = json.loads((out / "tower.json").read_text())
+        try:
+            checksum = GammaTable.from_json_obj(gamma).checksum()
+        except (ValueError, TypeError):
+            checksum = good["gamma_checksum"]
+        (out / "tower.json").write_text(json.dumps(
+            dict(good, gamma=gamma, gamma_checksum=checksum)))
+        assert self.verify(fast_config, out) == EXIT_CORRUPT
+
     def test_partial_manifest_is_4(self, fast_config, tmp_path):
         out = tmp_path / "out"
         assert main(["build", "--config", fast_config, "--out", str(out),
@@ -548,8 +618,13 @@ class TestVerifyMargin:
         trace = build_tower_from_config(
             load_config(fast_config, None, None, None, None))
         rep = certify_theorem1(trace)
-        slack = {k: _stage_eps_at(trace, k) - d
-                 for k, d in rep.vasershtein.items()}
+
+        def stage_eps(k):
+            # the eps of the first stage that reaches k, else the last
+            return next((st.eps for st in trace.stages if k <= st.height),
+                        trace.stages[-1].eps)
+
+        slack = {k: stage_eps(k) - d for k, d in rep.eps.distances.items()}
         k = min(slack, key=lambda j: (slack[j], j))
         assert lines[0] == {"verify_margin": slack[k], "k": k}
         assert slack[k] > 0

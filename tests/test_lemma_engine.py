@@ -1,5 +1,6 @@
 """Unit tests for the extension engine: basic, compound, straightening."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 from towerkit.blocks import Block, is_normalized, self_concat
 from towerkit.distributions import (FiniteDist, Splitting,
                                     SymRep, transport_distances)
-from towerkit.lemma_engine import (BlockArray, GammaTable,
-                                   PreconditionError, SizeCapError,
+from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
+                                   InvariantError, PreconditionError,
+                                   SizeCapError, Verdict,
                                    _add_bumps, _certify, _tile, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
+from towerkit import tower
+from towerkit.cli import build_tower_from_config, load_config
 
 from oracles import cyclic_partial_sums_units, record, rows
 
@@ -319,9 +323,10 @@ class TestExtensionStep:
 
     def test_gentle_mode(self):
         arr = self.labels_three_halves()
-        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
-        assert cert.is_valid()
-        assert cert.change_mass < F(3, 5)
+        out, gamma, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
+        assert cert.ok() and cert.strict
+        assert cert.allowances == {k: gamma.eps(k) for k in cert.distances}
+        assert out.change_mass() < F(3, 5)
         assert out.scale > arr.scale
         assert out.label_dist() == arr.label_dist()
         for s in out.symbols:
@@ -329,10 +334,10 @@ class TestExtensionStep:
 
     def test_gamma_chain_steps_bounded(self):
         arr = self.labels_three_halves()
-        out, cert = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
-        assert cert.gamma.max_step() <= F(3, 5)
-        ks = [k for k, _ in cert.gamma.anchors]
-        gs = [g for _, g in cert.gamma.anchors]
+        out, gamma, _ = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
+        assert gamma.max_step() <= F(3, 5)
+        ks = [k for k, _ in gamma.anchors]
+        gs = [g for _, g in gamma.anchors]
         assert ks == sorted(ks)
         assert gs == sorted(gs)
 
@@ -346,23 +351,23 @@ class TestExtensionStep:
         # laws across k and across the equal blocks, and every distance
         # must equal, bit for bit, the one measured on that k alone from
         # every position of each whole block
-        out, cert = extension_step(self.labels_three_halves(), F(3, 5),
-                                   F(1, 2), rounds=2)
+        out, gamma, _ = extension_step(self.labels_three_halves(), F(3, 5),
+                                       F(1, 2), rounds=2)
         arr = BlockArray(("a", "a2", "b"),
                          {"a": out.blocks["a"], "a2": out.blocks["a"],
                           "b": out.blocks["b"]},
                          {"a": F(1), "a2": F(1), "b": F(3, 2)}, out.scale)
         blocks = [arr.blocks[s] for s in arr.symbols]
         y = arr.label_dist()
-        got = _certify(arr, cert.gamma, 1, 3 * arr.height, F(3, 5),
-                       arr.change_mass())
-        assert len(got.k_grid) > arr.height
-        hists = dict(zip(got.k_grid, rows(arr.sk_histograms(got.k_grid))))
-        for k in got.k_grid:
+        got = _certify(arr, gamma, 1, 3 * arr.height)
+        grid = list(got.distances)
+        assert len(grid) > arr.height
+        hists = dict(zip(grid, rows(arr.sk_histograms(grid))))
+        for k in grid:
             laws = [np.unique(cyclic_partial_sums_units(w, k),
                               return_counts=True) for w in blocks]
             alone = record([k], [w.scale for w in blocks], [laws])
-            g = cert.gamma.gamma(k)
+            g = gamma.gamma(k)
             assert got.distances[k] == \
                 transport_distances([(alone, [g], [y])], "uniform")[0]
             assert transport_distances([(hists[k], [g], [y])]) == \
@@ -400,10 +405,14 @@ class TestStraightening:
 
     def test_distances_within_bound(self):
         arr = self.coarse_array()
-        out, rep = straightening_step(arr, self.make_split(), F(1, 2),
-                                      F(1, 2))
-        assert rep.is_valid()
-        assert all(d < rep.bound for d in rep.distances.values())
+        split = self.make_split()
+        out, rep = straightening_step(arr, split, F(1, 2), F(1, 2))
+        v = rep.verdict
+        bound = 0.5 + split.cost()
+        assert v.ok() and v.strict
+        assert list(v.distances) == [k for k, _ in rep.q_grid]
+        assert v.allowances == dict.fromkeys(v.distances, bound)
+        assert all(d < bound for d in v.distances.values())
 
     def test_duplication_costs_nothing(self):
         arr = self.coarse_array()
@@ -412,7 +421,7 @@ class TestStraightening:
                           {"u": "c", "v": "c"})
         out, rep = straightening_step(arr, split, F(1, 2), F(1, 2))
         assert split.cost() == 0.0
-        assert rep.is_valid()
+        assert rep.verdict.ok()
 
     def test_symbol_mismatch_rejected(self):
         arr = self.coarse_array()
@@ -421,3 +430,92 @@ class TestStraightening:
         split = Splitting(fine, coarse, {"x": "z"})
         with pytest.raises(PreconditionError):
             straightening_step(arr, split, F(1, 2), F(1, 2))
+
+
+@pytest.fixture(scope="module")
+def twopoint_verdicts():
+    """The verdicts of the twopoint preset: its two extension certificates
+    and its Theorem 1 report."""
+    step, certs = tower.extension_step, []
+
+    def kept(*args, **kwargs):
+        arr, gamma, cert = step(*args, **kwargs)
+        certs.append(cert)
+        return arr, gamma, cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "extension_step", kept)
+        trace = build_tower_from_config(load_config(None, "twopoint"))
+    return certs, tower.certify_theorem1(trace)
+
+
+def near(a):
+    """Distances at and next to an allowance a and to a + FLOAT_SLACK: the
+    float neighbours of each, or for an exact a, rationals just off it."""
+    if isinstance(a, F):
+        tiny = F(1, a.denominator * 10 ** 20)
+        return [a - tiny, a, a + tiny]
+    return [x for b in (a, a + FLOAT_SLACK)
+            for x in (math.nextafter(b, -math.inf), b,
+                      math.nextafter(b, math.inf))]
+
+
+class TestVerdict:
+    """One record decides every grid verdict; each of its four shapes
+    decides as the bare comparison of that shape does."""
+
+    # shape -> (a record of the twopoint preset, the bare comparison by
+    # which an entry passes, the verdict's strictness and slack)
+    SHAPES = {
+        # the extension and straightening certificates
+        "strict": (lambda c, r: c[0], lambda d, a: d < a, True, 0),
+        # Theorem 1's stage eps and the alpha-moment bound
+        "slack": (lambda c, r: r.eps, lambda d, a: d <= a + 1e-12, False,
+                  FLOAT_SLACK),
+        # the doubling check and the inversion's top decade
+        "le": (lambda c, r: r.doubling, lambda d, a: not d > a, False, 0),
+        # the exact cdf lower bound
+        "exact": (lambda c, r: r.lower_bound, lambda d, a: d <= a, False,
+                  0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_inline_comparison(self, shape, twopoint_verdicts):
+        pick, passes, strict, slack = self.SHAPES[shape]
+        record = pick(*twopoint_verdicts)
+        assert (record.strict, record.slack) == (strict, slack)
+        allowances = record.allowances
+        assert allowances
+        for i in range(len(near(next(iter(allowances.values()))))):
+            distances = {k: near(a)[i] for k, a in allowances.items()}
+            v = Verdict(distances, allowances, strict, slack)
+            old = [k for k, d in distances.items()
+                   if not passes(d, allowances[k])]
+            assert v.failures() == old
+            assert v.ok() == (not old)
+        # the real record decides as the inline test does
+        assert record.failures() == [
+            k for k, d in record.distances.items()
+            if not passes(d, allowances[k])]
+
+    def test_margin_takes_first_key_on_ties(self):
+        v = Verdict({3: 0.25, 1: 0.5, 2: 0.25}, {3: 0.5, 1: 1.0, 2: 0.5},
+                    strict=True)
+        assert v.margin() == (0.25, 3)
+        empty = Verdict({}, {}, strict=False)
+        assert empty.margin() is None
+        assert empty.ok() and empty.failures() == []
+
+    @pytest.mark.parametrize("allowances", [
+        {2: 1.0, 1: 1.0}, {1: 1.0}, {1: 1.0, 2: 1.0, 3: 1.0}])
+    def test_allowances_keyed_like_distances(self, allowances):
+        # entries are paired in grid order, so the keys must line up
+        with pytest.raises(InvariantError):
+            Verdict({1: 0.5, 2: 0.5}, allowances, strict=True)
+
+    def test_exact_bound_stays_exact(self):
+        # a float slack of 0.0 would compare 1/3 with float(1/3) < 1/3
+        v = Verdict({1: F(1, 3)}, {1: F(1, 3)}, strict=False)
+        assert v.ok() and type(v.slack) is int
+        assert v.margin() == (0, 1) and type(v.margin()[0]) is F
+        assert not Verdict({1: F(1, 3)}, {1: F(1, 3)}, strict=True).ok()

@@ -419,7 +419,7 @@ class TestInversion:
         n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
                          if int(horizon * 1.3 ** -j) >= 4 * wmax})
         rep = check_inversion(int_tower, occupation_sweep(int_tower, n_grid))
-        assert rep.top_ok
+        assert rep.top.ok()
         top = [n for n in rep.n_grid if n * 10 >= rep.n_grid[-1]]
         for n in top:
             assert rep.occ_distances[n] <= 0.15
@@ -447,4 +447,4 @@ class TestInversion:
         rows = are_diagnostic(int_tower, reports, [1.5], [2.0],
                               divergent_alphas=[1.5])
         assert rows[0].mode == "divergent"
-        assert rows[0].bound_ok is None
+        assert rows[0].bound is None

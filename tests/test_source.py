@@ -96,3 +96,17 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_float_slack_is_named_once():
+    # the verdicts' one float slack is lemma_engine.FLOAT_SLACK: no other
+    # 1e-12 in src/, inline or named, grows beside it
+    found = [(p.name, node.lineno) for p in MODULES
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value == 1e-12]
+    engine = Path(towerkit.__file__).parent / "lemma_engine.py"
+    line = engine.read_text().splitlines().index("FLOAT_SLACK = 1e-12") + 1
+    assert found == [("lemma_engine.py", line)]
+    assert all("1e-12" not in p.read_text().replace("FLOAT_SLACK = 1e-12", "")
+               for p in MODULES)

@@ -132,25 +132,31 @@ class TestBuildFailureWitness:
         step, certs = tower.extension_step, []
 
         def far(*args, **kwargs):
-            arr, cert = step(*args, **kwargs)
-            certs.append(cert)
-            return arr, dataclasses.replace(
-                cert, distances=dict.fromkeys(cert.k_grid, 1.0))
+            arr, gamma, cert = step(*args, **kwargs)
+            certs.append((arr, cert))
+            return arr, gamma, dataclasses.replace(
+                cert, distances=dict.fromkeys(cert.distances, 1.0))
 
         monkeypatch.setattr(tower, "extension_step", far)
         with pytest.raises(InvariantError) as exc:
             self.pareto()
-        ks = list(certs[0].k_grid[:3])
+        arr, cert = certs[0]
+        ks = list(cert.distances)[:3]
         assert str(exc.value) == (
             f"stage 1 certificate failed at k={ks}, change mass "
-            f"{certs[0].change_mass} against delta 1/3")
+            f"{arr.change_mass()} against delta 1/3")
 
     def test_general_certificate_names_change_mass(self, monkeypatch):
         step = tower.extension_step
 
+        class Heavy(BlockArray):
+            def change_mass(self):
+                return F(1, 2)
+
         def heavy(*args, **kwargs):
-            arr, cert = step(*args, **kwargs)
-            return arr, dataclasses.replace(cert, change_mass=F(1, 2))
+            arr, gamma, cert = step(*args, **kwargs)
+            return Heavy(arr.symbols, arr.blocks, arr.values,
+                         arr.scale), gamma, cert
 
         monkeypatch.setattr(tower, "extension_step", heavy)
         with pytest.raises(InvariantError) as exc:
@@ -164,7 +170,9 @@ class TestBuildFailureWitness:
         def strict(*args, **kwargs):
             arr, rep = step(*args, **kwargs)
             reports.append(rep)
-            return arr, dataclasses.replace(rep, bound=0.0)
+            v = rep.verdict
+            return arr, dataclasses.replace(rep, verdict=dataclasses.replace(
+                v, allowances=dict.fromkeys(v.allowances, 0.0)))
 
         monkeypatch.setattr(tower, "straightening_step", strict)
         with pytest.raises(InvariantError) as exc:
@@ -212,14 +220,14 @@ class TestMonotoneGrowth:
         step = tower.extension_step
 
         def lowering(*args, **kwargs):
-            arr, cert = step(*args, **kwargs)
+            arr, gamma, cert = step(*args, **kwargs)
             s = arr.symbols[0]
             units = arr.blocks[s].units.copy()
             units[0] -= 1
             units[1] += 1
             blocks = {**arr.blocks, s: Block(units, arr.blocks[s].scale)}
             return BlockArray(arr.symbols, blocks, arr.values,
-                              arr.scale), cert
+                              arr.scale), gamma, cert
 
         monkeypatch.setattr(tower, "extension_step", lowering)
         with pytest.raises(InvariantError) as exc:
@@ -258,14 +266,16 @@ class TestCertification:
     def test_report_passes(self, small_rational_trace):
         rep = certify_theorem1(small_rational_trace)
         assert rep.ok()
-        assert rep.stage_eps_ok and rep.lower_bound_ok and rep.doubling_ok
-        assert max(rep.vasershtein.values()) <= 0.05 + 1e-12
+        assert rep.eps.ok() and rep.lower_bound.ok() and rep.doubling.ok()
+        assert max(rep.eps.distances.values()) <= 0.05 + 1e-12
 
     def test_lower_bound_checks_are_exact(self, small_rational_trace):
-        rep = certify_theorem1(small_rational_trace)
-        for k, x, lhs, rhs, ok in rep.lower_bound_checks:
+        low = certify_theorem1(small_rational_trace).lower_bound
+        failed = low.failures()
+        for kx, lhs in low.distances.items():
+            rhs = low.allowances[kx]
             assert isinstance(lhs, F) and isinstance(rhs, F)
-            assert ok == (lhs <= rhs)
+            assert (kx not in failed) == (lhs <= rhs)
 
     def test_lower_bound_count_at_exact_ties(self, small_rational_trace):
         # P(S_k < x b(k)) is strict: positions with S_k equal to the
@@ -281,8 +291,8 @@ class TestCertification:
         xs = [hit / (k * g), (hit + F(w0.scale) / 2) / (k * g)]
         rep = certify_theorem1(trace, x_values=xs, k_grid=[k])
         ties = 0
-        for (_, x, lhs, _, _), integral in zip(rep.lower_bound_checks,
-                                               (True, False)):
+        for ((_, x), lhs), integral in zip(rep.lower_bound.distances.items(),
+                                           (True, False)):
             thresh = x * k * g
             n_below = 0
             for s in arr.symbols:
@@ -299,9 +309,12 @@ class TestCertification:
         assert ties > 0
 
     def test_doubling_window(self, small_rational_trace):
-        rep = certify_theorem1(small_rational_trace)
-        for k, r in rep.doubling_ratios:
-            assert abs(r - 2) <= 0.1
+        trace = small_rational_trace
+        rep = certify_theorem1(trace)
+        assert rep.doubling.distances
+        for k, gap in rep.doubling.distances.items():
+            r = float(b_of(trace, 2 * k)) / float(b_of(trace, k))
+            assert gap == abs(r - 2) <= 0.1
 
     def test_b_of_linearity_between_anchors(self, small_rational_trace):
         trace = small_rational_trace
@@ -370,22 +383,25 @@ class TestSkDistribution:
 
 
 def oracle_theorem1(trace, xs=(F(3, 10), F(1, 2), F(4, 5))):
-    """The cdf checks, distances and margin of ``certify_theorem1`` taken
-    on the per-k oracle path, one histogram per k of the trace's grid."""
+    """The cdf sides, distances, stage eps and margin of
+    ``certify_theorem1`` taken on the per-k oracle path, one histogram per
+    k of the trace's grid, with each stage eps read off the stages."""
     arr, y = trace.final, trace.target
     grid = tower_k_grid(trace)
-    checks, laws = [], []
+    lhs, rhs, laws = {}, {}, []
     for k, hist in zip(grid, oracle_histograms(
             [arr.blocks[s] for s in arr.symbols], grid)):
         g = trace.global_gamma.gamma(k)
         for x in xs:
-            lhs = F(hist.count_below(x * k * F(g)), hist.total)
-            bound = y.cdf(tower.BICYCLE_M * x)
-            checks.append((k, x, lhs, bound, lhs <= bound))
+            lhs[k, x] = F(hist.count_below(x * k * F(g)), hist.total)
+            rhs[k, x] = y.cdf(tower.BICYCLE_M * x)
         laws.append((hist, g, y))
     vas = dict(zip(grid, oracle_transport(laws)))
-    margin = min((tower._stage_eps_at(trace, k) - vas[k], k) for k in grid)
-    return tuple(checks), vas, margin
+    # the eps of the first stage that reaches k, else the last
+    eps = {k: next((st.eps for st in trace.stages if k <= st.height),
+                   trace.stages[-1].eps) for k in grid}
+    margin = min((eps[k] - vas[k], k) for k in grid)
+    return lhs, rhs, vas, eps, margin
 
 
 class TestOraclePath:
@@ -397,10 +413,15 @@ class TestOraclePath:
     def test_theorem1(self, name, request):
         trace = request.getfixturevalue(name)
         rep = certify_theorem1(trace)
-        checks, vas, margin = oracle_theorem1(trace)
-        assert rep.lower_bound_checks == checks
-        assert rep.vasershtein == vas
-        assert rep.margin == margin
+        lhs, rhs, vas, eps, margin = oracle_theorem1(trace)
+        low = rep.lower_bound
+        assert list(low.distances.items()) == list(lhs.items())
+        assert list(low.allowances.items()) == list(rhs.items())
+        assert low.failures() == [kx for kx in lhs
+                                  if not lhs[kx] <= rhs[kx]]
+        assert list(rep.eps.distances.items()) == list(vas.items())
+        assert rep.eps.allowances == eps
+        assert rep.eps.margin() == margin
 
     def test_extension_and_straightening(self, monkeypatch):
         # the build of small_rational_trace, and a two-stage general build
@@ -409,9 +430,9 @@ class TestOraclePath:
         certs, reports = [], []
 
         def kept_extension(*args, **kwargs):
-            arr, cert = extend(*args, **kwargs)
-            certs.append((arr, cert))
-            return arr, cert
+            arr, gamma, cert = extend(*args, **kwargs)
+            certs.append((arr, gamma, cert))
+            return arr, gamma, cert
 
         def kept_straightening(arr, split, *args, **kwargs):
             final, rep = straighten(arr, split, *args, **kwargs)
@@ -425,12 +446,12 @@ class TestOraclePath:
         build_general_tower(make_target("pareto", alpha=F(1)),
                             [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)])
         assert len(certs) == 3 and len(reports) == 1
-        for arr, cert in certs:
-            grid, y = list(cert.k_grid), arr.label_dist()
+        for arr, gamma, cert in certs:
+            grid, y = list(cert.distances), arr.label_dist()
             hists = oracle_histograms([arr.blocks[s] for s in arr.symbols],
                                       grid)
             assert cert.distances == dict(zip(grid, oracle_transport(
-                [(h, cert.gamma.gamma(k), y) for k, h in zip(grid, hists)],
+                [(h, gamma.gamma(k), y) for k, h in zip(grid, hists)],
                 "uniform")))
         for arr, split, final, rep in reports:
             f = {s: F(arr.values[s]) for s in arr.symbols}
@@ -446,7 +467,8 @@ class TestOraclePath:
                 laws.append((h, norm, FiniteDist.uniform(
                     [(1 - q) * f[split.pi[x]] + q * g[x]
                      for x in final.symbols])))
-            assert rep.distances == dict(zip(grid, oracle_transport(laws)))
+            assert rep.verdict.distances == dict(zip(grid,
+                                                     oracle_transport(laws)))
 
 
 class TestSerialization:
