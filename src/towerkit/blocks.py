@@ -92,15 +92,18 @@ class Bump(NamedTuple):
 
 
 class Block:
-    """Positive weight vector with cached prefix sums.
+    """Positive weight vector: its units at a common rational scale.
 
     Positions are 1-based.  ``units`` holds the weights divided by
-    ``scale``: positive int64 entries, with ``scale`` a positive Fraction.
-    Float units, a float scale and float weights raise ``BlockError``.
-    ``bump`` is the ``Bump`` of the tiling that built the block, else None.
+    ``scale``: positive int64 entries, with ``scale`` a positive Fraction;
+    an int64 array is held as given, not copied.  Float units, a float
+    scale and float weights raise ``BlockError``, and so does a unit total
+    that leaves the int64 range.  ``bump`` is the ``Bump`` of the tiling
+    that built the block, else None.  Partial sums are taken over one
+    least period only, by ``period_prefix``.
     """
 
-    __slots__ = ("units", "scale", "prefix", "bump", "_period")
+    __slots__ = ("units", "scale", "bump", "_period", "_total")
 
     def __init__(self, units: Sequence[int], scale: Scalar = 1,
                  bump: Optional[Bump] = None):
@@ -117,24 +120,24 @@ class Block:
         if arr.dtype.kind in "uO" and \
                 not 0 < int(arr.min()) <= int(arr.max()) <= _INT64_MAX:
             raise BlockError("block units must be positive and fit int64")
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=False)
         scale = Fraction(scale)
         if scale <= 0:
             raise BlockError("scale must be positive")
         if not (arr > 0).all():
             raise BlockError("block weights must be positive")
+        # no int64 sum of at most `step` units can wrap; those sums are
+        # added as Python ints
+        step = _INT64_MAX // int(arr.max())
+        sums = np.add.reduceat(arr, np.arange(0, arr.size, step))
+        total = sum(map(int, sums))
+        if total > _INT64_MAX:
+            raise BlockError("block unit total leaves the int64 range")
         self.units = arr
         self.scale = scale
-        pre = np.zeros(arr.size + 1, dtype=arr.dtype)
-        np.cumsum(arr, out=pre[1:])
-        # positive units give strictly increasing prefix sums unless the
-        # running total wrapped past the int64 range
-        if arr.size * int(arr.max()) > _INT64_MAX \
-                and not (pre[1:] > pre[:-1]).all():
-            raise BlockError("block unit total leaves the int64 range")
-        self.prefix = pre
         self.bump = bump
         self._period: Optional[int] = None
+        self._total = total
 
     # -- constructors ------------------------------------------------------
 
@@ -163,9 +166,6 @@ class Block:
         if self.scale == other.scale:
             return bool((self.units == other.units).all())
         return self.weights() == other.weights()
-
-    def __hash__(self):  # pragma: no cover - blocks are not meant for sets
-        return hash((len(self), self.scale, self.units.tobytes()))
 
     def __repr__(self) -> str:
         if len(self) <= 8:
@@ -204,7 +204,15 @@ class Block:
     # -- statistics --------------------------------------------------------
 
     def total_units(self) -> int:
-        return int(self.prefix[-1])
+        return self._total
+
+    def period_prefix(self) -> np.ndarray:
+        """The p + 1 partial sums 0, u_1, u_1 + u_2, ... of one least period
+        p, in int64: a period's total is at most the block's."""
+        p = self.period
+        pre = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(self.units[:p], out=pre[1:])
+        return pre
 
     @property
     def mean(self) -> Fraction:
@@ -223,13 +231,14 @@ def self_concat(w: Block, m: int) -> Block:
     return out
 
 
-def _deviation_units(w: Block, h: int) -> np.ndarray:
-    """D(t) = h*prefix[t] - t*prefix[h] for t = 0..h, for a period h of w.
+def _deviation_units(pre: np.ndarray) -> np.ndarray:
+    """D(t) = h*pre[t] - t*pre[h] for t = 0..h, from the partial sums
+    ``pre`` of a period h of a block w.
 
     S_k(w)(nu) deviates from kE(w) by (D((nu-1+k) mod h) - D(nu-1)) / h, for
     every k >= 0, because whole periods contribute exactly their mean.
     """
-    pre = w.prefix[:h + 1]
+    h = pre.size - 1
     tot = pre[-1]
     if h * int(tot) >= _INT64_SAFE:
         t = np.arange(h + 1, dtype=object)
@@ -256,7 +265,10 @@ def _window_extremes(x: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]
     out = []
     for op in (np.maximum, np.minimum):
         pre = op.accumulate(b, axis=1).ravel()
-        suf = op.accumulate(b[:, ::-1], axis=1)[:, ::-1].ravel()
+        # written through a reversed view, the suffixes need no copy
+        suf = np.empty_like(b)
+        op.accumulate(b[:, ::-1], axis=1, out=suf[:, ::-1])
+        suf = suf.ravel()
         out.append(op(suf[:n - width + 1], pre[width - 1:n]))
     return out[0], out[1]
 
@@ -317,8 +329,9 @@ def _tiling_failure(w: Block, eps: Scalar):
     if e <= 0:
         raise BlockError("eps must be positive")
     a, b = e.numerator, e.denominator
-    tot, max_u = int(w.prefix[h]), int(w.units[:h].max())
-    dev = _deviation_units(w, h)
+    pre = w.period_prefix()
+    tot, max_u = int(pre[-1]), int(w.units[:h].max())
+    dev = _deviation_units(pre)
     dstar = int(np.abs(dev[:h]).max())
     # no k with a*k*tot >= 2*b*dstar can fail: its allowance exceeds twice
     # the amplitude of the profile

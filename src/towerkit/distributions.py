@@ -308,8 +308,8 @@ def _class_laws(w, cs) -> tuple:
     which fits int64, so no class law can leave int64.
     """
     child, f, b, s = _tiling(w)
-    L = child.period
-    pre = child.prefix[:L + 1].astype(np.uint64)
+    pre = child.period_prefix().astype(np.uint64)
+    L = pre.size - 1
     ext = np.concatenate([pre[:-1], pre + pre[-1]])
     cs = np.asarray(cs, dtype=np.int64)
     n0, r0 = np.divmod(s - cs, L)
@@ -348,9 +348,9 @@ class PeriodLaws:
     grid, each measured once per class and shared by blocks that are
     integer multiples of one pattern, at any scale.
 
-    For a block of least period p and unit total Sigma = prefix[p] over a
-    period, the law at k = q*p + r follows exactly from the law at its
-    class c = min(r, p - r):
+    For a block of least period p and unit total Sigma over a period (its
+    total over its number of periods), the law at k = q*p + r follows
+    exactly from the law at its class c = min(r, p - r):
 
     - whole periods: S_{qp+r} = q*Sigma + S_r;
     - reflection: S_r(nu) + S_{p-r}(nu + r) = Sigma, so over one period the
@@ -390,8 +390,9 @@ class PeriodLaws:
             # (index, first unit, unit total of a period) per measured block
             reps: List[Tuple[int, int, int]] = []
             for i in group:
-                u = self.blocks[i].units[:p]
-                a, s = int(u[0]), int(self.blocks[i].prefix[p])
+                w = self.blocks[i]
+                u = w.units[:p]
+                a, s = int(u[0]), w.total_units() * p // len(w)
                 for j, b, t in reps:
                     v = self.blocks[j].units[:p]
                     # g*P and g'*P have proportional first units and totals
@@ -412,8 +413,8 @@ class PeriodLaws:
         index = sorted(set(first))
         self.measured = [self.blocks[j] for j in index]
         p = np.array([w.period for w in self.measured], dtype=np.int64)
-        self.sigma = np.array([int(w.prefix[w.period]) for w in self.measured],
-                              dtype=np.int64)
+        self.sigma = np.array([w.total_units() * w.period // len(w)
+                               for w in self.measured], dtype=np.int64)
         # per block: the column of its measured block, the gcd g that its
         # measured law is divided by and the g' it is multiplied by (1 and
         # 1 for the measured law itself), and its number of periods

@@ -48,8 +48,7 @@ class InvariantError(RuntimeError):
     """A hard invariant failed during construction."""
 
 
-def make_k_grid(lo: int, hi: int, dense_cap: int = 4096,
-                geo_cap: int = 256) -> List[int]:
+def make_k_grid(lo: int, hi: int, dense_cap: int, geo_cap: int) -> List[int]:
     """Verification grid: every k in [lo, min(hi, dense_cap)], then at most
     geo_cap geometrically spaced k up to hi."""
     if lo < 1 or hi < lo:

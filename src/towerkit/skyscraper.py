@@ -147,7 +147,7 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
                      sc.numerator * tick.denominator),
             tick.denominator * sc.denominator)
     mults = {s: scales[s] / tick for s in symbols}
-    exact_totals = max(int(arr.blocks[s].prefix[-1]) * int(mults[s])
+    exact_totals = max(arr.blocks[s].total_units() * int(mults[s])
                        for s in symbols)
     if exact_totals <= _EXACT_TOTAL_CAP:
         for s in symbols:
@@ -197,8 +197,8 @@ def return_time_partial_sums(it: IntegerTower, n: int, nu: tuple) -> int:
     """Sum of the first n return times starting at base position
     nu = (symbol, pos), with pos 1-based within the symbol's block.
 
-    The sum is exact and n may exceed the block height, with whole cycles
-    contributing their total.
+    The sum is exact and n may exceed the block's least period p, with
+    whole periods contributing their total: the block is p-periodic.
     """
     s, pos = nu
     h = it.height
@@ -206,15 +206,11 @@ def return_time_partial_sums(it: IntegerTower, n: int, nu: tuple) -> int:
         raise SkyscraperError(f"position must be in 1..{h}, got {pos}")
     if n < 0:
         raise SkyscraperError("n must be nonnegative")
-    pre = it.blocks[s].prefix
-    tot = int(pre[-1])
-    wraps, r = divmod(n, h)
-    t = pos - 1 + r
-    if t <= h:
-        part = int(pre[t]) - int(pre[pos - 1])
-    else:
-        part = tot - int(pre[pos - 1]) + int(pre[t - h])
-    return wraps * tot + part
+    pre = it.blocks[s].period_prefix()
+    p = pre.size - 1
+    start = (pos - 1) % p
+    wraps, end = divmod(start + n, p)
+    return wraps * int(pre[-1]) + int(pre[end]) - int(pre[start])
 
 
 def _window_ends(pre: np.ndarray, m: int) -> np.ndarray:
@@ -226,9 +222,11 @@ def _window_ends(pre: np.ndarray, m: int) -> np.ndarray:
     return np.searchsorted(pre2, pre[:h] + m, side="right") - 1
 
 
-def _bumped_remainder_counts(bump: Bump, h: int, m: int) -> np.ndarray:
+def _bumped_remainder_counts(bump: Bump, h: int, m: int,
+                             out: np.ndarray) -> None:
     """max{j < h : S_j(nu) <= m} over one spacing s of a height-h block
-    that ``bump`` built, read off the child's prefix sums.
+    that ``bump`` built, read off the child's prefix sums, written to the
+    s entries of ``out``.
 
     A window of length j from nu (0 <= nu < s) reads f*C_j(nu mod L), with
     C_j the child's cyclic partial sum and L its least period, plus B for
@@ -236,15 +234,15 @@ def _bumped_remainder_counts(bump: Bump, h: int, m: int) -> np.ndarray:
     windows ending in [c*s, (c+1)*s), the sum is at most m exactly when
     j <= J_c(nu mod L), the largest j with C_j <= (m - c*B) // f, and as
     S_j increases with j the count is the last such c's
-    min(nu + J_c, (c+1)*s - 1) - nu.  The ends are laid out as s/L rows
-    of L positions, the row start plus one child-sized table per c.
+    min(nu + J_c, (c+1)*s - 1) - nu.  The ends are laid out in ``out``
+    as s/L rows of L positions, the row start plus one child-sized table
+    per c, and the positions are then subtracted in place.
     """
     child, f, b, s = bump
-    L = child.period
-    pre = child.prefix[:L + 1]
-    tot = int(pre[-1])
+    pre = child.period_prefix()
+    L, tot = pre.size - 1, int(pre[-1])
     starts = np.arange(0, s, L)[:, None]
-    end = np.empty((s // L, L), dtype=np.int64)
+    end = out.reshape(s // L, L)
     for c in range(h // s + 1):
         if m < c * b:
             break
@@ -263,35 +261,42 @@ def _bumped_remainder_counts(bump: Bump, h: int, m: int) -> np.ndarray:
         hit = ends >= c * s
         np.minimum(ends, (c + 1) * s - 1, out=ends)
         np.copyto(end[first:], ends, where=hit)
-    out = end.ravel()
-    out -= np.arange(s)
-    return out
+    end -= starts
+    end -= np.arange(L)
 
 
-def occupation_counts(it: IntegerTower, n: int) -> Dict:
+def occupation_counts(it: IntegerTower, n: int,
+                      out: Optional[np.ndarray] = None) -> Dict:
     """S_n(1_Omega) over all base positions of every block, exact.
 
     For each position nu the count is max{j >= 0 : phi_j(nu) <= n}: n is
     split into whole cycles plus a remainder m, which is located on one
     period of the block's child.  A block that a bump tiling built is
-    s-periodic for its spacing s, so its remainders are found over one
-    spacing, then tiled; any other block w is read as the tiling
-    Bump(w, 1, 0, len(w)) of itself, with no bump.
+    s-periodic for its spacing s, so its counts are found over one
+    spacing, then copied across the rest; any other block w is read as
+    the tiling Bump(w, 1, 0, len(w)) of itself, with no bump.
+
+    The counts fill one int64 array of height * size entries in symbol
+    order, ``out`` when given, and are returned keyed by symbol as views
+    of it.
     """
     if n < 1:
         raise SkyscraperError("time horizon must be positive")
-    out = {}
     h = it.height
-    for s in it.symbols:
+    if out is None:
+        out = np.empty(h * it.size, dtype=np.int64)
+    counts = {}
+    for i, s in enumerate(it.symbols):
         w = it.blocks[s]
         bump = w.bump or Bump(w, 1, 0, h)
         q, m = divmod(n, w.total_units())
-        r = _bumped_remainder_counts(bump, h, m)
-        if bump.spacing < h:
-            r = np.tile(r, h // bump.spacing)
-        r += q * h
-        out[s] = r
-    return out
+        view = out[i * h:(i + 1) * h]
+        rows = view.reshape(-1, bump.spacing)
+        _bumped_remainder_counts(bump, h, m, rows[0])
+        rows[0] += q * h
+        rows[1:] = rows[0]
+        counts[s] = view
+    return counts
 
 
 @dataclass(frozen=True)
@@ -323,8 +328,10 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                      ) -> Dict:
     """One pass over the distinct horizons of ``n_grid``, in increasing
     order, each reduced to its ``OccupationReport`` from one call of
-    ``occupation_counts``, whose counts are then dropped, so one
-    horizon's counts are held at a time.
+    ``occupation_counts``.  Every horizon is counted into the same int64
+    row, and its float statistics are taken in two float rows of the same
+    allocation, so one horizon's counts are held at a time and no report
+    reads them.
 
     The law is a one-row SkHistogram of the counts at scale 1 and k = 1.
     Its tail checks compare the exact mass of [S_n >= x a(n)] against
@@ -332,7 +339,7 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     that fails raises ``InversionError`` with the witness
     (n, x, lhs, bound).  The alpha-moments and the uniform-integrability
     functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}] with
-    Phi_n = (S_n/a(n))^alpha come from one float copy of the counts.
+    Phi_n = (S_n/a(n))^alpha come from the float copy of the counts.
 
     Returns the reports keyed by horizon: what ``check_inversion`` and
     ``are_diagnostic`` read.
@@ -345,10 +352,13 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     xs = [Fraction(x) for x in x_values]
     bounds = [Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs]
     reports = {}
+    # one allocation for the three rows: as three separate buffers they
+    # were paged in afresh by every sweep (about 1,200 minor faults per
+    # warm pareto1 sweep, 0 as one)
+    occ, occ_f, phi = np.empty((3, it.height * it.size), dtype=np.int64)
+    occ_f, phi = occ_f.view(float), phi.view(float)
     for n in sorted(set(int(n) for n in n_grid)):
-        counts = occupation_counts(it, n)
-        occ = np.concatenate([counts[s] for s in it.symbols])
-        del counts
+        occupation_counts(it, n, out=occ)
         values, mult = np.unique(occ, return_counts=True)
         if values[0] < 1:
             raise SkyscraperError(
@@ -364,18 +374,18 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
-        occ = occ.astype(float)
+        np.copyto(occ_f, occ)
         moment, u = {}, {}
         for alpha in alphas:
-            moment[alpha] = float(np.mean(occ ** alpha)) ** (1.0 / alpha)
-            phi = occ / float(a_n)
+            np.copyto(phi, occ_f)
+            phi **= alpha
+            moment[alpha] = float(np.mean(phi)) ** (1.0 / alpha)
+            np.divide(occ_f, float(a_n), out=phi)
             phi **= alpha
             for t in t_grid:
                 u[alpha, t] = float(phi[phi > t].sum()) / occ.size
-            del phi
-        reports[n] = OccupationReport(a_n, law, float(occ.mean()), moment, u)
-        # no array of this horizon stays alive while the next is counted
-        del occ
+        reports[n] = OccupationReport(a_n, law, float(occ_f.mean()), moment,
+                                      u)
     return reports
 
 

@@ -25,8 +25,9 @@ def cyclic_partial_sums_units(w, k):
     if (k // h + 1) * tot > INT64_MAX:
         raise OverflowError(f"S_{k} may leave the int64 range")
     # the window from 0-based nu ends before nu + k = wraps*h + r
+    pre = np.concatenate([[0], np.cumsum(w.units)])
     wraps, r = np.divmod(np.arange(k, k + h), h)
-    return (w.prefix[r] - w.prefix[:h]) + wraps * np.int64(tot)
+    return (pre[r] - pre[:h]) + wraps * np.int64(tot)
 
 
 def merged_segments(p, q):
@@ -137,7 +138,7 @@ class OracleLaws:
             reps = []
             for i in group:
                 u = self.blocks[i].units[:p]
-                a, s = int(u[0]), int(self.blocks[i].prefix[p])
+                a, s = int(u[0]), int(np.cumsum(u)[-1])
                 for j, b, t in reps:
                     v = self.blocks[j].units[:p]
                     if a * t != b * s:
@@ -158,7 +159,8 @@ class OracleLaws:
         self.distinct = []
         for j in sorted(set(self.first)):
             w = self.blocks[j]
-            self.distinct.append((j, w, w.period, int(w.prefix[w.period]),
+            self.distinct.append((j, w, w.period,
+                                  int(np.cumsum(w.units[:w.period])[-1]),
                                   gcds.get(j), sorted(multiples.get(j, ()))))
         self.pending = Counter((j, min(k % p, p - k % p))
                                for j, _, p, _, _, _ in self.distinct

@@ -83,7 +83,7 @@ def test_criterion_1_block_algebra():
         w = Block([rng.randint(1, 9) for _ in range(h)],
                   F(1, rng.randint(1, 4)))
         mx = w.scale * int(w.units.max())
-        assert list(np.diff(w.prefix)) == list(w.units)
+        assert list(np.diff(w.period_prefix())) == list(w.units[:w.period])
         m = rng.randint(2, 4)
         tiled = self_concat(w, m)
         k = rng.randint(1, 3 * h)

@@ -19,6 +19,7 @@ from towerkit.blocks import (Block, BlockError, _window_extremes,
                              is_normalized, normalizing_copies,
                              rescale_units, self_concat)
 from towerkit.distributions import sk_histograms
+from towerkit.lemma_engine import _add_bumps
 
 from oracles import INT64_MAX, cyclic_partial_sums_units, rows
 
@@ -34,9 +35,10 @@ def cyclic_partial_sum(w, k, nu):
     h = len(w)
     if not 1 <= nu <= h:
         raise IndexError(f"position {nu} out of range 1..{h}")
+    pre = np.concatenate([[0], np.cumsum(w.units)])
     wraps, r = divmod(nu - 1 + k, h)
-    return w.scale * (wraps * w.total_units() + int(w.prefix[r])
-                      - int(w.prefix[nu - 1]))
+    return w.scale * (wraps * w.total_units() + int(pre[r])
+                      - int(pre[nu - 1]))
 
 
 def least_period_oracle(units):
@@ -84,10 +86,10 @@ class TestConstruction:
         rng = random.Random(11)
         for _ in range(50):
             w = random_block(rng)
-            pre = w.prefix
+            pre, p = w.period_prefix(), w.period
             assert pre[0] == 0
-            assert list(np.diff(pre)) == list(w.units)
-            assert int(pre[-1]) == w.total_units()
+            assert list(np.diff(pre)) == list(w.units[:p])
+            assert int(pre[-1]) * (len(w) // p) == w.total_units()
 
 
 class TestConcat:
@@ -188,6 +190,53 @@ class TestPeriod:
         hist, = sk_histograms([w], [k])
         assert hist.units.tolist() == u.tolist()
         assert hist.counts.tolist() == c.tolist()
+
+
+class TestPeriodPrefix:
+    """period_prefix and total_units against the units, as Python ints,
+    on bump chains and their tilings with units up to 2^62 and past it."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.booleans()),
+                    min_size=1, max_size=4),
+           st.sampled_from([2 ** 20, 2 ** 40, 2 ** 58, 2 ** 61]),
+           st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6]),
+                              st.integers(0, 5), st.integers(0, 2 ** 61)),
+                    min_size=1, max_size=2),
+           st.sampled_from([1, 2, 3]))
+    # one unit near 2^62 beside small ones: the total fits, but not
+    # height times the largest unit
+    @example([(3, True), (1, False)], 2 ** 61, [(1, 0, 0)], 1)
+    @example([(1, True), (1, False)], 2 ** 61, [(2, 0, 5)], 2)
+    @example([(1, True), (2, True)], 2 ** 58, [(4, 1, 2 ** 40)], 3)
+    def test_bump_chain_sums(self, units, c, links, r):
+        exact = [c * u if big else u for u, big in units]
+        try:
+            w = Block(exact)
+            for m, i, amount in links:
+                # a spacing: len(w) times a divisor of m
+                divisors = [d for d in range(1, m + 1) if m % d == 0]
+                spacing = len(w) * divisors[i % len(divisors)]
+                exact = exact * m
+                for j in range(spacing - 1, len(exact), spacing):
+                    exact[j] += amount
+                w = _add_bumps(w, m, amount, spacing)
+            exact = exact * r
+            w = self_concat(w, r)
+        except BlockError:
+            assert sum(exact) > INT64_MAX
+            return
+        assert w.units.tolist() == exact
+        assert w.total_units() == sum(exact)
+        p = w.period
+        assert p == least_period_oracle(exact)
+        pre = w.period_prefix()
+        assert pre.dtype == np.int64
+        assert pre.tolist() == [0] + np.cumsum(w.units[:p]).tolist()
+
+    def test_int64_units_are_not_copied(self):
+        units = np.array([3, 1, 2], dtype=np.int64)
+        assert Block(units).units is units
 
 
 class TestWindowExtremes:
@@ -413,7 +462,7 @@ class TestIsNormalized:
         assume(2 * m * v.total_units() <= INT64_MAX)
         w = self_concat(v, m)
         p = w.period
-        assume(p * int(w.prefix[p]) >= 2 ** 62)
+        assume(p * int(np.cumsum(w.units[:p])[-1]) >= 2 ** 62)
         self.matches_brute(w, eps)
 
     def test_rejects_nonpositive_eps(self):
@@ -462,7 +511,7 @@ class TestNormalizingCopies:
         w = self_concat(Block([c * u + o for u, o in zip(units, offsets)]),
                         r)
         p = w.period
-        assume(p * int(w.prefix[p]) >= 2 ** 62)
+        assume(p * int(np.cumsum(w.units[:p])[-1]) >= 2 ** 62)
         assume(normalizing_copies(w, eps) * w.total_units() <= INT64_MAX)
         self.assert_least(w, eps)
 

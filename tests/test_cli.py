@@ -756,9 +756,9 @@ class TestSkyscraperCounts:
         calls = []
         count = sky.occupation_counts
 
-        def counted(it, n):
+        def counted(it, n, *args, **kwargs):
             calls.append(n)
-            return count(it, n)
+            return count(it, n, *args, **kwargs)
 
         monkeypatch.setattr(sky, "occupation_counts", counted)
         out = tmp_path / "out"

@@ -254,6 +254,27 @@ class TestOccupation:
         assert rows == [["count", "mass"]] + [
             [str(v), str(m)] for v, m in zip(dist.values, dist.masses)]
 
+    def test_sweep_matches_one_horizon_sweeps(self, int_tower):
+        # every horizon is counted into the same buffers, so a report
+        # that kept a view of them would read a later horizon's counts
+        horizon = int_tower.covered_horizon()
+        wmax = max(int(int_tower.blocks[s].units.max())
+                   for s in int_tower.symbols)
+        n_grid = sorted({int(horizon * 1.5 ** -j) for j in range(5)
+                         if int(horizon * 1.5 ** -j) >= 4 * wmax})
+        alphas, t_grid = [0.5, 1.0, 2.0], [0.5, 2.0]
+        swept = occupation_sweep(int_tower, n_grid, alphas, t_grid)
+        assert len(n_grid) > 2 and sorted(swept) == n_grid
+        for n in n_grid:
+            got = swept[n]
+            want = occupation_sweep(int_tower, [n], alphas, t_grid)[n]
+            for name in ("units", "counts", "offsets"):
+                assert np.array_equal(getattr(got.law, name),
+                                      getattr(want.law, name)), (n, name)
+            assert got.law.totals == want.law.totals
+            assert (got.a_n, got.mean, got.moment, got.u) == \
+                (want.a_n, want.mean, want.moment, want.u)
+
     def test_early_time_rejected(self):
         it = toy_tower({"a": [5, 9, 7]})
         with pytest.raises(SkyscraperError):
@@ -263,7 +284,7 @@ class TestOccupation:
 def doubled_prefix_counts(w, n):
     """The count at every position of block w by one binary search of its
     doubled prefix array: the oracle for the bump-tiled kernel."""
-    pre, h = w.prefix, len(w)
+    pre, h = np.concatenate([[0], np.cumsum(w.units)]), len(w)
     q, m = divmod(n, int(pre[-1]))
     pre2 = np.concatenate([pre, pre[-1] + pre[1:]])
     return q * h + np.searchsorted(pre2, pre[:h] + m, side="right") - 1 \
@@ -380,11 +401,12 @@ class TestDuality:
         assert all(it.blocks[s].bump is None for s in it.symbols)
         assert check_duality(it)
 
-    def test_corrupted_counts_detected(self):
+    def test_corrupted_counts_detected(self, monkeypatch):
         it = toy_tower({"a": [3, 4, 5]})
-        # break the roof structure behind the prefix cache: a non-monotone
+        # break the roof structure behind the prefix sums: a non-monotone
         # prefix desynchronizes the vectorized count from the orbit sums
-        it.blocks["a"].prefix = np.array([0, 7, 3, 12])
+        monkeypatch.setattr(Block, "period_prefix",
+                            lambda w: np.array([0, 7, 3, 12]))
         with pytest.raises(InvariantError):
             check_duality(it)
 
