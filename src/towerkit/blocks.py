@@ -243,8 +243,11 @@ def _deviation_units(pre: np.ndarray) -> np.ndarray:
     if h * int(tot) >= _INT64_SAFE:
         t = np.arange(h + 1, dtype=object)
         return h * pre.astype(object) - t * int(tot)
-    t = np.arange(h + 1, dtype=pre.dtype)
-    return h * pre - t * tot
+    # the result and one temporary, h*pre, at a time
+    dev = np.arange(h + 1, dtype=np.int64)
+    dev *= -tot
+    dev += h * pre
+    return dev
 
 
 def _window_extremes(x: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:

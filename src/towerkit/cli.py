@@ -289,8 +289,8 @@ def _target(spec) -> TargetDist:
         raise ConfigError(f"bad target {spec!r}: {exc}") from exc
 
 
-def _run_stages(obj: dict, kind) -> Tuple[list, list, list,
-                                          Optional[TargetDist]]:
+def _read_schedules(obj: dict, kind) -> Tuple[list, list, list,
+                                              Optional[TargetDist]]:
     """The checked deltas, epss, kappas and target of a run of ``kind``
     read from ``obj``; an example run has no target."""
     if kind not in ("rational", "example", "general"):
@@ -395,7 +395,7 @@ def load_config(path: Optional[str], preset: Optional[str],
         obj["size_cap"] = cap
     _check_keys(obj, RUN_KEYS, "config")
     kind = obj.get("kind")
-    deltas, epss, kappas, target = _run_stages(obj, kind)
+    deltas, epss, kappas, target = _read_schedules(obj, kind)
     etas = obj.get("etas")
     if etas is not None:
         etas = _config_numbers(obj, "etas")
@@ -431,7 +431,7 @@ def load_config(path: Optional[str], preset: Optional[str],
                 f"skyscraper.base must be a JSON object, got {base_obj!r}")
         _check_keys(base_obj, BASE_KEYS, "skyscraper.base")
         base_kind = base_obj.get("kind", kind)
-        deltas, epss, kappas, target = _run_stages(base_obj, base_kind)
+        deltas, epss, kappas, target = _read_schedules(base_obj, base_kind)
         cfg.base = RunConfig(
             kind=base_kind, config_hash=cfg.config_hash, target=target,
             deltas=deltas, epss=epss, kappas=kappas,

@@ -362,14 +362,13 @@ class PeriodLaws:
       is measured, and the other's law is the measured law divided by g
       and multiplied by g'.
 
-    Each measured block's classes are taken in order of first need and
-    measured by ``_class_laws`` as they are needed, in measurements of at
-    most _CHUNK child positions: one least period of the child of a
+    Every distinct class of every measured block is measured once, when
+    the grid is set up, in increasing class order by ``_class_laws`` calls
+    of at most _CHUNK child positions: one least period of the child of a
     bump-tiled block, else of the block itself.  The law is in units, so
-    the scale plays no part.  A measurement is kept only until the last k
-    of the grid that reads it, so a grid without repeats holds about one
-    measurement per pattern.  ``records`` then applies whole periods,
-    reflections and multiples to a chunk of rows at once.
+    the scale plays no part.  All class laws sit in one pool, and
+    ``records`` applies whole periods, reflections and multiples to a
+    chunk of rows at once.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
@@ -411,10 +410,10 @@ class PeriodLaws:
                 else:
                     reps.append((i, a, s))
         index = sorted(set(first))
-        self.measured = [self.blocks[j] for j in index]
-        p = np.array([w.period for w in self.measured], dtype=np.int64)
+        measured = [self.blocks[j] for j in index]
+        p = np.array([w.period for w in measured], dtype=np.int64)
         self.sigma = np.array([w.total_units() * w.period // len(w)
-                               for w in self.measured], dtype=np.int64)
+                               for w in measured], dtype=np.int64)
         # per block: the column of its measured block, the gcd g that its
         # measured law is divided by and the g' it is multiplied by (1 and
         # 1 for the measured law itself), and its number of periods
@@ -424,72 +423,52 @@ class PeriodLaws:
                              for j, f in zip(first, factor)], dtype=np.int64)
         self.mul = np.array([1 if f is None else f for f in factor],
                             dtype=np.int64)
-        self.multiples = any(f is not None for f in factor)
         self.periods = np.array([len(w) // w.period for w in self.blocks],
                                 dtype=np.int64)
-        # per row and measured block: whole periods q, reflection, and the
-        # class's index in order of first need
+        # per row and measured block: whole periods q, reflection, and
+        # where its class law starts in the pool and its number of entries
         self.ks = list(ks)
         k = np.array(self.ks, dtype=np.int64).reshape(-1, 1)
         self.q, r = np.divmod(k, p)
         c = np.minimum(r, p - r)
         self.flip = r > c
-        self.idx = np.zeros(c.shape, dtype=np.int64)
-        # per measured block: its classes in order of first need, classes
-        # per measurement, the last row that reads each measurement, the
-        # entries of each measured class law and where it sits in the pool
-        self.classes, self.step, self.last = [], [], []
-        for d, w in enumerate(self.measured):
-            cs, seen, inv = np.unique(c[:, d], return_index=True,
-                                      return_inverse=True)
-            order = np.argsort(seen)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            self.idx[:, d] = rank[inv]
-            self.classes.append(cs[order])
+        self.at = np.empty(c.shape, dtype=np.int64)
+        self.lens = np.empty(c.shape, dtype=np.int64)
+        # every class law in one pool, units in row 0 and counts in row 1,
+        # grown by doubling: joining the parts of every call at the end
+        # would hold the parts and the pool at once
+        pool, size = np.empty((2, 0), dtype=np.int64), 0
+        for d, w in enumerate(measured):
+            cs, inv = np.unique(c[:, d], return_inverse=True)
             step = max(1, _CHUNK // _tiling(w).child.period)
-            last = np.full(-(-cs.size // step), -1)
-            np.maximum.at(last, self.idx[:, d] // step, np.arange(len(k)))
-            self.step.append(step)
-            self.last.append(last)
-        self.need = np.maximum.accumulate(self.idx, axis=0)
-        self.lens = [np.zeros(cs.size, dtype=np.int64) for cs in self.classes]
-        self.at = [np.zeros(cs.size, dtype=np.int64) for cs in self.classes]
-        self.done = [0] * p.size
-        # (column, measurement) -> (units, counts, ends) of its class laws
-        self.live: Dict[Tuple[int, int], tuple] = {}
-
-    def _measure(self, d: int) -> None:
-        """Measure the next classes of measured block d."""
-        t, step = self.done[d] // self.step[d], self.step[d]
-        cs = self.classes[d][t * step:(t + 1) * step]
-        units, counts, ends = _class_laws(self.measured[d], cs)
-        self.live[d, t] = units, counts, ends
-        self.lens[d][t * step:t * step + cs.size] = np.diff(ends)
-        self.done[d] += cs.size
+            # where each class law starts in the pool, then its end
+            edges = [np.array([size])]
+            for i in range(0, cs.size, step):
+                units, counts, ends = _class_laws(w, cs[i:i + step])
+                edges.append(ends[1:] + size)
+                end = size + units.size
+                if end > pool.shape[1]:
+                    grown = np.empty((2, 2 * end), dtype=np.int64)
+                    grown[:, :size] = pool[:, :size]
+                    pool = grown
+                pool[:, size:end] = units, counts
+                size = end
+            edges = np.concatenate(edges)
+            self.at[:, d] = edges[:-1][inv]
+            self.lens[:, d] = np.diff(edges)[inv]
+        self.units, self.counts = pool[0, :size], pool[1, :size]
 
     def records(self) -> Iterator["SkHistogram"]:
         """The SkHistogram records of the grid, in order, each of
         consecutive rows that hold at most _CHUNK law entries together
-        (one row may pass it alone); classes are measured as the rows
-        need them."""
-        n, start = len(self.ks), 0
-        while start < n:
-            # rows before ``ready`` have every class law measured
-            avail = [int(np.searchsorted(self.need[:, d], m))
-                     for d, m in enumerate(self.done)]
-            ready = min(avail)
-            rows = self.idx[start:ready]
-            sizes = sum(lens[rows[:, d]] * self.readers[d]
-                        for d, lens in enumerate(self.lens))
-            fit = int(np.searchsorted(np.cumsum(sizes), _CHUNK, "right"))
-            if fit == ready - start and ready < n:
-                self._measure(int(np.argmin(avail)))
-                continue
-            end = start + max(1, fit)
+        (one row may pass it alone)."""
+        tops = np.cumsum(self.lens @ self.readers)
+        start = 0
+        while start < len(self.ks):
+            below = tops[start - 1] if start else 0
+            end = int(np.searchsorted(tops, below + _CHUNK, "right"))
+            end = max(start + 1, end)
             yield from self._record(start, end)
-            self.live = {(d, t): law for (d, t), law in self.live.items()
-                         if self.last[d][t] >= end}
             start = end
 
     def _record(self, start: int, end: int) -> Iterator["SkHistogram"]:
@@ -500,26 +479,15 @@ class PeriodLaws:
         first.  When some row leaves it, the record of the rows before the
         first such row is yielded, then BlockError names its k.
         """
-        # one pool of the live measurements, and where each class sits
-        laws = list(self.live.items())
-        pool = [np.concatenate([law[i] for _, law in laws]) for i in (0, 1)]
-        base = 0
-        for (d, t), (units, _, ends) in laws:
-            step = self.step[d]
-            self.at[d][t * step:t * step + ends.size - 1] = base + ends[:-1]
-            base += units.size
-        rows = self.idx[start:end]
-        lens = np.stack([lens[rows[:, d]] for d, lens in
-                         enumerate(self.lens)], axis=1).ravel()
-        src = np.stack([at[rows[:, d]] for d, at in enumerate(self.at)],
-                       axis=1).ravel()
+        lens = self.lens[start:end].ravel()
+        src = self.at[start:end].ravel()
         q = self.q[start:end].ravel()
         flip = self.flip[start:end].ravel()
         sigma = np.tile(self.sigma, end - start)
         # the largest S_k of each row and measured block: its top unit over
         # a period plus q whole periods, tested without leaving int64
-        top = np.where(flip, sigma - pool[0][src],
-                       pool[0][src + lens - 1])
+        top = np.where(flip, sigma - self.units[src],
+                       self.units[src + lens - 1])
         past = q > (_INT64_MAX - top) // sigma
         cols = self.sigma.size
         most = np.where(past, 0, top + q * sigma).reshape(-1, cols)[
@@ -541,14 +509,14 @@ class PeriodLaws:
             pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], size)
             idx = np.repeat(first, size) + np.repeat(sign, size) * pos
             # u or Sigma - u, then q whole periods: no partial sum passes
-            # the largest S_k, which fits int64
-            vals = np.repeat(sign, size) * pool[0][idx] + \
+            # the largest S_k, which fits int64; then / g * g', exact
+            vals = np.repeat(sign, size) * self.units[idx] + \
                 np.repeat(flip[seg] * sigma[seg], size) + \
                 np.repeat(q[seg] * sigma[seg], size)
-            if self.multiples:
-                vals = vals // np.repeat(np.tile(self.div, n), size) * \
-                    np.repeat(np.tile(self.mul, n), size)
-            counts = pool[1][idx] * np.repeat(np.tile(self.periods, n), size)
+            vals = vals // np.repeat(np.tile(self.div, n), size) * \
+                np.repeat(np.tile(self.mul, n), size)
+            counts = self.counts[idx] * \
+                np.repeat(np.tile(self.periods, n), size)
             yield SkHistogram(self.ks[start:start + n],
                               [w.scale for w in self.blocks], vals, counts,
                               offsets)

@@ -193,24 +193,38 @@ def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
     return IntegerTower(trace, symbols, blocks, tick, occ, eta, perts)
 
 
-def return_time_partial_sums(it: IntegerTower, n: int, nu: tuple) -> int:
+def return_time_partial_sums(it: IntegerTower, n, nu: tuple):
     """Sum of the first n return times starting at base position
     nu = (symbol, pos), with pos 1-based within the symbol's block.
 
-    The sum is exact and n may exceed the block's least period p, with
-    whole periods contributing their total: the block is p-periodic.
+    n may exceed the block's least period p, with whole periods
+    contributing their total: the block is p-periodic.  For an int n the
+    sum is an exact Python int; for an int64 array of n the sums are an
+    int64 array, and SkyscraperError is raised when the largest of them
+    leaves int64.
     """
     s, pos = nu
     h = it.height
     if not 1 <= pos <= h:
         raise SkyscraperError(f"position must be in 1..{h}, got {pos}")
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise SkyscraperError("n must be nonnegative")
     pre = it.blocks[s].period_prefix()
     p = pre.size - 1
     start = (pos - 1) % p
-    wraps, end = divmod(start + n, p)
-    return wraps * int(pre[-1]) + int(pre[end]) - int(pre[start])
+
+    def exact(m: int) -> int:
+        wraps, end = divmod(start + m, p)
+        return wraps * int(pre[-1]) + int(pre[end]) - int(pre[start])
+
+    if not isinstance(n, np.ndarray):
+        return exact(n)
+    # every unit is positive, so the sums grow with n and fit int64 when
+    # the largest does
+    if n.size and exact(int(n.max())) > _INT64_MAX:
+        raise SkyscraperError("a return-time sum leaves the int64 range")
+    wraps, end = np.divmod(start + n, p)
+    return wraps * pre[-1] + pre[end] - pre[start]
 
 
 def _window_ends(pre: np.ndarray, m: int) -> np.ndarray:
@@ -507,9 +521,11 @@ def check_duality(it: IntegerTower) -> bool:
                    for n in range(1, n_max + 1)}
     for s in it.symbols:
         for pos in range(1, h + 1):
-            phis = [0]
-            while phis[-1] <= n_max:
-                phis.append(return_time_partial_sums(it, len(phis), (s, pos)))
+            # every return takes at least one step, so the first n_max + 1
+            # returns pass n_max; keep them up to the first that does
+            phis = return_time_partial_sums(
+                it, np.arange(n_max + 2), (s, pos))
+            phis = phis[:np.searchsorted(phis, n_max, "right") + 1].tolist()
             for n in range(1, n_max + 1):
                 s_n = int(counts_by_n[n][s][pos - 1])
                 # duality: the count equals the number of returns by time n

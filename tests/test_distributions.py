@@ -620,8 +620,8 @@ class TestBumpDerivedLaw:
     def test_kernel_in_chunks(self, chunk, base, rep, scale, steps, rnd):
         # bump-less blocks (no steps) and bump-tiled ones, f = 7 included;
         # classes 0, p/2 and c >= L (the child's least period) in one call,
-        # then a shuffled grid whose classes come in chunks of at most
-        # ``chunk`` child positions, split mid-grid
+        # then a shuffled grid whose classes are measured once each, in
+        # calls of at most ``chunk`` child positions
         w = bump_chain(base, rep, scale, steps)
         p, L = w.period, distributions._tiling(w).child.period
         cs = list(range(p // 2 + 1))

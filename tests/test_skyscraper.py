@@ -160,6 +160,25 @@ class TestReturnTimes:
             for j in range(1, 30):
                 acc += w[(pos - 1 + j - 1) % h]
                 assert return_time_partial_sums(it, j, ("a", pos)) == acc
+            # the array form against the scalar calls, n = 0 included
+            ns = np.arange(30)
+            got = return_time_partial_sums(it, ns, ("a", pos))
+            assert got.dtype == np.int64
+            assert got.tolist() == [return_time_partial_sums(it, j, ("a", pos))
+                                    for j in range(30)]
+
+    def test_array_past_int64_raises(self):
+        # S_3 = 3*2^61 + 1 fits int64, S_4 = 2^63 + 2 does not: the scalar
+        # form gives the exact sum, the array form refuses to wrap
+        it = toy_tower({"a": [2 ** 61, 2 ** 61 + 1]})
+        nu = ("a", 1)
+        assert return_time_partial_sums(it, np.arange(4), nu).tolist() == \
+            [return_time_partial_sums(it, j, nu) for j in range(4)]
+        assert return_time_partial_sums(it, 4, nu) == 2 ** 63 + 2
+        with pytest.raises(SkyscraperError):
+            return_time_partial_sums(it, np.arange(5), nu)
+        with pytest.raises(SkyscraperError):
+            return_time_partial_sums(it, np.array([1, -1]), nu)
 
 
 class TestOccupation:
