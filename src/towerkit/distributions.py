@@ -30,17 +30,23 @@ from typing import (Dict, Iterator, List, Optional, Sequence, TextIO,
                     Tuple, Union)
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .blocks import _INT64_MAX, _INT64_SAFE, BlockError, Bump
+from .blocks import _INT64_MAX, _INT64_SAFE, BlockError
 
 Value = Union[Fraction, float]  # a positive rational, a float, or math.inf
 
 INF = math.inf
 
-# Entries of one call of a grid kernel: child positions that one
-# ``_class_laws`` call gathers, or law entries that one ``_transport`` call
-# compares (one row alone may pass it).
+# Entries of one call of a grid kernel: leaf positions that one
+# ``_class_laws`` call gathers, child entries times pieces that one level
+# of ``_range_laws`` merges at a time, or law entries that one
+# ``_transport`` call compares (one row alone may pass it).
 _CHUNK = 1 << 16
+
+# Least period above which a bump-tiled block's class laws are read off its
+# child's rather than gathered (``_leaf``); chosen by measurement (README).
+_LEAF = 128
 
 
 class DistError(ValueError):
@@ -278,69 +284,171 @@ def _hist_transport(laws, metric: str) -> List[float]:
                       [d for _, _, dists in laws for d in dists], metric)
 
 
-def _tiling(w) -> Bump:
-    """The tiling that a class law of ``w`` is measured on: the ``Bump``
-    that built w when its spacing is w's least period p, else
-    Bump(w, 1, 0, p), w as its own child with no bump."""
-    bump = w.bump
-    if bump is None or bump.spacing != w.period:
-        return Bump(w, 1, 0, w.period)
-    return bump
-
-
 def _class_laws(w, cs) -> tuple:
     """(units, counts, ends): for the i-th class c of ``cs`` (0 <= c < p),
     the sorted distinct units of S_c over one least period p of ``w`` are
     units[ends[i]:ends[i + 1]], with their int64 counts at the same
-    entries of ``counts``.
-
-    Every class is measured on one least period L of the child of
-    ``_tiling(w)`` = (child, f, B, s): a position t in [0, s) reads
-    f*S_c(child) at t mod L, plus the bump B exactly when t >= s - c.  So
-    each tau in [0, L) counts (s-c)//L + [tau < r0] times with
-    f*S_c(child)(tau) and c//L + [tau >= r0 and c % L > 0] times with that
-    plus B, where r0 = (s-c) % L.  All classes are gathered as one 2-D
-    array over the child's doubled prefix, in uint64, where a period's
-    total and twice any S_c fit.  Each row is sorted once on the key
-    2*S_c + [tau >= r0], so that its runs give the value and its half
-    together; the plain and bumped values of all rows are then merged by
-    one lexsort.  No value passes the block's unit total over a period,
-    which fits int64, so no class law can leave int64.
-    """
-    child, f, b, s = _tiling(w)
-    pre = child.period_prefix().astype(np.uint64)
-    L = pre.size - 1
-    ext = np.concatenate([pre[:-1], pre + pre[-1]])
+    entries of ``counts``: ``_range_laws`` over the one interval [0, p)."""
     cs = np.asarray(cs, dtype=np.int64)
-    n0, r0 = np.divmod(s - cs, L)
-    n1, r1 = np.divmod(cs, L)
-    tau = np.arange(L)
-    sums = ext[tau + r1[:, None]] - pre[:-1] + \
-        (n1.astype(np.uint64) * pre[-1])[:, None]
-    key = np.sort(2 * sums + (tau >= r0[:, None]), axis=1).ravel()
-    # runs of equal keys, each within one row of L entries
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    new[::L] = True
-    starts = np.flatnonzero(new)
-    runs = np.diff(starts, append=key.size)
-    row, key = starts // L, key[starts]
-    half = (key & 1).astype(np.int64)
-    v = (key >> 1).astype(np.int64) * np.int64(f)
-    plain = runs * (n0[row] + 1 - half)
-    bumped = runs * (n1[row] + half * (r1[row] > 0))
-    keep, hit = plain > 0, bumped > 0
-    rows = np.concatenate([row[keep], row[hit]])
-    vals = np.concatenate([v[keep], v[hit] + np.int64(b)])
-    counts = np.concatenate([plain[keep], bumped[hit]])
-    order = np.lexsort((vals, rows))
-    rows, vals, counts = rows[order], vals[order], counts[order]
-    new = np.ones(vals.size, dtype=bool)
-    new[1:] = (vals[1:] != vals[:-1]) | (rows[1:] != rows[:-1])
-    starts = np.flatnonzero(new)
-    vals, counts = vals[starts], np.add.reduceat(counts, starts)
-    ends = np.searchsorted(rows[starts], np.arange(cs.size + 1))
-    return vals, counts, ends
+    seg, units, counts = _range_laws(w, cs, np.zeros((cs.size, 1),
+                                                     dtype=np.int64))
+    ends = np.zeros(cs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seg, minlength=cs.size), out=ends[1:])
+    return units, counts, ends
+
+
+def _leaf(w):
+    """The block whose least period ``_range_laws`` gathers for ``w``: w
+    itself when its least period is at most _LEAF or no bump tiling built
+    it at that period, else the leaf of the child of that tiling."""
+    while w.period > _LEAF and w.bump is not None and \
+            w.bump.spacing == w.period:
+        w = w.bump.child
+    return w
+
+
+def _range_laws(w, cs, starts) -> tuple:
+    """(seg, units, counts): the law of S_c over each of some intervals of
+    one least period p of ``w``, per row.
+
+    Row i has class c = cs[i] (0 <= c < p) and J intervals, which start at
+    starts[i] (nondecreasing, the first 0) and end at the next start, the
+    last at p; an interval may be empty.  Entry e gives the value units[e]
+    of S_c taken at counts[e] positions of interval j of row i, where
+    seg[e] = i*J + j; the entries are sorted by segment, then value, with
+    each (segment, value) once.
+
+    A leaf (``_leaf``) is gathered over one period.  Any other w is the
+    tiling (child, f, B, s = p) of its ``Bump``: a position t in [0, s)
+    reads f*S_c(child) at t mod P, P the child's least period, plus the
+    bump B exactly when t >= s - c.  So s - c starts one more piece per
+    row, and the child's laws are taken, by this function, for the class
+    c mod P (each of the c // P whole child periods adds the child's
+    total) over the intervals that start at the pieces' starts mod P.  A
+    position tau of the child interval that starts at lo occurs
+    M(z1) - M(z0) times among the t of a piece [z0, z1), with M(z) =
+    z // P + [lo < z mod P]; so each child law enters each piece with
+    that multiplicity, its values mapped v -> f*v + B*flag, and equal
+    values merge per row and interval.  No value passes the unit total
+    over a period, which fits int64.
+    """
+    rows, n = starts.shape
+    if _leaf(w) is w:
+        return _gathered_laws(w, cs, starts)
+    child, f, b, s = w.bump
+    P = child.period
+    # the pieces: they start at each start and at s - c, and those from
+    # s - c on are bumped; per piece, its interval and the offset added
+    # to f*v (c // P child periods, then the bump)
+    x = s - cs
+    ref = np.sort(np.concatenate([starts, x[:, None]], axis=1), axis=1)
+    late = ref >= x[:, None]
+    seg = np.arange(0, rows * n, n)[:, None] + np.arange(n + 1) - late
+    off = (cs // P * (child.total_units() * P // len(child)) *
+           np.int64(f))[:, None] + late * np.int64(b)
+    sub = np.sort(ref % P, axis=1)
+    cseg, units, counts = _range_laws(child, cs % P, sub)
+    # per row, child interval and piece: M(z) at the piece's start, then
+    # its difference to M at the next start
+    q, r = np.divmod(ref, P)
+    mult = q[:, None, :] + (sub[:, :, None] < r[:, None, :])
+    mult[:, :, :-1] = mult[:, :, 1:] - mult[:, :, :-1]
+    mult[:, :, -1] = s // P - mult[:, :, -1]
+    mult = mult.reshape(-1, n + 1)
+    # segment, value (at most a period's total) and count (at most p) side
+    # by side in the bits of one int64 key, when they fit
+    vb, cb = (w.total_units() * s // len(w)).bit_length(), s.bit_length()
+    packed = (rows * n - 1).bit_length() + vb + cb < 64
+    if packed:
+        high = ((seg << vb) + off) << cb
+    # batches of rows whose child entries, times the pieces, number at
+    # most _CHUNK (one row may pass it alone)
+    rown = cseg // (n + 1)
+    parts, e0 = [], 0
+    while e0 < rown.size:
+        e1 = e0 + max(1, _CHUNK // (n + 1))
+        if e1 < rown.size:
+            e1 = int(np.searchsorted(rown, rown[e1]))
+            if e1 <= e0:
+                e1 = int(np.searchsorted(rown, rown[e0], "right"))
+        e, row = slice(e0, e1), rown[e0:e1]
+        many = counts[e, None] * mult[cseg[e]]
+        hit = many > 0
+        if packed:
+            key = (high[row] + (units[e, None] * np.int64(f) << cb) +
+                   many)[hit]
+            key.sort()
+            parts.append(_runs(key, vb, cb))
+        else:
+            parts.append(_merged(
+                seg[row][hit], (units[e, None] * np.int64(f) + off[row])[hit],
+                many[hit]))
+        e0 = e1
+    return parts[0] if len(parts) == 1 else \
+        tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _gathered_laws(w, cs, starts) -> tuple:
+    """``_range_laws`` of a leaf: S_c at every position tau of one least
+    period, gathered as one 2-D array from windows of the doubled prefix
+    in uint64, where a period's total and twice any S_c fit.  Each row is
+    sorted once on the key j*2^v + S_c, j the interval of tau and 2^v
+    above a period's total, so that its runs give the interval and the
+    value together; where that key could pass uint64, the entries are
+    merged by ``_merged``."""
+    pre = w.period_prefix().astype(np.uint64)
+    p, (rows, n) = pre.size - 1, starts.shape
+    tau = np.arange(p)
+    ext = np.concatenate([pre[:-1], pre + pre[-1]])
+    # row c of the windows is ext[c:c + p], read in place
+    key = as_strided(ext, (p, p), ext.strides * 2)[cs]
+    key -= pre[:-1]
+    vb = int(pre[-1]).bit_length()
+    if (n - 1).bit_length() + vb > 64:
+        return _merged(
+            (np.arange(0, rows * n, n)[:, None] +
+             (tau >= starts[:, 1:, None]).sum(axis=1)).ravel(),
+            key.astype(np.int64).ravel(), np.ones(key.size, np.int64))
+    for j in range(1, n):
+        np.add(key, np.uint64(1 << vb), out=key,
+               where=tau >= starts[:, j, None])
+    key.sort(axis=1)
+    key = key.ravel()
+    # the bounds of the runs of equal keys, each within one row of p
+    # entries
+    new = np.empty(key.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+    new[::p] = True
+    at = np.flatnonzero(new)
+    key = key[at[:-1]]
+    return at[:-1] // p * n + (key >> np.uint64(vb)).astype(np.int64), \
+        (key & np.uint64((1 << vb) - 1)).astype(np.int64), at[1:] - at[:-1]
+
+
+def _merged(seg, vals, counts) -> tuple:
+    """(seg, vals, counts) sorted by segment, then value, by one lexsort,
+    with equal pairs merged and their counts added: the merge of entries
+    whose packed key would not fit 64 bits."""
+    order = np.lexsort((vals, seg))
+    seg, vals, counts = seg[order], vals[order], counts[order]
+    new = np.ones(seg.size, dtype=bool)
+    new[1:] = (seg[1:] != seg[:-1]) | (vals[1:] != vals[:-1])
+    at = np.flatnonzero(new)
+    return seg[at], vals[at], np.add.reduceat(counts, at)
+
+
+def _runs(key, vb: int, cb: int) -> tuple:
+    """(seg, vals, counts) from sorted int64 keys that hold a segment, a
+    value of ``vb`` bits and a count of ``cb`` bits side by side, with the
+    counts of equal (segment, value) pairs added."""
+    pair = key >> cb
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(pair[1:], pair[:-1], out=new[1:])
+    at = np.flatnonzero(new)
+    counts = np.add.reduceat(key & ((1 << cb) - 1), at)
+    pair = pair[at]
+    return pair >> vb, pair & ((1 << vb) - 1), counts
 
 
 class PeriodLaws:
@@ -364,11 +472,12 @@ class PeriodLaws:
 
     Every distinct class of every measured block is measured once, when
     the grid is set up, in increasing class order by ``_class_laws`` calls
-    of at most _CHUNK child positions: one least period of the child of a
-    bump-tiled block, else of the block itself.  The law is in units, so
-    the scale plays no part.  All class laws sit in one pool, and
-    ``records`` applies whole periods, reflections and multiples to a
-    chunk of rows at once.
+    whose leaf gathers hold at most _CHUNK positions (one class may pass
+    it alone): a bump-tiled block is read down its Bump chain, and only
+    one least period of the chain's leaf (``_leaf``) is gathered.  The law
+    is in units, so the scale plays no part.  All class laws sit in one
+    pool, and ``records`` applies whole periods, reflections and multiples
+    to a chunk of rows at once.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
@@ -440,7 +549,7 @@ class PeriodLaws:
         pool, size = np.empty((2, 0), dtype=np.int64), 0
         for d, w in enumerate(measured):
             cs, inv = np.unique(c[:, d], return_inverse=True)
-            step = max(1, _CHUNK // _tiling(w).child.period)
+            step = max(1, _CHUNK // _leaf(w).period)
             # where each class law starts in the pool, then its end
             edges = [np.array([size])]
             for i in range(0, cs.size, step):

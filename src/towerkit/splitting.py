@@ -42,6 +42,10 @@ class TargetDist:
         n = 1 << depth
         return [self.quantile(Fraction(j + 1, n)) for j in range(n)]
 
+    def angle_grid(self, depth: int) -> List[float]:
+        """The arctan of each value of ``quantile_grid(depth)``."""
+        return [angle(v) for v in self.quantile_grid(depth)]
+
     def cdf(self, t: Value) -> Optional[Fraction]:
         """Exact cdf where available, else None."""
         return None
@@ -209,7 +213,7 @@ def split_cost(target: TargetDist, fine_depth: int, coarse_depth: int) -> float:
         raise SplittingError("need 1 <= coarse_depth < fine_depth")
     # every coarse value is the fine value at the end of its cell, so each
     # fine value's arctan is taken once
-    fine = [angle(v) for v in target.quantile_grid(fine_depth)]
+    fine = target.angle_grid(fine_depth)
     shift = fine_depth - coarse_depth
     step = 1 << shift
     n = len(fine)
@@ -242,6 +246,38 @@ class SplitSequence:
     dominates: bool       # cdf domination of the target by every rep
 
 
+class _CallGrid(TargetDist):
+    """The quantile grid of ``target`` for one ``build_split_sequence``
+    call: the quantiles at the right endpoints (j+1)/2^n of the deepest
+    depth n asked so far, and their arctans.  Depth n + 1 interleaves the
+    new odd-numerator quantiles with depth n's, and a coarser depth m reads
+    every 2^(n-m)-th entry, so each quantile and its arctan are taken
+    once."""
+
+    def __init__(self, target: TargetDist):
+        self.target, self.depth = target, 0
+        self.values = [target.quantile(Fraction(1))]
+        self.angles = [angle(self.values[0])]
+
+    def _stride(self, name: str, depth: int) -> list:
+        while self.depth < depth:
+            n = 2 << self.depth
+            new = [self.target.quantile(Fraction(j, n))
+                   for j in range(1, n, 2)]
+            self.values = [v for pair in zip(new, self.values) for v in pair]
+            self.angles = [a for pair in zip(map(angle, new), self.angles)
+                           for a in pair]
+            self.depth += 1
+        step = 1 << (self.depth - depth)
+        return getattr(self, name)[step - 1::step]
+
+    def quantile_grid(self, depth: int) -> List[Value]:
+        return self._stride("values", depth)
+
+    def angle_grid(self, depth: int) -> List[float]:
+        return self._stride("angles", depth)
+
+
 def build_split_sequence(target: TargetDist, eps_list: Sequence,
                          max_depth: int = 20) -> SplitSequence:
     """Choose depths n_1 < n_2 < ... so that consecutive restrictions are
@@ -249,13 +285,15 @@ def build_split_sequence(target: TargetDist, eps_list: Sequence,
 
     Depth n_j is the smallest depth above n_{j-1} whose tail bound is below
     eps_j; monotonicity of the cell values under refinement then bounds each
-    consecutive splitting cost by the coarser tail bound.
+    consecutive splitting cost by the coarser tail bound.  Every grid is
+    read off one ``_CallGrid``, which the call drops when it returns.
     """
     if not eps_list:
         raise SplittingError("need at least one epsilon")
     eps = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps):
         raise SplittingError("epsilons must be positive")
+    grid = _CallGrid(target)
     depths: List[int] = []
     bounds: List[float] = []
     d = 1
@@ -264,19 +302,20 @@ def build_split_sequence(target: TargetDist, eps_list: Sequence,
             if d > max_depth:
                 raise SplittingError(
                     f"required splitting depth exceeds max_depth={max_depth}")
-            b = tail_cost_bound(target, d)
+            b = tail_cost_bound(grid, d)
             if b < e:
                 break
             d += 1
         depths.append(d)
         bounds.append(b)
         d += 1
-    finest = DyadicRep.build(target, depths[-1])
+    finest = DyadicRep.build(grid, depths[-1])
     reps = tuple(finest.restrict(m) if m < depths[-1] else finest
                  for m in depths)
-    costs = tuple(split_cost(target, nb, na)
+    costs = tuple(split_cost(grid, nb, na)
                   for na, nb in zip(depths, depths[1:]))
-    floor_r = target.quantile(1 - Fraction(1, 1 << depths[0]))
+    # the quantile at 1 - 2^-depths[0]: the last but one of its grid
+    floor_r = grid.quantile_grid(depths[0])[-2]
     dominates = True
     tcdf = target.cdf
     for rep in reps:

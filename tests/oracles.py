@@ -8,7 +8,7 @@ import numpy as np
 
 import towerkit.distributions as distributions
 from towerkit.blocks import BlockError, rescale_units
-from towerkit.distributions import (INF, SkHistogram, _class_laws, _tiling,
+from towerkit.distributions import (INF, SkHistogram, _class_laws, _leaf,
                                     _transport, rho, transport_distances)
 
 INT64_MAX = 2 ** 63 - 1
@@ -110,8 +110,9 @@ def add_periods(units, q, total):
 
 def class_law_stream(w, cs):
     """(c, (units, counts)) for each class c of ``cs`` in order, measured
-    by ``_class_laws`` in chunks of at most _CHUNK child positions."""
-    step = max(1, distributions._CHUNK // _tiling(w).child.period)
+    by ``_class_laws`` in calls whose leaf gathers hold at most _CHUNK
+    positions of the leaf's least period (one class may pass it alone)."""
+    step = max(1, distributions._CHUNK // _leaf(w).period)
     for i in range(0, len(cs), step):
         chunk = cs[i:i + step]
         units, counts, ends = _class_laws(w, chunk)

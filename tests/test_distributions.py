@@ -421,13 +421,14 @@ def assert_same_histogram(got, want):
 def counted_measurements():
     """List of the (scale, units, c) of every class law that PeriodLaws
     asks ``_class_laws`` for while the context is open, with the scale and
-    units of the block that it reads: the child of a bump-tiled block."""
+    units of the block whose period it gathers: the leaf of the block's
+    Bump chain (``_leaf``)."""
     calls = []
     measure = distributions._class_laws
 
     def counted(w, cs):
-        child = distributions._tiling(w).child
-        calls.extend((child.scale, tuple(child.units.tolist()), int(c))
+        leaf = distributions._leaf(w)
+        calls.extend((leaf.scale, tuple(leaf.units.tolist()), int(c))
                      for c in cs)
         return measure(w, cs)
 
@@ -588,8 +589,8 @@ bump_steps = st.lists(
 
 
 class TestBumpDerivedLaw:
-    """Blocks that basic_extend built are measured on one period of the
-    child they tile; every law must equal the materialized oracle."""
+    """Blocks that basic_extend built are read down their Bump chain to a
+    leaf; every law must equal the materialized oracle."""
 
     # f = 7, mu = 2, and a child of least period 2 and length 4
     RESCALED = ([1, 2], 2, F(1), [(F(1, 7), 2, 2)])
@@ -618,32 +619,45 @@ class TestBumpDerivedLaw:
     @example(*CHAIN, random.Random(1))
     @example([1, 2, 1, 2], 2, F(1), [], random.Random(2))
     def test_kernel_in_chunks(self, chunk, base, rep, scale, steps, rnd):
-        # bump-less blocks (no steps) and bump-tiled ones, f = 7 included;
-        # classes 0, p/2 and c >= L (the child's least period) in one call,
-        # then a shuffled grid whose classes are measured once each, in
-        # calls of at most ``chunk`` child positions
+        # bump-less blocks (no steps) and bump-tiled ones, f = 7 included,
+        # read down the chain to its bottom (leaf 0) and as the default
+        # rule reads them; classes 0, p/2 and c >= L (the child's least
+        # period) in one call, then a shuffled grid whose classes are
+        # measured once each, in calls whose leaf gathers hold at most
+        # ``chunk`` positions (one class may pass it alone)
         w = bump_chain(base, rep, scale, steps)
-        p, L = w.period, distributions._tiling(w).child.period
-        cs = list(range(p // 2 + 1))
-        for c, law in zip(cs, class_laws(w, cs)):
-            assert_same_law(law, class_law_oracle(w, c))
+        cs = list(range(w.period // 2 + 1))
         ks = list(range(2 * len(w) + 2)) * 2
         rnd.shuffle(ks)
-        sizes = []
-        measure = distributions._class_laws
+        measure, gather = distributions._class_laws, \
+            distributions._gathered_laws
+        for leaf in (0, distributions._LEAF):
+            sizes, gathers = [], []
 
-        def counted(v, classes):
-            sizes.append(len(classes))
-            return measure(v, classes)
+            def counted(v, classes):
+                sizes.append(len(classes))
+                return measure(v, classes)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distributions, "_CHUNK", chunk)
-            mp.setattr(distributions, "_class_laws", counted)
-            got = list(rows(sk_histograms([w], ks)))
-        for k, hist in zip(ks, got):
-            assert_same_histogram(hist, whole_block_histogram([w], k))
-        assert sum(sizes) == len(cs)
-        assert max(sizes) == min(len(cs), max(1, chunk // L))
+            def gathered(v, classes, starts):
+                gathers.append(len(classes) * v.period)
+                return gather(v, classes, starts)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distributions, "_LEAF", leaf)
+                for c, law in zip(cs, class_laws(w, cs)):
+                    assert_same_law(law, class_law_oracle(w, c))
+                P = distributions._leaf(w).period
+                mp.setattr(distributions, "_CHUNK", chunk)
+                mp.setattr(distributions, "_class_laws", counted)
+                mp.setattr(distributions, "_gathered_laws", gathered)
+                got = list(rows(sk_histograms([w], ks)))
+            for k, hist in zip(ks, got):
+                assert_same_histogram(hist, whole_block_histogram([w], k))
+            assert sum(sizes) == len(cs)
+            assert max(sizes) == min(len(cs), max(1, chunk // P))
+            # one leaf gather per call, of at most max(chunk, P) positions
+            assert len(gathers) == len(sizes)
+            assert max(gathers) <= max(chunk, P)
 
     @pytest.mark.parametrize("case", ["RESCALED", "CHAIN"])
     def test_examples_take_the_derived_path(self, case):
@@ -656,10 +670,22 @@ class TestBumpDerivedLaw:
         else:
             # the plain tiling of the last step carried the bump over
             assert len(w) == 4 * s and len(child) == 6
-        with counted_measurements() as calls:
-            list(sk_histograms([w], range(2 * len(w) + 1)))
-        # every class but 0 is measured on the child alone
-        assert {len(units) for _, units, k in calls if k} == {len(child)}
+        bottom = chain_path(w)[-1]
+        assert bottom is not w and bottom.bump is None
+        # read down the chain to its bottom, or gathered whole: its least
+        # period is at most _LEAF
+        assert w.period <= distributions._LEAF
+        for leaf, read in ((0, bottom), (distributions._LEAF, w)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distributions, "_LEAF", leaf)
+                with counted_measurements() as calls:
+                    got = list(rows(sk_histograms([w], range(2 * len(w)
+                                                             + 1))))
+            for k, hist in enumerate(got):
+                assert_same_histogram(hist, whole_block_histogram([w], k))
+            # every class is measured on that block alone
+            assert {units for _, units, _ in calls} == \
+                {tuple(read.units.tolist())}
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
@@ -737,6 +763,118 @@ class TestBumpDerivedLaw:
                 hist = next(hists)
                 assert hist.units.tolist() == u.tolist()
                 assert hist.counts.tolist() == c.tolist()
+
+
+@st.composite
+def example_chains(draw):
+    """4 to 7 basic extensions, each tiled 1 or 2 times, as
+    build_example_tower builds them: bumps kappa*q*h whose ratio to the
+    scale often needs a new denominator (f != 1), and children tiled past
+    their least period."""
+    w = Block(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)),
+              draw(st.sampled_from([F(1), F(1, 2), F(3, 7)])))
+    for _ in range(draw(st.integers(4, 7))):
+        q, mu = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+        if len(w) * q * mu > 3000:
+            break
+        kappa = draw(st.fractions(F(1, 13), F(2), max_denominator=13))
+        w = self_concat(basic_extend(w, kappa, q), mu)
+    return w
+
+
+@st.composite
+def range_cases(draw):
+    """(w, cs, starts): a chain, its classes 0 and p - 1 and a few drawn
+    ones, each row with J interval starts (0 first, then anywhere in
+    [0, p], so intervals may be empty)."""
+    w = draw(st.one_of(example_chains(), st.builds(
+        bump_chain, st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        st.integers(1, 3), st.sampled_from([F(1), F(1, 2), F(3, 7)]),
+        bump_steps)))
+    p, n = w.period, draw(st.integers(1, 4))
+    cs = [0, p - 1] + draw(st.lists(st.integers(0, p - 1), max_size=4))
+    starts = [[0] + sorted(draw(st.lists(st.integers(0, p), min_size=n - 1,
+                                         max_size=n - 1)))
+              for _ in cs]
+    return w, cs, starts
+
+
+def chain_path(w):
+    """w and the children that ``_range_laws`` may read down to: each
+    bump-tiled at its least period but the last."""
+    path = [w]
+    while path[-1].bump is not None and \
+            path[-1].bump.spacing == path[-1].period:
+        path.append(path[-1].bump.child)
+    return path
+
+
+def assert_range_laws(w, cs, starts):
+    """``_range_laws`` of (w, cs, starts) equals np.unique over each
+    interval of the materialized S_c, with the leaf at every depth of the
+    chain."""
+    p = w.period
+    want = []
+    for c, row in zip(cs, starts):
+        vals = cyclic_partial_sums_units(w, c)[:p]
+        want += [np.unique(vals[a:b], return_counts=True)
+                 for a, b in zip(row, row[1:] + [p])]
+    for v in chain_path(w):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_LEAF", v.period)
+            assert distributions._leaf(w) is v
+            seg, units, counts = distributions._range_laws(
+                w, np.array(cs, dtype=np.int64),
+                np.array(starts, dtype=np.int64))
+        assert seg.dtype == units.dtype == counts.dtype == np.int64
+        # sorted by segment, then value, each pair once
+        assert ((np.diff(seg) > 0) |
+                ((np.diff(seg) == 0) & (np.diff(units) > 0))).all()
+        for i, (u, k) in enumerate(want):
+            assert units[seg == i].tolist() == u.tolist()
+            assert counts[seg == i].tolist() == k.tolist()
+
+
+class TestRangeLaws:
+    """The law of S_c over intervals of one period, read down the Bump
+    chain with the leaf at every depth, against the materialized oracle."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(range_cases())
+    # the starts 3 and 5 fall on child interval starts mod P = 2, where
+    # M(z) = z // P + [lo < z mod P] must not count tau = lo
+    @example((bump_chain(*TestBumpDerivedLaw.RESCALED), [0, 7, 3, 5],
+              [[0, 3], [0, 5], [0, 0], [0, 8]]))
+    def test_matches_oracle_at_every_depth(self, case):
+        assert_range_laws(*case)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(2 ** 60, 2 ** 60 + 2 ** 40), min_size=2,
+                    max_size=2, unique=True),
+           st.sampled_from([F(1, 4), F(3, 4), F(5, 2)]),
+           st.lists(st.integers(0, 7), min_size=2, max_size=5),
+           st.lists(st.integers(0, 8), min_size=3, max_size=3))
+    @example([2 ** 60, 2 ** 60 + 3], F(1, 4), [0, 7, 3], [1, 4, 4])
+    def test_past_packed_keys(self, base, kappa, cs, cuts):
+        # a period total near 2^62: no (interval, value) key of four
+        # intervals fits the leaf's uint64 sort, nor (segment, value,
+        # count) one int64, so both merge by lexsort
+        w = basic_extend(Block(base), kappa, 2)
+        assert w.period == 4 and w.total_units() >= 2 ** 62
+        cs = [c % 4 for c in cs]
+        starts = [[0] + sorted(x % 5 for x in cuts)] * len(cs)
+        lexsorts = []
+        lexsort = np.lexsort
+
+        def counted(keys):
+            lexsorts.append(len(keys[0]))
+            return lexsort(keys)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "lexsort", counted)
+            assert_range_laws(w, cs, starts)
+        # the leaf w, then the child leaf and the combine above it
+        assert len(lexsorts) == 3
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 
 from towerkit.distributions import (INF, DistError, FiniteDist, Splitting,
                                     SymRep, rho)
-from towerkit.splitting import (DyadicRep, SplittingError,
+from towerkit.splitting import (GUARD, DyadicRep, SplittingError,
                                 build_split_sequence, make_target,
                                 split_cost, tail_cost_bound)
 
@@ -180,6 +180,34 @@ class TestSplitSequence:
         t = make_target("pareto", alpha=F(1))
         with pytest.raises(SplittingError):
             build_split_sequence(t, [1e-9], max_depth=5)
+
+    @pytest.mark.parametrize("target", [
+        make_target("pareto", alpha=F(1)), make_target("lognormal"),
+        make_target("points", atoms=[(F(1), F(1, 3)), (F(5), F(2, 3))])])
+    def test_each_quantile_taken_once(self, target):
+        # one call takes every quantile of its deepest grid once and no
+        # other; its outputs are those of depth-by-depth public calls
+        asked = []
+
+        class Counted(type(target)):
+            def quantile(self, u):
+                asked.append(u)
+                return target.quantile(u)
+
+        counted = Counted.__new__(Counted)
+        counted.__dict__.update(target.__dict__)
+        seq = build_split_sequence(counted, [0.3, 0.1, 0.03])
+        deepest = seq.depths[-1] + GUARD
+        assert sorted(asked) == [F(j, 2 ** deepest)
+                                 for j in range(1, 2 ** deepest + 1)]
+        assert seq.target is counted
+        assert seq.tail_bounds == tuple(tail_cost_bound(target, d)
+                                        for d in seq.depths)
+        assert seq.costs == tuple(split_cost(target, b, a) for a, b in
+                                  zip(seq.depths, seq.depths[1:]))
+        assert seq.reps == tuple(DyadicRep.build(target, d)
+                                 for d in seq.depths)
+        assert seq.floor_r == target.quantile(1 - F(1, 2 ** seq.depths[0]))
 
     def test_domination_helper_agrees(self):
         # both cdfs are right-continuous steps, so domination below the
