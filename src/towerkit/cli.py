@@ -547,8 +547,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
         "doubling_ok": rep.doubling.ok(),
         "max_vasershtein": max(rep.eps.distances.values()),
         "lower_bound_failures": [
-            [k, str(x), str(low.distances[k, x]), str(low.allowances[k, x])]
-            for k, x in low.failures()],
+            [k, str(x), str(lhs), str(bound)]
+            for k, x, lhs, bound in low.exact(failing=True)],
     })
     write_json(os.path.join(out, "verify_report.json"), report)
     _log(f"verify: eps {rep.eps.ok()}, lower {low.ok()}, "

@@ -707,34 +707,40 @@ class SkHistogram:
             for v, c in self.merged():
                 writer.writerow([str(v), c, f"{c}/{self.totals[0]}"])
 
-    def count_below(self, xs: Sequence, factors: Sequence) -> List[List[int]]:
-        """Exact number of positions of row i with S_k < x*factors[i], for
-        each row i and each x of ``xs``: one list per row.
+    def count_below(self, xs: Sequence, num: Sequence[int],
+                    den: Sequence[int]) -> np.ndarray:
+        """Exact number of positions of row i with S_k < x*num[i]/den[i],
+        for each row i and each x of ``xs``: an int64 array of one row per
+        row of the record and one column per x.  The integer rows
+        (num, den) are what ``GammaTable.rows`` gives for b(k).
 
         S < t  <=>  units < t/scale, decided exactly: below an integer
-        bound, or up to the floor of a fractional one.  One Python-int
-        divmod per (row, x, block) gives the largest unit counted (t/scale
-        - 1 or the floor), then one comparison and one ``np.add.reduceat``
-        run over the flat entries.
+        bound, or up to the floor of a fractional one.  One integer floor
+        division over all (row, x, block) at once gives the largest unit
+        counted (t/scale - 1 or the floor), in int64 while the products
+        fit and in Python ints past that; then one comparison and one
+        ``np.add.reduceat`` run over the flat entries.
         """
-        b = len(self.scales)
-        pairs = [(x.numerator * sc.denominator, x.denominator * sc.numerator)
-                 for x in map(Fraction, xs) for sc in self.scales]
-        if not pairs:
-            return [[] for _ in factors]
-        rows = [(f.numerator, f.denominator) for f in map(Fraction, factors)]
-        parts = [divmod(num * a, den * d) for num, den in rows
-                 for a, d in pairs]
-        cuts = [cut - (not rem) for cut, rem in parts]
-        if max(cuts) > _INT64_MAX or min(cuts) < -1:
-            cuts = [max(-1, min(cut, _INT64_MAX)) for cut in cuts]
-        xn = len(pairs) // b
-        cut = np.array(cuts, dtype=np.int64).reshape(-1, xn, b) \
-            .transpose(1, 0, 2).reshape(xn, -1)
+        b, xn = len(self.scales), len(xs)
+        if not xn:
+            return np.zeros((len(self.ks), 0), dtype=np.int64)
+        xs = [Fraction(x) for x in xs]
+        tn = [x.numerator * sc.denominator for x in xs for sc in self.scales]
+        td = [x.denominator * sc.numerator for x in xs for sc in self.scales]
+        num, den = np.asarray(num), np.asarray(den)
+        fits = max(int(abs(num).max()) * max(map(abs, tn)),
+                   int(den.max()) * max(td)) <= _INT64_MAX
+        dtype = np.int64 if fits else object
+        top = num.astype(dtype)[:, None] * np.array(tn, dtype=dtype)
+        bottom = den.astype(dtype)[:, None] * np.array(td, dtype=dtype)
+        cut = top // bottom
+        cut -= cut * bottom == top
+        cut = np.clip(cut, -1, _INT64_MAX).astype(np.int64)
+        cut = cut.reshape(-1, xn, b).transpose(1, 0, 2).reshape(xn, -1)
         below = self.units <= np.repeat(cut, np.diff(self.offsets), axis=1)
         n = np.add.reduceat(np.where(below, self.counts, 0),
                             self.offsets[:-1:b], axis=1)
-        return n.T.tolist()
+        return n.T
 
 
 @dataclass(frozen=True)

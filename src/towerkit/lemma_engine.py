@@ -18,6 +18,8 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +36,8 @@ CERT_DENSE = 512
 CERT_GEO = 128
 # the float slack of the Theorem 1 eps verdict and the ARE bound verdict
 FLOAT_SLACK = 1e-12
+# integers below it convert to float exactly (GammaTable.rows)
+_FLOAT_EXACT = 1 << 53
 
 
 class SizeCapError(RuntimeError):
@@ -164,7 +168,11 @@ class GammaTable:
     allowance schedule eps(k).
 
     ``mode`` is "linear" (interpolate between anchors) or "constant"
-    (steps: gamma(k) = g_i on [k_i, k_{i+1})).
+    (steps: gamma(k) = g_i on [k_i, k_{i+1})); gamma is g_0 below the
+    first anchor and g_m from the last one on.  Each of the m + 1 anchor
+    segments [k_{i-1}, k_i) holds gamma as one integer form
+    (alpha + beta*k)/den: linear between two anchors, constant (beta = 0)
+    otherwise, so ``rows`` reads a whole grid with no Fraction.
     """
 
     anchors: tuple             # ((k_0, g_0), ..., (k_m, g_m)), k increasing,
@@ -184,24 +192,50 @@ class GammaTable:
             raise PreconditionError("eps schedule must be nonincreasing")
         if self.mode not in ("linear", "constant"):
             raise PreconditionError(f"unknown gamma mode {self.mode!r}")
-        object.__setattr__(self, "_gamma_columns", (ks, gs))
         object.__setattr__(self, "_eps_columns", (
             tuple(k for k, _ in self.eps_anchors), es))
 
-    def gamma(self, k):
-        ks, gs = self._gamma_columns
-        if k <= ks[0]:
-            return gs[0]
-        if k >= ks[-1]:
-            return gs[-1]
-        i = bisect_left(ks, k)
-        if ks[i] == k:
-            return gs[i]
-        if self.mode == "constant":
-            return gs[i - 1]
-        k0, k1 = ks[i - 1], ks[i]
-        g0, g1 = gs[i - 1], gs[i]
-        return g0 + (g1 - g0) * Fraction(k - k0, k1 - k0)
+    @cached_property
+    def _segments(self) -> tuple:
+        """The anchor ks as int64, the columns (alpha, beta, den) of the
+        m + 1 segments as Python ints, and the largest entry of each."""
+        ks = [k for k, _ in self.anchors]
+        gs = [Fraction(g) for _, g in self.anchors]
+        linear = self.mode == "linear"
+        slopes = [Fraction(0)] + [
+            (g1 - g0) / (k1 - k0) if linear else Fraction(0)
+            for k0, k1, g0, g1 in zip(ks, ks[1:], gs, gs[1:])] + [Fraction(0)]
+        # g0 + slope*(k - k0) from the anchor (k0, g0) at the segment start
+        forms = [(g - s * k, s) for k, g, s in zip(ks[:1] + ks, gs[:1] + gs,
+                                                    slopes)]
+        dens = [math.lcm(c.denominator, s.denominator) for c, s in forms]
+        cols = [[int(v * d) for v, d in zip(col, dens)]
+                for col in zip(*forms)] + [dens]
+        return (np.array(ks, dtype=np.int64),
+                [np.array(col, dtype=object) for col in cols],
+                *(max(map(abs, col)) for col in cols))
+
+    def rows(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+        """(g, b, den): gamma(k) = g[i]/den[i] and k*gamma(k) =
+        b[i]/den[i] for the i-th k of ``ks`` (k >= 0), as integer arrays.
+
+        They are int64 when every |alpha| + |beta|*k, k times it and den
+        is below 2^53, and Python ints (object arrays) otherwise; either
+        way ``g / den`` and ``b / den`` are the floats of the exact
+        ratios, correctly rounded, as float(Fraction) gives them.
+        """
+        bounds, cols, a, b, d = self._segments
+        ks = np.asarray(ks, dtype=np.int64)
+        seg = np.searchsorted(bounds, ks, side="right")
+        top = int(ks.max(initial=1))
+        if max(d, (a + b * top) * top) < _FLOAT_EXACT:
+            cols = [c.astype(np.int64) for c in cols]
+        else:
+            ks = ks.astype(object)
+        alpha, beta, den = (c[seg] for c in cols)
+        g = alpha + beta * ks
+        return g, g * ks, den
 
     def eps(self, k) -> float:
         ks, es = self._eps_columns
@@ -467,7 +501,9 @@ def _certify(arr_new: BlockArray, gamma: GammaTable, k_lo: int,
     and the label distribution, held below eps(k) on the certificate grid."""
     y = arr_new.label_dist()
     grid = make_k_grid(k_lo, k_hi, dense_cap=CERT_DENSE, geo_cap=CERT_GEO)
-    laws = ((hist, [gamma.gamma(k) for k in hist.ks], [y] * len(hist.ks))
+    g, _, den = gamma.rows(grid)
+    norms = iter((g / den).tolist())
+    laws = ((hist, list(islice(norms, len(hist.ks))), [y] * len(hist.ks))
             for hist in arr_new.sk_histograms(grid))
     distances = dict(zip(grid, transport_distances(laws, "uniform")))
     return Verdict(distances, {k: gamma.eps(k) for k in grid}, strict=True)

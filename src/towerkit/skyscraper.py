@@ -19,6 +19,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -88,22 +90,23 @@ class IntegerTower:
     def totals(self) -> Dict:
         return {s: self.blocks[s].total_units() for s in self.symbols}
 
-    def b_units(self, k: int) -> Fraction:
-        """Normalizer of the return-time sums, in integer ticks."""
-        return k * Fraction(self.trace.global_gamma.gamma(k)) / self.time_unit
-
-    def _inversion_table(self):
+    @cached_property
+    def _inversion_table(self) -> tuple:
+        """(ks, bs): the gamma anchors, from 1 on, and the normalizer
+        b(k) = k*gamma(k) of the return-time sums at each, in integer
+        ticks, read off the gamma table's integer rows once per tower."""
         ks = [k for k, _ in self.trace.global_gamma.anchors]
         if ks[0] != 1:
             ks = [1] + ks
-        bs = [self.b_units(k) for k in ks]
-        return ks, bs
+        _, b, den = self.trace.global_gamma.rows(ks)
+        return ks, [Fraction(n, d) / self.time_unit
+                    for n, d in zip(b.tolist(), den.tolist())]
 
     def a_of(self, n) -> Fraction:
-        """Piecewise-linear inverse of b_units at time n."""
+        """Piecewise-linear inverse of b(k), in ticks, at time n."""
         if n <= 0:
             raise SkyscraperError(f"time must be positive, got {n}")
-        ks, bs = self._inversion_table()
+        ks, bs = self._inversion_table
         n = Fraction(n)
         if n <= bs[0]:
             return n * ks[0] / bs[0]
@@ -116,7 +119,8 @@ class IntegerTower:
 
     def covered_horizon(self) -> int:
         """Largest time n with a(n) within the certified range of heights."""
-        return int(self.b_units(self.trace.height))
+        _, b, den = self.trace.global_gamma.rows([self.trace.height])
+        return int(Fraction(int(b[0]), int(den[0])) / self.time_unit)
 
 
 def integerize(trace: TowerTrace, eta: Fraction = DEFAULT_ETA_INT
@@ -381,10 +385,12 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                           np.array([0, values.size]))
         a_n = it.a_of(n)
         total = law.totals[0]
-        (below,) = law.count_below(xs, [a_n])
+        (below,) = law.count_below(xs, [a_n.numerator],
+                                   [a_n.denominator]).tolist()
         for x, bound, m in zip(xs, bounds, below):
-            lhs = Fraction(total - m, total)
-            if not lhs <= bound:
+            # (total - m)/total <= bound, as integer cross products
+            if (total - m) * bound.denominator > bound.numerator * total:
+                lhs = Fraction(total - m, total)
                 raise InversionError(
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
@@ -434,9 +440,10 @@ def check_inversion(it: IntegerTower, reports: Dict,
         (reports[n].law, [reports[n].a_n], [y]) for n in n_grid)))
     windows = [max(1, int(round(float(reports[n].a_n)))) for n in n_grid]
     blocks = [it.blocks[s] for s in it.symbols]
-    gamma = it.trace.global_gamma.gamma
+    g, _, den = it.trace.global_gamma.rows(windows)
+    norms = iter((g / den).tolist())
     phi_d = dict(zip(n_grid, transport_distances(
-        (hist, [gamma(m) for m in hist.ks], [z] * len(hist.ks))
+        (hist, list(islice(norms, len(hist.ks))), [z] * len(hist.ks))
         for hist in sk_histograms(blocks, windows))))
     top = {n: occ_d[n] for n in n_grid if n * 10 >= n_grid[-1]}
     return InversionReport(tuple(n_grid), occ_d, phi_d,

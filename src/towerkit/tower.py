@@ -65,11 +65,6 @@ class TowerTrace:
         return self.final.height
 
 
-def b_of(trace: TowerTrace, k: int):
-    """Normalizing sequence b(k) = k * gamma(k)."""
-    return k * trace.global_gamma.gamma(k)
-
-
 def _check_monotone_growth(old: BlockArray, new: BlockArray) -> None:
     """Every new block must dominate the tiling of its predecessor.
 
@@ -337,6 +332,47 @@ def tower_k_grid(trace: TowerTrace) -> List[int]:
     return sorted(ks)
 
 
+@dataclass(frozen=True, eq=False)
+class CdfVerdict:
+    """The exact cdf lower bound P(S_k < x b(k)) <= P(Y <= M x) over a
+    grid, decided as integer cross products.
+
+    Row i is the i-th distinct k of the grid (``ks``, in grid order) and
+    column j the j-th distinct x (``xs``): counts[i, j] of the totals[i]
+    positions have S_k < x b(k), and the entry passes when
+    counts[i, j] * bounds[j].denominator <= bounds[j].numerator *
+    totals[i], in Python ints over the whole array at once.  Exact
+    Fractions are made only for the entries that a reader asks ``exact``
+    for.
+    """
+
+    ks: tuple
+    xs: tuple
+    counts: np.ndarray          # (len(ks), len(xs)) int64
+    totals: np.ndarray          # (len(ks),) int64
+    bounds: tuple               # P(Y <= M x) per x, exact
+
+    def __post_init__(self):
+        n, t = self.counts.astype(object), self.totals.astype(object)
+        bn, bd = (np.array([getattr(b, side) for b in self.bounds],
+                           dtype=object)
+                  for side in ("numerator", "denominator"))
+        object.__setattr__(self, "_failed",
+                           list(zip(*np.nonzero(n * bd > bn * t[:, None]))))
+
+    def ok(self) -> bool:
+        return not self._failed
+
+    def exact(self, failing: bool = False) -> list:
+        """(k, x, P(S_k < x b(k)), P(Y <= M x)) of every entry, or of each
+        failing one (the report), in grid order, both sides exact."""
+        return [(self.ks[i], self.xs[j],
+                 Fraction(int(self.counts[i, j]), int(self.totals[i])),
+                 self.bounds[j])
+                for i, j in (self._failed if failing
+                             else np.ndindex(self.counts.shape))]
+
+
 @dataclass(frozen=True)
 class Theorem1Report:
     """Certification summary for a tower trace: three verdicts."""
@@ -345,20 +381,13 @@ class Theorem1Report:
     # k -> L1 arctan transport distance from the exact histogram of S_k/b(k)
     # (integer position counts) to the target, against the stage eps
     eps: Verdict
-    # (k, x) -> P(S_k < x b(k)) against P(Y <= M x), both exact
-    lower_bound: Verdict
+    # P(S_k < x b(k)) against P(Y <= M x) per distinct (k, x), both exact
+    lower_bound: CdfVerdict
     # k -> |b(2k)/b(k) - 2| in the top window, against doubling_tol
     doubling: Verdict
 
     def ok(self) -> bool:
         return all(v.ok() for v in (self.eps, self.lower_bound, self.doubling))
-
-
-def _stage_eps_at(trace: TowerTrace, k: int) -> float:
-    for st in trace.stages:
-        if k <= st.height:
-            return st.eps
-    return trace.stages[-1].eps
 
 
 def certify_theorem1(trace: TowerTrace,
@@ -371,37 +400,47 @@ def certify_theorem1(trace: TowerTrace,
     Checks, on the verification grid: the L1 transport distance between
     S_k/b(k) and the target stays within the stage epsilon; the exact cdf
     lower bound P(S_k < x b(k)) <= P(Y <= M x) with M = BICYCLE_M; and
-    b(2k)/b(k) near 2 over the top decade of heights.
+    b(2k)/b(k) near 2 over the top decade of heights.  b(k) = k*gamma(k)
+    is read off the integer rows of the gamma table (``GammaTable.rows``)
+    for the whole grid at once.
     """
     arr = trace.final
     y = trace.target
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
-    xs = [Fraction(x) for x in x_values]
-    bounds = [y.cdf(BICYCLE_M * x) for x in xs]
-    lhs, rhs = {}, {}
+    # a repeated k or x is measured and listed once, at its first place
+    ks = list(dict.fromkeys(grid))
+    xs = list(dict.fromkeys(map(Fraction, x_values)))
+    g, b, den = trace.global_gamma.rows(ks)
+    gf = (g / den).tolist()
+    counts = np.zeros((len(ks), len(xs)), dtype=np.int64)
+    totals = np.zeros(len(ks), dtype=np.int64)
 
     def laws():
         # the cdf checks read each record on its way to the transport
-        for hist in arr.sk_histograms(grid):
-            gs = [trace.global_gamma.gamma(k) for k in hist.ks]
-            below = hist.count_below(
-                xs, [k * Fraction(g) for k, g in zip(hist.ks, gs)])
-            for k, counts, total in zip(hist.ks, below, hist.totals):
-                for x, bound, n in zip(xs, bounds, counts):
-                    lhs[k, x] = Fraction(n, total)
-                    rhs[k, x] = bound
-            yield hist, gs, [y] * len(gs)
+        i = 0
+        for hist in arr.sk_histograms(ks):
+            j = i + len(hist.ks)
+            counts[i:j] = hist.count_below(xs, b[i:j], den[i:j])
+            totals[i:j] = hist.totals
+            yield hist, gf[i:j], [y] * (j - i)
+            i = j
 
-    vas = dict(zip(grid, transport_distances(laws())))
+    vas = dict(zip(ks, transport_distances(laws())))
+    # the eps of the first stage that reaches k, else the last
+    at = np.searchsorted([st.height for st in trace.stages], ks)
+    eps = [trace.stages[i].eps
+           for i in at.clip(max=len(trace.stages) - 1).tolist()]
     h = trace.height
     k0 = max(1, h // 20)
-    gaps = {k: abs(float(b_of(trace, 2 * k)) / float(b_of(trace, k)) - 2)
-            for k in range(k0, h // 2 + 1, max(1, (h // 2 - k0) // 32))}
+    top = range(k0, h // 2 + 1, max(1, (h // 2 - k0) // 32))
+    _, bn, bd = trace.global_gamma.rows([*top, *(2 * k for k in top)])
+    bf = (bn / bd).astype(float)
+    gaps = dict(zip(top, np.abs(bf[len(top):] / bf[:len(top)] - 2).tolist()))
     return Theorem1Report(
         tuple(grid),
-        Verdict(vas, {k: _stage_eps_at(trace, k) for k in vas},
-                strict=False, slack=FLOAT_SLACK),
-        Verdict(lhs, rhs, strict=False),
+        Verdict(vas, dict(zip(ks, eps)), strict=False, slack=FLOAT_SLACK),
+        CdfVerdict(tuple(ks), tuple(xs), counts, totals,
+                   tuple(y.cdf(BICYCLE_M * x) for x in xs)),
         Verdict(gaps, dict.fromkeys(gaps, doubling_tol), strict=False))
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracles and the per-k law path, shared by the tests."""
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
@@ -28,6 +29,29 @@ def cyclic_partial_sums_units(w, k):
     pre = np.concatenate([[0], np.cumsum(w.units)])
     wraps, r = np.divmod(np.arange(k, k + h), h)
     return (pre[r] - pre[:h]) + wraps * np.int64(tot)
+
+
+def gamma_oracle(table, k):
+    """gamma(k) of a GammaTable by bisection over its anchors and Fraction
+    interpolation within a segment ("linear") or the step ("constant")."""
+    ks = [a for a, _ in table.anchors]
+    gs = [F(g) for _, g in table.anchors]
+    if k <= ks[0]:
+        return gs[0]
+    if k >= ks[-1]:
+        return gs[-1]
+    i = bisect_left(ks, k)
+    if ks[i] == k:
+        return gs[i]
+    if table.mode == "constant":
+        return gs[i - 1]
+    return gs[i - 1] + (gs[i] - gs[i - 1]) * F(k - ks[i - 1],
+                                                ks[i] - ks[i - 1])
+
+
+def b_of(trace, k):
+    """The normalizer b(k) = k * gamma(k) of a trace, by gamma_oracle."""
+    return k * gamma_oracle(trace.global_gamma, k)
 
 
 def merged_segments(p, q):

@@ -18,10 +18,10 @@ from towerkit.skyscraper import (IntegerTower, are_diagnostic, check_duality,
                                  occupation_sweep)
 from towerkit.splitting import (DyadicRep, build_split_sequence, make_target,
                                 split_cost)
-from towerkit.tower import (b_of, build_example_tower,
-                            build_rational_tower, certify_theorem1)
+from towerkit.tower import (build_example_tower, build_rational_tower,
+                            certify_theorem1)
 
-from oracles import cyclic_partial_sums_units, law_distance
+from oracles import b_of, cyclic_partial_sums_units, law_distance
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -301,11 +301,10 @@ def test_criterion_8_lower_bound(twopoint_trace):
     rep = certify_theorem1(twopoint_trace,
                            x_values=(F(3, 10), F(1, 2), F(4, 5)))
     low = rep.lower_bound
-    failures = [kx for kx, lhs in low.distances.items()
-                if not lhs <= low.allowances[kx]]
+    failures = [e for e in low.exact() if not e[2] <= e[3]]
     ok = low.ok() and not failures and rep.ok()
     report(8, ok, f"exact cdf lower bound with constant 9/8 at "
-                  f"x in (0.3, 0.5, 0.8), {len(low.distances)} "
+                  f"x in (0.3, 0.5, 0.8), {len(low.exact())} "
                   f"checks, {len(failures)} failures", t0)
 
 

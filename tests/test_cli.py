@@ -13,9 +13,12 @@ from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           build_tower_from_config, load_config, main,
                           parse_number)
 from towerkit import skyscraper as sky
+from towerkit import tower
 from towerkit.blocks import Block
 from towerkit.lemma_engine import GammaTable
 from towerkit.tower import certify_theorem1
+
+from oracles import gamma_oracle, oracle_histograms
 
 FAST_CONFIG = {
     "kind": "rational",
@@ -492,6 +495,35 @@ class TestVerdictExitCodes:
         report = self.read(out, "verify_report.json")
         assert report["doubling_ok"] is False
         assert report["stage_eps_ok"] and report["lower_bound_ok"]
+
+    def test_lower_bound_is_5(self, tmp_path, monkeypatch):
+        # no config fails the bound on a preset, so the constant M drops
+        # from 9/8 to 1/2; a repeated k or x is listed once, at its first
+        # place, each side as its exact string
+        monkeypatch.setattr(tower, "BICYCLE_M", F(1, 2))
+        xs = ["3/2", "1/2", "3/2", "5/2"]
+        grid = [3, 1, 2, 3, 50, 2]
+        codes, out = self.run(tmp_path, "twopoint",
+                              {"x_values": xs, "k_grid": grid},
+                              "build", "verify")
+        assert codes == [EXIT_OK, EXIT_INVARIANT]
+        report = self.read(out, "verify_report.json")
+        assert report["stage_eps_ok"] and report["doubling_ok"]
+        assert report["lower_bound_ok"] is False
+        trace = build_tower_from_config(
+            load_config(str(tmp_path / "c.json"), "twopoint"))
+        arr, want = trace.final, []
+        ks = list(dict.fromkeys(grid))
+        for k, hist in zip(ks, oracle_histograms(
+                [arr.blocks[s] for s in arr.symbols], ks)):
+            b = k * gamma_oracle(trace.global_gamma, k)
+            for x in dict.fromkeys(map(F, xs)):
+                lhs = F(hist.count_below(x * b), hist.total)
+                bound = trace.target.cdf(x / 2)
+                if lhs > bound:
+                    want.append([k, str(x), str(lhs), str(bound)])
+        assert len(want) >= len(ks)
+        assert report["lower_bound_failures"] == want
 
     def test_inversion_top_is_5(self, tmp_path):
         section = dict(PRESETS["twopoint"]["skyscraper"], tol="1e-9")

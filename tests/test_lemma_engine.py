@@ -22,7 +22,7 @@ from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
 from towerkit import tower
 from towerkit.cli import build_tower_from_config, load_config
 
-from oracles import cyclic_partial_sums_units, record, rows
+from oracles import cyclic_partial_sums_units, gamma_oracle, record, rows
 
 NORM_GRID = [F(1, 2), F(2, 5), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 8)]
 
@@ -61,15 +61,58 @@ class TestHelpers:
     def test_gamma_table_modes(self):
         g = GammaTable(((1, F(2)), (10, F(3))), ((1, 0.5), (10, 0.25)),
                       mode="linear")
-        assert g.gamma(1) == F(2)
-        assert g.gamma(10) == F(3)
-        assert F(2) < g.gamma(5) < F(3)
+        gamma, _, den = g.rows([1, 10, 5])
+        assert [F(n, d) for n, d in zip(gamma.tolist(), den.tolist())] == \
+            [F(2), F(3), F(22, 9)]
         assert g.eps(1) == 0.5
         c = GammaTable(((1, F(2)), (10, F(3))), ((1, 0.5), (10, 0.25)),
                       mode="constant")
         # left-continuous steps: the anchor value holds up to the next one
-        assert c.gamma(5) == F(2)
-        assert c.gamma(10) == F(3)
+        gamma, _, den = c.rows([5, 9, 10])
+        assert [F(n, d) for n, d in zip(gamma.tolist(), den.tolist())] == \
+            [F(2), F(2), F(3)]
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6,
+                    unique=True),
+           st.lists(st.tuples(st.integers(1, 2 ** 62), st.integers(1, 2 ** 62)),
+                    min_size=6, max_size=6),
+           st.sampled_from([16, 2 ** 20, 2 ** 62]),
+           st.lists(st.integers(0, 2 * 10 ** 6), max_size=8))
+    @example([1, 7, 30], [(2, 1), (5, 2), (3, 1)] * 2, 16, [])
+    @example([3, 2 ** 20], [(2 ** 62 - 1, 2 ** 61 + 1), (2 ** 62, 3)] * 3,
+             2 ** 62, [0, 1, 2 ** 19])
+    def test_rows_match_the_anchors(self, ks, fracs, cap, extra):
+        # anchors whose numerators and denominators reach near 2^62 (cap),
+        # read at every anchor, one beside it on each side and beyond the
+        # ends: each row is gamma(k) and k*gamma(k) exactly, and its float
+        # the float of the Fraction bit for bit
+        ks = sorted(ks)
+        gs = sorted(F(min(a, cap), min(b, cap)) for a, b in fracs[:len(ks)])
+        probe = [0, 1, *extra] + [k + d for k in ks for d in (-1, 0, 1)]
+        for mode in ("linear", "constant"):
+            table = GammaTable(tuple(zip(ks, gs)), ((1, 0.5),), mode)
+            g, b, den = table.rows(probe)
+            assert g.dtype == b.dtype == den.dtype
+            if max(b.tolist() + den.tolist()) >= 2 ** 53:
+                assert g.dtype == object
+            for i, k in enumerate(probe):
+                want = gamma_oracle(table, k)
+                assert F(int(g[i]), int(den[i])) == want
+                assert F(int(b[i]), int(den[i])) == k * want
+                assert float(g[i] / den[i]) == float(want)
+                assert float(b[i] / den[i]) == float(k * want)
+
+    def test_rows_switch_to_python_ints(self):
+        # int64 rows while |alpha| + |beta|*k, k times it and den stay
+        # below 2^53; Python ints past that, still exact
+        table = GammaTable(((1, F(1)), (2 ** 26, F(3, 2))), ((1, 0.5),))
+        assert table.rows([2 ** 10])[1].dtype == np.int64
+        ks = [2 ** 10, 2 ** 26 + 5, 2 ** 52]
+        g, b, den = table.rows(ks)
+        assert b.dtype == object and max(b.tolist()) >= 2 ** 53
+        assert [F(n, d) for n, d in zip(b.tolist(), den.tolist())] == \
+            [k * gamma_oracle(table, k) for k in ks]
 
     def test_gamma_checksum_stable(self):
         g = GammaTable(((1, F(2)), (10, F(3))), ((1, 0.5), (10, 0.25)))
@@ -367,7 +410,7 @@ class TestExtensionStep:
             laws = [np.unique(cyclic_partial_sums_units(w, k),
                               return_counts=True) for w in blocks]
             alone = record([k], [w.scale for w in blocks], [laws])
-            g = gamma.gamma(k)
+            g = gamma_oracle(gamma, k)
             assert got.distances[k] == \
                 transport_distances([(alone, [g], [y])], "uniform")[0]
             assert transport_distances([(hists[k], [g], [y])]) == \
@@ -460,6 +503,16 @@ def near(a):
                       math.nextafter(b, math.inf))]
 
 
+def exact_verdict(low):
+    """Theorem 1's cdf lower bound as a Verdict of its exact sides, once
+    its integer decisions are checked to be that Verdict's."""
+    entries = low.exact()
+    v = Verdict({(k, x): lhs for k, x, lhs, _ in entries},
+                {(k, x): bound for k, x, _, bound in entries}, strict=False)
+    assert [e[:2] for e in low.exact(failing=True)] == v.failures()
+    return v
+
+
 class TestVerdict:
     """One record decides every grid verdict; each of its four shapes
     decides as the bare comparison of that shape does."""
@@ -474,9 +527,9 @@ class TestVerdict:
                   FLOAT_SLACK),
         # the doubling check and the inversion's top decade
         "le": (lambda c, r: r.doubling, lambda d, a: not d > a, False, 0),
-        # the exact cdf lower bound
-        "exact": (lambda c, r: r.lower_bound, lambda d, a: d <= a, False,
-                  0),
+        # the exact cdf lower bound, decided over integer cross products
+        "exact": (lambda c, r: exact_verdict(r.lower_bound),
+                  lambda d, a: d <= a, False, 0),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -442,7 +442,7 @@ class TestInversionTable:
         assert vals == sorted(vals)
 
     def test_a_of_inverts_b_at_anchors(self, int_tower):
-        ks, bs = int_tower._inversion_table()
+        ks, bs = int_tower._inversion_table
         for k, b in zip(ks, bs):
             if b > 0:
                 assert int_tower.a_of(b) == k

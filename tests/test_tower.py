@@ -12,17 +12,17 @@ from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
                                     transport_distances)
 from towerkit import tower
-from towerkit.lemma_engine import (BlockArray, InvariantError,
+from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    PreconditionError, SizeCapError)
-from towerkit.tower import (CorruptTraceError, b_of, build_example_tower,
+from towerkit.tower import (CorruptTraceError, build_example_tower,
                             build_general_tower, build_rational_tower,
                             certify_theorem1, check_example_run,
                             load_trace_summary, save_trace, tower_k_grid,
                             trace_to_json_obj)
 from towerkit.splitting import make_target
 
-from oracles import (cyclic_partial_sums_units, oracle_histograms,
-                     oracle_transport)
+from oracles import (b_of, cyclic_partial_sums_units, gamma_oracle,
+                     oracle_histograms, oracle_transport)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ class TestRationalTower:
         vs = [v for _, v in g.anchors]
         assert ks == sorted(ks)
         assert vs == sorted(vs)
-        assert g.gamma(1) == F(1)
+        assert gamma_oracle(g, 1) == F(1)
 
     def test_delta_precondition(self):
         with pytest.raises(PreconditionError):
@@ -271,11 +271,11 @@ class TestCertification:
 
     def test_lower_bound_checks_are_exact(self, small_rational_trace):
         low = certify_theorem1(small_rational_trace).lower_bound
-        failed = low.failures()
-        for kx, lhs in low.distances.items():
-            rhs = low.allowances[kx]
+        failed = low.exact(failing=True)
+        for entry in low.exact():
+            _, _, lhs, rhs = entry
             assert isinstance(lhs, F) and isinstance(rhs, F)
-            assert (kx not in failed) == (lhs <= rhs)
+            assert (entry not in failed) == (lhs <= rhs)
 
     def test_lower_bound_count_at_exact_ties(self, small_rational_trace):
         # P(S_k < x b(k)) is strict: positions with S_k equal to the
@@ -284,15 +284,15 @@ class TestCertification:
         trace = small_rational_trace
         arr = trace.final
         k = trace.height // 3
-        g = F(trace.global_gamma.gamma(k))
+        g = gamma_oracle(trace.global_gamma, k)
         w0 = arr.blocks[arr.symbols[0]]
         u0 = cyclic_partial_sums_units(w0, k)
         hit = F(w0.scale) * int(np.median(u0))
         xs = [hit / (k * g), (hit + F(w0.scale) / 2) / (k * g)]
         rep = certify_theorem1(trace, x_values=xs, k_grid=[k])
         ties = 0
-        for ((_, x), lhs), integral in zip(rep.lower_bound.distances.items(),
-                                           (True, False)):
+        for (_, x, lhs, _), integral in zip(rep.lower_bound.exact(),
+                                            (True, False)):
             thresh = x * k * g
             n_below = 0
             for s in arr.symbols:
@@ -317,9 +317,13 @@ class TestCertification:
             assert gap == abs(r - 2) <= 0.1
 
     def test_b_of_linearity_between_anchors(self, small_rational_trace):
+        # the integer rows give b(k) = k*gamma(k) at every k up to the
+        # height, anchors and the segments between them alike
         trace = small_rational_trace
-        h = trace.height
-        assert b_of(trace, h) == h * trace.global_gamma.gamma(h)
+        ks = list(range(1, trace.height + 1))
+        _, b, den = trace.global_gamma.rows(ks)
+        assert [F(n, d) for n, d in zip(b.tolist(), den.tolist())] == \
+            [b_of(trace, k) for k in ks]
 
     def test_k_grid_covers_boundaries(self, small_rational_trace):
         grid = tower_k_grid(small_rational_trace)
@@ -330,6 +334,80 @@ class TestCertification:
         if small_example_trace.height <= 4096:
             grid = tower_k_grid(small_example_trace)
             assert grid == list(range(1, small_example_trace.height + 1))
+
+
+def hand_trace(target):
+    """Two blocks of period 4 whose S_k/b(k), b(k) = 2k, take the values
+    1 - 1/(2k), 1 and 1 + 1/(2k) on 2, 4 and 2 of the 8 positions when 4
+    does not divide k, and 1 on all of them when it does; measured against
+    ``target``."""
+    arr = BlockArray(("a", "b"), {"a": Block([1, 3, 2, 2]),
+                                  "b": Block([2, 1, 3, 2])},
+                     {"a": F(2), "b": F(2)}, F(1))
+    return tower.TowerTrace(
+        "rational", target, [tower.StageRecord(1, 4, F(1), 0.1, 0.1, F(0),
+                                               True)],
+        arr, GammaTable(((1, F(2)),), ((1, 0.1),)))
+
+
+def lower_sides(trace, grid, xs):
+    """(k, x) -> (P(S_k < x b(k)), P(Y <= M x)) by brute force over every
+    position, for each distinct k and x, in the order of first sight."""
+    blocks = trace.final.blocks.values()
+    sides = {}
+    for k in grid:
+        t = k * gamma_oracle(trace.global_gamma, k)
+        sums = [u * w.scale for w in blocks
+                for u in cyclic_partial_sums_units(w, k).tolist()]
+        for x in xs:
+            sides.setdefault((k, x), (
+                F(sum(v < x * t for v in sums), len(sums)),
+                trace.target.cdf(tower.BICYCLE_M * x)))
+    return sides
+
+
+class TestLowerBound:
+    """The cdf lower bound decided over integer cross products, against
+    brute force, on a hand-built trace whose target ties it exactly at
+    k = 3 for every x and fails it at other k."""
+
+    GRID = [3, 1, 2, 3, 5, 2, 8, 1]
+    XS = [F(1), F(5, 6), F(1), F(7, 6), F(3, 2), F(7, 6)]
+
+    @staticmethod
+    def tied_target(tilt):
+        # P(Y <= M x) = P(S_3 < x b(3)) at x = 5/6, 1, 7/6 and 3/2, with
+        # tilt moved from the atom at M*7/6 to the one at M
+        m = tower.BICYCLE_M
+        return FiniteDist([(m, F(1, 4) + tilt), (m * F(7, 6), F(1, 2) - tilt),
+                           (m * F(3, 2), F(1, 4))])
+
+    @pytest.mark.parametrize("tilt", [F(0), F(1, 2 ** 70), -F(1, 2 ** 70)])
+    def test_matches_brute_force(self, tilt):
+        # a tilt of 2^-70 moves the bound by less than a float can see, so
+        # the ties at k = 3 pass (+) or fail (-) only when decided exactly
+        trace = hand_trace(self.tied_target(tilt))
+        low = certify_theorem1(trace, x_values=self.XS,
+                               k_grid=self.GRID).lower_bound
+        sides = lower_sides(trace, self.GRID, self.XS)
+        ties = [kx for kx, (lhs, bound) in sides.items() if lhs == bound]
+        assert len(ties) >= 4 and len(sides) == 5 * 4
+        want = [(*kx, lhs, bound) for kx, (lhs, bound) in sides.items()
+                if lhs > bound]
+        assert want and low.exact(failing=True) == want
+        assert not low.ok()
+        assert low.exact() == [(*kx, *both) for kx, both in sides.items()]
+        assert ((3, F(1)) in [e[:2] for e in want]) is (tilt < 0)
+
+    def test_repeats_listed_once(self):
+        # a repeated k or x is one entry, at its first place in the grid
+        low = certify_theorem1(hand_trace(self.tied_target(0)),
+                               x_values=self.XS, k_grid=self.GRID).lower_bound
+        assert low.ks == (3, 1, 2, 5, 8)
+        assert low.xs == (F(1), F(5, 6), F(7, 6), F(3, 2))
+        assert [e[:2] for e in low.exact(failing=True)] == \
+            [(1, F(5, 6)), (2, F(5, 6)), (5, F(7, 6)), (8, F(7, 6))]
+        assert len(low.exact()) == 20
 
 
 class TestSkDistribution:
@@ -377,7 +455,7 @@ class TestSkDistribution:
     def test_distribution_close_to_target(self, small_rational_trace):
         trace = small_rational_trace
         k = trace.height
-        g = trace.global_gamma.gamma(k)
+        g = gamma_oracle(trace.global_gamma, k)
         (hist,) = trace.final.sk_histograms([k])
         assert transport_distances([(hist, [g], [trace.target])])[0] <= 0.05
 
@@ -391,7 +469,7 @@ def oracle_theorem1(trace, xs=(F(3, 10), F(1, 2), F(4, 5))):
     lhs, rhs, laws = {}, {}, []
     for k, hist in zip(grid, oracle_histograms(
             [arr.blocks[s] for s in arr.symbols], grid)):
-        g = trace.global_gamma.gamma(k)
+        g = gamma_oracle(trace.global_gamma, k)
         for x in xs:
             lhs[k, x] = F(hist.count_below(x * k * F(g)), hist.total)
             rhs[k, x] = y.cdf(tower.BICYCLE_M * x)
@@ -415,10 +493,10 @@ class TestOraclePath:
         rep = certify_theorem1(trace)
         lhs, rhs, vas, eps, margin = oracle_theorem1(trace)
         low = rep.lower_bound
-        assert list(low.distances.items()) == list(lhs.items())
-        assert list(low.allowances.items()) == list(rhs.items())
-        assert low.failures() == [kx for kx in lhs
-                                  if not lhs[kx] <= rhs[kx]]
+        assert low.exact() == [(*kx, lhs[kx], rhs[kx]) for kx in lhs]
+        assert low.exact(failing=True) == [(*kx, lhs[kx], rhs[kx])
+                                           for kx in lhs
+                                           if not lhs[kx] <= rhs[kx]]
         assert list(rep.eps.distances.items()) == list(vas.items())
         assert rep.eps.allowances == eps
         assert rep.eps.margin() == margin
@@ -451,7 +529,8 @@ class TestOraclePath:
             hists = oracle_histograms([arr.blocks[s] for s in arr.symbols],
                                       grid)
             assert cert.distances == dict(zip(grid, oracle_transport(
-                [(h, gamma.gamma(k), y) for k, h in zip(grid, hists)],
+                [(h, gamma_oracle(gamma, k), y)
+                 for k, h in zip(grid, hists)],
                 "uniform")))
         for arr, split, final, rep in reports:
             f = {s: F(arr.values[s]) for s in arr.symbols}
