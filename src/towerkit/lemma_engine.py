@@ -610,22 +610,21 @@ def straightening_step(arr: BlockArray, split: Splitting, eps: Scalar,
     final = BlockArray(fine_syms, refined.blocks, g, c0 * k_factor)
     h0, h1 = arr.height, final.height
     grid = make_k_grid(h0, h1, dense_cap=min(2048, 4 * h0), geo_cap=64)
-    # p_of_k steps over the compound rounds, so few k have their own q_k;
-    # one blend object per q_k lets the transport reduce it once
-    q_grid, norms, blends, blend_of = [], {}, {}, {}
-    prev_q = None
+    # p_of_k steps over the compound rounds, so q_k, the norm and the
+    # blend are made once per distinct p; one blend object per q_k lets
+    # the transport reduce it once
+    q_grid, norms, blend_of, of_p = [], {}, {}, {}
     for k in grid:
         p = rep.p_of_k(k)
-        q_k = (k_factor * p) / ((1 - p) + p * k_factor)
-        if prev_q is not None and q_k < prev_q:
+        if p not in of_p:
+            q_k = (k_factor * p) / ((1 - p) + p * k_factor)
+            of_p[p] = (q_k, c0 * ((1 - p) + p * k_factor), FiniteDist.uniform(
+                [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms]))
+        q_k, norms[k], blend_of[k] = of_p[p]
+        # one q_k object per p, so only a step of p is compared
+        if q_grid and q_k is not q_grid[-1][1] and q_k < q_grid[-1][1]:
             raise InvariantError("blend weight must be monotone in k")
-        prev_q = q_k
         q_grid.append((k, q_k))
-        norms[k] = c0 * ((1 - p) + p * k_factor)
-        if q_k not in blends:
-            blends[q_k] = FiniteDist.uniform(
-                [(1 - q_k) * f[split.pi[x]] + q_k * g[x] for x in fine_syms])
-        blend_of[k] = blends[q_k]
     distances = dict(zip(grid, transport_distances(
         (hist, [norms[k] for k in hist.ks], [blend_of[k] for k in hist.ks])
         for hist in final.sk_histograms(grid))))

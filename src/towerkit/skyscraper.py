@@ -9,7 +9,11 @@ occupation-time tail bound with its explicit constant, and the alpha-moment
 diagnostics of rational ergodicity at finite resolution.  Each time horizon
 is reduced once, by ``occupation_sweep``, to one ``OccupationReport`` that
 ``check_inversion`` and ``are_diagnostic`` both read; a tail bound that
-fails raises there, with its witness.
+fails raises there, with its witness.  The sweep reads the exact law off
+one bump spacing of each block, and takes every power of the float
+statistics once per run of equal counts, on a run table; it keeps one
+three-row allocation per sweep, because glibc raises its mmap threshold to
+the largest mapping it frees.
 """
 
 from __future__ import annotations
@@ -283,6 +287,12 @@ def _bumped_remainder_counts(bump: Bump, h: int, m: int,
     end -= np.arange(L)
 
 
+def _tiling(w: Block, h: int) -> Bump:
+    """The tiling that ``occupation_counts`` reads block w of height h
+    as: its ``Bump``, or else the tiling Bump(w, 1, 0, h) of itself."""
+    return w.bump or Bump(w, 1, 0, h)
+
+
 def occupation_counts(it: IntegerTower, n: int,
                       out: Optional[np.ndarray] = None) -> Dict:
     """S_n(1_Omega) over all base positions of every block, exact.
@@ -306,7 +316,7 @@ def occupation_counts(it: IntegerTower, n: int,
     counts = {}
     for i, s in enumerate(it.symbols):
         w = it.blocks[s]
-        bump = w.bump or Bump(w, 1, 0, h)
+        bump = _tiling(w, h)
         q, m = divmod(n, w.total_units())
         view = out[i * h:(i + 1) * h]
         rows = view.reshape(-1, bump.spacing)
@@ -338,6 +348,21 @@ class OccupationReport:
                 writer.writerow([str(v), str(Fraction(c, total))])
 
 
+def _spacing_law(occ: np.ndarray, h: int, spacings: Sequence[int]):
+    """The sorted distinct values of ``occ`` and their int64
+    multiplicities, from the first spacing s of each height-h block: the
+    block repeats those s entries h/s times.  The laws of the blocks are
+    merged by one ``np.unique`` of their distinct values."""
+    laws = [np.unique(occ[i * h:i * h + s], return_counts=True)
+            for i, s in enumerate(spacings)]
+    values, where = np.unique(np.concatenate([v for v, _ in laws]),
+                              return_inverse=True)
+    mult = np.zeros(values.size, dtype=np.int64)
+    np.add.at(mult, where, np.concatenate(
+        [c * (h // s) for (_, c), s in zip(laws, spacings)]))
+    return values, mult
+
+
 def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                      alphas: Sequence = (), t_grid: Sequence = (),
                      x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
@@ -347,17 +372,29 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     """One pass over the distinct horizons of ``n_grid``, in increasing
     order, each reduced to its ``OccupationReport`` from one call of
     ``occupation_counts``.  Every horizon is counted into the same int64
-    row, and its float statistics are taken in two float rows of the same
-    allocation, so one horizon's counts are held at a time and no report
-    reads them.
+    row, so one horizon's counts are held at a time and no report reads
+    them.  That row and the float copy of the counts share one allocation
+    of three rows, though the sweep fills two: glibc raises its mmap
+    threshold to the largest mapping it frees, so freeing one larger than
+    any whole-row temporary keeps the temporaries of a later step, such
+    as verify, off fresh pages.
 
-    The law is a one-row SkHistogram of the counts at scale 1 and k = 1.
-    Its tail checks compare the exact mass of [S_n >= x a(n)] against
-    tail_constant * P(Y >= x) for the occupation target Y, and the first
-    that fails raises ``InversionError`` with the witness
-    (n, x, lhs, bound).  The alpha-moments and the uniform-integrability
-    functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}] with
-    Phi_n = (S_n/a(n))^alpha come from the float copy of the counts.
+    The law is a one-row SkHistogram of the counts at scale 1 and k = 1,
+    read off each block's first bump spacing times h/s and merged across
+    blocks.  Its tail checks compare the exact mass of [S_n >= x a(n)]
+    against tail_constant * P(Y >= x) for the occupation target Y, and
+    the first that fails raises ``InversionError`` with the witness
+    (n, x, lhs, bound).
+
+    The float statistics are E[S_n], the alpha-moments and the
+    uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
+    with Phi_n = (S_n/a(n))^alpha.  The counts hold few runs of equal
+    values, so each power is taken once per run, on the run table, and
+    the table is expanded by ``np.repeat`` only where a float sum needs
+    the row in its order: the moment row, and the runs of Phi_n above t.
+    A power is a function of its value alone, so each sum adds the same
+    floats in the same order as over the whole row of powers.  E[S_n] is
+    the mean of the float copy of the counts.
 
     Returns the reports keyed by horizon: what ``check_inversion`` and
     ``are_diagnostic`` read.
@@ -369,15 +406,16 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     y = it.occupation_target
     xs = [Fraction(x) for x in x_values]
     bounds = [Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs]
+    h = it.height
+    spacings = [_tiling(it.blocks[s], h).spacing for s in it.symbols]
     reports = {}
-    # one allocation for the three rows: as three separate buffers they
-    # were paged in afresh by every sweep (about 1,200 minor faults per
-    # warm pareto1 sweep, 0 as one)
-    occ, occ_f, phi = np.empty((3, it.height * it.size), dtype=np.int64)
-    occ_f, phi = occ_f.view(float), phi.view(float)
+    # a warm example1 verify after a sweep took about 1,800 minor faults
+    # with one row, 1,200 with two, none with three
+    occ, occ_f, _ = np.empty((3, h * it.size), dtype=np.int64)
+    occ_f = occ_f.view(float)
     for n in sorted(set(int(n) for n in n_grid)):
         occupation_counts(it, n, out=occ)
-        values, mult = np.unique(occ, return_counts=True)
+        values, mult = _spacing_law(occ, h, spacings)
         if values[0] < 1:
             raise SkyscraperError(
                 f"time {n} precedes the first return at some base position")
@@ -395,15 +433,21 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                     f"occupation tail bound failed at n={n}, x={x}: "
                     f"{lhs} > {bound}", (n, x, lhs, bound))
         np.copyto(occ_f, occ)
+        # the run table: the value and the length of each run of equal
+        # counts, in order
+        cuts = np.concatenate(
+            ([0], np.flatnonzero(occ[1:] != occ[:-1]) + 1, [occ.size]))
+        lens = np.diff(cuts)
+        runs = occ_f[cuts[:-1]]
         moment, u = {}, {}
         for alpha in alphas:
-            np.copyto(phi, occ_f)
-            phi **= alpha
-            moment[alpha] = float(np.mean(phi)) ** (1.0 / alpha)
-            np.divide(occ_f, float(a_n), out=phi)
-            phi **= alpha
+            moment[alpha] = float(np.mean(
+                np.repeat(runs ** alpha, lens))) ** (1.0 / alpha)
+            phi = (runs / float(a_n)) ** alpha
             for t in t_grid:
-                u[alpha, t] = float(phi[phi > t].sum()) / occ.size
+                above = phi > t
+                u[alpha, t] = float(np.repeat(
+                    phi[above], lens[above]).sum()) / occ.size
         reports[n] = OccupationReport(a_n, law, float(occ_f.mean()), moment,
                                       u)
     return reports

@@ -294,3 +294,22 @@ def rows(records):
     for hist in records:
         for i in range(len(hist.ks)):
             yield hist.row(i)
+
+
+def whole_row_statistics(occ, a_n, alphas, t_grid):
+    """E[S_n], the alpha-moments and u_alpha(n, t) of the occupation counts
+    ``occ``, from whole rows: the float copy of the counts, raised in place
+    by ``**= alpha`` and averaged by ``np.mean``, and the row
+    Phi_n = (S_n/a(n))**alpha summed as ``phi[phi > t].sum()``.  The
+    sweep's run tables must give these floats bit for bit."""
+    occ_f = occ.astype(float)
+    moment, u = {}, {}
+    for alpha in alphas:
+        phi = occ_f.copy()
+        phi **= alpha
+        moment[alpha] = float(np.mean(phi)) ** (1.0 / alpha)
+        phi = occ_f / float(a_n)
+        phi **= alpha
+        for t in t_grid:
+            u[alpha, t] = float(phi[phi > t].sum()) / occ.size
+    return float(occ_f.mean()), moment, u

@@ -801,6 +801,21 @@ class TestSkyscraperCounts:
             "occupation_distances"])
         assert len(n_grid) > 1 and calls == n_grid
 
+    def test_lognormal_outputs_match_recorded(self, tmp_path):
+        # lognormal is the short-run regime (about 500,000 runs of equal
+        # counts in 1,900,800), which the benchmark presets do not reach:
+        # its reports and occupation laws, byte for byte
+        gold = os.path.join(os.path.dirname(__file__), "data",
+                            "lognormal_skyscraper")
+        out = tmp_path / "out"
+        assert main(["skyscraper", "--preset", "lognormal",
+                     "--out", str(out)]) == EXIT_OK
+        names = sorted(os.listdir(gold))
+        assert len(names) == 4
+        for name in names:
+            assert filecmp.cmp(os.path.join(gold, name), out / name,
+                               shallow=False), name
+
 
 class TestPresetProvenance:
     @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from towerkit.blocks import Block, is_normalized, self_concat
 from towerkit.distributions import (FiniteDist, Splitting,
                                     SymRep, transport_distances)
-from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
+from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray,
+                                   CompoundReport, GammaTable,
                                    InvariantError, PreconditionError,
                                    SizeCapError, Verdict,
                                    _add_bumps, _certify, _tile, basic_extend,
@@ -465,6 +466,16 @@ class TestStraightening:
         out, rep = straightening_step(arr, split, F(1, 2), F(1, 2))
         assert split.cost() == 0.0
         assert rep.verdict.ok()
+
+    def test_blend_weight_stepping_back_raises(self, monkeypatch):
+        # q_k is made once per p, so a p that returns to an earlier,
+        # smaller value reuses its q_k and must still be caught
+        arr = self.coarse_array()
+        h0 = arr.height
+        monkeypatch.setattr(CompoundReport, "p_of_k", lambda self, k:
+                            F(1, 2) if k == h0 + 1 else F(0))
+        with pytest.raises(InvariantError, match="monotone"):
+            straightening_step(arr, self.make_split(), F(1, 2), F(1, 2))
 
     def test_symbol_mismatch_rejected(self):
         arr = self.coarse_array()

@@ -23,7 +23,7 @@ from towerkit.skyscraper import (IntegerTower, InversionError,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
 
-from oracles import merge_vasershtein
+from oracles import merge_vasershtein, whole_row_statistics
 
 
 def occupation_mean_via_levels(it, n):
@@ -394,6 +394,88 @@ class TestBumpKernel:
         it = bump_tower({"a": bumped([2, 1, 3], 1, 4, 2, 2),
                          "b": bumped([1, 1], 3, 2, 3, 2)})
         assert check_duality(it)
+
+
+def t_between(phi, data):
+    """Thresholds t below every value of ``phi``, above every value, at
+    one of them (the tail is strict) and between two neighbours."""
+    vals = np.unique(phi)
+    ts = [vals[0] / 2, vals[-1] * 2,
+          vals[data.draw(st.integers(0, vals.size - 1))]]
+    if vals.size > 1:
+        i = data.draw(st.integers(0, vals.size - 2))
+        ts.append((vals[i] + vals[i + 1]) / 2)
+    return [float(t) for t in ts]
+
+
+class TestSweepFloats:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           st.integers(1, 3), st.integers(0, 30), st.integers(1, 3),
+           st.integers(2, 4), st.booleans(),
+           st.fractions(F(1, 4), F(8), max_denominator=6),
+           st.lists(st.sampled_from([0.5, 1.0, 2.0, 0.3, 1.5, 2.5]),
+                    min_size=1, max_size=3, unique=True),
+           st.data())
+    def test_statistics_equal_whole_row_oracle(self, child, f, b, copies,
+                                               tiles, plain_first, g,
+                                               alphas, data):
+        # a bump-tiled block of h/s = tiles >= 2 next to a block with no
+        # Bump, in either order: the run tables cross the block boundary
+        tiled = bumped(child, f, b, copies, tiles)
+        h = len(tiled)
+        plain = Block(data.draw(st.lists(st.integers(1, 30), min_size=h,
+                                         max_size=h)))
+        blocks = {"p": plain, "t": tiled} if plain_first else \
+            {"t": tiled, "p": plain}
+        y = FiniteDist.point(1)
+        it = IntegerTower(gamma_trace(g, y), tuple(blocks), blocks, F(1), y,
+                          F(1, 1000))
+        wmax = max(int(w.units.max()) for w in blocks.values())
+        total = max(w.total_units() for w in blocks.values())
+        n_grid = sorted(set(data.draw(st.lists(
+            st.integers(wmax, 3 * total), min_size=1, max_size=3))))
+        rows = {n: np.concatenate(list(occupation_counts(it, n).values()))
+                for n in n_grid}
+        t_grid = []
+        for n in n_grid:
+            for alpha in alphas:
+                t_grid += t_between(
+                    (rows[n] / float(it.a_of(n))) ** alpha, data)
+        reports = occupation_sweep(it, n_grid, alphas, t_grid, x_values=())
+        for n, occ in rows.items():
+            rep = reports[n]
+            values, mult = np.unique(occ, return_counts=True)
+            assert np.array_equal(rep.law.units, values)
+            assert np.array_equal(rep.law.counts, mult)
+            # == on every float: the sums see the same operands in order
+            assert (rep.mean, rep.moment, rep.u) == whole_row_statistics(
+                occ, it.a_of(n), alphas, t_grid)
+
+
+class TestRepeatPowers:
+    """The sweep raises a run table to alpha and expands it; the whole
+    row of powers must be those values, bit for bit, whatever the length
+    of the array numpy's power loop is given."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.integers(1, 5000), st.floats(0.05, 4.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_expanded_powers_are_powers_of_the_row(self, size, alpha, seed):
+        rng = np.random.default_rng(seed)
+        runs = rng.integers(1, 10 ** 6, size).astype(float)
+        lens = rng.integers(1, 40, size)
+        c = float(rng.integers(1, 10 ** 4)) + rng.random()
+        for a in (alpha, 0.5, 1.0, 2.0):
+            row = np.repeat(runs, lens)
+            row **= a
+            assert np.array_equal(np.repeat(runs ** a, lens).view(np.int64),
+                                  row.view(np.int64)), a
+            row = np.repeat(runs, lens) / c
+            row **= a
+            assert np.array_equal(
+                np.repeat((runs / c) ** a, lens).view(np.int64),
+                row.view(np.int64)), a
 
 
 class TestDuality:
