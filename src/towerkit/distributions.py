@@ -7,7 +7,7 @@ of each distinct value is a float.
 
 The laws of S_k on a grid of k are measured chunk by chunk: ``sk_histograms``
 yields SkHistogram records of consecutive rows (one per k) in flat int64
-arrays, built from each pattern's class laws by one gather per chunk;
+arrays, built from each distinct block's class laws by one gather per chunk;
 ``SkHistogram.count_below`` decides every cdf threshold of a chunk at once
 and ``transport_distances`` compares its rows with their targets by one
 row-wise transport.  A record holds at most _CHUNK law entries, unless one
@@ -26,8 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import (Dict, Iterator, List, Optional, Sequence, TextIO,
-                    Tuple, Union)
+from typing import Dict, Iterator, List, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -208,15 +207,18 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
     offs = list(accumulate(sizes, initial=0))
     dtype = np.int64 if offs[-1] < _INT64_SAFE else object
 
-    def per_entry(xs):
-        return np.repeat(np.array(xs, dtype=dtype), lengths)
+    def per_entry(xs, reps=lengths):
+        return np.repeat(np.array(xs, dtype=dtype), reps)
 
     own = (np.cumsum(np.asarray(counts, dtype=dtype)) -
            per_entry(list(accumulate(totals, initial=0))[:-1])) * \
         per_entry(dens) + per_entry(offs[:-1])
-    other = np.array([t * n + off
-                      for d, n, off in zip(dists, totals, offs)
-                      for t in targets[id(d)][0]], dtype=dtype)
+    # n*mass + offset per row and atom, from each target's cumulated
+    # masses held once as an array; none passes the row's end offset
+    cum = {key: np.array(t[0], dtype=dtype) for key, t in targets.items()}
+    atoms = [len(d) for d in dists]
+    other = np.concatenate([cum[id(d)] for d in dists]) * \
+        per_entry(totals, atoms) + per_entry(offs[:-1], atoms)
     tv = np.arctan([x for d in dists for x in targets[id(d)][2]])
     # own and other each increase, so one stable sort merges the two runs
     cuts = np.concatenate([own, other])
@@ -453,8 +455,8 @@ def _runs(key, vb: int, cb: int) -> tuple:
 
 class PeriodLaws:
     """Laws of S_k over one least period of each block for the k of one
-    grid, each measured once per class and shared by blocks that are
-    integer multiples of one pattern, at any scale.
+    grid, each measured once per class and shared by blocks of equal
+    units, at any scale.
 
     For a block of least period p and unit total Sigma over a period (its
     total over its number of periods), the law at k = q*p + r follows
@@ -463,12 +465,7 @@ class PeriodLaws:
     - whole periods: S_{qp+r} = q*Sigma + S_r;
     - reflection: S_r(nu) + S_{p-r}(nu + r) = Sigma, so over one period the
       values of S_r are Sigma minus those of S_{p-r}, in reverse order, with
-      the counts reversed;
-    - multiples: blocks of equal height and least period whose first
-      periods are g*P and g'*P for one integer pattern P (g the gcd of a
-      period's units) have S_k(g'*P) = (g'/g)*S_k(g*P), so one of them
-      is measured, and the other's law is the measured law divided by g
-      and multiplied by g'.
+      the counts reversed.
 
     Every distinct class of every measured block is measured once, when
     the grid is set up, in increasing class order by ``_class_laws`` calls
@@ -476,62 +473,37 @@ class PeriodLaws:
     it alone): a bump-tiled block is read down its Bump chain, and only
     one least period of the chain's leaf (``_leaf``) is gathered.  The law
     is in units, so the scale plays no part.  All class laws sit in one
-    pool, and ``records`` applies whole periods, reflections and multiples
-    to a chunk of rows at once.
+    pool, and ``records`` applies whole periods and reflections to a chunk
+    of rows at once.
     """
 
     def __init__(self, blocks, ks: Sequence[int]):
         self.blocks = list(blocks)
-        # per block, the index of the block measured for it and its factor
-        # g' when that differs from the measured block's g, else None
+        # per block, the index of the first block with equal units, which
+        # is measured for both.  Only blocks of one key (height, least
+        # period, first unit, unit total; each cached or O(1)) compare
+        # their first periods, so a block without a partner compares none
         first = list(range(len(self.blocks)))
-        factor: List[Optional[int]] = [None] * len(self.blocks)
-        shapes: Dict[Tuple[int, int], List[int]] = {}
+        keys: Dict[Tuple[int, int, int, int], List[int]] = {}
         for i, w in enumerate(self.blocks):
-            shapes.setdefault((len(w), w.period), []).append(i)
-        gcds: Dict[int, int] = {}
-        for (_, p), group in shapes.items():
-            # only blocks that share height and least period can share a
-            # pattern, so a block without such a partner costs nothing
-            if len(group) < 2:
-                continue
-            # (index, first unit, unit total of a period) per measured block
-            reps: List[Tuple[int, int, int]] = []
-            for i in group:
-                w = self.blocks[i]
-                u = w.units[:p]
-                a, s = int(u[0]), w.total_units() * p // len(w)
-                for j, b, t in reps:
-                    v = self.blocks[j].units[:p]
-                    # g*P and g'*P have proportional first units and totals
-                    if a * t != b * s:
-                        continue
-                    if s == t:
-                        if np.array_equal(u, v):
-                            first[i] = j
-                            break
-                        continue
-                    g, gj = int(np.gcd.reduce(u)), int(np.gcd.reduce(v))
-                    if np.array_equal(u // g, v // gj):
-                        first[i], factor[i] = j, g
-                        gcds[j] = gj
-                        break
-                else:
-                    reps.append((i, a, s))
+            p = w.period
+            group = keys.setdefault(
+                (len(w), p, int(w.units[0]), w.total_units()), [])
+            for j in group:
+                if np.array_equal(w.units[:p], self.blocks[j].units[:p]):
+                    first[i] = j
+                    break
+            else:
+                group.append(i)
         index = sorted(set(first))
         measured = [self.blocks[j] for j in index]
         p = np.array([w.period for w in measured], dtype=np.int64)
         self.sigma = np.array([w.total_units() * w.period // len(w)
                                for w in measured], dtype=np.int64)
-        # per block: the column of its measured block, the gcd g that its
-        # measured law is divided by and the g' it is multiplied by (1 and
-        # 1 for the measured law itself), and its number of periods
+        # per block: the column of its measured block and its number of
+        # periods
         self.col = np.array([index.index(j) for j in first], dtype=np.int64)
         self.readers = np.bincount(self.col, minlength=p.size)
-        self.div = np.array([1 if f is None else gcds[j]
-                             for j, f in zip(first, factor)], dtype=np.int64)
-        self.mul = np.array([1 if f is None else f for f in factor],
-                            dtype=np.int64)
         self.periods = np.array([len(w) // w.period for w in self.blocks],
                                 dtype=np.int64)
         # per row and measured block: whole periods q, reflection, and
@@ -581,8 +553,8 @@ class PeriodLaws:
             start = end
 
     def _record(self, start: int, end: int) -> Iterator["SkHistogram"]:
-        """The SkHistogram of rows start..end-1: whole periods, reflections
-        and multiples applied by one gather over the rows.
+        """The SkHistogram of rows start..end-1: whole periods and
+        reflections applied by one gather over the rows.
 
         The largest S_k of every row and block is checked against int64
         first.  When some row leaves it, the record of the rows before the
@@ -599,11 +571,7 @@ class PeriodLaws:
                        self.units[src + lens - 1])
         past = q > (_INT64_MAX - top) // sigma
         cols = self.sigma.size
-        most = np.where(past, 0, top + q * sigma).reshape(-1, cols)[
-            :, self.col]
-        past = past.reshape(-1, cols)[:, self.col] | \
-            (most // self.div > _INT64_MAX // self.mul)
-        bad = np.flatnonzero(past.any(axis=1))
+        bad = np.flatnonzero(past.reshape(-1, cols).any(axis=1))
         n = int(bad[0]) if bad.size else end - start
         if n:
             # per (row, block) segment: its source segment, length, and
@@ -618,12 +586,10 @@ class PeriodLaws:
             pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], size)
             idx = np.repeat(first, size) + np.repeat(sign, size) * pos
             # u or Sigma - u, then q whole periods: no partial sum passes
-            # the largest S_k, which fits int64; then / g * g', exact
+            # the largest S_k, which fits int64
             vals = np.repeat(sign, size) * self.units[idx] + \
                 np.repeat(flip[seg] * sigma[seg], size) + \
                 np.repeat(q[seg] * sigma[seg], size)
-            vals = vals // np.repeat(np.tile(self.div, n), size) * \
-                np.repeat(np.tile(self.mul, n), size)
             counts = self.counts[idx] * \
                 np.repeat(np.tile(self.periods, n), size)
             yield SkHistogram(self.ks[start:start + n],
@@ -638,8 +604,9 @@ def sk_histograms(blocks, ks: Sequence[int]) -> Iterator["SkHistogram"]:
     ``ks``, in order, as SkHistogram records of consecutive rows that
     hold at most _CHUNK law entries each (one row may pass it alone).
 
-    One PeriodLaws serves the whole grid, so each pattern is measured once
-    per class of k, and its measurements go with the iterator.  S_k
+    One PeriodLaws serves the whole grid, so the units of equal blocks are
+    measured once per class of k, and the measurements go with the
+    iterator.  S_k
     repeats with a block's least period p, so its law over the block is
     h/p copies of its law over one period.  Raises BlockError for a
     negative k, and at the first k whose S_k leaves int64, after the rows

@@ -801,17 +801,23 @@ class TestSkyscraperCounts:
             "occupation_distances"])
         assert len(n_grid) > 1 and calls == n_grid
 
-    def test_lognormal_outputs_match_recorded(self, tmp_path):
+    @pytest.mark.parametrize("step, recorded, files", [
+        ("skyscraper", "lognormal_skyscraper", 4),
+        ("all", "lognormal_all", 5),
+    ], ids=["skyscraper", "all"])
+    def test_lognormal_outputs_match_recorded(self, step, recorded, files,
+                                              tmp_path):
         # lognormal is the short-run regime (about 500,000 runs of equal
         # counts in 1,900,800), which the benchmark presets do not reach:
-        # its reports and occupation laws, byte for byte
-        gold = os.path.join(os.path.dirname(__file__), "data",
-                            "lognormal_skyscraper")
+        # its reports and occupation laws, byte for byte.  Its grids also
+        # hold the most blocks whose units are multiples of one another,
+        # so "all" checks its split, tower, verify report and S_k laws too
+        gold = os.path.join(os.path.dirname(__file__), "data", recorded)
         out = tmp_path / "out"
-        assert main(["skyscraper", "--preset", "lognormal",
+        assert main([step, "--preset", "lognormal",
                      "--out", str(out)]) == EXIT_OK
         names = sorted(os.listdir(gold))
-        assert len(names) == 4
+        assert len(names) == files
         for name in names:
             assert filecmp.cmp(os.path.join(gold, name), out / name,
                                shallow=False), name

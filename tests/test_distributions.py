@@ -445,6 +445,9 @@ class TestSkHistogramGrid:
            st.sampled_from([F(1), F(1, 6), F(5, 4)]))
     @example([1, 2, 4], 4, [1, 1, 2], F(1, 6))
     @example([3, 1], 6, [1], F(1))
+    # the unrelated block agrees with the tiled one on height, least
+    # period, first unit and unit total: only its units tell them apart
+    @example([1, 2, 4], 2, [1, 3, 3], F(1))
     def test_matches_whole_block_oracle(self, units, m, other, scale):
         # a tiled block repeated, a copy with equal units at another scale,
         # and an unrelated block; every k in 0..3h+1 covers r = 0, r = p/2
@@ -498,11 +501,12 @@ class TestSkHistogramGrid:
     @example([1, 2, 4], 1, 2, [(3, F(1, 2048)), (1, F(1, 16384)),
                                (5, F(1, 16384)), (7, F(1))])
     @example([2, 1, 2, 1], 6, 1, [(7, F(1)), (1, F(1)), (7, F(5, 4))])
-    def test_integer_multiples_share_one_measurement(self, pattern, own,
-                                                     m, members):
+    def test_one_measurement_per_distinct_first_period(self, pattern, own,
+                                                       m, members):
         # blocks g*P at mixed scales, with P carrying its own gcd ``own``
-        # and tiled m times; an unrelated block joins them.  The first
-        # block is measured, whichever g it has
+        # and tiled m times; an unrelated block joins them.  Blocks of
+        # equal units share one measurement at any scale, and multiples
+        # with distinct g are measured apart
         base = np.tile(np.array(pattern) * own, m)
         blocks = [Block(base * g, sc) for g, sc in members]
         blocks.append(Block(np.resize([1, 3], base.size), F(1, 2)))
@@ -511,13 +515,9 @@ class TestSkHistogramGrid:
             got = list(rows(sk_histograms(blocks, ks)))
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
-        patterns = set()
-        for w in blocks:
-            p = w.period
-            unit = w.units[:p] // np.gcd.reduce(w.units[:p])
-            patterns.add(tuple(unit.tolist()))
+        firsts = {tuple(w.units[:w.period].tolist()) for w in blocks}
         pairs = {(u, min(k % len(u), len(u) - k % len(u)))
-                 for u in patterns for k in ks}
+                 for u in firsts for k in ks}
         assert len(calls) == len(pairs)
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -527,7 +527,7 @@ class TestSkHistogramGrid:
            st.integers(1, 12))
     # only the member with the larger g leaves int64
     @example([2 ** 58, 2 ** 58 + 1], [1, 7], 5)
-    # the measured block has the larger g; 15*S_3(P) would leave int64
+    # each member's S_3 fits int64, though 15*S_3(P) would not
     @example([2 ** 58, 2 ** 58 + 1], [5, 3], 3)
     def test_multiples_past_int64(self, pattern, gs, k):
         # exact Python-int values of each multiple's S_k, or BlockError as
@@ -692,9 +692,10 @@ class TestBumpDerivedLaw:
            st.integers(1, 2), bump_steps,
            st.lists(st.sampled_from([1, 2, 3, 7]), min_size=2, max_size=4))
     @example([1, 2], 2, [(F(1, 7), 2, 2)], [1, 7, 3])
-    def test_multiples_share_the_derived_law(self, base, rep, steps, gs):
+    def test_multiples_derive_their_laws_apart(self, base, rep, steps, gs):
         # g*P siblings: every weight and bump times g, so the units are
-        # proportional at whatever scale each chain ends
+        # proportional at whatever scale each chain ends; each distinct
+        # g is measured, and a repeated g shares its sibling's measurement
         blocks = [bump_chain(np.array(base) * g, rep, F(1),
                              [(g * kappa, q, mu) for kappa, q, mu in steps],
                              cap=300)
@@ -705,7 +706,9 @@ class TestBumpDerivedLaw:
         for k, hist in zip(ks, got):
             assert_same_histogram(hist, whole_block_histogram(blocks, k))
         p = blocks[0].period
-        assert len(calls) == len({min(k % p, p - k % p) for k in ks})
+        firsts = {tuple(w.units[:p].tolist()) for w in blocks}
+        assert len(calls) == \
+            len(firsts) * len({min(k % p, p - k % p) for k in ks})
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.lists(st.integers(2 ** 57, 2 ** 58), min_size=1, max_size=2),
