@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -250,80 +250,98 @@ def _deviation_units(pre: np.ndarray) -> np.ndarray:
     return dev
 
 
-def _window_extremes(x: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Max and min of x[j:j+width] for j = 0..len(x)-width, exactly.
+def _window_extremes(x: np.ndarray, width: int, op) -> np.ndarray:
+    """op's extreme of x[j:j+width] for j = 0..len(x)-width, exactly, with
+    op np.maximum or np.minimum.
 
     The running max/min of van Herk and Gil-Werman: cut x into rows of
     ``width``; a window then covers a suffix of one row and a prefix of the
     next, so its extreme combines one suffix and one prefix accumulation.
     Works on int64 and object (Python int) arrays alike.  The last
     row is padded with x[-1]; no window reads the padding, since a window
-    that reaches the last row starts at its beginning.
+    that reaches the last row starts at its beginning.  The result is a
+    view of the suffix buffer, written over it, so no third array of that
+    size is made.
     """
     n = x.size
     rows = -(-n // width)
     if rows * width > n:
         x = np.concatenate([x, np.full(rows * width - n, x[-1], dtype=x.dtype)])
     b = x.reshape(rows, width)
-    out = []
-    for op in (np.maximum, np.minimum):
-        pre = op.accumulate(b, axis=1).ravel()
-        # written through a reversed view, the suffixes need no copy
-        suf = np.empty_like(b)
-        op.accumulate(b[:, ::-1], axis=1, out=suf[:, ::-1])
-        suf = suf.ravel()
-        out.append(op(suf[:n - width + 1], pre[width - 1:n]))
-    return out[0], out[1]
+    pre = op.accumulate(b, axis=1).ravel()
+    # written through a reversed view, the suffixes need no copy
+    suf = np.empty_like(b)
+    op.accumulate(b[:, ::-1], axis=1, out=suf[:, ::-1])
+    out = suf.ravel()[:n - width + 1]
+    return op(out, pre[width - 1:n], out=out)
 
 
-def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates):
+def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates,
+                last: bool):
     """Exact scan of the shifted-deviation test over every k in [k0, kk].
 
     ``violates(k, m)`` decides whether amplitude m breaks the allowance at k.
-    Whole ranges of k are first tested against their sliding-window extremes
-    at the smallest allowance of the range; only ranges that fail the coarse
-    test are bisected, down to single shifts where the test is sharp.  The
-    leftmost range is always tested first, so the witness has the smallest
-    failing k.  Returns None when every k passes, else a witness (k, s) with
-    s the first 0-based position of largest deviation at that k.
+    The range is cut at the multiples of h, and each piece is first tested
+    against its sliding-window extremes at the smallest allowance of the
+    piece; only ranges that fail the coarse test are bisected, down to
+    single shifts where the test is sharp.  The leftmost range is always
+    tested first, so the witness has the smallest failing k, or with
+    ``last`` the rightmost, so that it has the largest.  Returns None when
+    every k passes, else a witness (k, s) with s the first 0-based position
+    of largest deviation at that k.
     """
     d = dev[:h]
     d2 = np.concatenate([d, d])
     stack = [(k0, kk)]
     while stack:
         k1, k2 = stack.pop()
+        # keep the piece of [k1, k2] inside one period on the scan's side
+        if last:
+            cut = max(k1, k2 // h * h)
+            if cut > k1:
+                stack.append((k1, cut - 1))
+                k1 = cut
+        else:
+            cut = min(k2, k1 // h * h + h - 1)
+            if cut < k2:
+                stack.append((cut + 1, k2))
+                k2 = cut
         if k1 % h == 0:
             # shift 0 never deviates
             if k1 == k2:
                 continue
             k1 += 1
-        wrap = (k1 // h) * h + h - 1
-        if k2 > wrap:
-            stack.append((wrap + 1, k2))
-            k2 = wrap
         r1 = k1 % h
         width = k2 - k1 + 1
-        # windows d2[r1+j : r1+j+width], j = 0..h-1; r1 + width <= h
-        mf, mn = _window_extremes(d2[r1:r1 + h + width - 1], width)
-        amp = max((mf - d).max(), (d - mn).max())
+        # windows x[j : j+width], j = 0..h-1, of x = d2[r1 : r1+h+width-1]
+        # (r1 + width <= h); each op's extremes are reduced against d
+        # before the other's are made, so only one is held at a time
+        x = d2[r1:r1 + h + width - 1]
+        amp = max((_window_extremes(x, width, np.maximum) - d).max(),
+                  (d - _window_extremes(x, width, np.minimum)).max())
         if not violates(k1, amp):
             continue
         if k1 == k2:
             diff = np.abs(d2[r1:r1 + h] - d)
             return k1, int(np.argmax(diff))
         mid = (k1 + k2) // 2
-        stack.append((mid + 1, k2))
-        stack.append((k1, mid))
+        halves = [(mid + 1, k2), (k1, mid)]
+        stack.extend(halves[::-1] if last else halves)
     return None
 
 
-def _tiling_failure(w: Block, eps: Scalar):
-    """Decide every tiling w^m on w's deviation profile, computed once.
+def _tiling_failure(w: Block, eps: Scalar, last: bool):
+    """Scan w's deviation profile, computed once, for the k that break
+    eps-normalization of w.
 
-    Returns (failure, m_hi): ``failure(m)`` is None when w^m is
-    eps-normalized, else ``_shift_scan``'s witness; m_hi is the least m
-    whose threshold alone settles the question (w^m has w's period and
-    profile, only its threshold eps*Sigma/M grows with m).
+    Returns (hit, t): t = eps*Sigma(w)/M(w) is w's threshold on k, exact;
+    hit is None when w is eps-normalized, else ``_shift_scan``'s witness.
+    Without ``last`` the scan covers the h values of k from the threshold
+    on, one per residue class, so hit has the smallest failing k; with
+    ``last`` it covers every k up to the point past which none fails, so
+    hit has the largest failing k.  A tiling w^m has w's period and
+    profile, and only its threshold m*t grows with m, so that largest k
+    decides every tiling.
     """
     # all quantities are taken on one period h; Sigma(w) = (len(w)/h) * tot
     h = w.period
@@ -334,24 +352,22 @@ def _tiling_failure(w: Block, eps: Scalar):
     a, b = e.numerator, e.denominator
     pre = w.period_prefix()
     tot, max_u = int(pre[-1]), int(w.units[:h].max())
+    # Sigma and M in units: the scale cancels
+    t = Fraction(a * reps * tot, b * max_u)
+    k0 = max(1, math.ceil(t))
     dev = _deviation_units(pre)
     dstar = int(np.abs(dev[:h]).max())
     # no k with a*k*tot >= 2*b*dstar can fail: its allowance exceeds twice
     # the amplitude of the profile
     kstop = -((-2 * b * dstar) // (a * tot))
-
-    def failure(m: int):
-        # k0 = ceil(eps * Sigma(w^m) / M) with Sigma, M in units (scale
-        # cancels)
-        k0 = max(1, -((-a * m * reps * tot) // (b * max_u)))
-        if k0 >= kstop:
-            return None
-        return _shift_scan(dev, h, k0, min(k0 + h - 1, kstop),
-                           lambda k, amp: b * int(amp) > a * k * tot)
-
-    # least m with ceil(a*m*reps*tot / (b*max_u)) >= kstop
-    m_hi = max(1, (kstop - 1) * b * max_u // (a * reps * tot) + 1)
-    return failure, m_hi
+    if k0 >= kstop:
+        return None, t
+    # the deviation at k depends only on k mod h and the allowance grows
+    # with k, so a failing k fails at k - h too: one residue period from
+    # k0 holds a failure when any k does
+    kk = kstop if last else min(k0 + h - 1, kstop)
+    return _shift_scan(dev, h, k0, kk,
+                       lambda k, amp: b * int(amp) > a * k * tot, last), t
 
 
 def is_normalized(w: Block, eps: Scalar, witness: bool = False):
@@ -362,14 +378,12 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
     period p = w.period), while the allowance eps*kE(w) grows with k, so it
     is enough to check the smallest admissible k in each residue class, and
     no class needs checking once the allowance exceeds twice the amplitude
-    of D.  The threshold eps*Sigma(w)/M(w) is that of the whole block, so a
-    tiling w^m is decided on w's profile with its threshold scaled by m.
+    of D.
 
     Returns bool, or (bool, witness) with witness = (k, nu) on failure when
-    ``witness`` is true.
+    ``witness`` is true; k is the smallest failing k.
     """
-    failure, _ = _tiling_failure(w, eps)
-    hit = failure(1)
+    hit, _ = _tiling_failure(w, eps, last=False)
     if hit is None:
         return (True, None) if witness else True
     return (False, (hit[0], hit[1] + 1)) if witness else False
@@ -378,16 +392,10 @@ def is_normalized(w: Block, eps: Scalar, witness: bool = False):
 def normalizing_copies(w: Block, eps: Scalar) -> int:
     """Least m with is_normalized(self_concat(w, m), eps), building no tiling.
 
-    Normalization of w^m is monotone in m (the deviation profile is fixed
-    while the threshold grows), so the least m is found by bisection on
-    [1, m_hi] over one deviation profile of w.
+    w^m has w's deviation profile and the threshold m*t of
+    ``_tiling_failure``, so it fails exactly when the largest failing k of
+    w, K, is at least ceil(m*t): one scan of w's profile finds K, and the
+    least m is 1 when no k fails, else the least m with m*t > K.
     """
-    failure, hi = _tiling_failure(w, eps)
-    lo = 0          # w^hi is normalized; w^lo is not, or lo == 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if failure(mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hit, t = _tiling_failure(w, eps, last=True)
+    return 1 if hit is None else hit[0] * t.denominator // t.numerator + 1

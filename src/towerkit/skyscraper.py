@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -568,27 +567,35 @@ def check_duality(it: IntegerTower) -> bool:
         raise SkyscraperError("exhaustive duality check is limited to "
                               "height 512")
     n_max = 3 * max(it.totals().values())
-    counts_by_n = {n: occupation_counts(it, n)
-                   for n in range(1, n_max + 1)}
-    for s in it.symbols:
+    ns = np.arange(1, n_max + 1)
+    # row n - 1 holds S_n(1_Omega) at every base position, in symbol order
+    table = np.empty((n_max, h * it.size), dtype=np.int64)
+    for n in range(1, n_max + 1):
+        occupation_counts(it, n, out=table[n - 1])
+    for i, s in enumerate(it.symbols):
         for pos in range(1, h + 1):
             # every return takes at least one step, so the first n_max + 1
-            # returns pass n_max; keep them up to the first that does
+            # returns pass n_max
             phis = return_time_partial_sums(
                 it, np.arange(n_max + 2), (s, pos))
-            phis = phis[:np.searchsorted(phis, n_max, "right") + 1].tolist()
-            for n in range(1, n_max + 1):
-                s_n = int(counts_by_n[n][s][pos - 1])
-                # duality: the count equals the number of returns by time n
-                expected = bisect_right(phis, n) - 1
-                if s_n != expected:
-                    raise InvariantError(
-                        f"duality failed at block {s!r}, position {pos}, "
-                        f"time {n}: count {s_n}, returns {expected}")
-                for j in (s_n, s_n + 1):
-                    if (phis[j] <= n if j < len(phis) else False) \
-                            != (s_n >= j):
-                        raise InvariantError(
-                            f"duality biconditional failed at {s!r}, "
-                            f"position {pos}, time {n}, j={j}")
+            s_n = table[:, i * h + pos - 1]
+            # duality: the count equals the number of returns by time n
+            expected = np.searchsorted(phis, ns, "right") - 1
+            bad = [s_n != expected]
+            # phi_j(nu) <= n iff S_n >= j, at j = S_n and at j = S_n + 1
+            for j, holds in ((s_n, True), (s_n + 1, False)):
+                inside = j < phis.size
+                bad.append((inside & (phis[np.where(inside, j, 0)] <= ns))
+                           != holds)
+            first = np.flatnonzero(np.any(bad, axis=0))
+            if not first.size:
+                continue
+            t = first[0]
+            if bad[0][t]:
+                raise InvariantError(
+                    f"duality failed at block {s!r}, position {pos}, "
+                    f"time {t + 1}: count {s_n[t]}, returns {expected[t]}")
+            raise InvariantError(
+                f"duality biconditional failed at {s!r}, position {pos}, "
+                f"time {t + 1}, j={s_n[t] + (0 if bad[1][t] else 1)}")
     return True

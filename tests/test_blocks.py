@@ -15,9 +15,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from towerkit.blocks import (Block, BlockError, _window_extremes,
-                             is_normalized, normalizing_copies,
-                             rescale_units, self_concat)
+from towerkit import blocks
+from towerkit.blocks import (Block, BlockError, _shift_scan,
+                             _window_extremes, is_normalized,
+                             normalizing_copies, rescale_units, self_concat)
 from towerkit.distributions import sk_histograms
 from towerkit.lemma_engine import _add_bumps
 
@@ -241,16 +242,17 @@ class TestPeriodPrefix:
 
 class TestWindowExtremes:
     """The running window max/min against numpy's sliding windows, for
-    every width 1..n, so most widths do not divide n."""
+    every width 1..n, so most widths do not divide n, and either op."""
 
     @staticmethod
     def check(x):
         for width in range(1, x.size + 1):
-            mx, mn = _window_extremes(x, width)
             windows = sliding_window_view(x, width)
-            assert mx.dtype == x.dtype and mn.dtype == x.dtype
-            assert mx.tolist() == windows.max(axis=1).tolist()
-            assert mn.tolist() == windows.min(axis=1).tolist()
+            for op, want in ((np.maximum, windows.max(axis=1)),
+                             (np.minimum, windows.min(axis=1))):
+                got = _window_extremes(x, width, op)
+                assert got.dtype == x.dtype
+                assert got.tolist() == want.tolist()
 
     @settings(max_examples=60, derandomize=True)
     @given(st.lists(st.integers(-2 ** 62 - 2 ** 20, -2 ** 62 + 2 ** 20)
@@ -267,6 +269,47 @@ class TestWindowExtremes:
         x = np.empty(len(values), dtype=object)
         x[:] = values
         self.check(x)
+
+
+class TestShiftScan:
+    """_shift_scan against a test of every k in [k0, kk] in turn, both
+    directions, on int64 and Python-int profiles."""
+
+    @staticmethod
+    def check(d, k0, span, unit, a, b, last):
+        # the scan reads the first h entries of a deviation profile
+        h = len(d)
+        kk = k0 + span
+
+        def violates(k, amp):
+            return b * int(amp) > a * k * unit
+
+        failing = []
+        for k in range(k0, kk + 1):
+            diff = [abs(int(d[(s + k) % h]) - int(d[s])) for s in range(h)]
+            if violates(k, max(diff)):
+                failing.append((k, diff.index(max(diff))))
+        want = (failing[-1] if last else failing[0]) if failing else None
+        assert _shift_scan(d, h, k0, kk, violates, last) == want
+
+    @settings(max_examples=150, derandomize=True)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=9),
+           st.integers(1, 30), st.integers(0, 40), st.integers(1, 4),
+           st.integers(1, 4), st.booleans())
+    @example([0, 5, -3, 2], 1, 20, 1, 2, True)
+    @example([0, 7, 7, 0, 7, 7], 3, 12, 1, 3, True)
+    def test_int64_profile(self, d, k0, span, a, b, last):
+        self.check(np.array(d, dtype=np.int64), k0, span, 1, a, b, last)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.lists(st.integers(2 ** 63, 2 ** 66)
+                    | st.integers(-2 ** 66, -2 ** 63), min_size=1, max_size=9),
+           st.integers(1, 30), st.integers(0, 40), st.integers(1, 4),
+           st.integers(1, 4), st.booleans())
+    def test_python_int_profile(self, d, k0, span, a, b, last):
+        x = np.empty(len(d), dtype=object)
+        x[:] = d
+        self.check(x, k0, span, 2 ** 63, a, b, last)
 
 
 class TestCyclicPartialSums:
@@ -514,6 +557,21 @@ class TestNormalizingCopies:
         assume(p * int(np.cumsum(w.units[:p])[-1]) >= 2 ** 62)
         assume(normalizing_copies(w, eps) * w.total_units() <= INT64_MAX)
         self.assert_least(w, eps)
+
+
+    @pytest.mark.parametrize("units, eps, m", [
+        ([1, 3], F(1, 8), 19), ([1, 2, 1, 2, 1, 3], F(1, 20), 79),
+        (list(range(1, 41)), F(1, 20), 180), ([1] * 30 + [50], F(1, 10), 994)])
+    def test_one_scan_per_search(self, monkeypatch, units, eps, m):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2:4])
+            return _shift_scan(*args)
+
+        monkeypatch.setattr(blocks, "_shift_scan", spy)
+        assert normalizing_copies(Block(units), eps) == m
+        assert len(calls) == 1, calls
 
 
 def test_normalization_scan_needs_no_scipy():
