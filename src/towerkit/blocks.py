@@ -257,23 +257,23 @@ def _window_extremes(x: np.ndarray, width: int, op) -> np.ndarray:
     The running max/min of van Herk and Gil-Werman: cut x into rows of
     ``width``; a window then covers a suffix of one row and a prefix of the
     next, so its extreme combines one suffix and one prefix accumulation.
-    Works on int64 and object (Python int) arrays alike.  The last
-    row is padded with x[-1]; no window reads the padding, since a window
-    that reaches the last row starts at its beginning.  The result is a
-    view of the suffix buffer, written over it, so no third array of that
-    size is made.
+    Works on int64 and object (Python int) arrays alike.  The full rows are
+    accumulated through a reshaped view of x, and the partial last row, in
+    which no window starts, has only its prefixes taken, so x is never
+    copied.  The result is a view of the suffix buffer, written over it, so
+    no third array of that size is made.
     """
     n = x.size
-    rows = -(-n // width)
-    if rows * width > n:
-        x = np.concatenate([x, np.full(rows * width - n, x[-1], dtype=x.dtype)])
-    b = x.reshape(rows, width)
-    pre = op.accumulate(b, axis=1).ravel()
+    full = n - n % width
+    b = x[:full].reshape(-1, width)
+    pre = np.empty_like(x)
+    op.accumulate(b, axis=1, out=pre[:full].reshape(-1, width))
+    op.accumulate(x[full:], out=pre[full:])
     # written through a reversed view, the suffixes need no copy
     suf = np.empty_like(b)
     op.accumulate(b[:, ::-1], axis=1, out=suf[:, ::-1])
     out = suf.ravel()[:n - width + 1]
-    return op(out, pre[width - 1:n], out=out)
+    return op(out, pre[width - 1:], out=out)
 
 
 def _shift_scan(dev: np.ndarray, h: int, k0: int, kk: int, violates,

@@ -22,7 +22,13 @@ Before it runs, a command removes the files that its steps own
 (``STEP_OUTPUTS``), and ``all`` those of every step, so no file of an
 earlier run stays beside this run's.  The skyscraper step reduces each time
 horizon once (``skyscraper.occupation_sweep``) and writes its occupation
-CSVs and both reports from those records.
+CSVs and both reports from those records.  A config builds its split
+sequence and its tower once, on first read (``RunConfig.split`` and
+``RunConfig.trace``), so ``all`` builds each config's tower once and its
+``verify`` compares ``tower.json`` against that tower; a standalone
+``verify`` runs in a new process and rebuilds the tower from its config.
+The skyscraper step of a run with a ``skyscraper.base`` frees the run's
+own tower before it builds the base.
 
 Exit codes: 0 success, 2 invalid config, 3 size cap exceeded or a sum
 past the int64 range (``BlockError``), 4 corrupt trace artifact
@@ -41,13 +47,14 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .blocks import BlockError
 from .distributions import write_json
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError
-from .splitting import (PointsTarget, SplittingError, TargetDist,
-                        build_split_sequence, make_target)
+from .splitting import (PointsTarget, SplitSequence, SplittingError,
+                        TargetDist, build_split_sequence, make_target)
 from .tower import (CorruptTraceError, TowerTrace, build_example_tower,
                     build_general_tower, build_rational_tower,
                     certify_theorem1, check_example_run, check_rational_run,
@@ -169,7 +176,13 @@ class SkyscraperConfig:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration."""
+    """Validated run configuration.
+
+    ``split`` and ``trace`` are computed on first read and held by the
+    config, so the steps of one run share one split sequence and one
+    tower.  A build that raises holds nothing, so the next read raises
+    again.
+    """
 
     kind: str
     config_hash: str
@@ -188,6 +201,18 @@ class RunConfig:
     k_grid: Optional[List[int]] = None
     skyscraper: Optional[SkyscraperConfig] = None
     base: Optional[RunConfig] = None     # the skyscraper.base run
+
+    @cached_property
+    def split(self) -> SplitSequence:
+        """The split sequence of a target-based run."""
+        return build_split_sequence(self.target,
+                                    [float(e) for e in self.epss],
+                                    max_depth=self.max_depth)
+
+    @cached_property
+    def trace(self) -> TowerTrace:
+        """The tower this config builds (``build_tower_from_config``)."""
+        return build_tower_from_config(self)
 
 
 PRESETS = {
@@ -470,8 +495,7 @@ def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
                                      rounds=cfg.rounds,
                                      size_cap=cfg.size_cap)
     else:
-        trace = build_general_tower(cfg.target, cfg.deltas, cfg.epss,
-                                    max_depth=cfg.max_depth,
+        trace = build_general_tower(cfg.split, cfg.deltas, cfg.epss,
                                     rounds=max(1, cfg.rounds - 1),
                                     size_cap=cfg.size_cap, etas=cfg.etas)
     trace.config_hash = cfg.config_hash
@@ -481,8 +505,7 @@ def build_tower_from_config(cfg: RunConfig) -> TowerTrace:
 def cmd_split(cfg: RunConfig, out: str) -> int:
     if cfg.kind == "example":
         raise ConfigError("split requires a target-based run")
-    seq = build_split_sequence(cfg.target, [float(e) for e in cfg.epss],
-                               max_depth=cfg.max_depth)
+    seq = cfg.split
     report = dict(_report_header(cfg))
     report.update({
         "depths": list(seq.depths),
@@ -498,7 +521,7 @@ def cmd_split(cfg: RunConfig, out: str) -> int:
 
 def cmd_build(cfg: RunConfig, out: str) -> int:
     try:
-        trace = build_tower_from_config(cfg)
+        trace = cfg.trace
     except SizeCapError as exc:
         partial = dict(_report_header(cfg))
         partial["error"] = f"size cap: {exc}"
@@ -522,7 +545,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
     except CorruptTraceError as exc:
         _log(f"verify: corrupt trace: {exc}")
         return EXIT_CORRUPT
-    trace = build_tower_from_config(cfg)
+    trace = cfg.trace
     # every field of tower.json must be what this config builds
     built = json.loads(json.dumps(trace_to_json_obj(trace)))
     if built != summary:
@@ -560,7 +583,10 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
 
 def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
     sc = cfg.skyscraper
-    trace = build_tower_from_config(cfg.base or cfg)
+    if cfg.base is not None:
+        # the skyscraper reads only the base tower: free this run's first
+        vars(cfg).pop("trace", None)
+    trace = (cfg.base or cfg).trace
     it = sky.integerize(trace, sc.eta)
     horizon = it.covered_horizon()
     wmax = max(int(it.blocks[s].units.max()) for s in it.symbols)

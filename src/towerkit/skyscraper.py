@@ -393,7 +393,8 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     the row in its order: the moment row, and the runs of Phi_n above t.
     A power is a function of its value alone, so each sum adds the same
     floats in the same order as over the whole row of powers.  E[S_n] is
-    the mean of the float copy of the counts.
+    the mean of the float copy of the counts, and it is the alpha = 1
+    moment too: that moment row is the float copy itself.
 
     Returns the reports keyed by horizon: what ``check_inversion`` and
     ``are_diagnostic`` read.
@@ -438,17 +439,17 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
             ([0], np.flatnonzero(occ[1:] != occ[:-1]) + 1, [occ.size]))
         lens = np.diff(cuts)
         runs = occ_f[cuts[:-1]]
+        mean = float(occ_f.mean())
         moment, u = {}, {}
         for alpha in alphas:
-            moment[alpha] = float(np.mean(
+            moment[alpha] = mean if alpha == 1.0 else float(np.mean(
                 np.repeat(runs ** alpha, lens))) ** (1.0 / alpha)
             phi = (runs / float(a_n)) ** alpha
             for t in t_grid:
                 above = phi > t
                 u[alpha, t] = float(np.repeat(
                     phi[above], lens[above]).sum()) / occ.size
-        reports[n] = OccupationReport(a_n, law, float(occ_f.mean()), moment,
-                                      u)
+        reports[n] = OccupationReport(a_n, law, mean, moment, u)
     return reports
 
 

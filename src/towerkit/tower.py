@@ -24,7 +24,7 @@ from .lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
                            InvariantError, PreconditionError, Verdict, _tile,
                            basic_extend, choose_tile, extension_step,
                            straightening_step)
-from .splitting import TargetDist, build_split_sequence
+from .splitting import SplitSequence
 
 # the constant M of certify_theorem1's cdf lower bound
 BICYCLE_M = Fraction(9, 8)
@@ -239,18 +239,18 @@ def build_example_tower(kappas: Sequence, epss: Sequence,
     return TowerTrace("example", target, stages, arr, gamma)
 
 
-def build_general_tower(target: TargetDist, deltas: Sequence,
-                        epss: Sequence, max_depth: int = 16,
-                        rounds: int = 1,
+def build_general_tower(seq: SplitSequence, deltas: Sequence,
+                        epss: Sequence, rounds: int = 1,
                         size_cap: int = 10 ** 6,
                         etas: Optional[Sequence] = None) -> TowerTrace:
     """Alternating straightening and extension stages for a general target.
 
-    The target is discretized along a dyadic splitting sequence; each
-    refinement is folded into the array by a straightening step and each
-    stage ends with a gentle extension.  The top dyadic cell is truncated
-    to the quantile floor R so weights stay finite; the clipped mass is
-    2^-depth of the first representation.
+    The target is discretized along ``seq``, the dyadic splitting sequence
+    that ``build_split_sequence`` made for it at ``epss``; each refinement
+    is folded into the array by a straightening step and each stage ends
+    with a gentle extension.  The top dyadic cell is truncated to the
+    quantile floor R so weights stay finite; the clipped mass is 2^-depth
+    of the first representation.
     """
     deltas = [Fraction(d) for d in deltas]
     epss = [Fraction(e) for e in epss]
@@ -259,8 +259,6 @@ def build_general_tower(target: TargetDist, deltas: Sequence,
     # grows like (eta*q*h)^2, so a coarse blend keeps the construction small
     etas = [Fraction(1, 2)] * len(deltas) if etas is None \
         else [Fraction(x) for x in etas]
-    seq = build_split_sequence(target, [float(e) for e in epss],
-                               max_depth=max_depth)
     floor_r = seq.floor_r
     reps = seq.reps
 

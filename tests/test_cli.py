@@ -12,10 +12,11 @@ from towerkit.cli import (EXIT_CONFIG, EXIT_CORRUPT, EXIT_INVARIANT,
                           EXIT_OK, EXIT_SIZE_CAP, ConfigError, PRESETS,
                           build_tower_from_config, load_config, main,
                           parse_number)
+from towerkit import cli
 from towerkit import skyscraper as sky
 from towerkit import tower
 from towerkit.blocks import Block
-from towerkit.lemma_engine import GammaTable
+from towerkit.lemma_engine import GammaTable, SizeCapError
 from towerkit.tower import certify_theorem1
 
 from oracles import gamma_oracle, oracle_histograms
@@ -632,6 +633,74 @@ class TestVerifyIntegrity:
         for text in ("not json", "[1, 2]", '{"gamma": {}}'):
             (out / "tower.json").write_text(text)
             assert self.verify(fast_config, out) == EXIT_CORRUPT, text
+
+
+class TestOneBuildPerRun:
+    """Within one run a config builds its split sequence and its tower
+    once, and every step reads them; a new run builds them again."""
+
+    BUILDERS = ("build_split_sequence", "build_example_tower",
+                "build_rational_tower", "build_general_tower")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        for name in self.BUILDERS:
+            def counted(*args, _name=name, _fn=getattr(cli, name),
+                        **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("preset, builds, rebuilds", [
+        ("pareto1", ["build_general_tower", "build_rational_tower",
+                     "build_split_sequence"],
+         ["build_general_tower", "build_split_sequence"]),
+        ("twopoint", ["build_rational_tower", "build_rational_tower",
+                      "build_split_sequence"],
+         ["build_rational_tower"]),
+    ])
+    def test_all_builds_once_per_config(self, preset, builds, rebuilds,
+                                        calls, tmp_path):
+        # all: one split, the run's tower and its skyscraper.base tower;
+        # a later verify is a new run, with a new config
+        out = str(tmp_path / "out")
+        assert main(["all", "--preset", preset, "--out", out]) == EXIT_OK
+        assert sorted(calls) == builds
+        calls.clear()
+        assert main(["verify", "--preset", preset, "--out", out]) == EXIT_OK
+        assert sorted(calls) == rebuilds
+
+    def test_edited_tower_json_is_4_on_a_built_config(self, fast_config,
+                                                      tmp_path):
+        # verify compares tower.json with the config's tower, also when
+        # that tower was built by this config's build step
+        cfg, out = load_config(fast_config, None), str(tmp_path)
+        assert cli.cmd_build(cfg, out) == EXIT_OK
+        trace = cfg.trace
+        path = tmp_path / "tower.json"
+        good = json.loads(path.read_text())
+        for key in good:
+            path.write_text(json.dumps(dict(good, **{key: bump(good[key])})))
+            assert cli.cmd_verify(cfg, out) == EXIT_CORRUPT, key
+        path.write_text(json.dumps(good))
+        assert cli.cmd_verify(cfg, out) == EXIT_OK
+        assert cfg.trace is trace
+
+    def test_size_cap_error_is_not_held(self, fast_config, calls):
+        cfg = load_config(fast_config, None, cap=100)
+        for _ in range(2):
+            with pytest.raises(SizeCapError):
+                cfg.trace
+        assert calls == ["build_rational_tower"] * 2
+
+    def test_skyscraper_frees_the_run_tower_for_its_base(self, tmp_path):
+        cfg, out = load_config(None, "pareto1"), str(tmp_path)
+        assert cli.cmd_build(cfg, out) == EXIT_OK
+        assert "trace" in vars(cfg)
+        assert cli.cmd_skyscraper(cfg, out) == EXIT_OK
+        assert "trace" not in vars(cfg) and "trace" in vars(cfg.base)
 
 
 class TestVerifyMargin:

@@ -19,10 +19,16 @@ from towerkit.tower import (CorruptTraceError, build_example_tower,
                             certify_theorem1, check_example_run,
                             load_trace_summary, save_trace, tower_k_grid,
                             trace_to_json_obj)
-from towerkit.splitting import make_target
+from towerkit.splitting import build_split_sequence, make_target
 
 from oracles import (b_of, cyclic_partial_sums_units, gamma_oracle,
                      oracle_histograms, oracle_transport)
+
+
+def pareto_split():
+    """The split sequence of a Pareto(1) target at epss 1/3, 1/4."""
+    return build_split_sequence(make_target("pareto", alpha=F(1)),
+                                [F(1, 3), F(1, 4)])
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +116,8 @@ class TestExampleTower:
 class TestGeneralTower:
     def test_pareto_small(self):
         t = make_target("pareto", alpha=F(1))
-        trace = build_general_tower(t, [F(1, 3)], [F(1, 3)])
+        trace = build_general_tower(build_split_sequence(t, [F(1, 3)]),
+                                    [F(1, 3)], [F(1, 3)])
         assert trace.kind == "general"
         assert trace.floor_r is not None
         assert all(st.cert_valid in (True, None) for st in trace.stages)
@@ -125,8 +132,8 @@ class TestBuildFailureWitness:
     witness of a block that is not normalized."""
 
     def pareto(self):
-        return build_general_tower(make_target("pareto", alpha=F(1)),
-                                   [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)])
+        return build_general_tower(pareto_split(), [F(1, 3), F(1, 4)],
+                                   [F(1, 3), F(1, 4)])
 
     def test_general_certificate_names_k(self, monkeypatch):
         step, certs = tower.extension_step, []
@@ -210,8 +217,8 @@ class TestMonotoneGrowth:
     @pytest.mark.parametrize("build", [
         lambda: build_rational_tower(FiniteDist.uniform([1, 2]), [F(1, 10)],
                                      [F(1, 20)], rounds=2),
-        lambda: build_general_tower(make_target("pareto", alpha=F(1)),
-                                    [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)]),
+        lambda: build_general_tower(pareto_split(), [F(1, 3), F(1, 4)],
+                                    [F(1, 3), F(1, 4)]),
     ], ids=["rational", "general"])
     def test_lowered_unit_fails(self, build, monkeypatch):
         # the first level of a block is never bumped, so its new unit is
@@ -521,8 +528,8 @@ class TestOraclePath:
         monkeypatch.setattr(tower, "straightening_step", kept_straightening)
         build_rational_tower(FiniteDist.uniform([1, 2]), [F(1, 10)],
                              [F(1, 20)], rounds=2)
-        build_general_tower(make_target("pareto", alpha=F(1)),
-                            [F(1, 3), F(1, 4)], [F(1, 3), F(1, 4)])
+        build_general_tower(pareto_split(), [F(1, 3), F(1, 4)],
+                            [F(1, 3), F(1, 4)])
         assert len(certs) == 3 and len(reports) == 1
         for arr, gamma, cert in certs:
             grid, y = list(cert.distances), arr.label_dist()
