@@ -80,8 +80,8 @@ STEP_OUTPUTS = {
 # The keys that load_config reads, at the top level, in the skyscraper
 # section and in skyscraper.base; any other key is a config error.
 RUN_KEYS = ("kind", "target", "deltas", "epss", "kappas", "etas", "e0",
-            "rounds", "size_cap", "max_depth", "doubling_tol", "x_values",
-            "sk_dist_ks", "k_grid", "skyscraper")
+            "rounds", "size_cap", "max_depth", "doubling_tol", "sk_dist_ks",
+            "k_grid", "skyscraper")
 SKYSCRAPER_KEYS = ("base", "n_points", "tol", "eta", "tail_constant",
                    "x_values", "alphas", "t_grid", "divergent_alphas",
                    "bound_alphas", "rho")
@@ -196,7 +196,6 @@ class RunConfig:
     max_depth: int = 16
     etas: Optional[List] = None
     doubling_tol: float = 0.1
-    x_values: Tuple = (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5))
     sk_dist_ks: Optional[List[int]] = None
     k_grid: Optional[List[int]] = None
     skyscraper: Optional[SkyscraperConfig] = None
@@ -333,8 +332,6 @@ def _read_schedules(obj: dict, kind) -> Tuple[list, list, list,
         if any(b > a for a, b in zip(seq, seq[1:])):
             raise ConfigError(f"{name} must be nonincreasing")
     if kind == "example":
-        if not kappas or len(kappas) != len(epss):
-            raise ConfigError("example runs need matching kappas and epss")
         return deltas, epss, kappas, None
     if not deltas or len(deltas) != len(epss):
         raise ConfigError("runs need matching nonempty deltas and epss")
@@ -443,8 +440,6 @@ def load_config(path: Optional[str], preset: Optional[str],
         rounds=_config_int(obj, "rounds", 2), size_cap=size_cap,
         max_depth=_config_int(obj, "max_depth", 16), etas=etas,
         doubling_tol=float(doubling_tol),
-        x_values=tuple(_config_numbers(obj, "x_values",
-                                       ["3/10", "1/2", "4/5"])),
         sk_dist_ks=_config_ks(obj, "sk_dist_ks"),
         k_grid=_config_ks(obj, "k_grid"),
         skyscraper=_skyscraper_section(sky_obj))
@@ -554,8 +549,7 @@ def cmd_verify(cfg: RunConfig, out: str) -> int:
         _log(f"verify: tower.json differs from the tower this config "
              f"builds in {diff}")
         return EXIT_CORRUPT
-    rep = certify_theorem1(trace, x_values=cfg.x_values,
-                           doubling_tol=cfg.doubling_tol,
+    rep = certify_theorem1(trace, doubling_tol=cfg.doubling_tol,
                            k_grid=cfg.k_grid)
     ks = cfg.sk_dist_ks or [max(1, trace.height // 2), trace.height]
     for hist in trace.final.sk_histograms(ks):

@@ -32,7 +32,7 @@ from .blocks import _INT64_MAX, Block, Bump
 from .distributions import (INF, FiniteDist, SkHistogram, open_output,
                             sk_histograms, transport_distances)
 from .lemma_engine import FLOAT_SLACK, InvariantError, Verdict
-from .tower import TowerTrace
+from .tower import CdfVerdict, TowerTrace
 
 DEFAULT_ETA_INT = Fraction(1, 1000)
 DEFAULT_TAIL_CONSTANT = Fraction(2)
@@ -381,9 +381,9 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     The law is a one-row SkHistogram of the counts at scale 1 and k = 1,
     read off each block's first bump spacing times h/s and merged across
     blocks.  Its tail checks compare the exact mass of [S_n >= x a(n)]
-    against tail_constant * P(Y >= x) for the occupation target Y, and
-    the first that fails raises ``InversionError`` with the witness
-    (n, x, lhs, bound).
+    against tail_constant * P(Y >= x) for the occupation target Y, as one
+    ``CdfVerdict`` row per horizon, and the first that fails raises
+    ``InversionError`` with the witness (n, x, lhs, bound).
 
     The float statistics are E[S_n], the alpha-moments and the
     uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
@@ -404,8 +404,8 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
         raise SkyscraperError("alpha must be positive")
     t_grid = [float(t) for t in t_grid]
     y = it.occupation_target
-    xs = [Fraction(x) for x in x_values]
-    bounds = [Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs]
+    xs = tuple(Fraction(x) for x in x_values)
+    bounds = tuple(Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs)
     h = it.height
     spacings = [_tiling(it.blocks[s], h).spacing for s in it.symbols]
     reports = {}
@@ -423,15 +423,13 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                           np.array([0, values.size]))
         a_n = it.a_of(n)
         total = law.totals[0]
-        (below,) = law.count_below(xs, [a_n.numerator],
-                                   [a_n.denominator]).tolist()
-        for x, bound, m in zip(xs, bounds, below):
-            # (total - m)/total <= bound, as integer cross products
-            if (total - m) * bound.denominator > bound.numerator * total:
-                lhs = Fraction(total - m, total)
-                raise InversionError(
-                    f"occupation tail bound failed at n={n}, x={x}: "
-                    f"{lhs} > {bound}", (n, x, lhs, bound))
+        below = law.count_below(xs, [a_n.numerator], [a_n.denominator])
+        tail = CdfVerdict((n,), xs, total - below, np.array([total]), bounds)
+        if not tail.ok():
+            _, x, lhs, bound = tail.exact(failing=True)[0]
+            raise InversionError(
+                f"occupation tail bound failed at n={n}, x={x}: "
+                f"{lhs} > {bound}", (n, x, lhs, bound))
         np.copyto(occ_f, occ)
         # the run table: the value and the length of each run of equal
         # counts, in order

@@ -332,23 +332,30 @@ def tower_k_grid(trace: TowerTrace) -> List[int]:
 
 @dataclass(frozen=True, eq=False)
 class CdfVerdict:
-    """The exact cdf lower bound P(S_k < x b(k)) <= P(Y <= M x) over a
-    grid, decided as integer cross products.
+    """Integer counts against exact bounds over a grid: the entry (i, j)
+    passes when counts[i, j] / totals[i] <= bounds[j], decided as the
+    integer cross product counts[i, j] * bounds[j].denominator <=
+    bounds[j].numerator * totals[i], in Python ints over the whole array
+    at once.  Exact Fractions are made only for the entries that a reader
+    asks ``exact`` for.
 
-    Row i is the i-th distinct k of the grid (``ks``, in grid order) and
-    column j the j-th distinct x (``xs``): counts[i, j] of the totals[i]
-    positions have S_k < x b(k), and the entry passes when
-    counts[i, j] * bounds[j].denominator <= bounds[j].numerator *
-    totals[i], in Python ints over the whole array at once.  Exact
-    Fractions are made only for the entries that a reader asks ``exact``
-    for.
+    ``certify_theorem1`` decides the cdf lower bound P(S_k < x b(k)) <=
+    P(Y <= M x) at every x > 0 with it.  Both sides are step functions of
+    x: the left one is left-continuous and nondecreasing, and the right
+    one is constant between the points y/M, for y the atoms of the target
+    Y.  So the bound holds at every x exactly when P(S_k < x b(k)) <=
+    P(Y < y) at x = y/M for each atom y.  Row i is the i-th distinct k of
+    the grid (``ks``, in grid order), column j the j-th atom y_j, with
+    x_j = y_j/M in ``xs``; an entry that fails says that the bound fails
+    just below x_j.  ``occupation_sweep`` decides its tail checks with
+    one row per horizon.
     """
 
     ks: tuple
     xs: tuple
     counts: np.ndarray          # (len(ks), len(xs)) int64
     totals: np.ndarray          # (len(ks),) int64
-    bounds: tuple               # P(Y <= M x) per x, exact
+    bounds: tuple               # one exact bound per x
 
     def __post_init__(self):
         n, t = self.counts.astype(object), self.totals.astype(object)
@@ -362,8 +369,8 @@ class CdfVerdict:
         return not self._failed
 
     def exact(self, failing: bool = False) -> list:
-        """(k, x, P(S_k < x b(k)), P(Y <= M x)) of every entry, or of each
-        failing one (the report), in grid order, both sides exact."""
+        """(k, x, counts/totals, bound) of every entry, or of each failing
+        one (the report), in grid order, both sides exact."""
         return [(self.ks[i], self.xs[j],
                  Fraction(int(self.counts[i, j]), int(self.totals[i])),
                  self.bounds[j])
@@ -379,7 +386,8 @@ class Theorem1Report:
     # k -> L1 arctan transport distance from the exact histogram of S_k/b(k)
     # (integer position counts) to the target, against the stage eps
     eps: Verdict
-    # P(S_k < x b(k)) against P(Y <= M x) per distinct (k, x), both exact
+    # P(S_k < y b(k)/M) against P(Y < y) per distinct k and atom y of
+    # the target: the bound P(S_k < x b(k)) <= P(Y <= M x) at every x > 0
     lower_bound: CdfVerdict
     # k -> |b(2k)/b(k) - 2| in the top window, against doubling_tol
     doubling: Verdict
@@ -388,16 +396,14 @@ class Theorem1Report:
         return all(v.ok() for v in (self.eps, self.lower_bound, self.doubling))
 
 
-def certify_theorem1(trace: TowerTrace,
-                     x_values: Sequence = (Fraction(3, 10), Fraction(1, 2),
-                                           Fraction(4, 5)),
-                     doubling_tol: float = 0.1,
+def certify_theorem1(trace: TowerTrace, doubling_tol: float = 0.1,
                      k_grid: Optional[Sequence[int]] = None) -> Theorem1Report:
     """Measure the distributional convergence claims of a finished tower.
 
     Checks, on the verification grid: the L1 transport distance between
     S_k/b(k) and the target stays within the stage epsilon; the exact cdf
-    lower bound P(S_k < x b(k)) <= P(Y <= M x) with M = BICYCLE_M; and
+    lower bound P(S_k < x b(k)) <= P(Y <= M x) with M = BICYCLE_M at every
+    x > 0, from one threshold per atom of the target (``CdfVerdict``); and
     b(2k)/b(k) near 2 over the top decade of heights.  b(k) = k*gamma(k)
     is read off the integer rows of the gamma table (``GammaTable.rows``)
     for the whole grid at once.
@@ -405,9 +411,9 @@ def certify_theorem1(trace: TowerTrace,
     arr = trace.final
     y = trace.target
     grid = list(k_grid) if k_grid is not None else tower_k_grid(trace)
-    # a repeated k or x is measured and listed once, at its first place
+    # a repeated k is measured and listed once, at its first place
     ks = list(dict.fromkeys(grid))
-    xs = list(dict.fromkeys(map(Fraction, x_values)))
+    xs = tuple(v / BICYCLE_M for v in y.values)
     g, b, den = trace.global_gamma.rows(ks)
     gf = (g / den).tolist()
     counts = np.zeros((len(ks), len(xs)), dtype=np.int64)
@@ -437,8 +443,8 @@ def certify_theorem1(trace: TowerTrace,
     return Theorem1Report(
         tuple(grid),
         Verdict(vas, dict(zip(ks, eps)), strict=False, slack=FLOAT_SLACK),
-        CdfVerdict(tuple(ks), tuple(xs), counts, totals,
-                   tuple(y.cdf(BICYCLE_M * x) for x in xs)),
+        CdfVerdict(tuple(ks), xs, counts, totals,
+                   tuple(map(y.cdf_below, y.values))),
         Verdict(gaps, dict.fromkeys(gaps, doubling_tol), strict=False))
 
 

@@ -53,15 +53,16 @@ class TestConfigParsing:
         # a JSON float is read through its shortest repr, a decimal string
         # goes straight to Fraction
         obj = dict(FAST_CONFIG, deltas=[0.1], epss=["0.05"],
-                   x_values=["2.50", 0.3])
+                   skyscraper={"x_values": ["2.50", 0.3]})
         cfg = load_config(write_config(tmp_path / "c.json", obj), None)
         assert cfg.deltas == [F(1, 10)] and cfg.epss == [F(1, 20)]
-        assert cfg.x_values == (F(5, 2), F(3, 10))
+        assert cfg.skyscraper.x_values == (F(5, 2), F(3, 10))
         # e0 is read by example runs only
         example = load_config(write_config(tmp_path / "e.json",
                                            {"e0": "5.0e3"}), "example1")
         assert example.e0 == F(5000)
-        numbers = cfg.deltas + cfg.epss + [example.e0, *cfg.x_values]
+        numbers = cfg.deltas + cfg.epss + [example.e0,
+                                           *cfg.skyscraper.x_values]
         assert all(type(x) is F for x in numbers)
 
     def test_decimal_config_builds_its_rational_twin(self, fast_config,
@@ -200,6 +201,42 @@ class TestConfigParsing:
         assert main(["all", "--preset", preset, "--config", path,
                      "--out", str(out)]) == EXIT_CONFIG
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, override", [
+        pytest.param("example1", {"kappas": kappas, "epss": epss},
+                     id=f"example1-{len(kappas)}-kappas-{len(epss)}-epss")
+        for kappas, epss in (([], []), (["1"], ["1/4", "1/5"]))] + [
+        pytest.param("twopoint", {"skyscraper": {"base": {
+            "kind": "example", "kappas": ["1", "1"], "epss": ["1/4"]}}},
+            id="example-base-2-kappas-1-eps")])
+    def test_unmatched_example_schedules_stop_all_before_writing(
+            self, preset, override, tmp_path):
+        # check_example_run decides matching schedules for an example run
+        # and an example base alike
+        path = write_config(tmp_path / "c.json", override)
+        with pytest.raises(ConfigError, match="matching nonempty"):
+            load_config(path, preset)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["all", "--preset", preset, "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+    def test_x_values_is_a_skyscraper_key_only(self, tmp_path):
+        # verify takes its cdf thresholds from the target's atoms, so a
+        # top-level x_values is an unknown key; the skyscraper's stays
+        path = write_config(tmp_path / "c.json", {"x_values": ["1/2"]})
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path, "twopoint")
+        out = tmp_path / "out"
+        assert main(["all", "--preset", "twopoint", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        section = dict(PRESETS["twopoint"]["skyscraper"], x_values=["3/2"])
+        cfg = load_config(write_config(tmp_path / "s.json",
+                                       {"skyscraper": section}), "twopoint")
+        assert cfg.skyscraper.x_values == (F(3, 2),)
+        assert not hasattr(cfg, "x_values")
 
     @pytest.mark.parametrize("sky_obj", [
         pytest.param("x", id="skyscraper-not-object"),
@@ -499,13 +536,12 @@ class TestVerdictExitCodes:
 
     def test_lower_bound_is_5(self, tmp_path, monkeypatch):
         # no config fails the bound on a preset, so the constant M drops
-        # from 9/8 to 1/2; a repeated k or x is listed once, at its first
-        # place, each side as its exact string
+        # from 9/8 to 1/2; each failure is listed at x = y/M for an atom y
+        # of the target, and a repeated k once, at its first place, each
+        # side as its exact string
         monkeypatch.setattr(tower, "BICYCLE_M", F(1, 2))
-        xs = ["3/2", "1/2", "3/2", "5/2"]
         grid = [3, 1, 2, 3, 50, 2]
-        codes, out = self.run(tmp_path, "twopoint",
-                              {"x_values": xs, "k_grid": grid},
+        codes, out = self.run(tmp_path, "twopoint", {"k_grid": grid},
                               "build", "verify")
         assert codes == [EXIT_OK, EXIT_INVARIANT]
         report = self.read(out, "verify_report.json")
@@ -513,14 +549,15 @@ class TestVerdictExitCodes:
         assert report["lower_bound_ok"] is False
         trace = build_tower_from_config(
             load_config(str(tmp_path / "c.json"), "twopoint"))
-        arr, want = trace.final, []
+        arr, y, want = trace.final, trace.target, []
         ks = list(dict.fromkeys(grid))
         for k, hist in zip(ks, oracle_histograms(
                 [arr.blocks[s] for s in arr.symbols], ks)):
             b = k * gamma_oracle(trace.global_gamma, k)
-            for x in dict.fromkeys(map(F, xs)):
+            for v in y.values:
+                x = 2 * v
                 lhs = F(hist.count_below(x * b), hist.total)
-                bound = trace.target.cdf(x / 2)
+                bound = y.cdf_below(v)
                 if lhs > bound:
                     want.append([k, str(x), str(lhs), str(bound)])
         assert len(want) >= len(ks)

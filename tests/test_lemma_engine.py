@@ -16,7 +16,8 @@ from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray,
                                    CompoundReport, GammaTable,
                                    InvariantError, PreconditionError,
                                    SizeCapError, Verdict,
-                                   _add_bumps, _certify, _tile, basic_extend,
+                                   _add_bumps, _certify, _check_rescale,
+                                   _tile, basic_extend,
                                    basic_extend_array, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
@@ -114,6 +115,15 @@ class TestHelpers:
         assert b.dtype == object and max(b.tolist()) >= 2 ** 53
         assert [F(n, d) for n, d in zip(b.tolist(), den.tolist())] == \
             [k * gamma_oracle(table, k) for k in ks]
+
+    def test_eps_between_anchors(self):
+        # eps interpolates linearly in k from the anchor below: at k = 5,
+        # 6 and 7, a quarter, a half and three quarters of the way from
+        # (4, 1/2) to (8, 1/4), each exact in binary
+        g = GammaTable(((1, F(2)),), ((4, 0.5), (8, 0.25), (16, 0.125)))
+        assert [g.eps(k) for k in range(3, 10)] == \
+            [0.5, 0.5, 0.4375, 0.375, 0.3125, 0.25, 0.234375]
+        assert g.eps(16) == g.eps(10 ** 9) == 0.125
 
     def test_gamma_checksum_stable(self):
         g = GammaTable(((1, F(2)), (10, F(3))), ((1, 0.5), (10, 0.25)))
@@ -225,6 +235,18 @@ class TestBasicExtend:
             _add_bumps(w, 64, F(2, 3), 2)
         with pytest.raises(SizeCapError):
             _tile(wp, 32)
+
+    def test_rescale_guard_at_two_to_the_62(self):
+        # units * f * h reaching 2^62 exactly is refused and 2^62 - 1
+        # passes; a large h allocates nothing, since only the product is
+        # checked, and f = 1 rescales nothing
+        with pytest.raises(SizeCapError):
+            _check_rescale(Block([1]), 2, 2 ** 61)
+        with pytest.raises(SizeCapError):
+            _check_rescale(Block([1, 4, 2]), 4, 2 ** 58)
+        _check_rescale(Block([1]), 3, (2 ** 62 - 1) // 3)
+        _check_rescale(Block([1, 4, 2]), 4, 2 ** 58 - 1)
+        _check_rescale(Block([1]), 1, 2 ** 62)
 
     def test_bump_spacing_is_a_multiple_of_the_block(self):
         with pytest.raises(PreconditionError):

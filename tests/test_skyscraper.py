@@ -263,6 +263,22 @@ class TestOccupation:
         assert check_inversion(it, {n: rep}).occ_distances[n] == \
             pytest.approx(distance, abs=1e-15)
 
+    def test_witness_is_the_first_failing_x(self):
+        # x = 1 passes, and x = 1/2 and 1/4 both fail: the sweep names the
+        # first failing tail check in the order of x_values
+        y = FiniteDist.uniform([F(1, 2), F(1)])
+        it = toy_tower({0: [1, 2, 3], 1: [2, 2, 2]}, y,
+                       gamma_trace(F(1), inverse_target(y)))
+        xs = [F(1), F(1, 2), F(1, 4)]
+        _, checks, _ = occupation_oracle(
+            it, 6, occupation_counts(it, 6), xs, F(1, 100))
+        assert [ok for *_, ok in checks] == [True, False, False]
+        with pytest.raises(InversionError) as exc:
+            occupation_sweep(it, [6], x_values=xs, tail_constant=F(1, 100))
+        assert exc.value.witness == (6, *checks[1][:3])
+        assert str(exc.value) == \
+            "occupation tail bound failed at n=6, x=1/2: 1 > 1/100"
+
     def test_csv_rows_match_oracle(self, int_tower, tmp_path):
         n = int_tower.covered_horizon()
         occupation_sweep(int_tower, [n])[n].to_csv(tmp_path / "occ.csv")

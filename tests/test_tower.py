@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
@@ -287,7 +289,8 @@ class TestCertification:
     def test_lower_bound_count_at_exact_ties(self, small_rational_trace):
         # P(S_k < x b(k)) is strict: positions with S_k equal to the
         # threshold are not counted, whether thresh/scale is an integer
-        # (some S_k hits it) or not
+        # (some S_k hits it) or not; the thresholds are the atoms over M of
+        # a target put there
         trace = small_rational_trace
         arr = trace.final
         k = trace.height // 3
@@ -296,7 +299,9 @@ class TestCertification:
         u0 = cyclic_partial_sums_units(w0, k)
         hit = F(w0.scale) * int(np.median(u0))
         xs = [hit / (k * g), (hit + F(w0.scale) / 2) / (k * g)]
-        rep = certify_theorem1(trace, x_values=xs, k_grid=[k])
+        target = FiniteDist.uniform([tower.BICYCLE_M * x for x in xs])
+        rep = certify_theorem1(dataclasses.replace(trace, target=target),
+                               k_grid=[k])
         ties = 0
         for (_, x, lhs, _), integral in zip(rep.lower_bound.exact(),
                                             (True, False)):
@@ -343,78 +348,136 @@ class TestCertification:
             assert grid == list(range(1, small_example_trace.height + 1))
 
 
+def small_trace(blocks, g, target):
+    """A one-stage trace of unit-scale ``blocks`` (lists of units) under
+    the constant normalizer ``g``, measured against ``target``."""
+    blocks = {i: Block(w) for i, w in enumerate(blocks)}
+    arr = BlockArray(tuple(blocks), blocks,
+                     {i: w.mean for i, w in blocks.items()}, F(1))
+    return tower.TowerTrace(
+        "rational", target,
+        [tower.StageRecord(1, arr.height, F(1), 0.1, 0.1, F(0), True)],
+        arr, GammaTable(((1, F(g)),), ((1, 0.1),)))
+
+
 def hand_trace(target):
     """Two blocks of period 4 whose S_k/b(k), b(k) = 2k, take the values
     1 - 1/(2k), 1 and 1 + 1/(2k) on 2, 4 and 2 of the 8 positions when 4
     does not divide k, and 1 on all of them when it does; measured against
     ``target``."""
-    arr = BlockArray(("a", "b"), {"a": Block([1, 3, 2, 2]),
-                                  "b": Block([2, 1, 3, 2])},
-                     {"a": F(2), "b": F(2)}, F(1))
-    return tower.TowerTrace(
-        "rational", target, [tower.StageRecord(1, 4, F(1), 0.1, 0.1, F(0),
-                                               True)],
-        arr, GammaTable(((1, F(2)),), ((1, 0.1),)))
+    return small_trace([[1, 3, 2, 2], [2, 1, 3, 2]], 2, target)
 
 
-def lower_sides(trace, grid, xs):
-    """(k, x) -> (P(S_k < x b(k)), P(Y <= M x)) by brute force over every
-    position, for each distinct k and x, in the order of first sight."""
-    blocks = trace.final.blocks.values()
+def position_sums(trace, k):
+    """b(k) and the exact S_k of every position of the trace's tower."""
+    t = k * gamma_oracle(trace.global_gamma, k)
+    return t, [u * w.scale for w in trace.final.blocks.values()
+               for u in cyclic_partial_sums_units(w, k).tolist()]
+
+
+def lower_sides(trace, grid):
+    """(k, y/M) -> (P(S_k < (y/M) b(k)), P(Y < y)) by brute force over
+    every position, for each distinct k and each atom y of the target, in
+    the order of first sight."""
+    m, y = tower.BICYCLE_M, trace.target
     sides = {}
     for k in grid:
-        t = k * gamma_oracle(trace.global_gamma, k)
-        sums = [u * w.scale for w in blocks
-                for u in cyclic_partial_sums_units(w, k).tolist()]
-        for x in xs:
-            sides.setdefault((k, x), (
-                F(sum(v < x * t for v in sums), len(sums)),
-                trace.target.cdf(tower.BICYCLE_M * x)))
+        t, sums = position_sums(trace, k)
+        for v in y.values:
+            sides.setdefault((k, v / m), (
+                F(sum(s < v / m * t for s in sums), len(sums)),
+                y.cdf_below(v)))
     return sides
+
+
+def failing_below_atoms(trace, grid):
+    """(k, y/M) for each distinct k and atom y such that the bound
+    P(S_k < x b(k)) <= P(Y <= M x) fails at some x in [y'/M, y/M), y' the
+    atom before y (0 for the first), by brute force: every breakpoint of
+    both step functions and the midpoint below each, in exact Fractions."""
+    m, y = tower.BICYCLE_M, trace.target
+    cuts = [v / m for v in y.values]
+    failing = []
+    for k in dict.fromkeys(grid):
+        t, sums = position_sums(trace, k)
+        breaks = sorted({s / t for s in sums} | set(cuts))
+        points = breaks + [(a + b) / 2 for a, b in zip([0] + breaks, breaks)]
+        bad = [x for x in points
+               if F(sum(s < x * t for s in sums), len(sums)) > y.cdf(m * x)]
+        # the bound holds from the last cut on, where P(Y <= M x) = 1
+        assert all(x < cuts[-1] for x in bad)
+        failing += [(k, c) for lo, c in zip([0] + cuts, cuts)
+                    if any(lo <= x < c for x in bad)]
+    return failing
 
 
 class TestLowerBound:
     """The cdf lower bound decided over integer cross products, against
     brute force, on a hand-built trace whose target ties it exactly at
-    k = 3 for every x and fails it at other k."""
+    k = 3 at every atom and fails it at other k."""
 
     GRID = [3, 1, 2, 3, 5, 2, 8, 1]
-    XS = [F(1), F(5, 6), F(1), F(7, 6), F(3, 2), F(7, 6)]
 
     @staticmethod
     def tied_target(tilt):
-        # P(Y <= M x) = P(S_3 < x b(3)) at x = 5/6, 1, 7/6 and 3/2, with
-        # tilt moved from the atom at M*7/6 to the one at M
+        # P(Y < M x) = P(S_3 < x b(3)) at x = 5/6, 1 and 7/6, with tilt
+        # moved from the atom at M*7/6 to the one at M*5/6
         m = tower.BICYCLE_M
-        return FiniteDist([(m, F(1, 4) + tilt), (m * F(7, 6), F(1, 2) - tilt),
-                           (m * F(3, 2), F(1, 4))])
+        return FiniteDist([(m * F(5, 6), F(1, 4) + tilt), (m, F(1, 2)),
+                           (m * F(7, 6), F(1, 4) - tilt)])
 
     @pytest.mark.parametrize("tilt", [F(0), F(1, 2 ** 70), -F(1, 2 ** 70)])
     def test_matches_brute_force(self, tilt):
         # a tilt of 2^-70 moves the bound by less than a float can see, so
         # the ties at k = 3 pass (+) or fail (-) only when decided exactly
         trace = hand_trace(self.tied_target(tilt))
-        low = certify_theorem1(trace, x_values=self.XS,
-                               k_grid=self.GRID).lower_bound
-        sides = lower_sides(trace, self.GRID, self.XS)
-        ties = [kx for kx, (lhs, bound) in sides.items() if lhs == bound]
-        assert len(ties) >= 4 and len(sides) == 5 * 4
+        low = certify_theorem1(trace, k_grid=self.GRID).lower_bound
+        sides = lower_sides(trace, self.GRID)
+        # ties, or entries within the tilt of one
+        ties = [kx for kx, (lhs, bound) in sides.items()
+                if abs(lhs - bound) <= abs(tilt)]
+        assert len(ties) >= 4 and len(sides) == 5 * 3
         want = [(*kx, lhs, bound) for kx, (lhs, bound) in sides.items()
                 if lhs > bound]
         assert want and low.exact(failing=True) == want
         assert not low.ok()
         assert low.exact() == [(*kx, *both) for kx, both in sides.items()]
         assert ((3, F(1)) in [e[:2] for e in want]) is (tilt < 0)
+        assert [e[:2] for e in want] == failing_below_atoms(trace, self.GRID)
 
     def test_repeats_listed_once(self):
-        # a repeated k or x is one entry, at its first place in the grid
+        # a repeated k is one entry, at its first place in the grid; the
+        # columns are the target's atoms over M, increasing
         low = certify_theorem1(hand_trace(self.tied_target(0)),
-                               x_values=self.XS, k_grid=self.GRID).lower_bound
+                               k_grid=self.GRID).lower_bound
         assert low.ks == (3, 1, 2, 5, 8)
-        assert low.xs == (F(1), F(5, 6), F(7, 6), F(3, 2))
+        assert low.xs == (F(5, 6), F(1), F(7, 6))
         assert [e[:2] for e in low.exact(failing=True)] == \
             [(1, F(5, 6)), (2, F(5, 6)), (5, F(7, 6)), (8, F(7, 6))]
-        assert len(low.exact()) == 20
+        assert len(low.exact()) == 15
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda h: st.lists(
+               st.lists(st.integers(1, 6), min_size=h, max_size=h),
+               min_size=1, max_size=3)),
+           st.fractions(F(1, 4), F(4), max_denominator=4),
+           st.lists(st.fractions(F(1, 4), F(6), max_denominator=8),
+                    min_size=1, max_size=5),
+           st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    # ties at k = 3, and at k = 5 a failure that P(Y <= y) in place of
+    # P(Y < y) would pass
+    @example([[1, 3, 2, 2], [2, 1, 3, 2]], F(2),
+             [F(15, 16), F(9, 8), F(9, 8), F(21, 16)], [3, 1, 2, 5, 8])
+    def test_atom_rule_holds_at_every_x(self, blocks, g, atoms, grid):
+        # the entry at atom y fails exactly when the bound fails somewhere
+        # in [y'/M, y/M), so the verdict passes exactly when the bound
+        # holds at every x > 0
+        trace = small_trace(blocks, g, FiniteDist.uniform(atoms))
+        low = certify_theorem1(trace, k_grid=grid).lower_bound
+        assert [e[:2] for e in low.exact(failing=True)] == \
+            failing_below_atoms(trace, grid)
+        assert low.exact() == [(*kx, *both) for kx, both in
+                               lower_sides(trace, grid).items()]
 
 
 class TestSkDistribution:
@@ -467,7 +530,7 @@ class TestSkDistribution:
         assert transport_distances([(hist, [g], [trace.target])])[0] <= 0.05
 
 
-def oracle_theorem1(trace, xs=(F(3, 10), F(1, 2), F(4, 5))):
+def oracle_theorem1(trace):
     """The cdf sides, distances, stage eps and margin of
     ``certify_theorem1`` taken on the per-k oracle path, one histogram per
     k of the trace's grid, with each stage eps read off the stages."""
@@ -477,9 +540,10 @@ def oracle_theorem1(trace, xs=(F(3, 10), F(1, 2), F(4, 5))):
     for k, hist in zip(grid, oracle_histograms(
             [arr.blocks[s] for s in arr.symbols], grid)):
         g = gamma_oracle(trace.global_gamma, k)
-        for x in xs:
+        for v in y.values:
+            x = v / tower.BICYCLE_M
             lhs[k, x] = F(hist.count_below(x * k * F(g)), hist.total)
-            rhs[k, x] = y.cdf(tower.BICYCLE_M * x)
+            rhs[k, x] = y.cdf_below(v)
         laws.append((hist, g, y))
     vas = dict(zip(grid, oracle_transport(laws)))
     # the eps of the first stage that reaches k, else the last
