@@ -34,14 +34,6 @@ class BlockError(ValueError):
     """Invalid block or invalid block operation."""
 
 
-def rescale_units(units: np.ndarray, f: int) -> np.ndarray:
-    """units * f for a positive integer f, raising BlockError instead of
-    letting a product leave the int64 range."""
-    if int(units.max()) * f > _INT64_MAX:
-        raise BlockError(f"rescaling units by {f} leaves the int64 range")
-    return units * np.int64(f)
-
-
 def _has_shift(units: np.ndarray, d: int) -> bool:
     """units[i] == units[i + d] for every i, compared in chunks of growing
     length so that a mismatch near the start exits early."""

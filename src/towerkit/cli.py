@@ -30,10 +30,13 @@ sequence and its tower once, on first read (``RunConfig.split`` and
 The skyscraper step of a run with a ``skyscraper.base`` frees the run's
 own tower before it builds the base.
 
-Exit codes: 0 success, 2 invalid config, 3 size cap exceeded or a sum
-past the int64 range (``BlockError``), 4 corrupt trace artifact
-(tower.json unreadable, or different in any field from the tower its
-config builds), 5 hard invariant failure.
+Exit codes: 0 success, 2 invalid config (a skyscraper with no admissible
+time horizon too), 3 size cap exceeded or a sum past the int64 range
+(``BlockError``), 4 corrupt trace artifact (tower.json missing,
+unreadable, or different in any field from the tower its config builds),
+5 hard invariant failure or a failed verdict.  ``main`` alone maps each
+exception to its code; a step returns 0, or 5 for a failed verdict, and
+``build`` 3 after it writes its error tower.json.
 """
 
 from __future__ import annotations
@@ -531,24 +534,16 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: str) -> int:
-    tower_path = os.path.join(out, "tower.json")
-    if not os.path.exists(tower_path):
-        _log("verify: tower.json not found; run build first")
-        return EXIT_CORRUPT
-    try:
-        summary = load_trace_summary(tower_path)
-    except CorruptTraceError as exc:
-        _log(f"verify: corrupt trace: {exc}")
-        return EXIT_CORRUPT
+    # a missing, unreadable or edited tower.json is a CorruptTraceError
+    summary = load_trace_summary(os.path.join(out, "tower.json"))
     trace = cfg.trace
     # every field of tower.json must be what this config builds
     built = json.loads(json.dumps(trace_to_json_obj(trace)))
     if built != summary:
         diff = sorted(k for k in set(built) | set(summary)
                       if built.get(k) != summary.get(k))
-        _log(f"verify: tower.json differs from the tower this config "
-             f"builds in {diff}")
-        return EXIT_CORRUPT
+        raise CorruptTraceError(f"tower.json differs from the tower this "
+                                f"config builds in {diff}")
     rep = certify_theorem1(trace, doubling_tol=cfg.doubling_tol,
                            k_grid=cfg.k_grid)
     ks = cfg.sk_dist_ks or [max(1, trace.height // 2), trace.height]
@@ -588,16 +583,11 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         n for n in (int(horizon * 1.2 ** -j) for j in range(sc.n_points))
         if n >= 4 * wmax))
     if not n_grid:
-        _log("skyscraper: no admissible time horizons under the cap")
-        return EXIT_CONFIG
-    try:
-        if it.height * it.size <= 512:
-            sky.check_duality(it)
-        reports = sky.occupation_sweep(
-            it, n_grid, sc.alphas, sc.t_grid, sc.x_values, sc.tail_constant)
-    except (sky.InversionError, InvariantError) as exc:
-        _log(f"skyscraper: hard invariant failed: {exc}")
-        return EXIT_INVARIANT
+        raise sky.SkyscraperError("no admissible time horizons under the cap")
+    if it.height * it.size <= 512:
+        sky.check_duality(it)
+    reports = sky.occupation_sweep(
+        it, n_grid, sc.alphas, sc.t_grid, sc.x_values, sc.tail_constant)
     inv = sky.check_inversion(it, reports, tol=sc.tol)
     for n in (n_grid[0], n_grid[-1]):
         reports[n].to_csv(os.path.join(out, f"occupation_{n}.csv"))
@@ -679,7 +669,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except CorruptTraceError as exc:
             _log(f"corrupt artifact: {exc}")
             return EXIT_CORRUPT
-        except InvariantError as exc:
+        except (InvariantError, sky.InversionError) as exc:
             _log(f"hard invariant failed: {exc}")
             return EXIT_INVARIANT
         if code != EXIT_OK:

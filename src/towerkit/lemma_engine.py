@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .blocks import (_INT64_SAFE, Block, Bump, Scalar, normalizing_copies,
-                     rescale_units, self_concat)
+                     self_concat)
 from .distributions import (FiniteDist, SkHistogram, Splitting,
                             sk_histograms, transport_distances)
 
@@ -250,18 +250,6 @@ class GammaTable:
         e0, e1 = float(es[i - 1]), float(es[i])
         return e0 + (e1 - e0) * (k - k0) / (k1 - k0)
 
-    def max_step(self):
-        """Largest increment of gamma between consecutive integers."""
-        best = 0
-        for (k0, g0), (k1, g1) in zip(self.anchors, self.anchors[1:]):
-            if self.mode == "constant":
-                step = g1 - g0
-            else:
-                step = Fraction(g1 - g0, k1 - k0)
-            if step > best:
-                best = step
-        return best
-
     def to_json_obj(self) -> dict:
         return {"mode": self.mode,
                 "anchors": [[int(k), f"{g.numerator}/{g.denominator}"]
@@ -301,8 +289,7 @@ def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
     ratio = Fraction(bump) / w.scale
     f = ratio.denominator
     _check_rescale(w, f, h)
-    units = self_concat(w, m).units
-    units = rescale_units(units, f) if f != 1 else units.copy()
+    units = self_concat(w, m).units * np.int64(f)
     amount = int(ratio * f)
     units[spacing - 1::spacing] += np.int64(amount)
     return Block(units, w.scale / f, Bump(w, f, amount, spacing))
@@ -311,7 +298,7 @@ def _add_bumps(w: Block, m: int, bump: Scalar, spacing: int) -> Block:
 def _tile(w: Block, m: int) -> Block:
     """self_concat(w, m), held to the rescale guard of the bump tiling that
     built w at the tiled height, as if that tiling had made all m*len(w)
-    levels at once."""
+    levels at once.  Every plain tiling of the package goes through here."""
     if w.bump is not None:
         _check_rescale(w.bump.child, w.bump.factor, m * len(w))
     return self_concat(w, m)
@@ -343,7 +330,7 @@ def basic_extend(w: Block, kappa: Scalar, q: int, *,
     if q * h > size_cap:
         raise SizeCapError(f"extended height {q * h} exceeds cap {size_cap}")
     if kappa == 0:
-        return self_concat(w, q)
+        return _tile(w, q)
     return _add_bumps(w, q, kappa * q * h, q * h)
 
 
@@ -360,33 +347,6 @@ def choose_tile(w: Block, eps: Scalar, size_cap: int = DEFAULT_SIZE_CAP) -> int:
         raise SizeCapError(f"normalizing tile count {m} gives height "
                            f"{m * len(w)}, above the cap {size_cap}")
     return m
-
-
-def basic_extend_array(arr: BlockArray, kappas: Dict, q: int,
-                       delta: Scalar,
-                       size_cap: int = DEFAULT_SIZE_CAP) -> Tuple[BlockArray, int]:
-    """Extend every block with its own kappa but shared q and the least mu
-    making every block delta-normalized.
-
-    kappas must scale the labels: kappa(s) = lam * scale * value(s) for a
-    common lam, so the extended array is again exactly label-distributed.
-    """
-    if set(kappas) != set(arr.symbols):
-        raise PreconditionError("kappas must cover exactly the symbols")
-    lams = {s: Fraction(kappas[s]) / (Fraction(arr.scale) * arr.values[s])
-            for s in arr.symbols}
-    lam = lams[arr.symbols[0]]
-    for s in arr.symbols:
-        if lams[s] != lam:
-            raise PreconditionError(
-                "kappas must be proportional to the label values")
-    blocks = {s: basic_extend(arr.blocks[s], kappas[s], q,
-                              size_cap=size_cap)
-              for s in arr.symbols}
-    mu = max(choose_tile(blocks[s], delta, size_cap) for s in arr.symbols)
-    blocks = {s: _tile(w, mu) for s, w in blocks.items()}
-    new_scale = arr.scale * (1 + lam)
-    return BlockArray(arr.symbols, blocks, arr.values, new_scale), mu
 
 
 # -- compound extension ----------------------------------------------------
@@ -541,12 +501,19 @@ def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
     scales = [Fraction(arr.scale)]
     eps_round = eps / 2
     for r in range(rounds):
+        # every block gains theta*value(s)/(q*h) in mean, so the array stays
+        # label-distributed at scale + theta/(q*h), and all blocks share
+        # the least tile count that normalizes each
         h = cur.height
-        kappas = {s: theta * cur.values[s] / (q * h) for s in cur.symbols}
-        cur, _ = basic_extend_array(cur, kappas, q, eps_round,
-                                    size_cap=size_cap)
+        blocks = {s: basic_extend(cur.blocks[s], theta * cur.values[s] /
+                                  (q * h), q, size_cap=size_cap)
+                  for s in cur.symbols}
+        mu = max(choose_tile(w, eps_round, size_cap) for w in blocks.values())
+        cur = BlockArray(cur.symbols, {s: _tile(w, mu)
+                                       for s, w in blocks.items()},
+                         cur.values, cur.scale + theta / (q * h))
         heights.append(cur.height)
-        scales.append(Fraction(cur.scale))
+        scales.append(cur.scale)
     span = heights[-1] - h0
     # allowance decays from delta at the old height to eps at the new one
     anchors_e = [(h0, float(delta))]
@@ -556,10 +523,11 @@ def extension_step(arr: BlockArray, delta: Scalar, eps: Scalar,
         frac = Fraction(heights[-1] - k, span) * Fraction(h0, k)
         anchors_e.append((k, float(eps + (delta - eps) * frac)))
     anchors_e.append((heights[-1], float(eps)))
+    if any((g1 - g0) / (k1 - k0) > delta for k0, k1, g0, g1 in
+           zip(heights, heights[1:], scales, scales[1:])):
+        raise InvariantError("gamma chain step exceeds delta")
     gamma = GammaTable(tuple(zip(heights, scales)), tuple(anchors_e),
                        mode="linear")
-    if gamma.max_step() > delta:
-        raise InvariantError("gamma chain step exceeds delta")
     return cur, gamma, _certify(cur, gamma, h0, heights[-1])
 
 

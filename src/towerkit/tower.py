@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import _INT64_MAX, Block, is_normalized, self_concat
+from .blocks import _INT64_MAX, Block, is_normalized
 from .distributions import (INF, FiniteDist, Splitting, SymRep,
                             transport_distances, write_json)
 from .lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
                            InvariantError, PreconditionError, Verdict, _tile,
                            basic_extend, choose_tile, extension_step,
-                           straightening_step)
+                           make_k_grid, straightening_step)
 from .splitting import SplitSequence
 
 # the constant M of certify_theorem1's cdf lower bound
@@ -153,7 +153,7 @@ def _run_stages(arr: BlockArray, deltas: Sequence[Fraction],
                                               size_cap=size_cap)
         _check_monotone_growth(arr, arr_new)
         change = arr_new.change_mass()
-        if not (cert.ok() and change < float(d)):
+        if not (cert.ok() and change < d):
             raise InvariantError(
                 f"stage {n} certificate failed at k={cert.failures()[:3]}, "
                 f"change mass {change} against delta {d}")
@@ -297,7 +297,7 @@ def build_general_tower(seq: SplitSequence, deltas: Sequence,
         tile *= 2
     if tile > 1:
         arr = BlockArray(arr.symbols,
-                         {s: self_concat(arr.blocks[s], tile)
+                         {s: _tile(arr.blocks[s], tile)
                           for s in arr.symbols}, arr.values, arr.scale)
         g_anchors.append((arr.height, Fraction(arr.scale)))
         e_anchors.append((arr.height, float(epss[-1])))
@@ -314,19 +314,11 @@ def tower_k_grid(trace: TowerTrace) -> List[int]:
     """Stage boundaries with a local window, plus geometric fill; every k
     when the final height is small enough."""
     h = trace.height
-    lo = 1
     if h <= EXHAUSTIVE_BELOW:
-        return list(range(lo, h + 1))
-    ks = set()
-    bounds = [1] + [st.height for st in trace.stages]
-    for b in bounds:
-        for k in range(max(lo, b - PAD), min(h, b + PAD) + 1):
-            ks.add(k)
-    x = 1.0
-    ratio = h ** (1.0 / GEO)
-    for _ in range(GEO):
-        x *= ratio
-        ks.add(min(h, max(lo, int(round(x)))))
+        return list(range(1, h + 1))
+    ks = set(make_k_grid(1, h, dense_cap=1, geo_cap=GEO))
+    for b in [1] + [st.height for st in trace.stages]:
+        ks.update(range(max(1, b - PAD), min(h, b + PAD) + 1))
     return sorted(ks)
 
 
@@ -483,15 +475,17 @@ class CorruptTraceError(RuntimeError):
 def load_trace_summary(path: str) -> dict:
     """Load and integrity-check a serialized trace (summary only).
 
-    Raises CorruptTraceError when the file is not JSON, lacks the gamma
-    table or its checksum, or the table does not match its checksum.
+    Raises CorruptTraceError when the file cannot be opened or read, is
+    not JSON, lacks the gamma table or its checksum, or the table does not
+    match its checksum.
     """
     try:
         with open(path) as fh:
             obj = json.load(fh)
         ok = GammaTable.from_json_obj(obj["gamma"]).checksum() == \
             obj["gamma_checksum"]
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
         raise CorruptTraceError(f"unreadable trace {path}: {exc!r}") from exc
     if not ok:
         raise CorruptTraceError(f"gamma table checksum mismatch in {path}")

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 
 import towerkit.distributions as distributions
-from towerkit.blocks import BlockError, rescale_units
+from towerkit.blocks import BlockError
 from towerkit.distributions import (INF, SkHistogram, _class_laws, _leaf,
                                     _transport, rho, transport_distances)
 
@@ -52,6 +52,25 @@ def gamma_oracle(table, k):
 def b_of(trace, k):
     """The normalizer b(k) = k * gamma(k) of a trace, by gamma_oracle."""
     return k * gamma_oracle(trace.global_gamma, k)
+
+
+def window_geo_grid(trace, exhaustive_below=4096, pad=64, geo=256):
+    """The certificate grid of a trace built by its own loop: every k up
+    to ``exhaustive_below``; above it, a window of ``pad`` on each side of
+    1 and of every stage height, and ``geo`` geometric steps from 1 to the
+    height, each rounded."""
+    h = trace.height
+    if h <= exhaustive_below:
+        return list(range(1, h + 1))
+    ks = set()
+    for b in [1] + [st.height for st in trace.stages]:
+        ks.update(range(max(1, b - pad), min(h, b + pad) + 1))
+    x = 1.0
+    ratio = h ** (1.0 / geo)
+    for _ in range(geo):
+        x *= ratio
+        ks.add(min(h, max(1, int(round(x)))))
+    return sorted(ks)
 
 
 def merged_segments(p, q):
@@ -130,6 +149,14 @@ def add_periods(units, q, total):
     if shift + int(units.max()) > INT64_MAX:
         raise BlockError(f"S_k over {q} more periods leaves the int64 range")
     return units + np.int64(shift)
+
+
+def rescale_units(units, f):
+    """units * f for a positive integer f, raising BlockError instead of
+    letting a product leave the int64 range."""
+    if int(units.max()) * f > INT64_MAX:
+        raise BlockError(f"rescaling units by {f} leaves the int64 range")
+    return units * np.int64(f)
 
 
 def class_law_stream(w, cs):

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from towerkit import blocks
 from towerkit.blocks import (Block, BlockError, _shift_scan,
                              _window_extremes, is_normalized,
-                             normalizing_copies, rescale_units, self_concat)
+                             normalizing_copies, self_concat)
 from towerkit.distributions import sk_histograms
 from towerkit.lemma_engine import _add_bumps
 
@@ -141,17 +141,6 @@ class TestOverflow:
             Block(units)
         with pytest.raises(BlockError):
             Block.from_weights(units)
-
-    @settings(max_examples=100, derandomize=True)
-    @given(st.lists(st.integers(1, 2 ** 62), min_size=1, max_size=4),
-           st.integers(1, 2 ** 12))
-    def test_rescale_units_is_checked(self, units, f):
-        arr = np.array(units, dtype=np.int64)
-        if max(units) * f > INT64_MAX:
-            with pytest.raises(BlockError):
-                rescale_units(arr, f)
-        else:
-            assert rescale_units(arr, f).tolist() == [u * f for u in units]
 
 
 class TestPeriod:

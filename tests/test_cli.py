@@ -17,7 +17,7 @@ from towerkit import skyscraper as sky
 from towerkit import tower
 from towerkit.blocks import Block
 from towerkit.lemma_engine import GammaTable, SizeCapError
-from towerkit.tower import certify_theorem1
+from towerkit.tower import CorruptTraceError, certify_theorem1
 
 from oracles import gamma_oracle, oracle_histograms
 
@@ -479,6 +479,21 @@ class TestExitCodes:
         assert main(["verify", "--config", fast_config,
                      "--out", str(tmp_path / "empty")]) == EXIT_CORRUPT
 
+    def test_no_admissible_horizon_is_2(self, fast_config, tmp_path,
+                                        monkeypatch, capsys):
+        # a skyscraper whose tower covers no horizon n >= 4*max weight
+        monkeypatch.setattr(sky.IntegerTower, "covered_horizon",
+                            lambda self: 0)
+        cfg = load_config(fast_config, None)
+        with pytest.raises(sky.SkyscraperError):
+            cli.cmd_skyscraper(cfg, str(tmp_path))
+        out = tmp_path / "out"
+        assert main(["skyscraper", "--config", fast_config,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "no admissible time horizons" in capsys.readouterr().err
+        assert not any(n.startswith("occupation_") or n.endswith(".json")
+                       for n in os.listdir(out))
+
     def test_empty_k_grid_is_2(self, fast_config, tmp_path):
         out = tmp_path / "out"
         obj = dict(FAST_CONFIG, k_grid=[])
@@ -671,6 +686,16 @@ class TestVerifyIntegrity:
             (out / "tower.json").write_text(text)
             assert self.verify(fast_config, out) == EXIT_CORRUPT, text
 
+    def test_unopenable_tower_json_is_4(self, fast_config, tmp_path,
+                                        capsys):
+        # a directory in its place cannot be opened: a corrupt artifact,
+        # not a traceback
+        out = tmp_path / "out"
+        (out / "tower.json").mkdir(parents=True)
+        assert self.verify(fast_config, out) == EXIT_CORRUPT
+        err = capsys.readouterr().err
+        assert "corrupt artifact" in err and "Traceback" not in err
+
 
 class TestOneBuildPerRun:
     """Within one run a config builds its split sequence and its tower
@@ -720,7 +745,10 @@ class TestOneBuildPerRun:
         good = json.loads(path.read_text())
         for key in good:
             path.write_text(json.dumps(dict(good, **{key: bump(good[key])})))
-            assert cli.cmd_verify(cfg, out) == EXIT_CORRUPT, key
+            with pytest.raises(CorruptTraceError):
+                cli.cmd_verify(cfg, out)
+        assert main(["verify", "--config", fast_config,
+                     "--out", out]) == EXIT_CORRUPT
         path.write_text(json.dumps(good))
         assert cli.cmd_verify(cfg, out) == EXIT_OK
         assert cfg.trace is trace

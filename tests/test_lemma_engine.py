@@ -17,8 +17,7 @@ from towerkit.lemma_engine import (FLOAT_SLACK, BlockArray,
                                    InvariantError, PreconditionError,
                                    SizeCapError, Verdict,
                                    _add_bumps, _certify, _check_rescale,
-                                   _tile, basic_extend,
-                                   basic_extend_array, choose_tile,
+                                   _tile, basic_extend, choose_tile,
                                    compound_extend, extension_step,
                                    make_k_grid, straightening_step)
 from towerkit import tower
@@ -263,21 +262,22 @@ class TestBasicExtend:
         with pytest.raises(SizeCapError):
             choose_tile(w, eps, size_cap=554)
 
-    def test_array_extension_shares_shape(self):
-        arr = two_label_array()
-        kappas = {"a": F(1, 8), "b": F(1, 4)}
-        out, mu = basic_extend_array(arr, kappas, 5, F(1, 4))
-        assert out.height == mu * 5 * arr.height
-        assert out.values == arr.values
-        assert out.scale == arr.scale * (1 + F(1, 8))
-        for s in out.symbols:
-            assert out.blocks[s].mean == out.scale * out.values[s]
-
-    def test_array_extension_rejects_disproportionate(self):
-        arr = two_label_array()
-        with pytest.raises(PreconditionError):
-            basic_extend_array(arr, {"a": F(1, 8), "b": F(1, 8)}, 5,
-                               F(1, 4))
+    def test_zero_kappa_keeps_the_rescale_guard(self):
+        # kappa = 0 is the plain tiling _tile(w, q), guard included: the
+        # child units 2^55 times f = 3 times q*len(w) reach 2^62 from
+        # q = 22 on, although the tiling's unit total still fits int64
+        w = basic_extend(Block([2 ** 55]), F(1, 3), 2)
+        refused = 0
+        for q in range(2, 40):
+            try:
+                want = _tile(w, q)
+            except SizeCapError:
+                refused += 1
+                with pytest.raises(SizeCapError):
+                    basic_extend(w, 0, q)
+            else:
+                assert basic_extend(w, 0, q) == want
+        assert refused == 40 - 22
 
 
 def changed_levels(w, first):
@@ -401,11 +401,41 @@ class TestExtensionStep:
     def test_gamma_chain_steps_bounded(self):
         arr = self.labels_three_halves()
         out, gamma, _ = extension_step(arr, F(3, 5), F(1, 2), rounds=2)
-        assert gamma.max_step() <= F(3, 5)
         ks = [k for k, _ in gamma.anchors]
         gs = [g for _, g in gamma.anchors]
+        assert all((g1 - g0) / (k1 - k0) <= F(3, 5) for k0, k1, g0, g1 in
+                   zip(ks, ks[1:], gs, gs[1:]))
         assert ks == sorted(ks)
         assert gs == sorted(gs)
+
+    def test_array_extension_shares_shape(self):
+        # each round extends every block by theta*value(s)/(q*h) with one
+        # q, so the array stays label-distributed at scale + theta/(q*h),
+        # and tiles every block by the least count that normalizes each
+        arr = self.labels_three_halves()
+        delta, eps, rounds = F(3, 5), F(1, 2), 2
+        q = 2 * (int(1 / delta) + 1)
+        out, gamma, _ = extension_step(arr, delta, eps, rounds=rounds)
+        assert out.values == arr.values
+        assert out.label_dist() == arr.label_dist()
+        # the largest dyadic at most eps*scale/(4*(rounds + 1)) = 1/24
+        theta = F(1, 32)
+        cur, scale = arr, F(arr.scale)
+        for (h, g), (h1, g1) in zip(gamma.anchors, gamma.anchors[1:]):
+            assert g == scale
+            scale += theta / (q * h)
+            assert g1 == scale
+            ext = [basic_extend(cur.blocks[s], theta * cur.values[s] / (q * h),
+                                q) for s in cur.symbols]
+            mu = max(choose_tile(w, eps / 2) for w in ext)
+            assert h1 == mu * q * h
+            cur = BlockArray(cur.symbols, {s: _tile(w, mu) for s, w in
+                                           zip(cur.symbols, ext)},
+                             cur.values, scale)
+        assert all(out.blocks[s] == cur.blocks[s] for s in out.symbols)
+        assert out.scale == scale
+        for s in out.symbols:
+            assert out.blocks[s].mean == out.scale * out.values[s]
 
     def test_eps_must_not_exceed_delta(self):
         arr = self.labels_three_halves()

@@ -110,3 +110,37 @@ def test_float_slack_is_named_once():
     assert found == [("lemma_engine.py", line)]
     assert all("1e-12" not in p.read_text().replace("FLOAT_SLACK = 1e-12", "")
                for p in MODULES)
+
+
+def users(source: str, name: str) -> list:
+    """The module-level definitions of ``source`` that read ``name``, as a
+    name or an attribute, anywhere in their body; module-level code that
+    reads it counts as ``<module>``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name
+               for n in ast.walk(node)):
+            found.append(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_scan_finds_every_user():
+    src = "from b import self_concat\nimport b\n\n\n" \
+          "def plain(w):\n    return self_concat(w, 2)\n\n\n" \
+          "def attr(w):\n    return [b.self_concat(w, m) for m in (2, 3)]\n" \
+          "\n\nclass K:\n    tile = staticmethod(self_concat)\n\n\n" \
+          "def other(w):\n    return w\n\n\nT = self_concat\n"
+    assert users(src, "self_concat") == ["plain", "attr", "K", "<module>"]
+
+
+def test_every_tiling_goes_through_tile():
+    # outside blocks.py, only the guarded tiling lemma_engine._tile and the
+    # bump tiling _add_bumps, which checks its own rescale, call
+    # self_concat; any other tiling would skip the 2^62 guard
+    found = [(p.name, user) for p in MODULES if p.name != "blocks.py"
+             for user in users(p.read_text(), "self_concat")]
+    assert found == [("lemma_engine.py", "_add_bumps"),
+                     ("lemma_engine.py", "_tile")]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
                                     transport_distances)
 from towerkit import tower
+from towerkit.cli import PRESETS, build_tower_from_config, load_config
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
-                                   PreconditionError, SizeCapError)
+                                   PreconditionError, SizeCapError, _tile)
 from towerkit.tower import (CorruptTraceError, build_example_tower,
                             build_general_tower, build_rational_tower,
                             certify_theorem1, check_example_run,
@@ -24,7 +26,7 @@ from towerkit.tower import (CorruptTraceError, build_example_tower,
 from towerkit.splitting import build_split_sequence, make_target
 
 from oracles import (b_of, cyclic_partial_sums_units, gamma_oracle,
-                     oracle_histograms, oracle_transport)
+                     oracle_histograms, oracle_transport, window_geo_grid)
 
 
 def pareto_split():
@@ -127,6 +129,21 @@ class TestGeneralTower:
         for s in arr.symbols:
             assert arr.blocks[s].mean == arr.scale * arr.values[s]
 
+    def test_final_tiling_goes_through_tile(self, monkeypatch):
+        # the top-decade tiling is lemma_engine._tile, so it keeps the
+        # 2^62 rescale guard of every tiling
+        calls = []
+
+        def tile(w, m):
+            calls.append((len(w), m))
+            return _tile(w, m)
+
+        monkeypatch.setattr(tower, "_tile", tile)
+        trace = build_general_tower(pareto_split(), [F(1, 3), F(1, 4)],
+                                    [F(1, 3), F(1, 4)])
+        assert len(calls) == trace.final.size
+        assert all(m > 1 and h * m == trace.height for h, m in calls)
+
 
 class TestBuildFailureWitness:
     """Every hard build failure says where it failed: the first failing k
@@ -172,6 +189,22 @@ class TestBuildFailureWitness:
             self.pareto()
         assert str(exc.value) == ("stage 1 certificate failed at k=[], "
                                   "change mass 1/2 against delta 1/3")
+
+    def test_change_mass_at_delta_fails(self, monkeypatch):
+        # the stage bound change < delta is decided exactly: a change mass
+        # of exactly delta = 1/10 fails, although 1/10 < float(1/10), and
+        # one just below it passes
+        target = FiniteDist.uniform([1, 2])
+        d = F(1, 10)
+        monkeypatch.setattr(BlockArray, "change_mass", lambda self: d)
+        with pytest.raises(InvariantError) as exc:
+            build_rational_tower(target, [d], [F(1, 20)], rounds=2)
+        assert str(exc.value) == ("stage 1 certificate failed at k=[], "
+                                  "change mass 1/10 against delta 1/10")
+        below = d - F(1, 10 ** 18)
+        monkeypatch.setattr(BlockArray, "change_mass", lambda self: below)
+        trace = build_rational_tower(target, [d], [F(1, 20)], rounds=2)
+        assert trace.stages[0].change_mass == below
 
     def test_straightening_names_k(self, monkeypatch):
         step, reports = tower.straightening_step, []
@@ -341,6 +374,23 @@ class TestCertification:
         grid = tower_k_grid(small_rational_trace)
         for st in small_rational_trace.stages:
             assert st.height in grid
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_k_grid_is_windows_plus_geometric_on_presets(self, preset):
+        trace = build_tower_from_config(load_config(None, preset))
+        assert tower_k_grid(trace) == window_geo_grid(trace)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(1, 10 ** 12), st.lists(st.integers(1, 10 ** 12),
+                                              max_size=4))
+    @example(4097, [])
+    @example(4096, [2000])
+    def test_k_grid_is_windows_plus_geometric(self, h, heights):
+        # any height and stage heights up to it: make_k_grid's geometric
+        # fill is the one the windows-plus-geometric loop made
+        trace = SimpleNamespace(height=h, stages=[
+            SimpleNamespace(height=min(x, h)) for x in sorted(heights)])
+        assert tower_k_grid(trace) == window_geo_grid(trace)
 
     def test_exhaustive_grid_below_threshold(self, small_example_trace):
         if small_example_trace.height <= 4096:
