@@ -1,15 +1,15 @@
 """Command-line front end: config parsing, pipeline orchestration, reports.
 
-Configs are JSON, and ``load_config`` is their one reader: it checks every
-key, rejects any key it does not read (at the top level, in ``skyscraper``
-and in ``skyscraper.base``), builds the run's target and reads the
-skyscraper section before any step runs, so a bad config exits 2 with
-nothing written.  Config numbers are read exactly as Fractions: integers,
-rational strings "p/q", decimal strings such as "0.05" or "1e-3", and JSON
-floats through their shortest repr, so 0.1 is 1/10.  Counts (size_cap,
-rounds, max_depth, n_points) must be whole numbers, so "1e6" is 10**6 and
-"2.5" is invalid, and k_grid and
-sk_dist_ks are nonempty lists of positive whole numbers; the tolerances
+Configs are JSON objects in UTF-8 files, and ``load_config`` is their one
+reader: it checks every key, rejects any key it does not read (at the top
+level, in ``skyscraper`` and in ``skyscraper.base``), builds the run's
+target and reads the skyscraper section before any step runs, so a bad
+config exits 2 with nothing written.  Config numbers are read exactly as
+Fractions: integers, rational strings "p/q", decimal strings such as
+"0.05" or "1e-3", and JSON floats through their shortest repr, so 0.1 is
+1/10.  Counts (size_cap, rounds, max_depth, n_points) must be whole
+numbers, so "1e6" is 10**6 and "2.5" is invalid, and k_grid and sk_dist_ks
+are nonempty lists of positive whole numbers below 2^63; the tolerances
 doubling_tol/tol are read the same way and then used as floats, and so is
 a target parameter that enters a float quantile function.  An "example"
 run's kappas are checked against its epss and e0 (``check_example_run``),
@@ -31,12 +31,13 @@ The skyscraper step of a run with a ``skyscraper.base`` frees the run's
 own tower before it builds the base.
 
 Exit codes: 0 success, 2 invalid config (a skyscraper with no admissible
-time horizon too), 3 size cap exceeded or a sum past the int64 range
-(``BlockError``), 4 corrupt trace artifact (tower.json missing,
-unreadable, or different in any field from the tower its config builds),
-5 hard invariant failure or a failed verdict.  ``main`` alone maps each
-exception to its code; a step returns 0, or 5 for a failed verdict, and
-``build`` 3 after it writes its error tower.json.
+time horizon, or an --out that cannot be made a directory, too), 3 size
+cap exceeded or a sum past the int64 range (``BlockError``), 4 corrupt
+trace artifact (tower.json missing, unreadable, or different in any field
+from the tower its config builds), 5 hard invariant failure or a failed
+verdict.  ``main`` alone maps each exception to its code; a step returns
+0, or 5 for a failed verdict, and ``build`` 3 after it writes its error
+tower.json.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .blocks import BlockError
+from .blocks import _INT64_MAX, BlockError
 from .distributions import write_json
 from .lemma_engine import InvariantError, PreconditionError, SizeCapError
 from .splitting import (PointsTarget, SplitSequence, SplittingError,
@@ -61,7 +62,7 @@ from .splitting import (PointsTarget, SplitSequence, SplittingError,
 from .tower import (CorruptTraceError, TowerTrace, build_example_tower,
                     build_general_tower, build_rational_tower,
                     certify_theorem1, check_example_run, check_rational_run,
-                    load_trace_summary, save_trace, trace_to_json_obj)
+                    load_trace_summary, trace_to_json_obj)
 from . import skyscraper as sky
 
 EXIT_OK = 0
@@ -149,15 +150,16 @@ def _config_numbers(obj: dict, key: str, default=()) -> List[Fraction]:
 
 def _config_ks(obj: dict, key: str) -> Optional[List[int]]:
     """A nonempty config list of window lengths k, each a positive whole
-    number read like a count; None when the key is absent."""
+    number below 2^63 read like a count; None when the key is absent."""
     xs = obj.get(key)
     if xs is None:
         return None
     if not isinstance(xs, list) or not xs:
         raise ConfigError(f"{key} must be a nonempty list, got {xs!r}")
     ks = [_whole_number(x, key) for x in xs]
-    if any(k < 1 for k in ks):
-        raise ConfigError(f"{key} must hold positive integers, got {xs!r}")
+    if any(not 1 <= k <= _INT64_MAX for k in ks):
+        raise ConfigError(f"{key} must hold positive integers below 2^63, "
+                          f"got {xs!r}")
     return ks
 
 
@@ -412,10 +414,15 @@ def load_config(path: Optional[str], preset: Optional[str],
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         try:
-            with open(path) as fh:
-                obj.update(json.load(fh))
+            with open(path, encoding="utf-8") as fh:
+                loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file cannot be read: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config must be a JSON object, got {loaded!r}")
+        obj.update(loaded)
     if cap is not None:
         obj["size_cap"] = cap
     _check_keys(obj, RUN_KEYS, "config")
@@ -527,7 +534,7 @@ def cmd_build(cfg: RunConfig, out: str) -> int:
         _log(f"build: size cap exceeded: {exc}")
         return EXIT_SIZE_CAP
     # every builder raises InvariantError on a failed certificate
-    save_trace(trace, os.path.join(out, "tower.json"))
+    write_json(os.path.join(out, "tower.json"), trace_to_json_obj(trace))
     _log(f"build: height {trace.height}, {len(trace.stages)} stages, "
          "certificates pass")
     return EXIT_OK
@@ -641,7 +648,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        _log(f"config error: --out is not a usable directory: {exc}")
+        return EXIT_CONFIG
     if args.command == "all":
         owned = list(STEP_OUTPUTS)
         steps = [n for n in owned if n != "split" or cfg.kind != "example"]

@@ -10,8 +10,8 @@ yields SkHistogram records of consecutive rows (one per k) in flat int64
 arrays, built from each distinct block's class laws by one gather per chunk;
 ``SkHistogram.count_below`` decides every cdf threshold of a chunk at once
 and ``transport_distances`` compares its rows with their targets by one
-row-wise transport.  A record holds at most _CHUNK law entries, unless one
-row alone passes it.
+row-wise transport, one ``_transport`` call per record.  A record holds at
+most _CHUNK law entries, unless one row alone passes it.
 
 ``open_output`` is the one way the package opens a file it writes, and
 ``write_json`` the one JSON writer on top of it.
@@ -39,8 +39,9 @@ INF = math.inf
 
 # Entries of one call of a grid kernel: leaf positions that one
 # ``_class_laws`` call gathers, child entries times pieces that one level
-# of ``_range_laws`` merges at a time, or law entries that one
-# ``_transport`` call compares (one row alone may pass it).
+# of ``_range_laws`` merges at a time, or law entries of one
+# ``sk_histograms`` record (one row alone may pass it), which one
+# ``_transport`` call compares.
 _CHUNK = 1 << 16
 
 # Least period above which a bump-tiled block's class laws are read off its
@@ -238,52 +239,30 @@ def _transport(av, counts, lengths: Sequence[int], totals: Sequence[int],
             for i, j, size in zip(first.tolist(), ends, sizes)]
 
 
-def transport_distances(laws, metric: str = "vasershtein") -> List[float]:
-    """Transport distance between the law of S_k/(k*norm) and ``dist`` for
-    each row of ``laws``, in order.  Each item is (hist, norms, dists): an
-    SkHistogram with one norm and one target per row.  ``metric`` is
-    "vasershtein" (L1) or "uniform" (L-infinity).
+def transport_distances(records, norms: Sequence, dists: Sequence,
+                        metric: str = "vasershtein") -> List[float]:
+    """Transport distance between the law of S_k/(k*norm) and its target
+    for each row of the SkHistogram ``records``, in order: row i of the
+    grid, counted over all records, takes norms[i] and dists[i].
+    ``metric`` is "vasershtein" (L1) or "uniform" (L-infinity).
 
-    Records are compared together by one ``_transport`` call while they
-    hold at most _CHUNK law entries (one record may pass it alone), so a
-    grid holds one chunk at a time.
+    One ``_transport`` call per record.  Each row's values S_k/(k*norm)
+    are floats, units*(float(scale)/(k*float(norm))) per block, sorted
+    stably within the row, so that equal values keep block order.
     """
     out: List[float] = []
-    chunk, size = [], 0
-    for law in laws:
-        n = law[0].units.size
-        if chunk and size + n > _CHUNK:
-            out += _hist_transport(chunk, metric)
-            chunk, size = [], 0
-        chunk.append(law)
-        size += n
-    if chunk:
-        out += _hist_transport(chunk, metric)
-    return out
-
-
-def _hist_transport(laws, metric: str) -> List[float]:
-    """``_transport`` of the rows of (hist, norms, dists) records: each
-    row's values S_k/(k*norm) as floats, units*(float(scale)/(k*float(norm)))
-    per block, sorted stably within the row, so that equal values keep
-    block order."""
-    factors, sizes, lengths = [], [], []
-    for hist, norms, _ in laws:
+    for hist in records:
+        i, j = len(out), len(out) + len(hist.ks)
         per_k = np.array(hist.ks, dtype=float) * \
-            np.array([float(x) for x in norms])
-        factors.append(np.array([float(sc) for sc in hist.scales]) /
-                       per_k[:, None])
-        sizes.append(np.diff(hist.offsets))
-        lengths.append(np.diff(hist.offsets[::len(hist.scales)]))
-    lengths = np.concatenate(lengths)
-    vals = np.concatenate([hist.units for hist, _, _ in laws]).astype(float) \
-        * np.repeat(np.concatenate([f.ravel() for f in factors]),
-                    np.concatenate(sizes))
-    order = np.lexsort((vals, np.repeat(np.arange(lengths.size), lengths)))
-    counts = np.concatenate([hist.counts for hist, _, _ in laws])
-    return _transport(np.arctan(vals[order]), counts[order], lengths,
-                      [n for hist, _, _ in laws for n in hist.totals],
-                      [d for _, _, dists in laws for d in dists], metric)
+            np.array([float(x) for x in norms[i:j]])
+        factors = np.array([float(sc) for sc in hist.scales]) / per_k[:, None]
+        lengths = np.diff(hist.offsets[::len(hist.scales)])
+        vals = hist.units.astype(float) * \
+            np.repeat(factors.ravel(), np.diff(hist.offsets))
+        order = np.lexsort((vals, np.repeat(np.arange(lengths.size), lengths)))
+        out += _transport(np.arctan(vals[order]), hist.counts[order], lengths,
+                          hist.totals, dists[i:j], metric)
+    return out
 
 
 def _class_laws(w, cs) -> tuple:

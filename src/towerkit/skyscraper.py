@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -89,9 +88,6 @@ class IntegerTower:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def totals(self) -> Dict:
-        return {s: self.blocks[s].total_units() for s in self.symbols}
 
     @cached_property
     def _inversion_table(self) -> tuple:
@@ -486,15 +482,21 @@ def check_inversion(it: IntegerTower, reports: Dict,
     n_grid = sorted(reports)
     y = it.occupation_target
     z = it.trace.target
+    # the horizons' one-row occupation laws as the rows of one record, so
+    # that one _transport call compares them all
+    laws = [reports[n].law for n in n_grid]
+    stacked = SkHistogram([1] * len(laws), [Fraction(1)],
+                          np.concatenate([law.units for law in laws]),
+                          np.concatenate([law.counts for law in laws]),
+                          np.cumsum([0] + [law.units.size for law in laws]))
     occ_d = dict(zip(n_grid, transport_distances(
-        (reports[n].law, [reports[n].a_n], [y]) for n in n_grid)))
+        [stacked], [reports[n].a_n for n in n_grid], [y] * len(n_grid))))
     windows = [max(1, int(round(float(reports[n].a_n)))) for n in n_grid]
     blocks = [it.blocks[s] for s in it.symbols]
     g, _, den = it.trace.global_gamma.rows(windows)
-    norms = iter((g / den).tolist())
     phi_d = dict(zip(n_grid, transport_distances(
-        (hist, list(islice(norms, len(hist.ks))), [z] * len(hist.ks))
-        for hist in sk_histograms(blocks, windows))))
+        sk_histograms(blocks, windows), (g / den).tolist(),
+        [z] * len(n_grid))))
     top = {n: occ_d[n] for n in n_grid if n * 10 >= n_grid[-1]}
     return InversionReport(tuple(n_grid), occ_d, phi_d,
                            Verdict(top, dict.fromkeys(top, tol), strict=False))
@@ -573,7 +575,7 @@ def check_duality(it: IntegerTower) -> bool:
     if h > 512:
         raise SkyscraperError("exhaustive duality check is limited to "
                               "height 512")
-    n_max = 3 * max(it.totals().values())
+    n_max = 3 * max(it.blocks[s].total_units() for s in it.symbols)
     ns = np.arange(1, n_max + 1)
     # row n - 1 holds S_n(1_Omega) at every base position, in symbol order
     table = np.empty((n_max, h * it.size), dtype=np.int64)

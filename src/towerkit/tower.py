@@ -19,7 +19,7 @@ import numpy as np
 
 from .blocks import _INT64_MAX, Block, is_normalized
 from .distributions import (INF, FiniteDist, Splitting, SymRep,
-                            transport_distances, write_json)
+                            transport_distances)
 from .lemma_engine import (FLOAT_SLACK, BlockArray, GammaTable,
                            InvariantError, PreconditionError, Verdict, _tile,
                            basic_extend, choose_tile, extension_step,
@@ -407,7 +407,6 @@ def certify_theorem1(trace: TowerTrace, doubling_tol: float = 0.1,
     ks = list(dict.fromkeys(grid))
     xs = tuple(v / BICYCLE_M for v in y.values)
     g, b, den = trace.global_gamma.rows(ks)
-    gf = (g / den).tolist()
     counts = np.zeros((len(ks), len(xs)), dtype=np.int64)
     totals = np.zeros(len(ks), dtype=np.int64)
 
@@ -418,10 +417,11 @@ def certify_theorem1(trace: TowerTrace, doubling_tol: float = 0.1,
             j = i + len(hist.ks)
             counts[i:j] = hist.count_below(xs, b[i:j], den[i:j])
             totals[i:j] = hist.totals
-            yield hist, gf[i:j], [y] * (j - i)
+            yield hist
             i = j
 
-    vas = dict(zip(ks, transport_distances(laws())))
+    vas = dict(zip(ks, transport_distances(laws(), (g / den).tolist(),
+                                            [y] * len(ks))))
     # the eps of the first stage that reaches k, else the last
     at = np.searchsorted([st.height for st in trace.stages], ks)
     eps = [trace.stages[i].eps
@@ -462,10 +462,6 @@ def trace_to_json_obj(trace: TowerTrace) -> dict:
         "gamma": gamma_obj,
         "gamma_checksum": trace.global_gamma.checksum(),
     }
-
-
-def save_trace(trace: TowerTrace, path: str) -> None:
-    write_json(path, trace_to_json_obj(trace))
 
 
 class CorruptTraceError(RuntimeError):

@@ -1,11 +1,13 @@
 """Brute-force oracles and the per-k law path, shared by the tests."""
 
+import contextlib
 import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 import towerkit.distributions as distributions
 from towerkit.blocks import BlockError
@@ -126,7 +128,7 @@ def law_distance(p, q, metric="vasershtein"):
                   [[(np.array([int(v * den) for v in p.values]),
                      np.array(counts, dtype=np.int64 if mden <= INT64_MAX
                               else object))]])
-    return transport_distances([(hist, [1], [q])], metric)[0]
+    return transport_distances([hist], [1], [q], metric)[0]
 
 
 # -- the per-k law path: the oracle of the chunked records -----------------
@@ -292,6 +294,21 @@ def oracle_transport(laws, metric="vasershtein"):
         out += _transport(np.arctan(vals[order]), counts[order],
                           [vals.size], [hist.total], [dist], metric)
     return out
+
+
+@contextlib.contextmanager
+def transport_calls():
+    """A list that gets, for each ``_transport`` call made inside the
+    block, the list of its targets, one per row."""
+    calls = []
+
+    def counted(av, counts, lengths, totals, dists, metric):
+        calls.append(list(dists))
+        return _transport(av, counts, lengths, totals, dists, metric)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_transport", counted)
+        yield calls
 
 
 def record(ks, scales, laws):

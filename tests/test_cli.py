@@ -131,8 +131,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [
         pytest.param(key, value, id=f"{key}={value!r}")
-        for key, values in (("k_grid", ([0], [-3], ["a"], [1.5], 5)),
-                            ("sk_dist_ks", (["x"], [0])))
+        for key, values in (("k_grid", ([0], [-3], ["a"], [1.5], 5,
+                                        ["1e19"])),
+                            ("sk_dist_ks", (["x"], [0], ["1e19"])))
         for value in values])
     def test_bad_k_lists_are_2(self, key, value, tmp_path):
         # read when the config loads, before verify would divide by k or
@@ -143,6 +144,44 @@ class TestConfigParsing:
         assert main(["verify", "--preset", "example1", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert not (tmp_path / "out" / "skdist_0.csv").exists()
+
+    @pytest.mark.parametrize("top", [
+        pytest.param([1, 2], id="list"), pytest.param("abc", id="string"),
+        pytest.param(None, id="null"),
+        pytest.param([["kind", "example"], ["e0", "5000"]], id="pairs")])
+    def test_config_not_an_object_is_2(self, top, tmp_path, capsys):
+        # only a JSON object is a config; a list of pairs is not read as one
+        path = write_config(tmp_path / "c.json", top)
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(path, None)
+        out = tmp_path / "out"
+        assert main(["build", "--preset", "example1", "--config", path,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda p: p.mkdir(), id="directory"),
+        pytest.param(lambda p: p.write_bytes(b"\xff\xfe{}"), id="not-utf8")])
+    def test_unreadable_config_is_2(self, make, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        make(path)
+        out = tmp_path / "out"
+        assert main(["build", "--preset", "example1", "--config", str(path),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config file cannot be read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["file", "file/below"])
+    def test_out_not_a_directory_is_2(self, name, tmp_path, capsys):
+        # an --out that names an existing file, or a path under one
+        (tmp_path / "file").write_text("earlier\n")
+        assert main(["build", "--preset", "example1",
+                     "--out", str(tmp_path / name)]) == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "earlier\n"
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("preset, override", [
         pytest.param("pareto1", {"etas": value}, id=f"etas={value!r}")

@@ -22,7 +22,8 @@ from towerkit.lemma_engine import basic_extend
 
 from oracles import (INT64_MAX, cyclic_partial_sums_units, law_distance,
                      merge_uniform, merge_vasershtein, oracle_histograms,
-                     oracle_transport, record, rows, segments)
+                     oracle_transport, record, rows, segments,
+                     transport_calls)
 
 
 def vasershtein(p, q):
@@ -310,10 +311,10 @@ class TestSkHistogram:
              (float(w.scale) / (k * float(norm))) for w in blocks])
         hist, = sk_histograms(blocks, [k])
         assert hist.totals == [vals.size]
-        law = [(hist, [norm], [target])]
-        assert transport_distances(law, "vasershtein")[0] == \
+        law = [hist], [norm], [target]
+        assert transport_distances(*law, "vasershtein")[0] == \
             pytest.approx(position_vasershtein(vals, target), abs=1e-12)
-        assert transport_distances(law, "uniform")[0] == \
+        assert transport_distances(*law, "uniform")[0] == \
             pytest.approx(position_uniform_gap(vals, target), abs=1e-12)
 
     def test_masses_are_exact_counts(self):
@@ -375,7 +376,7 @@ class TestSkHistogram:
     def test_rejects_unknown_metric(self):
         hist, = sk_histograms([Block([1, 2])], [1])
         with pytest.raises(DistError):
-            transport_distances([(hist, [1], [FiniteDist.point(1)])],
+            transport_distances([hist], [1], [FiniteDist.point(1)],
                                 "wasserstein")
 
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -913,29 +914,39 @@ def histograms(draw):
 def one_row_calls(laws, metric):
     """The distance of each row of (record, norms, targets) ``laws``, each
     row compared alone."""
-    return [transport_distances([(hist.row(i), [norms[i]], [dists[i]])],
+    return [transport_distances([hist.row(i)], [norms[i]], [dists[i]],
                                 metric)[0]
             for hist, norms, dists in laws for i in range(len(hist.ks))]
 
 
+def grid_call(laws, metric):
+    """One ``transport_distances`` call over the records of (record,
+    norms, targets) ``laws``, with their norms and targets joined in grid
+    order."""
+    return transport_distances([hist for hist, _, _ in laws],
+                               [x for _, norms, _ in laws for x in norms],
+                               [d for _, _, dists in laws for d in dists],
+                               metric)
+
+
 class TestRowwiseTransport:
     @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
-    @pytest.mark.parametrize("chunk", [7, distributions._CHUNK])
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(st.lists(histograms(), min_size=2, max_size=6))
-    def test_rows_match_one_row_calls(self, metric, chunk, laws):
-        # rows of a chunk against each row alone, bit for bit, whether a
-        # chunk holds int64 or Python-int breakpoints
+    def test_rows_match_one_row_calls(self, metric, laws):
+        # records of one to three rows, each row against that row alone,
+        # bit for bit, whether a record holds int64 or Python-int
+        # breakpoints; one _transport call per record
         want = one_row_calls(laws, metric)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distributions, "_CHUNK", chunk)
-            assert distributions.transport_distances(laws, metric) == want
+        with transport_calls() as calls:
+            assert grid_call(laws, metric) == want
+        assert list(map(len, calls)) == [len(hist.ks) for hist, _, _ in laws]
 
     @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
     def test_python_int_breakpoints_match_int64_rows(self, metric):
         # each row alone takes int64 breakpoints (n*L near 2^61) and the
-        # chunk of three passes 2^62, so it takes Python ints; a fourth row
-        # passes 2^62 alone
+        # record of three passes 2^62, so it takes Python ints; a fourth
+        # row passes 2^62 alone
         w = Block([1, 2, 3, 5, 8, 13])
         hist, = sk_histograms([w], [1, 2, 3])
         y = FiniteDist([(F(1, 2), F(1, 2 ** 58)),
@@ -945,9 +956,31 @@ class TestRowwiseTransport:
         assert all(n * 2 ** 58 < 2 ** 62 for n in hist.totals)
         assert 3 * hist.totals[0] * 2 ** 58 >= 2 ** 62
         want = one_row_calls(laws, metric)
-        assert distributions.transport_distances(laws[:1], metric) == \
-            want[:3]
-        assert distributions.transport_distances(laws, metric) == want
+        assert grid_call(laws[:1], metric) == want[:3]
+        assert grid_call(laws, metric) == want
+
+    @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
+    @pytest.mark.parametrize("chunk", [6, 11])
+    def test_one_transport_call_per_record(self, metric, chunk):
+        # a small chunk cuts one grid into several records: each record
+        # takes one _transport call, its rows their own norms and targets
+        # (the row slices of the grid's lists), and every distance is the
+        # per-k oracle's, bit for bit
+        blocks = [Block([1, 2, 3, 5, 8, 13], F(1, 3)), Block([2, 1, 4, 1])]
+        ks = [1, 2, 3, 5, 7, 9, 11, 12, 14]
+        norms = [F(i + 2, i + 1) for i in range(len(ks))]
+        dists = [FiniteDist([(F(1, 2), F(1, 3)), (F(i + 1), F(2, 3))])
+                 for i in range(len(ks))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_CHUNK", chunk)
+            records = list(sk_histograms(blocks, ks))
+            with transport_calls() as calls:
+                got = transport_distances(iter(records), norms, dists,
+                                          metric)
+        assert len(records) >= 3
+        assert list(map(len, calls)) == [len(r.ks) for r in records]
+        assert got == oracle_transport(
+            list(zip(oracle_histograms(blocks, ks), norms, dists)), metric)
 
 
 def drain(records):
@@ -1064,11 +1097,8 @@ class TestChunkRecords:
                 return
             y = FiniteDist([(F(1, 2), F(1, 3)), (F(2), F(2, 3))])
             for metric in ("vasershtein", "uniform"):
-                i, laws = 0, []
-                for r in records:
-                    laws.append((r, norms[i:i + len(r.ks)], [y] * len(r.ks)))
-                    i += len(r.ks)
-                assert transport_distances(laws, metric) == oracle_transport(
+                assert transport_distances(records, norms, [y] * len(ks),
+                                           metric) == oracle_transport(
                     [(one, g, y) for one, g in zip(want, norms)], metric)
 
 

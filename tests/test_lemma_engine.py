@@ -465,9 +465,9 @@ class TestExtensionStep:
             alone = record([k], [w.scale for w in blocks], [laws])
             g = gamma_oracle(gamma, k)
             assert got.distances[k] == \
-                transport_distances([(alone, [g], [y])], "uniform")[0]
-            assert transport_distances([(hists[k], [g], [y])]) == \
-                transport_distances([(alone, [g], [y])])
+                transport_distances([alone], [g], [y], "uniform")[0]
+            assert transport_distances([hists[k]], [g], [y]) == \
+                transport_distances([alone], [g], [y])
 
 
 class TestStraightening:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towerkit.blocks import Block, Bump
-from towerkit.distributions import FiniteDist
+from towerkit.distributions import FiniteDist, transport_distances
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
@@ -23,7 +23,7 @@ from towerkit.skyscraper import (IntegerTower, InversionError,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
 
-from oracles import merge_vasershtein, whole_row_statistics
+from oracles import merge_vasershtein, transport_calls, whole_row_statistics
 
 
 def occupation_mean_via_levels(it, n):
@@ -564,6 +564,25 @@ class TestInversion:
         top = [n for n in rep.n_grid if n * 10 >= rep.n_grid[-1]]
         for n in top:
             assert rep.occ_distances[n] <= 0.15
+
+    def test_occupation_laws_take_one_transport_call(self, int_tower):
+        # the horizons' one-row occupation laws are stacked as the rows of
+        # one record: one _transport call for all of them, and each
+        # distance is the one its law gives alone, bit for bit
+        horizon = int_tower.covered_horizon()
+        wmax = max(int(int_tower.blocks[s].units.max())
+                   for s in int_tower.symbols)
+        n_grid = sorted({int(horizon * 1.3 ** -j) for j in range(10)
+                         if int(horizon * 1.3 ** -j) >= 4 * wmax})
+        assert len(n_grid) > 2
+        reports = occupation_sweep(int_tower, n_grid)
+        y = int_tower.occupation_target
+        alone = {n: transport_distances([reports[n].law], [reports[n].a_n],
+                                        [y])[0] for n in n_grid}
+        with transport_calls() as calls:
+            rep = check_inversion(int_tower, reports)
+        assert [d for d in calls if d[0] is y] == [[y] * len(n_grid)]
+        assert rep.occ_distances == alone
 
     def test_alpha_moment_ratio(self, int_tower):
         horizon = int_tower.covered_horizon()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 import towerkit
 
 MODULES = sorted(p for p in Path(towerkit.__file__).parent.glob("*.py")
@@ -144,3 +145,18 @@ def test_every_tiling_goes_through_tile():
              for user in users(p.read_text(), "self_concat")]
     assert found == [("lemma_engine.py", "_add_bumps"),
                      ("lemma_engine.py", "_tile")]
+
+
+def test_every_mutant_text_occurs_once():
+    # a refactor that moves a mutant's code fails here, rather than
+    # silently dropping the mutant from tests/mutants.py; each mutant names
+    # test files (and tests in them) that exist
+    for m in mutants.MUTANTS:
+        text = (ROOT / "src" / "towerkit" / m.file).read_text()
+        assert text.count(m.old) == 1, (m.file, m.old)
+        assert m.tests
+        for test in m.tests:
+            file, *names = test.split("::")
+            source = (ROOT / "tests" / file).read_text()
+            assert all(f"def {n}(" in source or f"class {n}:" in source
+                       for n in names), test

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from towerkit.blocks import Block, is_normalized
 from towerkit.distributions import (FiniteDist, sk_histograms,
-                                    transport_distances)
+                                    transport_distances, write_json)
 from towerkit import tower
 from towerkit.cli import PRESETS, build_tower_from_config, load_config
 from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
@@ -21,7 +21,7 @@ from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
 from towerkit.tower import (CorruptTraceError, build_example_tower,
                             build_general_tower, build_rational_tower,
                             certify_theorem1, check_example_run,
-                            load_trace_summary, save_trace, tower_k_grid,
+                            load_trace_summary, tower_k_grid,
                             trace_to_json_obj)
 from towerkit.splitting import build_split_sequence, make_target
 
@@ -577,7 +577,7 @@ class TestSkDistribution:
         k = trace.height
         g = gamma_oracle(trace.global_gamma, k)
         (hist,) = trace.final.sk_histograms([k])
-        assert transport_distances([(hist, [g], [trace.target])])[0] <= 0.05
+        assert transport_distances([hist], [g], [trace.target])[0] <= 0.05
 
 
 def oracle_theorem1(trace):
@@ -674,7 +674,7 @@ class TestOraclePath:
 class TestSerialization:
     def test_round_trip(self, small_rational_trace, tmp_path):
         path = tmp_path / "tower.json"
-        save_trace(small_rational_trace, str(path))
+        write_json(str(path), trace_to_json_obj(small_rational_trace))
         obj = load_trace_summary(str(path))
         assert obj["height"] == small_rational_trace.height
         assert obj["kind"] == "rational"
@@ -683,7 +683,7 @@ class TestSerialization:
 
     def test_corruption_detected(self, small_rational_trace, tmp_path):
         path = tmp_path / "tower.json"
-        save_trace(small_rational_trace, str(path))
+        write_json(str(path), trace_to_json_obj(small_rational_trace))
         obj = json.loads(path.read_text())
         obj["gamma"]["anchors"][-1][1] = "999"
         path.write_text(json.dumps(obj))
