@@ -931,14 +931,17 @@ def grid_call(laws, metric):
 
 class TestRowwiseTransport:
     @pytest.mark.parametrize("metric", ["vasershtein", "uniform"])
+    @pytest.mark.parametrize("chunk", [7, distributions._CHUNK])
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(st.lists(histograms(), min_size=2, max_size=6))
-    def test_rows_match_one_row_calls(self, metric, laws):
+    def test_rows_match_one_row_calls(self, metric, chunk, laws):
         # records of one to three rows, each row against that row alone,
         # bit for bit, whether a record holds int64 or Python-int
-        # breakpoints; one _transport call per record
+        # breakpoints; one _transport call per record, whatever _CHUNK
+        # is in force (records come cut, the call does not recut them)
         want = one_row_calls(laws, metric)
-        with transport_calls() as calls:
+        with pytest.MonkeyPatch.context() as mp, transport_calls() as calls:
+            mp.setattr(distributions, "_CHUNK", chunk)
             assert grid_call(laws, metric) == want
         assert list(map(len, calls)) == [len(hist.ks) for hist, _, _ in laws]
 
