@@ -591,7 +591,7 @@ def cmd_skyscraper(cfg: RunConfig, out: str) -> int:
         if n >= 4 * wmax))
     if not n_grid:
         raise sky.SkyscraperError("no admissible time horizons under the cap")
-    if it.height * it.size <= 512:
+    if sky.duality_fits(it):
         sky.check_duality(it)
     reports = sky.occupation_sweep(
         it, n_grid, sc.alphas, sc.t_grid, sc.x_values, sc.tail_constant)

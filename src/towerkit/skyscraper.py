@@ -9,11 +9,11 @@ occupation-time tail bound with its explicit constant, and the alpha-moment
 diagnostics of rational ergodicity at finite resolution.  Each time horizon
 is reduced once, by ``occupation_sweep``, to one ``OccupationReport`` that
 ``check_inversion`` and ``are_diagnostic`` both read; a tail bound that
-fails raises there, with its witness.  The sweep reads the exact law off
-one bump spacing of each block, and takes every power of the float
-statistics once per run of equal counts, on a run table; it keeps one
-three-row allocation per sweep, because glibc raises its mmap threshold to
-the largest mapping it frees.
+fails raises there, with its witness.  ``occupation_counts`` gives each
+block's counts as a run table, computed in bands of equal rows of one bump
+spacing without visiting every position, and the sweep reads the exact law,
+the mean and every power of the float statistics off the run tables: no
+per-position count row is made.
 """
 
 from __future__ import annotations
@@ -100,6 +100,22 @@ class IntegerTower:
         _, b, den = self.trace.global_gamma.rows(ks)
         return ks, [Fraction(n, d) / self.time_unit
                     for n, d in zip(b.tolist(), den.tolist())]
+
+    @cached_property
+    def _tilings(self) -> Dict:
+        """symbol -> the block's unit total and the tiling that
+        ``occupation_counts`` reads it as, with one child period's prefix
+        sums, plain and doubled, made once per tower, in symbol order.
+        The tiling is the block's ``Bump``, or else the tiling
+        Bump(w, 1, 0, h) of itself."""
+        tilings = {}
+        for s in self.symbols:
+            w = self.blocks[s]
+            bump = w.bump or Bump(w, 1, 0, self.height)
+            pre = bump.child.period_prefix()
+            tilings[s] = (w.total_units(), bump, pre,
+                          np.concatenate([pre, pre[-1] + pre[1:]]))
+        return tilings
 
     def a_of(self, n) -> Fraction:
         """a(n) at time n (in ticks): the inverse of the piecewise-linear
@@ -238,95 +254,125 @@ def return_time_partial_sums(it: IntegerTower, n, nu: tuple):
     return wraps * pre[-1] + pre[end] - pre[start]
 
 
-def _window_ends(pre: np.ndarray, m: int) -> np.ndarray:
-    """nu + max{j : S_j(nu) <= m} at each 0-based position nu of the block
-    with prefix sums ``pre``, for 0 <= m < its total: one vectorized
-    binary search of pre[nu] + m in the doubled prefix array."""
-    h = pre.size - 1
-    pre2 = np.concatenate([pre, pre[-1] + pre[1:]])
-    return np.searchsorted(pre2, pre[:h] + m, side="right") - 1
+def _ragged_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + size) of each pair, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
 
 
-def _bumped_remainder_counts(bump: Bump, h: int, m: int,
-                             out: np.ndarray) -> None:
-    """max{j < h : S_j(nu) <= m} over one spacing s of a height-h block
-    that ``bump`` built, read off the child's prefix sums, written to the
-    s entries of ``out``.
+def _row_counts(reach: List[np.ndarray], rows: np.ndarray, L: int,
+                s: int):
+    """The counts at the L positions of each of the given rows of one
+    spacing, and whether each row holds a capped entry: one whose window
+    reaches past the next bump but cannot cross it."""
+    start = rows[:, None] * L
+    end = start + reach[0]
+    capped = end > s - 1
+    np.minimum(end, s - 1, out=end)
+    for c in range(1, len(reach)):
+        ends = start + reach[c]
+        hit = ends >= c * s
+        last = (c + 1) * s - 1
+        np.copyto(capped, ends > last, where=hit)
+        np.minimum(ends, last, out=ends)
+        np.copyto(end, ends, where=hit)
+    end -= start
+    end -= np.arange(L)
+    return end, capped.any(axis=1)
+
+
+def _block_runs(h: int, m: int, bump: Bump, pre: np.ndarray,
+                pre2: np.ndarray):
+    """The run table (values, lengths) of max{j < h : S_j(nu) <= m} over
+    the positions nu of a height-h block, in order, read off the ``bump``
+    (child, f, B, s) that tiles it and one child period's prefix sums
+    ``pre``, and ``pre2`` doubled.
 
     A window of length j from nu (0 <= nu < s) reads f*C_j(nu mod L), with
     C_j the child's cyclic partial sum and L its least period, plus B for
-    each of the c = (nu + j) // s bump positions it crosses.  So among the
-    windows ending in [c*s, (c+1)*s), the sum is at most m exactly when
-    j <= J_c(nu mod L), the largest j with C_j <= (m - c*B) // f, and as
-    S_j increases with j the count is the last such c's
-    min(nu + J_c, (c+1)*s - 1) - nu.  The ends are laid out in ``out``
-    as s/L rows of L positions, the row start plus one child-sized table
-    per c, and the positions are then subtracted in place.
+    each of the c = (nu + j) // s bump positions it crosses.  Write
+    nu = r*L + i, and R_c[i] for i plus the largest j with
+    C_j(i) <= (m - c*B) // f.  Among the windows ending in [c*s, (c+1)*s)
+    the sum is at most m exactly when nu + j <= r*L + R_c[i], and as S_j
+    increases with j, the count is min(r*L + R_c[i], (c+1)*s - 1) - nu
+    for the largest c with r*L + R_c[i] >= c*s.
+
+    So one spacing is read as s/L rows of L positions.  Each R_c is
+    nondecreasing in i, so the rows at which a hit test or a cap flips
+    for some i lie between its flips at i = 0 and at i = L - 1.  Those
+    rows cut the spacing into a few bands.  In a band every row repeats
+    the band's first row, unless that row holds a capped entry; such a
+    band is counted row by row.  The spacing repeats h/s times.
     """
-    child, f, b, s = bump
-    pre = child.period_prefix()
+    _, f, b, s = bump
     L, tot = pre.size - 1, int(pre[-1])
-    starts = np.arange(0, s, L)[:, None]
-    end = out.reshape(s // L, L)
+    rows = s // L
+    reach, cuts = [], {0, rows}
     for c in range(h // s + 1):
         if m < c * b:
             break
         # whole child periods, capped at h: no count reaches h
         periods, rest = divmod((m - c * b) // f, tot)
-        reach = min(periods * L, h) + _window_ends(pre, rest)
-        if c == 0:
-            np.add(starts, reach, out=end)
-            np.minimum(end, s - 1, out=end)
-            continue
-        # rows from which some window reaches the c-th bump
-        first = max(0, -(-(c * s - int(reach.max())) // L))
-        if first >= len(starts):
-            break
-        ends = starts[first:] + reach
-        hit = ends >= c * s
-        np.minimum(ends, (c + 1) * s - 1, out=ends)
-        np.copyto(end[first:], ends, where=hit)
-    end -= starts
-    end -= np.arange(L)
+        r = min(periods * L, h) + np.searchsorted(
+            pre2, pre[:-1] + rest, side="right") - 1
+        lo, hi = int(r[0]), int(r[-1])
+        if c and (rows - 1) * L + hi < c * s:
+            break       # no row reaches bump c
+        reach.append(r)
+        # the first rows where some entry and where every entry hits
+        # bump c, and where some entry reaches past bump c + 1
+        for edge in (c * s - hi, c * s - lo, (c + 1) * s - hi):
+            cuts.add(min(max(-(-edge // L), 0), rows))
+    cuts = sorted(cuts)
+    starts = np.array(cuts[:-1])
+    bands = np.array(cuts[1:]) - starts
+    counts, capped = _row_counts(reach, starts, L, s)
+    each = np.where(capped, bands, 1)
+    if capped.any():
+        counts, _ = _row_counts(reach, _ragged_arange(starts, each), L, s)
+    reps = np.repeat(np.where(capped, 1, bands), each)
+    # the runs of each row; a row of one run, repeated, is one longer run
+    flat = counts.ravel()
+    new = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+    new[::L] = True
+    at = np.flatnonzero(new)
+    values, lengths = flat[at[:-1]], at[1:] - at[:-1]
+    per_row = np.bincount(at[:-1] // L, minlength=reps.size)
+    first = np.cumsum(per_row) - per_row
+    single = per_row == 1
+    lengths[first[single]] *= reps[single]
+    row = np.tile(np.repeat(np.arange(reps.size),
+                            np.where(single, 1, reps)), h // s)
+    runs = _ragged_arange(first[row], per_row[row])
+    return values[runs], lengths[runs]
 
 
-def _tiling(w: Block, h: int) -> Bump:
-    """The tiling that ``occupation_counts`` reads block w of height h
-    as: its ``Bump``, or else the tiling Bump(w, 1, 0, h) of itself."""
-    return w.bump or Bump(w, 1, 0, h)
-
-
-def occupation_counts(it: IntegerTower, n: int,
-                      out: Optional[np.ndarray] = None) -> Dict:
-    """S_n(1_Omega) over all base positions of every block, exact.
+def occupation_counts(it: IntegerTower, n: int) -> Dict:
+    """S_n(1_Omega) over all base positions of every block, exact, as
+    run tables.
 
     For each position nu the count is max{j >= 0 : phi_j(nu) <= n}: n is
     split into whole cycles plus a remainder m, which is located on one
-    period of the block's child.  A block that a bump tiling built is
-    s-periodic for its spacing s, so its counts are found over one
-    spacing, then copied across the rest; any other block w is read as
-    the tiling Bump(w, 1, 0, len(w)) of itself, with no bump.
+    period of the block's child (``_block_runs``).  A block that a bump
+    tiling built is s-periodic for its spacing s, so its counts are found
+    over one spacing, in bands of equal rows of child-period length;
+    any other block w is read as the tiling Bump(w, 1, 0, len(w)) of
+    itself, with no bump.  No per-position array is made.
 
-    The counts fill one int64 array of height * size entries in symbol
-    order, ``out`` when given, and are returned keyed by symbol as views
-    of it.
+    Returns, keyed by symbol, the run table (values, lengths) of the
+    block's counts in position order: ``np.repeat(values, lengths)`` is
+    the count at every position.  Every length is positive; two
+    neighbouring runs, from rows counted apart, may hold the same value.
     """
     if n < 1:
         raise SkyscraperError("time horizon must be positive")
     h = it.height
-    if out is None:
-        out = np.empty(h * it.size, dtype=np.int64)
     counts = {}
-    for i, s in enumerate(it.symbols):
-        w = it.blocks[s]
-        bump = _tiling(w, h)
-        q, m = divmod(n, w.total_units())
-        view = out[i * h:(i + 1) * h]
-        rows = view.reshape(-1, bump.spacing)
-        _bumped_remainder_counts(bump, h, m, rows[0])
-        rows[0] += q * h
-        rows[1:] = rows[0]
-        counts[s] = view
+    for s, (total, *tiling) in it._tilings.items():
+        q, m = divmod(n, total)
+        values, lengths = _block_runs(h, m, *tiling)
+        counts[s] = (values + q * h, lengths)
     return counts
 
 
@@ -351,21 +397,6 @@ class OccupationReport:
                 writer.writerow([str(v), str(Fraction(c, total))])
 
 
-def _spacing_law(occ: np.ndarray, h: int, spacings: Sequence[int]):
-    """The sorted distinct values of ``occ`` and their int64
-    multiplicities, from the first spacing s of each height-h block: the
-    block repeats those s entries h/s times.  The laws of the blocks are
-    merged by one ``np.unique`` of their distinct values."""
-    laws = [np.unique(occ[i * h:i * h + s], return_counts=True)
-            for i, s in enumerate(spacings)]
-    values, where = np.unique(np.concatenate([v for v, _ in laws]),
-                              return_inverse=True)
-    mult = np.zeros(values.size, dtype=np.int64)
-    np.add.at(mult, where, np.concatenate(
-        [c * (h // s) for (_, c), s in zip(laws, spacings)]))
-    return values, mult
-
-
 def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                      alphas: Sequence = (), t_grid: Sequence = (),
                      x_values: Sequence = (Fraction(5, 4), Fraction(3, 2),
@@ -373,32 +404,29 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
                      tail_constant: Fraction = DEFAULT_TAIL_CONSTANT
                      ) -> Dict:
     """One pass over the distinct horizons of ``n_grid``, in increasing
-    order, each reduced to its ``OccupationReport`` from one call of
-    ``occupation_counts``.  Every horizon is counted into the same int64
-    row, so one horizon's counts are held at a time and no report reads
-    them.  That row and the float copy of the counts share one allocation
-    of three rows, though the sweep fills two: glibc raises its mmap
-    threshold to the largest mapping it frees, so freeing one larger than
-    any whole-row temporary keeps the temporaries of a later step, such
-    as verify, off fresh pages.
+    order, each reduced to its ``OccupationReport`` from the run tables
+    of one call of ``occupation_counts``.  No report holds the tables,
+    and no per-position count row is made.
 
-    The law is a one-row SkHistogram of the counts at scale 1 and k = 1,
-    read off each block's first bump spacing times h/s and merged across
-    blocks.  Its tail checks compare the exact mass of [S_n >= x a(n)]
-    against tail_constant * P(Y >= x) for the occupation target Y, as one
+    The law is a one-row SkHistogram of the counts at scale 1 and k = 1:
+    the distinct run values, each with the summed lengths of its runs.
+    Its tail checks compare the exact mass of [S_n >= x a(n)] against
+    tail_constant * P(Y >= x) for the occupation target Y, as one
     ``CdfVerdict`` row per horizon, and the first that fails raises
     ``InversionError`` with the witness (n, x, lhs, bound).
 
     The float statistics are E[S_n], the alpha-moments and the
     uniform-integrability functional u_alpha(n, t) = E[Phi_n 1_{Phi_n > t}]
-    with Phi_n = (S_n/a(n))^alpha.  The counts hold few runs of equal
-    values, so each power is taken once per run, on the run table, and
-    the table is expanded by ``np.repeat`` only where a float sum needs
-    the row in its order: the moment row, and the runs of Phi_n above t.
-    A power is a function of its value alone, so each sum adds the same
-    floats in the same order as over the whole row of powers.  E[S_n] is
-    the mean of the float copy of the counts, and it is the alpha = 1
-    moment too: that moment row is the float copy itself.
+    with Phi_n = (S_n/a(n))^alpha.  E[S_n], which is the alpha = 1
+    moment too, is the exact integer total of the counts divided by
+    their number: the float mean of the count row while that total is
+    below 2^53, where every partial sum of the row is exact, and the
+    correctly rounded mean above it.  Each other power is taken once per
+    run, and the table is expanded by ``np.repeat`` only where a float
+    sum needs the row in its order: the moment row, and the runs of
+    Phi_n above t.  A power is a function of its value alone, so each sum
+    adds the same floats in the same order as over the whole row of
+    powers.
 
     Returns the reports keyed by horizon: what ``check_inversion`` and
     ``are_diagnostic`` read.
@@ -410,16 +438,18 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
     y = it.occupation_target
     xs = tuple(Fraction(x) for x in x_values)
     bounds = tuple(Fraction(tail_constant) * (1 - y.cdf_below(x)) for x in xs)
-    h = it.height
-    spacings = [_tiling(it.blocks[s], h).spacing for s in it.symbols]
+    size = it.height * it.size
     reports = {}
-    # a warm example1 verify after a sweep took about 1,800 minor faults
-    # with one row, 1,200 with two, none with three
-    occ, occ_f, _ = np.empty((3, h * it.size), dtype=np.int64)
-    occ_f = occ_f.view(float)
     for n in sorted(set(int(n) for n in n_grid)):
-        occupation_counts(it, n, out=occ)
-        values, mult = _spacing_law(occ, h, spacings)
+        tables = occupation_counts(it, n).values()
+        runs = np.concatenate([v for v, _ in tables])
+        lens = np.concatenate([c for _, c in tables])
+        # the distinct values by one sort (np.unique hashes, which is
+        # slower on hundreds of thousands of runs)
+        ordered = np.sort(runs)
+        values = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        mult = np.zeros(values.size, dtype=np.int64)
+        np.add.at(mult, np.searchsorted(values, runs), lens)
         if values[0] < 1:
             raise SkyscraperError(
                 f"time {n} precedes the first return at some base position")
@@ -434,14 +464,9 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
             raise InversionError(
                 f"occupation tail bound failed at n={n}, x={x}: "
                 f"{lhs} > {bound}", (n, x, lhs, bound))
-        np.copyto(occ_f, occ)
-        # the run table: the value and the length of each run of equal
-        # counts, in order
-        cuts = np.concatenate(
-            ([0], np.flatnonzero(occ[1:] != occ[:-1]) + 1, [occ.size]))
-        lens = np.diff(cuts)
-        runs = occ_f[cuts[:-1]]
-        mean = float(occ_f.mean())
+        mean = sum(v * c for v, c in zip(values.tolist(),
+                                         mult.tolist())) / size
+        runs = runs.astype(float)
         moment, u = {}, {}
         for alpha in alphas:
             moment[alpha] = mean if alpha == 1.0 else float(np.mean(
@@ -450,7 +475,7 @@ def occupation_sweep(it: IntegerTower, n_grid: Sequence[int],
             for t in t_grid:
                 above = phi > t
                 u[alpha, t] = float(np.repeat(
-                    phi[above], lens[above]).sum()) / occ.size
+                    phi[above], lens[above]).sum()) / size
         reports[n] = OccupationReport(a_n, law, mean, moment, u)
     return reports
 
@@ -564,23 +589,42 @@ def are_diagnostic(it: IntegerTower, reports: Dict, alphas: Sequence,
     return rows
 
 
+def _duality_horizon(it: IntegerTower) -> int:
+    """The last time n that ``check_duality`` checks: three times the
+    largest block total."""
+    return 3 * max(it.blocks[s].total_units() for s in it.symbols)
+
+
+def duality_fits(it: IntegerTower) -> bool:
+    """Whether ``check_duality`` fits its bounds: its table of counts, one
+    row per time n and one column per base position, holds at most 2^22
+    entries (32 MiB of int64), and it counts the blocks at most 2^14
+    times, each a kernel call of tens of microseconds."""
+    n_max = _duality_horizon(it)
+    return (n_max * it.height * it.size <= 1 << 22
+            and n_max * it.size <= 1 << 14)
+
+
 def check_duality(it: IntegerTower) -> bool:
     """Exhaustive finite inversion duality on small towers.
 
     Verifies phi_j(nu) <= n iff S_n(1_Omega)(nu) >= j for every base
     position, every j, and every time n up to three times the largest
-    block total.  Intended for towers of height at most 512.
+    block total.  Its table of counts is bounded (``duality_fits``).
     """
-    h = it.height
-    if h > 512:
+    if not duality_fits(it):
         raise SkyscraperError("exhaustive duality check is limited to "
-                              "height 512")
-    n_max = 3 * max(it.blocks[s].total_units() for s in it.symbols)
+                              "2^22 counts and 2^14 block counts (times up "
+                              "to three block totals, by base positions "
+                              "and by blocks)")
+    h = it.height
+    n_max = _duality_horizon(it)
     ns = np.arange(1, n_max + 1)
     # row n - 1 holds S_n(1_Omega) at every base position, in symbol order
     table = np.empty((n_max, h * it.size), dtype=np.int64)
     for n in range(1, n_max + 1):
-        occupation_counts(it, n, out=table[n - 1])
+        table[n - 1] = np.concatenate([
+            np.repeat(*runs) for runs in occupation_counts(it, n).values()])
     for i, s in enumerate(it.symbols):
         for pos in range(1, h + 1):
             # every return takes at least one step, so the first n_max + 1

@@ -69,6 +69,23 @@ MUTANTS = [
     Mutant("distributions.py", "norms[i:j]", "norms[:j - i]",
            ("test_distributions.py::TestRowwiseTransport::"
             "test_one_transport_call_per_record",)),
+    # occupation_counts: a window ending on bump c does not cross it
+    Mutant("skyscraper.py", "hit = ends >= c * s", "hit = ends > c * s",
+           ("test_skyscraper.py::TestBumpKernel::"
+            "test_run_tables_on_hostile_shapes",)),
+    # occupation_counts: a window stuck before bump c + 1 may end on it
+    Mutant("skyscraper.py", "last = (c + 1) * s - 1", "last = (c + 1) * s",
+           ("test_skyscraper.py::TestBumpKernel::"
+            "test_run_tables_on_hostile_shapes",)),
+    # occupation_counts: no cut at the first row whose every entry hits
+    # bump c, so those rows repeat the row before, where some do not
+    Mutant("skyscraper.py", "c * s - lo,", "c * s - hi,",
+           ("test_skyscraper.py::TestBumpKernel::"
+            "test_run_tables_on_hostile_shapes",)),
+    # occupation_sweep: the tail bound C*P(Y >= x) read as C*P(Y > x)
+    Mutant("skyscraper.py", "(1 - y.cdf_below(x))", "(1 - y.cdf(x))",
+           ("test_skyscraper.py::TestOccupation::"
+            "test_witness_is_the_first_failing_x",)),
     # the doubling verdict without abs
     Mutant("tower.py", "np.abs(bf[len(top):] / bf[:len(top)] - 2)",
            "(bf[len(top):] / bf[:len(top)] - 2)", ("test_tower.py",),

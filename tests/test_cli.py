@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -956,8 +957,8 @@ class TestSkyscraperCounts:
     def test_one_occupation_count_per_horizon(self, fast_config, tmp_path,
                                               monkeypatch):
         # one record per horizon feeds check_inversion and
-        # are_diagnostic; this tower is above the exhaustive duality
-        # check's 512 positions
+        # are_diagnostic; this tower's exhaustive duality table is above
+        # its 2^22 counts
         calls = []
         count = sky.occupation_counts
 
@@ -973,6 +974,24 @@ class TestSkyscraperCounts:
         n_grid = sorted(int(n) for n in report["inversion"][
             "occupation_distances"])
         assert len(n_grid) > 1 and calls == n_grid
+
+    def test_wide_tower_finishes_in_a_second(self, tmp_path):
+        # 22 levels of two symbols whose integer weights make the duality
+        # table 270,342 times by 44 positions (11,895,048 counts, above
+        # its 2^22 bound): the whole run, with no duality check, takes
+        # well under a second
+        config = write_config(tmp_path / "wide.json", {
+            "kind": "rational",
+            "target": {"family": "points",
+                       "atoms": [["1", "1/2"], ["2", "1/2"]]},
+            "deltas": ["1/10"], "epss": ["1/200"], "rounds": 1})
+        start = time.perf_counter()
+        assert main(["all", "--config", config,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert time.perf_counter() - start < 1
+        it = sky.integerize(load_config(config, None).trace)
+        assert (it.height, it.size) == (22, 2)
+        assert not sky.duality_fits(it)
 
     @pytest.mark.parametrize("step, recorded, files", [
         ("skyscraper", "lognormal_skyscraper", 4),

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -17,8 +18,8 @@ from towerkit.lemma_engine import (BlockArray, GammaTable, InvariantError,
                                    _add_bumps)
 from towerkit.skyscraper import (IntegerTower, InversionError,
                                  SkyscraperError, are_diagnostic,
-                                 check_duality, check_inversion, integerize,
-                                 inverse_target,
+                                 check_duality, check_inversion,
+                                 duality_fits, integerize, inverse_target,
                                  occupation_counts, occupation_sweep,
                                  return_time_partial_sums)
 from towerkit.tower import build_rational_tower
@@ -38,6 +39,13 @@ def occupation_mean_via_levels(it, n):
                 total += 1
                 j += 1
     return F(total, h * it.size)
+
+
+def expanded_counts(it, n):
+    """The count at every base position, keyed by symbol: the run tables
+    of ``occupation_counts`` expanded by ``np.repeat``."""
+    return {s: np.repeat(*runs)
+            for s, runs in occupation_counts(it, n).items()}
 
 
 def toy_tower(weights_by_symbol, target=None, trace=None):
@@ -84,6 +92,13 @@ def base_trace():
     # return times distributed like 1/Y for Y uniform on {1, 2}
     z = FiniteDist.uniform([F(1, 2), F(1)])
     return build_rational_tower(z, [F(1, 20)], [F(1, 40)], rounds=2)
+
+
+@pytest.fixture(scope="module")
+def pareto1_base():
+    # the pareto1 preset's skyscraper base: eight atoms j/8 of mass 1/8
+    z = FiniteDist.uniform([F(j, 8) for j in range(1, 9)])
+    return build_rational_tower(z, [F(1, 80)], [F(1, 160)], rounds=2)
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +216,13 @@ class TestOccupation:
             w = [rng.randint(1, 12) for _ in range(rng.randint(1, 9))]
             it = toy_tower({"a": w})
             for n in (1, 5, 17, 103):
-                got = occupation_counts(it, n)["a"]
+                got = np.repeat(*occupation_counts(it, n)["a"])
                 assert list(got) == self.oracle_counts(w, n)
 
     def test_mean_via_levels_agrees(self):
         it = toy_tower({"a": [2, 5, 3], "b": [4, 1, 6]})
         for n in (7, 20, 55):
-            counts = occupation_counts(it, n)
+            counts = expanded_counts(it, n)
             direct = F(sum(int(counts[s].sum()) for s in it.symbols),
                        it.height * it.size)
             assert occupation_mean_via_levels(it, n) == direct
@@ -243,7 +258,7 @@ class TestOccupation:
                        gamma_trace(g, inverse_target(y)))
         n = max(map(max, weights)) + extra
         dist, checks, distance = occupation_oracle(
-            it, n, occupation_counts(it, n), xs, tail_constant)
+            it, n, expanded_counts(it, n), xs, tail_constant)
         failed = [(n, x, lhs, bound) for x, lhs, bound, ok in checks
                   if not ok]
         if failed:
@@ -271,7 +286,7 @@ class TestOccupation:
                        gamma_trace(F(1), inverse_target(y)))
         xs = [F(1), F(1, 2), F(1, 4)]
         _, checks, _ = occupation_oracle(
-            it, 6, occupation_counts(it, 6), xs, F(1, 100))
+            it, 6, expanded_counts(it, 6), xs, F(1, 100))
         assert [ok for *_, ok in checks] == [True, False, False]
         with pytest.raises(InversionError) as exc:
             occupation_sweep(it, [6], x_values=xs, tail_constant=F(1, 100))
@@ -283,7 +298,7 @@ class TestOccupation:
         n = int_tower.covered_horizon()
         occupation_sweep(int_tower, [n])[n].to_csv(tmp_path / "occ.csv")
         dist, _, _ = occupation_oracle(
-            int_tower, n, occupation_counts(int_tower, n), (), 2)
+            int_tower, n, expanded_counts(int_tower, n), (), 2)
         with open(tmp_path / "occ.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["count", "mass"]] + [
@@ -370,16 +385,54 @@ class TestBumpKernel:
             for d in (-1, 0, 1, b - 1, b, b + 1, rng.randrange(tot)):
                 ns.add(q * tot + d)
         for n in sorted(n for n in ns if n >= 1):
-            got = occupation_counts(it, n)["a"]
+            got = np.repeat(*occupation_counts(it, n)["a"])
             assert np.array_equal(got, doubled_prefix_counts(w, n)), n
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 10 ** 5), min_size=1, max_size=8),
+           st.integers(1, 4), st.integers(1, 6), st.integers(2, 4),
+           st.sampled_from([0, 1, 10, 100]), st.integers(0, 1000),
+           st.integers(0, 2))
+    # B = 0; a bump above a child total, whose windows stick before it;
+    # a row where some entries hit the first bump, then rows where all do
+    @example([3], 1, 2, 2, 0, 0, 0)
+    @example([1, 9], 1, 3, 2, 1, 400, 1)
+    @example([2, 5, 1], 1, 3, 2, 10, 50, 0)
+    def test_run_tables_on_hostile_shapes(self, child, f, copies, tiles,
+                                          scale, permille, plain):
+        # heterogeneous child weights, h/s >= 2, and bumps from 0 to 100
+        # child totals, next to a block with no Bump whose least period
+        # is its child's, its spacing or its height; every remainder m at
+        # and around each c*B, against the doubled prefix oracle
+        b = scale * f * sum(child) * permille // 1000
+        w = bumped(child, f, b, copies, tiles)
+        h, s = len(w), w.bump.spacing
+        period = len(child) * (1, copies, copies * tiles)[plain]
+        pattern = np.resize(np.array(child[::-1]) + 1, period)
+        plain = Block(np.tile(pattern, h // period))
+        it = bump_tower({"a": w, "p": plain})
+        tot = w.total_units()
+        ns = {1, plain.total_units()}
+        for q in (0, 1):
+            for c in range(h // s + 2):
+                ns.update(q * tot + c * b + d for d in (-1, 0, 1))
+        for n in sorted(n for n in ns if n >= 1):
+            tables = occupation_counts(it, n)
+            assert list(tables) == ["a", "p"]
+            for sym, block in (("a", w), ("p", plain)):
+                values, lengths = tables[sym]
+                assert (lengths > 0).all() and lengths.sum() == h, (sym, n)
+                assert np.array_equal(np.repeat(values, lengths),
+                                      doubled_prefix_counts(block, n)), \
+                    (sym, n)
 
     def test_add_bumps_blocks_use_their_bump(self):
         w = _add_bumps(Block([2, 3, 1]), 6, 5, 9)
         assert w.bump is not None and len(w) // w.bump.spacing == 2
         it = bump_tower({"a": w})
         for n in range(1, 3 * w.total_units()):
-            assert np.array_equal(occupation_counts(it, n)["a"],
-                                  doubled_prefix_counts(w, n))
+            got = np.repeat(*occupation_counts(it, n)["a"])
+            assert np.array_equal(got, doubled_prefix_counts(w, n))
 
     def test_exact_integer_bumps_rebuild_units(self, int_tower):
         assert all(p == 0 for p in int_tower.perturbations.values())
@@ -403,8 +456,8 @@ class TestBumpKernel:
         assert v.bump.factor == 1 and v.bump.amount == 3
         assert np.array_equal(v.units, tiled_units(v))
         for n in (4 * v.total_units() // 3, 7 * v.total_units() + 3):
-            assert np.array_equal(occupation_counts(it, n)["w"],
-                                  doubled_prefix_counts(v, n))
+            got = np.repeat(*occupation_counts(it, n)["w"])
+            assert np.array_equal(got, doubled_prefix_counts(v, n))
 
     def test_duality_on_bump_tiled_tower(self):
         it = bump_tower({"a": bumped([2, 1, 3], 1, 4, 2, 2),
@@ -453,7 +506,7 @@ class TestSweepFloats:
         total = max(w.total_units() for w in blocks.values())
         n_grid = sorted(set(data.draw(st.lists(
             st.integers(wmax, 3 * total), min_size=1, max_size=3))))
-        rows = {n: np.concatenate(list(occupation_counts(it, n).values()))
+        rows = {n: np.concatenate(list(expanded_counts(it, n).values()))
                 for n in n_grid}
         t_grid = []
         for n in n_grid:
@@ -469,6 +522,25 @@ class TestSweepFloats:
             # == on every float: the sums see the same operands in order
             assert (rep.mean, rep.moment, rep.u) == whole_row_statistics(
                 occ, it.a_of(n), alphas, t_grid)
+
+
+class TestRunTables:
+    def test_sweep_makes_no_count_row(self, pareto1_base):
+        # a tower of 8 blocks of 26,244 levels, swept at alpha = 1 with no
+        # u thresholds: nothing the sweep allocates is near one int64 row
+        it = integerize(pareto1_base)
+        row = 8 * it.height * it.size
+        assert it.height * it.size >= 10 ** 5
+        n_grid = [it.covered_horizon() // d for d in (4, 2, 1)]
+        occupation_sweep(it, n_grid[:1], [1.0])
+        tracemalloc.start()
+        try:
+            reports = occupation_sweep(it, n_grid, [1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 3
+        assert peak < row // 8, (peak, row)
 
 
 class TestRepeatPowers:
@@ -529,10 +601,20 @@ class TestDuality:
         with pytest.raises(InvariantError):
             check_duality(it)
 
-    def test_height_limit(self):
-        it = toy_tower({"a": [1] * 600})
-        with pytest.raises(SkyscraperError):
-            check_duality(it)
+    def test_size_limits(self):
+        # the check is bounded by its table, times up to three block totals
+        # by base positions, at 2^22 counts, and by its block counts,
+        # times by blocks, at 2^14: a 600-level tower of unit weights
+        # (1,080,000 counts, 1,800 block counts) is checked; 1,200 levels
+        # (4,320,000 counts), one level of weight 2^21 (6,291,456 of
+        # each) and two levels of weight 3,000 (18,000 block counts) are
+        # refused
+        assert check_duality(toy_tower({"a": [1] * 600}))
+        for weights in ([1] * 1200, [2 ** 21], [3000, 3000]):
+            it = toy_tower({"a": weights})
+            assert not duality_fits(it)
+            with pytest.raises(SkyscraperError):
+                check_duality(it)
 
 
 class TestInversionTable:
